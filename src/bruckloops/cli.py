@@ -7,8 +7,8 @@ configuration errors.
 
 Configs are JSON; every default is echoed back into the report so a run
 is self-describing and reproducible.  Identical config and seed produce
-byte-identical reports except for the wall-clock fields (``seconds``,
-``total_seconds``).
+byte-identical reports on one machine and one numpy/LAPACK build, except
+for the wall-clock fields (``seconds``, ``total_seconds``).
 """
 
 from __future__ import annotations
@@ -61,7 +61,6 @@ DEFAULT_SAMPLES = {
 DEFAULT_TOLERANCES = {
     "tau_abs": 1e-9,
     "tau_rel": 1e-7,
-    "jacobi_stop": 1e-13,
     "identity": 1e-8,
     "membership": 1e-9,
     "factor": 1e-8,
@@ -102,6 +101,10 @@ class SuiteConfig:
             "samples": dict(self.samples),
             "tolerances": dict(self.tolerances),
         }
+
+    def numeric_tol(self) -> Tolerance:
+        """The pivot and residual floors every numeric layer takes."""
+        return Tolerance(self.tolerances["tau_abs"], self.tolerances["tau_rel"])
 
 
 def load_suite_config(path: str | None, overrides: dict) -> SuiteConfig:
@@ -178,9 +181,7 @@ def build_wtilde(form: SignatureForm, carrier: int, spec: str, tol: Tolerance):
 def resolve(cfg: SuiteConfig):
     """Validate a suite config into live objects."""
     form = SignatureForm(cfg.n, cfg.p1, cfg.p2, cfg.field_name)
-    tol = Tolerance(
-        cfg.tolerances["tau_abs"], cfg.tolerances["tau_rel"], cfg.tolerances["jacobi_stop"]
-    )
+    tol = cfg.numeric_tol()
     wtilde = build_wtilde(form, cfg.carrier, cfg.wtilde, tol)
     econfig = ext.extension_config(form, cfg.carrier, wtilde, tol)
     return form, tol, econfig, MatrixLoop(form, tol)
@@ -511,9 +512,7 @@ def cmd_mul(args) -> int:
     cfg = load_suite_config(args.config, _overrides(args))
     if args.loop == "matrix":
         form = SignatureForm(cfg.n, cfg.p1, cfg.p2, cfg.field_name)
-        tol = Tolerance(
-            cfg.tolerances["tau_abs"], cfg.tolerances["tau_rel"], cfg.tolerances["jacobi_stop"]
-        )
+        tol = cfg.numeric_tol()
         lhs = _load_matrix_element(args.lhs, form)
         rhs = _load_matrix_element(args.rhs, form)
         if lhs.form != rhs.form:
@@ -537,9 +536,7 @@ def cmd_mul(args) -> int:
 def cmd_factor(args) -> int:
     cfg = load_suite_config(args.config, _overrides(args))
     form = SignatureForm(cfg.n, cfg.p1, cfg.p2, cfg.field_name)
-    tol = Tolerance(
-        cfg.tolerances["tau_abs"], cfg.tolerances["tau_rel"], cfg.tolerances["jacobi_stop"]
-    )
+    tol = cfg.numeric_tol()
     elem = _load_matrix_element(args.matrix, form)
     s1, c = polar_factorize(elem.matrix, elem.form, cfg.tolerances["membership"], tol)
     residual = fro(s1.matrix @ c.matrix - elem.matrix) / max(1.0, fro(elem.matrix))

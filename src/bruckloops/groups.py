@@ -158,14 +158,14 @@ def membership_residual(
         dec = linalg.eig_hermitian(symmetrize(a), tol)
         res["positive_definite"] = max(0.0, -float(dec.eigenvalues[0]))
         res["isometry"] = fro(dag(a) @ j @ a - j)
-        res["determinant"] = abs(np.linalg.det(a) - 1.0)
+        res["determinant"] = float(abs(np.linalg.det(a) - 1.0))
     elif target == "Phi":
         p1 = form.p1
         res["block_diagonal"] = float(
             np.sqrt(fro(a[:p1, p1:]) ** 2 + fro(a[p1:, :p1]) ** 2)
         )
         res["unitary"] = fro(a @ dag(a) - np.eye(form.n, dtype=form.dtype))
-        res["determinant"] = abs(np.linalg.det(a) - 1.0)
+        res["determinant"] = float(abs(np.linalg.det(a) - 1.0))
     else:
         raise ValueError(f"unknown membership target {target!r}")
     return MembershipReport(target, res, tolerance)

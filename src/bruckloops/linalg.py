@@ -6,10 +6,11 @@ real field and flips the sign of the imaginary part on the complex one,
 so a single code path written with ``conj``/``conjugate-transpose``
 serves both fields.
 
-The eigensolver is a self-contained cyclic Jacobi iteration with unitary
-2x2 rotations.  It is unconditionally stable on hermitian input, needs no
-external LAPACK behaviour to be pinned down, and is deterministic: the
-same input bytes produce the same decomposition on every platform.
+Hermitian eigenproblems go to LAPACK through ``numpy.linalg.eigh``.  The
+result is deterministic only in the weak sense that identical input bytes
+give identical output on one machine with one numpy/LAPACK build; like
+``svd``, ``det``, ``inv`` and ``@`` elsewhere in the package, it may differ
+in the last bits across platforms or BLAS/LAPACK builds.
 """
 
 from __future__ import annotations
@@ -38,8 +39,6 @@ COMPLEX = "complex"
 # fixed points on their own output (needed for bit-for-bit idempotence).
 _SNAP = 1e-13
 
-_JACOBI_SWEEPS = 30
-
 
 @dataclass(frozen=True)
 class Tolerance:
@@ -47,15 +46,13 @@ class Tolerance:
 
     tau_abs: absolute floor for pivots, positivity and meet decisions.
     tau_rel: relative tolerance for residual checks against norms.
-    jacobi_stop: relative off-diagonal mass at which the eigensolver stops.
     """
 
     tau_abs: float = 1e-9
     tau_rel: float = 1e-7
-    jacobi_stop: float = 1e-13
 
     def __post_init__(self) -> None:
-        if not (self.tau_abs > 0 and self.tau_rel > 0 and self.jacobi_stop > 0):
+        if not (self.tau_abs > 0 and self.tau_rel > 0):
             raise ValueError("tolerances must be strictly positive")
 
 
@@ -113,80 +110,31 @@ class SpectralDecomposition:
 
 
 def eig_hermitian(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> SpectralDecomposition:
-    """Full eigendecomposition of a hermitian matrix by cyclic Jacobi.
+    """Full eigendecomposition of a hermitian matrix by LAPACK ``eigh``.
 
-    Sweeps rotate every off-diagonal pair (p, q) with a unitary 2x2
-    rotation chosen to zero A[p, q]; in the complex case the rotation
-    carries the phase of A[p, q].  Iteration stops once the off-diagonal
-    Frobenius mass falls below ``jacobi_stop * ||A||_F``; the sweep budget
-    is 30, after which NoConvergence is raised (unreachable for genuine
-    hermitian input, where convergence is quadratic).
+    The input is checked for hermiticity against ``tol`` and then
+    symmetrized, so LAPACK sees an exactly hermitian matrix whichever
+    triangle it reads.  Eigenvalues are real and ascending.  The sign or
+    phase of each eigenvector, and the basis chosen within a degenerate
+    cluster, are whatever LAPACK returns; no caller may depend on them.
+    Identical input bytes give an identical decomposition on one machine
+    with one numpy/LAPACK build, not across platforms.
 
-    Eigenvalues are returned ascending; within a degenerate cluster the
-    eigenvector order is whatever the stable sort of the Jacobi output
-    gives, and no caller may depend on the intra-cluster order.
+    Raises NoConvergence when the input has a non-finite entry or LAPACK
+    does not converge.
     """
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
-    norm_a = fro(a)
-    if hermitian_residual(a) > tol.tau_abs + tol.tau_rel * norm_a:
-        raise NotHermitian(f"symmetry residual {hermitian_residual(a):.3e} exceeds tolerance")
-
-    n = a.shape[0]
-    w = symmetrize(np.array(a))
-    complex_case = np.iscomplexobj(w)
-    q = np.eye(n, dtype=w.dtype)
-    if n == 1 or norm_a == 0.0:
-        vals = np.real(np.diag(w)).copy()
-        return SpectralDecomposition(vals, q)
-
-    stop = tol.jacobi_stop * norm_a
-    for _ in range(_JACOBI_SWEEPS):
-        off = fro(w - np.diag(np.diag(w)))
-        if off < stop:
-            break
-        for p in range(n - 1):
-            for r in range(p + 1, n):
-                b = w[p, r]
-                absb = abs(b)
-                if absb == 0.0:
-                    continue
-                phase = b / absb if complex_case else (1.0 if b > 0 else -1.0)
-                app = w[p, p].real
-                arr = w[r, r].real
-                tau = (arr - app) / (2.0 * absb)
-                if abs(tau) > 1e150:
-                    t = 0.5 / tau  # asymptotic root; tau*tau would overflow
-                elif tau >= 0.0:
-                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                else:
-                    t = 1.0 / (tau - math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                sp = s * phase
-                # w <- U* w U with U[p,p]=U[r,r]=c, U[p,r]=s*phase, U[r,p]=-s*conj(phase)
-                col_p = w[:, p].copy()
-                col_r = w[:, r].copy()
-                w[:, p] = c * col_p - np.conj(sp) * col_r
-                w[:, r] = sp * col_p + c * col_r
-                row_p = w[p, :].copy()
-                row_r = w[r, :].copy()
-                w[p, :] = c * row_p - sp * row_r
-                w[r, :] = np.conj(sp) * row_p + c * row_r
-                w[p, r] = 0.0
-                w[r, p] = 0.0
-                w[p, p] = w[p, p].real
-                w[r, r] = w[r, r].real
-                qcol_p = q[:, p].copy()
-                qcol_r = q[:, r].copy()
-                q[:, p] = c * qcol_p - np.conj(sp) * qcol_r
-                q[:, r] = sp * qcol_p + c * qcol_r
-    else:
-        raise NoConvergence(f"off-diagonal mass still {off:.3e} after {_JACOBI_SWEEPS} sweeps")
-
-    vals = np.real(np.diag(w)).copy()
-    order = np.argsort(vals, kind="stable")
-    return SpectralDecomposition(vals[order], q[:, order])
+    if not np.all(np.isfinite(a)):
+        raise NoConvergence("matrix has non-finite entries")
+    residual = hermitian_residual(a)
+    if residual > tol.tau_abs + tol.tau_rel * fro(a):
+        raise NotHermitian(f"symmetry residual {residual:.3e} exceeds tolerance")
+    try:
+        vals, q = np.linalg.eigh(symmetrize(a))
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"eigh failed: {exc}") from exc
+    return SpectralDecomposition(vals, q)
 
 
 _SPECTRAL_FUNCTIONS = {

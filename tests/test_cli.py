@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bruckloops.cli import main
+from bruckloops.cli import _diagnostics, main
 from bruckloops.groups import SigmaElement, element_to_json, standard_boost
 from bruckloops.linalg import write_matrix_text
 from conftest import boost3, rotation
@@ -97,6 +97,11 @@ class TestVerify:
         cfg = write_config(tmp_path / "cfg.json", wtilde=f"boost:{math.log(2)}")
         assert main(["verify", "--config", cfg]) == 0
 
+    def test_removed_jacobi_stop_tolerance_is_config_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json", tolerances={"jacobi_stop": 1e-13})
+        assert main(["verify", "--config", cfg]) == 2
+        assert "jacobi_stop" in capsys.readouterr().err
+
 
 class TestMul:
     def test_identity_times_element(self, tmp_path, capsys, form321r):
@@ -141,6 +146,11 @@ class TestMul:
         good = tmp_path / "good.mat"
         good.write_text(write_matrix_text(np.eye(3)))
         assert main(["mul", str(bad), str(good), "--n", "3", "--p1", "2", "--p2", "1"]) == 2
+
+    def test_determinant_dominated_diagnostics_serialize(self, form321r):
+        diag = _diagnostics(SigmaElement(2.0 * np.eye(3), form321r), 1e-9)
+        assert diag["pass"] is False
+        json.dumps(diag)
 
 
 class TestFactor:
@@ -191,6 +201,12 @@ class TestWitness:
 
     def test_standard_transversal_rejected(self, capsys):
         assert main(["witness", "--n", "3", "--p1", "2", "--p2", "1"]) == 2
+
+    @pytest.mark.parametrize("t", ["nan", "inf"])
+    def test_non_finite_boost_is_config_error(self, capsys, t):
+        argv = ["witness", "--n", "3", "--p1", "2", "--p2", "1", "--wtilde", f"boost:{t}"]
+        assert main(argv) == 2
+        assert "non-finite" in capsys.readouterr().err
 
 
 class TestSample:

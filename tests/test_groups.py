@@ -99,6 +99,16 @@ class TestMembership:
         with pytest.raises(ValueError):
             membership_residual(np.eye(3), "Omega", form321r)
 
+    @pytest.mark.parametrize("target", ["Sigma", "Phi"])
+    def test_determinant_dominated_report_is_plain_json(self, form321r, target):
+        # For 2I the determinant residual (about 7) exceeds every other one
+        # (at most 3 sqrt 3), so it alone decides ``passed``.
+        rep = membership_residual(2.0 * np.eye(3), target, form321r)
+        assert rep.max_residual == rep.residuals["determinant"]
+        assert type(rep.passed) is bool
+        assert all(type(r) is float for r in rep.residuals.values())
+        json.dumps({"membership": rep.residuals, "pass": rep.passed})
+
 
 class TestSampleSigma:
     def test_zero_radius_gives_identity(self, form321r):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from bruckloops.errors import (
     IsotropicPivot,
+    NoConvergence,
     NotHermitian,
     NotPositiveDefinite,
     ParseError,
@@ -85,6 +86,23 @@ class TestEigHermitian:
         a = symmetrize(np.array(entries).reshape(3, 3))
         dec = eig_hermitian(a)
         assert fro(dec.apply(dec.eigenvalues) - a) <= 1e-10 * (1.0 + fro(a))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_input_is_no_convergence(self, bad):
+        a = boost3(0.5)
+        a[1, 2] = a[2, 1] = bad
+        with pytest.raises(NoConvergence):
+            eig_hermitian(a)
+        with pytest.raises(NoConvergence):
+            spectral_map(a, "sqrt")
+
+    def test_lapack_failure_is_no_convergence(self, monkeypatch):
+        def fail(_):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(NoConvergence):
+            eig_hermitian(np.eye(3))
 
 
 class TestSpectralMap:
