@@ -8,7 +8,6 @@ from .errors import BruckLoopsError
 from .extension import (
     ExtensionConfig,
     ExtensionElement,
-    dimension_rank_check,
     ext_loop_interface,
     ext_mul,
     extension_config,
@@ -32,7 +31,7 @@ from .groups import (
     standard_boost,
 )
 from .kernel import Loop, check_aip, check_bol, check_left_a, check_loop_axioms
-from .linalg import Tolerance, eig_hermitian, orthonormalize, solve_linear, spectral_map
+from .linalg import Tolerance, eig_hermitian, orthonormalize, spectral_map
 from .matrixloop import MatrixLoop
 
 __all__ = [
@@ -54,7 +53,6 @@ __all__ = [
     "check_left_a",
     "check_loop_axioms",
     "conjugate_by_phi",
-    "dimension_rank_check",
     "eig_hermitian",
     "ext_loop_interface",
     "ext_mul",
@@ -69,7 +67,6 @@ __all__ = [
     "realize",
     "sample_phi",
     "sample_sigma",
-    "solve_linear",
     "solve_translation",
     "spectral_map",
     "standard_boost",

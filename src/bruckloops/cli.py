@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -119,7 +120,7 @@ def load_suite_config(path: str | None, overrides: dict) -> SuiteConfig:
             raise ConfigInvalid("config root must be a JSON object")
         for key in ("n", "p1", "p2", "carrier", "seed"):
             if key in raw:
-                setattr(cfg, key, int(raw[key]))
+                setattr(cfg, key, _convert(int, raw[key], key))
         if "field" in raw:
             cfg.field_name = str(raw["field"])
         if "wtilde" in raw:
@@ -133,7 +134,7 @@ def load_suite_config(path: str | None, overrides: dict) -> SuiteConfig:
             for name, value in section.items():
                 if name not in bucket:
                     raise ConfigInvalid(f"unknown {key} entry {name!r}")
-                bucket[name] = int(value) if key == "samples" else float(value)
+                bucket[name] = _convert(int if key == "samples" else float, value, f"{key}.{name}")
     for key, value in overrides.items():
         if value is None:
             continue
@@ -149,7 +150,22 @@ def load_suite_config(path: str | None, overrides: dict) -> SuiteConfig:
             setattr(cfg, key, int(value))
         elif key in ("wtilde", "out"):
             setattr(cfg, key, str(value))
+    low = sorted(name for name, count in cfg.samples.items() if count < 1)
+    if low:
+        raise ConfigInvalid(f"sample counts must be >= 1: {', '.join(low)}")
+    bad = sorted(
+        name for name, value in cfg.tolerances.items() if not (math.isfinite(value) and value > 0)
+    )
+    if bad:
+        raise ConfigInvalid(f"tolerances must be finite and > 0: {', '.join(bad)}")
     return cfg
+
+
+def _convert(kind, value, name: str):
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigInvalid(f"config entry {name!r} must be {kind.__name__}, got {value!r}") from exc
 
 
 def build_wtilde(form: SignatureForm, carrier: int, spec: str, tol: Tolerance):
@@ -163,7 +179,10 @@ def build_wtilde(form: SignatureForm, carrier: int, spec: str, tol: Tolerance):
             t = float(spec.split(":", 1)[1])
         except ValueError as exc:
             raise ConfigInvalid(f"bad boost parameter in {spec!r}") from exc
-        boost = standard_boost(form, t, tol)
+        with np.errstate(over="ignore", invalid="ignore"):
+            boost = standard_boost(form, t, tol)
+        if not np.all(np.isfinite(boost.matrix)):
+            raise ConfigInvalid(f"{spec!r} gives a non-finite boost matrix")
         return geometry.apply(
             geometry.linear_affinity(boost.matrix), ext.coordinate_subspace(form, j), tol
         )
@@ -472,18 +491,33 @@ def _perturb(s, noise: np.ndarray, tol: Tolerance):
 # ---------------------------------------------------------------------------
 
 
+def _parse_json_object(path: str, text: str) -> dict:
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise ParseError(f"{path} must hold a JSON object")
+    return obj
+
+
 def _load_matrix_element(path: str, form_hint: SignatureForm | None):
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     stripped = text.lstrip()
     if stripped.startswith("{"):
-        return element_from_json(json.loads(text))
+        return element_from_json(_parse_json_object(path, text))
     matrix = read_matrix_text(text)
     if form_hint is None:
         raise ConfigInvalid(
             "matrix text files carry no signature; pass --n/--p1/--p2/--field"
         )
     return SigmaElement(matrix.astype(form_hint.dtype), form_hint)
+
+
+def _load_extension_element(path: str) -> ext.ExtensionElement:
+    with open(path, "r", encoding="utf-8") as fh:
+        return ext.extension_element_from_json(_parse_json_object(path, fh.read()))
 
 
 def _diagnostics(elem: SigmaElement, tolerance: float) -> dict:
@@ -522,10 +556,7 @@ def cmd_mul(args) -> int:
         out["diagnostics"] = _diagnostics(product, cfg.tolerances["membership"])
     else:
         _, tol, econfig, _ = resolve(cfg)
-        with open(args.lhs, "r", encoding="utf-8") as fh:
-            e1 = ext.extension_element_from_json(json.load(fh))
-        with open(args.rhs, "r", encoding="utf-8") as fh:
-            e2 = ext.extension_element_from_json(json.load(fh))
+        e1, e2 = (_load_extension_element(path) for path in (args.lhs, args.rhs))
         product = ext.ext_mul(e1, e2, econfig)
         out = product.to_json()
         out["diagnostics"] = _diagnostics(product.rho, cfg.tolerances["membership"])

@@ -15,23 +15,15 @@ class NotHermitian(BruckLoopsError):
 
 
 class NoConvergence(BruckLoopsError):
-    """Iterative eigensolver failed to reach its stopping threshold."""
+    """The eigensolver got a non-finite matrix or LAPACK did not converge."""
 
 
 class NotPositiveDefinite(BruckLoopsError):
     """A spectral function requiring positivity met a non-positive eigenvalue."""
 
 
-class Singular(BruckLoopsError):
-    """A pivot fell below tolerance during elimination."""
-
-
 class RankDeficient(BruckLoopsError):
     """Columns handed to orthonormalization are not linearly independent."""
-
-
-class IsotropicPivot(BruckLoopsError):
-    """A form-orthonormalization pivot has (near-)zero form norm."""
 
 
 class DimensionMismatch(BruckLoopsError):

@@ -11,10 +11,10 @@ and the direction is in turn carried by a canonical positive-definite lift,
 so an element is stored as ``(w, rho)``.  Realizing an element re-creates
 the subspace; the coordinate map ``omega`` inverts realization.
 
-The orbit of W_1 at infinity consists of direction spans on which the
-indefinite form stays positive definite (images of a positive-definite
-subspace under isometries), which is what the sign checks in
-``lift_from_infinity`` exploit.
+Every orbit direction at infinity is the graph of a strict contraction
+between the two coordinate blocks, which gives ``lift_from_infinity`` a
+closed form (the boost of that contraction, as in the gyrogroup view of
+the loop).
 """
 
 from __future__ import annotations
@@ -28,15 +28,14 @@ from . import geometry
 from .errors import (
     ConfigInvalid,
     DimensionMismatch,
-    IsotropicPivot,
     NotInOrbit,
+    NotPositiveDefinite,
     RankAmbiguous,
     WitnessNotFound,
 )
 from .geometry import (
     AffineSubspace,
     Affinity,
-    InfinityDirection,
     apply,
     at_infinity,
     linear_affinity,
@@ -51,6 +50,7 @@ from .groups import (
     SampleStream,
     SigmaElement,
     SignatureForm,
+    _off_diagonal_generator,
     element_from_json,
     element_to_json,
     matrix_from_json,
@@ -61,7 +61,7 @@ from .groups import (
     sigma_from_block,
 )
 from .kernel import Loop
-from .linalg import COMPLEX, DEFAULT_TOL, Tolerance, dag, orthonormalize
+from .linalg import COMPLEX, DEFAULT_TOL, Tolerance, dag, spectral_map, symmetrize
 from .matrixloop import MatrixLoop
 
 
@@ -159,8 +159,13 @@ class ExtensionElement:
 
 
 def extension_element_from_json(obj: dict) -> ExtensionElement:
+    missing = [key for key in ("w", "rho") if key not in obj]
+    if missing:
+        raise ConfigInvalid(f"extension element lacks {', '.join(missing)}")
     rho = element_from_json(obj["rho"])
     w = matrix_from_json([obj["w"]], rho.form.field)[0]
+    if w.shape != (rho.form.n,):
+        raise ConfigInvalid(f"w has {w.size} entries, expected n = {rho.form.n}")
     return ExtensionElement(w, rho)
 
 
@@ -180,51 +185,36 @@ def realize(e: ExtensionElement, cfg: ExtensionConfig) -> AffineSubspace:
     return subspace(e.w - q, through_zero.frame, cfg.tol)
 
 
-def lift_from_infinity(z: InfinityDirection, cfg: ExtensionConfig) -> SigmaElement:
+def lift_from_infinity(z: np.ndarray, cfg: ExtensionConfig) -> SigmaElement:
     """The unique positive-definite isometry whose carrier image has the
-    given direction at infinity.
+    direction span of the frame ``z``.
 
-    The direction frame is orthonormalized against the form (its form
-    norms must all match the carrier's sign), extended by a form-orthonormal
-    basis of the form-orthogonal complement, and assembled into an isometry
-    M whose carrier block spans z.  One complement column is rescaled by the
-    unit scalar 1/det(M) to force determinant 1; this changes only the
-    block-diagonal factor of M and never the positive factor, so the lift is
-    well defined.  The positive factor of M is the answer, since the
-    block-diagonal factor fixes the carrier coordinate subspace.
+    An orbit direction is the graph of a p1 x p2 contraction X: the span of
+    [I; X*] for carrier 1 and of [X; I] for carrier 2.  With z = [F1; F2]
+    split at p1, X* = F2 F1^-1 (carrier 1) or X = F1 F2^-1 (carrier 2).
+    The lift is the boost (I + T)(I - T^2)^{-1/2} = exp(artanh T) with
+    T = [[0, X], [X*, 0]], which maps W_1 onto span [I; X*] and W_2 onto
+    span [X; I].  A singular block, or I - T^2 not positive definite
+    (||X|| >= 1), means z is not in the orbit.
     """
     form = cfg.form
-    if z.frame.shape[0] != form.n or z.dim != cfg.carrier_dim:
+    if z.shape != (form.n, cfg.carrier_dim):
         raise DimensionMismatch(
             f"direction must be {cfg.carrier_dim}-dimensional in F^{form.n}"
         )
-    j = form.j_matrix()
-    want = 1.0 if cfg.carrier == 1 else -1.0
+    zh = dag(z.astype(form.dtype))
+    f1h, f2h = zh[:, : form.p1], zh[:, form.p1 :]  # F1*, F2*
     try:
-        basis, signs = orthonormalize(z.frame.astype(form.dtype), form=j, tol=cfg.tol)
-    except IsotropicPivot as exc:
-        raise NotInOrbit(f"direction is isotropic for the form: {exc}") from exc
-    if np.any(signs != want):
-        raise NotInOrbit("the form restricted to the direction has the wrong sign")
-    # form-orthogonal complement: null space of basis* J
-    u, sv, vh = np.linalg.svd(dag(basis) @ j)
-    comp = dag(vh[z.dim :, :])
+        x = np.linalg.solve(f1h, f2h) if cfg.carrier == 1 else dag(np.linalg.solve(f2h, f1h))
+    except np.linalg.LinAlgError as exc:
+        raise NotInOrbit(f"direction is not a graph over the carrier: {exc}") from exc
+    t = _off_diagonal_generator(form, x)
+    eye = np.eye(form.n, dtype=form.dtype)
     try:
-        comp_basis, comp_signs = orthonormalize(comp, form=j, tol=cfg.tol)
-    except IsotropicPivot as exc:
-        raise NotInOrbit(f"complement is isotropic for the form: {exc}") from exc
-    if np.any(comp_signs != -want):
-        raise NotInOrbit("the form-orthogonal complement has the wrong signature")
-    if cfg.carrier == 1:
-        m = np.hstack([basis, comp_basis])
-        fix_col = form.n - 1
-    else:
-        m = np.hstack([comp_basis, basis])
-        fix_col = form.p1 - 1
-    det = np.linalg.det(m)
-    m[:, fix_col] = m[:, fix_col] / det
-    s1, _ = polar_factorize(m, form, tol=cfg.tol)
-    return s1
+        scale = spectral_map(eye - t @ t, "inverse_sqrt", cfg.tol)
+    except NotPositiveDefinite as exc:
+        raise NotInOrbit(f"direction is not the graph of a contraction: {exc}") from exc
+    return SigmaElement(symmetrize((eye + t) @ scale), form)
 
 
 def omega(s: AffineSubspace, cfg: ExtensionConfig) -> ExtensionElement:
@@ -456,9 +446,3 @@ def dimension_rank_report(
         )
     modal = Counter(ranks).most_common(1)[0][0]
     return DimensionReport(modal, tuple(ranks), gap_fraction, points)
-
-
-def dimension_rank_check(
-    cfg: ExtensionConfig, points: int = 20, stream: SampleStream | None = None
-) -> int:
-    return dimension_rank_report(cfg, points, stream).rank

@@ -2,9 +2,9 @@
 
 A subspace is stored in canonical form: an orthonormal direction frame
 plus the minimum-norm point (the base is orthogonal to the frame's span).
-Canonicalization is bit-for-bit idempotent thanks to the snap thresholds
-in the orthonormalizer, so subspace equality reduces to a plain numeric
-comparison.
+Canonicalization is bit-for-bit idempotent thanks to the snap threshold
+in the orthonormalizer and a second projection of the base, so subspace
+equality reduces to a plain numeric comparison.
 
 Rank and intersection decisions use singular values with the relative
 threshold 1e-8 * sigma_max.  For the empty/nonempty call of ``meet`` an
@@ -25,10 +25,9 @@ import numpy as np
 
 from .errors import ConfigInvalid, DimensionMismatch, IllConditioned, TransversalityViolated
 from .groups import SigmaElement, matrix_from_json, matrix_to_json
-from .linalg import DEFAULT_TOL, Tolerance, dag, eig_hermitian, fro, orthonormalize
+from .linalg import _SNAP, DEFAULT_TOL, Tolerance, dag, eig_hermitian, fro, orthonormalize
 
 _RANK_REL = 1e-8
-_SNAP = 1e-13
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,9 +69,14 @@ def subspace(base: np.ndarray, directions: np.ndarray, tol: Tolerance = DEFAULT_
     base = base.astype(dtype)
     frame = frame.astype(dtype)
     if frame.shape[1]:
-        coef = dag(frame) @ base
-        if np.linalg.norm(coef) > _SNAP * max(1.0, float(np.linalg.norm(base))):
-            base = base - frame @ coef
+        # Twice is enough: the frame may be off-orthonormal by up to _SNAP,
+        # so one projection can leave a component of size _SNAP * |base|;
+        # a second one shrinks it below the skip threshold, which makes
+        # canonical() an exact fixed point.
+        for _ in range(2):
+            coef = dag(frame) @ base
+            if np.linalg.norm(coef) > _SNAP * max(1.0, float(np.linalg.norm(base))):
+                base = base - frame @ coef
     return AffineSubspace(base, frame)
 
 
@@ -86,18 +90,6 @@ def from_json(obj: dict, field: str) -> AffineSubspace:
         (base.shape[0], 0)
     )
     return subspace(base, frame)
-
-
-@dataclass(frozen=True, eq=False)
-class InfinityDirection:
-    """A linear direction span: the trace of a subspace on the hyperplane
-    at infinity."""
-
-    frame: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.frame.shape[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,14 +119,10 @@ def linear_affinity(linear: np.ndarray) -> Affinity:
     return Affinity(np.zeros(linear.shape[0], dtype=linear.dtype), linear)
 
 
-def at_infinity(s: AffineSubspace) -> InfinityDirection:
-    """The direction span of a subspace; independent of the base point."""
-    return InfinityDirection(s.frame)
-
-
-def join_point_direction(w: np.ndarray, z: InfinityDirection, tol: Tolerance = DEFAULT_TOL) -> AffineSubspace:
-    """The affine subspace through w with direction span z."""
-    return subspace(w, z.frame, tol)
+def at_infinity(s: AffineSubspace) -> np.ndarray:
+    """The direction span of a subspace (the trace on the hyperplane at
+    infinity) as its orthonormal frame; independent of the base point."""
+    return s.frame
 
 
 def apply(g: Affinity, s: AffineSubspace, tol: Tolerance = DEFAULT_TOL) -> AffineSubspace:
@@ -222,12 +210,10 @@ def subspace_distance(s1: AffineSubspace, s2: AffineSubspace) -> float:
 
 @dataclass(frozen=True)
 class TransversalityReport:
+    """Violations raise, so a report means every meet was a single point."""
+
     samples: int
     worst_margin: float
-
-    @property
-    def passed(self) -> bool:
-        return True  # violations raise; a report means every meet was a point
 
 
 def transversality_check(

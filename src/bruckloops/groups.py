@@ -64,7 +64,7 @@ class SignatureForm:
     def from_json(obj: dict) -> "SignatureForm":
         try:
             return SignatureForm(int(obj["n"]), int(obj["p1"]), int(obj["p2"]), obj.get("field", REAL))
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ConfigInvalid(f"bad form object {obj!r}") from exc
 
 
@@ -320,6 +320,8 @@ def element_to_json(elem) -> dict:
 
 
 def element_from_json(obj: dict, cls=SigmaElement):
+    if not isinstance(obj, dict):
+        raise ConfigInvalid("an element must be a JSON object")
     form = SignatureForm.from_json(obj.get("form", {}))
     matrix = matrix_from_json(obj.get("matrix", []), form.field)
     if matrix.shape != (form.n, form.n):

@@ -23,19 +23,17 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
-    IsotropicPivot,
     NoConvergence,
     NotHermitian,
     NotPositiveDefinite,
     ParseError,
     RankDeficient,
-    Singular,
 )
 
 REAL = "real"
 COMPLEX = "complex"
 
-# Skip-thresholds that make orthonormalization and canonicalization exact
+# Skip-threshold that makes orthonormalization and canonicalization exact
 # fixed points on their own output (needed for bit-for-bit idempotence).
 _SNAP = 1e-13
 
@@ -139,20 +137,17 @@ def eig_hermitian(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> SpectralDecomp
 
 _SPECTRAL_FUNCTIONS = {
     "sqrt": np.sqrt,
-    "square": np.square,
-    "inverse": lambda x: 1.0 / x,
     "inverse_sqrt": lambda x: 1.0 / np.sqrt(x),
     "exp": np.exp,
-    "log": np.log,
 }
-_NEEDS_POSITIVITY = {"sqrt", "inverse", "inverse_sqrt", "log"}
+_NEEDS_POSITIVITY = {"sqrt", "inverse_sqrt"}
 
 
 def spectral_map(a: np.ndarray, func: str, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Apply a scalar function to a hermitian matrix through its spectrum.
 
     ``sqrt`` returns the unique positive-definite square root.  Functions
-    needing positivity (sqrt, log, inverse, inverse_sqrt) raise
+    needing positivity (sqrt, inverse_sqrt) raise
     NotPositiveDefinite when the smallest eigenvalue is <= tau_abs.  The
     result is re-symmetrized so hermiticity cannot drift through long
     chains of loop multiplications.
@@ -167,86 +162,32 @@ def spectral_map(a: np.ndarray, func: str, tol: Tolerance = DEFAULT_TOL) -> np.n
     return dec.apply(_SPECTRAL_FUNCTIONS[func](dec.eigenvalues))
 
 
-def solve_linear(a: np.ndarray, b: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Solve A X = B by Gaussian elimination with partial pivoting.
-
-    Raises Singular as soon as a pivot magnitude falls below tau_abs,
-    which doubles as the condition guard for the well-posedness
-    precondition.
-    """
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"coefficient matrix must be square, got {a.shape}")
-    n = a.shape[0]
-    vector = b.ndim == 1
-    rhs = b.reshape(n, -1) if vector else b
-    if rhs.shape[0] != n:
-        raise DimensionMismatch(f"rhs rows {rhs.shape[0]} != {n}")
-    dtype = np.result_type(a.dtype, rhs.dtype, np.float64)
-    m = np.array(a, dtype=dtype)
-    x = np.array(rhs, dtype=dtype)
-    for k in range(n):
-        piv = k + int(np.argmax(np.abs(m[k:, k])))
-        if abs(m[piv, k]) <= tol.tau_abs:
-            raise Singular(f"pivot {abs(m[piv, k]):.3e} at column {k}")
-        if piv != k:
-            m[[k, piv], :] = m[[piv, k], :]
-            x[[k, piv], :] = x[[piv, k], :]
-        factors = m[k + 1 :, k] / m[k, k]
-        m[k + 1 :, k:] -= np.outer(factors, m[k, k:])
-        x[k + 1 :, :] -= np.outer(factors, x[k, :])
-    for k in range(n - 1, -1, -1):
-        x[k, :] = (x[k, :] - m[k, k + 1 :] @ x[k + 1 :, :]) / m[k, k]
-    return x[:, 0] if vector else x
-
-
-def orthonormalize(v: np.ndarray, form: np.ndarray | None = None, tol: Tolerance = DEFAULT_TOL):
-    """Gram-Schmidt on the columns of ``v``, order-preserving.
-
-    Without a form the result U has U* U = I and the same span; with a
-    diagonal +-1 form J the result satisfies u_i* J u_j = sign_i delta_ij
-    and the pair ``(U, signs)`` is returned.
+def orthonormalize(v: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """Gram-Schmidt on the columns of ``v``, order-preserving: the result U
+    has U* U = I and the same span.
 
     Projection and normalization steps within _SNAP of a no-op are
     skipped, which makes the function an exact fixed point on its own
     output; canonical frames therefore survive re-canonicalization
     bit-for-bit.
 
-    Raises RankDeficient when a residual column collapses, IsotropicPivot
-    when a form norm is below tau_abs in magnitude.
+    Raises RankDeficient when a residual column collapses.
     """
-    n, k = v.shape
     out = np.array(v, dtype=np.result_type(v.dtype, np.float64))
-    if form is not None and form.shape != (n, n):
-        raise DimensionMismatch(f"form shape {form.shape} does not match columns of length {n}")
-    signs = np.zeros(k)
-    for j in range(k):
+    for j in range(v.shape[1]):
         col = out[:, j]
         vn = float(np.linalg.norm(col))
         for i in range(j):
-            if form is None:
-                coef = np.vdot(out[:, i], col)
-            else:
-                coef = signs[i] * np.vdot(out[:, i], form @ col)
+            coef = np.vdot(out[:, i], col)
             if abs(coef) > _SNAP * vn:
                 col = col - coef * out[:, i]
-        if form is None:
-            nrm = float(np.linalg.norm(col))
-            if nrm <= tol.tau_abs * max(1.0, vn):
-                raise RankDeficient(f"column {j} is dependent (residual {nrm:.3e})")
-            if abs(nrm - 1.0) > _SNAP:
-                col = col / nrm
-        else:
-            fn = float(np.real(np.vdot(col, form @ col)))
-            if abs(fn) <= tol.tau_abs:
-                raise IsotropicPivot(f"column {j} has form norm {fn:.3e}")
-            signs[j] = 1.0 if fn > 0 else -1.0
-            scale = math.sqrt(abs(fn))
-            if abs(scale - 1.0) > _SNAP:
-                col = col / scale
+        nrm = float(np.linalg.norm(col))
+        if nrm <= tol.tau_abs * max(1.0, vn):
+            raise RankDeficient(f"column {j} is dependent (residual {nrm:.3e})")
+        if abs(nrm - 1.0) > _SNAP:
+            col = col / nrm
         out[:, j] = col
-    if form is None:
-        return out
-    return out, signs
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,17 @@ forms: a*(a\\b)=b gives x = sqrt(A^{-1} C^2 A^{-1}), and the right-division
 equation x A^2 x = B^2 is a Riccati equation whose unique positive-definite
 solution is x = A^{-1} sqrt(A B^2 A) A^{-1}.
 
+Every element is a hermitian isometry, A J A = J, so its inverse is
+A^{-1} = J A J: a sign flip of the off-diagonal blocks, with no spectral
+call.  Each division therefore costs one eigendecomposition (the square
+root) and the inverse costs none.
+
 Products of three or more matrices are evaluated strictly left to right
 and every hermitian intermediate is re-symmetrized, so residuals are
-reproducible across platforms.  Elements are validated on construction by
-the callers that mint them; operations trust their inputs and the test
-suite validates outputs.
+reproducible on one machine with one numpy/LAPACK build (not across
+platforms: ``@`` and ``eigh`` go through BLAS/LAPACK).  Elements are
+validated on construction by the callers that mint them; operations trust
+their inputs and the test suite validates outputs.
 """
 
 from __future__ import annotations
@@ -23,6 +29,12 @@ from .errors import DimensionMismatch
 from .groups import SampleStream, SigmaElement, SignatureForm, sample_sigma
 from .kernel import Loop
 from .linalg import DEFAULT_TOL, Tolerance, fro, spectral_map, symmetrize
+
+
+def _inverse(a: SigmaElement) -> np.ndarray:
+    """A^{-1} = J A J, exact for a hermitian isometry."""
+    j = a.form.j_matrix()
+    return symmetrize((j @ a.matrix) @ j)
 
 
 def frobenius_distance(a: SigmaElement, b: SigmaElement) -> float:
@@ -51,11 +63,11 @@ class MatrixLoop:
 
     def inverse(self, a: SigmaElement) -> SigmaElement:
         self._check(a)
-        return SigmaElement(spectral_map(a.matrix, "inverse", self.tol), self.form)
+        return SigmaElement(_inverse(a), self.form)
 
     def left_divide(self, a: SigmaElement, c: SigmaElement) -> SigmaElement:
         self._check(a, c)
-        ainv = spectral_map(a.matrix, "inverse", self.tol)
+        ainv = _inverse(a)
         prod = ((ainv @ c.matrix) @ c.matrix) @ ainv
         return SigmaElement(spectral_map(symmetrize(prod), "sqrt", self.tol), self.form)
 
@@ -63,7 +75,7 @@ class MatrixLoop:
         self._check(a, b)
         prod = ((a.matrix @ b.matrix) @ b.matrix) @ a.matrix
         root = spectral_map(symmetrize(prod), "sqrt", self.tol)
-        ainv = spectral_map(a.matrix, "inverse", self.tol)
+        ainv = _inverse(a)
         return SigmaElement(symmetrize((ainv @ root) @ ainv), self.form)
 
     def sample(self, stream: SampleStream):

@@ -31,3 +31,19 @@ def form321c():
     from bruckloops import SignatureForm
 
     return SignatureForm(3, 2, 1, "complex")
+
+
+@pytest.fixture
+def eig_calls(monkeypatch):
+    """Record every eigendecomposition, including those inside spectral_map."""
+    from bruckloops import linalg
+
+    calls = []
+    real = linalg.eig_hermitian
+
+    def counting(a, tol=linalg.DEFAULT_TOL):
+        calls.append(a.shape)
+        return real(a, tol)
+
+    monkeypatch.setattr(linalg, "eig_hermitian", counting)
+    return calls

@@ -102,6 +102,24 @@ class TestVerify:
         assert main(["verify", "--config", cfg]) == 2
         assert "jacobi_stop" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "extra, argv",
+        [
+            ({"n": "abc"}, []),
+            ({"samples": {"bol": "x"}}, []),
+            ({"tolerances": {"tau_abs": "nan"}}, []),
+            ({}, ["--samples", "-5"]),
+            ({}, ["--tol", "-1"]),
+            ({}, ["--wtilde", "boost:1e6"]),
+        ],
+        ids=["n-abc", "samples-x", "tau_abs-nan", "samples-neg", "tol-neg", "boost-overflow"],
+    )
+    def test_malformed_config_is_config_error(self, tmp_path, capsys, extra, argv):
+        cfg = write_config(tmp_path / "cfg.json", **extra)
+        assert main(["verify", "--config", cfg, *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestMul:
     def test_identity_times_element(self, tmp_path, capsys, form321r):
@@ -146,6 +164,34 @@ class TestMul:
         good = tmp_path / "good.mat"
         good.write_text(write_matrix_text(np.eye(3)))
         assert main(["mul", str(bad), str(good), "--n", "3", "--p1", "2", "--p2", "1"]) == 2
+
+    @pytest.mark.parametrize(
+        "loop, case",
+        [
+            ("matrix", "truncated"),
+            ("extension", "truncated"),
+            ("matrix", "non_integer_n"),
+            ("extension", "missing_rho"),
+            ("extension", "short_w"),
+            ("extension", "rho_not_object"),
+        ],
+    )
+    def test_malformed_element_file_is_config_error(self, tmp_path, capsys, form321r, loop, case):
+        elem = element_to_json(SigmaElement(np.eye(3), form321r))
+        good = elem if loop == "matrix" else {"w": [0.0, 0.0, 0.0], "rho": elem}
+        bad = {
+            "truncated": json.dumps(good)[:40],
+            "non_integer_n": json.dumps(dict(elem, form=dict(elem["form"], n="x"))),
+            "missing_rho": json.dumps({"w": [0.0, 0.0, 0.0]}),
+            "short_w": json.dumps({"w": [0.0, 0.0], "rho": elem}),
+            "rho_not_object": json.dumps({"w": [0.0, 0.0, 0.0], "rho": "x"}),
+        }[case]
+        lhs, rhs = tmp_path / "bad.json", tmp_path / "good.json"
+        lhs.write_text(bad)
+        rhs.write_text(json.dumps(good))
+        assert main(["mul", str(lhs), str(rhs), "--loop", loop]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_determinant_dominated_diagnostics_serialize(self, form321r):
         diag = _diagnostics(SigmaElement(2.0 * np.eye(3), form321r), 1e-9)

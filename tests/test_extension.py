@@ -8,7 +8,6 @@ from bruckloops.errors import ConfigInvalid, NotInOrbit, TransversalityViolated
 from bruckloops.extension import (
     ExtensionElement,
     coordinate_subspace,
-    dimension_rank_check,
     dimension_rank_report,
     element_affinity,
     expected_dimension,
@@ -24,7 +23,6 @@ from bruckloops.extension import (
 )
 from bruckloops.geometry import (
     Affinity,
-    InfinityDirection,
     apply,
     at_infinity,
     linear_affinity,
@@ -114,7 +112,31 @@ class TestLift:
 
     def test_negative_direction_not_in_orbit(self, cfg):
         with pytest.raises(NotInOrbit):
-            lift_from_infinity(InfinityDirection(np.eye(3)[:, [0, 2]]), cfg)
+            lift_from_infinity(np.eye(3)[:, [0, 2]], cfg)
+
+    def test_non_contraction_not_in_orbit(self, cfg):
+        # invertible top block, but the graph block X* = [0, 2] has norm 2
+        with pytest.raises(NotInOrbit):
+            lift_from_infinity(np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 2.0]]), cfg)
+
+    @pytest.mark.parametrize("carrier", [1, 2])
+    def test_roundtrip_532_complex(self, carrier):
+        form = SignatureForm(5, 3, 2, "complex")
+        config = extension_config(form, carrier=carrier)
+        stream = SampleStream(5)
+        for _ in range(30):
+            rho, stream = sample_sigma(form, stream)
+            z = at_infinity(apply(linear_affinity(rho.matrix), config.carrier_subspace()))
+            assert fro(lift_from_infinity(z, config).matrix - rho.matrix) <= 1e-8
+
+    def test_one_eigendecomposition_and_no_svd_or_det(self, cfg, form321r, eig_calls, monkeypatch):
+        rho, _ = sample_sigma(form321r, SampleStream(6))
+        z = at_infinity(apply(linear_affinity(rho.matrix), cfg.carrier_subspace()))
+        eig_calls.clear()
+        for name in ("svd", "det"):
+            monkeypatch.setattr(np.linalg, name, pytest.fail)
+        lift_from_infinity(z, cfg)
+        assert len(eig_calls) == 1
 
     def test_carrier_two(self):
         form = SignatureForm(4, 2, 2, "real")
@@ -280,7 +302,7 @@ class TestDimension:
         assert report.rank == 6 == expected_dimension(config)
 
     def test_check_returns_int(self, cfg):
-        assert dimension_rank_check(cfg, points=4) == 3
+        assert dimension_rank_report(cfg, points=4).rank == 3
 
 
 def test_extension_element_json_roundtrip(cfg):

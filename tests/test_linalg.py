@@ -6,13 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bruckloops.errors import (
-    IsotropicPivot,
     NoConvergence,
     NotHermitian,
     NotPositiveDefinite,
     ParseError,
     RankDeficient,
-    Singular,
 )
 from bruckloops.linalg import (
     Tolerance,
@@ -23,7 +21,6 @@ from bruckloops.linalg import (
     orthonormalize,
     parse_scalar,
     read_matrix_text,
-    solve_linear,
     spectral_map,
     symmetrize,
     write_matrix_text,
@@ -123,14 +120,8 @@ class TestSpectralMap:
         rng = np.random.default_rng(5)
         for _ in range(50):
             a = random_spd(rng, 3, complex_case=complex_case)
-            back = spectral_map(spectral_map(a, "square"), "sqrt")
+            back = spectral_map(a @ a, "sqrt")
             assert fro(back - a) <= 1e-9 * fro(a)
-
-    def test_exp_log_roundtrip(self):
-        rng = np.random.default_rng(6)
-        for _ in range(50):
-            a = random_spd(rng, 3, 0.1, 10.0)
-            assert fro(spectral_map(spectral_map(a, "log"), "exp") - a) <= 1e-9 * fro(a)
 
     def test_output_hermitian(self):
         rng = np.random.default_rng(7)
@@ -142,33 +133,7 @@ class TestSpectralMap:
         with pytest.raises(NotPositiveDefinite):
             spectral_map(np.diag([1.0, -1.0]), "sqrt")
         with pytest.raises(NotPositiveDefinite):
-            spectral_map(np.diag([1.0, 0.0]), "log")
-
-
-class TestSolveLinear:
-    def test_identity(self):
-        b = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert np.allclose(solve_linear(np.eye(2), b), b)
-
-    def test_diagonal(self):
-        x = solve_linear(np.diag([2.0, 4.0]), np.eye(2))
-        assert np.allclose(x, np.diag([0.5, 0.25]))
-
-    def test_hand_system(self):
-        x = solve_linear(np.array([[2.0, 1.0], [1.0, 2.0]]), np.array([3.0, 3.0]))
-        assert np.allclose(x, [1.0, 1.0])
-
-    def test_residual_random(self):
-        rng = np.random.default_rng(8)
-        for _ in range(25):
-            a = rng.uniform(-1, 1, (4, 4)) + 4 * np.eye(4)
-            b = rng.uniform(-1, 1, (4, 2))
-            x = solve_linear(a, b)
-            assert fro(a @ x - b) <= 1e-7 * fro(a) * max(fro(x), 1e-30)
-
-    def test_singular(self):
-        with pytest.raises(Singular):
-            solve_linear(np.array([[1.0, 1.0], [1.0, 1.0]]), np.eye(2))
+            spectral_map(np.diag([1.0, 0.0]), "inverse_sqrt")
 
 
 class TestOrthonormalize:
@@ -180,20 +145,9 @@ class TestOrthonormalize:
         v = np.array([[2.0, 1.0], [0.0, 1.0], [0.0, 0.0]])
         assert np.allclose(orthonormalize(v), np.eye(3)[:, :2])
 
-    def test_form_normalization(self):
-        j = np.diag([1.0, 1.0, -1.0])
-        u, signs = orthonormalize(np.array([[0.0], [0.0], [2.0]]), form=j)
-        assert np.allclose(u, [[0.0], [0.0], [1.0]])
-        assert signs.tolist() == [-1.0]
-
     def test_rank_deficient(self):
         with pytest.raises(RankDeficient):
             orthonormalize(np.array([[1.0, 2.0], [0.0, 0.0], [0.0, 0.0]]))
-
-    def test_isotropic_pivot(self):
-        j = np.diag([1.0, 1.0, -1.0])
-        with pytest.raises(IsotropicPivot):
-            orthonormalize(np.array([[1.0], [0.0], [1.0]]), form=j)
 
     def test_bitwise_idempotent(self):
         rng = np.random.default_rng(9)

@@ -63,6 +63,14 @@ class TestInverse:
             out = mloop.mul(a, mloop.inverse(a))
             assert frobenius_distance(out, mloop.identity()) <= 1e-9
 
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_inverse_times_element_is_identity(self, field):
+        mloop = MatrixLoop(SignatureForm(3, 2, 1, field))
+        stream = SampleStream(10)
+        for _ in range(40):
+            a, stream = mloop.sample(stream)
+            assert fro(mloop.inverse(a).matrix @ a.matrix - np.eye(3)) <= 1e-12
+
 
 class TestDivision:
     def test_left_divide_trivials(self, mloop):
@@ -89,6 +97,17 @@ class TestDivision:
             y = mloop.right_divide(c, a)
             assert frobenius_distance(mloop.mul(y, a), c) <= 1e-8
             assert membership_residual(y.matrix, "Sigma", form).max_residual <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "op, expected", [("mul", 1), ("left_divide", 1), ("right_divide", 1), ("inverse", 0)]
+)
+def test_eigendecompositions_per_operation(mloop, eig_calls, op, expected):
+    a, stream = mloop.sample(SampleStream(11))
+    b, _ = mloop.sample(stream)
+    eig_calls.clear()
+    getattr(mloop, op)(*((a,) if op == "inverse" else (a, b)))
+    assert len(eig_calls) == expected
 
 
 class TestConjugationEquivariance:
