@@ -5,6 +5,14 @@ Exit codes are a stable contract: 0 when every required property passes,
 1 when a property fails (the report is still written), 2 for usage or
 configuration errors.
 
+The verification suite is one table, ``PROPERTIES``: each row names its
+report entries and their tolerance keys, its sample-count key (which also
+selects its sample stream), whether it is required, its default count, and
+a ``run`` that returns the worst residual of each entry.  One runner gives
+every row its stream, times it, builds its entries and turns a numeric
+breakdown inside it (any package error or ``LinAlgError``) into failed
+entries carrying ``detail.error``, so the report is still written.
+
 Configs are JSON; every default is echoed back into the report so a run
 is self-describing and reproducible.  Identical config and seed produce
 byte-identical reports on one machine and one numpy/LAPACK build, except
@@ -19,6 +27,8 @@ import math
 import sys
 import time
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -38,26 +48,9 @@ from .groups import (
     sample_sigma,
     standard_boost,
 )
-from .kernel import IdentityReport, check_aip, check_bol, check_left_a, check_loop_axioms
+from .kernel import IdentityReport, Loop, check_aip, check_bol, check_left_a, check_loop_axioms
 from .linalg import Tolerance, fro, read_matrix_text
 from .matrixloop import MatrixLoop
-
-DEFAULT_SAMPLES = {
-    "loop_axioms": 500,
-    "sigma_closure": 1000,
-    "bol": 1000,
-    "aip": 1000,
-    "left_a": 500,
-    "conjugation_closure": 500,
-    "factorization": 500,
-    "transversality": 200,
-    "ext_loop_axioms": 500,
-    "ext_infinity_compat": 500,
-    "ext_bol": 100,
-    "ext_aip": 100,
-    "solve_translation": 200,
-    "dimension_points": 20,
-}
 
 DEFAULT_TOLERANCES = {
     "tau_abs": 1e-9,
@@ -71,10 +64,6 @@ DEFAULT_TOLERANCES = {
     "witness_threshold": 1e-3,
     "dimension_gap": 1e-4,
 }
-
-# Properties whose residuals carry no pass requirement; they are measured
-# and reported only.
-INFORMATIONAL = {"left_a", "ext_bol", "ext_aip"}
 
 
 @dataclass
@@ -162,9 +151,15 @@ def load_suite_config(path: str | None, overrides: dict) -> SuiteConfig:
 
 
 def _convert(kind, value, name: str):
+    """``kind(value)``, refusing booleans, and numbers with a fractional
+    part where an integer is wanted, rather than coercing them."""
     try:
+        if isinstance(value, bool) or (
+            kind is int and isinstance(value, float) and not value.is_integer()
+        ):
+            raise TypeError
         return kind(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigInvalid(f"config entry {name!r} must be {kind.__name__}, got {value!r}") from exc
 
 
@@ -197,272 +192,252 @@ def build_wtilde(form: SignatureForm, carrier: int, spec: str, tol: Tolerance):
     raise ConfigInvalid(f"unknown wtilde spec {spec!r}")
 
 
-def resolve(cfg: SuiteConfig):
+@dataclass(frozen=True)
+class Suite:
+    """A validated config as the live objects every property samples from."""
+
+    form: SignatureForm
+    tol: Tolerance
+    tolerances: dict
+    econfig: ext.ExtensionConfig
+    mat: Loop
+    eloop: Loop
+
+
+def resolve(cfg: SuiteConfig) -> Suite:
     """Validate a suite config into live objects."""
     form = SignatureForm(cfg.n, cfg.p1, cfg.p2, cfg.field_name)
     tol = cfg.numeric_tol()
     wtilde = build_wtilde(form, cfg.carrier, cfg.wtilde, tol)
     econfig = ext.extension_config(form, cfg.carrier, wtilde, tol)
-    return form, tol, econfig, MatrixLoop(form, tol)
+    mat = MatrixLoop(form, tol).loop_interface()
+    return Suite(form, tol, cfg.tolerances, econfig, mat, ext.ext_loop_interface(econfig))
 
 
 def _json_bytes(obj) -> bytes:
     return (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode("utf-8")
 
 
-def _report_entry(report: IdentityReport, seconds: float, required: bool) -> dict:
-    entry = report.to_json()
-    entry["required"] = required
-    entry["seconds"] = seconds
-    return entry
+# ---------------------------------------------------------------------------
+# the property table
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Property:
+    """One row of the verification suite.
+
+    ``key`` names the row's sample count in ``SuiteConfig.samples`` and
+    selects its sample stream.  ``entries`` are the report entries the row
+    fills, as ``(entry name, tolerance key)`` pairs.  ``run(suite, stream,
+    count)`` returns the worst residual of each entry and a ``detail`` dict
+    for the report, or None.
+    """
+
+    key: str
+    default_samples: int
+    required: bool
+    entries: tuple
+    run: Callable
+
+
+def _worst(stream: SampleStream, count: int, fn) -> tuple:
+    """Fold ``fn(stream) -> (residuals, stream)`` over ``count`` samples,
+    entry by entry, with max from 0; None when ``count`` is 0."""
+    worst = None
+    for _ in range(count):
+        residuals, stream = fn(stream)
+        worst = tuple(map(max, worst or (0.0,) * len(residuals), residuals))
+    return worst
+
+
+def _sampled(fn):
+    """A row run folding the per-sample ``fn(suite, stream)`` with _worst."""
+    return lambda s, stream, count: (_worst(stream, count, partial(fn, s)), None)
+
+
+def _one(report: IdentityReport):
+    """A kernel checker's report as a one-entry row result."""
+    return (report.max_residual,), None
+
+
+def _sigma_residual(s: Suite, matrix: np.ndarray) -> float:
+    return membership_residual(matrix, "Sigma", s.form, s.tolerances["membership"], s.tol).max_residual
+
+
+def _sigma_closure(s: Suite, stream: SampleStream):
+    a, stream = s.mat.sample(stream)
+    b, stream = s.mat.sample(stream)
+    return (_sigma_residual(s, s.mat.mul(a, b).matrix),), stream
+
+
+def _conjugation_closure(s: Suite, stream: SampleStream):
+    a, stream = sample_sigma(s.form, stream, tol=s.tol)
+    b, stream = sample_phi(s.form, stream)
+    return (_sigma_residual(s, conjugate_by_phi(a, b).matrix),), stream
+
+
+def _factorization(s: Suite, stream: SampleStream):
+    """Recovery of both sampled factors, and the relative reconstruction."""
+    s1, stream = sample_sigma(s.form, stream, tol=s.tol)
+    c, stream = sample_phi(s.form, stream)
+    m = s1.matrix @ c.matrix
+    f1, f2 = polar_factorize(m, s.form, s.tolerances["membership"], s.tol)
+    recovery = max(
+        float(np.max(np.abs(f1.matrix - s1.matrix))), float(np.max(np.abs(f2.matrix - c.matrix)))
+    )
+    return (recovery, fro(f1.matrix @ f2.matrix - m) / fro(m)), stream
+
+
+def _transversality(s: Suite, stream: SampleStream, count: int):
+    rhos = []
+    for _ in range(count):
+        rho, stream = sample_sigma(s.form, stream, tol=s.tol)
+        rhos.append(rho)
+    tr = geometry.transversality_check(s.econfig.wtilde, rhos, s.econfig.carrier_subspace(), s.tol)
+    return (0.0,), {"worst_margin": tr.worst_margin}
+
+
+def _ext_infinity_compat(s: Suite, stream: SampleStream):
+    """ext_mul's direction part against the matrix loop product."""
+    e1, stream = s.eloop.sample(stream)
+    e2, stream = s.eloop.sample(stream)
+    prod = ext.ext_mul(e1, e2, s.econfig)
+    return (fro(prod.rho.matrix - s.mat.mul(e1.rho, e2.rho).matrix),), stream
+
+
+def _inverse_gap(s: Suite, stream: SampleStream):
+    x, stream = s.eloop.sample(stream)
+    right = s.eloop.right_divide(s.eloop.identity, x)
+    left = s.eloop.left_divide(x, s.eloop.identity)
+    return (s.eloop.distance(right, left),), stream
+
+
+def _ext_aip(s: Suite, stream: SampleStream, count: int):
+    """The extension loop need not have two-sided inverses at all; when the
+    AIP checker refuses (InversesDisagree), the entry records the measured
+    left/right inverse gap instead."""
+    try:
+        return _one(check_aip(s.eloop, stream, count))
+    except InversesDisagree:
+        return _worst(stream, count, partial(_inverse_gap, s)), {"two_sided_inverses": False}
+
+
+def _solve_translation(s: Suite, stream: SampleStream):
+    """Sharp transitivity, and the solution's drift when both subspaces are
+    moved by 1e-10."""
+    e1, stream = s.eloop.sample(stream)
+    e2, stream = s.eloop.sample(stream)
+    d1 = ext.realize(e1, s.econfig)
+    d2 = ext.realize(e2, s.econfig)
+    t, rho = ext.solve_translation(d1, d2, s.econfig)
+    moved = geometry.apply(geometry.Affinity(t, rho.matrix), d1, s.tol)
+    noise, stream = stream.next_uniforms(2 * s.form.n * (d1.dim + d2.dim), -1e-10, 1e-10)
+    d1p = _perturb(d1, noise[: noise.size // 2], s.tol)
+    d2p = _perturb(d2, noise[noise.size // 2 :], s.tol)
+    tp, rhop = ext.solve_translation(d1p, d2p, s.econfig)
+    stability = float(np.linalg.norm(tp - t)) + fro(rhop.matrix - rho.matrix)
+    return (geometry.subspace_distance(moved, d2), stability), stream
+
+
+# One row per property, in run order: sample-count key, default count,
+# required, (entry name, tolerance key) pairs, run.
+PROPERTIES = (
+    Property("loop_axioms", 500, True, (("loop_axioms", "identity"),),
+             lambda s, stream, n: _one(check_loop_axioms(s.mat, stream, n))),
+    Property("sigma_closure", 1000, True, (("sigma_closure", "membership"),),
+             _sampled(_sigma_closure)),
+    Property("bol", 1000, True, (("bol", "identity"),),
+             lambda s, stream, n: _one(check_bol(s.mat, stream, n))),
+    Property("aip", 1000, True, (("aip", "identity"),),
+             lambda s, stream, n: _one(check_aip(s.mat, stream, n))),
+    Property("left_a", 500, False, (("left_a", "identity"),),
+             lambda s, stream, n: _one(check_left_a(s.mat, stream, n))),
+    Property("conjugation_closure", 500, True, (("conjugation_closure", "membership"),),
+             _sampled(_conjugation_closure)),
+    Property("factorization", 500, True,
+             (("factorization_recovery", "factor"),
+              ("factorization_reconstruction", "factor_reconstruction")),
+             _sampled(_factorization)),
+    Property("transversality", 200, True, (("transversality", "membership"),), _transversality),
+    Property("ext_loop_axioms", 500, True, (("ext_loop_axioms", "identity"),),
+             lambda s, stream, n: _one(check_loop_axioms(s.eloop, stream, n))),
+    Property("ext_infinity_compat", 500, True, (("ext_infinity_compat", "membership"),),
+             _sampled(_ext_infinity_compat)),
+    Property("ext_bol", 100, False, (("ext_bol", "identity"),),
+             lambda s, stream, n: _one(check_bol(s.eloop, stream, n))),
+    Property("ext_aip", 100, False, (("ext_aip", "identity"),), _ext_aip),
+    Property("solve_translation", 200, True,
+             (("solve_translation", "solve"), ("solve_translation_stability", "solve_stability")),
+             _sampled(_solve_translation)),
+)
+
+DEFAULT_SAMPLES = {row.key: row.default_samples for row in PROPERTIES} | {"dimension_points": 20}
+
+# Entries whose residuals carry no pass requirement; they are measured and
+# reported only.
+INFORMATIONAL = frozenset(name for row in PROPERTIES if not row.required for name, _ in row.entries)
+
+# A numeric breakdown inside a property fails that property, not the run.
+_BREAKDOWN = (BruckLoopsError, np.linalg.LinAlgError)
+
+
+def _run_property(row: Property, suite: Suite, stream: SampleStream, count: int) -> list:
+    """The report entries of one row.  The row's time goes on its first
+    entry; a companion entry records 0 seconds and names that entry in
+    ``detail.timed_with``.  A breakdown fails every entry with residual 1.0
+    and the exception text in ``detail.error``."""
+    t0 = time.perf_counter()
+    try:
+        worst, detail = row.run(suite, stream, count)
+        broke = False
+    except _BREAKDOWN as exc:
+        worst, detail, broke = (1.0,) * len(row.entries), {"error": str(exc)}, True
+    seconds = time.perf_counter() - t0
+    first = row.entries[0][0]
+    entries = []
+    for (name, tol_key), residual in zip(row.entries, worst or (0.0,) * len(row.entries)):
+        entry = IdentityReport(name, count, residual, suite.tolerances[tol_key]).to_json()
+        entry["required"] = row.required
+        entry["seconds"] = seconds if name == first else 0.0
+        info = dict(detail or {})
+        if name != first:
+            info["timed_with"] = first
+        if broke:
+            entry["pass"] = False
+        if info:
+            entry["detail"] = info
+        entries.append(entry)
+    return entries
 
 
 def run_verify(cfg: SuiteConfig) -> dict:
-    """Run the full property suite and assemble the report."""
-    form, tol, econfig, mloop = resolve(cfg)
-    tols = cfg.tolerances
+    """Run every row of PROPERTIES and the dimension check, each on its own
+    sample stream, and assemble the report."""
+    suite = resolve(cfg)
     counts = cfg.samples
-    seed = cfg.seed
-    mat = mloop.loop_interface()
-    eloop = ext.ext_loop_interface(econfig)
-
-    entries = []
     t_start = time.perf_counter()
-
-    def record(report: IdentityReport, seconds: float) -> None:
-        entries.append(
-            _report_entry(report, seconds, report.property_name not in INFORMATIONAL)
-        )
-
-    def timed(fn):
-        t0 = time.perf_counter()
-        out = fn()
-        return out, time.perf_counter() - t0
-
-    stream_base = SampleStream(seed)
+    base = SampleStream(cfg.seed)
     offsets = {name: (k + 1) * 10_000_000 for k, name in enumerate(sorted(counts))}
-
-    def stream_for(name: str) -> SampleStream:
-        return stream_base.split(offsets[name])
-
-    # matrix loop identities
-    rep, dt = timed(
-        lambda: check_loop_axioms(mat, stream_for("loop_axioms"), counts["loop_axioms"], tols["identity"])
-    )
-    record(rep, dt)
-
-    def sigma_closure():
-        stream = stream_for("sigma_closure")
-        worst = 0.0
-        for _ in range(counts["sigma_closure"]):
-            a, stream = mloop.sample(stream)
-            b, stream = mloop.sample(stream)
-            m = mloop.mul(a, b)
-            worst = max(
-                worst,
-                membership_residual(m.matrix, "Sigma", form, tols["membership"], tol).max_residual,
-            )
-        return IdentityReport("sigma_closure", counts["sigma_closure"], worst, tols["membership"])
-
-    rep, dt = timed(sigma_closure)
-    record(rep, dt)
-
-    rep, dt = timed(lambda: check_bol(mat, stream_for("bol"), counts["bol"], tols["identity"]))
-    record(rep, dt)
-    rep, dt = timed(lambda: check_aip(mat, stream_for("aip"), counts["aip"], tols["identity"]))
-    record(rep, dt)
-    rep, dt = timed(lambda: check_left_a(mat, stream_for("left_a"), counts["left_a"], tols["identity"]))
-    record(rep, dt)
-
-    def conjugation_closure():
-        stream = stream_for("conjugation_closure")
-        worst = 0.0
-        for _ in range(counts["conjugation_closure"]):
-            a, stream = sample_sigma(form, stream, tol=tol)
-            b, stream = sample_phi(form, stream)
-            c = conjugate_by_phi(a, b)
-            worst = max(
-                worst,
-                membership_residual(c.matrix, "Sigma", form, tols["membership"], tol).max_residual,
-            )
-        return IdentityReport(
-            "conjugation_closure", counts["conjugation_closure"], worst, tols["membership"]
-        )
-
-    rep, dt = timed(conjugation_closure)
-    record(rep, dt)
-
-    def factorization():
-        stream = stream_for("factorization")
-        worst_comp = 0.0
-        worst_recon = 0.0
-        for _ in range(counts["factorization"]):
-            s1, stream = sample_sigma(form, stream, tol=tol)
-            c, stream = sample_phi(form, stream)
-            s = s1.matrix @ c.matrix
-            f1, f2 = polar_factorize(s, form, tols["membership"], tol)
-            worst_comp = max(
-                worst_comp,
-                float(np.max(np.abs(f1.matrix - s1.matrix))),
-                float(np.max(np.abs(f2.matrix - c.matrix))),
-            )
-            worst_recon = max(worst_recon, fro(f1.matrix @ f2.matrix - s) / fro(s))
-        return (
-            IdentityReport(
-                "factorization_recovery", counts["factorization"], worst_comp, tols["factor"]
-            ),
-            IdentityReport(
-                "factorization_reconstruction",
-                counts["factorization"],
-                worst_recon,
-                tols["factor_reconstruction"],
-            ),
-        )
-
-    (rep_a, rep_b), dt = timed(factorization)
-    record(rep_a, dt / 2)
-    record(rep_b, dt / 2)
-
-    def transversality():
-        stream = stream_for("transversality")
-        rhos = []
-        for _ in range(counts["transversality"]):
-            rho, stream = sample_sigma(form, stream, tol=tol)
-            rhos.append(rho)
-        try:
-            tr = geometry.transversality_check(econfig.wtilde, rhos, econfig.carrier_subspace(), tol)
-            report = IdentityReport(
-                "transversality", tr.samples, 0.0, tols["membership"]
-            )
-            return report, tr.worst_margin
-        except BruckLoopsError:
-            # residual 1.0 >> membership tolerance marks the violation
-            return (
-                IdentityReport(
-                    "transversality", counts["transversality"], 1.0, tols["membership"]
-                ),
-                0.0,
-            )
-
-    (rep, margin), dt = timed(transversality)
-    entry = _report_entry(rep, dt, True)
-    entry["detail"] = {"worst_margin": margin}
-    entries.append(entry)
-
-    rep, dt = timed(
-        lambda: check_loop_axioms(
-            eloop, stream_for("ext_loop_axioms"), counts["ext_loop_axioms"], tols["identity"]
-        )
-    )
-    record(IdentityReport("ext_loop_axioms", rep.samples, rep.max_residual, rep.tolerance), dt)
-
-    def ext_infinity_compat():
-        stream = stream_for("ext_infinity_compat")
-        worst = 0.0
-        for _ in range(counts["ext_infinity_compat"]):
-            e1, stream = eloop.sample(stream)
-            e2, stream = eloop.sample(stream)
-            prod = ext.ext_mul(e1, e2, econfig)
-            direct = mloop.mul(e1.rho, e2.rho)
-            worst = max(worst, fro(prod.rho.matrix - direct.matrix))
-        return IdentityReport(
-            "ext_infinity_compat", counts["ext_infinity_compat"], worst, tols["membership"]
-        )
-
-    rep, dt = timed(ext_infinity_compat)
-    record(rep, dt)
-
-    rep, dt = timed(lambda: check_bol(eloop, stream_for("ext_bol"), counts["ext_bol"], tols["identity"]))
-    record(IdentityReport("ext_bol", rep.samples, rep.max_residual, rep.tolerance), dt)
-
-    # The extension loop need not have two-sided inverses at all; when the
-    # AIP checker refuses (InversesDisagree), the informational entry
-    # records the measured left/right inverse gap instead of aborting.
-    t0 = time.perf_counter()
-    try:
-        rep = check_aip(eloop, stream_for("ext_aip"), counts["ext_aip"], tols["identity"])
-        entry = _report_entry(
-            IdentityReport("ext_aip", rep.samples, rep.max_residual, rep.tolerance),
-            time.perf_counter() - t0,
-            False,
-        )
-    except InversesDisagree:
-        stream = stream_for("ext_aip")
-        gap = 0.0
-        for _ in range(counts["ext_aip"]):
-            x, stream = eloop.sample(stream)
-            right = eloop.right_divide(eloop.identity, x)
-            left = eloop.left_divide(x, eloop.identity)
-            gap = max(gap, eloop.distance(right, left))
-        entry = _report_entry(
-            IdentityReport("ext_aip", counts["ext_aip"], gap, tols["identity"]),
-            time.perf_counter() - t0,
-            False,
-        )
-        entry["detail"] = {"two_sided_inverses": False}
-    entries.append(entry)
-
-    def solve_translation_suite():
-        stream = stream_for("solve_translation")
-        worst = 0.0
-        worst_stab = 0.0
-        for _ in range(counts["solve_translation"]):
-            e1, stream = eloop.sample(stream)
-            e2, stream = eloop.sample(stream)
-            d1 = ext.realize(e1, econfig)
-            d2 = ext.realize(e2, econfig)
-            t, rho = ext.solve_translation(d1, d2, econfig)
-            moved = geometry.apply(geometry.Affinity(t, rho.matrix), d1, tol)
-            worst = max(worst, geometry.subspace_distance(moved, d2))
-            noise, stream = stream.next_uniforms(2 * form.n * (d1.dim + d2.dim), -1e-10, 1e-10)
-            d1p = _perturb(d1, noise[: noise.size // 2], tol)
-            d2p = _perturb(d2, noise[noise.size // 2 :], tol)
-            tp, rhop = ext.solve_translation(d1p, d2p, econfig)
-            worst_stab = max(
-                worst_stab,
-                float(np.linalg.norm(tp - t)) + fro(rhop.matrix - rho.matrix),
-            )
-        return (
-            IdentityReport("solve_translation", counts["solve_translation"], worst, tols["solve"]),
-            IdentityReport(
-                "solve_translation_stability",
-                counts["solve_translation"],
-                worst_stab,
-                tols["solve_stability"],
-            ),
-        )
-
-    (rep_a, rep_b), dt = timed(solve_translation_suite)
-    record(rep_a, dt / 2)
-    record(rep_b, dt / 2)
+    entries = []
+    for row in PROPERTIES:
+        entries += _run_property(row, suite, base.split(offsets[row.key]), counts[row.key])
 
     t0 = time.perf_counter()
-    expected = ext.expected_dimension(econfig)
+    expected = ext.expected_dimension(suite.econfig)
+    dim_entry = {"expected": expected, "measured": None, "gap_fraction": 0.0, "pass": False}
     try:
         dim = ext.dimension_rank_report(
-            econfig,
+            suite.econfig,
             counts["dimension_points"],
-            stream_for("dimension_points"),
-            gap=tols["dimension_gap"],
+            base.split(offsets["dimension_points"]),
+            gap=cfg.tolerances["dimension_gap"],
         )
-        dim_entry = {
-            "expected": expected,
-            "measured": dim.rank,
-            "gap_fraction": dim.gap_fraction,
-            "points": dim.points,
-            "pass": dim.rank == expected,
-            "seconds": time.perf_counter() - t0,
-        }
-    except BruckLoopsError as exc:
-        dim_entry = {
-            "expected": expected,
-            "measured": None,
-            "gap_fraction": 0.0,
-            "points": counts["dimension_points"],
-            "pass": False,
-            "error": str(exc),
-            "seconds": time.perf_counter() - t0,
-        }
+        dim_entry.update(measured=dim.rank, gap_fraction=dim.gap_fraction, points=dim.points)
+        dim_entry["pass"] = dim.rank == expected
+    except _BREAKDOWN as exc:
+        dim_entry.update(points=counts["dimension_points"], error=str(exc))
+    dim_entry["seconds"] = time.perf_counter() - t0
 
     entries.sort(key=lambda e: e["property"])
     overall = all(e["pass"] for e in entries if e["required"]) and dim_entry["pass"]
@@ -555,7 +530,7 @@ def cmd_mul(args) -> int:
         out = element_to_json(product)
         out["diagnostics"] = _diagnostics(product, cfg.tolerances["membership"])
     else:
-        _, tol, econfig, _ = resolve(cfg)
+        econfig = resolve(cfg).econfig
         e1, e2 = (_load_extension_element(path) for path in (args.lhs, args.rhs))
         product = ext.ext_mul(e1, e2, econfig)
         out = product.to_json()
@@ -582,9 +557,8 @@ def cmd_factor(args) -> int:
 
 def cmd_witness(args) -> int:
     cfg = load_suite_config(args.config, _overrides(args))
-    _, tol, econfig, _ = resolve(cfg)
     report = ext.nonisomorphism_witness(
-        econfig,
+        resolve(cfg).econfig,
         SampleStream(cfg.seed),
         budget=args.budget,
         threshold=cfg.tolerances["witness_threshold"],
@@ -600,15 +574,15 @@ def cmd_witness(args) -> int:
 
 def cmd_sample(args) -> int:
     cfg = load_suite_config(args.config, _overrides(args))
-    form, tol, econfig, _ = resolve(cfg)
+    suite = resolve(cfg)
     stream = SampleStream(cfg.seed)
     lines = []
     if args.loop == "matrix":
         for _ in range(args.count):
-            elem, stream = sample_sigma(form, stream, args.radius, tol)
+            elem, stream = sample_sigma(suite.form, stream, args.radius, suite.tol)
             lines.append(json.dumps(element_to_json(elem), sort_keys=True))
     else:
-        loop = ext.ext_loop_interface(econfig, sample_radius=args.radius)
+        loop = ext.ext_loop_interface(suite.econfig, sample_radius=args.radius)
         for _ in range(args.count):
             elem, stream = loop.sample(stream)
             lines.append(json.dumps(elem.to_json(), sort_keys=True))
@@ -688,13 +662,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigInvalid, ParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except BruckLoopsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (BruckLoopsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

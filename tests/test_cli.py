@@ -6,9 +6,12 @@ import numpy as np
 import pytest
 
 from bruckloops.cli import _diagnostics, main
+from bruckloops.errors import NotInOrbit
 from bruckloops.groups import SigmaElement, element_to_json, standard_boost
 from bruckloops.linalg import write_matrix_text
 from conftest import boost3, rotation
+
+SCHEMA = Path(__file__).resolve().parent.parent / "schema" / "suite_report.schema.json"
 
 SMALL_SAMPLES = {
     "loop_axioms": 25,
@@ -60,9 +63,7 @@ class TestVerify:
         cfg = write_config(tmp_path / "cfg.json")
         out = tmp_path / "report.json"
         assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
-        schema_path = Path(__file__).resolve().parent.parent / "schema" / "suite_report.schema.json"
-        schema = json.loads(schema_path.read_text())
-        jsonschema.validate(json.loads(out.read_text()), schema)
+        jsonschema.validate(json.loads(out.read_text()), json.loads(SCHEMA.read_text()))
 
     def test_swapped_signature_is_config_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json", p1=1, p2=2)
@@ -102,6 +103,47 @@ class TestVerify:
         assert main(["verify", "--config", cfg]) == 2
         assert "jacobi_stop" in capsys.readouterr().err
 
+    def test_numeric_breakdown_is_a_failed_entry(self, tmp_path, capsys):
+        jsonschema = pytest.importorskip("jsonschema")
+        cfg = write_config(tmp_path / "cfg.json", tolerances={"tau_abs": 0.5})
+        out = tmp_path / "report.json"
+        assert main(["verify", "--config", cfg, "--samples", "3", "--out", str(out)]) == 1
+        report = json.loads(out.read_text())
+        jsonschema.validate(report, json.loads(SCHEMA.read_text()))
+        broken = [p for p in report["properties"] if "error" in p.get("detail", {})]
+        for p in broken:
+            assert p["pass"] is False and p["max_residual"] == 1.0 and p["detail"]["error"]
+        errors = {p["property"]: p["detail"]["error"] for p in broken}
+        assert errors["loop_axioms"].startswith("sqrt: smallest eigenvalue")
+
+    def test_breakdown_fails_every_entry_of_its_row(self, tmp_path, monkeypatch):
+        import bruckloops.extension
+
+        def refuse(*args, **kwargs):
+            raise NotInOrbit("no translation")
+
+        monkeypatch.setattr(bruckloops.extension, "solve_translation", refuse)
+        cfg = write_config(tmp_path / "cfg.json")
+        out = tmp_path / "report.json"
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == 1
+        entries = {p["property"]: p for p in json.loads(out.read_text())["properties"]}
+        for name in ("solve_translation", "solve_translation_stability"):
+            assert entries[name]["pass"] is False
+            assert entries[name]["detail"]["error"] == "no translation"
+
+    def test_companion_entries_name_their_timer(self, tmp_path):
+        cfg = write_config(tmp_path / "cfg.json")
+        out = tmp_path / "report.json"
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
+        entries = {p["property"]: p for p in json.loads(out.read_text())["properties"]}
+        for first, companion in (
+            ("factorization_recovery", "factorization_reconstruction"),
+            ("solve_translation", "solve_translation_stability"),
+        ):
+            assert entries[first]["seconds"] > 0.0 and "detail" not in entries[first]
+            assert entries[companion]["seconds"] == 0.0
+            assert entries[companion]["detail"] == {"timed_with": first}
+
     @pytest.mark.parametrize(
         "extra, argv",
         [
@@ -111,8 +153,16 @@ class TestVerify:
             ({}, ["--samples", "-5"]),
             ({}, ["--tol", "-1"]),
             ({}, ["--wtilde", "boost:1e6"]),
+            ({"n": 3.9}, []),
+            ({"seed": 1.7}, []),
+            ({"samples": {"bol": True}}, []),
+            ({"tolerances": {"identity": True}}, []),
+            ({"n": math.inf}, []),
         ],
-        ids=["n-abc", "samples-x", "tau_abs-nan", "samples-neg", "tol-neg", "boost-overflow"],
+        ids=[
+            "n-abc", "samples-x", "tau_abs-nan", "samples-neg", "tol-neg", "boost-overflow",
+            "n-float", "seed-float", "samples-bool", "tol-bool", "n-inf",
+        ],
     )
     def test_malformed_config_is_config_error(self, tmp_path, capsys, extra, argv):
         cfg = write_config(tmp_path / "cfg.json", **extra)
