@@ -295,11 +295,14 @@ def _transversality(s: Suite, stream: SampleStream, count: int):
         rho, stream = sample_sigma(s.form, stream, tol=s.tol)
         rhos.append(rho)
     tr = geometry.transversality_check(s.econfig.wtilde, rhos, s.econfig.carrier_subspace(), s.tol)
-    return (0.0,), {"worst_margin": tr.worst_margin}
+    # with no sample checked the margin is still inf, which strict JSON refuses
+    return (0.0,), {"worst_margin": tr.worst_margin} if tr.samples else None
 
 
 def _ext_infinity_compat(s: Suite, stream: SampleStream):
-    """ext_mul's direction part against the matrix loop product."""
+    """ext_mul's direction part, the graph lift of the image direction,
+    against the matrix loop product, the spectral positive factor of
+    rho1 rho2: two independent computations of the same element."""
     e1, stream = s.eloop.sample(stream)
     e2, stream = s.eloop.sample(stream)
     prod = ext.ext_mul(e1, e2, s.econfig)
@@ -495,6 +498,17 @@ def _load_extension_element(path: str) -> ext.ExtensionElement:
         return ext.extension_element_from_json(_parse_json_object(path, fh.read()))
 
 
+def _check_operand(path: str, elem: SigmaElement, form: SignatureForm, cfg: SuiteConfig) -> None:
+    """Refuse an operand that is not a Sigma element of the configured form."""
+    if elem.form != form:
+        raise ConfigInvalid(f"{path}: form {elem.form.to_json()} is not the configured {form.to_json()}")
+    tolerance = cfg.tolerances["membership"]
+    rep = membership_residual(elem.matrix, "Sigma", form, tolerance, cfg.numeric_tol())
+    if not rep.passed:
+        worst = max(rep.residuals, key=rep.residuals.get)
+        raise ConfigInvalid(f"{path}: not in Sigma, {worst} residual {rep.max_residual:.3e}")
+
+
 def _diagnostics(elem: SigmaElement, tolerance: float) -> dict:
     rep = membership_residual(elem.matrix, "Sigma", elem.form, tolerance)
     return {"membership": rep.residuals, "pass": rep.passed}
@@ -521,17 +535,19 @@ def cmd_mul(args) -> int:
     cfg = load_suite_config(args.config, _overrides(args))
     if args.loop == "matrix":
         form = SignatureForm(cfg.n, cfg.p1, cfg.p2, cfg.field_name)
-        tol = cfg.numeric_tol()
-        lhs = _load_matrix_element(args.lhs, form)
-        rhs = _load_matrix_element(args.rhs, form)
-        if lhs.form != rhs.form:
-            raise ConfigInvalid("operands carry different forms")
-        product = MatrixLoop(lhs.form, tol).mul(lhs, rhs)
+        lhs, rhs = (_load_matrix_element(path, form) for path in (args.lhs, args.rhs))
+        for path, elem in ((args.lhs, lhs), (args.rhs, rhs)):
+            _check_operand(path, elem, form, cfg)
+        product = MatrixLoop(form, cfg.numeric_tol()).mul(lhs, rhs)
         out = element_to_json(product)
         out["diagnostics"] = _diagnostics(product, cfg.tolerances["membership"])
     else:
         econfig = resolve(cfg).econfig
         e1, e2 = (_load_extension_element(path) for path in (args.lhs, args.rhs))
+        for path, elem in ((args.lhs, e1), (args.rhs, e2)):
+            _check_operand(path, elem.rho, econfig.form, cfg)
+            if not econfig.wtilde.contains(elem.w, cfg.tolerances["membership"]):
+                raise ConfigInvalid(f"{path}: w is not on the transversal")
         product = ext.ext_mul(e1, e2, econfig)
         out = product.to_json()
         out["diagnostics"] = _diagnostics(product.rho, cfg.tolerances["membership"])

@@ -55,7 +55,6 @@ from .groups import (
     element_to_json,
     matrix_from_json,
     matrix_to_json,
-    polar_factorize,
     sample_phi,
     sample_sigma,
     sigma_from_block,
@@ -226,18 +225,14 @@ def omega(s: AffineSubspace, cfg: ExtensionConfig) -> ExtensionElement:
 
 
 def ext_mul(e1: ExtensionElement, e2: ExtensionElement, cfg: ExtensionConfig) -> ExtensionElement:
-    """Coordinate multiplication.
+    """Coordinate multiplication: left translation by the unique orbit map.
 
-    The direction part is the positive factor of the matrix product
-    rho1 rho2 (which coincides with the matrix-loop product of the
-    direction lifts); the point part translates the image of the second
-    subspace under the first lift back to the transversal and shifts by
-    w1."""
-    s = e1.rho.matrix @ e2.rho.matrix
-    rho3, _ = polar_factorize(s, cfg.form, tol=cfg.tol)
-    image = apply(linear_affinity(e1.rho.matrix), realize(e2, cfg), cfg.tol)
-    p = meet_point(image, cfg.wtilde, cfg.tol)
-    return ExtensionElement(e1.w + p, rho3)
+    The product is the coordinates of the image of the second element's
+    subspace under the first element's affinity.  Its direction part is the
+    graph lift of the image direction, which agrees with the matrix-loop
+    product of the direction lifts (the positive factor of rho1 rho2)
+    without computing it."""
+    return omega(apply(element_affinity(e1), realize(e2, cfg), cfg.tol), cfg)
 
 
 def solve_translation(

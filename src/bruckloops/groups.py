@@ -207,31 +207,15 @@ def sample_sigma(
     return sigma_from_block(form, x.astype(form.dtype), tol), stream
 
 
-def _expm_skew(k: np.ndarray) -> np.ndarray:
-    """Scaling-and-squaring Taylor exponential for small anti-hermitian
-    generators (only used for Phi sampling; norms here are O(1))."""
-    nrm = fro(k)
-    squarings = 0
-    t = k
-    while nrm > 0.5:
-        t = t / 2.0
-        nrm /= 2.0
-        squarings += 1
-    result = np.eye(k.shape[0], dtype=k.dtype)
-    term = np.eye(k.shape[0], dtype=k.dtype)
-    for m in range(1, 30):
-        term = term @ t / m
-        result = result + term
-        if fro(term) < 1e-20:
-            break
-    for _ in range(squarings):
-        result = result @ result
-    return result
-
-
 def sample_phi(form: SignatureForm, stream: SampleStream, radius: float = 1.0):
     """Draw a Phi element: exp of a block-diagonal anti-hermitian generator
-    with its trace shifted to zero so the determinant is exactly 1."""
+    K with its trace shifted to zero so the determinant is exactly 1.
+
+    K is normal, so Rodrigues' formula gives its exponential from one
+    eigendecomposition of the positive semi-definite K* K = -K^2:
+    exp(K) = cos(T) + K sin(T)/T with T = sqrt(K* K).  Both functions of T
+    are even power series in T, so the formula is exact and stays real on
+    the real field."""
     k = np.zeros((form.n, form.n), dtype=form.dtype)
     for (lo, hi) in ((0, form.p1), (form.p1, form.n)):
         size = hi - lo
@@ -244,7 +228,9 @@ def sample_phi(form: SignatureForm, stream: SampleStream, radius: float = 1.0):
         k[lo:hi, lo:hi] = (block - dag(block)) / 2.0
     if form.field == COMPLEX:
         k -= (np.trace(k) / form.n) * np.eye(form.n, dtype=form.dtype)
-    return PhiElement(_expm_skew(k), form), stream
+    dec = linalg.eig_hermitian(dag(k) @ k)
+    t = np.sqrt(np.maximum(dec.eigenvalues, 0.0))
+    return PhiElement(dec.apply(np.cos(t)) + k @ dec.apply(np.sinc(t / np.pi)), form), stream
 
 
 def polar_factorize(
@@ -255,9 +241,9 @@ def polar_factorize(
 ):
     """Split an isometry of determinant 1 into its unique Sigma * Phi pair.
 
-    The Sigma factor is sqrt(S S*); the Phi factor is S1^{-1} S, computed
-    from the same eigendecomposition so both factors share one spectral
-    call.
+    The Sigma factor is the positive polar factor S1 = sqrt(S S*); being a
+    positive isometry, its inverse is J S1 J, so the Phi factor
+    S1^{-1} S = (J S1 J) S costs no second spectral call.
     """
     report = membership_residual(s, "U_p2", form, tolerance, tol)
     det_res = abs(np.linalg.det(s) - 1.0)
@@ -265,11 +251,9 @@ def polar_factorize(
         raise NotInGroup(
             f"isometry residual {report.max_residual:.3e}, det residual {det_res:.3e}"
         )
-    m = symmetrize(s @ dag(s))
-    dec = linalg.eig_hermitian(m, tol)
-    s1 = dec.apply(np.sqrt(dec.eigenvalues))
-    c = dec.apply(1.0 / np.sqrt(dec.eigenvalues)) @ s
-    return SigmaElement(s1, form), PhiElement(c, form)
+    s1 = spectral_map(symmetrize(s @ dag(s)), "sqrt", tol)
+    j = form.j_matrix()
+    return SigmaElement(s1, form), PhiElement(((j @ s1) @ j) @ s, form)
 
 
 def conjugate_by_phi(a: SigmaElement, b: PhiElement) -> SigmaElement:
@@ -319,11 +303,11 @@ def element_to_json(elem) -> dict:
     return {"form": elem.form.to_json(), "matrix": matrix_to_json(elem.matrix)}
 
 
-def element_from_json(obj: dict, cls=SigmaElement):
+def element_from_json(obj: dict) -> SigmaElement:
     if not isinstance(obj, dict):
         raise ConfigInvalid("an element must be a JSON object")
     form = SignatureForm.from_json(obj.get("form", {}))
     matrix = matrix_from_json(obj.get("matrix", []), form.field)
     if matrix.shape != (form.n, form.n):
         raise ConfigInvalid(f"matrix shape {matrix.shape} does not match n = {form.n}")
-    return cls(matrix, form)
+    return SigmaElement(matrix, form)

@@ -87,12 +87,6 @@ def hermitian_residual(a: np.ndarray) -> float:
     return fro(a - dag(a))
 
 
-def is_hermitian(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        return False
-    return hermitian_residual(a) <= tol.tau_abs + tol.tau_rel * fro(a)
-
-
 @dataclass(frozen=True)
 class SpectralDecomposition:
     """Eigenvalues (real, ascending) and a unitary eigenbasis Q with

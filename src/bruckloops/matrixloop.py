@@ -1,18 +1,20 @@
 """The Bruck loop on positive-definite hermitian isometries.
 
-Multiplication is A o B = sqrt(A B^2 A); the square root is the unique
+Multiplication is A o B = sqrt(A B^2 A), the positive factor sqrt(S S*)
+of the polar decomposition of S = A B; the square root is the unique
 positive-definite one, so the carrier is closed.  Divisions have closed
-forms: a*(a\\b)=b gives x = sqrt(A^{-1} C^2 A^{-1}), and the right-division
-equation x A^2 x = B^2 is a Riccati equation whose unique positive-definite
-solution is x = A^{-1} sqrt(A B^2 A) A^{-1}.
+forms: a*(a\\b)=b gives x = sqrt(A^{-1} C^2 A^{-1}), the positive factor of
+A^{-1} C, and the right-division equation x A^2 x = B^2 is a Riccati
+equation whose unique positive-definite solution is
+x = A^{-1} sqrt(A B^2 A) A^{-1}.
 
 Every element is a hermitian isometry, A J A = J, so its inverse is
 A^{-1} = J A J: a sign flip of the off-diagonal blocks, with no spectral
-call.  Each division therefore costs one eigendecomposition (the square
-root) and the inverse costs none.
+call.  Each operation except the inverse therefore costs one
+eigendecomposition (the positive factor) and the inverse costs none.
 
-Products of three or more matrices are evaluated strictly left to right
-and every hermitian intermediate is re-symmetrized, so residuals are
+Products of three matrices are evaluated strictly left to right and
+every hermitian intermediate is re-symmetrized, so residuals are
 reproducible on one machine with one numpy/LAPACK build (not across
 platforms: ``@`` and ``eigh`` go through BLAS/LAPACK).  Elements are
 validated on construction by the callers that mint them; operations trust
@@ -28,13 +30,19 @@ import numpy as np
 from .errors import DimensionMismatch
 from .groups import SampleStream, SigmaElement, SignatureForm, sample_sigma
 from .kernel import Loop
-from .linalg import DEFAULT_TOL, Tolerance, fro, spectral_map, symmetrize
+from .linalg import DEFAULT_TOL, Tolerance, dag, fro, spectral_map, symmetrize
 
 
 def _inverse(a: SigmaElement) -> np.ndarray:
     """A^{-1} = J A J, exact for a hermitian isometry."""
     j = a.form.j_matrix()
     return symmetrize((j @ a.matrix) @ j)
+
+
+def _positive_factor(s: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """sqrt(S S*): the positive-definite factor P of the polar decomposition
+    S = P U."""
+    return spectral_map(symmetrize(s @ dag(s)), "sqrt", tol)
 
 
 def frobenius_distance(a: SigmaElement, b: SigmaElement) -> float:
@@ -58,8 +66,7 @@ class MatrixLoop:
 
     def mul(self, a: SigmaElement, b: SigmaElement) -> SigmaElement:
         self._check(a, b)
-        prod = ((a.matrix @ b.matrix) @ b.matrix) @ a.matrix
-        return SigmaElement(spectral_map(symmetrize(prod), "sqrt", self.tol), self.form)
+        return SigmaElement(_positive_factor(a.matrix @ b.matrix, self.tol), self.form)
 
     def inverse(self, a: SigmaElement) -> SigmaElement:
         self._check(a)
@@ -67,14 +74,11 @@ class MatrixLoop:
 
     def left_divide(self, a: SigmaElement, c: SigmaElement) -> SigmaElement:
         self._check(a, c)
-        ainv = _inverse(a)
-        prod = ((ainv @ c.matrix) @ c.matrix) @ ainv
-        return SigmaElement(spectral_map(symmetrize(prod), "sqrt", self.tol), self.form)
+        return SigmaElement(_positive_factor(_inverse(a) @ c.matrix, self.tol), self.form)
 
     def right_divide(self, b: SigmaElement, a: SigmaElement) -> SigmaElement:
         self._check(a, b)
-        prod = ((a.matrix @ b.matrix) @ b.matrix) @ a.matrix
-        root = spectral_map(symmetrize(prod), "sqrt", self.tol)
+        root = _positive_factor(a.matrix @ b.matrix, self.tol)
         ainv = _inverse(a)
         return SigmaElement(symmetrize((ainv @ root) @ ainv), self.form)
 

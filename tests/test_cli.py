@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bruckloops.cli import _diagnostics, main
+from bruckloops.cli import DEFAULT_SAMPLES, SuiteConfig, _diagnostics, main, run_verify
 from bruckloops.errors import NotInOrbit
 from bruckloops.groups import SigmaElement, element_to_json, standard_boost
 from bruckloops.linalg import write_matrix_text
@@ -144,6 +144,14 @@ class TestVerify:
             assert entries[companion]["seconds"] == 0.0
             assert entries[companion]["detail"] == {"timed_with": first}
 
+    def test_zero_count_report_is_strict_json(self):
+        jsonschema = pytest.importorskip("jsonschema")
+        cfg = SuiteConfig(samples={name: 0 for name in DEFAULT_SAMPLES})
+        report = run_verify(cfg)
+        jsonschema.validate(json.loads(json.dumps(report, allow_nan=False)), json.loads(SCHEMA.read_text()))
+        entry = next(p for p in report["properties"] if p["property"] == "transversality")
+        assert "detail" not in entry
+
     @pytest.mark.parametrize(
         "extra, argv",
         [
@@ -224,17 +232,34 @@ class TestMul:
             ("extension", "missing_rho"),
             ("extension", "short_w"),
             ("extension", "rho_not_object"),
+            ("matrix", "block_rotation"),
+            ("matrix", "not_an_isometry"),
+            ("matrix", "other_form"),
+            ("extension", "block_rotation"),
+            ("extension", "w_off_transversal"),
         ],
     )
-    def test_malformed_element_file_is_config_error(self, tmp_path, capsys, form321r, loop, case):
+    def test_malformed_element_file_is_config_error(
+        self, tmp_path, capsys, form321r, form321c, loop, case
+    ):
         elem = element_to_json(SigmaElement(np.eye(3), form321r))
-        good = elem if loop == "matrix" else {"w": [0.0, 0.0, 0.0], "rho": elem}
+        boost = element_to_json(standard_boost(form321r, 0.5))
+        good = boost if loop == "matrix" else {"w": [0.0, 0.0, 0.0], "rho": boost}
+        # operands that parse but are not Sigma elements of the configured form
+        rotated = dict(elem, matrix=rotation(3, 0, 1, 0.7).tolist())
+        stretched = dict(elem, matrix=np.diag([2.0, 1.0, 0.5]).tolist())
         bad = {
             "truncated": json.dumps(good)[:40],
             "non_integer_n": json.dumps(dict(elem, form=dict(elem["form"], n="x"))),
             "missing_rho": json.dumps({"w": [0.0, 0.0, 0.0]}),
             "short_w": json.dumps({"w": [0.0, 0.0], "rho": elem}),
             "rho_not_object": json.dumps({"w": [0.0, 0.0, 0.0], "rho": "x"}),
+            "block_rotation": json.dumps(
+                rotated if loop == "matrix" else {"w": [0.0, 0.0, 0.0], "rho": rotated}
+            ),
+            "not_an_isometry": json.dumps(stretched),
+            "other_form": json.dumps(element_to_json(SigmaElement(np.eye(3, dtype=complex), form321c))),
+            "w_off_transversal": json.dumps({"w": [0.5, 0.0, 0.3], "rho": elem}),
         }[case]
         lhs, rhs = tmp_path / "bad.json", tmp_path / "good.json"
         lhs.write_text(bad)

@@ -213,6 +213,16 @@ class TestExtMul:
             prod = ext_mul(e1, e2, cfg)
             assert fro(prod.rho.matrix - mloop.mul(e1.rho, e2.rho).matrix) <= 1e-9
 
+    def test_one_eigendecomposition_and_no_det(self, cfg, eig_calls, monkeypatch):
+        # the orbit map: one graph lift, and no polar factorization
+        loop = ext_loop_interface(cfg)
+        e1, stream = loop.sample(SampleStream(12))
+        e2, _ = loop.sample(stream)
+        eig_calls.clear()
+        monkeypatch.setattr(np.linalg, "det", pytest.fail)
+        ext_mul(e1, e2, cfg)
+        assert len(eig_calls) == 1
+
 
 class TestSolveTranslation:
     def test_identity_pair(self, cfg):
