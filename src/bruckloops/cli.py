@@ -39,6 +39,7 @@ from .groups import (
     SampleStream,
     SigmaElement,
     SignatureForm,
+    _convert,
     conjugate_by_phi,
     element_from_json,
     element_to_json,
@@ -148,19 +149,6 @@ def load_suite_config(path: str | None, overrides: dict) -> SuiteConfig:
     if bad:
         raise ConfigInvalid(f"tolerances must be finite and > 0: {', '.join(bad)}")
     return cfg
-
-
-def _convert(kind, value, name: str):
-    """``kind(value)``, refusing booleans, and numbers with a fractional
-    part where an integer is wanted, rather than coercing them."""
-    try:
-        if isinstance(value, bool) or (
-            kind is int and isinstance(value, float) and not value.is_integer()
-        ):
-            raise TypeError
-        return kind(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigInvalid(f"config entry {name!r} must be {kind.__name__}, got {value!r}") from exc
 
 
 def build_wtilde(form: SignatureForm, carrier: int, spec: str, tol: Tolerance):

@@ -31,6 +31,7 @@ from .errors import (
     NotInOrbit,
     NotPositiveDefinite,
     RankAmbiguous,
+    TransversalityViolated,
     WitnessNotFound,
 )
 from .geometry import (
@@ -39,11 +40,9 @@ from .geometry import (
     apply,
     at_infinity,
     linear_affinity,
-    meet_point,
     projector,
     subspace,
     subspace_distance,
-    transversality_check,
 )
 from .groups import (
     PhiElement,
@@ -60,7 +59,7 @@ from .groups import (
     sigma_from_block,
 )
 from .kernel import Loop
-from .linalg import COMPLEX, DEFAULT_TOL, Tolerance, dag, spectral_map, symmetrize
+from .linalg import COMPLEX, DEFAULT_TOL, Tolerance, dag, eig_hermitian, spectral_map, symmetrize
 from .matrixloop import MatrixLoop
 
 
@@ -107,22 +106,20 @@ def extension_config(
     carrier: int = 1,
     wtilde: AffineSubspace | None = None,
     tol: Tolerance = DEFAULT_TOL,
-    check_samples: int = 50,
-    check_seed: int = 1,
 ) -> ExtensionConfig:
     """Build and validate a configuration.
 
-    The transversal defaults to the complementary coordinate subspace.
-    Any non-default transversal must pass through 0, have the right
-    dimension, and survive a transversality check against a sample of the
-    orbit at infinity; the checks run once here so the loop operations
-    can trust the configuration.
+    The transversal defaults to the complementary coordinate subspace.  Any
+    other must pass through 0 (it is stored with base exactly 0), have the
+    right dimension, and meet every orbit direction, the graph of a strict
+    contraction, in one point: exactly when the form is non-positive on it
+    (carrier 1) or non-negative (carrier 2), the angular-operator theorem.
+    One eigendecomposition of F* J F decides it, once, for the loop.
     """
     if carrier not in (1, 2):
         raise ConfigInvalid(f"carrier index must be 1 or 2, got {carrier}")
-    j = 2 if carrier == 1 else 1
     if wtilde is None:
-        wtilde = coordinate_subspace(form, j)
+        wtilde = coordinate_subspace(form, 2 if carrier == 1 else 1)
     else:
         wtilde = geometry.canonical(wtilde, tol)
     pj = form.n - (form.p1 if carrier == 1 else form.p2)
@@ -133,16 +130,12 @@ def extension_config(
         )
     if float(np.linalg.norm(wtilde.base)) > 10 * tol.tau_abs:
         raise ConfigInvalid("transversal must pass through 0")
-    cfg = ExtensionConfig(form, carrier, wtilde, tol)
-    stream = SampleStream(check_seed)
-    # the identity is always in the orbit; sampling alone could miss the
-    # degenerate transversals that only collide with specific members
-    rhos = [SigmaElement(np.eye(form.n, dtype=form.dtype), form)]
-    for _ in range(check_samples):
-        rho, stream = sample_sigma(form, stream, tol=tol)
-        rhos.append(rho)
-    transversality_check(wtilde, rhos, cfg.carrier_subspace(), tol)
-    return cfg
+    sign, kind = (1.0, "non-positive") if carrier == 1 else (-1.0, "non-negative")
+    gram = symmetrize(dag(wtilde.frame) @ (sign * form.j_matrix()) @ wtilde.frame)
+    wrong = float(eig_hermitian(gram, tol).eigenvalues[-1])  # worst wrong-sign value on a unit vector
+    if wrong > tol.tau_abs:
+        raise TransversalityViolated(f"the form must be {kind} on the transversal, not {sign * wrong:.3e}")
+    return ExtensionConfig(form, carrier, AffineSubspace(np.zeros_like(wtilde.base), wtilde.frame), tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,12 +169,10 @@ def element_affinity(e: ExtensionElement) -> Affinity:
 
 def realize(e: ExtensionElement, cfg: ExtensionConfig) -> AffineSubspace:
     """The orbit subspace encoded by an element: the image of the carrier
-    under the linear lift, translated so its transversal intersection lands
-    on w."""
+    under the linear lift meets the transversal at 0, so placing it through
+    w lands that intersection on w."""
     cols = e.rho.matrix[:, : cfg.form.p1] if cfg.carrier == 1 else e.rho.matrix[:, cfg.form.p1 :]
-    through_zero = subspace(np.zeros(cfg.form.n, dtype=cfg.form.dtype), cols, cfg.tol)
-    q = meet_point(through_zero, cfg.wtilde, cfg.tol)
-    return subspace(e.w - q, through_zero.frame, cfg.tol)
+    return subspace(e.w, cols, cfg.tol)
 
 
 def lift_from_infinity(z: np.ndarray, cfg: ExtensionConfig) -> SigmaElement:
@@ -216,12 +207,20 @@ def lift_from_infinity(z: np.ndarray, cfg: ExtensionConfig) -> SigmaElement:
     return SigmaElement(symmetrize((eye + t) @ scale), form)
 
 
+def _transversal_point(s: AffineSubspace, cfg: ExtensionConfig) -> np.ndarray:
+    """Where an orbit subspace meets the transversal: one solve of [frame,
+    -W~ frame] c = -base, nonsingular once extension_config has passed W~."""
+    try:
+        c = np.linalg.solve(np.hstack([s.frame, -cfg.wtilde.frame]), -s.base)
+    except np.linalg.LinAlgError as exc:
+        raise TransversalityViolated(f"subspace does not meet the transversal in one point: {exc}") from exc
+    return s.base + s.frame @ c[: s.dim]
+
+
 def omega(s: AffineSubspace, cfg: ExtensionConfig) -> ExtensionElement:
     """Coordinates of an orbit subspace: the transversal intersection point
     and the lift of the direction at infinity."""
-    w = meet_point(s, cfg.wtilde, cfg.tol)
-    rho = lift_from_infinity(at_infinity(s), cfg)
-    return ExtensionElement(w, rho)
+    return ExtensionElement(_transversal_point(s, cfg), lift_from_infinity(at_infinity(s), cfg))
 
 
 def ext_mul(e1: ExtensionElement, e2: ExtensionElement, cfg: ExtensionConfig) -> ExtensionElement:
@@ -250,7 +249,7 @@ def solve_translation(
     loop = MatrixLoop(cfg.form, cfg.tol)
     rho = loop.right_divide(rho2, rho1)
     moved = apply(linear_affinity(rho.matrix), d1, cfg.tol)
-    t = meet_point(d2, cfg.wtilde, cfg.tol) - meet_point(moved, cfg.wtilde, cfg.tol)
+    t = _transversal_point(d2, cfg) - _transversal_point(moved, cfg)
     return t, rho
 
 

@@ -6,12 +6,12 @@ Canonicalization is bit-for-bit idempotent thanks to the snap threshold
 in the orthonormalizer and a second projection of the base, so subspace
 equality reduces to a plain numeric comparison.
 
-Rank and intersection decisions use singular values with the relative
-threshold 1e-8 * sigma_max.  For the empty/nonempty call of ``meet`` an
-ambiguity band turns a silent misclassification into an explicit
-IllConditioned error: least-squares residuals below tau_abs mean the
-subspaces intersect, residuals above 10*tau_abs mean they are disjoint,
-anything in between refuses to decide.
+``meet`` serves the checks; the loop operations find their intersection
+points by one solve.  Its decisions use singular values with the relative
+threshold 1e-8 * sigma_max, and an ambiguity band turns a silent
+misclassification into an IllConditioned error: least-squares residuals
+below tau_abs mean the subspaces intersect, residuals above 10*tau_abs
+mean they are disjoint, anything in between refuses to decide.
 
 Over the complex field subspaces are complex-linear spans and projectors
 are hermitian; "dimension" always means the F-dimension.
@@ -85,11 +85,19 @@ def canonical(s: AffineSubspace, tol: Tolerance = DEFAULT_TOL) -> AffineSubspace
 
 
 def from_json(obj: dict, field: str) -> AffineSubspace:
+    """``{"base": [...], "frame": [[...]]}``; anything else, a non-finite
+    entry, or one so large that canonicalization overflows, is refused."""
+    if not (isinstance(obj, dict) and all(isinstance(obj.get(key), list) for key in ("base", "frame"))):
+        raise ConfigInvalid('a subspace must be a JSON object with lists "base" and "frame"')
     base = matrix_from_json([obj["base"]], field)[0]
-    frame = matrix_from_json(obj["frame"], field) if obj.get("frame") else np.zeros(
-        (base.shape[0], 0)
-    )
-    return subspace(base, frame)
+    frame = matrix_from_json(obj["frame"], field) if obj["frame"] else np.zeros((base.shape[0], 0))
+    if not (np.all(np.isfinite(base)) and np.all(np.isfinite(frame))):
+        raise ConfigInvalid("subspace entries must be finite")
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return subspace(base, frame)
+    except FloatingPointError as exc:
+        raise ConfigInvalid(f"subspace entries too large: {exc}") from exc
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,17 +172,6 @@ def meet(s1: AffineSubspace, s2: AffineSubspace, tol: Tolerance = DEFAULT_TOL):
         return subspace(point, np.zeros((s1.ambient, 0), dtype=m.dtype), tol)
     directions = s1.frame @ null_basis[:k1, :] if k1 else s2.frame @ null_basis[k1:, :]
     return subspace(point, directions, tol)
-
-
-def meet_point(s1: AffineSubspace, s2: AffineSubspace, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """The unique intersection point; raises TransversalityViolated when
-    the meet is empty or positive-dimensional."""
-    x = meet(s1, s2, tol)
-    if x is None:
-        raise TransversalityViolated("subspaces do not intersect")
-    if x.dim != 0:
-        raise TransversalityViolated(f"intersection has dimension {x.dim}, expected a point")
-    return x.base
 
 
 def projector(frame: np.ndarray, n: int) -> np.ndarray:

@@ -63,9 +63,23 @@ class SignatureForm:
     @staticmethod
     def from_json(obj: dict) -> "SignatureForm":
         try:
-            return SignatureForm(int(obj["n"]), int(obj["p1"]), int(obj["p2"]), obj.get("field", REAL))
-        except (KeyError, TypeError, ValueError) as exc:
+            n, p1, p2 = (_convert(int, obj[key], f"form.{key}") for key in ("n", "p1", "p2"))
+            return SignatureForm(n, p1, p2, obj.get("field", REAL))
+        except (KeyError, TypeError) as exc:
             raise ConfigInvalid(f"bad form object {obj!r}") from exc
+
+
+def _convert(kind, value, name: str):
+    """``kind(value)``, refusing booleans, and numbers with a fractional
+    part where an integer is wanted, rather than coercing them."""
+    try:
+        if isinstance(value, bool) or (
+            kind is int and isinstance(value, float) and not value.is_integer()
+        ):
+            raise TypeError
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigInvalid(f"entry {name!r} must be {kind.__name__}, got {value!r}") from exc
 
 
 @dataclass(frozen=True, eq=False)

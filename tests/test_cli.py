@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bruckloops.cli import DEFAULT_SAMPLES, SuiteConfig, _diagnostics, main, run_verify
 from bruckloops.errors import NotInOrbit
@@ -29,6 +31,28 @@ SMALL_SAMPLES = {
     "solve_translation": 10,
     "dimension_points": 4,
 }
+
+
+# Transversal files for (3,2,1), carrier 1: objects with or without "base"
+# and "frame", of the right shape or of random shapes, with entries that
+# include non-finite, huge and non-numeric values; now and then a root that
+# is not an object.
+_FLOAT = st.floats(-2, 2)
+_ODD = [1.25, math.nan, math.inf, -math.inf, 1e300, -1e300, "x", None, True]
+_ENTRY = st.one_of(_FLOAT, st.sampled_from(_ODD))
+_ROWS = st.lists(st.lists(_ENTRY, max_size=4), max_size=4)
+TRANSVERSAL_FILES = st.one_of(
+    st.fixed_dictionaries({
+        "base": st.one_of(st.just([0.0, 0.0, 0.0]), st.lists(_ENTRY, min_size=3, max_size=3)),
+        "frame": st.lists(
+            st.lists(st.one_of(_FLOAT, _ENTRY), min_size=1, max_size=1), min_size=3, max_size=3
+        ),
+    }),
+    st.fixed_dictionaries({}, optional={"base": st.one_of(st.lists(_ENTRY, max_size=4), _ENTRY),
+                                        "frame": st.one_of(_ROWS, _ENTRY)}),
+    _ROWS,
+    _ENTRY,
+)
 
 
 def write_config(path, **extra):
@@ -153,30 +177,46 @@ class TestVerify:
         assert "detail" not in entry
 
     @pytest.mark.parametrize(
-        "extra, argv",
+        "extra, argv, wtilde",
         [
-            ({"n": "abc"}, []),
-            ({"samples": {"bol": "x"}}, []),
-            ({"tolerances": {"tau_abs": "nan"}}, []),
-            ({}, ["--samples", "-5"]),
-            ({}, ["--tol", "-1"]),
-            ({}, ["--wtilde", "boost:1e6"]),
-            ({"n": 3.9}, []),
-            ({"seed": 1.7}, []),
-            ({"samples": {"bol": True}}, []),
-            ({"tolerances": {"identity": True}}, []),
-            ({"n": math.inf}, []),
+            ({"n": "abc"}, [], None),
+            ({"samples": {"bol": "x"}}, [], None),
+            ({"tolerances": {"tau_abs": "nan"}}, [], None),
+            ({}, ["--samples", "-5"], None),
+            ({}, ["--tol", "-1"], None),
+            ({}, ["--wtilde", "boost:1e6"], None),
+            ({"n": 3.9}, [], None),
+            ({"seed": 1.7}, [], None),
+            ({"samples": {"bol": True}}, [], None),
+            ({"tolerances": {"identity": True}}, [], None),
+            ({"n": math.inf}, [], None),
+            ({}, [], {"base": [0.0, 0.0, 0.0], "frame": [[math.nan], [0.0], [1.0]]}),
+            ({}, [], {"frame": [[0.0], [0.0], [1.0]]}),
+            ({}, [], [[0.0], [0.0], [1.0]]),
+            ({}, [], {"base": [0.0, 0.0, 0.0], "frame": [[1.25], [0.0], [1.0]]}),
         ],
         ids=[
             "n-abc", "samples-x", "tau_abs-nan", "samples-neg", "tol-neg", "boost-overflow",
             "n-float", "seed-float", "samples-bool", "tol-bool", "n-inf",
+            "wtilde-nan", "wtilde-no-base", "wtilde-list", "wtilde-contraction-1.25",
         ],
     )
-    def test_malformed_config_is_config_error(self, tmp_path, capsys, extra, argv):
+    def test_malformed_config_is_config_error(self, tmp_path, capsys, extra, argv, wtilde):
+        if wtilde is not None:
+            wt = tmp_path / "wt.json"
+            wt.write_text(json.dumps(wtilde))
+            extra = dict(extra, wtilde=f"file:{wt}")
         cfg = write_config(tmp_path / "cfg.json", **extra)
         assert main(["verify", "--config", cfg, *argv]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(TRANSVERSAL_FILES)
+    def test_transversal_file_fuzz(self, tmp_path_factory, obj):
+        wt = tmp_path_factory.mktemp("wt") / "wt.json"
+        wt.write_text(json.dumps(obj))
+        assert main(["sample", "--loop", "extension", "--wtilde", f"file:{wt}"]) in (0, 2)
 
 
 class TestMul:
@@ -237,6 +277,8 @@ class TestMul:
             ("matrix", "other_form"),
             ("extension", "block_rotation"),
             ("extension", "w_off_transversal"),
+            ("matrix", "form-float"),
+            ("matrix", "form-bool"),
         ],
     )
     def test_malformed_element_file_is_config_error(
@@ -260,6 +302,8 @@ class TestMul:
             "not_an_isometry": json.dumps(stretched),
             "other_form": json.dumps(element_to_json(SigmaElement(np.eye(3, dtype=complex), form321c))),
             "w_off_transversal": json.dumps({"w": [0.5, 0.0, 0.3], "rho": elem}),
+            "form-float": json.dumps(dict(elem, form={"n": 3.9, "p1": 2.7, "p2": 1, "field": "real"})),
+            "form-bool": json.dumps(dict(elem, form=dict(elem["form"], p2=True))),
         }[case]
         lhs, rhs = tmp_path / "bad.json", tmp_path / "good.json"
         lhs.write_text(bad)

@@ -28,6 +28,7 @@ from bruckloops.geometry import (
     linear_affinity,
     subspace,
     subspace_distance,
+    transversality_check,
 )
 from bruckloops.groups import SampleStream, SignatureForm, sample_sigma, standard_boost
 from bruckloops.kernel import check_loop_axioms
@@ -75,6 +76,37 @@ class TestConfig:
         with pytest.raises(TransversalityViolated):
             extension_config(form321r, wtilde=wt)
 
+    def test_contraction_norm_above_one_rejected(self, form321r):
+        # W~ = span [C; 1] with ||C|| = 1.25: the orbit direction of the
+        # contraction X* = [0.8, 0] meets it in a line, and no sample of
+        # radius 0.75 reaches that direction
+        wt = subspace(np.zeros(3), np.array([[1.25], [0.0], [1.0]]))
+        with pytest.raises(TransversalityViolated):
+            extension_config(form321r, wtilde=wt)
+
+    def test_carrier_two_mirror_rejected(self, form321r):
+        wt = subspace(np.zeros(3), np.array([[1.0, 0.0], [0.0, 1.0], [1.25, 0.0]]))
+        with pytest.raises(TransversalityViolated):
+            extension_config(form321r, carrier=2, wtilde=wt)
+
+    def test_no_sampling(self, form321r, monkeypatch):
+        import bruckloops.extension
+
+        monkeypatch.setattr(bruckloops.extension, "sample_sigma", pytest.fail)
+        wt = apply(linear_affinity(standard_boost(form321r, 0.5).matrix), coordinate_subspace(form321r, 2))
+        assert extension_config(form321r, wtilde=wt).wtilde.dim == 1
+
+    def test_stored_base_is_exactly_zero(self, form321r):
+        wt = subspace(np.full(3, 1e-12), np.array([[0.5], [0.0], [1.0]]))
+        assert not np.any(extension_config(form321r, wtilde=wt).wtilde.base)
+
+    def test_near_boundary_boost_accepted(self, form321r):
+        # boost 3 gives ||C|| = tanh 3 = 0.995, just inside the boundary
+        wt = apply(linear_affinity(standard_boost(form321r, 3.0).matrix), coordinate_subspace(form321r, 2))
+        loop = ext_loop_interface(extension_config(form321r, wtilde=wt))
+        rep = check_loop_axioms(loop, SampleStream(3), 20)
+        assert rep.passed, rep.max_residual
+
 
 class TestRealize:
     def test_identity_element(self, cfg):
@@ -92,6 +124,15 @@ class TestRealize:
         e = ExtensionElement(np.zeros(3), rho)
         expected = apply(linear_affinity(rho.matrix), cfg.carrier_subspace())
         assert subspace_distance(realize(e, cfg), expected) <= 1e-12
+
+    def test_realize_and_omega_make_no_meet(self, boosted_cfg, meet_calls):
+        loop = ext_loop_interface(boosted_cfg)
+        e, _ = loop.sample(SampleStream(14))
+        omega(realize(e, boosted_cfg), boosted_cfg)
+        assert meet_calls == []
+        # the counter does see the sampled cross-check
+        transversality_check(boosted_cfg.wtilde, [np.eye(3)], boosted_cfg.carrier_subspace())
+        assert len(meet_calls) == 1
 
 
 class TestLift:
@@ -222,6 +263,16 @@ class TestExtMul:
         monkeypatch.setattr(np.linalg, "det", pytest.fail)
         ext_mul(e1, e2, cfg)
         assert len(eig_calls) == 1
+
+    def test_no_meet(self, boosted_cfg, meet_calls):
+        loop = ext_loop_interface(boosted_cfg)
+        e1, stream = loop.sample(SampleStream(15))
+        e2, _ = loop.sample(stream)
+        ext_mul(e1, e2, boosted_cfg)
+        loop.left_divide(e1, e2)
+        loop.right_divide(e2, e1)
+        solve_translation(realize(e1, boosted_cfg), realize(e2, boosted_cfg), boosted_cfg)
+        assert meet_calls == []
 
 
 class TestSolveTranslation:

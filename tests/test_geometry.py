@@ -15,7 +15,6 @@ from bruckloops.geometry import (
     from_json,
     linear_affinity,
     meet,
-    meet_point,
     projector,
     subspace,
     subspace_distance,
@@ -114,11 +113,6 @@ class TestMeet:
             x = meet(w2, image)
             assert x is not None and x.dim == 0
 
-    def test_meet_point_raises_on_overlap(self):
-        s = subspace(np.zeros(3), E3[:, :2])
-        with pytest.raises(TransversalityViolated):
-            meet_point(s, s)
-
 
 class TestJoin:
     def test_axis_through_origin(self):
@@ -134,7 +128,7 @@ class TestJoin:
         w2 = subspace(np.zeros(3), E3[:, 2:])
         w = np.array([0.0, 0.0, 1.7])
         s = subspace(w, at_infinity(subspace(np.zeros(3), E3[:, :2])))
-        assert np.allclose(meet_point(s, w2), w)
+        assert np.allclose(meet(s, w2).base, w)
 
 
 class TestSubspaceDistance:
