@@ -17,7 +17,7 @@ from .extension import (
     realize,
     solve_translation,
 )
-from .geometry import AffineSubspace, Affinity, at_infinity, meet, subspace, subspace_distance
+from .geometry import AffineSubspace, at_infinity, subspace, subspace_distance
 from .groups import (
     PhiElement,
     SampleStream,
@@ -36,7 +36,6 @@ from .matrixloop import MatrixLoop
 
 __all__ = [
     "AffineSubspace",
-    "Affinity",
     "BruckLoopsError",
     "ExtensionConfig",
     "ExtensionElement",
@@ -58,7 +57,6 @@ __all__ = [
     "ext_mul",
     "extension_config",
     "lift_from_infinity",
-    "meet",
     "membership_residual",
     "nonisomorphism_witness",
     "omega",

@@ -166,9 +166,11 @@ def build_wtilde(form: SignatureForm, carrier: int, spec: str, tol: Tolerance):
             boost = standard_boost(form, t, tol)
         if not np.all(np.isfinite(boost.matrix)):
             raise ConfigInvalid(f"{spec!r} gives a non-finite boost matrix")
-        return geometry.apply(
-            geometry.linear_affinity(boost.matrix), ext.coordinate_subspace(form, j), tol
-        )
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                return geometry.apply(boost.matrix, ext.coordinate_subspace(form, j), tol=tol)
+        except FloatingPointError as exc:
+            raise ConfigInvalid(f"{spec!r} overflows the transversal frame: {exc}") from exc
     if spec.startswith("file:"):
         path = spec.split(":", 1)[1]
         try:
@@ -322,7 +324,7 @@ def _solve_translation(s: Suite, stream: SampleStream):
     d1 = ext.realize(e1, s.econfig)
     d2 = ext.realize(e2, s.econfig)
     t, rho = ext.solve_translation(d1, d2, s.econfig)
-    moved = geometry.apply(geometry.Affinity(t, rho.matrix), d1, s.tol)
+    moved = geometry.apply(rho.matrix, d1, t, s.tol)
     noise, stream = stream.next_uniforms(2 * s.form.n * (d1.dim + d2.dim), -1e-10, 1e-10)
     d1p = _perturb(d1, noise[: noise.size // 2], s.tol)
     d2p = _perturb(d2, noise[noise.size // 2 :], s.tol)

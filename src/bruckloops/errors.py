@@ -42,11 +42,6 @@ class InversesDisagree(BruckLoopsError):
     """Left and right inverses of a loop element differ beyond tolerance."""
 
 
-class IllConditioned(BruckLoopsError):
-    """A meet decision fell inside the ambiguity band between the
-    clearly-intersecting and clearly-disjoint regimes."""
-
-
 class TransversalityViolated(BruckLoopsError):
     """A subspace expected to meet another in a single point does not."""
 

@@ -34,16 +34,7 @@ from .errors import (
     TransversalityViolated,
     WitnessNotFound,
 )
-from .geometry import (
-    AffineSubspace,
-    Affinity,
-    apply,
-    at_infinity,
-    linear_affinity,
-    projector,
-    subspace,
-    subspace_distance,
-)
+from .geometry import AffineSubspace, apply, at_infinity, projector, subspace, subspace_distance
 from .groups import (
     PhiElement,
     SampleStream,
@@ -60,7 +51,11 @@ from .groups import (
 )
 from .kernel import Loop
 from .linalg import COMPLEX, DEFAULT_TOL, Tolerance, dag, eig_hermitian, spectral_map, symmetrize
-from .matrixloop import MatrixLoop
+from .matrixloop import MatrixLoop, _inverse
+
+_W_SCALE = 1.0  # sampled transversal points have frame coordinates in [-1, 1]
+_STEP = 1e-5  # central-difference step of the dimension Jacobian
+_AMBIGUITY_FRACTION = 0.10  # share of gapless points that refuses a rank estimate
 
 
 def coordinate_subspace(form: SignatureForm, which: int) -> AffineSubspace:
@@ -114,7 +109,9 @@ def extension_config(
     right dimension, and meet every orbit direction, the graph of a strict
     contraction, in one point: exactly when the form is non-positive on it
     (carrier 1) or non-negative (carrier 2), the angular-operator theorem.
-    One eigendecomposition of F* J F decides it, once, for the loop.
+    One eigendecomposition of F* J F decides it, once, for the loop; the
+    sampled ``geometry.transversality_check`` is the independent
+    cross-check, one singular-value decomposition per sampled direction.
     """
     if carrier not in (1, 2):
         raise ConfigInvalid(f"carrier index must be 1 or 2, got {carrier}")
@@ -159,12 +156,6 @@ def extension_element_from_json(obj: dict) -> ExtensionElement:
     if w.shape != (rho.form.n,):
         raise ConfigInvalid(f"w has {w.size} entries, expected n = {rho.form.n}")
     return ExtensionElement(w, rho)
-
-
-def element_affinity(e: ExtensionElement) -> Affinity:
-    """The left-translation affinity carried by an element: the linear lift
-    followed by the translation to its transversal point."""
-    return Affinity(e.w, e.rho.matrix)
 
 
 def realize(e: ExtensionElement, cfg: ExtensionConfig) -> AffineSubspace:
@@ -227,11 +218,11 @@ def ext_mul(e1: ExtensionElement, e2: ExtensionElement, cfg: ExtensionConfig) ->
     """Coordinate multiplication: left translation by the unique orbit map.
 
     The product is the coordinates of the image of the second element's
-    subspace under the first element's affinity.  Its direction part is the
-    graph lift of the image direction, which agrees with the matrix-loop
-    product of the direction lifts (the positive factor of rho1 rho2)
-    without computing it."""
-    return omega(apply(element_affinity(e1), realize(e2, cfg), cfg.tol), cfg)
+    subspace under x -> rho1 x + w1, the first element's left translation.
+    Its direction part is the graph lift of the image direction, which
+    agrees with the matrix-loop product of the direction lifts (the
+    positive factor of rho1 rho2) without computing it."""
+    return omega(apply(e1.rho.matrix, realize(e2, cfg), e1.w, cfg.tol), cfg)
 
 
 def solve_translation(
@@ -248,20 +239,18 @@ def solve_translation(
     rho2 = lift_from_infinity(at_infinity(d2), cfg)
     loop = MatrixLoop(cfg.form, cfg.tol)
     rho = loop.right_divide(rho2, rho1)
-    moved = apply(linear_affinity(rho.matrix), d1, cfg.tol)
+    moved = apply(rho.matrix, d1, tol=cfg.tol)
     t = _transversal_point(d2, cfg) - _transversal_point(moved, cfg)
     return t, rho
 
 
-def ext_loop_interface(
-    cfg: ExtensionConfig, sample_radius: float = 0.75, w_scale: float = 1.0
-) -> Loop:
+def ext_loop_interface(cfg: ExtensionConfig, sample_radius: float = 0.75) -> Loop:
     """The loop interface on extension elements.
 
-    Left division inverts the left-translation affinity of the divisor and
-    reads the coordinates of the image; right division is the sharp
-    transitivity solver.  The sampler draws a uniform point of the
-    transversal and a random positive isometry.
+    Left division maps by the inverse of the divisor's left translation,
+    x -> A^-1 (x - w) with A^-1 = J A J, and reads the coordinates of the
+    image; right division is the sharp transitivity solver.  The sampler
+    draws a uniform point of the transversal and a random positive isometry.
     """
     form = cfg.form
 
@@ -269,8 +258,8 @@ def ext_loop_interface(
         return ext_mul(a, b, cfg)
 
     def left_divide(a, c):
-        image = apply(element_affinity(a).inverse(), realize(c, cfg), cfg.tol)
-        return omega(image, cfg)
+        ainv = _inverse(a.rho)
+        return omega(apply(ainv, realize(c, cfg), -(ainv @ a.w), cfg.tol), cfg)
 
     def right_divide(c, a):
         t, rho = solve_translation(realize(a, cfg), realize(c, cfg), cfg)
@@ -282,10 +271,10 @@ def ext_loop_interface(
     def sample(stream: SampleStream):
         k = cfg.wtilde.dim
         if form.field == COMPLEX:
-            vals, stream = stream.next_uniforms(2 * k, -w_scale, w_scale)
+            vals, stream = stream.next_uniforms(2 * k, -_W_SCALE, _W_SCALE)
             coef = vals[0::2] + 1j * vals[1::2]
         else:
-            vals, stream = stream.next_uniforms(k, -w_scale, w_scale)
+            vals, stream = stream.next_uniforms(k, -_W_SCALE, _W_SCALE)
             coef = vals
         w = cfg.wtilde.frame @ coef.astype(form.dtype)
         rho, stream = sample_sigma(form, stream, sample_radius, cfg.tol)
@@ -334,7 +323,7 @@ def nonisomorphism_witness(
         stream = SampleStream(1)
     for used in range(1, budget + 1):
         g, stream = sample_phi(cfg.form, stream)
-        moved = apply(linear_affinity(g.matrix), cfg.wtilde, cfg.tol)
+        moved = apply(g.matrix, cfg.wtilde, tol=cfg.tol)
         disp = subspace_distance(moved, cfg.wtilde)
         if disp > threshold:
             return WitnessReport(g, disp, used)
@@ -388,9 +377,7 @@ def dimension_rank_report(
     cfg: ExtensionConfig,
     points: int = 20,
     stream: SampleStream | None = None,
-    step: float = 1e-5,
     gap: float = 1e-4,
-    ambiguity_fraction: float = 0.10,
 ) -> DimensionReport:
     """Estimate the manifold dimension of the carrier set.
 
@@ -400,7 +387,7 @@ def dimension_rank_report(
     chart points.  A point's rank counts the singular values at or above
     ``gap`` relative to the largest; the point is trustworthy only when
     kept and discarded values are separated by at least ``gap``.  The modal
-    rank is returned; if more than ``ambiguity_fraction`` of the points
+    rank is returned; if more than ``_AMBIGUITY_FRACTION`` of the points
     lack the gap the estimate is refused.
     """
     if stream is None:
@@ -413,12 +400,12 @@ def dimension_rank_report(
         cols = []
         for idx in range(d):
             hi = theta.copy()
-            hi[idx] += step
+            hi[idx] += _STEP
             lo = theta.copy()
-            lo[idx] -= step
+            lo[idx] -= _STEP
             cols.append(
                 (_embed(cfg, _element_from_chart(cfg, hi)) - _embed(cfg, _element_from_chart(cfg, lo)))
-                / (2 * step)
+                / (2 * _STEP)
             )
         jac = np.column_stack(cols)
         sv = np.linalg.svd(jac, compute_uv=False)
@@ -434,7 +421,7 @@ def dimension_rank_report(
             ok += 1
         ranks.append(rank)
     gap_fraction = ok / points if points else 0.0
-    if gap_fraction < 1.0 - ambiguity_fraction:
+    if gap_fraction < 1.0 - _AMBIGUITY_FRACTION:
         raise RankAmbiguous(
             f"singular-value gap present at only {gap_fraction:.0%} of {points} points"
         )

@@ -1,17 +1,11 @@
-"""Affine subspaces of F^n, their directions at infinity, and affinities.
+"""Affine subspaces of F^n, their directions at infinity, and their images
+under affine maps.
 
 A subspace is stored in canonical form: an orthonormal direction frame
 plus the minimum-norm point (the base is orthogonal to the frame's span).
 Canonicalization is bit-for-bit idempotent thanks to the snap threshold
 in the orthonormalizer and a second projection of the base, so subspace
 equality reduces to a plain numeric comparison.
-
-``meet`` serves the checks; the loop operations find their intersection
-points by one solve.  Its decisions use singular values with the relative
-threshold 1e-8 * sigma_max, and an ambiguity band turns a silent
-misclassification into an IllConditioned error: least-squares residuals
-below tau_abs mean the subspaces intersect, residuals above 10*tau_abs
-mean they are disjoint, anything in between refuses to decide.
 
 Over the complex field subspaces are complex-linear spans and projectors
 are hermitian; "dimension" always means the F-dimension.
@@ -23,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigInvalid, DimensionMismatch, IllConditioned, TransversalityViolated
+from .errors import ConfigInvalid, DimensionMismatch, TransversalityViolated
 from .groups import SigmaElement, matrix_from_json, matrix_to_json
 from .linalg import _SNAP, DEFAULT_TOL, Tolerance, dag, eig_hermitian, fro, orthonormalize
 
@@ -100,78 +94,18 @@ def from_json(obj: dict, field: str) -> AffineSubspace:
         raise ConfigInvalid(f"subspace entries too large: {exc}") from exc
 
 
-@dataclass(frozen=True, eq=False)
-class Affinity:
-    """x -> linear @ x + translation, with invertible linear part."""
-
-    translation: np.ndarray
-    linear: np.ndarray
-
-    def __post_init__(self) -> None:
-        sv = np.linalg.svd(self.linear, compute_uv=False)
-        if sv[-1] <= DEFAULT_TOL.tau_abs * sv[0]:
-            raise ConfigInvalid("affinity has a numerically singular linear part")
-
-    def __call__(self, point: np.ndarray) -> np.ndarray:
-        return self.linear @ point + self.translation
-
-    def compose(self, other: "Affinity") -> "Affinity":
-        return Affinity(self.linear @ other.translation + self.translation, self.linear @ other.linear)
-
-    def inverse(self) -> "Affinity":
-        inv = np.linalg.inv(self.linear)
-        return Affinity(-(inv @ self.translation), inv)
-
-
-def linear_affinity(linear: np.ndarray) -> Affinity:
-    return Affinity(np.zeros(linear.shape[0], dtype=linear.dtype), linear)
-
-
 def at_infinity(s: AffineSubspace) -> np.ndarray:
     """The direction span of a subspace (the trace on the hyperplane at
     infinity) as its orthonormal frame; independent of the base point."""
     return s.frame
 
 
-def apply(g: Affinity, s: AffineSubspace, tol: Tolerance = DEFAULT_TOL) -> AffineSubspace:
-    return subspace(g(s.base), g.linear @ s.frame, tol)
-
-
-def meet(s1: AffineSubspace, s2: AffineSubspace, tol: Tolerance = DEFAULT_TOL):
-    """Intersection of two affine subspaces: a canonical subspace (possibly
-    a single point of dimension 0) or None when they are disjoint."""
-    if s1.ambient != s2.ambient:
-        raise DimensionMismatch("subspaces live in different ambient spaces")
-    k1, k2 = s1.dim, s2.dim
-    rhs = s2.base - s1.base
-    if k1 + k2 == 0:
-        gap = float(np.linalg.norm(rhs))
-        if gap <= tol.tau_abs:
-            return subspace(s1.base, s1.frame, tol)
-        if gap >= 10 * tol.tau_abs:
-            return None
-        raise IllConditioned(f"point gap {gap:.3e} inside the ambiguity band")
-    if k1 and k2:
-        m = np.hstack([s1.frame, -s2.frame])
-    elif k1:
-        m = s1.frame
-    else:
-        m = -s2.frame
-    u, sv, vh = np.linalg.svd(m, full_matrices=True)
-    rank = int(np.sum(sv > _RANK_REL * sv[0])) if sv.size and sv[0] > 0 else 0
-    coeffs = dag(u[:, :rank]) @ rhs
-    z = dag(vh[:rank, :]) @ (coeffs / sv[:rank]) if rank else np.zeros(m.shape[1], dtype=m.dtype)
-    residual = float(np.linalg.norm(m @ z - rhs))
-    if residual >= 10 * tol.tau_abs:
-        return None
-    if residual > tol.tau_abs:
-        raise IllConditioned(f"meet residual {residual:.3e} inside the ambiguity band")
-    point = s1.base + (s1.frame @ z[:k1] if k1 else 0.0)
-    null_basis = dag(vh[rank:, :])
-    if null_basis.shape[1] == 0:
-        return subspace(point, np.zeros((s1.ambient, 0), dtype=m.dtype), tol)
-    directions = s1.frame @ null_basis[:k1, :] if k1 else s2.frame @ null_basis[k1:, :]
-    return subspace(point, directions, tol)
+def apply(
+    linear: np.ndarray, s: AffineSubspace, shift=0.0, tol: Tolerance = DEFAULT_TOL
+) -> AffineSubspace:
+    """The image of ``s`` under x -> linear @ x + shift.  A linear part that
+    collapses the subspace is refused by orthonormalize (RankDeficient)."""
+    return subspace(linear @ s.base + shift, linear @ s.frame, tol)
 
 
 def projector(frame: np.ndarray, n: int) -> np.ndarray:
@@ -207,7 +141,8 @@ def subspace_distance(s1: AffineSubspace, s2: AffineSubspace) -> float:
 
 @dataclass(frozen=True)
 class TransversalityReport:
-    """Violations raise, so a report means every meet was a single point."""
+    """Violations raise, so a report means every sampled image met the
+    subspace in a single point."""
 
     samples: int
     worst_margin: float
@@ -220,8 +155,10 @@ def transversality_check(
     tol: Tolerance = DEFAULT_TOL,
 ) -> TransversalityReport:
     """Check that w meets the image of u under every sampled linear map in
-    exactly one point; reports the worst conditioning margin
-    sigma_min/sigma_max of the deciding linear systems."""
+    exactly one point.  The dimensions are complementary, so that holds
+    exactly when the square matrix [w frame, -image frame] has full rank:
+    its singular values decide it, with the relative threshold
+    1e-8 * sigma_max.  Reports the worst margin sigma_min/sigma_max."""
     if w.dim + u.dim != w.ambient:
         raise DimensionMismatch(
             f"dim W + dim U = {w.dim + u.dim} must equal the ambient dimension {w.ambient}"
@@ -230,16 +167,13 @@ def transversality_check(
     count = 0
     for rho in rhos:
         mat = rho.matrix if isinstance(rho, SigmaElement) else rho
-        image = apply(linear_affinity(mat), u, tol)
-        try:
-            x = meet(w, image, tol)
-        except IllConditioned as exc:
-            raise TransversalityViolated(f"sample {count}: {exc}") from exc
-        if x is None or x.dim != 0:
-            raise TransversalityViolated(
-                f"sample {count}: meet is {'empty' if x is None else f'{x.dim}-dimensional'}"
-            )
+        image = apply(mat, u, tol=tol)
         sv = np.linalg.svd(np.hstack([w.frame, -image.frame]), compute_uv=False)
+        if sv[-1] <= _RANK_REL * sv[0]:
+            raise TransversalityViolated(
+                f"sample {count}: the image does not meet the subspace in exactly one "
+                f"point (sigma_min {sv[-1]:.3e}, sigma_max {sv[0]:.3e})"
+            )
         worst = min(worst, float(sv[-1] / sv[0]))
         count += 1
     return TransversalityReport(count, worst)

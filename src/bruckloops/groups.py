@@ -299,14 +299,32 @@ def matrix_to_json(a: np.ndarray) -> list:
     return [[float(v) for v in row] for row in a]
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _is_entry(v, field: str) -> bool:
+    """A real entry is a JSON number; a complex one is a [re, im] pair."""
+    if field == COMPLEX:
+        return isinstance(v, list) and len(v) == 2 and all(map(_is_number, v))
+    return _is_number(v)
+
+
 def matrix_from_json(rows: list, field: str) -> np.ndarray:
+    """A list of rows, each a list of entries; strings, booleans and
+    wrongly shaped entries are refused."""
+    if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)):
+        raise ConfigInvalid("matrix payload must be a list of rows, each a list")
+    if not all(_is_entry(v, field) for row in rows for v in row):
+        kind = "[re, im] pairs of numbers" if field == COMPLEX else "numbers"
+        raise ConfigInvalid(f"matrix entries must be {kind}")
     try:
         if field == COMPLEX:
-            data = [[complex(v[0], v[1]) for v in row] for row in rows]
+            data = [[complex(*v) for v in row] for row in rows]
         else:
             data = [[float(v) for v in row] for row in rows]
         out = np.array(data, dtype=linalg.dtype_of(field))
-    except (TypeError, ValueError, IndexError) as exc:
+    except (OverflowError, ValueError) as exc:
         raise ConfigInvalid(f"bad matrix payload: {exc}") from exc
     if out.ndim != 2:
         raise ConfigInvalid("matrix payload must be a list of equal-length rows")

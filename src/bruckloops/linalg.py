@@ -42,7 +42,8 @@ _SNAP = 1e-13
 class Tolerance:
     """Numeric tolerance bundle threaded through every operation.
 
-    tau_abs: absolute floor for pivots, positivity and meet decisions.
+    tau_abs: absolute floor for pivots, positivity and the transversal's
+        sign check.
     tau_rel: relative tolerance for residual checks against norms.
     """
 

@@ -32,6 +32,8 @@ from .groups import SampleStream, SigmaElement, SignatureForm, sample_sigma
 from .kernel import Loop
 from .linalg import DEFAULT_TOL, Tolerance, dag, fro, spectral_map, symmetrize
 
+_SAMPLE_RADIUS = 0.75  # half-width of the sampled exponential-chart block entries
+
 
 def _inverse(a: SigmaElement) -> np.ndarray:
     """A^{-1} = J A J, exact for a hermitian isometry."""
@@ -54,7 +56,6 @@ def frobenius_distance(a: SigmaElement, b: SigmaElement) -> float:
 class MatrixLoop:
     form: SignatureForm
     tol: Tolerance = field(default=DEFAULT_TOL)
-    sample_radius: float = 0.75
 
     def identity(self) -> SigmaElement:
         return SigmaElement(np.eye(self.form.n, dtype=self.form.dtype), self.form)
@@ -83,7 +84,7 @@ class MatrixLoop:
         return SigmaElement(symmetrize((ainv @ root) @ ainv), self.form)
 
     def sample(self, stream: SampleStream):
-        return sample_sigma(self.form, stream, self.sample_radius, self.tol)
+        return sample_sigma(self.form, stream, _SAMPLE_RADIUS, self.tol)
 
     def loop_interface(self) -> Loop:
         return Loop(

@@ -47,24 +47,3 @@ def eig_calls(monkeypatch):
 
     monkeypatch.setattr(linalg, "eig_hermitian", counting)
     return calls
-
-
-@pytest.fixture
-def meet_calls(monkeypatch):
-    """Record every geometry.meet call, under whichever name a module of the
-    package holds it."""
-    import sys
-
-    from bruckloops import geometry
-
-    calls = []
-    real = geometry.meet
-
-    def counting(s1, s2, tol=geometry.DEFAULT_TOL):
-        calls.append((s1.dim, s2.dim))
-        return real(s1, s2, tol)
-
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "bruckloops" and getattr(module, "meet", None) is real:
-            monkeypatch.setattr(module, "meet", counting)
-    return calls

@@ -23,7 +23,7 @@ from bruckloops.extension import (
     realize,
     solve_translation,
 )
-from bruckloops.geometry import Affinity, apply, linear_affinity, subspace, subspace_distance
+from bruckloops.geometry import apply, subspace, subspace_distance
 from bruckloops.groups import (
     SampleStream,
     SignatureForm,
@@ -157,7 +157,7 @@ def test_sharp_transitivity(form):
         e2, stream = loop.sample(stream)
         d1, d2 = realize(e1, cfg), realize(e2, cfg)
         t, rho = solve_translation(d1, d2, cfg)
-        worst = max(worst, subspace_distance(apply(Affinity(t, rho.matrix), d1), d2))
+        worst = max(worst, subspace_distance(apply(rho.matrix, d1, t), d2))
         noise, stream = stream.next_uniforms(2 * form.n * (d1.dim + 1), -1e-10, 1e-10)
         half = noise.size // 2
         d1p = subspace(d1.base + noise[:form.n], d1.frame + np.resize(noise[:half], d1.frame.shape))
@@ -209,10 +209,7 @@ def test_manifold_dimension(form):
 
 @pytest.mark.parametrize("form", CONFIGS, ids=IDS)
 def test_transversal_witness(form):
-    boosted = apply(
-        linear_affinity(standard_boost(form, math.log(2)).matrix),
-        coordinate_subspace(form, 2),
-    )
+    boosted = apply(standard_boost(form, math.log(2)).matrix, coordinate_subspace(form, 2))
     cfg = extension_config(form, wtilde=boosted)
     report = nonisomorphism_witness(cfg, SampleStream(SEED), budget=100, threshold=1e-3)
     ok = report.displacement > 1e-3 and report.samples_used <= 100

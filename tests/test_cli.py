@@ -122,6 +122,13 @@ class TestVerify:
         cfg = write_config(tmp_path / "cfg.json", wtilde=f"boost:{math.log(2)}")
         assert main(["verify", "--config", cfg]) == 0
 
+    @pytest.mark.parametrize("t", ["12", "100"])
+    def test_almost_null_boosted_transversal_passes(self, tmp_path, t):
+        # the form is non-positive on the boosted line, so it is a valid
+        # transversal even where the boost is far from well conditioned
+        cfg = write_config(tmp_path / "cfg.json", wtilde=f"boost:{t}")
+        assert main(["verify", "--config", cfg, "--samples", "3"]) == 0
+
     def test_removed_jacobi_stop_tolerance_is_config_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json", tolerances={"jacobi_stop": 1e-13})
         assert main(["verify", "--config", cfg]) == 2
@@ -185,6 +192,7 @@ class TestVerify:
             ({}, ["--samples", "-5"], None),
             ({}, ["--tol", "-1"], None),
             ({}, ["--wtilde", "boost:1e6"], None),
+            ({}, ["--wtilde", "boost:700"], None),
             ({"n": 3.9}, [], None),
             ({"seed": 1.7}, [], None),
             ({"samples": {"bol": True}}, [], None),
@@ -196,7 +204,7 @@ class TestVerify:
             ({}, [], {"base": [0.0, 0.0, 0.0], "frame": [[1.25], [0.0], [1.0]]}),
         ],
         ids=[
-            "n-abc", "samples-x", "tau_abs-nan", "samples-neg", "tol-neg", "boost-overflow",
+            "n-abc", "samples-x", "tau_abs-nan", "samples-neg", "tol-neg", "boost-overflow", "boost-700",
             "n-float", "seed-float", "samples-bool", "tol-bool", "n-inf",
             "wtilde-nan", "wtilde-no-base", "wtilde-list", "wtilde-contraction-1.25",
         ],
@@ -279,12 +287,17 @@ class TestMul:
             ("extension", "w_off_transversal"),
             ("matrix", "form-float"),
             ("matrix", "form-bool"),
+            ("matrix", "string-rows"),
+            ("matrix", "bool-entry"),
+            pytest.param("matrix", "three-part-entry", id="complex-three-part-entry"),
+            ("matrix", "huge-int-entry"),
         ],
     )
     def test_malformed_element_file_is_config_error(
         self, tmp_path, capsys, form321r, form321c, loop, case
     ):
         elem = element_to_json(SigmaElement(np.eye(3), form321r))
+        celem = element_to_json(SigmaElement(np.eye(3, dtype=complex), form321c))
         boost = element_to_json(standard_boost(form321r, 0.5))
         good = boost if loop == "matrix" else {"w": [0.0, 0.0, 0.0], "rho": boost}
         # operands that parse but are not Sigma elements of the configured form
@@ -304,11 +317,19 @@ class TestMul:
             "w_off_transversal": json.dumps({"w": [0.5, 0.0, 0.3], "rho": elem}),
             "form-float": json.dumps(dict(elem, form={"n": 3.9, "p1": 2.7, "p2": 1, "field": "real"})),
             "form-bool": json.dumps(dict(elem, form=dict(elem["form"], p2=True))),
+            # rows and entries of the wrong JSON type, or out of float range
+            "string-rows": json.dumps(dict(elem, matrix=["100", "010", "001"])),
+            "bool-entry": json.dumps(dict(elem, matrix=[[True, 0, 0], [0, 1, 0], [0, 0, 1]])),
+            "three-part-entry": json.dumps(dict(
+                celem, matrix=[[[1, 0, 7], [0, 0], [0, 0]], [[0, 0], [1, 0], [0, 0]], [[0, 0], [0, 0], [1, 0]]]
+            )),
+            "huge-int-entry": json.dumps(dict(elem, matrix=[[10**400, 0, 0], [0, 1, 0], [0, 0, 1]])),
         }[case]
         lhs, rhs = tmp_path / "bad.json", tmp_path / "good.json"
         lhs.write_text(bad)
-        rhs.write_text(json.dumps(good))
-        assert main(["mul", str(lhs), str(rhs), "--loop", loop]) == 2
+        rhs.write_text(json.dumps(celem if case == "three-part-entry" else good))
+        field = "complex" if case == "three-part-entry" else "real"
+        assert main(["mul", str(lhs), str(rhs), "--loop", loop, "--field", field]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 

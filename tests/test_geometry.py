@@ -6,15 +6,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bruckloops.errors import DimensionMismatch, IllConditioned, TransversalityViolated
+from bruckloops.errors import DimensionMismatch, RankDeficient, TransversalityViolated
 from bruckloops.geometry import (
-    Affinity,
     apply,
     at_infinity,
     canonical,
     from_json,
-    linear_affinity,
-    meet,
     projector,
     subspace,
     subspace_distance,
@@ -78,40 +75,11 @@ class TestAtInfinity:
 
     def test_boost_image_direction(self):
         t = 0.8
-        img = apply(linear_affinity(boost3(t)), subspace(np.zeros(3), E3[:, :2]))
+        img = apply(boost3(t), subspace(np.zeros(3), E3[:, :2]))
         c, s = np.cosh(t), np.sinh(t)
         v = np.array([0.0, c, s]) / math.hypot(c, s)
         expected = np.outer(E3[:, 0], E3[:, 0]) + np.outer(v, v)
         assert np.max(np.abs(projector(at_infinity(img), 3) - expected)) <= 1e-12
-
-
-class TestMeet:
-    def test_plane_meets_line_at_origin(self):
-        x = meet(subspace(np.zeros(3), E3[:, :2]), subspace(np.zeros(3), E3[:, 2:]))
-        assert x.dim == 0 and np.allclose(x.base, 0.0)
-
-    def test_parallel_lines_empty(self):
-        assert meet(line([0, 0, 0], E3[:, 0]), line([0, 1, 0], E3[:, 0])) is None
-
-    def test_ambiguity_band(self):
-        with pytest.raises(IllConditioned):
-            meet(line([0, 0, 0], E3[:, 0]), line([0, 0, 3e-9], E3[:, 1]))
-
-    def test_plane_plane_gives_line(self):
-        x = meet(subspace(np.zeros(3), E3[:, :2]), subspace(np.zeros(3), E3[:, 1:]))
-        assert x.dim == 1
-        assert np.allclose(projector(x.frame, 3), np.diag([0.0, 1.0, 0.0]))
-
-    def test_skew_translates_still_meet_once(self, form321r):
-        # directions stay complementary, so translated images meet in one point
-        stream = SampleStream(2)
-        w2 = subspace(np.zeros(3), E3[:, 2:])
-        for _ in range(50):
-            rho, stream = sample_sigma(form321r, stream)
-            shift, stream = stream.next_uniforms(3, -1.0, 1.0)
-            image = apply(Affinity(shift, rho.matrix), subspace(np.zeros(3), E3[:, :2]))
-            x = meet(w2, image)
-            assert x is not None and x.dim == 0
 
 
 class TestJoin:
@@ -123,12 +91,6 @@ class TestJoin:
         z = at_infinity(subspace(np.zeros(3), E3[:, 1:]))
         s = subspace(np.array([1.0, 0.0, 0.0]), z)
         assert np.allclose(projector(at_infinity(s), 3), projector(z, 3))
-
-    def test_meet_recovers_point_on_transversal(self):
-        w2 = subspace(np.zeros(3), E3[:, 2:])
-        w = np.array([0.0, 0.0, 1.7])
-        s = subspace(w, at_infinity(subspace(np.zeros(3), E3[:, :2])))
-        assert np.allclose(meet(s, w2).base, w)
 
 
 class TestSubspaceDistance:
@@ -168,36 +130,36 @@ class TestSubspaceDistance:
 class TestApply:
     def test_identity_affinity(self):
         s = subspace(np.array([0.5, 0.0, 1.0]), E3[:, :2])
-        out = apply(Affinity(np.zeros(3), np.eye(3)), s)
+        out = apply(np.eye(3), s, np.zeros(3))
         assert subspace_distance(out, s) <= 1e-15
 
     def test_translation_keeps_direction(self):
         s = subspace(np.zeros(3), E3[:, :2])
-        out = apply(Affinity(np.array([0.0, 0.0, 2.0]), np.eye(3)), s)
+        out = apply(np.eye(3), s, np.array([0.0, 0.0, 2.0]))
         assert np.array_equal(
             projector(at_infinity(out), 3), projector(at_infinity(s), 3)
         )
 
     def test_composition_law(self, form321r):
         rng = np.random.default_rng(5)
-        g = Affinity(rng.uniform(-1, 1, 3), boost3(0.4))
-        h = Affinity(rng.uniform(-1, 1, 3), rotation(3, 0, 1, 0.3))
+        g, gt = boost3(0.4), rng.uniform(-1, 1, 3)
+        h, ht = rotation(3, 0, 1, 0.3), rng.uniform(-1, 1, 3)
         s = subspace(rng.uniform(-1, 1, 3), rng.uniform(-1, 1, (3, 2)))
-        assert subspace_distance(apply(g, apply(h, s)), apply(g.compose(h), s)) <= 1e-12
-
-    def test_apply_respects_meet(self):
-        rng = np.random.default_rng(6)
-        g = Affinity(rng.uniform(-1, 1, 3), boost3(0.5) @ rotation(3, 0, 1, 0.7))
-        s1 = subspace(rng.uniform(-1, 1, 3), E3[:, :2])
-        s2 = subspace(rng.uniform(-1, 1, 3), E3[:, 2:])
-        lhs = apply(g, meet(s1, s2))
-        rhs = meet(apply(g, s1), apply(g, s2))
-        assert subspace_distance(lhs, rhs) <= 1e-9
+        composed = apply(g @ h, s, g @ ht + gt)
+        assert subspace_distance(apply(g, apply(h, s, ht), gt), composed) <= 1e-12
 
     def test_inverse_roundtrip(self):
-        g = Affinity(np.array([1.0, -2.0, 0.5]), boost3(0.3))
+        g, gt = boost3(0.3), np.array([1.0, -2.0, 0.5])
         s = subspace(np.array([0.2, 0.4, -0.6]), E3[:, :2])
-        assert subspace_distance(apply(g.inverse(), apply(g, s)), s) <= 1e-12
+        ginv = np.linalg.inv(g)
+        assert subspace_distance(apply(ginv, apply(g, s, gt), -(ginv @ gt)), s) <= 1e-12
+
+    def test_collapsing_map_refused(self):
+        # the projection onto the first axis sends the plane's two
+        # directions to one line
+        s = subspace(np.array([0.0, 0.0, 1.0]), E3[:, :2])
+        with pytest.raises(RankDeficient):
+            apply(np.diag([1.0, 0.0, 0.0]), s)
 
 
 class TestTransversality:
@@ -209,8 +171,7 @@ class TestTransversality:
 
     def test_boosted_transversal_200_samples(self, form321r):
         w1 = subspace(np.zeros(3), E3[:, :2])
-        wt = apply(linear_affinity(standard_boost(form321r, math.log(2)).matrix),
-                   subspace(np.zeros(3), E3[:, 2:]))
+        wt = apply(standard_boost(form321r, math.log(2)).matrix, subspace(np.zeros(3), E3[:, 2:]))
         stream = SampleStream(7)
         rhos = []
         for _ in range(200):
@@ -223,6 +184,21 @@ class TestTransversality:
         w1 = subspace(np.zeros(3), E3[:, :2])
         with pytest.raises(DimensionMismatch):
             transversality_check(w1, [np.eye(3)], w1)
+
+    def test_one_svd_per_sample(self, form321r, monkeypatch):
+        calls = []
+        real = np.linalg.svd
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs.get("compute_uv", True))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        w1 = subspace(np.zeros(3), E3[:, :2])
+        w2 = subspace(np.zeros(3), E3[:, 2:])
+        rhos = [standard_boost(form321r, t) for t in (0.0, 0.5, 1.0, 1.5)]
+        rep = transversality_check(w2, rhos, w1)
+        assert rep.samples == 4 and calls == [False] * 4
 
     def test_violation_detected(self, form321r):
         inside = subspace(np.zeros(3), E3[:, :1])  # lies inside the carrier plane
