@@ -8,7 +8,6 @@ from .errors import BruckLoopsError
 from .extension import (
     ExtensionConfig,
     ExtensionElement,
-    ext_loop_interface,
     ext_mul,
     extension_config,
     lift_from_infinity,
@@ -17,7 +16,7 @@ from .extension import (
     realize,
     solve_translation,
 )
-from .geometry import AffineSubspace, at_infinity, subspace, subspace_distance
+from .geometry import AffineSubspace, subspace, subspace_distance
 from .groups import (
     PhiElement,
     SampleStream,
@@ -46,14 +45,12 @@ __all__ = [
     "SigmaElement",
     "SignatureForm",
     "Tolerance",
-    "at_infinity",
     "check_aip",
     "check_bol",
     "check_left_a",
     "check_loop_axioms",
     "conjugate_by_phi",
     "eig_hermitian",
-    "ext_loop_interface",
     "ext_mul",
     "extension_config",
     "lift_from_infinity",

@@ -49,7 +49,7 @@ from .groups import (
     sample_sigma,
     standard_boost,
 )
-from .kernel import IdentityReport, Loop, check_aip, check_bol, check_left_a, check_loop_axioms
+from .kernel import IdentityReport, check_aip, check_bol, check_left_a, check_loop_axioms
 from .linalg import Tolerance, fro, read_matrix_text
 from .matrixloop import MatrixLoop
 
@@ -189,9 +189,8 @@ class Suite:
     form: SignatureForm
     tol: Tolerance
     tolerances: dict
-    econfig: ext.ExtensionConfig
-    mat: Loop
-    eloop: Loop
+    mat: MatrixLoop
+    eloop: ext.ExtensionConfig
 
 
 def resolve(cfg: SuiteConfig) -> Suite:
@@ -199,9 +198,8 @@ def resolve(cfg: SuiteConfig) -> Suite:
     form = SignatureForm(cfg.n, cfg.p1, cfg.p2, cfg.field_name)
     tol = cfg.numeric_tol()
     wtilde = build_wtilde(form, cfg.carrier, cfg.wtilde, tol)
-    econfig = ext.extension_config(form, cfg.carrier, wtilde, tol)
-    mat = MatrixLoop(form, tol).loop_interface()
-    return Suite(form, tol, cfg.tolerances, econfig, mat, ext.ext_loop_interface(econfig))
+    eloop = ext.extension_config(form, cfg.carrier, wtilde, tol)
+    return Suite(form, tol, cfg.tolerances, MatrixLoop(form, tol), eloop)
 
 
 def _json_bytes(obj) -> bytes:
@@ -284,7 +282,7 @@ def _transversality(s: Suite, stream: SampleStream, count: int):
     for _ in range(count):
         rho, stream = sample_sigma(s.form, stream, tol=s.tol)
         rhos.append(rho)
-    tr = geometry.transversality_check(s.econfig.wtilde, rhos, s.econfig.carrier_subspace(), s.tol)
+    tr = geometry.transversality_check(s.eloop.wtilde, rhos, s.eloop.carrier_subspace(), s.tol)
     # with no sample checked the margin is still inf, which strict JSON refuses
     return (0.0,), {"worst_margin": tr.worst_margin} if tr.samples else None
 
@@ -295,7 +293,7 @@ def _ext_infinity_compat(s: Suite, stream: SampleStream):
     rho1 rho2: two independent computations of the same element."""
     e1, stream = s.eloop.sample(stream)
     e2, stream = s.eloop.sample(stream)
-    prod = ext.ext_mul(e1, e2, s.econfig)
+    prod = s.eloop.mul(e1, e2)
     return (fro(prod.rho.matrix - s.mat.mul(e1.rho, e2.rho).matrix),), stream
 
 
@@ -321,14 +319,14 @@ def _solve_translation(s: Suite, stream: SampleStream):
     moved by 1e-10."""
     e1, stream = s.eloop.sample(stream)
     e2, stream = s.eloop.sample(stream)
-    d1 = ext.realize(e1, s.econfig)
-    d2 = ext.realize(e2, s.econfig)
-    t, rho = ext.solve_translation(d1, d2, s.econfig)
+    d1 = ext.realize(e1, s.eloop)
+    d2 = ext.realize(e2, s.eloop)
+    t, rho = ext.solve_translation(d1, d2, s.eloop)
     moved = geometry.apply(rho.matrix, d1, t, s.tol)
     noise, stream = stream.next_uniforms(2 * s.form.n * (d1.dim + d2.dim), -1e-10, 1e-10)
     d1p = _perturb(d1, noise[: noise.size // 2], s.tol)
     d2p = _perturb(d2, noise[noise.size // 2 :], s.tol)
-    tp, rhop = ext.solve_translation(d1p, d2p, s.econfig)
+    tp, rhop = ext.solve_translation(d1p, d2p, s.eloop)
     stability = float(np.linalg.norm(tp - t)) + fro(rhop.matrix - rho.matrix)
     return (geometry.subspace_distance(moved, d2), stability), stream
 
@@ -417,11 +415,11 @@ def run_verify(cfg: SuiteConfig) -> dict:
         entries += _run_property(row, suite, base.split(offsets[row.key]), counts[row.key])
 
     t0 = time.perf_counter()
-    expected = ext.expected_dimension(suite.econfig)
+    expected = ext.expected_dimension(suite.eloop)
     dim_entry = {"expected": expected, "measured": None, "gap_fraction": 0.0, "pass": False}
     try:
         dim = ext.dimension_rank_report(
-            suite.econfig,
+            suite.eloop,
             counts["dimension_points"],
             base.split(offsets["dimension_points"]),
             gap=cfg.tolerances["dimension_gap"],
@@ -523,26 +521,33 @@ def cmd_verify(args) -> int:
 
 def cmd_mul(args) -> int:
     cfg = load_suite_config(args.config, _overrides(args))
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            out, rho = _product(args, cfg)
+            out["diagnostics"] = _diagnostics(rho, cfg.tolerances["membership"])
+    except FloatingPointError as exc:
+        raise ConfigInvalid(f"operands out of floating-point range: {exc}") from exc
+    sys.stdout.write(_json_bytes(out).decode("utf-8"))
+    return 0
+
+
+def _product(args, cfg: SuiteConfig) -> tuple:
+    """The product of the two operand files, as JSON and its Sigma part."""
     if args.loop == "matrix":
         form = SignatureForm(cfg.n, cfg.p1, cfg.p2, cfg.field_name)
         lhs, rhs = (_load_matrix_element(path, form) for path in (args.lhs, args.rhs))
         for path, elem in ((args.lhs, lhs), (args.rhs, rhs)):
             _check_operand(path, elem, form, cfg)
         product = MatrixLoop(form, cfg.numeric_tol()).mul(lhs, rhs)
-        out = element_to_json(product)
-        out["diagnostics"] = _diagnostics(product, cfg.tolerances["membership"])
-    else:
-        econfig = resolve(cfg).econfig
-        e1, e2 = (_load_extension_element(path) for path in (args.lhs, args.rhs))
-        for path, elem in ((args.lhs, e1), (args.rhs, e2)):
-            _check_operand(path, elem.rho, econfig.form, cfg)
-            if not econfig.wtilde.contains(elem.w, cfg.tolerances["membership"]):
-                raise ConfigInvalid(f"{path}: w is not on the transversal")
-        product = ext.ext_mul(e1, e2, econfig)
-        out = product.to_json()
-        out["diagnostics"] = _diagnostics(product.rho, cfg.tolerances["membership"])
-    sys.stdout.write(_json_bytes(out).decode("utf-8"))
-    return 0
+        return element_to_json(product), product
+    eloop = resolve(cfg).eloop
+    e1, e2 = (_load_extension_element(path) for path in (args.lhs, args.rhs))
+    for path, elem in ((args.lhs, e1), (args.rhs, e2)):
+        _check_operand(path, elem.rho, eloop.form, cfg)
+        if not eloop.wtilde.contains(elem.w, cfg.tolerances["membership"]):
+            raise ConfigInvalid(f"{path}: w is not on the transversal")
+    product = eloop.mul(e1, e2)
+    return product.to_json(), product.rho
 
 
 def cmd_factor(args) -> int:
@@ -564,7 +569,7 @@ def cmd_factor(args) -> int:
 def cmd_witness(args) -> int:
     cfg = load_suite_config(args.config, _overrides(args))
     report = ext.nonisomorphism_witness(
-        resolve(cfg).econfig,
+        resolve(cfg).eloop,
         SampleStream(cfg.seed),
         budget=args.budget,
         threshold=cfg.tolerances["witness_threshold"],
@@ -588,9 +593,8 @@ def cmd_sample(args) -> int:
             elem, stream = sample_sigma(suite.form, stream, args.radius, suite.tol)
             lines.append(json.dumps(element_to_json(elem), sort_keys=True))
     else:
-        loop = ext.ext_loop_interface(suite.econfig, sample_radius=args.radius)
         for _ in range(args.count):
-            elem, stream = loop.sample(stream)
+            elem, stream = suite.eloop.sample(stream, args.radius)
             lines.append(json.dumps(elem.to_json(), sort_keys=True))
     sys.stdout.write("\n".join(lines) + ("\n" if lines else ""))
     return 0

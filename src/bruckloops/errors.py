@@ -2,7 +2,9 @@
 
 Every failure mode raised by the numeric layers subclasses
 :class:`BruckLoopsError`, so callers (notably the CLI) can distinguish
-"the input/configuration is bad" from "a verified property failed".
+"the input/configuration is bad" from "a verified property failed".  A bad
+value the command line can pass to a numeric layer, such as a negative
+sample radius, raises :class:`ConfigInvalid`.
 """
 
 
@@ -32,10 +34,6 @@ class DimensionMismatch(BruckLoopsError):
 
 class NotInGroup(BruckLoopsError):
     """A matrix fails the membership residuals required by an operation."""
-
-
-class SamplerUnavailable(BruckLoopsError):
-    """An identity checker needs samples but the loop has no sampler."""
 
 
 class InversesDisagree(BruckLoopsError):

@@ -14,7 +14,8 @@ the subspace; the coordinate map ``omega`` inverts realization.
 Every orbit direction at infinity is the graph of a strict contraction
 between the two coordinate blocks, which gives ``lift_from_infinity`` a
 closed form (the boost of that contraction, as in the gyrogroup view of
-the loop).
+the loop).  ``ExtensionConfig`` is the loop itself, the object the kernel
+checkers call.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .errors import (
     TransversalityViolated,
     WitnessNotFound,
 )
-from .geometry import AffineSubspace, apply, at_infinity, projector, subspace, subspace_distance
+from .geometry import AffineSubspace, apply, projector, subspace, subspace_distance
 from .groups import (
     PhiElement,
     SampleStream,
@@ -49,7 +50,6 @@ from .groups import (
     sample_sigma,
     sigma_from_block,
 )
-from .kernel import Loop
 from .linalg import COMPLEX, DEFAULT_TOL, Tolerance, dag, eig_hermitian, spectral_map, symmetrize
 from .matrixloop import MatrixLoop, _inverse
 
@@ -67,7 +67,14 @@ def coordinate_subspace(form: SignatureForm, which: int) -> AffineSubspace:
 
 @dataclass(frozen=True, eq=False)
 class ExtensionConfig:
-    """Validated configuration: form, carrier index i, transversal subspace."""
+    """The extension loop: its validated form, carrier index i and
+    transversal subspace, and the loop operations on ``(w, rho)``.
+
+    Left division maps by the inverse of the divisor's left translation,
+    x -> A^-1 (x - w) with A^-1 = J A J, and reads the coordinates of the
+    image; right division is the sharp transitivity solver.  The sampler
+    draws a uniform point of the transversal and a random positive isometry.
+    """
 
     form: SignatureForm
     carrier: int
@@ -89,11 +96,35 @@ class ExtensionConfig:
     def carrier_subspace(self) -> AffineSubspace:
         return coordinate_subspace(self.form, self.carrier)
 
-    def identity_element(self) -> "ExtensionElement":
-        return ExtensionElement(
-            np.zeros(self.form.n, dtype=self.form.dtype),
-            SigmaElement(np.eye(self.form.n, dtype=self.form.dtype), self.form),
-        )
+    @property
+    def identity(self) -> "ExtensionElement":
+        return ExtensionElement(np.zeros(self.form.n, dtype=self.form.dtype), MatrixLoop(self.form).identity)
+
+    def mul(self, a, b):
+        return ext_mul(a, b, self)
+
+    def left_divide(self, a, c):
+        ainv = _inverse(a.rho)
+        return omega(apply(ainv, realize(c, self), -(ainv @ a.w), self.tol), self)
+
+    def right_divide(self, c, a):
+        t, rho = solve_translation(realize(a, self), realize(c, self), self)
+        return ExtensionElement(t, rho)
+
+    def distance(self, a, b):
+        return subspace_distance(realize(a, self), realize(b, self))
+
+    def sample(self, stream: SampleStream, radius: float = 0.75):
+        k = self.wtilde.dim
+        if self.form.field == COMPLEX:
+            vals, stream = stream.next_uniforms(2 * k, -_W_SCALE, _W_SCALE)
+            coef = vals[0::2] + 1j * vals[1::2]
+        else:
+            vals, stream = stream.next_uniforms(k, -_W_SCALE, _W_SCALE)
+            coef = vals
+        w = self.wtilde.frame @ coef.astype(self.form.dtype)
+        rho, stream = sample_sigma(self.form, stream, radius, self.tol)
+        return ExtensionElement(w, rho), stream
 
 
 def extension_config(
@@ -211,7 +242,7 @@ def _transversal_point(s: AffineSubspace, cfg: ExtensionConfig) -> np.ndarray:
 def omega(s: AffineSubspace, cfg: ExtensionConfig) -> ExtensionElement:
     """Coordinates of an orbit subspace: the transversal intersection point
     and the lift of the direction at infinity."""
-    return ExtensionElement(_transversal_point(s, cfg), lift_from_infinity(at_infinity(s), cfg))
+    return ExtensionElement(_transversal_point(s, cfg), lift_from_infinity(s.frame, cfg))
 
 
 def ext_mul(e1: ExtensionElement, e2: ExtensionElement, cfg: ExtensionConfig) -> ExtensionElement:
@@ -235,59 +266,13 @@ def solve_translation(
     positive element whose loop product with the first lift gives the
     second); the translation then matches the transversal intersection
     points."""
-    rho1 = lift_from_infinity(at_infinity(d1), cfg)
-    rho2 = lift_from_infinity(at_infinity(d2), cfg)
+    rho1 = lift_from_infinity(d1.frame, cfg)
+    rho2 = lift_from_infinity(d2.frame, cfg)
     loop = MatrixLoop(cfg.form, cfg.tol)
     rho = loop.right_divide(rho2, rho1)
     moved = apply(rho.matrix, d1, tol=cfg.tol)
     t = _transversal_point(d2, cfg) - _transversal_point(moved, cfg)
     return t, rho
-
-
-def ext_loop_interface(cfg: ExtensionConfig, sample_radius: float = 0.75) -> Loop:
-    """The loop interface on extension elements.
-
-    Left division maps by the inverse of the divisor's left translation,
-    x -> A^-1 (x - w) with A^-1 = J A J, and reads the coordinates of the
-    image; right division is the sharp transitivity solver.  The sampler
-    draws a uniform point of the transversal and a random positive isometry.
-    """
-    form = cfg.form
-
-    def mul(a, b):
-        return ext_mul(a, b, cfg)
-
-    def left_divide(a, c):
-        ainv = _inverse(a.rho)
-        return omega(apply(ainv, realize(c, cfg), -(ainv @ a.w), cfg.tol), cfg)
-
-    def right_divide(c, a):
-        t, rho = solve_translation(realize(a, cfg), realize(c, cfg), cfg)
-        return ExtensionElement(t, rho)
-
-    def distance(a, b):
-        return subspace_distance(realize(a, cfg), realize(b, cfg))
-
-    def sample(stream: SampleStream):
-        k = cfg.wtilde.dim
-        if form.field == COMPLEX:
-            vals, stream = stream.next_uniforms(2 * k, -_W_SCALE, _W_SCALE)
-            coef = vals[0::2] + 1j * vals[1::2]
-        else:
-            vals, stream = stream.next_uniforms(k, -_W_SCALE, _W_SCALE)
-            coef = vals
-        w = cfg.wtilde.frame @ coef.astype(form.dtype)
-        rho, stream = sample_sigma(form, stream, sample_radius, cfg.tol)
-        return ExtensionElement(w, rho), stream
-
-    return Loop(
-        mul=mul,
-        left_divide=left_divide,
-        right_divide=right_divide,
-        identity=cfg.identity_element(),
-        distance=distance,
-        sample=sample,
-    )
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,9 @@ _RANK_REL = 1e-8
 
 @dataclass(frozen=True, eq=False)
 class AffineSubspace:
-    """Canonical pair (base point, orthonormal direction frame)."""
+    """Canonical pair (base point, orthonormal direction frame).  The
+    frame's span is the direction at infinity (the trace on the hyperplane
+    at infinity), independent of the base point."""
 
     base: np.ndarray
     frame: np.ndarray
@@ -92,12 +94,6 @@ def from_json(obj: dict, field: str) -> AffineSubspace:
             return subspace(base, frame)
     except FloatingPointError as exc:
         raise ConfigInvalid(f"subspace entries too large: {exc}") from exc
-
-
-def at_infinity(s: AffineSubspace) -> np.ndarray:
-    """The direction span of a subspace (the trace on the hyperplane at
-    infinity) as its orthonormal frame; independent of the base point."""
-    return s.frame
 
 
 def apply(

@@ -210,7 +210,7 @@ def sample_sigma(
     Radius 0 is allowed and yields the identity.
     """
     if radius < 0:
-        raise ValueError("radius must be >= 0")
+        raise ConfigInvalid(f"radius must be >= 0, got {radius}")
     count = form.p1 * form.p2
     if form.field == COMPLEX:
         vals, stream = stream.next_uniforms(2 * count, -radius, radius)

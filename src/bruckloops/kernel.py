@@ -1,11 +1,13 @@
-"""Abstract loop interface and numeric checkers for loop identities.
+"""The loop protocol and numeric checkers for loop identities.
 
 A loop here is a carrier with a binary operation, a two-sided identity,
-and unique left/right division; associativity is not assumed.  The
-checkers below measure identities as residual distances rather than
-booleans: a property "holds at tolerance tau", and the report says so
-explicitly.  Sampling is delegated to the concrete loop -- the kernel has
-no way to enumerate elements.
+and unique left/right division; associativity is not assumed.  Both loops
+of the package, ``MatrixLoop`` and ``ExtensionConfig``, satisfy the
+``Loop`` protocol, and the checkers call them directly.  The checkers
+measure identities as residual distances rather than booleans: a property
+"holds at tolerance tau", and the report says so explicitly.  Sampling is
+delegated to the concrete loop -- the kernel has no way to enumerate
+elements.
 
 Checkers fold sample residuals with max, so appending samples can only
 raise the reported residual, and reports are deterministic given
@@ -15,27 +17,27 @@ raise the reported residual, and reports are deterministic given
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import Any, Protocol
 
-from .errors import InversesDisagree, SamplerUnavailable
+from .errors import InversesDisagree
 from .groups import SampleStream
 
 
-@dataclass(frozen=True)
-class Loop:
-    """A loop presented operationally.
+class Loop(Protocol):
+    """What the checkers call on a loop.
 
     left_divide(a, b) returns x with a * x = b; right_divide(b, a)
     returns x with x * a = b.  ``sample`` draws one element and returns
     it with the advanced stream.
     """
 
-    mul: Callable[[Any, Any], Any]
-    left_divide: Callable[[Any, Any], Any]
-    right_divide: Callable[[Any, Any], Any]
     identity: Any
-    distance: Callable[[Any, Any], float]
-    sample: Optional[Callable[[SampleStream], tuple]] = None
+
+    def mul(self, a, b): ...
+    def left_divide(self, a, b): ...
+    def right_divide(self, b, a): ...
+    def distance(self, a, b) -> float: ...
+    def sample(self, stream: SampleStream) -> tuple: ...
 
 
 @dataclass(frozen=True)
@@ -60,8 +62,6 @@ class IdentityReport:
 
 
 def _draw(loop: Loop, stream: SampleStream, count: int):
-    if loop.sample is None:
-        raise SamplerUnavailable("loop provides no sampler")
     out = []
     for _ in range(count):
         x, stream = loop.sample(stream)

@@ -177,7 +177,7 @@ def orthonormalize(v: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
             if abs(coef) > _SNAP * vn:
                 col = col - coef * out[:, i]
         nrm = float(np.linalg.norm(col))
-        if nrm <= tol.tau_abs * max(1.0, vn):
+        if nrm <= tol.tau_abs * vn:
             raise RankDeficient(f"column {j} is dependent (residual {nrm:.3e})")
         if abs(nrm - 1.0) > _SNAP:
             col = col / nrm

@@ -18,7 +18,8 @@ every hermitian intermediate is re-symmetrized, so residuals are
 reproducible on one machine with one numpy/LAPACK build (not across
 platforms: ``@`` and ``eigh`` go through BLAS/LAPACK).  Elements are
 validated on construction by the callers that mint them; operations trust
-their inputs and the test suite validates outputs.
+their inputs and the test suite validates outputs.  ``MatrixLoop`` is the
+object the kernel checkers call.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ import numpy as np
 
 from .errors import DimensionMismatch
 from .groups import SampleStream, SigmaElement, SignatureForm, sample_sigma
-from .kernel import Loop
 from .linalg import DEFAULT_TOL, Tolerance, dag, fro, spectral_map, symmetrize
 
 _SAMPLE_RADIUS = 0.75  # half-width of the sampled exponential-chart block entries
@@ -57,6 +57,9 @@ class MatrixLoop:
     form: SignatureForm
     tol: Tolerance = field(default=DEFAULT_TOL)
 
+    distance = staticmethod(frobenius_distance)
+
+    @property
     def identity(self) -> SigmaElement:
         return SigmaElement(np.eye(self.form.n, dtype=self.form.dtype), self.form)
 
@@ -85,13 +88,3 @@ class MatrixLoop:
 
     def sample(self, stream: SampleStream):
         return sample_sigma(self.form, stream, _SAMPLE_RADIUS, self.tol)
-
-    def loop_interface(self) -> Loop:
-        return Loop(
-            mul=self.mul,
-            left_divide=self.left_divide,
-            right_divide=self.right_divide,
-            identity=self.identity(),
-            distance=frobenius_distance,
-            sample=self.sample,
-        )

@@ -16,7 +16,6 @@ from bruckloops.cli import main
 from bruckloops.extension import (
     coordinate_subspace,
     dimension_rank_report,
-    ext_loop_interface,
     ext_mul,
     extension_config,
     nonisomorphism_witness,
@@ -86,7 +85,7 @@ def test_matrix_loop_closure(form):
 
 @pytest.mark.parametrize("form", CONFIGS, ids=IDS)
 def test_bruck_identities(form):
-    loop = MatrixLoop(form).loop_interface()
+    loop = MatrixLoop(form)
     bol = check_bol(loop, SampleStream(SEED), 1000, 1e-8)
     aip = check_aip(loop, SampleStream(SEED).split(50_000_000), 1000, 1e-8)
     ok = bol.passed and aip.passed
@@ -148,7 +147,7 @@ def test_coaxial_boost_product():
 @pytest.mark.parametrize("form", CONFIGS, ids=IDS)
 def test_sharp_transitivity(form):
     cfg = extension_config(form)
-    loop = ext_loop_interface(cfg)
+    loop = cfg
     stream = SampleStream(SEED)
     worst = 0.0
     worst_stability = 0.0
@@ -177,7 +176,7 @@ def test_sharp_transitivity(form):
 @pytest.mark.parametrize("form", CONFIGS, ids=IDS)
 def test_extension_axioms_and_projection(form):
     cfg = extension_config(form)
-    loop = ext_loop_interface(cfg)
+    loop = cfg
     axioms = check_loop_axioms(loop, SampleStream(SEED), 500, 1e-8)
     mloop = MatrixLoop(form)
     stream = SampleStream(SEED).split(90_000_000)

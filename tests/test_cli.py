@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from bruckloops.cli import DEFAULT_SAMPLES, SuiteConfig, _diagnostics, main, run_verify
 from bruckloops.errors import NotInOrbit
-from bruckloops.groups import SigmaElement, element_to_json, standard_boost
+from bruckloops.groups import SigmaElement, SignatureForm, element_to_json, standard_boost
 from bruckloops.linalg import write_matrix_text
 from conftest import boost3, rotation
 
@@ -53,6 +53,43 @@ TRANSVERSAL_FILES = st.one_of(
     _ROWS,
     _ENTRY,
 )
+
+# Config dicts and element files with one field of a valid one replaced by a
+# drawn value.  Purely random inputs almost never get past the first check,
+# so edits of valid ones reach the arithmetic; integers stay small so n, p1
+# and p2 keep every example fast.
+_VALUE = st.one_of(
+    st.integers(-2, 6), st.floats(-2, 2),
+    st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e308, "x", "complex", None, True, [1, 2]]),
+)
+_VALID_CONFIG = {
+    "n": 3, "p1": 2, "p2": 1, "field": "real", "carrier": 1, "seed": 1, "wtilde": "standard",
+    "samples": {"bol": 5}, "tolerances": {"membership": 1e-9},
+}
+_CONFIG_KEYS = [(key,) for key in _VALID_CONFIG] + [
+    ("samples", "bol"), ("tolerances", "tau_abs"), ("tolerances", "tau_rel"), ("tolerances", "membership"),
+]
+_MATRIX_PATHS = (
+    [("matrix", i, j) for i in range(3) for j in range(3)]
+    + [("form", key) for key in ("n", "p1", "p2", "field")]
+    + [("matrix", 0), ("matrix",), ("form",)]
+)
+_EXTENSION_PATHS = [("w", i) for i in range(3)] + [("w",), ("rho",)] + [("rho", *p) for p in _MATRIX_PATHS]
+CONFIG_EDITS = st.tuples(st.sampled_from(["matrix", "extension"]), st.sampled_from(_CONFIG_KEYS), _VALUE)
+ELEMENT_EDITS = st.one_of(
+    st.tuples(st.just("matrix"), st.sampled_from(_MATRIX_PATHS), _VALUE),
+    st.tuples(st.just("extension"), st.sampled_from(_EXTENSION_PATHS), _VALUE),
+)
+
+
+def replaced(obj, path, value):
+    """A deep copy of ``obj`` with the entry at ``path`` set to ``value``."""
+    out = json.loads(json.dumps(obj))
+    node = out
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return out
 
 
 def write_config(path, **extra):
@@ -202,11 +239,13 @@ class TestVerify:
             ({}, [], {"frame": [[0.0], [0.0], [1.0]]}),
             ({}, [], [[0.0], [0.0], [1.0]]),
             ({}, [], {"base": [0.0, 0.0, 0.0], "frame": [[1.25], [0.0], [1.0]]}),
+            ({}, [], {"base": [0.0, 0.0, 0.0], "frame": [[0.0], [0.0], [0.0]]}),
         ],
         ids=[
             "n-abc", "samples-x", "tau_abs-nan", "samples-neg", "tol-neg", "boost-overflow", "boost-700",
             "n-float", "seed-float", "samples-bool", "tol-bool", "n-inf",
             "wtilde-nan", "wtilde-no-base", "wtilde-list", "wtilde-contraction-1.25",
+            "wtilde-zero-column",
         ],
     )
     def test_malformed_config_is_config_error(self, tmp_path, capsys, extra, argv, wtilde):
@@ -219,12 +258,26 @@ class TestVerify:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_short_transversal_direction_passes(self, tmp_path):
+        # [0, 0, 1e-12] spans W_2 itself; only a zero column is dependent
+        wt = tmp_path / "wt.json"
+        wt.write_text(json.dumps({"base": [0.0, 0.0, 0.0], "frame": [[0.0], [0.0], [1e-12]]}))
+        assert main(["verify", "--samples", "3", "--wtilde", f"file:{wt}"]) == 0
+
     @settings(max_examples=200, deadline=None)
     @given(TRANSVERSAL_FILES)
     def test_transversal_file_fuzz(self, tmp_path_factory, obj):
         wt = tmp_path_factory.mktemp("wt") / "wt.json"
         wt.write_text(json.dumps(obj))
         assert main(["sample", "--loop", "extension", "--wtilde", f"file:{wt}"]) in (0, 2)
+
+    @settings(max_examples=150, deadline=None)
+    @given(CONFIG_EDITS)
+    def test_config_fuzz(self, tmp_path_factory, edit):
+        loop, path, value = edit
+        cfg = tmp_path_factory.mktemp("cfg") / "cfg.json"
+        cfg.write_text(json.dumps(replaced(_VALID_CONFIG, path, value)))
+        assert main(["sample", "--count", "1", "--config", str(cfg), "--loop", loop]) in (0, 2)
 
 
 class TestMul:
@@ -291,6 +344,8 @@ class TestMul:
             ("matrix", "bool-entry"),
             pytest.param("matrix", "three-part-entry", id="complex-three-part-entry"),
             ("matrix", "huge-int-entry"),
+            ("matrix", "overflow-entry"),
+            ("extension", "w-overflow"),
         ],
     )
     def test_malformed_element_file_is_config_error(
@@ -324,14 +379,31 @@ class TestMul:
                 celem, matrix=[[[1, 0, 7], [0, 0], [0, 0]], [[0, 0], [1, 0], [0, 0]], [[0, 0], [0, 0], [1, 0]]]
             )),
             "huge-int-entry": json.dumps(dict(elem, matrix=[[10**400, 0, 0], [0, 1, 0], [0, 0, 1]])),
+            # finite entries whose arithmetic overflows
+            "overflow-entry": json.dumps(dict(elem, matrix=[[1e200, 0, 0], [0, 1, 0], [0, 0, 1]])),
+            "w-overflow": json.dumps({"w": [0.0, 0.0, 1e308], "rho": elem}),
         }[case]
         lhs, rhs = tmp_path / "bad.json", tmp_path / "good.json"
         lhs.write_text(bad)
-        rhs.write_text(json.dumps(celem if case == "three-part-entry" else good))
+        # an overflowing operand is multiplied by itself
+        other = bad if "overflow" in case else json.dumps(celem if case == "three-part-entry" else good)
+        rhs.write_text(other)
         field = "complex" if case == "three-part-entry" else "real"
         assert main(["mul", str(lhs), str(rhs), "--loop", loop, "--field", field]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @settings(max_examples=150, deadline=None)
+    @given(ELEMENT_EDITS, st.booleans())
+    def test_element_file_fuzz(self, tmp_path_factory, edit, squared):
+        loop, path, value = edit
+        boost = element_to_json(standard_boost(SignatureForm(3, 2, 1), 0.5))
+        good = boost if loop == "matrix" else {"w": [0.0, 0.0, 0.25], "rho": boost}
+        folder = tmp_path_factory.mktemp("mul")
+        lhs, rhs = folder / "lhs.json", folder / "rhs.json"
+        lhs.write_text(json.dumps(replaced(good, path, value)))
+        rhs.write_text(lhs.read_text() if squared else json.dumps(good))
+        assert main(["mul", str(lhs), str(rhs), "--loop", loop]) in (0, 2)
 
     def test_determinant_dominated_diagnostics_serialize(self, form321r):
         diag = _diagnostics(SigmaElement(2.0 * np.eye(3), form321r), 1e-9)
@@ -418,6 +490,12 @@ class TestSample:
         assert main(["sample", "--count", "2", "--radius", "0"]) == 0
         for line in capsys.readouterr().out.strip().splitlines():
             assert np.allclose(json.loads(line)["matrix"], np.eye(3))
+
+    @pytest.mark.parametrize("loop", ["matrix", "extension"])
+    def test_negative_radius_is_config_error(self, capsys, loop):
+        assert main(["sample", "--radius", "-1", "--loop", loop]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_extension_elements(self, capsys):
         assert main(["sample", "--count", "2", "--loop", "extension", "--seed", "3"]) == 0

@@ -10,7 +10,6 @@ from bruckloops.extension import (
     coordinate_subspace,
     dimension_rank_report,
     expected_dimension,
-    ext_loop_interface,
     ext_mul,
     extension_config,
     extension_element_from_json,
@@ -20,7 +19,7 @@ from bruckloops.extension import (
     realize,
     solve_translation,
 )
-from bruckloops.geometry import apply, at_infinity, subspace, subspace_distance
+from bruckloops.geometry import apply, subspace, subspace_distance
 from bruckloops.groups import SampleStream, SignatureForm, sample_sigma, standard_boost
 from bruckloops.kernel import check_loop_axioms
 from bruckloops.linalg import fro
@@ -91,18 +90,18 @@ class TestConfig:
     def test_near_boundary_boost_accepted(self, form321r):
         # boost 3 gives ||C|| = tanh 3 = 0.995, just inside the boundary
         wt = apply(standard_boost(form321r, 3.0).matrix, coordinate_subspace(form321r, 2))
-        loop = ext_loop_interface(extension_config(form321r, wtilde=wt))
+        loop = extension_config(form321r, wtilde=wt)
         rep = check_loop_axioms(loop, SampleStream(3), 20)
         assert rep.passed, rep.max_residual
 
 
 class TestRealize:
     def test_identity_element(self, cfg):
-        assert subspace_distance(realize(cfg.identity_element(), cfg), cfg.carrier_subspace()) == 0.0
+        assert subspace_distance(realize(cfg.identity, cfg), cfg.carrier_subspace()) == 0.0
 
     def test_pure_translation(self, cfg):
         w = np.array([0.0, 0.0, 1.3])
-        e = ExtensionElement(w, cfg.identity_element().rho)
+        e = ExtensionElement(w, cfg.identity.rho)
         s = realize(e, cfg)
         expected = subspace(w, np.eye(3)[:, :2])
         assert subspace_distance(s, expected) <= 1e-12
@@ -116,7 +115,7 @@ class TestRealize:
 
 class TestLift:
     def test_carrier_direction_gives_identity(self, cfg):
-        z = at_infinity(cfg.carrier_subspace())
+        z = cfg.carrier_subspace().frame
         assert fro(lift_from_infinity(z, cfg).matrix - np.eye(3)) <= 1e-12
 
     @pytest.mark.parametrize("field", ["real", "complex"])
@@ -126,7 +125,7 @@ class TestLift:
         stream = SampleStream(2)
         for _ in range(50):
             rho, stream = sample_sigma(form, stream)
-            z = at_infinity(apply(rho.matrix, config.carrier_subspace()))
+            z = apply(rho.matrix, config.carrier_subspace()).frame
             lifted = lift_from_infinity(z, config)
             assert fro(lifted.matrix - rho.matrix) <= 1e-8
 
@@ -146,12 +145,12 @@ class TestLift:
         stream = SampleStream(5)
         for _ in range(30):
             rho, stream = sample_sigma(form, stream)
-            z = at_infinity(apply(rho.matrix, config.carrier_subspace()))
+            z = apply(rho.matrix, config.carrier_subspace()).frame
             assert fro(lift_from_infinity(z, config).matrix - rho.matrix) <= 1e-8
 
     def test_one_eigendecomposition_and_no_svd_or_det(self, cfg, form321r, eig_calls, monkeypatch):
         rho, _ = sample_sigma(form321r, SampleStream(6))
-        z = at_infinity(apply(rho.matrix, cfg.carrier_subspace()))
+        z = apply(rho.matrix, cfg.carrier_subspace()).frame
         eig_calls.clear()
         for name in ("svd", "det"):
             monkeypatch.setattr(np.linalg, name, pytest.fail)
@@ -164,7 +163,7 @@ class TestLift:
         stream = SampleStream(3)
         for _ in range(20):
             rho, stream = sample_sigma(form, stream)
-            z = at_infinity(apply(rho.matrix, config.carrier_subspace()))
+            z = apply(rho.matrix, config.carrier_subspace()).frame
             assert fro(lift_from_infinity(z, config).matrix - rho.matrix) <= 1e-8
 
     def test_determinant_correction_complex(self):
@@ -173,7 +172,7 @@ class TestLift:
         stream = SampleStream(4)
         for _ in range(30):
             rho, stream = sample_sigma(form, stream)
-            z = at_infinity(apply(rho.matrix, config.carrier_subspace()))
+            z = apply(rho.matrix, config.carrier_subspace()).frame
             assert fro(lift_from_infinity(z, config).matrix - rho.matrix) <= 1e-8
 
 
@@ -184,7 +183,7 @@ class TestOmega:
         assert fro(e.rho.matrix - np.eye(3)) <= 1e-12
 
     def test_roundtrip(self, cfg):
-        loop = ext_loop_interface(cfg)
+        loop = cfg
         stream = SampleStream(5)
         for _ in range(50):
             e, stream = loop.sample(stream)
@@ -195,16 +194,16 @@ class TestOmega:
 
 class TestExtMul:
     def test_left_identity(self, cfg):
-        loop = ext_loop_interface(cfg)
+        loop = cfg
         e, _ = loop.sample(SampleStream(6))
-        out = ext_mul(cfg.identity_element(), e, cfg)
+        out = ext_mul(cfg.identity, e, cfg)
         assert np.linalg.norm(out.w - e.w) <= 1e-12
         assert fro(out.rho.matrix - e.rho.matrix) <= 1e-12
 
     def test_right_identity(self, cfg):
-        loop = ext_loop_interface(cfg)
+        loop = cfg
         e, _ = loop.sample(SampleStream(7))
-        out = ext_mul(e, cfg.identity_element(), cfg)
+        out = ext_mul(e, cfg.identity, cfg)
         assert np.linalg.norm(out.w - e.w) <= 1e-12
         assert fro(out.rho.matrix - e.rho.matrix) <= 1e-12
 
@@ -214,7 +213,7 @@ class TestExtMul:
         # left factor's affinity: multiplication IS left translation
         form = SignatureForm(3, 2, 1, field)
         config = extension_config(form)
-        loop = ext_loop_interface(config)
+        loop = config
         stream = SampleStream(8)
         for _ in range(50):
             e1, stream = loop.sample(stream)
@@ -225,7 +224,7 @@ class TestExtMul:
 
     def test_infinity_projection_matches_matrix_loop(self, cfg, form321r):
         mloop = MatrixLoop(form321r)
-        loop = ext_loop_interface(cfg)
+        loop = cfg
         stream = SampleStream(9)
         for _ in range(50):
             e1, stream = loop.sample(stream)
@@ -235,7 +234,7 @@ class TestExtMul:
 
     def test_one_eigendecomposition_and_no_det(self, cfg, eig_calls, monkeypatch):
         # the orbit map: one graph lift, and no polar factorization
-        loop = ext_loop_interface(cfg)
+        loop = cfg
         e1, stream = loop.sample(SampleStream(12))
         e2, _ = loop.sample(stream)
         eig_calls.clear()
@@ -246,7 +245,7 @@ class TestExtMul:
     def test_no_svd_or_inv(self, boosted_cfg, monkeypatch):
         # left translations are positive isometries: the left division
         # inverts them as J A J, and nothing checks their rank
-        loop = ext_loop_interface(boosted_cfg)
+        loop = boosted_cfg
         e1, stream = loop.sample(SampleStream(15))
         e2, _ = loop.sample(stream)
         for name in ("svd", "inv"):
@@ -266,14 +265,14 @@ class TestSolveTranslation:
         assert fro(rho.matrix - np.eye(3)) <= 1e-12
 
     def test_recovers_element_coordinates(self, cfg):
-        loop = ext_loop_interface(cfg)
+        loop = cfg
         e, _ = loop.sample(SampleStream(10))
         t, rho = solve_translation(cfg.carrier_subspace(), realize(e, cfg), cfg)
         assert np.linalg.norm(t - e.w) <= 1e-8
         assert fro(rho.matrix - e.rho.matrix) <= 1e-8
 
     def test_random_pairs(self, cfg):
-        loop = ext_loop_interface(cfg)
+        loop = cfg
         stream = SampleStream(11)
         for _ in range(50):
             e1, stream = loop.sample(stream)
@@ -283,7 +282,7 @@ class TestSolveTranslation:
             assert subspace_distance(apply(rho.matrix, d1, t), d2) <= 1e-8
 
     def test_stability_under_representative_perturbation(self, cfg):
-        loop = ext_loop_interface(cfg)
+        loop = cfg
         stream = SampleStream(12)
         rng = np.random.default_rng(12)
         for _ in range(25):
@@ -303,12 +302,12 @@ class TestExtLoop:
     @pytest.mark.parametrize("field", ["real", "complex"])
     def test_axioms(self, field):
         form = SignatureForm(3, 2, 1, field)
-        loop = ext_loop_interface(extension_config(form))
+        loop = extension_config(form)
         rep = check_loop_axioms(loop, SampleStream(1), 100)
         assert rep.passed, rep.max_residual
 
     def test_axioms_boosted_transversal(self, boosted_cfg):
-        loop = ext_loop_interface(boosted_cfg)
+        loop = boosted_cfg
         rep = check_loop_axioms(loop, SampleStream(2), 100)
         assert rep.passed, rep.max_residual
 
@@ -350,7 +349,7 @@ class TestDimension:
 
 
 def test_extension_element_json_roundtrip(cfg):
-    loop = ext_loop_interface(cfg)
+    loop = cfg
     e, _ = loop.sample(SampleStream(13))
     back = extension_element_from_json(json.loads(json.dumps(e.to_json())))
     assert np.array_equal(back.w, e.w)

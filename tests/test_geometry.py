@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from bruckloops.errors import DimensionMismatch, RankDeficient, TransversalityViolated
 from bruckloops.geometry import (
     apply,
-    at_infinity,
     canonical,
     from_json,
     projector,
@@ -64,13 +63,13 @@ class TestCanonical:
 class TestAtInfinity:
     def test_plane_through_origin(self):
         s = subspace(np.zeros(3), E3[:, :2])
-        assert np.allclose(projector(at_infinity(s), 3), np.diag([1.0, 1.0, 0.0]))
+        assert np.allclose(projector(s.frame, 3), np.diag([1.0, 1.0, 0.0]))
 
     def test_translation_invariance(self):
         a = subspace(np.zeros(3), E3[:, :2])
         b = subspace(E3[:, 2], E3[:, :2])
-        pa = projector(at_infinity(a), 3)
-        pb = projector(at_infinity(b), 3)
+        pa = projector(a.frame, 3)
+        pb = projector(b.frame, 3)
         assert np.array_equal(pa, pb)
 
     def test_boost_image_direction(self):
@@ -79,18 +78,18 @@ class TestAtInfinity:
         c, s = np.cosh(t), np.sinh(t)
         v = np.array([0.0, c, s]) / math.hypot(c, s)
         expected = np.outer(E3[:, 0], E3[:, 0]) + np.outer(v, v)
-        assert np.max(np.abs(projector(at_infinity(img), 3) - expected)) <= 1e-12
+        assert np.max(np.abs(projector(img.frame, 3) - expected)) <= 1e-12
 
 
 class TestJoin:
     def test_axis_through_origin(self):
-        s = subspace(np.zeros(3), at_infinity(line([0, 0, 0], E3[:, 0])))
+        s = subspace(np.zeros(3), line([0, 0, 0], E3[:, 0]).frame)
         assert s.dim == 1 and np.allclose(projector(s.frame, 3), np.diag([1.0, 0.0, 0.0]))
 
     def test_roundtrip_direction(self):
-        z = at_infinity(subspace(np.zeros(3), E3[:, 1:]))
+        z = subspace(np.zeros(3), E3[:, 1:]).frame
         s = subspace(np.array([1.0, 0.0, 0.0]), z)
-        assert np.allclose(projector(at_infinity(s), 3), projector(z, 3))
+        assert np.allclose(projector(s.frame, 3), projector(z, 3))
 
 
 class TestSubspaceDistance:
@@ -137,7 +136,7 @@ class TestApply:
         s = subspace(np.zeros(3), E3[:, :2])
         out = apply(np.eye(3), s, np.array([0.0, 0.0, 2.0]))
         assert np.array_equal(
-            projector(at_infinity(out), 3), projector(at_infinity(s), 3)
+            projector(out.frame, 3), projector(s.frame, 3)
         )
 
     def test_composition_law(self, form321r):

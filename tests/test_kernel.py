@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from bruckloops.errors import InversesDisagree, SamplerUnavailable
-from bruckloops.extension import ext_loop_interface, extension_config
+from bruckloops.errors import InversesDisagree
+from bruckloops.extension import extension_config
 from bruckloops.groups import SampleStream, SignatureForm, standard_boost
 from bruckloops.kernel import (
-    Loop,
     check_aip,
     check_bol,
     check_left_a,
@@ -22,7 +21,7 @@ def mloop(form321r):
 
 @pytest.fixture
 def loop(mloop):
-    return mloop.loop_interface()
+    return mloop
 
 
 class TestCheckers:
@@ -87,16 +86,11 @@ class TestCheckers:
         b = check_aip(loop, SampleStream(11), 60)
         assert a.max_residual == b.max_residual
 
-    def test_sampler_unavailable(self, loop):
-        bare = Loop(loop.mul, loop.left_divide, loop.right_divide, loop.identity, loop.distance)
-        with pytest.raises(SamplerUnavailable):
-            check_loop_axioms(bare, SampleStream(1), 5)
-
 
 class TestTwoSidedInverses:
     @pytest.mark.parametrize("field", ["real", "complex"])
     def test_matrix_loop_two_sided(self, field):
-        loop = MatrixLoop(SignatureForm(3, 2, 1, field)).loop_interface()
+        loop = MatrixLoop(SignatureForm(3, 2, 1, field))
         stream = SampleStream(1)
         count = 500 if field == "real" else 150
         for _ in range(count):
@@ -109,7 +103,7 @@ class TestTwoSidedInverses:
         # the subspace extension has distinct left and right inverses as
         # soon as the translation part is nonzero; the AIP checker must
         # refuse rather than report a meaningless residual
-        loop = ext_loop_interface(extension_config(form321r))
+        loop = extension_config(form321r)
         with pytest.raises(InversesDisagree):
             check_aip(loop, SampleStream(1), 40)
 

@@ -149,6 +149,13 @@ class TestOrthonormalize:
         with pytest.raises(RankDeficient):
             orthonormalize(np.array([[1.0, 2.0], [0.0, 0.0], [0.0, 0.0]]))
 
+    def test_short_column_is_independent(self):
+        # the floor is relative to the column, so a short but valid
+        # direction is normalized, while a zero column is still refused
+        assert np.array_equal(orthonormalize(np.array([[0.0], [0.0], [1e-12]])), np.eye(3)[:, 2:])
+        with pytest.raises(RankDeficient):
+            orthonormalize(np.zeros((3, 1)))
+
     def test_bitwise_idempotent(self):
         rng = np.random.default_rng(9)
         for _ in range(50):

@@ -23,7 +23,7 @@ def mloop(form321r):
 class TestMul:
     def test_left_identity(self, mloop):
         b, _ = mloop.sample(SampleStream(1))
-        out = mloop.mul(mloop.identity(), b)
+        out = mloop.mul(mloop.identity, b)
         assert frobenius_distance(out, b) <= 1e-13
 
     def test_square(self, mloop):
@@ -49,7 +49,7 @@ class TestMul:
 
 class TestInverse:
     def test_identity(self, mloop):
-        assert frobenius_distance(mloop.inverse(mloop.identity()), mloop.identity()) == 0.0
+        assert frobenius_distance(mloop.inverse(mloop.identity), mloop.identity) == 0.0
 
     def test_boost_inverse_flips_rapidity(self, mloop, form321r):
         t = 0.7
@@ -61,7 +61,7 @@ class TestInverse:
         for _ in range(40):
             a, stream = mloop.sample(stream)
             out = mloop.mul(a, mloop.inverse(a))
-            assert frobenius_distance(out, mloop.identity()) <= 1e-9
+            assert frobenius_distance(out, mloop.identity) <= 1e-9
 
     @pytest.mark.parametrize("field", ["real", "complex"])
     def test_inverse_times_element_is_identity(self, field):
@@ -75,13 +75,13 @@ class TestInverse:
 class TestDivision:
     def test_left_divide_trivials(self, mloop):
         c, _ = mloop.sample(SampleStream(5))
-        assert frobenius_distance(mloop.left_divide(mloop.identity(), c), c) <= 1e-13
-        assert frobenius_distance(mloop.left_divide(c, c), mloop.identity()) <= 1e-13
+        assert frobenius_distance(mloop.left_divide(mloop.identity, c), c) <= 1e-13
+        assert frobenius_distance(mloop.left_divide(c, c), mloop.identity) <= 1e-13
 
     def test_right_divide_trivials(self, mloop):
         b, _ = mloop.sample(SampleStream(6))
-        assert frobenius_distance(mloop.right_divide(b, mloop.identity()), b) <= 1e-13
-        assert frobenius_distance(mloop.right_divide(b, b), mloop.identity()) <= 1e-13
+        assert frobenius_distance(mloop.right_divide(b, mloop.identity), b) <= 1e-13
+        assert frobenius_distance(mloop.right_divide(b, b), mloop.identity) <= 1e-13
 
     @pytest.mark.parametrize("field", ["real", "complex"])
     def test_roundtrips(self, field):
