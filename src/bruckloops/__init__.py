@@ -30,7 +30,7 @@ from .groups import (
     standard_boost,
 )
 from .kernel import Loop, check_aip, check_bol, check_left_a, check_loop_axioms
-from .linalg import Tolerance, eig_hermitian, orthonormalize, spectral_map
+from .linalg import eig_hermitian, orthonormalize, spectral_map
 from .matrixloop import MatrixLoop
 
 __all__ = [
@@ -44,7 +44,6 @@ __all__ = [
     "SampleStream",
     "SigmaElement",
     "SignatureForm",
-    "Tolerance",
     "check_aip",
     "check_bol",
     "check_left_a",

@@ -26,6 +26,7 @@ import json
 import math
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
@@ -49,13 +50,11 @@ from .groups import (
     sample_sigma,
     standard_boost,
 )
-from .kernel import IdentityReport, check_aip, check_bol, check_left_a, check_loop_axioms
-from .linalg import Tolerance, fro, read_matrix_text
+from .kernel import check_aip, check_bol, check_left_a, check_loop_axioms
+from .linalg import fro, read_matrix_text
 from .matrixloop import MatrixLoop
 
 DEFAULT_TOLERANCES = {
-    "tau_abs": 1e-9,
-    "tau_rel": 1e-7,
     "identity": 1e-8,
     "membership": 1e-9,
     "factor": 1e-8,
@@ -92,10 +91,6 @@ class SuiteConfig:
             "samples": dict(self.samples),
             "tolerances": dict(self.tolerances),
         }
-
-    def numeric_tol(self) -> Tolerance:
-        """The pivot and residual floors every numeric layer takes."""
-        return Tolerance(self.tolerances["tau_abs"], self.tolerances["tau_rel"])
 
 
 def load_suite_config(path: str | None, overrides: dict) -> SuiteConfig:
@@ -151,7 +146,7 @@ def load_suite_config(path: str | None, overrides: dict) -> SuiteConfig:
     return cfg
 
 
-def build_wtilde(form: SignatureForm, carrier: int, spec: str, tol: Tolerance):
+def build_wtilde(form: SignatureForm, carrier: int, spec: str):
     """Resolve a transversal spec: ``standard``, ``boost:<t>`` or
     ``file:<path to subspace JSON>``."""
     j = 2 if carrier == 1 else 1
@@ -163,12 +158,12 @@ def build_wtilde(form: SignatureForm, carrier: int, spec: str, tol: Tolerance):
         except ValueError as exc:
             raise ConfigInvalid(f"bad boost parameter in {spec!r}") from exc
         with np.errstate(over="ignore", invalid="ignore"):
-            boost = standard_boost(form, t, tol)
+            boost = standard_boost(form, t)
         if not np.all(np.isfinite(boost.matrix)):
             raise ConfigInvalid(f"{spec!r} gives a non-finite boost matrix")
         try:
             with np.errstate(over="raise", invalid="raise"):
-                return geometry.apply(boost.matrix, ext.coordinate_subspace(form, j), tol=tol)
+                return geometry.apply(boost.matrix, ext.coordinate_subspace(form, j))
         except FloatingPointError as exc:
             raise ConfigInvalid(f"{spec!r} overflows the transversal frame: {exc}") from exc
     if spec.startswith("file:"):
@@ -187,7 +182,6 @@ class Suite:
     """A validated config as the live objects every property samples from."""
 
     form: SignatureForm
-    tol: Tolerance
     tolerances: dict
     mat: MatrixLoop
     eloop: ext.ExtensionConfig
@@ -196,10 +190,8 @@ class Suite:
 def resolve(cfg: SuiteConfig) -> Suite:
     """Validate a suite config into live objects."""
     form = SignatureForm(cfg.n, cfg.p1, cfg.p2, cfg.field_name)
-    tol = cfg.numeric_tol()
-    wtilde = build_wtilde(form, cfg.carrier, cfg.wtilde, tol)
-    eloop = ext.extension_config(form, cfg.carrier, wtilde, tol)
-    return Suite(form, tol, cfg.tolerances, MatrixLoop(form, tol), eloop)
+    eloop = ext.extension_config(form, cfg.carrier, build_wtilde(form, cfg.carrier, cfg.wtilde))
+    return Suite(form, cfg.tolerances, MatrixLoop(form), eloop)
 
 
 def _json_bytes(obj) -> bytes:
@@ -244,13 +236,13 @@ def _sampled(fn):
     return lambda s, stream, count: (_worst(stream, count, partial(fn, s)), None)
 
 
-def _one(report: IdentityReport):
-    """A kernel checker's report as a one-entry row result."""
-    return (report.max_residual,), None
+def _one(residual: float):
+    """A kernel checker's worst residual as a one-entry row result."""
+    return (residual,), None
 
 
 def _sigma_residual(s: Suite, matrix: np.ndarray) -> float:
-    return membership_residual(matrix, "Sigma", s.form, s.tolerances["membership"], s.tol).max_residual
+    return membership_residual(matrix, "Sigma", s.form).max_residual
 
 
 def _sigma_closure(s: Suite, stream: SampleStream):
@@ -260,17 +252,17 @@ def _sigma_closure(s: Suite, stream: SampleStream):
 
 
 def _conjugation_closure(s: Suite, stream: SampleStream):
-    a, stream = sample_sigma(s.form, stream, tol=s.tol)
+    a, stream = sample_sigma(s.form, stream)
     b, stream = sample_phi(s.form, stream)
     return (_sigma_residual(s, conjugate_by_phi(a, b).matrix),), stream
 
 
 def _factorization(s: Suite, stream: SampleStream):
     """Recovery of both sampled factors, and the relative reconstruction."""
-    s1, stream = sample_sigma(s.form, stream, tol=s.tol)
+    s1, stream = sample_sigma(s.form, stream)
     c, stream = sample_phi(s.form, stream)
     m = s1.matrix @ c.matrix
-    f1, f2 = polar_factorize(m, s.form, s.tolerances["membership"], s.tol)
+    f1, f2 = polar_factorize(m, s.form, s.tolerances["membership"])
     recovery = max(
         float(np.max(np.abs(f1.matrix - s1.matrix))), float(np.max(np.abs(f2.matrix - c.matrix)))
     )
@@ -280,9 +272,9 @@ def _factorization(s: Suite, stream: SampleStream):
 def _transversality(s: Suite, stream: SampleStream, count: int):
     rhos = []
     for _ in range(count):
-        rho, stream = sample_sigma(s.form, stream, tol=s.tol)
+        rho, stream = sample_sigma(s.form, stream)
         rhos.append(rho)
-    tr = geometry.transversality_check(s.eloop.wtilde, rhos, s.eloop.carrier_subspace(), s.tol)
+    tr = geometry.transversality_check(s.eloop.wtilde, rhos, s.eloop.carrier_subspace())
     # with no sample checked the margin is still inf, which strict JSON refuses
     return (0.0,), {"worst_margin": tr.worst_margin} if tr.samples else None
 
@@ -322,10 +314,10 @@ def _solve_translation(s: Suite, stream: SampleStream):
     d1 = ext.realize(e1, s.eloop)
     d2 = ext.realize(e2, s.eloop)
     t, rho = ext.solve_translation(d1, d2, s.eloop)
-    moved = geometry.apply(rho.matrix, d1, t, s.tol)
+    moved = geometry.apply(rho.matrix, d1, t)
     noise, stream = stream.next_uniforms(2 * s.form.n * (d1.dim + d2.dim), -1e-10, 1e-10)
-    d1p = _perturb(d1, noise[: noise.size // 2], s.tol)
-    d2p = _perturb(d2, noise[noise.size // 2 :], s.tol)
+    d1p = _perturb(d1, noise[: noise.size // 2])
+    d2p = _perturb(d2, noise[noise.size // 2 :])
     tp, rhop = ext.solve_translation(d1p, d2p, s.eloop)
     stability = float(np.linalg.norm(tp - t)) + fro(rhop.matrix - rho.matrix)
     return (geometry.subspace_distance(moved, d2), stability), stream
@@ -388,14 +380,19 @@ def _run_property(row: Property, suite: Suite, stream: SampleStream, count: int)
     first = row.entries[0][0]
     entries = []
     for (name, tol_key), residual in zip(row.entries, worst or (0.0,) * len(row.entries)):
-        entry = IdentityReport(name, count, residual, suite.tolerances[tol_key]).to_json()
-        entry["required"] = row.required
-        entry["seconds"] = seconds if name == first else 0.0
+        tolerance = suite.tolerances[tol_key]
+        entry = {
+            "property": name,
+            "samples": count,
+            "max_residual": residual,
+            "tolerance": tolerance,
+            "pass": not broke and residual <= tolerance,
+            "required": row.required,
+            "seconds": seconds if name == first else 0.0,
+        }
         info = dict(detail or {})
         if name != first:
             info["timed_with"] = first
-        if broke:
-            entry["pass"] = False
         if info:
             entry["detail"] = info
         entries.append(entry)
@@ -441,7 +438,7 @@ def run_verify(cfg: SuiteConfig) -> dict:
     }
 
 
-def _perturb(s, noise: np.ndarray, tol: Tolerance):
+def _perturb(s, noise: np.ndarray):
     """A nearby representative of (almost) the same subspace: jiggle the
     base and frame entries and re-canonicalize."""
     n, k = s.frame.shape
@@ -449,7 +446,7 @@ def _perturb(s, noise: np.ndarray, tol: Tolerance):
     pad = np.resize(noise, need)
     base = s.base + pad[:n].astype(s.base.dtype)
     frame = s.frame + pad[n:].reshape(n, k).astype(s.frame.dtype)
-    return geometry.subspace(base, frame, tol)
+    return geometry.subspace(base, frame)
 
 
 # ---------------------------------------------------------------------------
@@ -490,8 +487,7 @@ def _check_operand(path: str, elem: SigmaElement, form: SignatureForm, cfg: Suit
     """Refuse an operand that is not a Sigma element of the configured form."""
     if elem.form != form:
         raise ConfigInvalid(f"{path}: form {elem.form.to_json()} is not the configured {form.to_json()}")
-    tolerance = cfg.tolerances["membership"]
-    rep = membership_residual(elem.matrix, "Sigma", form, tolerance, cfg.numeric_tol())
+    rep = membership_residual(elem.matrix, "Sigma", form, cfg.tolerances["membership"])
     if not rep.passed:
         worst = max(rep.residuals, key=rep.residuals.get)
         raise ConfigInvalid(f"{path}: not in Sigma, {worst} residual {rep.max_residual:.3e}")
@@ -505,6 +501,17 @@ def _diagnostics(elem: SigmaElement, tolerance: float) -> dict:
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
+
+
+@contextmanager
+def _in_float_range():
+    """Arithmetic on user inputs that overflows or turns invalid is a
+    configuration error (exit 2), not a result of Infinity or NaN."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise ConfigInvalid(f"inputs out of floating-point range: {exc}") from exc
 
 
 def cmd_verify(args) -> int:
@@ -521,12 +528,9 @@ def cmd_verify(args) -> int:
 
 def cmd_mul(args) -> int:
     cfg = load_suite_config(args.config, _overrides(args))
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            out, rho = _product(args, cfg)
-            out["diagnostics"] = _diagnostics(rho, cfg.tolerances["membership"])
-    except FloatingPointError as exc:
-        raise ConfigInvalid(f"operands out of floating-point range: {exc}") from exc
+    with _in_float_range():
+        out, rho = _product(args, cfg)
+        out["diagnostics"] = _diagnostics(rho, cfg.tolerances["membership"])
     sys.stdout.write(_json_bytes(out).decode("utf-8"))
     return 0
 
@@ -538,7 +542,7 @@ def _product(args, cfg: SuiteConfig) -> tuple:
         lhs, rhs = (_load_matrix_element(path, form) for path in (args.lhs, args.rhs))
         for path, elem in ((args.lhs, lhs), (args.rhs, rhs)):
             _check_operand(path, elem, form, cfg)
-        product = MatrixLoop(form, cfg.numeric_tol()).mul(lhs, rhs)
+        product = MatrixLoop(form).mul(lhs, rhs)
         return element_to_json(product), product
     eloop = resolve(cfg).eloop
     e1, e2 = (_load_extension_element(path) for path in (args.lhs, args.rhs))
@@ -553,9 +557,8 @@ def _product(args, cfg: SuiteConfig) -> tuple:
 def cmd_factor(args) -> int:
     cfg = load_suite_config(args.config, _overrides(args))
     form = SignatureForm(cfg.n, cfg.p1, cfg.p2, cfg.field_name)
-    tol = cfg.numeric_tol()
     elem = _load_matrix_element(args.matrix, form)
-    s1, c = polar_factorize(elem.matrix, elem.form, cfg.tolerances["membership"], tol)
+    s1, c = polar_factorize(elem.matrix, elem.form, cfg.tolerances["membership"])
     residual = fro(s1.matrix @ c.matrix - elem.matrix) / max(1.0, fro(elem.matrix))
     out = {
         "s1": element_to_json(s1),
@@ -588,14 +591,15 @@ def cmd_sample(args) -> int:
     suite = resolve(cfg)
     stream = SampleStream(cfg.seed)
     lines = []
-    if args.loop == "matrix":
-        for _ in range(args.count):
-            elem, stream = sample_sigma(suite.form, stream, args.radius, suite.tol)
-            lines.append(json.dumps(element_to_json(elem), sort_keys=True))
-    else:
-        for _ in range(args.count):
-            elem, stream = suite.eloop.sample(stream, args.radius)
-            lines.append(json.dumps(elem.to_json(), sort_keys=True))
+    with _in_float_range():
+        if args.loop == "matrix":
+            for _ in range(args.count):
+                elem, stream = sample_sigma(suite.form, stream, args.radius)
+                lines.append(json.dumps(element_to_json(elem), sort_keys=True))
+        else:
+            for _ in range(args.count):
+                elem, stream = suite.eloop.sample(stream, args.radius)
+                lines.append(json.dumps(elem.to_json(), sort_keys=True))
     sys.stdout.write("\n".join(lines) + ("\n" if lines else ""))
     return 0
 

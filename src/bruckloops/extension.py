@@ -21,11 +21,11 @@ checkers call.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import geometry
+from . import geometry, linalg
 from .errors import (
     ConfigInvalid,
     DimensionMismatch,
@@ -50,7 +50,7 @@ from .groups import (
     sample_sigma,
     sigma_from_block,
 )
-from .linalg import COMPLEX, DEFAULT_TOL, Tolerance, dag, eig_hermitian, spectral_map, symmetrize
+from .linalg import COMPLEX, dag, eig_hermitian, spectral_map, symmetrize
 from .matrixloop import MatrixLoop, _inverse
 
 _W_SCALE = 1.0  # sampled transversal points have frame coordinates in [-1, 1]
@@ -79,7 +79,6 @@ class ExtensionConfig:
     form: SignatureForm
     carrier: int
     wtilde: AffineSubspace
-    tol: Tolerance = field(default=DEFAULT_TOL)
 
     @property
     def complement_index(self) -> int:
@@ -105,7 +104,7 @@ class ExtensionConfig:
 
     def left_divide(self, a, c):
         ainv = _inverse(a.rho)
-        return omega(apply(ainv, realize(c, self), -(ainv @ a.w), self.tol), self)
+        return omega(apply(ainv, realize(c, self), -(ainv @ a.w)), self)
 
     def right_divide(self, c, a):
         t, rho = solve_translation(realize(a, self), realize(c, self), self)
@@ -123,7 +122,7 @@ class ExtensionConfig:
             vals, stream = stream.next_uniforms(k, -_W_SCALE, _W_SCALE)
             coef = vals
         w = self.wtilde.frame @ coef.astype(self.form.dtype)
-        rho, stream = sample_sigma(self.form, stream, radius, self.tol)
+        rho, stream = sample_sigma(self.form, stream, radius)
         return ExtensionElement(w, rho), stream
 
 
@@ -131,7 +130,6 @@ def extension_config(
     form: SignatureForm,
     carrier: int = 1,
     wtilde: AffineSubspace | None = None,
-    tol: Tolerance = DEFAULT_TOL,
 ) -> ExtensionConfig:
     """Build and validate a configuration.
 
@@ -149,21 +147,21 @@ def extension_config(
     if wtilde is None:
         wtilde = coordinate_subspace(form, 2 if carrier == 1 else 1)
     else:
-        wtilde = geometry.canonical(wtilde, tol)
+        wtilde = geometry.canonical(wtilde)
     pj = form.n - (form.p1 if carrier == 1 else form.p2)
     if wtilde.ambient != form.n or wtilde.dim != pj:
         raise ConfigInvalid(
             f"transversal must be a {pj}-dimensional subspace of F^{form.n}, "
             f"got dim {wtilde.dim} in F^{wtilde.ambient}"
         )
-    if float(np.linalg.norm(wtilde.base)) > 10 * tol.tau_abs:
+    if float(np.linalg.norm(wtilde.base)) > 10 * linalg.TAU_ABS:
         raise ConfigInvalid("transversal must pass through 0")
     sign, kind = (1.0, "non-positive") if carrier == 1 else (-1.0, "non-negative")
     gram = symmetrize(dag(wtilde.frame) @ (sign * form.j_matrix()) @ wtilde.frame)
-    wrong = float(eig_hermitian(gram, tol).eigenvalues[-1])  # worst wrong-sign value on a unit vector
-    if wrong > tol.tau_abs:
+    wrong = float(eig_hermitian(gram).eigenvalues[-1])  # worst wrong-sign value on a unit vector
+    if wrong > linalg.TAU_ABS:
         raise TransversalityViolated(f"the form must be {kind} on the transversal, not {sign * wrong:.3e}")
-    return ExtensionConfig(form, carrier, AffineSubspace(np.zeros_like(wtilde.base), wtilde.frame), tol)
+    return ExtensionConfig(form, carrier, AffineSubspace(np.zeros_like(wtilde.base), wtilde.frame))
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,7 +192,7 @@ def realize(e: ExtensionElement, cfg: ExtensionConfig) -> AffineSubspace:
     under the linear lift meets the transversal at 0, so placing it through
     w lands that intersection on w."""
     cols = e.rho.matrix[:, : cfg.form.p1] if cfg.carrier == 1 else e.rho.matrix[:, cfg.form.p1 :]
-    return subspace(e.w, cols, cfg.tol)
+    return subspace(e.w, cols)
 
 
 def lift_from_infinity(z: np.ndarray, cfg: ExtensionConfig) -> SigmaElement:
@@ -223,7 +221,7 @@ def lift_from_infinity(z: np.ndarray, cfg: ExtensionConfig) -> SigmaElement:
     t = _off_diagonal_generator(form, x)
     eye = np.eye(form.n, dtype=form.dtype)
     try:
-        scale = spectral_map(eye - t @ t, "inverse_sqrt", cfg.tol)
+        scale = spectral_map(eye - t @ t, "inverse_sqrt")
     except NotPositiveDefinite as exc:
         raise NotInOrbit(f"direction is not the graph of a contraction: {exc}") from exc
     return SigmaElement(symmetrize((eye + t) @ scale), form)
@@ -253,7 +251,7 @@ def ext_mul(e1: ExtensionElement, e2: ExtensionElement, cfg: ExtensionConfig) ->
     Its direction part is the graph lift of the image direction, which
     agrees with the matrix-loop product of the direction lifts (the
     positive factor of rho1 rho2) without computing it."""
-    return omega(apply(e1.rho.matrix, realize(e2, cfg), e1.w, cfg.tol), cfg)
+    return omega(apply(e1.rho.matrix, realize(e2, cfg), e1.w), cfg)
 
 
 def solve_translation(
@@ -268,9 +266,8 @@ def solve_translation(
     points."""
     rho1 = lift_from_infinity(d1.frame, cfg)
     rho2 = lift_from_infinity(d2.frame, cfg)
-    loop = MatrixLoop(cfg.form, cfg.tol)
-    rho = loop.right_divide(rho2, rho1)
-    moved = apply(rho.matrix, d1, tol=cfg.tol)
+    rho = MatrixLoop(cfg.form).right_divide(rho2, rho1)
+    moved = apply(rho.matrix, d1)
     t = _transversal_point(d2, cfg) - _transversal_point(moved, cfg)
     return t, rho
 
@@ -308,7 +305,7 @@ def nonisomorphism_witness(
         stream = SampleStream(1)
     for used in range(1, budget + 1):
         g, stream = sample_phi(cfg.form, stream)
-        moved = apply(g.matrix, cfg.wtilde, tol=cfg.tol)
+        moved = apply(g.matrix, cfg.wtilde)
         disp = subspace_distance(moved, cfg.wtilde)
         if disp > threshold:
             return WitnessReport(g, disp, used)
@@ -345,7 +342,7 @@ def _element_from_chart(cfg: ExtensionConfig, theta: np.ndarray) -> ExtensionEle
         coef = theta[:k]
         x = theta[k:].reshape(form.p1, form.p2)
     w = cfg.wtilde.frame @ coef.astype(form.dtype)
-    return ExtensionElement(w, sigma_from_block(form, x.astype(form.dtype), cfg.tol))
+    return ExtensionElement(w, sigma_from_block(form, x.astype(form.dtype)))
 
 
 def _embed(cfg: ExtensionConfig, e: ExtensionElement) -> np.ndarray:

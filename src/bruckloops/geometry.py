@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConfigInvalid, DimensionMismatch, TransversalityViolated
 from .groups import SigmaElement, matrix_from_json, matrix_to_json
-from .linalg import _SNAP, DEFAULT_TOL, Tolerance, dag, eig_hermitian, fro, orthonormalize
+from .linalg import _SNAP, dag, eig_hermitian, fro, orthonormalize
 
 _RANK_REL = 1e-8
 
@@ -49,7 +49,7 @@ class AffineSubspace:
         return {"base": matrix_to_json(self.base.reshape(1, -1))[0], "frame": matrix_to_json(self.frame)}
 
 
-def subspace(base: np.ndarray, directions: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> AffineSubspace:
+def subspace(base: np.ndarray, directions: np.ndarray) -> AffineSubspace:
     """Build the canonical subspace through ``base`` spanned by the columns
     of ``directions`` (which need not be orthonormal)."""
     base = np.asarray(base)
@@ -58,7 +58,7 @@ def subspace(base: np.ndarray, directions: np.ndarray, tol: Tolerance = DEFAULT_
         raise DimensionMismatch(
             f"directions live in dim {directions.shape[0]}, base in {base.shape[0]}"
         )
-    frame = orthonormalize(directions, tol=tol) if directions.shape[1] else directions.astype(
+    frame = orthonormalize(directions) if directions.shape[1] else directions.astype(
         np.result_type(directions.dtype, base.dtype, np.float64)
     )
     dtype = np.result_type(frame.dtype, base.dtype, np.float64)
@@ -76,8 +76,8 @@ def subspace(base: np.ndarray, directions: np.ndarray, tol: Tolerance = DEFAULT_
     return AffineSubspace(base, frame)
 
 
-def canonical(s: AffineSubspace, tol: Tolerance = DEFAULT_TOL) -> AffineSubspace:
-    return subspace(s.base, s.frame, tol)
+def canonical(s: AffineSubspace) -> AffineSubspace:
+    return subspace(s.base, s.frame)
 
 
 def from_json(obj: dict, field: str) -> AffineSubspace:
@@ -87,8 +87,6 @@ def from_json(obj: dict, field: str) -> AffineSubspace:
         raise ConfigInvalid('a subspace must be a JSON object with lists "base" and "frame"')
     base = matrix_from_json([obj["base"]], field)[0]
     frame = matrix_from_json(obj["frame"], field) if obj["frame"] else np.zeros((base.shape[0], 0))
-    if not (np.all(np.isfinite(base)) and np.all(np.isfinite(frame))):
-        raise ConfigInvalid("subspace entries must be finite")
     try:
         with np.errstate(over="raise", invalid="raise"):
             return subspace(base, frame)
@@ -96,12 +94,10 @@ def from_json(obj: dict, field: str) -> AffineSubspace:
         raise ConfigInvalid(f"subspace entries too large: {exc}") from exc
 
 
-def apply(
-    linear: np.ndarray, s: AffineSubspace, shift=0.0, tol: Tolerance = DEFAULT_TOL
-) -> AffineSubspace:
+def apply(linear: np.ndarray, s: AffineSubspace, shift=0.0) -> AffineSubspace:
     """The image of ``s`` under x -> linear @ x + shift.  A linear part that
     collapses the subspace is refused by orthonormalize (RankDeficient)."""
-    return subspace(linear @ s.base + shift, linear @ s.frame, tol)
+    return subspace(linear @ s.base + shift, linear @ s.frame)
 
 
 def projector(frame: np.ndarray, n: int) -> np.ndarray:
@@ -144,12 +140,7 @@ class TransversalityReport:
     worst_margin: float
 
 
-def transversality_check(
-    w: AffineSubspace,
-    rhos,
-    u: AffineSubspace,
-    tol: Tolerance = DEFAULT_TOL,
-) -> TransversalityReport:
+def transversality_check(w: AffineSubspace, rhos, u: AffineSubspace) -> TransversalityReport:
     """Check that w meets the image of u under every sampled linear map in
     exactly one point.  The dimensions are complementary, so that holds
     exactly when the square matrix [w frame, -image frame] has full rank:
@@ -163,7 +154,7 @@ def transversality_check(
     count = 0
     for rho in rhos:
         mat = rho.matrix if isinstance(rho, SigmaElement) else rho
-        image = apply(mat, u, tol=tol)
+        image = apply(mat, u)
         sv = np.linalg.svd(np.hstack([w.frame, -image.frame]), compute_uv=False)
         if sv[-1] <= _RANK_REL * sv[0]:
             raise TransversalityViolated(

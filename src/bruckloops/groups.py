@@ -23,7 +23,7 @@ import numpy as np
 
 from . import linalg
 from .errors import ConfigInvalid, DimensionMismatch, NotInGroup
-from .linalg import COMPLEX, DEFAULT_TOL, REAL, Tolerance, dag, fro, spectral_map, symmetrize
+from .linalg import COMPLEX, REAL, dag, fro, spectral_map, symmetrize
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -154,11 +154,7 @@ class MembershipReport:
 
 
 def membership_residual(
-    a: np.ndarray,
-    target: str,
-    form: SignatureForm,
-    tolerance: float = 1e-9,
-    tol: Tolerance = DEFAULT_TOL,
+    a: np.ndarray, target: str, form: SignatureForm, tolerance: float = 1e-9
 ) -> MembershipReport:
     """Per-condition residuals for membership in U_p2, Sigma or Phi."""
     if a.shape != (form.n, form.n):
@@ -169,7 +165,7 @@ def membership_residual(
         res["isometry"] = fro(dag(a) @ j @ a - j)
     elif target == "Sigma":
         res["hermitian"] = linalg.hermitian_residual(a)
-        dec = linalg.eig_hermitian(symmetrize(a), tol)
+        dec = linalg.eig_hermitian(symmetrize(a))
         res["positive_definite"] = max(0.0, -float(dec.eigenvalues[0]))
         res["isometry"] = fro(dag(a) @ j @ a - j)
         res["determinant"] = float(abs(np.linalg.det(a) - 1.0))
@@ -192,19 +188,14 @@ def _off_diagonal_generator(form: SignatureForm, x: np.ndarray) -> np.ndarray:
     return h
 
 
-def sigma_from_block(form: SignatureForm, x: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> SigmaElement:
+def sigma_from_block(form: SignatureForm, x: np.ndarray) -> SigmaElement:
     """exp of the off-diagonal hermitian generator built from a p1 x p2 block."""
     if x.shape != (form.p1, form.p2):
         raise DimensionMismatch(f"block must be {form.p1}x{form.p2}, got {x.shape}")
-    return SigmaElement(spectral_map(_off_diagonal_generator(form, x), "exp", tol), form)
+    return SigmaElement(spectral_map(_off_diagonal_generator(form, x), "exp"), form)
 
 
-def sample_sigma(
-    form: SignatureForm,
-    stream: SampleStream,
-    radius: float = 0.75,
-    tol: Tolerance = DEFAULT_TOL,
-):
+def sample_sigma(form: SignatureForm, stream: SampleStream, radius: float = 0.75):
     """Draw a Sigma element from the exponential chart.
 
     Radius 0 is allowed and yields the identity.
@@ -218,7 +209,7 @@ def sample_sigma(
     else:
         vals, stream = stream.next_uniforms(count, -radius, radius)
         x = vals.reshape(form.p1, form.p2)
-    return sigma_from_block(form, x.astype(form.dtype), tol), stream
+    return sigma_from_block(form, x.astype(form.dtype)), stream
 
 
 def sample_phi(form: SignatureForm, stream: SampleStream, radius: float = 1.0):
@@ -247,25 +238,20 @@ def sample_phi(form: SignatureForm, stream: SampleStream, radius: float = 1.0):
     return PhiElement(dec.apply(np.cos(t)) + k @ dec.apply(np.sinc(t / np.pi)), form), stream
 
 
-def polar_factorize(
-    s: np.ndarray,
-    form: SignatureForm,
-    tolerance: float = 1e-9,
-    tol: Tolerance = DEFAULT_TOL,
-):
+def polar_factorize(s: np.ndarray, form: SignatureForm, tolerance: float = 1e-9):
     """Split an isometry of determinant 1 into its unique Sigma * Phi pair.
 
     The Sigma factor is the positive polar factor S1 = sqrt(S S*); being a
     positive isometry, its inverse is J S1 J, so the Phi factor
     S1^{-1} S = (J S1 J) S costs no second spectral call.
     """
-    report = membership_residual(s, "U_p2", form, tolerance, tol)
+    report = membership_residual(s, "U_p2", form, tolerance)
     det_res = abs(np.linalg.det(s) - 1.0)
     if not report.passed or det_res > tolerance:
         raise NotInGroup(
             f"isometry residual {report.max_residual:.3e}, det residual {det_res:.3e}"
         )
-    s1 = spectral_map(symmetrize(s @ dag(s)), "sqrt", tol)
+    s1 = spectral_map(symmetrize(s @ dag(s)), "sqrt")
     j = form.j_matrix()
     return SigmaElement(s1, form), PhiElement(((j @ s1) @ j) @ s, form)
 
@@ -278,12 +264,12 @@ def conjugate_by_phi(a: SigmaElement, b: PhiElement) -> SigmaElement:
     return SigmaElement(symmetrize(dag(b.matrix) @ a.matrix @ b.matrix), a.form)
 
 
-def standard_boost(form: SignatureForm, t: float, tol: Tolerance = DEFAULT_TOL) -> SigmaElement:
+def standard_boost(form: SignatureForm, t: float) -> SigmaElement:
     """The one-parameter boost mixing coordinates p1 and p1+1: cosh(t) on
     the two diagonal entries, sinh(t) off-diagonal, identity elsewhere."""
     x = np.zeros((form.p1, form.p2), dtype=form.dtype)
     x[form.p1 - 1, 0] = t
-    return sigma_from_block(form, x, tol)
+    return sigma_from_block(form, x)
 
 
 # ---------------------------------------------------------------------------
@@ -311,8 +297,8 @@ def _is_entry(v, field: str) -> bool:
 
 
 def matrix_from_json(rows: list, field: str) -> np.ndarray:
-    """A list of rows, each a list of entries; strings, booleans and
-    wrongly shaped entries are refused."""
+    """A list of rows, each a list of entries; strings, booleans,
+    non-finite numbers and wrongly shaped entries are refused."""
     if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)):
         raise ConfigInvalid("matrix payload must be a list of rows, each a list")
     if not all(_is_entry(v, field) for row in rows for v in row):
@@ -328,6 +314,8 @@ def matrix_from_json(rows: list, field: str) -> np.ndarray:
         raise ConfigInvalid(f"bad matrix payload: {exc}") from exc
     if out.ndim != 2:
         raise ConfigInvalid("matrix payload must be a list of equal-length rows")
+    if not np.all(np.isfinite(out)):
+        raise ConfigInvalid("matrix entries must be finite")
     return out
 
 

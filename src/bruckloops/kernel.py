@@ -4,23 +4,23 @@ A loop here is a carrier with a binary operation, a two-sided identity,
 and unique left/right division; associativity is not assumed.  Both loops
 of the package, ``MatrixLoop`` and ``ExtensionConfig``, satisfy the
 ``Loop`` protocol, and the checkers call them directly.  The checkers
-measure identities as residual distances rather than booleans: a property
-"holds at tolerance tau", and the report says so explicitly.  Sampling is
-delegated to the concrete loop -- the kernel has no way to enumerate
-elements.
+measure identities as residual distances rather than booleans: each
+returns the worst residual over its samples as a float, and the suite
+judges it against its configured tolerance.  Sampling is delegated to the
+concrete loop -- the kernel has no way to enumerate elements.
 
 Checkers fold sample residuals with max, so appending samples can only
-raise the reported residual, and reports are deterministic given
-(seed, count, tolerance).
+raise the returned residual, and it is deterministic given (seed, count).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Protocol
 
 from .errors import InversesDisagree
 from .groups import SampleStream
+
+_INVERSE_GAP = 1e-9  # largest distance between e/x and x\e that inverse_of accepts
 
 
 class Loop(Protocol):
@@ -40,27 +40,6 @@ class Loop(Protocol):
     def sample(self, stream: SampleStream) -> tuple: ...
 
 
-@dataclass(frozen=True)
-class IdentityReport:
-    property_name: str
-    samples: int
-    max_residual: float
-    tolerance: float
-
-    @property
-    def passed(self) -> bool:
-        return self.max_residual <= self.tolerance
-
-    def to_json(self) -> dict:
-        return {
-            "property": self.property_name,
-            "samples": self.samples,
-            "max_residual": self.max_residual,
-            "tolerance": self.tolerance,
-            "pass": self.passed,
-        }
-
-
 def _draw(loop: Loop, stream: SampleStream, count: int):
     out = []
     for _ in range(count):
@@ -69,9 +48,7 @@ def _draw(loop: Loop, stream: SampleStream, count: int):
     return out, stream
 
 
-def check_loop_axioms(
-    loop: Loop, stream: SampleStream, count: int, tolerance: float = 1e-8
-) -> IdentityReport:
+def check_loop_axioms(loop: Loop, stream: SampleStream, count: int) -> float:
     """Residuals of e*x = x, x*e = x, a*(a\\b) = b and (b/a)*a = b."""
     e = loop.identity
     worst = 0.0
@@ -81,10 +58,10 @@ def check_loop_axioms(
         worst = max(worst, loop.distance(loop.mul(a, e), a))
         worst = max(worst, loop.distance(loop.mul(a, loop.left_divide(a, b)), b))
         worst = max(worst, loop.distance(loop.mul(loop.right_divide(b, a), a), b))
-    return IdentityReport("loop_axioms", count, worst, tolerance)
+    return worst
 
 
-def check_bol(loop: Loop, stream: SampleStream, count: int, tolerance: float = 1e-8) -> IdentityReport:
+def check_bol(loop: Loop, stream: SampleStream, count: int) -> float:
     """Residual of x(y . xz) = (x . yx)z over sampled triples."""
     worst = 0.0
     for _ in range(count):
@@ -92,20 +69,20 @@ def check_bol(loop: Loop, stream: SampleStream, count: int, tolerance: float = 1
         lhs = loop.mul(x, loop.mul(y, loop.mul(x, z)))
         rhs = loop.mul(loop.mul(x, loop.mul(y, x)), z)
         worst = max(worst, loop.distance(lhs, rhs))
-    return IdentityReport("bol", count, worst, tolerance)
+    return worst
 
 
-def inverse_of(loop: Loop, x, tolerance: float = 1e-9):
+def inverse_of(loop: Loop, x):
     """Two-sided inverse e/x, checked to coincide with x\\e."""
     right = loop.right_divide(loop.identity, x)
     left = loop.left_divide(x, loop.identity)
     gap = loop.distance(right, left)
-    if gap > tolerance:
+    if gap > _INVERSE_GAP:
         raise InversesDisagree(f"e/x and x\\e differ by {gap:.3e}")
     return right
 
 
-def check_aip(loop: Loop, stream: SampleStream, count: int, tolerance: float = 1e-8) -> IdentityReport:
+def check_aip(loop: Loop, stream: SampleStream, count: int) -> float:
     """Residual of the automorphic inverse property (xy)^-1 = x^-1 y^-1."""
     worst = 0.0
     for _ in range(count):
@@ -113,10 +90,10 @@ def check_aip(loop: Loop, stream: SampleStream, count: int, tolerance: float = 1
         lhs = inverse_of(loop, loop.mul(x, y))
         rhs = loop.mul(inverse_of(loop, x), inverse_of(loop, y))
         worst = max(worst, loop.distance(lhs, rhs))
-    return IdentityReport("aip", count, worst, tolerance)
+    return worst
 
 
-def check_left_a(loop: Loop, stream: SampleStream, count: int, tolerance: float = 1e-8) -> IdentityReport:
+def check_left_a(loop: Loop, stream: SampleStream, count: int) -> float:
     """Residual of lambda_{x,y}(u*v) = lambda_{x,y}(u) * lambda_{x,y}(v),
     where lambda_{x,y}(w) = (x*y) \\ (x*(y*w)).
 
@@ -133,4 +110,4 @@ def check_left_a(loop: Loop, stream: SampleStream, count: int, tolerance: float 
         lhs = lam(x, y, loop.mul(u, v))
         rhs = loop.mul(lam(x, y, u), lam(x, y, v))
         worst = max(worst, loop.distance(lhs, rhs))
-    return IdentityReport("left_a", count, worst, tolerance)
+    return worst

@@ -11,6 +11,11 @@ result is deterministic only in the weak sense that identical input bytes
 give identical output on one machine with one numpy/LAPACK build; like
 ``svd``, ``det``, ``inv`` and ``@`` elsewhere in the package, it may differ
 in the last bits across platforms or BLAS/LAPACK builds.
+
+Two fixed floors serve every layer: ``TAU_ABS`` is the absolute floor for
+pivots, positivity and the transversal's sign check, ``TAU_REL`` the
+relative tolerance of the hermiticity check.  Verdicts on measured
+residuals are the suite's, against its configured tolerances.
 """
 
 from __future__ import annotations
@@ -32,30 +37,12 @@ from .errors import (
 
 REAL = "real"
 COMPLEX = "complex"
+TAU_ABS = 1e-9
+TAU_REL = 1e-7
 
 # Skip-threshold that makes orthonormalization and canonicalization exact
 # fixed points on their own output (needed for bit-for-bit idempotence).
 _SNAP = 1e-13
-
-
-@dataclass(frozen=True)
-class Tolerance:
-    """Numeric tolerance bundle threaded through every operation.
-
-    tau_abs: absolute floor for pivots, positivity and the transversal's
-        sign check.
-    tau_rel: relative tolerance for residual checks against norms.
-    """
-
-    tau_abs: float = 1e-9
-    tau_rel: float = 1e-7
-
-    def __post_init__(self) -> None:
-        if not (self.tau_abs > 0 and self.tau_rel > 0):
-            raise ValueError("tolerances must be strictly positive")
-
-
-DEFAULT_TOL = Tolerance()
 
 
 def field_of(a: np.ndarray) -> str:
@@ -102,10 +89,11 @@ class SpectralDecomposition:
         return symmetrize((q * values) @ dag(q))
 
 
-def eig_hermitian(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> SpectralDecomposition:
+def eig_hermitian(a: np.ndarray) -> SpectralDecomposition:
     """Full eigendecomposition of a hermitian matrix by LAPACK ``eigh``.
 
-    The input is checked for hermiticity against ``tol`` and then
+    The input is checked for hermiticity, its residual ||A - A*|| against
+    TAU_ABS + TAU_REL ||A||, and then
     symmetrized, so LAPACK sees an exactly hermitian matrix whichever
     triangle it reads.  Eigenvalues are real and ascending.  The sign or
     phase of each eigenvector, and the basis chosen within a degenerate
@@ -121,7 +109,7 @@ def eig_hermitian(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> SpectralDecomp
     if not np.all(np.isfinite(a)):
         raise NoConvergence("matrix has non-finite entries")
     residual = hermitian_residual(a)
-    if residual > tol.tau_abs + tol.tau_rel * fro(a):
+    if residual > TAU_ABS + TAU_REL * fro(a):
         raise NotHermitian(f"symmetry residual {residual:.3e} exceeds tolerance")
     try:
         vals, q = np.linalg.eigh(symmetrize(a))
@@ -138,26 +126,26 @@ _SPECTRAL_FUNCTIONS = {
 _NEEDS_POSITIVITY = {"sqrt", "inverse_sqrt"}
 
 
-def spectral_map(a: np.ndarray, func: str, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def spectral_map(a: np.ndarray, func: str) -> np.ndarray:
     """Apply a scalar function to a hermitian matrix through its spectrum.
 
     ``sqrt`` returns the unique positive-definite square root.  Functions
     needing positivity (sqrt, inverse_sqrt) raise
-    NotPositiveDefinite when the smallest eigenvalue is <= tau_abs.  The
+    NotPositiveDefinite when the smallest eigenvalue is <= TAU_ABS.  The
     result is re-symmetrized so hermiticity cannot drift through long
     chains of loop multiplications.
     """
     if func not in _SPECTRAL_FUNCTIONS:
         raise ValueError(f"unknown spectral function {func!r}")
-    dec = eig_hermitian(a, tol)
-    if func in _NEEDS_POSITIVITY and dec.eigenvalues[0] <= tol.tau_abs:
+    dec = eig_hermitian(a)
+    if func in _NEEDS_POSITIVITY and dec.eigenvalues[0] <= TAU_ABS:
         raise NotPositiveDefinite(
-            f"{func}: smallest eigenvalue {dec.eigenvalues[0]:.3e} <= {tol.tau_abs:.1e}"
+            f"{func}: smallest eigenvalue {dec.eigenvalues[0]:.3e} <= {TAU_ABS:.1e}"
         )
     return dec.apply(_SPECTRAL_FUNCTIONS[func](dec.eigenvalues))
 
 
-def orthonormalize(v: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def orthonormalize(v: np.ndarray) -> np.ndarray:
     """Gram-Schmidt on the columns of ``v``, order-preserving: the result U
     has U* U = I and the same span.
 
@@ -166,7 +154,8 @@ def orthonormalize(v: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     output; canonical frames therefore survive re-canonicalization
     bit-for-bit.
 
-    Raises RankDeficient when a residual column collapses.
+    Raises RankDeficient when a residual column collapses to TAU_ABS times
+    its original norm.
     """
     out = np.array(v, dtype=np.result_type(v.dtype, np.float64))
     for j in range(v.shape[1]):
@@ -177,7 +166,7 @@ def orthonormalize(v: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
             if abs(coef) > _SNAP * vn:
                 col = col - coef * out[:, i]
         nrm = float(np.linalg.norm(col))
-        if nrm <= tol.tau_abs * vn:
+        if nrm <= TAU_ABS * vn:
             raise RankDeficient(f"column {j} is dependent (residual {nrm:.3e})")
         if abs(nrm - 1.0) > _SNAP:
             col = col / nrm

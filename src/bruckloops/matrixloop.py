@@ -24,13 +24,13 @@ object the kernel checkers call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatch
 from .groups import SampleStream, SigmaElement, SignatureForm, sample_sigma
-from .linalg import DEFAULT_TOL, Tolerance, dag, fro, spectral_map, symmetrize
+from .linalg import dag, fro, spectral_map, symmetrize
 
 _SAMPLE_RADIUS = 0.75  # half-width of the sampled exponential-chart block entries
 
@@ -41,10 +41,10 @@ def _inverse(a: SigmaElement) -> np.ndarray:
     return symmetrize((j @ a.matrix) @ j)
 
 
-def _positive_factor(s: np.ndarray, tol: Tolerance) -> np.ndarray:
+def _positive_factor(s: np.ndarray) -> np.ndarray:
     """sqrt(S S*): the positive-definite factor P of the polar decomposition
     S = P U."""
-    return spectral_map(symmetrize(s @ dag(s)), "sqrt", tol)
+    return spectral_map(symmetrize(s @ dag(s)), "sqrt")
 
 
 def frobenius_distance(a: SigmaElement, b: SigmaElement) -> float:
@@ -55,7 +55,6 @@ def frobenius_distance(a: SigmaElement, b: SigmaElement) -> float:
 @dataclass(frozen=True)
 class MatrixLoop:
     form: SignatureForm
-    tol: Tolerance = field(default=DEFAULT_TOL)
 
     distance = staticmethod(frobenius_distance)
 
@@ -70,7 +69,7 @@ class MatrixLoop:
 
     def mul(self, a: SigmaElement, b: SigmaElement) -> SigmaElement:
         self._check(a, b)
-        return SigmaElement(_positive_factor(a.matrix @ b.matrix, self.tol), self.form)
+        return SigmaElement(_positive_factor(a.matrix @ b.matrix), self.form)
 
     def inverse(self, a: SigmaElement) -> SigmaElement:
         self._check(a)
@@ -78,13 +77,13 @@ class MatrixLoop:
 
     def left_divide(self, a: SigmaElement, c: SigmaElement) -> SigmaElement:
         self._check(a, c)
-        return SigmaElement(_positive_factor(_inverse(a) @ c.matrix, self.tol), self.form)
+        return SigmaElement(_positive_factor(_inverse(a) @ c.matrix), self.form)
 
     def right_divide(self, b: SigmaElement, a: SigmaElement) -> SigmaElement:
         self._check(a, b)
-        root = _positive_factor(a.matrix @ b.matrix, self.tol)
+        root = _positive_factor(a.matrix @ b.matrix)
         ainv = _inverse(a)
         return SigmaElement(symmetrize((ainv @ root) @ ainv), self.form)
 
     def sample(self, stream: SampleStream):
-        return sample_sigma(self.form, stream, _SAMPLE_RADIUS, self.tol)
+        return sample_sigma(self.form, stream, _SAMPLE_RADIUS)

@@ -67,7 +67,7 @@ _VALID_CONFIG = {
     "samples": {"bol": 5}, "tolerances": {"membership": 1e-9},
 }
 _CONFIG_KEYS = [(key,) for key in _VALID_CONFIG] + [
-    ("samples", "bol"), ("tolerances", "tau_abs"), ("tolerances", "tau_rel"), ("tolerances", "membership"),
+    ("samples", "bol"), ("tolerances", "identity"), ("tolerances", "solve"), ("tolerances", "membership"),
 ]
 _MATRIX_PATHS = (
     [("matrix", i, j) for i in range(3) for j in range(3)]
@@ -166,14 +166,19 @@ class TestVerify:
         cfg = write_config(tmp_path / "cfg.json", wtilde=f"boost:{t}")
         assert main(["verify", "--config", cfg, "--samples", "3"]) == 0
 
-    def test_removed_jacobi_stop_tolerance_is_config_error(self, tmp_path, capsys):
-        cfg = write_config(tmp_path / "cfg.json", tolerances={"jacobi_stop": 1e-13})
+    @pytest.mark.parametrize("name", ["jacobi_stop", "tau_abs", "tau_rel"])
+    def test_removed_jacobi_stop_tolerance_is_config_error(self, tmp_path, capsys, name):
+        cfg = write_config(tmp_path / "cfg.json", tolerances={name: 1e-9})
         assert main(["verify", "--config", cfg]) == 2
-        assert "jacobi_stop" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert name in err and err.startswith("error: ") and err.count("\n") == 1
 
-    def test_numeric_breakdown_is_a_failed_entry(self, tmp_path, capsys):
+    def test_numeric_breakdown_is_a_failed_entry(self, tmp_path, capsys, monkeypatch):
+        import bruckloops.linalg
+
         jsonschema = pytest.importorskip("jsonschema")
-        cfg = write_config(tmp_path / "cfg.json", tolerances={"tau_abs": 0.5})
+        monkeypatch.setattr(bruckloops.linalg, "TAU_ABS", 0.5)
+        cfg = write_config(tmp_path / "cfg.json")
         out = tmp_path / "report.json"
         assert main(["verify", "--config", cfg, "--samples", "3", "--out", str(out)]) == 1
         report = json.loads(out.read_text())
@@ -225,7 +230,7 @@ class TestVerify:
         [
             ({"n": "abc"}, [], None),
             ({"samples": {"bol": "x"}}, [], None),
-            ({"tolerances": {"tau_abs": "nan"}}, [], None),
+            ({"tolerances": {"membership": "nan"}}, [], None),
             ({}, ["--samples", "-5"], None),
             ({}, ["--tol", "-1"], None),
             ({}, ["--wtilde", "boost:1e6"], None),
@@ -242,7 +247,7 @@ class TestVerify:
             ({}, [], {"base": [0.0, 0.0, 0.0], "frame": [[0.0], [0.0], [0.0]]}),
         ],
         ids=[
-            "n-abc", "samples-x", "tau_abs-nan", "samples-neg", "tol-neg", "boost-overflow", "boost-700",
+            "n-abc", "samples-x", "membership-nan", "samples-neg", "tol-neg", "boost-overflow", "boost-700",
             "n-float", "seed-float", "samples-bool", "tol-bool", "n-inf",
             "wtilde-nan", "wtilde-no-base", "wtilde-list", "wtilde-contraction-1.25",
             "wtilde-zero-column",
@@ -393,6 +398,20 @@ class TestMul:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("loop", ["matrix", "extension"])
+    def test_non_finite_entries_are_refused_when_read(self, tmp_path, capsys, form321r, loop):
+        elem = element_to_json(SigmaElement(np.eye(3), form321r))
+        bad = (
+            dict(elem, matrix=[[math.inf, 0, 0], [0, 1, 0], [0, 0, 1]])
+            if loop == "matrix"
+            else {"w": [0.0, 0.0, math.nan], "rho": elem}
+        )
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(bad))
+        assert main(["mul", str(path), str(path), "--loop", loop]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: matrix entries must be finite\n"
+
     @settings(max_examples=150, deadline=None)
     @given(ELEMENT_EDITS, st.booleans())
     def test_element_file_fuzz(self, tmp_path_factory, edit, squared):
@@ -493,9 +512,11 @@ class TestSample:
 
     @pytest.mark.parametrize("loop", ["matrix", "extension"])
     def test_negative_radius_is_config_error(self, capsys, loop):
-        assert main(["sample", "--radius", "-1", "--loop", loop]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
+        # a negative radius is refused, and one whose draws overflow too
+        for radius in ("-1", "1e300"):
+            assert main(["sample", "--radius", radius, "--loop", loop]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_extension_elements(self, capsys):
         assert main(["sample", "--count", "2", "--loop", "extension", "--seed", "3"]) == 0

@@ -91,8 +91,8 @@ class TestConfig:
         # boost 3 gives ||C|| = tanh 3 = 0.995, just inside the boundary
         wt = apply(standard_boost(form321r, 3.0).matrix, coordinate_subspace(form321r, 2))
         loop = extension_config(form321r, wtilde=wt)
-        rep = check_loop_axioms(loop, SampleStream(3), 20)
-        assert rep.passed, rep.max_residual
+        residual = check_loop_axioms(loop, SampleStream(3), 20)
+        assert residual <= 1e-8, residual
 
 
 class TestRealize:
@@ -303,13 +303,13 @@ class TestExtLoop:
     def test_axioms(self, field):
         form = SignatureForm(3, 2, 1, field)
         loop = extension_config(form)
-        rep = check_loop_axioms(loop, SampleStream(1), 100)
-        assert rep.passed, rep.max_residual
+        residual = check_loop_axioms(loop, SampleStream(1), 100)
+        assert residual <= 1e-8, residual
 
     def test_axioms_boosted_transversal(self, boosted_cfg):
         loop = boosted_cfg
-        rep = check_loop_axioms(loop, SampleStream(2), 100)
-        assert rep.passed, rep.max_residual
+        residual = check_loop_axioms(loop, SampleStream(2), 100)
+        assert residual <= 1e-8, residual
 
 
 class TestWitness:

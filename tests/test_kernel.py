@@ -26,9 +26,8 @@ def loop(mloop):
 
 class TestCheckers:
     def test_axioms_pass(self, loop):
-        rep = check_loop_axioms(loop, SampleStream(1), 200)
-        assert rep.passed and rep.max_residual <= 1e-8
-        assert rep.samples == 200
+        residual = check_loop_axioms(loop, SampleStream(1), 200)
+        assert residual <= 1e-8
 
     def test_division_at_identity(self, loop):
         a, _ = loop.sample(SampleStream(9))
@@ -50,12 +49,12 @@ class TestCheckers:
         assert loop.distance(lhs, rhs) <= 1e-13
 
     def test_bol_pass(self, loop):
-        rep = check_bol(loop, SampleStream(5), 200)
-        assert rep.passed
+        residual = check_bol(loop, SampleStream(5), 200)
+        assert residual <= 1e-8
 
     def test_aip_pass(self, loop):
-        rep = check_aip(loop, SampleStream(6), 200)
-        assert rep.passed
+        residual = check_aip(loop, SampleStream(6), 200)
+        assert residual <= 1e-8
 
     def test_aip_commuting_boosts(self, mloop, form321r):
         s, t = 0.4, 0.9
@@ -72,19 +71,18 @@ class TestCheckers:
         assert loop.distance(lam_e, u) <= 1e-13
 
     def test_left_a_reported(self, loop):
-        rep = check_left_a(loop, SampleStream(9), 100)
-        assert rep.samples == 100
-        assert rep.max_residual >= 0.0
+        residual = check_left_a(loop, SampleStream(9), 100)
+        assert residual >= 0.0
 
     def test_monotone_in_sample_count(self, loop):
         small = check_bol(loop, SampleStream(10), 50)
         large = check_bol(loop, SampleStream(10), 150)
-        assert small.max_residual <= large.max_residual
+        assert small <= large
 
     def test_deterministic_reports(self, loop):
         a = check_aip(loop, SampleStream(11), 60)
         b = check_aip(loop, SampleStream(11), 60)
-        assert a.max_residual == b.max_residual
+        assert a == b
 
 
 class TestTwoSidedInverses:
@@ -111,11 +109,3 @@ class TestTwoSidedInverses:
         x, _ = loop.sample(SampleStream(13))
         inv = inverse_of(loop, x)
         assert loop.distance(inv, mloop.inverse(x)) <= 1e-10
-
-
-def test_report_json(loop):
-    rep = check_bol(loop, SampleStream(14), 10)
-    payload = rep.to_json()
-    assert set(payload) == {"property", "samples", "max_residual", "tolerance", "pass"}
-    assert payload["property"] == "bol"
-    assert payload["pass"] is True

@@ -13,7 +13,6 @@ from bruckloops.errors import (
     RankDeficient,
 )
 from bruckloops.linalg import (
-    Tolerance,
     dag,
     eig_hermitian,
     format_scalar,
@@ -201,7 +200,3 @@ class TestMatrixText:
         z = complex(re_part, im_part)
         assert parse_scalar(format_scalar(z, "complex"), "complex") == z
 
-
-def test_tolerance_positive():
-    with pytest.raises(ValueError):
-        Tolerance(tau_abs=0.0)
