@@ -421,7 +421,9 @@ def run_verify(cfg: SuiteConfig) -> dict:
             base.split(offsets["dimension_points"]),
             gap=cfg.tolerances["dimension_gap"],
         )
-        dim_entry.update(measured=dim.rank, gap_fraction=dim.gap_fraction, points=dim.points)
+        dim_entry.update(
+            measured=dim.rank, gap_fraction=dim.gap_fraction, points=dim.points, ranks=list(dim.ranks)
+        )
         dim_entry["pass"] = dim.rank == expected
     except _BREAKDOWN as exc:
         dim_entry.update(points=counts["dimension_points"], error=str(exc))
@@ -587,6 +589,8 @@ def cmd_witness(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    if args.count < 0:
+        raise ConfigInvalid(f"count must be >= 0, got {args.count}")
     cfg = load_suite_config(args.config, _overrides(args))
     suite = resolve(cfg)
     stream = SampleStream(cfg.seed)

@@ -20,6 +20,7 @@ checkers call.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 
@@ -32,10 +33,11 @@ from .errors import (
     NotInOrbit,
     NotPositiveDefinite,
     RankAmbiguous,
+    RankDeficient,
     TransversalityViolated,
     WitnessNotFound,
 )
-from .geometry import AffineSubspace, apply, projector, subspace, subspace_distance
+from .geometry import AffineSubspace, apply, subspace, subspace_distance
 from .groups import (
     PhiElement,
     SampleStream,
@@ -330,29 +332,48 @@ def expected_dimension(cfg: ExtensionConfig) -> int:
     return eps * (cfg.transversal_dim + cfg.form.p1 * cfg.form.p2)
 
 
-def _element_from_chart(cfg: ExtensionConfig, theta: np.ndarray) -> ExtensionElement:
+def _chart_embeddings(cfg: ExtensionConfig, thetas: np.ndarray) -> np.ndarray:
+    """Stack (m, d) of chart points -> stack (m, L) of carrier images in the
+    projector-plus-base embedding.
+
+    A chart point is (transversal coordinates, exponential block); its
+    element is (w, exp of the block's generator), and its carrier image is
+    the span of the lift's carrier columns placed through w.  One stacked
+    QR gives each image's orthonormal frame, hence its projector P and
+    min-norm base (I - P) w.  A carrier column whose residual collapses to
+    TAU_ABS times its norm is refused as in ``orthonormalize``.
+    """
     form = cfg.form
-    k = cfg.wtilde.dim
+    m, k = thetas.shape[0], cfg.wtilde.dim
     if form.field == COMPLEX:
-        wc = theta[: 2 * k]
-        coef = wc[0::2] + 1j * wc[1::2]
-        xc = theta[2 * k :]
-        x = (xc[0::2] + 1j * xc[1::2]).reshape(form.p1, form.p2)
+        coef = thetas[:, 0 : 2 * k : 2] + 1j * thetas[:, 1 : 2 * k : 2]
+        x = (thetas[:, 2 * k :: 2] + 1j * thetas[:, 2 * k + 1 :: 2]).reshape(m, form.p1, form.p2)
     else:
-        coef = theta[:k]
-        x = theta[k:].reshape(form.p1, form.p2)
-    w = cfg.wtilde.frame @ coef.astype(form.dtype)
-    return ExtensionElement(w, sigma_from_block(form, x.astype(form.dtype)))
+        coef = thetas[:, :k]
+        x = thetas[:, k:].reshape(m, form.p1, form.p2)
+    w = coef.astype(form.dtype) @ cfg.wtilde.frame.T
+    rho = sigma_from_block(form, x.astype(form.dtype)).matrix
+    cols = rho[..., : form.p1] if cfg.carrier == 1 else rho[..., form.p1 :]
+    q, r = np.linalg.qr(cols)
+    residuals = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
+    if np.any(residuals <= linalg.TAU_ABS * np.linalg.norm(cols, axis=-2)):
+        raise RankDeficient("a carrier column is dependent at a chart point")
+    p = q @ dag(q)
+    base = w - (p @ w[..., None])[..., 0]
+    parts = [p.real, p.imag, base.real, base.imag] if form.field == COMPLEX else [p, base]
+    return np.concatenate([part.reshape(m, math.prod(part.shape[1:])) for part in parts], axis=1)
 
 
-def _embed(cfg: ExtensionConfig, e: ExtensionElement) -> np.ndarray:
-    s = realize(e, cfg)
-    p = projector(s.frame, cfg.form.n)
-    if cfg.form.field == COMPLEX:
-        return np.concatenate(
-            [p.real.ravel(), p.imag.ravel(), s.base.real, s.base.imag]
-        )
-    return np.concatenate([p.ravel(), s.base])
+def _chart_jacobians(cfg: ExtensionConfig, thetas: np.ndarray) -> np.ndarray:
+    """Stack (points, d) of chart points -> stack (points, L, d) of central
+    finite-difference Jacobians of the embedding, from one stacked pass
+    over all 2 d points perturbed chart points."""
+    points, d = thetas.shape
+    steps = _STEP * np.eye(d)
+    moved = np.stack([thetas[:, None, :] + steps, thetas[:, None, :] - steps], axis=1)
+    emb = _chart_embeddings(cfg, moved.reshape(2 * d * points, d))
+    emb = emb.reshape(points, 2, d, emb.shape[-1])
+    return ((emb[:, 0] - emb[:, 1]) / (2 * _STEP)).swapaxes(-1, -2)
 
 
 def dimension_rank_report(
@@ -371,26 +392,21 @@ def dimension_rank_report(
     kept and discarded values are separated by at least ``gap``.  The modal
     rank is returned; if more than ``_AMBIGUITY_FRACTION`` of the points
     lack the gap the estimate is refused.
+
+    The Jacobians are computed as stacks: one draw of every chart point,
+    one eigendecomposition call for the lifts of all 2 * d * points
+    perturbed chart points, one QR call and one SVD call.  The spectral
+    layer still checks each matrix, and each carrier frame is checked for
+    collapse.
     """
     if stream is None:
         stream = SampleStream(1)
     d = expected_dimension(cfg)
+    thetas, stream = stream.next_uniforms(points * d, -0.4, 0.4)
+    svs = np.linalg.svd(_chart_jacobians(cfg, thetas.reshape(points, d)), compute_uv=False)
     ranks = []
     ok = 0
-    for _ in range(points):
-        theta, stream = stream.next_uniforms(d, -0.4, 0.4)
-        cols = []
-        for idx in range(d):
-            hi = theta.copy()
-            hi[idx] += _STEP
-            lo = theta.copy()
-            lo[idx] -= _STEP
-            cols.append(
-                (_embed(cfg, _element_from_chart(cfg, hi)) - _embed(cfg, _element_from_chart(cfg, lo)))
-                / (2 * _STEP)
-            )
-        jac = np.column_stack(cols)
-        sv = np.linalg.svd(jac, compute_uv=False)
+    for sv in svs:
         if sv.size == 0 or sv[0] == 0.0:
             ranks.append(0)
             continue

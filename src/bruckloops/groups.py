@@ -17,6 +17,7 @@ entries are drawn uniformly from a radius box.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -182,15 +183,19 @@ def membership_residual(
 
 
 def _off_diagonal_generator(form: SignatureForm, x: np.ndarray) -> np.ndarray:
-    h = np.zeros((form.n, form.n), dtype=form.dtype)
-    h[: form.p1, form.p1 :] = x
-    h[form.p1 :, : form.p1] = dag(x)
+    h = np.zeros(x.shape[:-2] + (form.n, form.n), dtype=form.dtype)
+    h[..., : form.p1, form.p1 :] = x
+    h[..., form.p1 :, : form.p1] = dag(x)
     return h
 
 
 def sigma_from_block(form: SignatureForm, x: np.ndarray) -> SigmaElement:
-    """exp of the off-diagonal hermitian generator built from a p1 x p2 block."""
-    if x.shape != (form.p1, form.p2):
+    """exp of the off-diagonal hermitian generator built from a p1 x p2 block.
+
+    A stack of blocks (..., p1, p2) gives an element whose matrix is the
+    stack (..., n, n) of their exponentials, from one eigendecomposition
+    call."""
+    if x.shape[-2:] != (form.p1, form.p2):
         raise DimensionMismatch(f"block must be {form.p1}x{form.p2}, got {x.shape}")
     return SigmaElement(spectral_map(_off_diagonal_generator(form, x), "exp"), form)
 
@@ -198,10 +203,11 @@ def sigma_from_block(form: SignatureForm, x: np.ndarray) -> SigmaElement:
 def sample_sigma(form: SignatureForm, stream: SampleStream, radius: float = 0.75):
     """Draw a Sigma element from the exponential chart.
 
-    Radius 0 is allowed and yields the identity.
+    Radius 0 is allowed and yields the identity; a radius that is negative
+    or not finite is refused.
     """
-    if radius < 0:
-        raise ConfigInvalid(f"radius must be >= 0, got {radius}")
+    if not (math.isfinite(radius) and radius >= 0):
+        raise ConfigInvalid(f"radius must be finite and >= 0, got {radius}")
     count = form.p1 * form.p2
     if form.field == COMPLEX:
         vals, stream = stream.next_uniforms(2 * count, -radius, radius)

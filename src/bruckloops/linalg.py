@@ -12,6 +12,12 @@ give identical output on one machine with one numpy/LAPACK build; like
 ``svd``, ``det``, ``inv`` and ``@`` elsewhere in the package, it may differ
 in the last bits across platforms or BLAS/LAPACK builds.
 
+The spectral layer takes stacks: ``dag``, ``symmetrize``, ``eig_hermitian``,
+``SpectralDecomposition.apply`` and ``spectral_map`` accept arrays of shape
+``(..., n, n)`` and act on the last two axes, one LAPACK call for the whole
+stack.  Every check is made per matrix, and a 2-D input is the stack with
+no batch axes.
+
 Two fixed floors serve every layer: ``TAU_ABS`` is the absolute floor for
 pivots, positivity and the transversal's sign check, ``TAU_REL`` the
 relative tolerance of the hermiticity check.  Verdicts on measured
@@ -58,8 +64,9 @@ def dtype_of(field: str):
 
 
 def dag(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose (plain transpose on the real field)."""
-    return a.conj().T
+    """Conjugate transpose of the last two axes (plain transpose on the
+    real field)."""
+    return a.conj().swapaxes(-1, -2)
 
 
 def fro(a: np.ndarray) -> float:
@@ -75,10 +82,23 @@ def hermitian_residual(a: np.ndarray) -> float:
     return fro(a - dag(a))
 
 
+def _norms(a: np.ndarray):
+    """Frobenius norm of each matrix of a stack (..., n, n).  A single
+    matrix takes numpy's flat dot-product path, the value ``fro`` gives,
+    which is cheaper than the per-axis reduction."""
+    return np.linalg.norm(a) if a.ndim == 2 else np.linalg.norm(a, axis=(-2, -1))
+
+
+def _any(flags) -> bool:
+    """Whether any per-matrix flag is set.  One matrix gives a numpy scalar,
+    tested directly: a reduction costs more than the check it guards."""
+    return bool(flags) if flags.ndim == 0 else bool(flags.any())
+
+
 @dataclass(frozen=True)
 class SpectralDecomposition:
     """Eigenvalues (real, ascending) and a unitary eigenbasis Q with
-    A = Q diag(eigenvalues) Q*."""
+    A = Q diag(eigenvalues) Q*; for a stack, shapes (..., n) and (..., n, n)."""
 
     eigenvalues: np.ndarray
     eigenbasis: np.ndarray
@@ -86,31 +106,33 @@ class SpectralDecomposition:
     def apply(self, values: np.ndarray) -> np.ndarray:
         """Assemble Q diag(values) Q*, re-symmetrized."""
         q = self.eigenbasis
-        return symmetrize((q * values) @ dag(q))
+        return symmetrize((q * values[..., None, :]) @ dag(q))
 
 
 def eig_hermitian(a: np.ndarray) -> SpectralDecomposition:
-    """Full eigendecomposition of a hermitian matrix by LAPACK ``eigh``.
+    """Full eigendecomposition of a hermitian matrix, or of a stack of them
+    of shape (..., n, n), by one LAPACK ``eigh`` call.
 
-    The input is checked for hermiticity, its residual ||A - A*|| against
-    TAU_ABS + TAU_REL ||A||, and then
-    symmetrized, so LAPACK sees an exactly hermitian matrix whichever
-    triangle it reads.  Eigenvalues are real and ascending.  The sign or
-    phase of each eigenvector, and the basis chosen within a degenerate
-    cluster, are whatever LAPACK returns; no caller may depend on them.
+    Each matrix is checked for hermiticity, its residual ||A - A*||
+    against its own TAU_ABS + TAU_REL ||A||, and then symmetrized, so
+    LAPACK sees an exactly hermitian matrix whichever triangle it reads.
+    Eigenvalues are real and ascending.  The sign or phase of each
+    eigenvector, and the basis chosen within a degenerate cluster, are
+    whatever LAPACK returns; no caller may depend on them.
     Identical input bytes give an identical decomposition on one machine
     with one numpy/LAPACK build, not across platforms.
 
-    Raises NoConvergence when the input has a non-finite entry or LAPACK
+    Raises NoConvergence when any matrix has a non-finite entry or LAPACK
     does not converge.
     """
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise DimensionMismatch(f"expected square matrices, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise NoConvergence("matrix has non-finite entries")
-    residual = hermitian_residual(a)
-    if residual > TAU_ABS + TAU_REL * fro(a):
-        raise NotHermitian(f"symmetry residual {residual:.3e} exceeds tolerance")
+    residual = _norms(a - dag(a))
+    bad = residual > TAU_ABS + TAU_REL * _norms(a)
+    if _any(bad):
+        raise NotHermitian(f"symmetry residual {np.max(residual[bad]):.3e} exceeds tolerance")
     try:
         vals, q = np.linalg.eigh(symmetrize(a))
     except np.linalg.LinAlgError as exc:
@@ -127,20 +149,22 @@ _NEEDS_POSITIVITY = {"sqrt", "inverse_sqrt"}
 
 
 def spectral_map(a: np.ndarray, func: str) -> np.ndarray:
-    """Apply a scalar function to a hermitian matrix through its spectrum.
+    """Apply a scalar function to a hermitian matrix, or to each matrix of a
+    stack (..., n, n), through its spectrum.
 
     ``sqrt`` returns the unique positive-definite square root.  Functions
-    needing positivity (sqrt, inverse_sqrt) raise
-    NotPositiveDefinite when the smallest eigenvalue is <= TAU_ABS.  The
-    result is re-symmetrized so hermiticity cannot drift through long
-    chains of loop multiplications.
+    needing positivity (sqrt, inverse_sqrt) raise NotPositiveDefinite when
+    the smallest eigenvalue of any matrix is <= TAU_ABS.  The result is
+    re-symmetrized so hermiticity cannot drift through long chains of loop
+    multiplications.
     """
     if func not in _SPECTRAL_FUNCTIONS:
         raise ValueError(f"unknown spectral function {func!r}")
     dec = eig_hermitian(a)
-    if func in _NEEDS_POSITIVITY and dec.eigenvalues[0] <= TAU_ABS:
+    lowest = dec.eigenvalues[..., 0]
+    if func in _NEEDS_POSITIVITY and _any(lowest <= TAU_ABS):
         raise NotPositiveDefinite(
-            f"{func}: smallest eigenvalue {dec.eigenvalues[0]:.3e} <= {TAU_ABS:.1e}"
+            f"{func}: smallest eigenvalue {np.min(lowest):.3e} <= {TAU_ABS:.1e}"
         )
     return dec.apply(_SPECTRAL_FUNCTIONS[func](dec.eigenvalues))
 

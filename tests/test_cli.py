@@ -119,6 +119,13 @@ class TestVerify:
         assert names == sorted(names)
         assert report["dimension"]["measured"] == 3
 
+    def test_dimension_block_lists_per_point_ranks(self, tmp_path):
+        cfg = write_config(tmp_path / "cfg.json")
+        out = tmp_path / "report.json"
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
+        dim = json.loads(out.read_text())["dimension"]
+        assert dim["ranks"] == [3] * SMALL_SAMPLES["dimension_points"] == [dim["measured"]] * dim["points"]
+
     def test_report_matches_schema(self, tmp_path):
         jsonschema = pytest.importorskip("jsonschema")
         cfg = write_config(tmp_path / "cfg.json")
@@ -512,11 +519,21 @@ class TestSample:
 
     @pytest.mark.parametrize("loop", ["matrix", "extension"])
     def test_negative_radius_is_config_error(self, capsys, loop):
-        # a negative radius is refused, and one whose draws overflow too
-        for radius in ("-1", "1e300"):
+        # a negative or non-finite radius is refused by name, and one whose
+        # draws overflow too
+        for radius in ("-1", "1e300", "nan", "inf"):
             assert main(["sample", "--radius", radius, "--loop", loop]) == 2
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1
+            if radius != "1e300":
+                assert "radius" in err
+
+    @pytest.mark.parametrize("loop", ["matrix", "extension"])
+    def test_negative_count_is_config_error(self, capsys, loop):
+        assert main(["sample", "--count", "-3", "--loop", loop]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "count" in captured.err
 
     def test_extension_elements(self, capsys):
         assert main(["sample", "--count", "2", "--loop", "extension", "--seed", "3"]) == 0

@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from bruckloops.errors import ConfigInvalid, NotInOrbit, TransversalityViolated
+from bruckloops import extension as ext
+from bruckloops.cli import build_wtilde
+from bruckloops.errors import ConfigInvalid, NotInOrbit, RankDeficient, TransversalityViolated
 from bruckloops.extension import (
     ExtensionElement,
     coordinate_subspace,
@@ -19,10 +21,17 @@ from bruckloops.extension import (
     realize,
     solve_translation,
 )
-from bruckloops.geometry import apply, subspace, subspace_distance
-from bruckloops.groups import SampleStream, SignatureForm, sample_sigma, standard_boost
+from bruckloops.geometry import apply, projector, subspace, subspace_distance
+from bruckloops.groups import (
+    SampleStream,
+    SigmaElement,
+    SignatureForm,
+    sample_sigma,
+    sigma_from_block,
+    standard_boost,
+)
 from bruckloops.kernel import check_loop_axioms
-from bruckloops.linalg import fro
+from bruckloops.linalg import fro, orthonormalize
 from bruckloops.matrixloop import MatrixLoop
 from conftest import rotation
 
@@ -333,7 +342,103 @@ class TestWitness:
         assert report.samples_used <= 100
 
 
+# The configs of the 16-case report set (the (3,2,1) complex one doubles as
+# the suite-321c benchmark config) plus a larger complex signature.
+DIMENSION_CONFIGS = [
+    ((3, 2, 1, "real"), 1, "standard"),
+    ((3, 2, 1, "complex"), 1, "standard"),
+    ((4, 2, 2, "real"), 1, "standard"),
+    ((4, 3, 1, "real"), 1, "standard"),
+    ((4, 2, 2, "real"), 2, f"boost:{math.log(2)!r}"),
+    ((3, 2, 1, "real"), 1, f"boost:{math.log(2)!r}"),
+    ((4, 3, 1, "real"), 2, "standard"),
+    ((6, 3, 3, "complex"), 1, "boost:0.5"),
+]
+
+
+def dimension_config(signature, carrier, wtilde):
+    form = SignatureForm(*signature)
+    return extension_config(form, carrier, build_wtilde(form, carrier, wtilde))
+
+
+def reference_jacobians(cfg, thetas):
+    """The per-point reference for the stacked Jacobian: every perturbed
+    chart point becomes one element through the single-element
+    sigma_from_block, is realized, and is embedded by its projector and base."""
+    form = cfg.form
+    k = cfg.wtilde.dim
+
+    def embed(theta):
+        if form.field == "complex":
+            coef = theta[0 : 2 * k : 2] + 1j * theta[1 : 2 * k : 2]
+            x = (theta[2 * k :: 2] + 1j * theta[2 * k + 1 :: 2]).reshape(form.p1, form.p2)
+        else:
+            coef = theta[:k]
+            x = theta[k:].reshape(form.p1, form.p2)
+        w = cfg.wtilde.frame @ coef.astype(form.dtype)
+        s = realize(ExtensionElement(w, sigma_from_block(form, x.astype(form.dtype))), cfg)
+        p = projector(s.frame, form.n)
+        if form.field == "complex":
+            return np.concatenate([p.real.ravel(), p.imag.ravel(), s.base.real, s.base.imag])
+        return np.concatenate([p.ravel(), s.base])
+
+    step = 1e-5
+    jacobians = []
+    for theta in thetas:
+        cols = []
+        for idx in range(theta.size):
+            hi, lo = theta.copy(), theta.copy()
+            hi[idx] += step
+            lo[idx] -= step
+            cols.append((embed(hi) - embed(lo)) / (2 * step))
+        jacobians.append(np.column_stack(cols))
+    return np.stack(jacobians)
+
+
 class TestDimension:
+    @pytest.mark.parametrize("seed", [1, 7919])
+    @pytest.mark.parametrize("signature, carrier, wtilde", DIMENSION_CONFIGS)
+    def test_stacked_pass_matches_per_point_reference(self, monkeypatch, signature, carrier, wtilde, seed):
+        cfg = dimension_config(signature, carrier, wtilde)
+        report = dimension_rank_report(cfg, points=20, stream=SampleStream(seed))
+        stacked = ext._chart_jacobians
+        checked = []
+
+        def reference(config, thetas):
+            ref = reference_jacobians(config, thetas)
+            assert np.max(np.abs(stacked(config, thetas) - ref)) <= 1e-9
+            checked.append(thetas.shape)
+            return ref
+
+        monkeypatch.setattr(ext, "_chart_jacobians", reference)
+        ref_report = dimension_rank_report(cfg, points=20, stream=SampleStream(seed))
+        assert checked == [(20, expected_dimension(cfg))]
+        assert report.rank == ref_report.rank == expected_dimension(cfg)
+        assert report.ranks == ref_report.ranks
+        assert report.gap_fraction == ref_report.gap_fraction
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_one_eigendecomposition_call_for_all_points(self, eig_calls, field):
+        cfg = extension_config(SignatureForm(3, 2, 1, field))
+        eig_calls.clear()
+        dimension_rank_report(cfg, points=5)
+        d = expected_dimension(cfg)
+        assert eig_calls == [(2 * d * 5, 3, 3)]
+
+    def test_collapsed_carrier_frame_is_refused(self, monkeypatch, cfg):
+        # one perturbed lift whose two carrier columns coincide is refused,
+        # as orthonormalize refuses that frame
+        def collapsing(form, x):
+            rho = sigma_from_block(form, x).matrix.copy()
+            rho[7, :, 1] = rho[7, :, 0]
+            return SigmaElement(rho, form)
+
+        monkeypatch.setattr(ext, "sigma_from_block", collapsing)
+        with pytest.raises(RankDeficient):
+            dimension_rank_report(cfg, points=3)
+        with pytest.raises(RankDeficient):
+            orthonormalize(collapsing(cfg.form, np.zeros((8, 2, 1))).matrix[7][:, :2])
+
     def test_real_321(self, cfg):
         report = dimension_rank_report(cfg, points=10)
         assert report.rank == 3 == expected_dimension(cfg)

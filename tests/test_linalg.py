@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bruckloops.errors import (
+    DimensionMismatch,
     NoConvergence,
     NotHermitian,
     NotPositiveDefinite,
@@ -99,6 +100,71 @@ class TestEigHermitian:
         monkeypatch.setattr(np.linalg, "eigh", fail)
         with pytest.raises(NoConvergence):
             eig_hermitian(np.eye(3))
+
+
+class TestStacks:
+    """A stack (..., n, n) is decomposed in one call, with every check made
+    per matrix; a 2-D input is the stack without batch axes."""
+
+    @pytest.mark.parametrize("complex_case", [False, True])
+    @pytest.mark.parametrize("n", [3, 4, 6])
+    def test_stack_matches_single_calls_bit_for_bit(self, complex_case, n):
+        rng = np.random.default_rng(n)
+        stack = np.stack([random_hermitian(rng, n, complex_case) for _ in range(40)])
+        dec = eig_hermitian(stack.reshape(4, 10, n, n))
+        vals = dec.eigenvalues.reshape(40, n)
+        basis = dec.eigenbasis.reshape(40, n, n)
+        applied = dec.apply(np.exp(dec.eigenvalues)).reshape(40, n, n)
+        for i, a in enumerate(stack):
+            single = eig_hermitian(a)
+            assert np.array_equal(vals[i], single.eigenvalues)
+            assert np.array_equal(basis[i], single.eigenbasis)
+            assert np.array_equal(applied[i], single.apply(np.exp(single.eigenvalues)))
+            assert np.array_equal(spectral_map(stack, "exp")[i], spectral_map(a, "exp"))
+
+    def test_one_non_hermitian_matrix_refuses_the_stack(self):
+        stack = np.stack([np.eye(3)] * 5)
+        stack[3, 0, 1] = 1.0
+        with pytest.raises(NotHermitian):
+            eig_hermitian(stack)
+
+    def test_hermiticity_is_judged_per_matrix(self):
+        # the skew part 1e-6 passes against a norm-1e2 matrix only: its own
+        # bound TAU_ABS + TAU_REL * ||A|| decides, not the stack's largest norm
+        skew = np.zeros((3, 3))
+        skew[0, 1] = 1e-6
+        stack = np.stack([100.0 * np.eye(3), np.eye(3) + skew])
+        eig_hermitian(stack[0] + skew)
+        with pytest.raises(NotHermitian):
+            eig_hermitian(stack)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_one_non_finite_matrix_is_no_convergence(self, bad):
+        stack = np.stack([boost3(0.1 * k) for k in range(4)])
+        stack[2, 1, 2] = stack[2, 2, 1] = bad
+        with pytest.raises(NoConvergence):
+            eig_hermitian(stack)
+
+    def test_one_non_positive_matrix_refuses_sqrt(self):
+        stack = np.stack([np.diag([1.0, 2.0, 3.0])] * 4)
+        stack[1] = np.diag([1.0, -1.0, 2.0])
+        with pytest.raises(NotPositiveDefinite):
+            spectral_map(stack, "sqrt")
+        roots = spectral_map(np.delete(stack, 1, axis=0), "sqrt")
+        assert np.allclose(roots[0], np.diag(np.sqrt([1.0, 2.0, 3.0])))
+
+    def test_non_square_stack_is_refused(self):
+        with pytest.raises(DimensionMismatch):
+            eig_hermitian(np.zeros((4, 3, 2)))
+        with pytest.raises(DimensionMismatch):
+            eig_hermitian(np.zeros(3))
+
+    def test_dag_and_symmetrize_act_on_the_last_two_axes(self):
+        rng = np.random.default_rng(2)
+        stack = rng.uniform(-1, 1, (5, 3, 3)) + 1j * rng.uniform(-1, 1, (5, 3, 3))
+        for i, a in enumerate(stack):
+            assert np.array_equal(dag(stack)[i], a.conj().T)
+            assert np.array_equal(symmetrize(stack)[i], symmetrize(a))
 
 
 class TestSpectralMap:
