@@ -60,11 +60,16 @@ _STEP = 1e-5  # central-difference step of the dimension Jacobian
 _AMBIGUITY_FRACTION = 0.10  # share of gapless points that refuses a rank estimate
 
 
+def _block_columns(a: np.ndarray, form: SignatureForm, which: int) -> np.ndarray:
+    """The columns of ``a``, or of each matrix of a stack, that span W_which
+    in the basis of ``a``: the first p1 for W_1, the last p2 for W_2."""
+    return a[..., : form.p1] if which == 1 else a[..., form.p1 :]
+
+
 def coordinate_subspace(form: SignatureForm, which: int) -> AffineSubspace:
     """W_1 = span of the first p1 basis vectors, W_2 = span of the last p2."""
     eye = np.eye(form.n, dtype=form.dtype)
-    cols = eye[:, : form.p1] if which == 1 else eye[:, form.p1 :]
-    return subspace(np.zeros(form.n, dtype=form.dtype), cols)
+    return subspace(np.zeros(form.n, dtype=form.dtype), _block_columns(eye, form, which))
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,8 +198,7 @@ def realize(e: ExtensionElement, cfg: ExtensionConfig) -> AffineSubspace:
     """The orbit subspace encoded by an element: the image of the carrier
     under the linear lift meets the transversal at 0, so placing it through
     w lands that intersection on w."""
-    cols = e.rho.matrix[:, : cfg.form.p1] if cfg.carrier == 1 else e.rho.matrix[:, cfg.form.p1 :]
-    return subspace(e.w, cols)
+    return subspace(e.w, _block_columns(e.rho.matrix, cfg.form, cfg.carrier))
 
 
 def lift_from_infinity(z: np.ndarray, cfg: ExtensionConfig) -> SigmaElement:
@@ -353,7 +357,7 @@ def _chart_embeddings(cfg: ExtensionConfig, thetas: np.ndarray) -> np.ndarray:
         x = thetas[:, k:].reshape(m, form.p1, form.p2)
     w = coef.astype(form.dtype) @ cfg.wtilde.frame.T
     rho = sigma_from_block(form, x.astype(form.dtype)).matrix
-    cols = rho[..., : form.p1] if cfg.carrier == 1 else rho[..., form.p1 :]
+    cols = _block_columns(rho, form, cfg.carrier)
     q, r = np.linalg.qr(cols)
     residuals = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
     if np.any(residuals <= linalg.TAU_ABS * np.linalg.norm(cols, axis=-2)):

@@ -82,19 +82,6 @@ def hermitian_residual(a: np.ndarray) -> float:
     return fro(a - dag(a))
 
 
-def _norms(a: np.ndarray):
-    """Frobenius norm of each matrix of a stack (..., n, n).  A single
-    matrix takes numpy's flat dot-product path, the value ``fro`` gives,
-    which is cheaper than the per-axis reduction."""
-    return np.linalg.norm(a) if a.ndim == 2 else np.linalg.norm(a, axis=(-2, -1))
-
-
-def _any(flags) -> bool:
-    """Whether any per-matrix flag is set.  One matrix gives a numpy scalar,
-    tested directly: a reduction costs more than the check it guards."""
-    return bool(flags) if flags.ndim == 0 else bool(flags.any())
-
-
 @dataclass(frozen=True)
 class SpectralDecomposition:
     """Eigenvalues (real, ascending) and a unitary eigenbasis Q with
@@ -127,11 +114,11 @@ def eig_hermitian(a: np.ndarray) -> SpectralDecomposition:
     """
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise DimensionMismatch(f"expected square matrices, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise NoConvergence("matrix has non-finite entries")
-    residual = _norms(a - dag(a))
-    bad = residual > TAU_ABS + TAU_REL * _norms(a)
-    if _any(bad):
+    residual = np.linalg.norm(a - dag(a), axis=(-2, -1))
+    bad = residual > TAU_ABS + TAU_REL * np.linalg.norm(a, axis=(-2, -1))
+    if bad.any():
         raise NotHermitian(f"symmetry residual {np.max(residual[bad]):.3e} exceeds tolerance")
     try:
         vals, q = np.linalg.eigh(symmetrize(a))
@@ -162,7 +149,7 @@ def spectral_map(a: np.ndarray, func: str) -> np.ndarray:
         raise ValueError(f"unknown spectral function {func!r}")
     dec = eig_hermitian(a)
     lowest = dec.eigenvalues[..., 0]
-    if func in _NEEDS_POSITIVITY and _any(lowest <= TAU_ABS):
+    if func in _NEEDS_POSITIVITY and (lowest <= TAU_ABS).any():
         raise NotPositiveDefinite(
             f"{func}: smallest eigenvalue {np.min(lowest):.3e} <= {TAU_ABS:.1e}"
         )
