@@ -560,8 +560,9 @@ def cmd_factor(args) -> int:
     cfg = load_suite_config(args.config, _overrides(args))
     form = SignatureForm(cfg.n, cfg.p1, cfg.p2, cfg.field_name)
     elem = _load_matrix_element(args.matrix, form)
-    s1, c = polar_factorize(elem.matrix, elem.form, cfg.tolerances["membership"])
-    residual = fro(s1.matrix @ c.matrix - elem.matrix) / max(1.0, fro(elem.matrix))
+    with _in_float_range():
+        s1, c = polar_factorize(elem.matrix, elem.form, cfg.tolerances["membership"])
+        residual = fro(s1.matrix @ c.matrix - elem.matrix) / max(1.0, fro(elem.matrix))
     out = {
         "s1": element_to_json(s1),
         "c": element_to_json(c),
@@ -572,6 +573,8 @@ def cmd_factor(args) -> int:
 
 
 def cmd_witness(args) -> int:
+    if args.budget < 1:
+        raise ConfigInvalid(f"budget must be >= 1, got {args.budget}")
     cfg = load_suite_config(args.config, _overrides(args))
     report = ext.nonisomorphism_witness(
         resolve(cfg).eloop,

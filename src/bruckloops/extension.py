@@ -8,8 +8,9 @@ orbit subspace is identified by the pair
     (intersection point with the transversal,  direction at infinity)
 
 and the direction is in turn carried by a canonical positive-definite lift,
-so an element is stored as ``(w, rho)``.  Realizing an element re-creates
-the subspace; the coordinate map ``omega`` inverts realization.
+so an element is stored as ``(w, rho)``.  The loop operations run on these
+coordinates; ``omega`` reads them off any point and spanning frame.  Canonical
+subspaces (``realize``) serve only the boundaries: distance, files, JSON.
 
 Every orbit direction at infinity is the graph of a strict contraction
 between the two coordinate blocks, which gives ``lift_from_infinity`` a
@@ -79,8 +80,9 @@ class ExtensionConfig:
 
     Left division maps by the inverse of the divisor's left translation,
     x -> A^-1 (x - w) with A^-1 = J A J, and reads the coordinates of the
-    image; right division is the sharp transitivity solver.  The sampler
-    draws a uniform point of the transversal and a random positive isometry.
+    image.  Right division c / a takes rho = c.rho / a.rho in the matrix loop
+    and w = c.w minus the transversal point of a's subspace moved by rho.  The
+    sampler draws a uniform transversal point and a random positive isometry.
     """
 
     form: SignatureForm
@@ -111,11 +113,11 @@ class ExtensionConfig:
 
     def left_divide(self, a, c):
         ainv = _inverse(a.rho)
-        return omega(apply(ainv, realize(c, self), -(ainv @ a.w)), self)
+        return omega(_image(ainv, c, self, -(ainv @ a.w)), self)
 
     def right_divide(self, c, a):
-        t, rho = solve_translation(realize(a, self), realize(c, self), self)
-        return ExtensionElement(t, rho)
+        rho = MatrixLoop(self.form).right_divide(c.rho, a.rho)
+        return ExtensionElement(c.w - _transversal_point(_image(rho.matrix, a, self), self), rho)
 
     def distance(self, a, b):
         return subspace_distance(realize(a, self), realize(b, self))
@@ -195,10 +197,16 @@ def extension_element_from_json(obj: dict) -> ExtensionElement:
 
 
 def realize(e: ExtensionElement, cfg: ExtensionConfig) -> AffineSubspace:
-    """The orbit subspace encoded by an element: the image of the carrier
-    under the linear lift meets the transversal at 0, so placing it through
-    w lands that intersection on w."""
+    """The canonical orbit subspace encoded by an element: the image of the
+    carrier under the linear lift meets the transversal at 0, so placing it
+    through w lands that intersection on w."""
     return subspace(e.w, _block_columns(e.rho.matrix, cfg.form, cfg.carrier))
+
+
+def _image(linear: np.ndarray, e: ExtensionElement, cfg: ExtensionConfig, shift=0.0) -> AffineSubspace:
+    """The image of e's subspace under x -> linear x + shift: a point and a spanning frame."""
+    cols = _block_columns(e.rho.matrix, cfg.form, cfg.carrier)
+    return AffineSubspace(linear @ e.w + shift, linear @ cols)
 
 
 def lift_from_infinity(z: np.ndarray, cfg: ExtensionConfig) -> SigmaElement:
@@ -244,8 +252,8 @@ def _transversal_point(s: AffineSubspace, cfg: ExtensionConfig) -> np.ndarray:
 
 
 def omega(s: AffineSubspace, cfg: ExtensionConfig) -> ExtensionElement:
-    """Coordinates of an orbit subspace: the transversal intersection point
-    and the lift of the direction at infinity."""
+    """Coordinates of an orbit subspace, from any point and spanning frame
+    of it: the transversal intersection point and the lift of its direction."""
     return ExtensionElement(_transversal_point(s, cfg), lift_from_infinity(s.frame, cfg))
 
 
@@ -257,25 +265,16 @@ def ext_mul(e1: ExtensionElement, e2: ExtensionElement, cfg: ExtensionConfig) ->
     Its direction part is the graph lift of the image direction, which
     agrees with the matrix-loop product of the direction lifts (the
     positive factor of rho1 rho2) without computing it."""
-    return omega(apply(e1.rho.matrix, realize(e2, cfg), e1.w), cfg)
+    return omega(_image(e1.rho.matrix, e2, cfg, e1.w), cfg)
 
 
 def solve_translation(
     d1: AffineSubspace, d2: AffineSubspace, cfg: ExtensionConfig
 ) -> tuple[np.ndarray, SigmaElement]:
     """The unique (translation along the transversal, positive isometry)
-    pair mapping the first orbit subspace onto the second.
-
-    The isometry is the right division of the direction lifts (the unique
-    positive element whose loop product with the first lift gives the
-    second); the translation then matches the transversal intersection
-    points."""
-    rho1 = lift_from_infinity(d1.frame, cfg)
-    rho2 = lift_from_infinity(d2.frame, cfg)
-    rho = MatrixLoop(cfg.form).right_divide(rho2, rho1)
-    moved = apply(rho.matrix, d1)
-    t = _transversal_point(d2, cfg) - _transversal_point(moved, cfg)
-    return t, rho
+    pair mapping d1 onto d2: the right division of their coordinates."""
+    x = cfg.right_divide(omega(d2, cfg), omega(d1, cfg))
+    return x.w, x.rho
 
 
 @dataclass(frozen=True)

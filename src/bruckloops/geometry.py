@@ -1,8 +1,8 @@
 """Affine subspaces of F^n, their directions at infinity, and their images
 under affine maps.
 
-A subspace is stored in canonical form: an orthonormal direction frame
-plus the minimum-norm point (the base is orthogonal to the frame's span).
+``subspace`` stores a subspace in canonical form: an orthonormal direction
+frame plus the minimum-norm point (the base is orthogonal to the frame's span).
 Canonicalization is bit-for-bit idempotent thanks to the snap threshold
 in the orthonormalizer and a second projection of the base, so subspace
 equality reduces to a plain numeric comparison.
@@ -26,8 +26,8 @@ _RANK_REL = 1e-8
 
 @dataclass(frozen=True, eq=False)
 class AffineSubspace:
-    """Canonical pair (base point, orthonormal direction frame).  The
-    frame's span is the direction at infinity (the trace on the hyperplane
+    """Pair (base point, direction frame), canonical when built by ``subspace``.
+    The frame's span is the direction at infinity (the trace on the hyperplane
     at infinity), independent of the base point."""
 
     base: np.ndarray

@@ -253,4 +253,6 @@ def read_matrix_text(text: str) -> np.ndarray:
     if len(tokens) != rows * cols:
         raise ParseError(f"expected {rows * cols} entries, found {len(tokens)}")
     data = [parse_scalar(t, field) for t in tokens]
+    if not np.isfinite(data).all():
+        raise ParseError("matrix entries must be finite")
     return np.array(data, dtype=dtype_of(field)).reshape(rows, cols)

@@ -405,16 +405,19 @@ class TestMul:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("loop", ["matrix", "extension"])
-    def test_non_finite_entries_are_refused_when_read(self, tmp_path, capsys, form321r, loop):
+    @pytest.mark.parametrize("case", ["matrix", "extension", "text-inf", "text-nan"])
+    def test_non_finite_entries_are_refused_when_read(self, tmp_path, capsys, form321r, case):
+        # JSON element files and matrix text files alike
         elem = element_to_json(SigmaElement(np.eye(3), form321r))
-        bad = (
-            dict(elem, matrix=[[math.inf, 0, 0], [0, 1, 0], [0, 0, 1]])
-            if loop == "matrix"
-            else {"w": [0.0, 0.0, math.nan], "rho": elem}
-        )
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps(bad))
+        bad = {
+            "matrix": json.dumps(dict(elem, matrix=[[math.inf, 0, 0], [0, 1, 0], [0, 0, 1]])),
+            "extension": json.dumps({"w": [0.0, 0.0, math.nan], "rho": elem}),
+            "text-inf": "3 3 real\ninf 0 0\n0 1 0\n0 0 1\n",
+            "text-nan": "3 3 real\n1 0 0\n0 nan 0\n0 0 1\n",
+        }[case]
+        path = tmp_path / "bad"
+        path.write_text(bad)
+        loop = "extension" if case == "extension" else "matrix"
         assert main(["mul", str(path), str(path), "--loop", loop]) == 2
         err = capsys.readouterr().err
         assert err == "error: matrix entries must be finite\n"
@@ -471,6 +474,19 @@ class TestFactor:
         path.write_text(write_matrix_text(np.diag([2.0, 1.0, 0.5])))
         assert main(["factor", str(path), "--n", "3", "--p1", "2", "--p2", "1"]) == 2
 
+    @pytest.mark.parametrize("entry", ["inf", "nan", "1e308"])
+    def test_non_finite_or_overflowing_entry_is_config_error(self, tmp_path, capsys, entry):
+        # refused when read, or trapped when its arithmetic overflows, with
+        # no numpy warning (warnings are errors in this suite)
+        path = tmp_path / "s.mat"
+        path.write_text(f"3 3 real\n{entry} 0 0\n0 1 0\n0 0 1\n")
+        assert main(["factor", str(path), "--n", "3", "--p1", "2", "--p2", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        if entry != "1e308":
+            assert captured.err == "error: matrix entries must be finite\n"
+
 
 class TestWitness:
     def test_boosted(self, capsys):
@@ -491,6 +507,13 @@ class TestWitness:
         argv = ["witness", "--n", "3", "--p1", "2", "--p2", "1", "--wtilde", f"boost:{t}"]
         assert main(argv) == 2
         assert "non-finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("budget", ["0", "-1"])
+    def test_nonpositive_budget_is_config_error(self, capsys, budget):
+        assert main(["witness", "--wtilde", "boost:0.5", "--budget", budget]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: budget must be >= 1, got {budget}\n"
 
 
 class TestSample:

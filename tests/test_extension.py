@@ -21,7 +21,7 @@ from bruckloops.extension import (
     realize,
     solve_translation,
 )
-from bruckloops.geometry import apply, projector, subspace, subspace_distance
+from bruckloops.geometry import AffineSubspace, apply, projector, subspace, subspace_distance
 from bruckloops.groups import (
     SampleStream,
     SigmaElement,
@@ -451,6 +451,60 @@ class TestDimension:
 
     def test_check_returns_int(self, cfg):
         assert dimension_rank_report(cfg, points=4).rank == 3
+
+
+class TestOnCoordinates:
+    """The loop operations run on (w, rho) and on raw images of carrier
+    spans: right division is one matrix-loop division, and no operation
+    builds a canonical subspace."""
+
+    @pytest.mark.parametrize("signature, carrier, wtilde", DIMENSION_CONFIGS)
+    def test_one_eigendecomposition_per_operation(self, eig_calls, signature, carrier, wtilde):
+        cfg = dimension_config(signature, carrier, wtilde)
+        a, stream = cfg.sample(SampleStream(21))
+        c, _ = cfg.sample(stream)
+        for op in (cfg.mul, cfg.left_divide, cfg.right_divide):
+            eig_calls.clear()
+            op(a, c)
+            assert len(eig_calls) == 1, op.__name__
+
+    @pytest.mark.parametrize("signature, carrier, wtilde", DIMENSION_CONFIGS)
+    def test_no_canonical_subspace_on_the_hot_path(self, monkeypatch, signature, carrier, wtilde):
+        cfg = dimension_config(signature, carrier, wtilde)
+        a, stream = cfg.sample(SampleStream(22))
+        c, _ = cfg.sample(stream)
+        d1, d2 = realize(a, cfg), realize(c, cfg)
+
+        def refuse(*args):
+            pytest.fail("a loop operation built a canonical subspace")
+
+        for target in ("geometry.subspace", "extension.subspace", "geometry.orthonormalize",
+                       "linalg.orthonormalize"):
+            monkeypatch.setattr(f"bruckloops.{target}", refuse)
+        cfg.mul(a, c)
+        cfg.left_divide(a, c)
+        cfg.right_divide(c, a)
+        omega(d1, cfg)
+        solve_translation(d1, d2, cfg)
+
+    @pytest.mark.parametrize("signature, carrier, wtilde", DIMENSION_CONFIGS)
+    def test_omega_of_any_representative(self, signature, carrier, wtilde):
+        # (w + F c, F M) spans the same subspace as realize(e) for any c and
+        # invertible M; ||M - I|| <= 0.2 sqrt(2) k < 1 keeps M invertible
+        cfg = dimension_config(signature, carrier, wtilde)
+        rng = np.random.default_rng(23)
+        k = cfg.carrier_dim
+        complex_field = cfg.form.field == "complex"
+        stream = SampleStream(23)
+        for _ in range(10):
+            e, stream = cfg.sample(stream)
+            noise = rng.uniform(-1, 1, (2, k + 1, k))
+            shift = (noise[0] + 1j * noise[1] if complex_field else noise[0]).astype(cfg.form.dtype)
+            f = ext._block_columns(e.rho.matrix, cfg.form, cfg.carrier)
+            rep = AffineSubspace(e.w + f @ shift[k], f @ (np.eye(k) + 0.2 * shift[:k]))
+            got, want = omega(rep, cfg), omega(realize(e, cfg), cfg)
+            assert np.linalg.norm(got.w - want.w) <= 1e-12
+            assert fro(got.rho.matrix - want.rho.matrix) <= 1e-12
 
 
 def test_extension_element_json_roundtrip(cfg):
