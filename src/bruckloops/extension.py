@@ -27,14 +27,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import geometry, linalg
+from . import linalg
 from .errors import (
     ConfigInvalid,
     DimensionMismatch,
     NotInOrbit,
     NotPositiveDefinite,
     RankAmbiguous,
-    RankDeficient,
     TransversalityViolated,
     WitnessNotFound,
 )
@@ -156,14 +155,16 @@ def extension_config(
     if wtilde is None:
         wtilde = coordinate_subspace(form, 2 if carrier == 1 else 1)
     else:
-        wtilde = geometry.canonical(wtilde)
+        wtilde = subspace(wtilde.base, wtilde.frame)
     pj = form.n - (form.p1 if carrier == 1 else form.p2)
     if wtilde.ambient != form.n or wtilde.dim != pj:
         raise ConfigInvalid(
             f"transversal must be a {pj}-dimensional subspace of F^{form.n}, "
             f"got dim {wtilde.dim} in F^{wtilde.ambient}"
         )
-    if float(np.linalg.norm(wtilde.base)) > 10 * linalg.TAU_ABS:
+    with np.errstate(over="ignore"):  # an overflowed norm reads inf and is refused
+        off = float(np.linalg.norm(wtilde.base))
+    if off > 10 * linalg.TAU_ABS:
         raise ConfigInvalid("transversal must pass through 0")
     sign, kind = (1.0, "non-positive") if carrier == 1 else (-1.0, "non-negative")
     gram = symmetrize(dag(wtilde.frame) @ (sign * form.j_matrix()) @ wtilde.frame)
@@ -342,9 +343,8 @@ def _chart_embeddings(cfg: ExtensionConfig, thetas: np.ndarray) -> np.ndarray:
     A chart point is (transversal coordinates, exponential block); its
     element is (w, exp of the block's generator), and its carrier image is
     the span of the lift's carrier columns placed through w.  One stacked
-    QR gives each image's orthonormal frame, hence its projector P and
-    min-norm base (I - P) w.  A carrier column whose residual collapses to
-    TAU_ABS times its norm is refused as in ``orthonormalize``.
+    ``orthonormalize`` call gives each image's frame, hence its projector P
+    and min-norm base (I - P) w, and refuses a collapsed carrier column.
     """
     form = cfg.form
     m, k = thetas.shape[0], cfg.wtilde.dim
@@ -356,11 +356,7 @@ def _chart_embeddings(cfg: ExtensionConfig, thetas: np.ndarray) -> np.ndarray:
         x = thetas[:, k:].reshape(m, form.p1, form.p2)
     w = coef.astype(form.dtype) @ cfg.wtilde.frame.T
     rho = sigma_from_block(form, x.astype(form.dtype)).matrix
-    cols = _block_columns(rho, form, cfg.carrier)
-    q, r = np.linalg.qr(cols)
-    residuals = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
-    if np.any(residuals <= linalg.TAU_ABS * np.linalg.norm(cols, axis=-2)):
-        raise RankDeficient("a carrier column is dependent at a chart point")
+    q = linalg.orthonormalize(_block_columns(rho, form, cfg.carrier))
     p = q @ dag(q)
     base = w - (p @ w[..., None])[..., 0]
     parts = [p.real, p.imag, base.real, base.imag] if form.field == COMPLEX else [p, base]

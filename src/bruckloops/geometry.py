@@ -1,11 +1,11 @@
 """Affine subspaces of F^n, their directions at infinity, and their images
 under affine maps.
 
-``subspace`` stores a subspace in canonical form: an orthonormal direction
-frame plus the minimum-norm point (the base is orthogonal to the frame's span).
-Canonicalization is bit-for-bit idempotent thanks to the snap threshold
-in the orthonormalizer and a second projection of the base, so subspace
-equality reduces to a plain numeric comparison.
+``subspace`` stores a subspace in canonical form: the orthonormal frame
+``orthonormalize`` gives (the positive-diagonal QR frame, the one
+Gram-Schmidt gives) plus the minimum-norm point, the base projected once
+onto the frame's orthogonal complement.  Canonical forms of one subspace
+agree to rounding, not bit for bit; ``subspace_distance`` compares them.
 
 Over the complex field subspaces are complex-linear spans and projectors
 are hermitian; "dimension" always means the F-dimension.
@@ -19,16 +19,18 @@ import numpy as np
 
 from .errors import ConfigInvalid, DimensionMismatch, TransversalityViolated
 from .groups import SigmaElement, matrix_from_json, matrix_to_json
-from .linalg import _SNAP, dag, eig_hermitian, fro, orthonormalize
+from .linalg import dag, eig_hermitian, fro, orthonormalize
 
 _RANK_REL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
 class AffineSubspace:
-    """Pair (base point, direction frame), canonical when built by ``subspace``.
-    The frame's span is the direction at infinity (the trace on the hyperplane
-    at infinity), independent of the base point."""
+    """Pair (base point, direction frame): the minimum-norm point and an
+    orthonormal frame when built by ``subspace``, any point and spanning
+    frame when built directly.  The frame's span is the direction at
+    infinity (the trace on the hyperplane at infinity), independent of the
+    base point."""
 
     base: np.ndarray
     frame: np.ndarray
@@ -51,33 +53,16 @@ class AffineSubspace:
 
 def subspace(base: np.ndarray, directions: np.ndarray) -> AffineSubspace:
     """Build the canonical subspace through ``base`` spanned by the columns
-    of ``directions`` (which need not be orthonormal)."""
+    of ``directions`` (which need not be orthonormal): their orthonormal
+    frame and the base minus its projection onto that frame's span."""
     base = np.asarray(base)
     directions = np.asarray(directions)
     if directions.shape[0] != base.shape[0]:
         raise DimensionMismatch(
             f"directions live in dim {directions.shape[0]}, base in {base.shape[0]}"
         )
-    frame = orthonormalize(directions) if directions.shape[1] else directions.astype(
-        np.result_type(directions.dtype, base.dtype, np.float64)
-    )
-    dtype = np.result_type(frame.dtype, base.dtype, np.float64)
-    base = base.astype(dtype)
-    frame = frame.astype(dtype)
-    if frame.shape[1]:
-        # Twice is enough: the frame may be off-orthonormal by up to _SNAP,
-        # so one projection can leave a component of size _SNAP * |base|;
-        # a second one shrinks it below the skip threshold, which makes
-        # canonical() an exact fixed point.
-        for _ in range(2):
-            coef = dag(frame) @ base
-            if np.linalg.norm(coef) > _SNAP * max(1.0, float(np.linalg.norm(base))):
-                base = base - frame @ coef
-    return AffineSubspace(base, frame)
-
-
-def canonical(s: AffineSubspace) -> AffineSubspace:
-    return subspace(s.base, s.frame)
+    frame = orthonormalize(directions).astype(np.result_type(directions.dtype, base.dtype, np.float64))
+    return AffineSubspace(base - frame @ (dag(frame) @ base), frame)
 
 
 def from_json(obj: dict, field: str) -> AffineSubspace:
@@ -95,14 +80,13 @@ def from_json(obj: dict, field: str) -> AffineSubspace:
 
 
 def apply(linear: np.ndarray, s: AffineSubspace, shift=0.0) -> AffineSubspace:
-    """The image of ``s`` under x -> linear @ x + shift.  A linear part that
-    collapses the subspace is refused by orthonormalize (RankDeficient)."""
+    """The canonical image of ``s`` under x -> linear @ x + shift.  A linear
+    part that collapses the subspace is refused by orthonormalize
+    (RankDeficient)."""
     return subspace(linear @ s.base + shift, linear @ s.frame)
 
 
-def projector(frame: np.ndarray, n: int) -> np.ndarray:
-    if frame.shape[1] == 0:
-        return np.zeros((n, n), dtype=np.result_type(frame.dtype, np.float64))
+def projector(frame: np.ndarray) -> np.ndarray:
     return frame @ dag(frame)
 
 
@@ -113,9 +97,8 @@ def subspace_distance(s1: AffineSubspace, s2: AffineSubspace) -> float:
     equal subspaces; symmetric by construction."""
     if s1.ambient != s2.ambient or s1.dim != s2.dim:
         raise DimensionMismatch("subspace comparison requires matching dimensions")
-    n = s1.ambient
-    p1 = projector(s1.frame, n)
-    p2 = projector(s2.frame, n)
+    p1 = projector(s1.frame)
+    p2 = projector(s2.frame)
     d_dir = fro(p1 - p2)
     gap = s1.base - s2.base
     # The union of the two direction spans is the range of p1 + p2; the sum

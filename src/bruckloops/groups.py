@@ -124,10 +124,6 @@ class SampleStream:
         state = (self.seed + (index + 1) * _GAMMA) & _MASK64
         return _splitmix(state)
 
-    def next_uniform(self, lo: float = 0.0, hi: float = 1.0):
-        u = (self._raw(self.counter) >> 11) * (1.0 / (1 << 53))
-        return lo + (hi - lo) * u, SampleStream(self.seed, self.counter + 1)
-
     def next_uniforms(self, count: int, lo: float = 0.0, hi: float = 1.0):
         base = self.counter
         vals = np.array(

@@ -15,8 +15,9 @@ in the last bits across platforms or BLAS/LAPACK builds.
 The spectral layer takes stacks: ``dag``, ``symmetrize``, ``eig_hermitian``,
 ``SpectralDecomposition.apply`` and ``spectral_map`` accept arrays of shape
 ``(..., n, n)`` and act on the last two axes, one LAPACK call for the whole
-stack.  Every check is made per matrix, and a 2-D input is the stack with
-no batch axes.
+stack.  ``orthonormalize`` takes stacks (..., n, k) of frames the same way,
+one QR call.  Every check is made per matrix, and a 2-D input is the stack
+with no batch axes.
 
 Two fixed floors serve every layer: ``TAU_ABS`` is the absolute floor for
 pivots, positivity and the transversal's sign check, ``TAU_REL`` the
@@ -45,10 +46,6 @@ REAL = "real"
 COMPLEX = "complex"
 TAU_ABS = 1e-9
 TAU_REL = 1e-7
-
-# Skip-threshold that makes orthonormalization and canonicalization exact
-# fixed points on their own output (needed for bit-for-bit idempotence).
-_SNAP = 1e-13
 
 
 def field_of(a: np.ndarray) -> str:
@@ -157,32 +154,26 @@ def spectral_map(a: np.ndarray, func: str) -> np.ndarray:
 
 
 def orthonormalize(v: np.ndarray) -> np.ndarray:
-    """Gram-Schmidt on the columns of ``v``, order-preserving: the result U
-    has U* U = I and the same span.
+    """Orthonormal frame of the columns of ``v``, or of each matrix of a
+    stack (..., n, k), from one QR call.
 
-    Projection and normalization steps within _SNAP of a no-op are
-    skipped, which makes the function an exact fixed point on its own
-    output; canonical frames therefore survive re-canonicalization
-    bit-for-bit.
+    The result U has U* U = I, spans what the first j columns of ``v`` span
+    in its first j columns, and makes U* v upper triangular with a positive
+    real diagonal: Q's columns are multiplied by the phase of R's diagonal.
+    That frame is unique, the one Gram-Schmidt gives.
 
-    Raises RankDeficient when a residual column collapses to TAU_ABS times
-    its original norm.
+    Raises RankDeficient when a column's residual |R_jj| is at most TAU_ABS
+    times its norm, or when there are more columns than rows.
     """
-    out = np.array(v, dtype=np.result_type(v.dtype, np.float64))
-    for j in range(v.shape[1]):
-        col = out[:, j]
-        vn = float(np.linalg.norm(col))
-        for i in range(j):
-            coef = np.vdot(out[:, i], col)
-            if abs(coef) > _SNAP * vn:
-                col = col - coef * out[:, i]
-        nrm = float(np.linalg.norm(col))
-        if nrm <= TAU_ABS * vn:
-            raise RankDeficient(f"column {j} is dependent (residual {nrm:.3e})")
-        if abs(nrm - 1.0) > _SNAP:
-            col = col / nrm
-        out[:, j] = col
-    return out
+    if v.shape[-1] > v.shape[-2]:
+        raise RankDeficient(f"{v.shape[-1]} columns in dimension {v.shape[-2]} are dependent")
+    q, r = np.linalg.qr(v)
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    size = np.abs(diag)
+    collapsed = size <= TAU_ABS * np.linalg.norm(v, axis=-2)
+    if collapsed.any():
+        raise RankDeficient(f"a column is dependent (residual {np.min(size[collapsed]):.3e})")
+    return q * (diag / size)[..., None, :]
 
 
 # ---------------------------------------------------------------------------

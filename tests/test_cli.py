@@ -252,12 +252,13 @@ class TestVerify:
             ({}, [], [[0.0], [0.0], [1.0]]),
             ({}, [], {"base": [0.0, 0.0, 0.0], "frame": [[1.25], [0.0], [1.0]]}),
             ({}, [], {"base": [0.0, 0.0, 0.0], "frame": [[0.0], [0.0], [0.0]]}),
+            ({}, [], {"base": [0.0, 0.0, 1e300], "frame": [[0.0], [1.0], [0.0]]}),
         ],
         ids=[
             "n-abc", "samples-x", "membership-nan", "samples-neg", "tol-neg", "boost-overflow", "boost-700",
             "n-float", "seed-float", "samples-bool", "tol-bool", "n-inf",
             "wtilde-nan", "wtilde-no-base", "wtilde-list", "wtilde-contraction-1.25",
-            "wtilde-zero-column",
+            "wtilde-zero-column", "wtilde-huge-base",
         ],
     )
     def test_malformed_config_is_config_error(self, tmp_path, capsys, extra, argv, wtilde):

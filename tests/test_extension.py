@@ -47,6 +47,16 @@ def boosted_cfg(form321r):
     return extension_config(form321r, wtilde=wt)
 
 
+def test_eig_calls_counts_calls_through_imported_names(form321r, eig_calls):
+    # extension and geometry hold eig_hermitian under their own names
+    extension_config(form321r)
+    assert len(eig_calls) == 1
+    eig_calls.clear()
+    s = subspace(np.zeros(3), np.eye(3)[:, :2])
+    subspace_distance(s, s)
+    assert len(eig_calls) == 1
+
+
 class TestConfig:
     def test_default_transversal(self, cfg):
         assert cfg.wtilde.dim == 1
@@ -377,7 +387,7 @@ def reference_jacobians(cfg, thetas):
             x = theta[k:].reshape(form.p1, form.p2)
         w = cfg.wtilde.frame @ coef.astype(form.dtype)
         s = realize(ExtensionElement(w, sigma_from_block(form, x.astype(form.dtype))), cfg)
-        p = projector(s.frame, form.n)
+        p = projector(s.frame)
         if form.field == "complex":
             return np.concatenate([p.real.ravel(), p.imag.ravel(), s.base.real, s.base.imag])
         return np.concatenate([p.ravel(), s.base])

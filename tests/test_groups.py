@@ -54,8 +54,8 @@ class TestSampleStream:
 
     def test_counter_advances(self):
         s = SampleStream(1)
-        x, s1 = s.next_uniform()
-        y, s2 = s1.next_uniform()
+        x, s1 = s.next_uniforms(1)
+        y, s2 = s1.next_uniforms(1)
         assert s1.counter == 1 and s2.counter == 2
         assert x != y
 

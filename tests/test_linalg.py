@@ -42,6 +42,22 @@ def random_spd(rng, n, lo=0.1, hi=10.0, complex_case=False):
     return dec.apply(vals)
 
 
+def random_frames(rng, shape, complex_case=False):
+    v = rng.uniform(-1, 1, shape)
+    return v + 1j * rng.uniform(-1, 1, shape) if complex_case else v
+
+
+def modified_gram_schmidt(v):
+    """Reference frame: each column has its components along the earlier
+    frame columns removed one at a time, then is normalized."""
+    q = v.astype(np.result_type(v.dtype, np.float64))
+    for j in range(q.shape[1]):
+        for i in range(j):
+            q[:, j] -= np.vdot(q[:, i], q[:, j]) * q[:, i]
+        q[:, j] /= np.linalg.norm(q[:, j])
+    return q
+
+
 class TestEigHermitian:
     def test_identity(self):
         dec = eig_hermitian(np.eye(3))
@@ -221,11 +237,32 @@ class TestOrthonormalize:
         with pytest.raises(RankDeficient):
             orthonormalize(np.zeros((3, 1)))
 
-    def test_bitwise_idempotent(self):
-        rng = np.random.default_rng(9)
-        for _ in range(50):
-            u = orthonormalize(rng.uniform(-1, 1, (4, 2)))
-            assert np.array_equal(orthonormalize(u), u)
+    @pytest.mark.parametrize("complex_case", [False, True])
+    @pytest.mark.parametrize("n", [3, 4, 6])
+    def test_stack_matches_single_calls_bit_for_bit(self, complex_case, n):
+        rng = np.random.default_rng(n)
+        stack = random_frames(rng, (40, n, 2), complex_case)
+        frames = orthonormalize(stack.reshape(4, 10, n, 2)).reshape(40, n, 2)
+        for i, v in enumerate(stack):
+            assert np.array_equal(frames[i], orthonormalize(v))
+
+    @pytest.mark.parametrize("complex_case", [False, True])
+    def test_is_the_gram_schmidt_frame(self, complex_case):
+        # the QR frame whose R has a positive diagonal is unique: the one
+        # Gram-Schmidt builds, with U* v upper triangular, diagonal > 0
+        rng = np.random.default_rng(12)
+        for n in range(1, 7):
+            for k in range(1, min(n, 3) + 1):
+                for _ in range(40):
+                    v = random_frames(rng, (n, k), complex_case)
+                    u = orthonormalize(v)
+                    assert np.max(np.abs(u - modified_gram_schmidt(v))) <= 1e-12
+                    d = np.diagonal(dag(u) @ v)
+                    assert np.all(d.real > 0) and np.all(np.abs(d.imag) <= 1e-14 * np.linalg.norm(v, axis=0))
+
+    def test_more_columns_than_rows(self):
+        with pytest.raises(RankDeficient):
+            orthonormalize(np.eye(3, 4))
 
 
 class TestMatrixText:
