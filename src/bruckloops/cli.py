@@ -13,10 +13,14 @@ every row its stream, times it, builds its entries and turns a numeric
 breakdown inside it (any package error or ``LinAlgError``) into failed
 entries carrying ``detail.error``, so the report is still written.
 
-Configs are JSON; every default is echoed back into the report so a run
-is self-describing and reproducible.  Identical config and seed produce
-byte-identical reports on one machine and one numpy/LAPACK build, except
-for the wall-clock fields (``seconds``, ``total_seconds``).
+Every setting is a row of ``SETTINGS`` (config key, ``SuiteConfig``
+attribute, type), which the JSON loader, the command-line flags and the
+report echo all read.  Every default is echoed, so a run is self-describing;
+identical config and seed produce byte-identical reports on one machine and
+one numpy/LAPACK build, except for the wall-clock fields.  Arithmetic on
+outside input (the transversal, in ``resolve``; ``mul``, ``factor`` and
+``sample``) runs under the one floating-point trap, ``_in_float_range``; the
+properties run outside it, so their breakdowns stay failed report entries.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ import numpy as np
 
 from . import extension as ext
 from . import geometry
-from .errors import BruckLoopsError, ConfigInvalid, InversesDisagree, ParseError
+from .errors import BruckLoopsError, ConfigInvalid, InversesDisagree
 from .groups import (
     SampleStream,
     SigmaElement,
@@ -51,7 +55,7 @@ from .groups import (
     standard_boost,
 )
 from .kernel import check_aip, check_bol, check_left_a, check_loop_axioms
-from .linalg import fro, read_matrix_text
+from .linalg import field_of, fro, read_matrix_text
 from .matrixloop import MatrixLoop
 
 DEFAULT_TOLERANCES = {
@@ -64,6 +68,22 @@ DEFAULT_TOLERANCES = {
     "witness_threshold": 1e-3,
     "dimension_gap": 1e-4,
 }
+
+
+# Config key -> (SuiteConfig attribute, type, options of its flag --<key>).
+# The report echoes every setting but ``out``, where the report goes.
+SETTINGS = {
+    "n": ("n", int, {}),
+    "p1": ("p1", int, {}),
+    "p2": ("p2", int, {}),
+    "field": ("field_name", str, {"choices": ["real", "complex"]}),
+    "carrier": ("carrier", int, {"choices": [1, 2]}),
+    "wtilde": ("wtilde", str, {"help": "standard | boost:<t> | file:<path>"}),
+    "seed": ("seed", int, {}),
+    "out": ("out", str, {"help": "write the JSON report here as well as stdout"}),
+}
+# Config sections: the entry type of each; only known entries may be named.
+SECTIONS = {"samples": int, "tolerances": float}
 
 
 @dataclass
@@ -79,62 +99,51 @@ class SuiteConfig:
     tolerances: dict = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
     out: str | None = None
 
+    @property
+    def form(self) -> SignatureForm:
+        return SignatureForm(self.n, self.p1, self.p2, self.field_name)
+
     def echo(self) -> dict:
-        return {
-            "n": self.n,
-            "p1": self.p1,
-            "p2": self.p2,
-            "field": self.field_name,
-            "carrier": self.carrier,
-            "wtilde": self.wtilde,
-            "seed": self.seed,
-            "samples": dict(self.samples),
-            "tolerances": dict(self.tolerances),
+        return {key: getattr(self, attr) for key, (attr, _, _) in SETTINGS.items() if key != "out"} | {
+            key: dict(getattr(self, key)) for key in SECTIONS
         }
 
 
-def load_suite_config(path: str | None, overrides: dict) -> SuiteConfig:
+def _read_json(path: str, what: str) -> dict:
+    """The JSON object in the file at ``path``; ``what`` names it in errors."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            obj = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigInvalid(f"cannot read {what} {path}: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise ConfigInvalid(f"{what} {path} must hold a JSON object")
+    return obj
+
+
+def load_suite_config(args) -> SuiteConfig:
+    """The defaults, then the ``--config`` file, then the flags in ``args``."""
     cfg = SuiteConfig()
-    if path is not None:
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                raw = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigInvalid(f"cannot read config {path}: {exc}") from exc
-        if not isinstance(raw, dict):
-            raise ConfigInvalid("config root must be a JSON object")
-        for key in ("n", "p1", "p2", "carrier", "seed"):
-            if key in raw:
-                setattr(cfg, key, _convert(int, raw[key], key))
-        if "field" in raw:
-            cfg.field_name = str(raw["field"])
-        if "wtilde" in raw:
-            cfg.wtilde = str(raw["wtilde"])
-        if "out" in raw:
-            cfg.out = str(raw["out"])
-        for key, bucket in (("samples", cfg.samples), ("tolerances", cfg.tolerances)):
-            section = raw.get(key, {})
-            if not isinstance(section, dict):
+    raw = {} if args.config is None else _read_json(args.config, "config")
+    for key, value in raw.items():
+        if key in SECTIONS:
+            bucket = getattr(cfg, key)
+            if not isinstance(value, dict):
                 raise ConfigInvalid(f"config section {key!r} must be an object")
-            for name, value in section.items():
+            for name, entry in value.items():
                 if name not in bucket:
                     raise ConfigInvalid(f"unknown {key} entry {name!r}")
-                bucket[name] = _convert(int if key == "samples" else float, value, f"{key}.{name}")
-    for key, value in overrides.items():
-        if value is None:
-            continue
-        if key == "samples_all":
-            for name in cfg.samples:
-                if name != "dimension_points":
-                    cfg.samples[name] = int(value)
-        elif key == "tol":
-            cfg.tolerances["identity"] = float(value)
-        elif key == "field":
-            cfg.field_name = str(value)
-        elif key in ("n", "p1", "p2", "carrier", "seed"):
-            setattr(cfg, key, int(value))
-        elif key in ("wtilde", "out"):
-            setattr(cfg, key, str(value))
+                bucket[name] = _convert(SECTIONS[key], entry, f"{key}.{name}")
+        elif key in SETTINGS:
+            attr, kind, _ = SETTINGS[key]
+            setattr(cfg, attr, _convert(kind, value, key))
+        else:
+            raise ConfigInvalid(f"unknown config key {key!r}")
+    for attr, _, _ in SETTINGS.values():
+        if getattr(args, attr, None) is not None:
+            setattr(cfg, attr, getattr(args, attr))
+    if args.samples is not None:
+        cfg.samples |= {name: args.samples for name in cfg.samples if name != "dimension_points"}
     low = sorted(name for name, count in cfg.samples.items() if count < 1)
     if low:
         raise ConfigInvalid(f"sample counts must be >= 1: {', '.join(low)}")
@@ -148,8 +157,8 @@ def load_suite_config(path: str | None, overrides: dict) -> SuiteConfig:
 
 def build_wtilde(form: SignatureForm, carrier: int, spec: str):
     """Resolve a transversal spec: ``standard``, ``boost:<t>`` or
-    ``file:<path to subspace JSON>``."""
-    j = 2 if carrier == 1 else 1
+    ``file:<path to subspace JSON>``.  Overflow is not trapped here;
+    ``resolve`` builds the transversal under ``_in_float_range``."""
     if spec == "standard":
         return None
     if spec.startswith("boost:"):
@@ -157,23 +166,13 @@ def build_wtilde(form: SignatureForm, carrier: int, spec: str):
             t = float(spec.split(":", 1)[1])
         except ValueError as exc:
             raise ConfigInvalid(f"bad boost parameter in {spec!r}") from exc
-        with np.errstate(over="ignore", invalid="ignore"):
-            boost = standard_boost(form, t)
-        if not np.all(np.isfinite(boost.matrix)):
-            raise ConfigInvalid(f"{spec!r} gives a non-finite boost matrix")
-        try:
-            with np.errstate(over="raise", invalid="raise"):
-                return geometry.apply(boost.matrix, ext.coordinate_subspace(form, j))
-        except FloatingPointError as exc:
-            raise ConfigInvalid(f"{spec!r} overflows the transversal frame: {exc}") from exc
+        if not math.isfinite(t):
+            raise ConfigInvalid(f"{spec!r} has a non-finite boost parameter")
+        j = 2 if carrier == 1 else 1
+        return geometry.apply(standard_boost(form, t).matrix, ext.coordinate_subspace(form, j))
     if spec.startswith("file:"):
         path = spec.split(":", 1)[1]
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                obj = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigInvalid(f"cannot read transversal file {path}: {exc}") from exc
-        return geometry.from_json(obj, form.field)
+        return geometry.from_json(_read_json(path, "transversal file"), form.field)
     raise ConfigInvalid(f"unknown wtilde spec {spec!r}")
 
 
@@ -187,10 +186,23 @@ class Suite:
     eloop: ext.ExtensionConfig
 
 
+@contextmanager
+def _in_float_range(inputs: str = "inputs"):
+    """Arithmetic on user inputs that overflows or turns invalid is a
+    configuration error (exit 2) naming ``inputs``, not a result of
+    Infinity or NaN.  The program's one floating-point trap."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise ConfigInvalid(f"{inputs} out of floating-point range: {exc}") from exc
+
+
 def resolve(cfg: SuiteConfig) -> Suite:
     """Validate a suite config into live objects."""
-    form = SignatureForm(cfg.n, cfg.p1, cfg.p2, cfg.field_name)
-    eloop = ext.extension_config(form, cfg.carrier, build_wtilde(form, cfg.carrier, cfg.wtilde))
+    form = cfg.form
+    with _in_float_range(f"transversal {cfg.wtilde!r}"):
+        eloop = ext.extension_config(form, cfg.carrier, build_wtilde(form, cfg.carrier, cfg.wtilde))
     return Suite(form, cfg.tolerances, MatrixLoop(form), eloop)
 
 
@@ -456,39 +468,28 @@ def _perturb(s, noise: np.ndarray):
 # ---------------------------------------------------------------------------
 
 
-def _parse_json_object(path: str, text: str) -> dict:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path} is not valid JSON: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise ParseError(f"{path} must hold a JSON object")
-    return obj
+def _check_form(path: str, elem: SigmaElement, form: SignatureForm) -> None:
+    """Refuse an element of another form than the configured one."""
+    if elem.form != form:
+        raise ConfigInvalid(f"{path}: form {elem.form.to_json()} is not the configured {form.to_json()}")
 
 
-def _load_matrix_element(path: str, form_hint: SignatureForm | None):
+def _load_matrix_element(path: str, form: SignatureForm) -> SigmaElement:
+    """A JSON element, or a matrix text file read in the configured form;
+    complex text for a real form would lose its imaginary part, so is refused."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        return element_from_json(_parse_json_object(path, text))
+    if text.lstrip().startswith("{"):
+        return element_from_json(_read_json(path, "element file"))
     matrix = read_matrix_text(text)
-    if form_hint is None:
-        raise ConfigInvalid(
-            "matrix text files carry no signature; pass --n/--p1/--p2/--field"
-        )
-    return SigmaElement(matrix.astype(form_hint.dtype), form_hint)
-
-
-def _load_extension_element(path: str) -> ext.ExtensionElement:
-    with open(path, "r", encoding="utf-8") as fh:
-        return ext.extension_element_from_json(_parse_json_object(path, fh.read()))
+    if not np.can_cast(matrix.dtype, form.dtype):
+        raise ConfigInvalid(f"{path}: {field_of(matrix)} matrix text does not fit the {form.field} form")
+    return SigmaElement(matrix.astype(form.dtype), form)
 
 
 def _check_operand(path: str, elem: SigmaElement, form: SignatureForm, cfg: SuiteConfig) -> None:
     """Refuse an operand that is not a Sigma element of the configured form."""
-    if elem.form != form:
-        raise ConfigInvalid(f"{path}: form {elem.form.to_json()} is not the configured {form.to_json()}")
+    _check_form(path, elem, form)
     rep = membership_residual(elem.matrix, "Sigma", form, cfg.tolerances["membership"])
     if not rep.passed:
         worst = max(rep.residuals, key=rep.residuals.get)
@@ -505,31 +506,19 @@ def _diagnostics(elem: SigmaElement, tolerance: float) -> dict:
 # ---------------------------------------------------------------------------
 
 
-@contextmanager
-def _in_float_range():
-    """Arithmetic on user inputs that overflows or turns invalid is a
-    configuration error (exit 2), not a result of Infinity or NaN."""
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            yield
-    except FloatingPointError as exc:
-        raise ConfigInvalid(f"inputs out of floating-point range: {exc}") from exc
-
-
 def cmd_verify(args) -> int:
-    cfg = load_suite_config(args.config, _overrides(args))
+    cfg = load_suite_config(args)
     report = run_verify(cfg)
     payload = _json_bytes(report)
-    out_path = args.out or cfg.out
-    if out_path:
-        with open(out_path, "wb") as fh:
+    if cfg.out:
+        with open(cfg.out, "wb") as fh:
             fh.write(payload)
     sys.stdout.write(payload.decode("utf-8"))
     return 0 if report["pass"] else 1
 
 
 def cmd_mul(args) -> int:
-    cfg = load_suite_config(args.config, _overrides(args))
+    cfg = load_suite_config(args)
     with _in_float_range():
         out, rho = _product(args, cfg)
         out["diagnostics"] = _diagnostics(rho, cfg.tolerances["membership"])
@@ -540,14 +529,16 @@ def cmd_mul(args) -> int:
 def _product(args, cfg: SuiteConfig) -> tuple:
     """The product of the two operand files, as JSON and its Sigma part."""
     if args.loop == "matrix":
-        form = SignatureForm(cfg.n, cfg.p1, cfg.p2, cfg.field_name)
+        form = cfg.form
         lhs, rhs = (_load_matrix_element(path, form) for path in (args.lhs, args.rhs))
         for path, elem in ((args.lhs, lhs), (args.rhs, rhs)):
             _check_operand(path, elem, form, cfg)
         product = MatrixLoop(form).mul(lhs, rhs)
         return element_to_json(product), product
     eloop = resolve(cfg).eloop
-    e1, e2 = (_load_extension_element(path) for path in (args.lhs, args.rhs))
+    e1, e2 = (
+        ext.extension_element_from_json(_read_json(path, "element file")) for path in (args.lhs, args.rhs)
+    )
     for path, elem in ((args.lhs, e1), (args.rhs, e2)):
         _check_operand(path, elem.rho, eloop.form, cfg)
         if not eloop.wtilde.contains(elem.w, cfg.tolerances["membership"]):
@@ -557,9 +548,10 @@ def _product(args, cfg: SuiteConfig) -> tuple:
 
 
 def cmd_factor(args) -> int:
-    cfg = load_suite_config(args.config, _overrides(args))
-    form = SignatureForm(cfg.n, cfg.p1, cfg.p2, cfg.field_name)
+    cfg = load_suite_config(args)
+    form = cfg.form
     elem = _load_matrix_element(args.matrix, form)
+    _check_form(args.matrix, elem, form)
     with _in_float_range():
         s1, c = polar_factorize(elem.matrix, elem.form, cfg.tolerances["membership"])
         residual = fro(s1.matrix @ c.matrix - elem.matrix) / max(1.0, fro(elem.matrix))
@@ -575,7 +567,7 @@ def cmd_factor(args) -> int:
 def cmd_witness(args) -> int:
     if args.budget < 1:
         raise ConfigInvalid(f"budget must be >= 1, got {args.budget}")
-    cfg = load_suite_config(args.config, _overrides(args))
+    cfg = load_suite_config(args)
     report = ext.nonisomorphism_witness(
         resolve(cfg).eloop,
         SampleStream(cfg.seed),
@@ -594,7 +586,7 @@ def cmd_witness(args) -> int:
 def cmd_sample(args) -> int:
     if args.count < 0:
         raise ConfigInvalid(f"count must be >= 0, got {args.count}")
-    cfg = load_suite_config(args.config, _overrides(args))
+    cfg = load_suite_config(args)
     suite = resolve(cfg)
     stream = SampleStream(cfg.seed)
     lines = []
@@ -611,32 +603,13 @@ def cmd_sample(args) -> int:
     return 0
 
 
-def _overrides(args) -> dict:
-    return {
-        "n": getattr(args, "n", None),
-        "p1": getattr(args, "p1", None),
-        "p2": getattr(args, "p2", None),
-        "field": getattr(args, "field", None),
-        "carrier": getattr(args, "carrier", None),
-        "wtilde": getattr(args, "wtilde", None),
-        "seed": getattr(args, "seed", None),
-        "samples_all": getattr(args, "samples", None),
-        "tol": getattr(args, "tol", None),
-        "out": getattr(args, "out", None),
-    }
-
-
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_common(parser: argparse.ArgumentParser, out: bool = False) -> None:
+    """``--config``, a flag per setting (``--out`` only if ``out``), ``--samples``."""
     parser.add_argument("--config", help="JSON config file")
-    parser.add_argument("--n", type=int)
-    parser.add_argument("--p1", type=int)
-    parser.add_argument("--p2", type=int)
-    parser.add_argument("--field", choices=["real", "complex"])
-    parser.add_argument("--carrier", type=int, choices=[1, 2])
-    parser.add_argument("--wtilde", help="standard | boost:<t> | file:<path>")
-    parser.add_argument("--seed", type=int)
+    for key, (attr, kind, options) in SETTINGS.items():
+        if key != "out" or out:
+            parser.add_argument(f"--{key}", dest=attr, type=kind, **options)
     parser.add_argument("--samples", type=int, help="override every per-property sample count")
-    parser.add_argument("--tol", type=float, help="override the identity tolerance")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -648,8 +621,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", help="run the full property suite")
-    _add_common(p)
-    p.add_argument("--out", help="write the JSON report here as well as stdout")
+    _add_common(p, out=True)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("mul", help="multiply two elements")

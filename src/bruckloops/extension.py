@@ -149,6 +149,7 @@ def extension_config(
     One eigendecomposition of F* J F decides it, once, for the loop; the
     sampled ``geometry.transversality_check`` is the independent
     cross-check, one singular-value decomposition per sampled direction.
+    Overflow is trapped where the command line calls this (``cli.resolve``).
     """
     if carrier not in (1, 2):
         raise ConfigInvalid(f"carrier index must be 1 or 2, got {carrier}")
@@ -162,9 +163,7 @@ def extension_config(
             f"transversal must be a {pj}-dimensional subspace of F^{form.n}, "
             f"got dim {wtilde.dim} in F^{wtilde.ambient}"
         )
-    with np.errstate(over="ignore"):  # an overflowed norm reads inf and is refused
-        off = float(np.linalg.norm(wtilde.base))
-    if off > 10 * linalg.TAU_ABS:
+    if float(np.linalg.norm(wtilde.base)) > 10 * linalg.TAU_ABS:
         raise ConfigInvalid("transversal must pass through 0")
     sign, kind = (1.0, "non-positive") if carrier == 1 else (-1.0, "non-negative")
     gram = symmetrize(dag(wtilde.frame) @ (sign * form.j_matrix()) @ wtilde.frame)

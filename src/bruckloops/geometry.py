@@ -66,17 +66,14 @@ def subspace(base: np.ndarray, directions: np.ndarray) -> AffineSubspace:
 
 
 def from_json(obj: dict, field: str) -> AffineSubspace:
-    """``{"base": [...], "frame": [[...]]}``; anything else, a non-finite
-    entry, or one so large that canonicalization overflows, is refused."""
+    """``{"base": [...], "frame": [[...]]}``; anything else, or a non-finite
+    entry, is refused.  Overflow is trapped where the command line builds
+    the transversal (``cli.resolve``)."""
     if not (isinstance(obj, dict) and all(isinstance(obj.get(key), list) for key in ("base", "frame"))):
         raise ConfigInvalid('a subspace must be a JSON object with lists "base" and "frame"')
     base = matrix_from_json([obj["base"]], field)[0]
     frame = matrix_from_json(obj["frame"], field) if obj["frame"] else np.zeros((base.shape[0], 0))
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            return subspace(base, frame)
-    except FloatingPointError as exc:
-        raise ConfigInvalid(f"subspace entries too large: {exc}") from exc
+    return subspace(base, frame)
 
 
 def apply(linear: np.ndarray, s: AffineSubspace, shift=0.0) -> AffineSubspace:

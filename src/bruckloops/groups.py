@@ -71,10 +71,11 @@ class SignatureForm:
 
 
 def _convert(kind, value, name: str):
-    """``kind(value)``, refusing booleans, and numbers with a fractional
-    part where an integer is wanted, rather than coercing them."""
+    """``kind(value)``, refusing booleans, numbers with a fractional part
+    where an integer is wanted, and anything but a string where a string is
+    wanted, rather than coercing them."""
     try:
-        if isinstance(value, bool) or (
+        if isinstance(value, bool) or (kind is str and not isinstance(value, str)) or (
             kind is int and isinstance(value, float) and not value.is_integer()
         ):
             raise TypeError

@@ -239,7 +239,7 @@ class TestVerify:
             ({"samples": {"bol": "x"}}, [], None),
             ({"tolerances": {"membership": "nan"}}, [], None),
             ({}, ["--samples", "-5"], None),
-            ({}, ["--tol", "-1"], None),
+            ({"tolerances": {"identity": -1.0}}, [], None),
             ({}, ["--wtilde", "boost:1e6"], None),
             ({}, ["--wtilde", "boost:700"], None),
             ({"n": 3.9}, [], None),
@@ -253,15 +253,18 @@ class TestVerify:
             ({}, [], {"base": [0.0, 0.0, 0.0], "frame": [[1.25], [0.0], [1.0]]}),
             ({}, [], {"base": [0.0, 0.0, 0.0], "frame": [[0.0], [0.0], [0.0]]}),
             ({}, [], {"base": [0.0, 0.0, 1e300], "frame": [[0.0], [1.0], [0.0]]}),
+            ({"seeed": 5}, [], None),
+            ({"out": None}, [], None),
         ],
         ids=[
             "n-abc", "samples-x", "membership-nan", "samples-neg", "tol-neg", "boost-overflow", "boost-700",
             "n-float", "seed-float", "samples-bool", "tol-bool", "n-inf",
             "wtilde-nan", "wtilde-no-base", "wtilde-list", "wtilde-contraction-1.25",
-            "wtilde-zero-column", "wtilde-huge-base",
+            "wtilde-zero-column", "wtilde-huge-base", "unknown-key", "out-null",
         ],
     )
-    def test_malformed_config_is_config_error(self, tmp_path, capsys, extra, argv, wtilde):
+    def test_malformed_config_is_config_error(self, tmp_path, capsys, monkeypatch, extra, argv, wtilde):
+        monkeypatch.chdir(tmp_path)
         if wtilde is not None:
             wt = tmp_path / "wt.json"
             wt.write_text(json.dumps(wtilde))
@@ -270,6 +273,31 @@ class TestVerify:
         assert main(["verify", "--config", cfg, *argv]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+        if "--wtilde" in argv:
+            assert argv[argv.index("--wtilde") + 1] in err
+        # a null "out" names no report file, least of all one called None
+        assert not (tmp_path / "None").exists()
+
+    def test_flags_and_config_file_agree(self, tmp_path):
+        # the same settings given as flags and as a config file give the same report body
+        flags_out, file_out = tmp_path / "flags.json", tmp_path / "file.json"
+        argv = ["--n", "4", "--p1", "3", "--p2", "1", "--field", "real", "--carrier", "2",
+                "--wtilde", "standard", "--seed", "7", "--samples", "3"]
+        assert main(["verify", *argv, "--out", str(flags_out)]) == 0
+        config = {
+            "n": 4, "p1": 3, "p2": 1, "field": "real", "carrier": 2, "wtilde": "standard", "seed": 7,
+            "samples": {name: 3 for name in DEFAULT_SAMPLES if name != "dimension_points"},
+            "out": str(file_out),
+        }
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert main(["verify", "--config", str(cfg)]) == 0
+        bodies = [
+            json.dumps(strip_timing(json.loads(path.read_text())), sort_keys=True).encode()
+            for path in (flags_out, file_out)
+        ]
+        assert bodies[0] == bodies[1]
+        assert json.loads(bodies[0])["config"]["n"] == 4
 
     def test_short_transversal_direction_passes(self, tmp_path):
         # [0, 0, 1e-12] spans W_2 itself; only a zero column is dependent
@@ -359,6 +387,7 @@ class TestMul:
             ("matrix", "huge-int-entry"),
             ("matrix", "overflow-entry"),
             ("extension", "w-overflow"),
+            ("matrix", "complex-text-real-form"),
         ],
     )
     def test_malformed_element_file_is_config_error(
@@ -395,6 +424,8 @@ class TestMul:
             # finite entries whose arithmetic overflows
             "overflow-entry": json.dumps(dict(elem, matrix=[[1e200, 0, 0], [0, 1, 0], [0, 0, 1]])),
             "w-overflow": json.dumps({"w": [0.0, 0.0, 1e308], "rho": elem}),
+            # a Sigma element, but reading it as real would drop its imaginary part
+            "complex-text-real-form": write_matrix_text(boost3(0.5).astype(complex)),
         }[case]
         lhs, rhs = tmp_path / "bad.json", tmp_path / "good.json"
         lhs.write_text(bad)
@@ -469,6 +500,36 @@ class TestFactor:
         out = json.loads(capsys.readouterr().out)
         assert np.max(np.abs(np.array(out["s1"]["matrix"]) - a.matrix)) <= 1e-10
         assert np.allclose(out["c"]["matrix"], np.eye(3), atol=1e-10)
+
+    @pytest.mark.parametrize(
+        "text_field, field", [("complex", "real"), ("real", "complex")],
+        ids=["complex-text-real-form", "real-text-complex-form"],
+    )
+    def test_text_matrix_must_fit_the_form(self, tmp_path, capsys, text_field, field):
+        # complex text read for a real form would lose its imaginary part;
+        # real text widens to a complex form without loss
+        a = boost3(math.log(2)) @ rotation(3, 0, 1, math.pi / 6)
+        path = tmp_path / "s.mat"
+        path.write_text(write_matrix_text(a.astype(complex) if text_field == "complex" else a))
+        code = main(["factor", str(path), "--field", field])
+        captured = capsys.readouterr()
+        if text_field == "complex":
+            assert code == 2 and captured.out == ""
+            assert captured.err.startswith("error: ")
+            assert captured.err.endswith(": complex matrix text does not fit the real form\n")
+        else:
+            assert code == 0
+            assert json.loads(captured.out)["reconstruction_residual"] <= 1e-10
+
+    def test_element_of_another_form_is_config_error(self, tmp_path, capsys, form321r):
+        # as for mul, a JSON element must carry the configured form
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(element_to_json(standard_boost(form321r, 0.9))))
+        assert main(["factor", str(path), "--n", "4", "--p1", "2", "--p2", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "is not the configured" in captured.err
 
     def test_non_member_rejected(self, tmp_path, capsys):
         path = tmp_path / "s.mat"
