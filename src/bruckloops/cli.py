@@ -6,21 +6,24 @@ Exit codes are a stable contract: 0 when every required property passes,
 configuration errors.
 
 The verification suite is one table, ``PROPERTIES``: each row names its
-report entries and their tolerance keys, its sample-count key (which also
-selects its sample stream), whether it is required, its default count, and
-a ``run`` that returns the worst residual of each entry.  One runner gives
-every row its stream, times it, builds its entries and turns a numeric
-breakdown inside it (any package error or ``LinAlgError``) into failed
-entries carrying ``detail.error``, so the report is still written.
+report entries and their keys in the fixed bounds table ``TOLERANCES``,
+its sample-count key (which also selects its sample stream), whether it is
+required, its default count, and a ``run`` that returns the worst residual
+of each entry.  One runner gives every row its stream, times it, builds
+its entries and turns a numeric breakdown inside it (any package error or
+``LinAlgError``) into failed entries carrying ``detail.error``, so the
+report is still written.
 
 Every setting is a row of ``SETTINGS`` (config key, ``SuiteConfig``
 attribute, type), which the JSON loader, the command-line flags and the
-report echo all read.  Every default is echoed, so a run is self-describing;
-identical config and seed produce byte-identical reports on one machine and
-one numpy/LAPACK build, except for the wall-clock fields.  Arithmetic on
-outside input (the transversal, in ``resolve``; ``mul``, ``factor`` and
-``sample``) runs under the one floating-point trap, ``_in_float_range``; the
-properties run outside it, so their breakdowns stay failed report entries.
+report echo all read; the config's one section, ``samples``, sets the
+per-property counts.  The acceptance bounds are constants, not settings.
+Every default is echoed, so a run is self-describing; identical config and
+seed produce byte-identical reports on one machine and one numpy/LAPACK
+build, except for the wall-clock fields.  Arithmetic on outside input (the
+transversal, in ``resolve``; ``mul``, ``factor`` and ``sample``) runs under
+the one floating-point trap, ``_in_float_range``; the properties run
+outside it, so their breakdowns stay failed report entries.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 from contextlib import contextmanager
@@ -41,6 +45,7 @@ from . import extension as ext
 from . import geometry
 from .errors import BruckLoopsError, ConfigInvalid, InversesDisagree
 from .groups import (
+    MEMBERSHIP_TOLERANCE,
     SampleStream,
     SigmaElement,
     SignatureForm,
@@ -58,15 +63,15 @@ from .kernel import check_aip, check_bol, check_left_a, check_loop_axioms
 from .linalg import field_of, fro, read_matrix_text
 from .matrixloop import MatrixLoop
 
-DEFAULT_TOLERANCES = {
+# The fixed acceptance bound of each kind of report entry; every entry
+# carries its bound as ``tolerance``.
+TOLERANCES = {
     "identity": 1e-8,
-    "membership": 1e-9,
+    "membership": MEMBERSHIP_TOLERANCE,
     "factor": 1e-8,
     "factor_reconstruction": 1e-10,
     "solve": 1e-8,
     "solve_stability": 1e-6,
-    "witness_threshold": 1e-3,
-    "dimension_gap": 1e-4,
 }
 
 
@@ -82,8 +87,6 @@ SETTINGS = {
     "seed": ("seed", int, {}),
     "out": ("out", str, {"help": "write the JSON report here as well as stdout"}),
 }
-# Config sections: the entry type of each; only known entries may be named.
-SECTIONS = {"samples": int, "tolerances": float}
 
 
 @dataclass
@@ -96,7 +99,6 @@ class SuiteConfig:
     wtilde: str = "standard"
     seed: int = 1
     samples: dict = field(default_factory=lambda: dict(DEFAULT_SAMPLES))
-    tolerances: dict = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
     out: str | None = None
 
     @property
@@ -104,9 +106,8 @@ class SuiteConfig:
         return SignatureForm(self.n, self.p1, self.p2, self.field_name)
 
     def echo(self) -> dict:
-        return {key: getattr(self, attr) for key, (attr, _, _) in SETTINGS.items() if key != "out"} | {
-            key: dict(getattr(self, key)) for key in SECTIONS
-        }
+        settings = {key: getattr(self, attr) for key, (attr, _, _) in SETTINGS.items() if key != "out"}
+        return settings | {"samples": dict(self.samples)}
 
 
 def _read_json(path: str, what: str) -> dict:
@@ -126,14 +127,13 @@ def load_suite_config(args) -> SuiteConfig:
     cfg = SuiteConfig()
     raw = {} if args.config is None else _read_json(args.config, "config")
     for key, value in raw.items():
-        if key in SECTIONS:
-            bucket = getattr(cfg, key)
+        if key == "samples":
             if not isinstance(value, dict):
-                raise ConfigInvalid(f"config section {key!r} must be an object")
+                raise ConfigInvalid("config section 'samples' must be an object")
             for name, entry in value.items():
-                if name not in bucket:
-                    raise ConfigInvalid(f"unknown {key} entry {name!r}")
-                bucket[name] = _convert(SECTIONS[key], entry, f"{key}.{name}")
+                if name not in cfg.samples:
+                    raise ConfigInvalid(f"unknown samples entry {name!r}")
+                cfg.samples[name] = _convert(int, entry, f"samples.{name}")
         elif key in SETTINGS:
             attr, kind, _ = SETTINGS[key]
             setattr(cfg, attr, _convert(kind, value, key))
@@ -147,11 +147,6 @@ def load_suite_config(args) -> SuiteConfig:
     low = sorted(name for name, count in cfg.samples.items() if count < 1)
     if low:
         raise ConfigInvalid(f"sample counts must be >= 1: {', '.join(low)}")
-    bad = sorted(
-        name for name, value in cfg.tolerances.items() if not (math.isfinite(value) and value > 0)
-    )
-    if bad:
-        raise ConfigInvalid(f"tolerances must be finite and > 0: {', '.join(bad)}")
     return cfg
 
 
@@ -181,7 +176,6 @@ class Suite:
     """A validated config as the live objects every property samples from."""
 
     form: SignatureForm
-    tolerances: dict
     mat: MatrixLoop
     eloop: ext.ExtensionConfig
 
@@ -203,7 +197,7 @@ def resolve(cfg: SuiteConfig) -> Suite:
     form = cfg.form
     with _in_float_range(f"transversal {cfg.wtilde!r}"):
         eloop = ext.extension_config(form, cfg.carrier, build_wtilde(form, cfg.carrier, cfg.wtilde))
-    return Suite(form, cfg.tolerances, MatrixLoop(form), eloop)
+    return Suite(form, MatrixLoop(form), eloop)
 
 
 def _json_bytes(obj) -> bytes:
@@ -221,7 +215,7 @@ class Property:
 
     ``key`` names the row's sample count in ``SuiteConfig.samples`` and
     selects its sample stream.  ``entries`` are the report entries the row
-    fills, as ``(entry name, tolerance key)`` pairs.  ``run(suite, stream,
+    fills, as ``(entry name, TOLERANCES key)`` pairs.  ``run(suite, stream,
     count)`` returns the worst residual of each entry and a ``detail`` dict
     for the report, or None.
     """
@@ -274,7 +268,7 @@ def _factorization(s: Suite, stream: SampleStream):
     s1, stream = sample_sigma(s.form, stream)
     c, stream = sample_phi(s.form, stream)
     m = s1.matrix @ c.matrix
-    f1, f2 = polar_factorize(m, s.form, s.tolerances["membership"])
+    f1, f2 = polar_factorize(m, s.form)
     recovery = max(
         float(np.max(np.abs(f1.matrix - s1.matrix))), float(np.max(np.abs(f2.matrix - c.matrix)))
     )
@@ -336,7 +330,7 @@ def _solve_translation(s: Suite, stream: SampleStream):
 
 
 # One row per property, in run order: sample-count key, default count,
-# required, (entry name, tolerance key) pairs, run.
+# required, (entry name, TOLERANCES key) pairs, run.
 PROPERTIES = (
     Property("loop_axioms", 500, True, (("loop_axioms", "identity"),),
              lambda s, stream, n: _one(check_loop_axioms(s.mat, stream, n))),
@@ -392,7 +386,7 @@ def _run_property(row: Property, suite: Suite, stream: SampleStream, count: int)
     first = row.entries[0][0]
     entries = []
     for (name, tol_key), residual in zip(row.entries, worst or (0.0,) * len(row.entries)):
-        tolerance = suite.tolerances[tol_key]
+        tolerance = TOLERANCES[tol_key]
         entry = {
             "property": name,
             "samples": count,
@@ -428,10 +422,7 @@ def run_verify(cfg: SuiteConfig) -> dict:
     dim_entry = {"expected": expected, "measured": None, "gap_fraction": 0.0, "pass": False}
     try:
         dim = ext.dimension_rank_report(
-            suite.eloop,
-            counts["dimension_points"],
-            base.split(offsets["dimension_points"]),
-            gap=cfg.tolerances["dimension_gap"],
+            suite.eloop, counts["dimension_points"], base.split(offsets["dimension_points"])
         )
         dim_entry.update(
             measured=dim.rank, gap_fraction=dim.gap_fraction, points=dim.points, ranks=list(dim.ranks)
@@ -487,17 +478,17 @@ def _load_matrix_element(path: str, form: SignatureForm) -> SigmaElement:
     return SigmaElement(matrix.astype(form.dtype), form)
 
 
-def _check_operand(path: str, elem: SigmaElement, form: SignatureForm, cfg: SuiteConfig) -> None:
+def _check_operand(path: str, elem: SigmaElement, form: SignatureForm) -> None:
     """Refuse an operand that is not a Sigma element of the configured form."""
     _check_form(path, elem, form)
-    rep = membership_residual(elem.matrix, "Sigma", form, cfg.tolerances["membership"])
+    rep = membership_residual(elem.matrix, "Sigma", form)
     if not rep.passed:
         worst = max(rep.residuals, key=rep.residuals.get)
         raise ConfigInvalid(f"{path}: not in Sigma, {worst} residual {rep.max_residual:.3e}")
 
 
-def _diagnostics(elem: SigmaElement, tolerance: float) -> dict:
-    rep = membership_residual(elem.matrix, "Sigma", elem.form, tolerance)
+def _diagnostics(elem: SigmaElement) -> dict:
+    rep = membership_residual(elem.matrix, "Sigma", elem.form)
     return {"membership": rep.residuals, "pass": rep.passed}
 
 
@@ -506,8 +497,19 @@ def _diagnostics(elem: SigmaElement, tolerance: float) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _check_writable(path: str) -> None:
+    """Refuse a report path that cannot be written, before the suite runs;
+    the file is neither created nor truncated here."""
+    folder = os.path.dirname(path) or "."
+    target = path if os.path.exists(path) else folder
+    if os.path.isdir(path) or not os.path.isdir(folder) or not os.access(target, os.W_OK):
+        raise ConfigInvalid(f"cannot write the report to {path}")
+
+
 def cmd_verify(args) -> int:
     cfg = load_suite_config(args)
+    if cfg.out:
+        _check_writable(cfg.out)
     report = run_verify(cfg)
     payload = _json_bytes(report)
     if cfg.out:
@@ -521,7 +523,7 @@ def cmd_mul(args) -> int:
     cfg = load_suite_config(args)
     with _in_float_range():
         out, rho = _product(args, cfg)
-        out["diagnostics"] = _diagnostics(rho, cfg.tolerances["membership"])
+        out["diagnostics"] = _diagnostics(rho)
     sys.stdout.write(_json_bytes(out).decode("utf-8"))
     return 0
 
@@ -532,7 +534,7 @@ def _product(args, cfg: SuiteConfig) -> tuple:
         form = cfg.form
         lhs, rhs = (_load_matrix_element(path, form) for path in (args.lhs, args.rhs))
         for path, elem in ((args.lhs, lhs), (args.rhs, rhs)):
-            _check_operand(path, elem, form, cfg)
+            _check_operand(path, elem, form)
         product = MatrixLoop(form).mul(lhs, rhs)
         return element_to_json(product), product
     eloop = resolve(cfg).eloop
@@ -540,8 +542,8 @@ def _product(args, cfg: SuiteConfig) -> tuple:
         ext.extension_element_from_json(_read_json(path, "element file")) for path in (args.lhs, args.rhs)
     )
     for path, elem in ((args.lhs, e1), (args.rhs, e2)):
-        _check_operand(path, elem.rho, eloop.form, cfg)
-        if not eloop.wtilde.contains(elem.w, cfg.tolerances["membership"]):
+        _check_operand(path, elem.rho, eloop.form)
+        if not eloop.wtilde.contains(elem.w):
             raise ConfigInvalid(f"{path}: w is not on the transversal")
     product = eloop.mul(e1, e2)
     return product.to_json(), product.rho
@@ -553,7 +555,7 @@ def cmd_factor(args) -> int:
     elem = _load_matrix_element(args.matrix, form)
     _check_form(args.matrix, elem, form)
     with _in_float_range():
-        s1, c = polar_factorize(elem.matrix, elem.form, cfg.tolerances["membership"])
+        s1, c = polar_factorize(elem.matrix, elem.form)
         residual = fro(s1.matrix @ c.matrix - elem.matrix) / max(1.0, fro(elem.matrix))
     out = {
         "s1": element_to_json(s1),
@@ -568,12 +570,7 @@ def cmd_witness(args) -> int:
     if args.budget < 1:
         raise ConfigInvalid(f"budget must be >= 1, got {args.budget}")
     cfg = load_suite_config(args)
-    report = ext.nonisomorphism_witness(
-        resolve(cfg).eloop,
-        SampleStream(cfg.seed),
-        budget=args.budget,
-        threshold=cfg.tolerances["witness_threshold"],
-    )
+    report = ext.nonisomorphism_witness(resolve(cfg).eloop, SampleStream(cfg.seed), budget=args.budget)
     out = {
         "element": element_to_json(report.element),
         "displacement": report.displacement,

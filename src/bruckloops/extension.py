@@ -58,6 +58,8 @@ from .matrixloop import MatrixLoop, _inverse
 _W_SCALE = 1.0  # sampled transversal points have frame coordinates in [-1, 1]
 _STEP = 1e-5  # central-difference step of the dimension Jacobian
 _AMBIGUITY_FRACTION = 0.10  # share of gapless points that refuses a rank estimate
+WITNESS_THRESHOLD = 1e-3  # least displacement of the transversal that counts as a witness
+DIMENSION_GAP = 1e-4  # relative singular-value cut and least gap of a rank estimate
 
 
 def _block_columns(a: np.ndarray, form: SignatureForm, which: int) -> np.ndarray:
@@ -166,7 +168,7 @@ def extension_config(
     if float(np.linalg.norm(wtilde.base)) > 10 * linalg.TAU_ABS:
         raise ConfigInvalid("transversal must pass through 0")
     sign, kind = (1.0, "non-positive") if carrier == 1 else (-1.0, "non-negative")
-    gram = symmetrize(dag(wtilde.frame) @ (sign * form.j_matrix()) @ wtilde.frame)
+    gram = dag(wtilde.frame) @ (sign * form.j_matrix()) @ wtilde.frame
     wrong = float(eig_hermitian(gram).eigenvalues[-1])  # worst wrong-sign value on a unit vector
     if wrong > linalg.TAU_ABS:
         raise TransversalityViolated(f"the form must be {kind} on the transversal, not {sign * wrong:.3e}")
@@ -288,7 +290,6 @@ def nonisomorphism_witness(
     cfg: ExtensionConfig,
     stream: SampleStream | None = None,
     budget: int = 100,
-    threshold: float = 1e-3,
 ) -> WitnessReport:
     """Search for a block-diagonal unitary that moves the transversal.
 
@@ -301,7 +302,7 @@ def nonisomorphism_witness(
     there.
     """
     w_standard = coordinate_subspace(cfg.form, cfg.complement_index)
-    if subspace_distance(cfg.wtilde, w_standard) <= threshold:
+    if subspace_distance(cfg.wtilde, w_standard) <= WITNESS_THRESHOLD:
         raise ConfigInvalid(
             "transversal coincides with the coordinate subspace; every "
             "block-diagonal unitary stabilizes it"
@@ -312,9 +313,9 @@ def nonisomorphism_witness(
         g, stream = sample_phi(cfg.form, stream)
         moved = apply(g.matrix, cfg.wtilde)
         disp = subspace_distance(moved, cfg.wtilde)
-        if disp > threshold:
+        if disp > WITNESS_THRESHOLD:
             return WitnessReport(g, disp, used)
-    raise WitnessNotFound(f"no displacement above {threshold:g} in {budget} samples")
+    raise WitnessNotFound(f"no displacement above {WITNESS_THRESHOLD:g} in {budget} samples")
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +379,6 @@ def dimension_rank_report(
     cfg: ExtensionConfig,
     points: int = 20,
     stream: SampleStream | None = None,
-    gap: float = 1e-4,
 ) -> DimensionReport:
     """Estimate the manifold dimension of the carrier set.
 
@@ -386,10 +386,11 @@ def dimension_rank_report(
     through realization into the projector-plus-base embedding; the real
     rank of a central finite-difference Jacobian is estimated at sampled
     chart points.  A point's rank counts the singular values at or above
-    ``gap`` relative to the largest; the point is trustworthy only when
-    kept and discarded values are separated by at least ``gap``.  The modal
-    rank is returned; if more than ``_AMBIGUITY_FRACTION`` of the points
-    lack the gap the estimate is refused.
+    ``DIMENSION_GAP`` relative to the largest; the point is trustworthy only
+    when kept and discarded values are separated by at least
+    ``DIMENSION_GAP``.  The modal rank is returned; if more than
+    ``_AMBIGUITY_FRACTION`` of the points lack the gap the estimate is
+    refused.
 
     The Jacobians are computed as stacks: one draw of every chart point,
     one eigendecomposition call for the lifts of all 2 * d * points
@@ -409,11 +410,11 @@ def dimension_rank_report(
             ranks.append(0)
             continue
         sn = sv / sv[0]
-        kept = sn[sn >= gap]
-        dropped = sn[sn < gap]
+        kept = sn[sn >= DIMENSION_GAP]
+        dropped = sn[sn < DIMENSION_GAP]
         rank = int(kept.size)
         margin = float(kept[-1] - (dropped[0] if dropped.size else 0.0)) if kept.size else 0.0
-        if margin >= gap:
+        if margin >= DIMENSION_GAP:
             ok += 1
         ranks.append(rank)
     gap_fraction = ok / points if points else 0.0

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigInvalid, DimensionMismatch, TransversalityViolated
-from .groups import SigmaElement, matrix_from_json, matrix_to_json
+from .groups import MEMBERSHIP_TOLERANCE, SigmaElement, matrix_from_json, matrix_to_json
 from .linalg import dag, eig_hermitian, fro, orthonormalize
 
 _RANK_REL = 1e-8
@@ -43,9 +43,10 @@ class AffineSubspace:
     def ambient(self) -> int:
         return self.frame.shape[0]
 
-    def contains(self, point: np.ndarray, tolerance: float = 1e-9) -> bool:
+    def contains(self, point: np.ndarray) -> bool:
+        """Whether ``point`` lies on the subspace within the membership bound."""
         gap = point - self.base
-        return float(np.linalg.norm(gap - self.frame @ (dag(self.frame) @ gap))) <= tolerance
+        return float(np.linalg.norm(gap - self.frame @ (dag(self.frame) @ gap))) <= MEMBERSHIP_TOLERANCE
 
     def to_json(self) -> dict:
         return {"base": matrix_to_json(self.base.reshape(1, -1))[0], "frame": matrix_to_json(self.frame)}

@@ -28,6 +28,9 @@ from .linalg import COMPLEX, REAL, dag, fro, spectral_map, symmetrize
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
+# The membership bound: the largest residual a matrix may show and still
+# count as a group element, for factor's input, mul's operands and the suite.
+MEMBERSHIP_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -71,17 +74,14 @@ class SignatureForm:
 
 
 def _convert(kind, value, name: str):
-    """``kind(value)``, refusing booleans, numbers with a fractional part
-    where an integer is wanted, and anything but a string where a string is
-    wanted, rather than coercing them."""
-    try:
-        if isinstance(value, bool) or (kind is str and not isinstance(value, str)) or (
-            kind is int and isinstance(value, float) and not value.is_integer()
-        ):
-            raise TypeError
-        return kind(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigInvalid(f"entry {name!r} must be {kind.__name__}, got {value!r}") from exc
+    """``value`` as ``kind``, int or str: an int must be a JSON number with
+    no fractional part and a str a JSON string.  Anything else, booleans
+    and numeric strings included, is refused rather than coerced."""
+    if kind is int and _is_number(value) and value % 1 == 0:
+        return int(value)
+    if kind is str and isinstance(value, str):
+        return value
+    raise ConfigInvalid(f"entry {name!r} must be {kind.__name__}, got {value!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,7 +140,6 @@ class SampleStream:
 class MembershipReport:
     target: str
     residuals: dict
-    tolerance: float
 
     @property
     def max_residual(self) -> float:
@@ -148,12 +147,10 @@ class MembershipReport:
 
     @property
     def passed(self) -> bool:
-        return self.max_residual <= self.tolerance
+        return self.max_residual <= MEMBERSHIP_TOLERANCE
 
 
-def membership_residual(
-    a: np.ndarray, target: str, form: SignatureForm, tolerance: float = 1e-9
-) -> MembershipReport:
+def membership_residual(a: np.ndarray, target: str, form: SignatureForm) -> MembershipReport:
     """Per-condition residuals for membership in U_p2, Sigma or Phi."""
     if a.shape != (form.n, form.n):
         raise DimensionMismatch(f"expected {form.n}x{form.n}, got {a.shape}")
@@ -176,7 +173,7 @@ def membership_residual(
         res["determinant"] = float(abs(np.linalg.det(a) - 1.0))
     else:
         raise ValueError(f"unknown membership target {target!r}")
-    return MembershipReport(target, res, tolerance)
+    return MembershipReport(target, res)
 
 
 def _off_diagonal_generator(form: SignatureForm, x: np.ndarray) -> np.ndarray:
@@ -241,20 +238,20 @@ def sample_phi(form: SignatureForm, stream: SampleStream, radius: float = 1.0):
     return PhiElement(dec.apply(np.cos(t)) + k @ dec.apply(np.sinc(t / np.pi)), form), stream
 
 
-def polar_factorize(s: np.ndarray, form: SignatureForm, tolerance: float = 1e-9):
+def polar_factorize(s: np.ndarray, form: SignatureForm):
     """Split an isometry of determinant 1 into its unique Sigma * Phi pair.
 
     The Sigma factor is the positive polar factor S1 = sqrt(S S*); being a
     positive isometry, its inverse is J S1 J, so the Phi factor
     S1^{-1} S = (J S1 J) S costs no second spectral call.
     """
-    report = membership_residual(s, "U_p2", form, tolerance)
+    report = membership_residual(s, "U_p2", form)
     det_res = abs(np.linalg.det(s) - 1.0)
-    if not report.passed or det_res > tolerance:
+    if not report.passed or det_res > MEMBERSHIP_TOLERANCE:
         raise NotInGroup(
             f"isometry residual {report.max_residual:.3e}, det residual {det_res:.3e}"
         )
-    s1 = spectral_map(symmetrize(s @ dag(s)), "sqrt")
+    s1 = spectral_map(s @ dag(s), "sqrt")
     j = form.j_matrix()
     return SigmaElement(s1, form), PhiElement(((j @ s1) @ j) @ s, form)
 

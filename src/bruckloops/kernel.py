@@ -6,7 +6,7 @@ of the package, ``MatrixLoop`` and ``ExtensionConfig``, satisfy the
 ``Loop`` protocol, and the checkers call them directly.  The checkers
 measure identities as residual distances rather than booleans: each
 returns the worst residual over its samples as a float, and the suite
-judges it against its configured tolerance.  Sampling is delegated to the
+judges it against its fixed acceptance bound.  Sampling is delegated to the
 concrete loop -- the kernel has no way to enumerate elements.
 
 Checkers fold sample residuals with max, so appending samples can only

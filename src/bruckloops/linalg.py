@@ -22,7 +22,7 @@ with no batch axes.
 Two fixed floors serve every layer: ``TAU_ABS`` is the absolute floor for
 pivots, positivity and the transversal's sign check, ``TAU_REL`` the
 relative tolerance of the hermiticity check.  Verdicts on measured
-residuals are the suite's, against its configured tolerances.
+residuals are the suite's, against its fixed acceptance bounds.
 """
 
 from __future__ import annotations

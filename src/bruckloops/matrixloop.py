@@ -13,13 +13,13 @@ A^{-1} = J A J: a sign flip of the off-diagonal blocks, with no spectral
 call.  Each operation except the inverse therefore costs one
 eigendecomposition (the positive factor) and the inverse costs none.
 
-Products of three matrices are evaluated strictly left to right and
-every hermitian intermediate is re-symmetrized, so residuals are
-reproducible on one machine with one numpy/LAPACK build (not across
-platforms: ``@`` and ``eigh`` go through BLAS/LAPACK).  Elements are
-validated on construction by the callers that mint them; operations trust
-their inputs and the test suite validates outputs.  ``MatrixLoop`` is the
-object the kernel checkers call.
+Products of three matrices are evaluated strictly left to right, every
+hermitian result is re-symmetrized and the eigensolver symmetrizes its
+own input, so residuals are reproducible on one machine with one
+numpy/LAPACK build (not across platforms: ``@`` and ``eigh`` go through
+BLAS/LAPACK).  Elements are validated on construction by the callers that
+mint them; operations trust their inputs and the test suite validates
+outputs.  ``MatrixLoop`` is the object the kernel checkers call.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ def _inverse(a: SigmaElement) -> np.ndarray:
 def _positive_factor(s: np.ndarray) -> np.ndarray:
     """sqrt(S S*): the positive-definite factor P of the polar decomposition
     S = P U."""
-    return spectral_map(symmetrize(s @ dag(s)), "sqrt")
+    return spectral_map(s @ dag(s), "sqrt")
 
 
 def frobenius_distance(a: SigmaElement, b: SigmaElement) -> float:

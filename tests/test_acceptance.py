@@ -197,7 +197,7 @@ def test_extension_axioms_and_projection(form):
 @pytest.mark.parametrize("form", CONFIGS, ids=IDS)
 def test_manifold_dimension(form):
     cfg = extension_config(form)
-    report = dimension_rank_report(cfg, points=20, stream=SampleStream(SEED), gap=1e-4)
+    report = dimension_rank_report(cfg, points=20, stream=SampleStream(SEED))
     expected = EXPECTED_DIMENSION[config_id(form)]
     ok = report.rank == expected and report.gap_fraction >= 0.9
     emit(ok, f"dimension[{config_id(form)}]",
@@ -210,7 +210,7 @@ def test_manifold_dimension(form):
 def test_transversal_witness(form):
     boosted = apply(standard_boost(form, math.log(2)).matrix, coordinate_subspace(form, 2))
     cfg = extension_config(form, wtilde=boosted)
-    report = nonisomorphism_witness(cfg, SampleStream(SEED), budget=100, threshold=1e-3)
+    report = nonisomorphism_witness(cfg, SampleStream(SEED), budget=100)
     ok = report.displacement > 1e-3 and report.samples_used <= 100
     emit(ok, f"witness[{config_id(form)}]",
          f"displacement {report.displacement:.3e} > 1e-03 after {report.samples_used} samples")

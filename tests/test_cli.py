@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bruckloops.cli import DEFAULT_SAMPLES, SuiteConfig, _diagnostics, main, run_verify
+from bruckloops.cli import (
+    DEFAULT_SAMPLES, PROPERTIES, TOLERANCES, SuiteConfig, _diagnostics, main, run_verify,
+)
 from bruckloops.errors import NotInOrbit
 from bruckloops.groups import SigmaElement, SignatureForm, element_to_json, standard_boost
 from bruckloops.linalg import write_matrix_text
@@ -64,11 +66,9 @@ _VALUE = st.one_of(
 )
 _VALID_CONFIG = {
     "n": 3, "p1": 2, "p2": 1, "field": "real", "carrier": 1, "seed": 1, "wtilde": "standard",
-    "samples": {"bol": 5}, "tolerances": {"membership": 1e-9},
+    "samples": {"bol": 5},
 }
-_CONFIG_KEYS = [(key,) for key in _VALID_CONFIG] + [
-    ("samples", "bol"), ("tolerances", "identity"), ("tolerances", "solve"), ("tolerances", "membership"),
-]
+_CONFIG_KEYS = [(key,) for key in _VALID_CONFIG] + [("samples", "bol")]
 _MATRIX_PATHS = (
     [("matrix", i, j) for i in range(3) for j in range(3)]
     + [("form", key) for key in ("n", "p1", "p2", "field")]
@@ -142,16 +142,34 @@ class TestVerify:
         wt.write_text(json.dumps({"base": [0.0, 0.0, 0.0], "frame": [[1.0], [0.0], [0.0]]}))
         cfg = write_config(tmp_path / "cfg.json", wtilde=f"file:{wt}")
         assert main(["verify", "--config", cfg]) == 2
+        # the refused transversal neither creates nor truncates the report file
+        new, kept = tmp_path / "new.json", tmp_path / "kept.json"
+        kept.write_text("kept")
+        for out in (new, kept):
+            assert main(["verify", "--config", cfg, "--out", str(out)]) == 2
+        assert not new.exists() and kept.read_text() == "kept"
 
-    def test_failing_tolerance_gives_exit_one_and_report(self, tmp_path):
-        cfg = write_config(
-            tmp_path / "cfg.json",
-            tolerances={"identity": 1e-20},
-        )
+    def test_failing_tolerance_gives_exit_one_and_report(self, tmp_path, monkeypatch):
+        monkeypatch.setitem(TOLERANCES, "identity", 1e-20)
+        cfg = write_config(tmp_path / "cfg.json")
         out = tmp_path / "report.json"
         assert main(["verify", "--config", cfg, "--out", str(out)]) == 1
         report = json.loads(out.read_text())
         assert report["pass"] is False
+        failed = {p["property"] for p in report["properties"] if not p["pass"]}
+        assert "loop_axioms" in failed and "sigma_closure" not in failed
+
+    def test_entries_carry_the_fixed_bounds(self, tmp_path):
+        # the bounds are constants: each entry is judged against its row's
+        # table value, and the table holds these values
+        assert TOLERANCES == {
+            "identity": 1e-8, "membership": 1e-9, "factor": 1e-8,
+            "factor_reconstruction": 1e-10, "solve": 1e-8, "solve_stability": 1e-6,
+        }
+        bound = {name: TOLERANCES[key] for row in PROPERTIES for name, key in row.entries}
+        report = run_verify(SuiteConfig(samples={name: 2 for name in DEFAULT_SAMPLES}))
+        assert {p["property"]: p["tolerance"] for p in report["properties"]} == bound
+        assert "tolerances" not in report["config"]
 
     def test_determinism_modulo_timing(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json")
@@ -173,12 +191,37 @@ class TestVerify:
         cfg = write_config(tmp_path / "cfg.json", wtilde=f"boost:{t}")
         assert main(["verify", "--config", cfg, "--samples", "3"]) == 0
 
-    @pytest.mark.parametrize("name", ["jacobi_stop", "tau_abs", "tau_rel"])
-    def test_removed_jacobi_stop_tolerance_is_config_error(self, tmp_path, capsys, name):
-        cfg = write_config(tmp_path / "cfg.json", tolerances={name: 1e-9})
-        assert main(["verify", "--config", cfg]) == 2
+    @pytest.mark.parametrize(
+        "section", [{"identity": 1.0}, {"tau_abs": 1e-9}], ids=["identity-loosened", "tau_abs"]
+    )
+    def test_tolerances_section_is_config_error(self, tmp_path, capsys, section):
+        # the bounds are fixed: a config can neither loosen one nor name a removed one
+        cfg = write_config(tmp_path / "cfg.json", tolerances=section)
+        out = tmp_path / "report.json"
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert name in err and err.startswith("error: ") and err.count("\n") == 1
+        assert "tolerances" in err and err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("where", ["missing-folder", "folder", "file-as-folder"])
+    def test_unwritable_report_path_fails_before_the_suite(self, tmp_path, capsys, monkeypatch, where):
+        import bruckloops.cli
+
+        def refuse(cfg):
+            raise AssertionError("the suite ran")
+
+        monkeypatch.setattr(bruckloops.cli, "run_verify", refuse)
+        (tmp_path / "file").write_text("")
+        out = {
+            "missing-folder": tmp_path / "missing" / "r.json",
+            "folder": tmp_path,
+            "file-as-folder": tmp_path / "file" / "r.json",
+        }[where]
+        assert main(["verify", "--samples", "3", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert str(out) in captured.err
 
     def test_numeric_breakdown_is_a_failed_entry(self, tmp_path, capsys, monkeypatch):
         import bruckloops.linalg
@@ -255,12 +298,15 @@ class TestVerify:
             ({}, [], {"base": [0.0, 0.0, 1e300], "frame": [[0.0], [1.0], [0.0]]}),
             ({"seeed": 5}, [], None),
             ({"out": None}, [], None),
+            ({"n": "3"}, [], None),
+            ({"samples": {"bol": "5"}}, [], None),
         ],
         ids=[
             "n-abc", "samples-x", "membership-nan", "samples-neg", "tol-neg", "boost-overflow", "boost-700",
             "n-float", "seed-float", "samples-bool", "tol-bool", "n-inf",
             "wtilde-nan", "wtilde-no-base", "wtilde-list", "wtilde-contraction-1.25",
             "wtilde-zero-column", "wtilde-huge-base", "unknown-key", "out-null",
+            "n-string", "samples-string",
         ],
     )
     def test_malformed_config_is_config_error(self, tmp_path, capsys, monkeypatch, extra, argv, wtilde):
@@ -381,6 +427,7 @@ class TestMul:
             ("extension", "w_off_transversal"),
             ("matrix", "form-float"),
             ("matrix", "form-bool"),
+            ("matrix", "form-string"),
             ("matrix", "string-rows"),
             ("matrix", "bool-entry"),
             pytest.param("matrix", "three-part-entry", id="complex-three-part-entry"),
@@ -414,6 +461,7 @@ class TestMul:
             "w_off_transversal": json.dumps({"w": [0.5, 0.0, 0.3], "rho": elem}),
             "form-float": json.dumps(dict(elem, form={"n": 3.9, "p1": 2.7, "p2": 1, "field": "real"})),
             "form-bool": json.dumps(dict(elem, form=dict(elem["form"], p2=True))),
+            "form-string": json.dumps(dict(elem, form=dict(elem["form"], n="3"))),
             # rows and entries of the wrong JSON type, or out of float range
             "string-rows": json.dumps(dict(elem, matrix=["100", "010", "001"])),
             "bool-entry": json.dumps(dict(elem, matrix=[[True, 0, 0], [0, 1, 0], [0, 0, 1]])),
@@ -467,7 +515,7 @@ class TestMul:
         assert main(["mul", str(lhs), str(rhs), "--loop", loop]) in (0, 2)
 
     def test_determinant_dominated_diagnostics_serialize(self, form321r):
-        diag = _diagnostics(SigmaElement(2.0 * np.eye(3), form321r), 1e-9)
+        diag = _diagnostics(SigmaElement(2.0 * np.eye(3), form321r))
         assert diag["pass"] is False
         json.dumps(diag)
 

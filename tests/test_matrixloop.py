@@ -11,8 +11,8 @@ from bruckloops.groups import (
     sample_phi,
     standard_boost,
 )
-from bruckloops.linalg import fro
-from bruckloops.matrixloop import MatrixLoop, frobenius_distance
+from bruckloops.linalg import dag, fro, spectral_map, symmetrize
+from bruckloops.matrixloop import MatrixLoop, _positive_factor, frobenius_distance
 
 
 @pytest.fixture
@@ -108,6 +108,25 @@ def test_eigendecompositions_per_operation(mloop, eig_calls, op, expected):
     eig_calls.clear()
     getattr(mloop, op)(*((a,) if op == "inverse" else (a, b)))
     assert len(eig_calls) == expected
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_positive_factor_needs_no_caller_symmetrization(field):
+    # the eigensolver symmetrizes its input and (A + A*)/2 is exactly
+    # hermitian, so symmetrizing S S* first changes no bit of the result
+    form = SignatureForm(4, 2, 2, field)
+    stream = SampleStream(13)
+    products = []
+    for _ in range(20):
+        a, stream = MatrixLoop(form).sample(stream)
+        b, stream = sample_phi(form, stream)
+        products.append(a.matrix @ b.matrix)
+    for s in products + [np.stack(products)]:
+        assert np.array_equal(_positive_factor(s), spectral_map(symmetrize(s @ dag(s)), "sqrt"))
+        # the same holds where the product is hermitian only to rounding
+        h = s @ dag(s) + 1e-15 * np.tril(np.ones_like(s))
+        assert not np.array_equal(h, symmetrize(h))
+        assert np.array_equal(spectral_map(h, "sqrt"), spectral_map(symmetrize(h), "sqrt"))
 
 
 class TestConjugationEquivariance:
