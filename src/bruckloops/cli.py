@@ -9,10 +9,14 @@ The verification suite is one table, ``PROPERTIES``: each row names its
 report entries and their keys in the fixed bounds table ``TOLERANCES``,
 its sample-count key (which also selects its sample stream), whether it is
 required, its default count, and a ``run`` that returns the worst residual
-of each entry.  One runner gives every row its stream, times it, builds
-its entries and turns a numeric breakdown inside it (any package error or
-``LinAlgError``) into failed entries carrying ``detail.error``, so the
-report is still written.
+of each entry.  Every row is batched: it draws all its samples in one
+call, runs each loop operation once on the whole stack of elements and
+folds the per-element residuals with max.  One runner gives every row its
+stream, times it, builds its entries and turns a numeric breakdown inside
+it (any package error or ``LinAlgError``) into failed entries carrying
+``detail.error``, so the report is still written.  A check inside a stacked
+call covers the whole stack, so ``detail.error`` names the worst matrix of
+the stack, not the first failing sample.
 
 Every setting is a row of ``SETTINGS`` (config key, ``SuiteConfig``
 attribute, type), which the JSON loader, the command-line flags and the
@@ -36,7 +40,6 @@ import sys
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -54,12 +57,16 @@ from .groups import (
     element_from_json,
     element_to_json,
     membership_residual,
+    phi_from_uniforms,
+    phi_width,
     polar_factorize,
-    sample_phi,
     sample_sigma,
+    scale,
+    sigma_from_uniforms,
+    sigma_width,
     standard_boost,
 )
-from .kernel import check_aip, check_bol, check_left_a, check_loop_axioms
+from .kernel import check_aip, check_bol, check_left_a, check_loop_axioms, inverse_gap, sample_tuples, worst
 from .linalg import field_of, fro, read_matrix_text
 from .matrixloop import MatrixLoop
 
@@ -217,7 +224,10 @@ class Property:
     selects its sample stream.  ``entries`` are the report entries the row
     fills, as ``(entry name, TOLERANCES key)`` pairs.  ``run(suite, stream,
     count)`` returns the worst residual of each entry and a ``detail`` dict
-    for the report, or None.
+    for the report, or None.  Every run is batched: one draw of all
+    ``count`` samples, which gives each sample the stream counters it would
+    have drawn alone, each loop operation once on the whole stack, and a
+    fold of the per-element residuals with max from 0.
     """
 
     key: str
@@ -227,79 +237,50 @@ class Property:
     run: Callable
 
 
-def _worst(stream: SampleStream, count: int, fn) -> tuple:
-    """Fold ``fn(stream) -> (residuals, stream)`` over ``count`` samples,
-    entry by entry, with max from 0; None when ``count`` is 0."""
-    worst = None
-    for _ in range(count):
-        residuals, stream = fn(stream)
-        worst = tuple(map(max, worst or (0.0,) * len(residuals), residuals))
-    return worst
-
-
-def _sampled(fn):
-    """A row run folding the per-sample ``fn(suite, stream)`` with _worst."""
-    return lambda s, stream, count: (_worst(stream, count, partial(fn, s)), None)
-
-
 def _one(residual: float):
     """A kernel checker's worst residual as a one-entry row result."""
     return (residual,), None
 
 
-def _sigma_residual(s: Suite, matrix: np.ndarray) -> float:
-    return membership_residual(matrix, "Sigma", s.form).max_residual
+def _sigma_closure(s: Suite, stream: SampleStream, count: int):
+    a, b = sample_tuples(s.mat, stream, count, 2)
+    return (membership_residual(s.mat.mul(a, b).matrix, "Sigma", s.form).max_residual,), None
 
 
-def _sigma_closure(s: Suite, stream: SampleStream):
-    a, stream = s.mat.sample(stream)
-    b, stream = s.mat.sample(stream)
-    return (_sigma_residual(s, s.mat.mul(a, b).matrix),), stream
+def _sigma_and_phi(s: Suite, stream: SampleStream, count: int):
+    """``count`` (Sigma, Phi) pairs, each drawn Sigma first."""
+    (us, up), _ = stream.next_rows(count, sigma_width(s.form), phi_width(s.form))
+    return sigma_from_uniforms(s.form, us), phi_from_uniforms(s.form, up)
 
 
-def _conjugation_closure(s: Suite, stream: SampleStream):
-    a, stream = sample_sigma(s.form, stream)
-    b, stream = sample_phi(s.form, stream)
-    return (_sigma_residual(s, conjugate_by_phi(a, b).matrix),), stream
+def _conjugation_closure(s: Suite, stream: SampleStream, count: int):
+    a, b = _sigma_and_phi(s, stream, count)
+    return (membership_residual(conjugate_by_phi(a, b).matrix, "Sigma", s.form).max_residual,), None
 
 
-def _factorization(s: Suite, stream: SampleStream):
+def _factorization(s: Suite, stream: SampleStream, count: int):
     """Recovery of both sampled factors, and the relative reconstruction."""
-    s1, stream = sample_sigma(s.form, stream)
-    c, stream = sample_phi(s.form, stream)
+    s1, c = _sigma_and_phi(s, stream, count)
     m = s1.matrix @ c.matrix
     f1, f2 = polar_factorize(m, s.form)
-    recovery = max(
-        float(np.max(np.abs(f1.matrix - s1.matrix))), float(np.max(np.abs(f2.matrix - c.matrix)))
-    )
-    return (recovery, fro(f1.matrix @ f2.matrix - m) / fro(m)), stream
+    recovery = worst(np.abs(f1.matrix - s1.matrix), np.abs(f2.matrix - c.matrix))
+    return (recovery, worst(fro(f1.matrix @ f2.matrix - m) / fro(m))), None
 
 
 def _transversality(s: Suite, stream: SampleStream, count: int):
-    rhos = []
-    for _ in range(count):
-        rho, stream = sample_sigma(s.form, stream)
-        rhos.append(rho)
-    tr = geometry.transversality_check(s.eloop.wtilde, rhos, s.eloop.carrier_subspace())
+    rhos, _ = s.mat.sample(stream, count)
+    tr = geometry.transversality_check(s.eloop.wtilde, rhos.matrix, s.eloop.carrier_subspace())
     # with no sample checked the margin is still inf, which strict JSON refuses
     return (0.0,), {"worst_margin": tr.worst_margin} if tr.samples else None
 
 
-def _ext_infinity_compat(s: Suite, stream: SampleStream):
+def _ext_infinity_compat(s: Suite, stream: SampleStream, count: int):
     """ext_mul's direction part, the graph lift of the image direction,
     against the matrix loop product, the spectral positive factor of
     rho1 rho2: two independent computations of the same element."""
-    e1, stream = s.eloop.sample(stream)
-    e2, stream = s.eloop.sample(stream)
+    e1, e2 = sample_tuples(s.eloop, stream, count, 2)
     prod = s.eloop.mul(e1, e2)
-    return (fro(prod.rho.matrix - s.mat.mul(e1.rho, e2.rho).matrix),), stream
-
-
-def _inverse_gap(s: Suite, stream: SampleStream):
-    x, stream = s.eloop.sample(stream)
-    right = s.eloop.right_divide(s.eloop.identity, x)
-    left = s.eloop.left_divide(x, s.eloop.identity)
-    return (s.eloop.distance(right, left),), stream
+    return (worst(fro(prod.rho.matrix - s.mat.mul(e1.rho, e2.rho).matrix)),), None
 
 
 def _ext_aip(s: Suite, stream: SampleStream, count: int):
@@ -309,24 +290,26 @@ def _ext_aip(s: Suite, stream: SampleStream, count: int):
     try:
         return _one(check_aip(s.eloop, stream, count))
     except InversesDisagree:
-        return _worst(stream, count, partial(_inverse_gap, s)), {"two_sided_inverses": False}
+        x, _ = s.eloop.sample(stream, count)
+        return (worst(inverse_gap(s.eloop, x)[1]),), {"two_sided_inverses": False}
 
 
-def _solve_translation(s: Suite, stream: SampleStream):
+def _solve_translation(s: Suite, stream: SampleStream, count: int):
     """Sharp transitivity, and the solution's drift when both subspaces are
     moved by 1e-10."""
-    e1, stream = s.eloop.sample(stream)
-    e2, stream = s.eloop.sample(stream)
-    d1 = ext.realize(e1, s.eloop)
-    d2 = ext.realize(e2, s.eloop)
+    # a sample draws two elements, then 2 n (dim d1 + dim d2) noise values
+    width, noise_width = s.eloop.sample_width, 4 * s.form.n * s.eloop.carrier_dim
+    (u1, u2, noise), _ = stream.next_rows(count, width, width, noise_width)
+    d1 = ext.realize(s.eloop.from_uniforms(u1), s.eloop)
+    d2 = ext.realize(s.eloop.from_uniforms(u2), s.eloop)
     t, rho = ext.solve_translation(d1, d2, s.eloop)
     moved = geometry.apply(rho.matrix, d1, t)
-    noise, stream = stream.next_uniforms(2 * s.form.n * (d1.dim + d2.dim), -1e-10, 1e-10)
-    d1p = _perturb(d1, noise[: noise.size // 2])
-    d2p = _perturb(d2, noise[noise.size // 2 :])
+    noise = scale(noise, -1e-10, 1e-10)
+    d1p = _perturb(d1, noise[:, : noise_width // 2])
+    d2p = _perturb(d2, noise[:, noise_width // 2 :])
     tp, rhop = ext.solve_translation(d1p, d2p, s.eloop)
-    stability = float(np.linalg.norm(tp - t)) + fro(rhop.matrix - rho.matrix)
-    return (geometry.subspace_distance(moved, d2), stability), stream
+    stability = np.linalg.norm(tp - t, axis=-1) + fro(rhop.matrix - rho.matrix)
+    return (worst(geometry.subspace_distance(moved, d2)), worst(stability)), None
 
 
 # One row per property, in run order: sample-count key, default count,
@@ -334,8 +317,7 @@ def _solve_translation(s: Suite, stream: SampleStream):
 PROPERTIES = (
     Property("loop_axioms", 500, True, (("loop_axioms", "identity"),),
              lambda s, stream, n: _one(check_loop_axioms(s.mat, stream, n))),
-    Property("sigma_closure", 1000, True, (("sigma_closure", "membership"),),
-             _sampled(_sigma_closure)),
+    Property("sigma_closure", 1000, True, (("sigma_closure", "membership"),), _sigma_closure),
     Property("bol", 1000, True, (("bol", "identity"),),
              lambda s, stream, n: _one(check_bol(s.mat, stream, n))),
     Property("aip", 1000, True, (("aip", "identity"),),
@@ -343,22 +325,22 @@ PROPERTIES = (
     Property("left_a", 500, False, (("left_a", "identity"),),
              lambda s, stream, n: _one(check_left_a(s.mat, stream, n))),
     Property("conjugation_closure", 500, True, (("conjugation_closure", "membership"),),
-             _sampled(_conjugation_closure)),
+             _conjugation_closure),
     Property("factorization", 500, True,
              (("factorization_recovery", "factor"),
               ("factorization_reconstruction", "factor_reconstruction")),
-             _sampled(_factorization)),
+             _factorization),
     Property("transversality", 200, True, (("transversality", "membership"),), _transversality),
     Property("ext_loop_axioms", 500, True, (("ext_loop_axioms", "identity"),),
              lambda s, stream, n: _one(check_loop_axioms(s.eloop, stream, n))),
     Property("ext_infinity_compat", 500, True, (("ext_infinity_compat", "membership"),),
-             _sampled(_ext_infinity_compat)),
+             _ext_infinity_compat),
     Property("ext_bol", 100, False, (("ext_bol", "identity"),),
              lambda s, stream, n: _one(check_bol(s.eloop, stream, n))),
     Property("ext_aip", 100, False, (("ext_aip", "identity"),), _ext_aip),
     Property("solve_translation", 200, True,
              (("solve_translation", "solve"), ("solve_translation_stability", "solve_stability")),
-             _sampled(_solve_translation)),
+             _solve_translation),
 )
 
 DEFAULT_SAMPLES = {row.key: row.default_samples for row in PROPERTIES} | {"dimension_points": 20}
@@ -378,14 +360,14 @@ def _run_property(row: Property, suite: Suite, stream: SampleStream, count: int)
     and the exception text in ``detail.error``."""
     t0 = time.perf_counter()
     try:
-        worst, detail = row.run(suite, stream, count)
+        residuals, detail = row.run(suite, stream, count)
         broke = False
     except _BREAKDOWN as exc:
-        worst, detail, broke = (1.0,) * len(row.entries), {"error": str(exc)}, True
+        residuals, detail, broke = (1.0,) * len(row.entries), {"error": str(exc)}, True
     seconds = time.perf_counter() - t0
     first = row.entries[0][0]
     entries = []
-    for (name, tol_key), residual in zip(row.entries, worst or (0.0,) * len(row.entries)):
+    for (name, tol_key), residual in zip(row.entries, residuals):
         tolerance = TOLERANCES[tol_key]
         entry = {
             "property": name,
@@ -444,13 +426,12 @@ def run_verify(cfg: SuiteConfig) -> dict:
 
 
 def _perturb(s, noise: np.ndarray):
-    """A nearby representative of (almost) the same subspace: jiggle the
-    base and frame entries and re-canonicalize."""
-    n, k = s.frame.shape
-    need = n * (k + 1)
-    pad = np.resize(noise, need)
-    base = s.base + pad[:n].astype(s.base.dtype)
-    frame = s.frame + pad[n:].reshape(n, k).astype(s.frame.dtype)
+    """A nearby representative of (almost) the same subspace, or of each of
+    a stack: jiggle the base and frame entries by the leading values of
+    ``noise`` (..., m), m >= n (k + 1), and re-canonicalize."""
+    n, k = s.frame.shape[-2:]
+    base = s.base + noise[..., :n].astype(s.base.dtype)
+    frame = s.frame + noise[..., n : n * (k + 1)].reshape(noise.shape[:-1] + (n, k)).astype(s.frame.dtype)
     return geometry.subspace(base, frame)
 
 
@@ -483,8 +464,8 @@ def _check_operand(path: str, elem: SigmaElement, form: SignatureForm) -> None:
     _check_form(path, elem, form)
     rep = membership_residual(elem.matrix, "Sigma", form)
     if not rep.passed:
-        worst = max(rep.residuals, key=rep.residuals.get)
-        raise ConfigInvalid(f"{path}: not in Sigma, {worst} residual {rep.max_residual:.3e}")
+        condition = max(rep.residuals, key=rep.residuals.get)
+        raise ConfigInvalid(f"{path}: not in Sigma, {condition} residual {rep.max_residual:.3e}")
 
 
 def _diagnostics(elem: SigmaElement) -> dict:
@@ -586,16 +567,13 @@ def cmd_sample(args) -> int:
     cfg = load_suite_config(args)
     suite = resolve(cfg)
     stream = SampleStream(cfg.seed)
-    lines = []
     with _in_float_range():
         if args.loop == "matrix":
-            for _ in range(args.count):
-                elem, stream = sample_sigma(suite.form, stream, args.radius)
-                lines.append(json.dumps(element_to_json(elem), sort_keys=True))
+            elems, _ = sample_sigma(suite.form, stream, args.count, args.radius)
+            lines = [json.dumps(element_to_json(elems[i]), sort_keys=True) for i in range(args.count)]
         else:
-            for _ in range(args.count):
-                elem, stream = suite.eloop.sample(stream, args.radius)
-                lines.append(json.dumps(elem.to_json(), sort_keys=True))
+            elems, _ = suite.eloop.sample(stream, args.count, args.radius)
+            lines = [json.dumps(elems[i].to_json(), sort_keys=True) for i in range(args.count)]
     sys.stdout.write("\n".join(lines) + ("\n" if lines else ""))
     return 0
 

@@ -12,6 +12,11 @@ so an element is stored as ``(w, rho)``.  The loop operations run on these
 coordinates; ``omega`` reads them off any point and spanning frame.  Canonical
 subspaces (``realize``) serve only the boundaries: distance, files, JSON.
 
+Elements take stacks: ``w`` of shape (..., n) with ``rho`` a stack of the
+same batch shape is that many elements, and every loop operation,
+``distance`` and ``sample`` act on the whole stack, each step one stacked
+``solve``, eigendecomposition or QR call.
+
 Every orbit direction at infinity is the graph of a strict contraction
 between the two coordinate blocks, which gives ``lift_from_infinity`` a
 closed form (the boost of that contraction, as in the gyrogroup view of
@@ -44,15 +49,18 @@ from .groups import (
     SigmaElement,
     SignatureForm,
     _off_diagonal_generator,
+    blocks,
     element_from_json,
     element_to_json,
     matrix_from_json,
     matrix_to_json,
     sample_phi,
-    sample_sigma,
+    scale,
     sigma_from_block,
+    sigma_from_uniforms,
+    sigma_width,
 )
-from .linalg import COMPLEX, dag, eig_hermitian, spectral_map, symmetrize
+from .linalg import COMPLEX, dag, eig_hermitian, mv, spectral_map, symmetrize
 from .matrixloop import MatrixLoop, _inverse
 
 _W_SCALE = 1.0  # sampled transversal points have frame coordinates in [-1, 1]
@@ -114,7 +122,7 @@ class ExtensionConfig:
 
     def left_divide(self, a, c):
         ainv = _inverse(a.rho)
-        return omega(_image(ainv, c, self, -(ainv @ a.w)), self)
+        return omega(_image(ainv, c, self, -mv(ainv, a.w)), self)
 
     def right_divide(self, c, a):
         rho = MatrixLoop(self.form).right_divide(c.rho, a.rho)
@@ -123,17 +131,25 @@ class ExtensionConfig:
     def distance(self, a, b):
         return subspace_distance(realize(a, self), realize(b, self))
 
-    def sample(self, stream: SampleStream, radius: float = 0.75):
-        k = self.wtilde.dim
-        if self.form.field == COMPLEX:
-            vals, stream = stream.next_uniforms(2 * k, -_W_SCALE, _W_SCALE)
-            coef = vals[0::2] + 1j * vals[1::2]
-        else:
-            vals, stream = stream.next_uniforms(k, -_W_SCALE, _W_SCALE)
-            coef = vals
-        w = self.wtilde.frame @ coef.astype(self.form.dtype)
-        rho, stream = sample_sigma(self.form, stream, radius)
-        return ExtensionElement(w, rho), stream
+    @property
+    def sample_width(self) -> int:
+        """How many uniforms one sample draws: the transversal point's frame
+        coordinates, then the Sigma element."""
+        return (2 if self.form.field == COMPLEX else 1) * self.wtilde.dim + sigma_width(self.form)
+
+    def from_uniforms(self, u: np.ndarray, radius: float = 0.75) -> "ExtensionElement":
+        """The element, or stack, that unit uniforms ``u`` of shape
+        (..., sample_width) draw: a transversal point with frame coordinates
+        uniform in [-1, 1) and a Sigma element of the given radius."""
+        k = u.shape[-1] - sigma_width(self.form)
+        (coef,) = blocks(self.form, scale(u[..., :k], -_W_SCALE, _W_SCALE), (self.wtilde.dim, 1))
+        w = mv(self.wtilde.frame, coef[..., 0])
+        return ExtensionElement(w, sigma_from_uniforms(self.form, u[..., k:], radius))
+
+    def sample(self, stream: SampleStream, count: int, radius: float = 0.75):
+        """Draw a stack of ``count`` elements, one ``next_uniforms`` call."""
+        (u,), stream = stream.next_rows(count, self.sample_width)
+        return self.from_uniforms(u, radius), stream
 
 
 def extension_config(
@@ -178,10 +194,15 @@ def extension_config(
 @dataclass(frozen=True, eq=False)
 class ExtensionElement:
     """Coordinates (w, rho): the transversal intersection point and the
-    canonical positive-definite lift of the direction at infinity."""
+    canonical positive-definite lift of the direction at infinity; for a
+    stack, w is (..., n) and rho's matrix (..., n, n)."""
 
     w: np.ndarray
     rho: SigmaElement
+
+    def __getitem__(self, index):
+        """The element, or sub-stack, at ``index`` of the batch axes."""
+        return ExtensionElement(self.w[index], self.rho[index])
 
     def to_json(self) -> dict:
         return {"w": matrix_to_json(self.w.reshape(1, -1))[0], "rho": element_to_json(self.rho)}
@@ -208,12 +229,13 @@ def realize(e: ExtensionElement, cfg: ExtensionConfig) -> AffineSubspace:
 def _image(linear: np.ndarray, e: ExtensionElement, cfg: ExtensionConfig, shift=0.0) -> AffineSubspace:
     """The image of e's subspace under x -> linear x + shift: a point and a spanning frame."""
     cols = _block_columns(e.rho.matrix, cfg.form, cfg.carrier)
-    return AffineSubspace(linear @ e.w + shift, linear @ cols)
+    return AffineSubspace(mv(linear, e.w) + shift, linear @ cols)
 
 
 def lift_from_infinity(z: np.ndarray, cfg: ExtensionConfig) -> SigmaElement:
     """The unique positive-definite isometry whose carrier image has the
-    direction span of the frame ``z``.
+    direction span of the frame ``z``, or one per frame of a stack
+    (..., n, k): one stacked ``solve`` and one stacked ``inverse_sqrt``.
 
     An orbit direction is the graph of a p1 x p2 contraction X: the span of
     [I; X*] for carrier 1 and of [X; I] for carrier 2.  With z = [F1; F2]
@@ -224,12 +246,12 @@ def lift_from_infinity(z: np.ndarray, cfg: ExtensionConfig) -> SigmaElement:
     (||X|| >= 1), means z is not in the orbit.
     """
     form = cfg.form
-    if z.shape != (form.n, cfg.carrier_dim):
+    if z.shape[-2:] != (form.n, cfg.carrier_dim):
         raise DimensionMismatch(
             f"direction must be {cfg.carrier_dim}-dimensional in F^{form.n}"
         )
     zh = dag(z.astype(form.dtype))
-    f1h, f2h = zh[:, : form.p1], zh[:, form.p1 :]  # F1*, F2*
+    f1h, f2h = zh[..., : form.p1], zh[..., form.p1 :]  # F1*, F2*
     try:
         x = np.linalg.solve(f1h, f2h) if cfg.carrier == 1 else dag(np.linalg.solve(f2h, f1h))
     except np.linalg.LinAlgError as exc:
@@ -244,13 +266,15 @@ def lift_from_infinity(z: np.ndarray, cfg: ExtensionConfig) -> SigmaElement:
 
 
 def _transversal_point(s: AffineSubspace, cfg: ExtensionConfig) -> np.ndarray:
-    """Where an orbit subspace meets the transversal: one solve of [frame,
-    -W~ frame] c = -base, nonsingular once extension_config has passed W~."""
+    """Where an orbit subspace, or each of a stack, meets the transversal:
+    one stacked solve of [frame, -W~ frame] c = -base, nonsingular once
+    extension_config has passed W~."""
+    other = np.broadcast_to(-cfg.wtilde.frame, s.frame.shape[:-1] + (cfg.wtilde.dim,))
     try:
-        c = np.linalg.solve(np.hstack([s.frame, -cfg.wtilde.frame]), -s.base)
+        c = np.linalg.solve(np.concatenate([s.frame, other], axis=-1), -s.base[..., None])[..., 0]
     except np.linalg.LinAlgError as exc:
         raise TransversalityViolated(f"subspace does not meet the transversal in one point: {exc}") from exc
-    return s.base + s.frame @ c[: s.dim]
+    return s.base + mv(s.frame, c[..., : s.dim])
 
 
 def omega(s: AffineSubspace, cfg: ExtensionConfig) -> ExtensionElement:
@@ -310,7 +334,8 @@ def nonisomorphism_witness(
     if stream is None:
         stream = SampleStream(1)
     for used in range(1, budget + 1):
-        g, stream = sample_phi(cfg.form, stream)
+        g, stream = sample_phi(cfg.form, stream, 1)
+        g = g[0]
         moved = apply(g.matrix, cfg.wtilde)
         disp = subspace_distance(moved, cfg.wtilde)
         if disp > WITNESS_THRESHOLD:

@@ -7,6 +7,10 @@ Gram-Schmidt gives) plus the minimum-norm point, the base projected once
 onto the frame's orthogonal complement.  Canonical forms of one subspace
 agree to rounding, not bit for bit; ``subspace_distance`` compares them.
 
+Every function but ``contains`` and ``to_json`` takes stacks: a subspace
+whose base is (..., n) and frame (..., n, k) is that many subspaces of one
+dimension, and each step is one call for the whole stack.
+
 Over the complex field subspaces are complex-linear spans and projectors
 are hermitian; "dimension" always means the F-dimension.
 """
@@ -18,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigInvalid, DimensionMismatch, TransversalityViolated
-from .groups import MEMBERSHIP_TOLERANCE, SigmaElement, matrix_from_json, matrix_to_json
-from .linalg import dag, eig_hermitian, fro, orthonormalize
+from .groups import MEMBERSHIP_TOLERANCE, matrix_from_json, matrix_to_json
+from .linalg import dag, eig_hermitian, fro, mv, orthonormalize
 
 _RANK_REL = 1e-8
 
@@ -37,11 +41,11 @@ class AffineSubspace:
 
     @property
     def dim(self) -> int:
-        return self.frame.shape[1]
+        return self.frame.shape[-1]
 
     @property
     def ambient(self) -> int:
-        return self.frame.shape[0]
+        return self.frame.shape[-2]
 
     def contains(self, point: np.ndarray) -> bool:
         """Whether ``point`` lies on the subspace within the membership bound."""
@@ -58,12 +62,12 @@ def subspace(base: np.ndarray, directions: np.ndarray) -> AffineSubspace:
     frame and the base minus its projection onto that frame's span."""
     base = np.asarray(base)
     directions = np.asarray(directions)
-    if directions.shape[0] != base.shape[0]:
+    if directions.shape[-2] != base.shape[-1]:
         raise DimensionMismatch(
-            f"directions live in dim {directions.shape[0]}, base in {base.shape[0]}"
+            f"directions live in dim {directions.shape[-2]}, base in {base.shape[-1]}"
         )
     frame = orthonormalize(directions).astype(np.result_type(directions.dtype, base.dtype, np.float64))
-    return AffineSubspace(base - frame @ (dag(frame) @ base), frame)
+    return AffineSubspace(base - mv(frame, mv(dag(frame), base)), frame)
 
 
 def from_json(obj: dict, field: str) -> AffineSubspace:
@@ -81,7 +85,7 @@ def apply(linear: np.ndarray, s: AffineSubspace, shift=0.0) -> AffineSubspace:
     """The canonical image of ``s`` under x -> linear @ x + shift.  A linear
     part that collapses the subspace is refused by orthonormalize
     (RankDeficient)."""
-    return subspace(linear @ s.base + shift, linear @ s.frame)
+    return subspace(mv(linear, s.base) + shift, linear @ s.frame)
 
 
 def projector(frame: np.ndarray) -> np.ndarray:
@@ -92,7 +96,9 @@ def subspace_distance(s1: AffineSubspace, s2: AffineSubspace) -> float:
     """Frobenius distance of the direction projectors plus the norm of the
     base gap projected onto the common normal space (the orthogonal
     complement of the union of the two direction spans).  Zero exactly for
-    equal subspaces; symmetric by construction."""
+    equal subspaces; symmetric by construction.  One distance per subspace
+    of a stack: the union's eigen-cut is a per-matrix mask on its
+    eigenbasis."""
     if s1.ambient != s2.ambient or s1.dim != s2.dim:
         raise DimensionMismatch("subspace comparison requires matching dimensions")
     p1 = projector(s1.frame)
@@ -102,14 +108,12 @@ def subspace_distance(s1: AffineSubspace, s2: AffineSubspace) -> float:
     # The union of the two direction spans is the range of p1 + p2; the sum
     # is commutative in floating point, so the result is exactly symmetric
     # in its arguments.
-    union = p1 + p2
-    dec = eig_hermitian(union)
-    top = float(dec.eigenvalues[-1]) if dec.eigenvalues.size else 0.0
-    if top > 0.0:
-        keep = dec.eigenvalues > _RANK_REL * top
-        basis = dec.eigenbasis[:, keep]
-        gap = gap - basis @ (dag(basis) @ gap)
-    return d_dir + float(np.linalg.norm(gap))
+    dec = eig_hermitian(p1 + p2)
+    top = dec.eigenvalues[..., -1:]
+    keep = (dec.eigenvalues > _RANK_REL * top) & (top > 0.0)
+    basis = dec.eigenbasis * keep[..., None, :]
+    gap = gap - mv(basis, mv(dag(basis), gap))
+    return d_dir + np.linalg.norm(gap, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -121,27 +125,26 @@ class TransversalityReport:
     worst_margin: float
 
 
-def transversality_check(w: AffineSubspace, rhos, u: AffineSubspace) -> TransversalityReport:
-    """Check that w meets the image of u under every sampled linear map in
-    exactly one point.  The dimensions are complementary, so that holds
-    exactly when the square matrix [w frame, -image frame] has full rank:
-    its singular values decide it, with the relative threshold
-    1e-8 * sigma_max.  Reports the worst margin sigma_min/sigma_max."""
+def transversality_check(w: AffineSubspace, linear: np.ndarray, u: AffineSubspace) -> TransversalityReport:
+    """Check that w meets the image of u under each matrix of the stack
+    ``linear`` (..., n, n) in exactly one point.  The dimensions are
+    complementary, so that holds exactly when the square matrix [w frame,
+    -image frame] has full rank: its singular values, from one stacked SVD,
+    decide it with the relative threshold 1e-8 * sigma_max.  Reports the
+    worst margin sigma_min/sigma_max."""
     if w.dim + u.dim != w.ambient:
         raise DimensionMismatch(
             f"dim W + dim U = {w.dim + u.dim} must equal the ambient dimension {w.ambient}"
         )
-    worst = np.inf
-    count = 0
-    for rho in rhos:
-        mat = rho.matrix if isinstance(rho, SigmaElement) else rho
-        image = apply(mat, u)
-        sv = np.linalg.svd(np.hstack([w.frame, -image.frame]), compute_uv=False)
-        if sv[-1] <= _RANK_REL * sv[0]:
-            raise TransversalityViolated(
-                f"sample {count}: the image does not meet the subspace in exactly one "
-                f"point (sigma_min {sv[-1]:.3e}, sigma_max {sv[0]:.3e})"
-            )
-        worst = min(worst, float(sv[-1] / sv[0]))
-        count += 1
-    return TransversalityReport(count, worst)
+    image = apply(linear, u).frame
+    pair = np.concatenate([np.broadcast_to(w.frame, image.shape[:-1] + (w.dim,)), -image], axis=-1)
+    sv = np.linalg.svd(pair, compute_uv=False).reshape(-1, w.ambient)
+    bad = sv[:, -1] <= _RANK_REL * sv[:, 0]
+    if bad.any():
+        first = int(np.argmax(bad))
+        raise TransversalityViolated(
+            f"sample {first}: the image does not meet the subspace in exactly one "
+            f"point (sigma_min {sv[first, -1]:.3e}, sigma_max {sv[first, 0]:.3e})"
+        )
+    margins = sv[:, -1] / sv[:, 0]
+    return TransversalityReport(margins.size, float(np.min(margins, initial=np.inf)))

@@ -26,7 +26,7 @@ from . import linalg
 from .errors import ConfigInvalid, DimensionMismatch, NotInGroup
 from .linalg import COMPLEX, REAL, dag, fro, spectral_map, symmetrize
 
-_MASK64 = (1 << 64) - 1
+_MODULUS = 1 << 64
 _GAMMA = 0x9E3779B97F4A7C15
 # The membership bound: the largest residual a matrix may show and still
 # count as a group element, for factor's input, mul's operands and the suite.
@@ -85,65 +85,81 @@ def _convert(kind, value, name: str):
 
 
 @dataclass(frozen=True, eq=False)
-class SigmaElement:
+class _Matrices:
+    """A matrix of the form's size, or a stack (..., n, n) of them."""
+
+    matrix: np.ndarray
+    form: SignatureForm
+
+    def __getitem__(self, index):
+        """The element, or sub-stack, at ``index`` of the batch axes."""
+        return type(self)(self.matrix[index], self.form)
+
+
+class SigmaElement(_Matrices):
     """A positive-definite hermitian isometry; a loop element."""
 
-    matrix: np.ndarray
-    form: SignatureForm
 
-
-@dataclass(frozen=True, eq=False)
-class PhiElement:
+class PhiElement(_Matrices):
     """A block-diagonal unitary stabilizer element of determinant 1."""
-
-    matrix: np.ndarray
-    form: SignatureForm
-
-
-def _splitmix(state: int) -> int:
-    z = state & _MASK64
-    z ^= z >> 30
-    z = (z * 0xBF58476D1CE4E5B9) & _MASK64
-    z ^= z >> 27
-    z = (z * 0x94D049BB133111EB) & _MASK64
-    z ^= z >> 31
-    return z
 
 
 @dataclass(frozen=True)
 class SampleStream:
-    """Counter-based splitmix64 stream; draws are pure functions of
-    (seed, counter), so identical streams replay identical values on any
-    platform.  Each draw returns the value together with the advanced
+    """Counter-based splitmix64 stream; draw k is a pure function of
+    (seed, k), so identical streams replay identical values on any
+    platform, and one draw of many values gives the same bits as many
+    draws of few.  Each draw returns the values together with the advanced
     stream; concurrent use splits by counter offset.
     """
 
     seed: int
     counter: int = 0
 
-    def _raw(self, index: int) -> int:
-        state = (self.seed + (index + 1) * _GAMMA) & _MASK64
-        return _splitmix(state)
-
     def next_uniforms(self, count: int, lo: float = 0.0, hi: float = 1.0):
-        base = self.counter
-        vals = np.array(
-            [(self._raw(base + k) >> 11) * (1.0 / (1 << 53)) for k in range(count)]
-        )
-        return lo + (hi - lo) * vals, SampleStream(self.seed, base + count)
+        """The next ``count`` draws, uniform on [lo, hi): splitmix64 of
+        seed + (k + 1) * golden gamma modulo 2^64 for counter k, its top 53
+        bits read as a fraction, computed in ``uint64`` for all k at once."""
+        k = np.arange(count, dtype=np.uint64) + np.uint64((self.counter + 1) % _MODULUS)
+        z = k * np.uint64(_GAMMA) + np.uint64(self.seed % _MODULUS)
+        z ^= z >> np.uint64(30)
+        z *= np.uint64(0xBF58476D1CE4E5B9)
+        z ^= z >> np.uint64(27)
+        z *= np.uint64(0x94D049BB133111EB)
+        z ^= z >> np.uint64(31)
+        vals = (z >> np.uint64(11)).astype(np.float64) * (1.0 / (1 << 53))
+        return scale(vals, lo, hi), SampleStream(self.seed, self.counter + count)
+
+    def next_rows(self, count: int, *widths: int):
+        """``count`` samples' draws from one ``next_uniforms`` call, split per
+        sample into consecutive parts of the given widths: one array
+        (count, width) of unit uniforms per part, in the order the parts
+        would be drawn sample by sample, and the advanced stream."""
+        vals, stream = self.next_uniforms(count * sum(widths))
+        rows = vals.reshape(count, sum(widths))
+        return np.split(rows, np.cumsum(widths)[:-1], axis=1), stream
 
     def split(self, offset: int) -> "SampleStream":
         return SampleStream(self.seed, self.counter + offset)
 
 
+def scale(u: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """Unit uniforms mapped onto [lo, hi), bit for bit as ``next_uniforms``
+    maps its draws."""
+    return lo + (hi - lo) * u
+
+
 @dataclass(frozen=True)
 class MembershipReport:
+    """Per-condition residuals, each a float or, for a stack, one per matrix."""
+
     target: str
     residuals: dict
 
     @property
     def max_residual(self) -> float:
-        return max(self.residuals.values()) if self.residuals else 0.0
+        """The worst residual over every condition and every matrix."""
+        return max((float(np.max(r, initial=0.0)) for r in self.residuals.values()), default=0.0)
 
     @property
     def passed(self) -> bool:
@@ -151,8 +167,9 @@ class MembershipReport:
 
 
 def membership_residual(a: np.ndarray, target: str, form: SignatureForm) -> MembershipReport:
-    """Per-condition residuals for membership in U_p2, Sigma or Phi."""
-    if a.shape != (form.n, form.n):
+    """Per-condition residuals for membership in U_p2, Sigma or Phi, of a
+    matrix or of each matrix of a stack (..., n, n)."""
+    if a.shape[-2:] != (form.n, form.n):
         raise DimensionMismatch(f"expected {form.n}x{form.n}, got {a.shape}")
     j = form.j_matrix()
     res: dict = {}
@@ -161,19 +178,18 @@ def membership_residual(a: np.ndarray, target: str, form: SignatureForm) -> Memb
     elif target == "Sigma":
         res["hermitian"] = linalg.hermitian_residual(a)
         dec = linalg.eig_hermitian(symmetrize(a))
-        res["positive_definite"] = max(0.0, -float(dec.eigenvalues[0]))
+        res["positive_definite"] = np.maximum(0.0, -dec.eigenvalues[..., 0])
         res["isometry"] = fro(dag(a) @ j @ a - j)
-        res["determinant"] = float(abs(np.linalg.det(a) - 1.0))
+        res["determinant"] = np.abs(np.linalg.det(a) - 1.0)
     elif target == "Phi":
         p1 = form.p1
-        res["block_diagonal"] = float(
-            np.sqrt(fro(a[:p1, p1:]) ** 2 + fro(a[p1:, :p1]) ** 2)
-        )
+        res["block_diagonal"] = np.sqrt(fro(a[..., :p1, p1:]) ** 2 + fro(a[..., p1:, :p1]) ** 2)
         res["unitary"] = fro(a @ dag(a) - np.eye(form.n, dtype=form.dtype))
-        res["determinant"] = float(abs(np.linalg.det(a) - 1.0))
+        res["determinant"] = np.abs(np.linalg.det(a) - 1.0)
     else:
         raise ValueError(f"unknown membership target {target!r}")
-    return MembershipReport(target, res)
+    # a single matrix's residuals are plain floats, ready for JSON
+    return MembershipReport(target, {name: r if np.ndim(r) else float(r) for name, r in res.items()})
 
 
 def _off_diagonal_generator(form: SignatureForm, x: np.ndarray) -> np.ndarray:
@@ -194,59 +210,93 @@ def sigma_from_block(form: SignatureForm, x: np.ndarray) -> SigmaElement:
     return SigmaElement(spectral_map(_off_diagonal_generator(form, x), "exp"), form)
 
 
-def sample_sigma(form: SignatureForm, stream: SampleStream, radius: float = 0.75):
-    """Draw a Sigma element from the exponential chart.
+def blocks(form: SignatureForm, vals: np.ndarray, *shapes) -> list:
+    """Consecutive blocks of the given (rows, cols) shapes read off the last
+    axis of ``vals``, as entries of the form's field: a complex entry takes
+    two values, real part first.  Leading axes of ``vals`` are batch axes."""
+    if form.field == COMPLEX:
+        vals = vals[..., 0::2] + 1j * vals[..., 1::2]
+    ends = np.cumsum([rows * cols for rows, cols in shapes])
+    return [
+        part.reshape(vals.shape[:-1] + shape).astype(form.dtype)
+        for part, shape in zip(np.split(vals, ends[:-1], axis=-1), shapes)
+    ]
+
+
+def _width(form: SignatureForm, *shapes) -> int:
+    """How many uniforms ``blocks`` reads for blocks of these shapes."""
+    return (2 if form.field == COMPLEX else 1) * sum(rows * cols for rows, cols in shapes)
+
+
+def sigma_width(form: SignatureForm) -> int:
+    """How many uniforms one Sigma sample draws."""
+    return _width(form, (form.p1, form.p2))
+
+
+def phi_width(form: SignatureForm) -> int:
+    """How many uniforms one Phi sample draws."""
+    return _width(form, (form.p1, form.p1), (form.p2, form.p2))
+
+
+def sigma_from_uniforms(form: SignatureForm, u: np.ndarray, radius: float = 0.75) -> SigmaElement:
+    """The Sigma element, or stack, that unit uniforms ``u`` of shape
+    (..., sigma_width) draw from the exponential chart: block entries
+    uniform in the radius box.
 
     Radius 0 is allowed and yields the identity; a radius that is negative
     or not finite is refused.
     """
     if not (math.isfinite(radius) and radius >= 0):
         raise ConfigInvalid(f"radius must be finite and >= 0, got {radius}")
-    count = form.p1 * form.p2
-    if form.field == COMPLEX:
-        vals, stream = stream.next_uniforms(2 * count, -radius, radius)
-        x = (vals[0::2] + 1j * vals[1::2]).reshape(form.p1, form.p2)
-    else:
-        vals, stream = stream.next_uniforms(count, -radius, radius)
-        x = vals.reshape(form.p1, form.p2)
-    return sigma_from_block(form, x.astype(form.dtype)), stream
+    (x,) = blocks(form, scale(u, -radius, radius), (form.p1, form.p2))
+    return sigma_from_block(form, x)
 
 
-def sample_phi(form: SignatureForm, stream: SampleStream, radius: float = 1.0):
-    """Draw a Phi element: exp of a block-diagonal anti-hermitian generator
-    K with its trace shifted to zero so the determinant is exactly 1.
+def sample_sigma(form: SignatureForm, stream: SampleStream, count: int, radius: float = 0.75):
+    """Draw a stack of ``count`` Sigma elements, one ``next_uniforms`` call."""
+    (u,), stream = stream.next_rows(count, sigma_width(form))
+    return sigma_from_uniforms(form, u, radius), stream
+
+
+def phi_from_uniforms(form: SignatureForm, u: np.ndarray, radius: float = 1.0) -> PhiElement:
+    """The Phi element, or stack, that unit uniforms ``u`` of shape
+    (..., phi_width) draw: exp of a block-diagonal anti-hermitian generator
+    K, its blocks' entries uniform in the radius box, with its trace
+    shifted to zero so the determinant is exactly 1.
 
     K is normal, so Rodrigues' formula gives its exponential from one
     eigendecomposition of the positive semi-definite K* K = -K^2:
     exp(K) = cos(T) + K sin(T)/T with T = sqrt(K* K).  Both functions of T
     are even power series in T, so the formula is exact and stays real on
     the real field."""
-    k = np.zeros((form.n, form.n), dtype=form.dtype)
-    for (lo, hi) in ((0, form.p1), (form.p1, form.n)):
-        size = hi - lo
-        if form.field == COMPLEX:
-            vals, stream = stream.next_uniforms(2 * size * size, -radius, radius)
-            block = (vals[0::2] + 1j * vals[1::2]).reshape(size, size)
-        else:
-            vals, stream = stream.next_uniforms(size * size, -radius, radius)
-            block = vals.reshape(size, size)
-        k[lo:hi, lo:hi] = (block - dag(block)) / 2.0
+    n, p1 = form.n, form.p1
+    top, bottom = blocks(form, scale(u, -radius, radius), (p1, p1), (form.p2, form.p2))
+    k = np.zeros(u.shape[:-1] + (n, n), dtype=form.dtype)
+    k[..., :p1, :p1] = (top - dag(top)) / 2.0
+    k[..., p1:, p1:] = (bottom - dag(bottom)) / 2.0
     if form.field == COMPLEX:
-        k -= (np.trace(k) / form.n) * np.eye(form.n, dtype=form.dtype)
+        k -= (np.trace(k, axis1=-2, axis2=-1)[..., None, None] / n) * np.eye(n, dtype=form.dtype)
     dec = linalg.eig_hermitian(dag(k) @ k)
     t = np.sqrt(np.maximum(dec.eigenvalues, 0.0))
-    return PhiElement(dec.apply(np.cos(t)) + k @ dec.apply(np.sinc(t / np.pi)), form), stream
+    return PhiElement(dec.apply(np.cos(t)) + k @ dec.apply(np.sinc(t / np.pi)), form)
+
+
+def sample_phi(form: SignatureForm, stream: SampleStream, count: int, radius: float = 1.0):
+    """Draw a stack of ``count`` Phi elements, one ``next_uniforms`` call."""
+    (u,), stream = stream.next_rows(count, phi_width(form))
+    return phi_from_uniforms(form, u, radius), stream
 
 
 def polar_factorize(s: np.ndarray, form: SignatureForm):
-    """Split an isometry of determinant 1 into its unique Sigma * Phi pair.
+    """Split an isometry of determinant 1, or each of a stack, into its
+    unique Sigma * Phi pair.
 
     The Sigma factor is the positive polar factor S1 = sqrt(S S*); being a
     positive isometry, its inverse is J S1 J, so the Phi factor
     S1^{-1} S = (J S1 J) S costs no second spectral call.
     """
     report = membership_residual(s, "U_p2", form)
-    det_res = abs(np.linalg.det(s) - 1.0)
+    det_res = np.max(np.abs(np.linalg.det(s) - 1.0), initial=0.0)
     if not report.passed or det_res > MEMBERSHIP_TOLERANCE:
         raise NotInGroup(
             f"isometry residual {report.max_residual:.3e}, det residual {det_res:.3e}"

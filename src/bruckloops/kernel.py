@@ -9,13 +9,18 @@ returns the worst residual over its samples as a float, and the suite
 judges it against its fixed acceptance bound.  Sampling is delegated to the
 concrete loop -- the kernel has no way to enumerate elements.
 
-Checkers fold sample residuals with max, so appending samples can only
-raise the returned residual, and it is deterministic given (seed, count).
+Every checker is batched: it draws all its samples in one ``sample`` call,
+splits the stack into the tuples a sample-by-sample draw would give, runs
+each loop operation once on the whole stack and folds the per-element
+residuals with max from 0.  Appending samples can only raise the returned
+residual, and it is deterministic given (seed, count).
 """
 
 from __future__ import annotations
 
 from typing import Any, Protocol
+
+import numpy as np
 
 from .errors import InversesDisagree
 from .groups import SampleStream
@@ -27,8 +32,10 @@ class Loop(Protocol):
     """What the checkers call on a loop.
 
     left_divide(a, b) returns x with a * x = b; right_divide(b, a)
-    returns x with x * a = b.  ``sample`` draws one element and returns
-    it with the advanced stream.
+    returns x with x * a = b.  Elements may be stacks, and the operations
+    and ``distance`` act per element, broadcasting the single identity.
+    ``sample`` draws a stack of ``count`` elements and returns it with the
+    advanced stream; an element stack is indexed along its batch axis.
     """
 
     identity: Any
@@ -36,61 +43,64 @@ class Loop(Protocol):
     def mul(self, a, b): ...
     def left_divide(self, a, b): ...
     def right_divide(self, b, a): ...
-    def distance(self, a, b) -> float: ...
-    def sample(self, stream: SampleStream) -> tuple: ...
+    def distance(self, a, b): ...
+    def sample(self, stream: SampleStream, count: int) -> tuple: ...
 
 
-def _draw(loop: Loop, stream: SampleStream, count: int):
-    out = []
-    for _ in range(count):
-        x, stream = loop.sample(stream)
-        out.append(x)
-    return out, stream
+def worst(*residuals) -> float:
+    """Fold residuals, floats or per-element stacks, with max from 0."""
+    return max((float(np.max(r, initial=0.0)) for r in residuals), default=0.0)
+
+
+def sample_tuples(loop: Loop, stream: SampleStream, count: int, size: int) -> list:
+    """``count`` sampled ``size``-tuples from one stacked draw, as ``size``
+    stacks: slot j of tuple i is draw size * i + j, the element a
+    sample-by-sample draw gives it."""
+    xs, _ = loop.sample(stream, size * count)
+    return [xs[j::size] for j in range(size)]
 
 
 def check_loop_axioms(loop: Loop, stream: SampleStream, count: int) -> float:
     """Residuals of e*x = x, x*e = x, a*(a\\b) = b and (b/a)*a = b."""
     e = loop.identity
-    worst = 0.0
-    for _ in range(count):
-        (a, b), stream = _draw(loop, stream, 2)
-        worst = max(worst, loop.distance(loop.mul(e, a), a))
-        worst = max(worst, loop.distance(loop.mul(a, e), a))
-        worst = max(worst, loop.distance(loop.mul(a, loop.left_divide(a, b)), b))
-        worst = max(worst, loop.distance(loop.mul(loop.right_divide(b, a), a), b))
-    return worst
+    a, b = sample_tuples(loop, stream, count, 2)
+    return worst(
+        loop.distance(loop.mul(e, a), a),
+        loop.distance(loop.mul(a, e), a),
+        loop.distance(loop.mul(a, loop.left_divide(a, b)), b),
+        loop.distance(loop.mul(loop.right_divide(b, a), a), b),
+    )
 
 
 def check_bol(loop: Loop, stream: SampleStream, count: int) -> float:
     """Residual of x(y . xz) = (x . yx)z over sampled triples."""
-    worst = 0.0
-    for _ in range(count):
-        (x, y, z), stream = _draw(loop, stream, 3)
-        lhs = loop.mul(x, loop.mul(y, loop.mul(x, z)))
-        rhs = loop.mul(loop.mul(x, loop.mul(y, x)), z)
-        worst = max(worst, loop.distance(lhs, rhs))
-    return worst
+    x, y, z = sample_tuples(loop, stream, count, 3)
+    lhs = loop.mul(x, loop.mul(y, loop.mul(x, z)))
+    rhs = loop.mul(loop.mul(x, loop.mul(y, x)), z)
+    return worst(loop.distance(lhs, rhs))
+
+
+def inverse_gap(loop: Loop, x):
+    """The right inverse e/x and its distance to the left inverse x\\e, per
+    element."""
+    right = loop.right_divide(loop.identity, x)
+    return right, loop.distance(right, loop.left_divide(x, loop.identity))
 
 
 def inverse_of(loop: Loop, x):
-    """Two-sided inverse e/x, checked to coincide with x\\e."""
-    right = loop.right_divide(loop.identity, x)
-    left = loop.left_divide(x, loop.identity)
-    gap = loop.distance(right, left)
-    if gap > _INVERSE_GAP:
-        raise InversesDisagree(f"e/x and x\\e differ by {gap:.3e}")
+    """Two-sided inverse e/x, checked per element to coincide with x\\e."""
+    right, gap = inverse_gap(loop, x)
+    if np.any(gap > _INVERSE_GAP):
+        raise InversesDisagree(f"e/x and x\\e differ by {np.max(gap):.3e}")
     return right
 
 
 def check_aip(loop: Loop, stream: SampleStream, count: int) -> float:
     """Residual of the automorphic inverse property (xy)^-1 = x^-1 y^-1."""
-    worst = 0.0
-    for _ in range(count):
-        (x, y), stream = _draw(loop, stream, 2)
-        lhs = inverse_of(loop, loop.mul(x, y))
-        rhs = loop.mul(inverse_of(loop, x), inverse_of(loop, y))
-        worst = max(worst, loop.distance(lhs, rhs))
-    return worst
+    x, y = sample_tuples(loop, stream, count, 2)
+    lhs = inverse_of(loop, loop.mul(x, y))
+    rhs = loop.mul(inverse_of(loop, x), inverse_of(loop, y))
+    return worst(loop.distance(lhs, rhs))
 
 
 def check_left_a(loop: Loop, stream: SampleStream, count: int) -> float:
@@ -100,14 +110,10 @@ def check_left_a(loop: Loop, stream: SampleStream, count: int) -> float:
     The map is evaluated through divisions, so no translation ever has to
     be inverted as a map.
     """
+    x, y, u, v = sample_tuples(loop, stream, count, 4)
+    xy = loop.mul(x, y)
 
-    def lam(x, y, w):
-        return loop.left_divide(loop.mul(x, y), loop.mul(x, loop.mul(y, w)))
+    def lam(w):
+        return loop.left_divide(xy, loop.mul(x, loop.mul(y, w)))
 
-    worst = 0.0
-    for _ in range(count):
-        (x, y, u, v), stream = _draw(loop, stream, 4)
-        lhs = lam(x, y, loop.mul(u, v))
-        rhs = loop.mul(lam(x, y, u), lam(x, y, v))
-        worst = max(worst, loop.distance(lhs, rhs))
-    return worst
+    return worst(loop.distance(lam(loop.mul(u, v)), loop.mul(lam(u), lam(v))))

@@ -12,12 +12,14 @@ give identical output on one machine with one numpy/LAPACK build; like
 ``svd``, ``det``, ``inv`` and ``@`` elsewhere in the package, it may differ
 in the last bits across platforms or BLAS/LAPACK builds.
 
-The spectral layer takes stacks: ``dag``, ``symmetrize``, ``eig_hermitian``,
-``SpectralDecomposition.apply`` and ``spectral_map`` accept arrays of shape
-``(..., n, n)`` and act on the last two axes, one LAPACK call for the whole
-stack.  ``orthonormalize`` takes stacks (..., n, k) of frames the same way,
-one QR call.  Every check is made per matrix, and a 2-D input is the stack
-with no batch axes.
+The whole layer takes stacks: ``dag``, ``fro``, ``symmetrize``,
+``eig_hermitian``, ``SpectralDecomposition.apply`` and ``spectral_map``
+accept arrays of shape ``(..., n, n)`` and act on the last two axes, one
+LAPACK call for the whole stack; ``mv`` multiplies stacks of matrices and
+vectors.  ``orthonormalize`` takes stacks (..., n, k) of frames the same
+way, one QR call.  Every check is made per matrix, and a 2-D input is the
+stack with no batch axes: a matrix gives the same bits alone as inside a
+stack.
 
 Two fixed floors serve every layer: ``TAU_ABS`` is the absolute floor for
 pivots, positivity and the transversal's sign check, ``TAU_REL`` the
@@ -66,8 +68,17 @@ def dag(a: np.ndarray) -> np.ndarray:
     return a.conj().swapaxes(-1, -2)
 
 
-def fro(a: np.ndarray) -> float:
-    return float(np.linalg.norm(a))
+def fro(a: np.ndarray):
+    """Frobenius norm of a matrix, or of each matrix of a stack: the norm
+    over the last two axes, which gives a matrix the same bits alone as
+    inside a stack."""
+    return np.linalg.norm(a, axis=(-2, -1))
+
+
+def mv(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """a @ v for stacks (..., n, k) of matrices and (..., k) of vectors,
+    broadcast over the batch axes; one matrix-vector product per pair."""
+    return (a @ v[..., None])[..., 0]
 
 
 def symmetrize(a: np.ndarray) -> np.ndarray:
@@ -75,7 +86,7 @@ def symmetrize(a: np.ndarray) -> np.ndarray:
     return (a + dag(a)) / 2.0
 
 
-def hermitian_residual(a: np.ndarray) -> float:
+def hermitian_residual(a: np.ndarray):
     return fro(a - dag(a))
 
 
@@ -113,8 +124,8 @@ def eig_hermitian(a: np.ndarray) -> SpectralDecomposition:
         raise DimensionMismatch(f"expected square matrices, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise NoConvergence("matrix has non-finite entries")
-    residual = np.linalg.norm(a - dag(a), axis=(-2, -1))
-    bad = residual > TAU_ABS + TAU_REL * np.linalg.norm(a, axis=(-2, -1))
+    residual = fro(a - dag(a))
+    bad = residual > TAU_ABS + TAU_REL * fro(a)
     if bad.any():
         raise NotHermitian(f"symmetry residual {np.max(residual[bad]):.3e} exceeds tolerance")
     try:

@@ -13,6 +13,12 @@ A^{-1} = J A J: a sign flip of the off-diagonal blocks, with no spectral
 call.  Each operation except the inverse therefore costs one
 eigendecomposition (the positive factor) and the inverse costs none.
 
+Every operation, ``distance`` and ``sample`` take stacks: an element
+whose matrix is a stack (..., n, n) is that many elements, operands
+broadcast over the batch axes, and each operation is one LAPACK call for
+the whole stack, which gives each matrix the same bits as a call of its
+own.  The identity is a single matrix and broadcasts against any stack.
+
 Products of three matrices are evaluated strictly left to right, every
 hermitian result is re-symmetrized and the eigensolver symmetrizes its
 own input, so residuals are reproducible on one machine with one
@@ -47,9 +53,10 @@ def _positive_factor(s: np.ndarray) -> np.ndarray:
     return spectral_map(s @ dag(s), "sqrt")
 
 
-def frobenius_distance(a: SigmaElement, b: SigmaElement) -> float:
-    """Relative Frobenius distance, symmetric in its arguments."""
-    return fro(a.matrix - b.matrix) / (1.0 + max(fro(a.matrix), fro(b.matrix)))
+def frobenius_distance(a: SigmaElement, b: SigmaElement):
+    """Relative Frobenius distance, symmetric in its arguments; one per
+    element of a stack."""
+    return fro(a.matrix - b.matrix) / (1.0 + np.maximum(fro(a.matrix), fro(b.matrix)))
 
 
 @dataclass(frozen=True)
@@ -85,5 +92,5 @@ class MatrixLoop:
         ainv = _inverse(a)
         return SigmaElement(symmetrize((ainv @ root) @ ainv), self.form)
 
-    def sample(self, stream: SampleStream):
-        return sample_sigma(self.form, stream, _SAMPLE_RADIUS)
+    def sample(self, stream: SampleStream, count: int):
+        return sample_sigma(self.form, stream, count, _SAMPLE_RADIUS)

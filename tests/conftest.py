@@ -19,6 +19,12 @@ def boost3(t):
     return np.array([[1.0, 0.0, 0.0], [0.0, c, s], [0.0, s, c]])
 
 
+def one(drawn):
+    """The single element of a stacked draw of one, with the advanced stream."""
+    stack, stream = drawn
+    return stack[0], stream
+
+
 @pytest.fixture
 def form321r():
     from bruckloops import SignatureForm

@@ -1,0 +1,241 @@
+"""Per-sample reference for the batched sampler and verification rows.
+
+``ReferenceStream`` draws with the scalar Python splitmix64 loop, one value
+at a time.  The ``ROWS`` functions are the suite's rows written sample by
+sample: each sample is drawn alone, through a stack of one, and every loop
+operation runs on single elements; residuals are folded with Python's max
+from 0.  The batched code in the package must agree with them.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from bruckloops import extension as ext
+from bruckloops import geometry
+from bruckloops.errors import InversesDisagree
+from bruckloops.groups import (
+    SampleStream,
+    conjugate_by_phi,
+    membership_residual,
+    polar_factorize,
+    sample_phi,
+    sample_sigma,
+)
+from bruckloops.linalg import fro
+
+_MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+_INVERSE_GAP = 1e-9
+
+
+def splitmix(state: int) -> int:
+    z = state & _MASK64
+    z ^= z >> 30
+    z = (z * 0xBF58476D1CE4E5B9) & _MASK64
+    z ^= z >> 27
+    z = (z * 0x94D049BB133111EB) & _MASK64
+    z ^= z >> 31
+    return z
+
+
+def reference_uniforms(seed: int, counter: int, count: int, lo: float = 0.0, hi: float = 1.0):
+    """Draws counter .. counter + count - 1, uniform on [lo, hi), one by one."""
+    vals = np.array(
+        [(splitmix((seed + (k + 1) * _GAMMA) & _MASK64) >> 11) * (1.0 / (1 << 53))
+         for k in range(counter, counter + count)]
+    )
+    return lo + (hi - lo) * vals
+
+
+class ReferenceStream(SampleStream):
+    """A SampleStream whose draws come from the scalar reference loop."""
+
+    def next_uniforms(self, count: int, lo: float = 0.0, hi: float = 1.0):
+        vals = reference_uniforms(self.seed, self.counter, count, lo, hi)
+        return vals, ReferenceStream(self.seed, self.counter + count)
+
+
+def draw(sample, *args):
+    """One element from a sampler of stacks, ``sample(stream, 1, ...)``."""
+    stack, stream = sample(*args)
+    return stack[0], stream
+
+
+def fold(stream, count: int, fn) -> tuple:
+    """Fold ``fn(stream) -> (residuals, stream)`` over ``count`` samples,
+    entry by entry, with max from 0."""
+    worst = None
+    for _ in range(count):
+        residuals, stream = fn(stream)
+        worst = tuple(map(max, worst or (0.0,) * len(residuals), residuals))
+    return worst
+
+
+def _elements(loop, stream, size: int):
+    out = []
+    for _ in range(size):
+        x, stream = draw(loop.sample, stream, 1)
+        out.append(x)
+    return out, stream
+
+
+def _inverse_of(loop, x):
+    right = loop.right_divide(loop.identity, x)
+    left = loop.left_divide(x, loop.identity)
+    gap = loop.distance(right, left)
+    if gap > _INVERSE_GAP:
+        raise InversesDisagree(f"e/x and x\\e differ by {gap:.3e}")
+    return right
+
+
+def loop_axioms(loop, stream, count):
+    e = loop.identity
+
+    def one(stream):
+        (a, b), stream = _elements(loop, stream, 2)
+        return (max(
+            loop.distance(loop.mul(e, a), a),
+            loop.distance(loop.mul(a, e), a),
+            loop.distance(loop.mul(a, loop.left_divide(a, b)), b),
+            loop.distance(loop.mul(loop.right_divide(b, a), a), b),
+        ),), stream
+
+    return fold(stream, count, one)
+
+
+def bol(loop, stream, count):
+    def one(stream):
+        (x, y, z), stream = _elements(loop, stream, 3)
+        lhs = loop.mul(x, loop.mul(y, loop.mul(x, z)))
+        rhs = loop.mul(loop.mul(x, loop.mul(y, x)), z)
+        return (loop.distance(lhs, rhs),), stream
+
+    return fold(stream, count, one)
+
+
+def aip(loop, stream, count):
+    def one(stream):
+        (x, y), stream = _elements(loop, stream, 2)
+        lhs = _inverse_of(loop, loop.mul(x, y))
+        rhs = loop.mul(_inverse_of(loop, x), _inverse_of(loop, y))
+        return (loop.distance(lhs, rhs),), stream
+
+    return fold(stream, count, one)
+
+
+def left_a(loop, stream, count):
+    def lam(x, y, w):
+        return loop.left_divide(loop.mul(x, y), loop.mul(x, loop.mul(y, w)))
+
+    def one(stream):
+        (x, y, u, v), stream = _elements(loop, stream, 4)
+        return (loop.distance(lam(x, y, loop.mul(u, v)), loop.mul(lam(x, y, u), lam(x, y, v))),), stream
+
+    return fold(stream, count, one)
+
+
+def sigma_closure(s, stream, count):
+    def one(stream):
+        (a, b), stream = _elements(s.mat, stream, 2)
+        return (membership_residual(s.mat.mul(a, b).matrix, "Sigma", s.form).max_residual,), stream
+
+    return fold(stream, count, one)
+
+
+def _sigma_then_phi(s, stream):
+    a, stream = draw(sample_sigma, s.form, stream, 1)
+    b, stream = draw(sample_phi, s.form, stream, 1)
+    return a, b, stream
+
+
+def conjugation_closure(s, stream, count):
+    def one(stream):
+        a, b, stream = _sigma_then_phi(s, stream)
+        return (membership_residual(conjugate_by_phi(a, b).matrix, "Sigma", s.form).max_residual,), stream
+
+    return fold(stream, count, one)
+
+
+def factorization(s, stream, count):
+    def one(stream):
+        s1, c, stream = _sigma_then_phi(s, stream)
+        m = s1.matrix @ c.matrix
+        f1, f2 = polar_factorize(m, s.form)
+        recovery = max(float(np.max(np.abs(f1.matrix - s1.matrix))), float(np.max(np.abs(f2.matrix - c.matrix))))
+        return (recovery, fro(f1.matrix @ f2.matrix - m) / fro(m)), stream
+
+    return fold(stream, count, one)
+
+
+def transversality(s, stream, count):
+    """Residual 0 and the worst margin, one sample per check."""
+    margin = np.inf
+    for _ in range(count):
+        rho, stream = draw(s.mat.sample, stream, 1)
+        report = geometry.transversality_check(s.eloop.wtilde, rho.matrix[None], s.eloop.carrier_subspace())
+        margin = min(margin, report.worst_margin)
+    return (0.0,), margin
+
+
+def ext_infinity_compat(s, stream, count):
+    def one(stream):
+        (e1, e2), stream = _elements(s.eloop, stream, 2)
+        return (fro(s.eloop.mul(e1, e2).rho.matrix - s.mat.mul(e1.rho, e2.rho).matrix),), stream
+
+    return fold(stream, count, one)
+
+
+def ext_aip(s, stream, count):
+    try:
+        return aip(s.eloop, stream, count)
+    except InversesDisagree:
+        def one(stream):
+            x, stream = draw(s.eloop.sample, stream, 1)
+            right = s.eloop.right_divide(s.eloop.identity, x)
+            left = s.eloop.left_divide(x, s.eloop.identity)
+            return (s.eloop.distance(right, left),), stream
+
+        return fold(stream, count, one)
+
+
+def _perturb(sub, noise):
+    n, k = sub.frame.shape
+    pad = np.resize(noise, n * (k + 1))
+    base = sub.base + pad[:n].astype(sub.base.dtype)
+    frame = sub.frame + pad[n:].reshape(n, k).astype(sub.frame.dtype)
+    return geometry.subspace(base, frame)
+
+
+def solve_translation(s, stream, count):
+    def one(stream):
+        (e1, e2), stream = _elements(s.eloop, stream, 2)
+        d1, d2 = ext.realize(e1, s.eloop), ext.realize(e2, s.eloop)
+        t, rho = ext.solve_translation(d1, d2, s.eloop)
+        moved = geometry.apply(rho.matrix, d1, t)
+        noise, stream = stream.next_uniforms(2 * s.form.n * (d1.dim + d2.dim), -1e-10, 1e-10)
+        d1p = _perturb(d1, noise[: noise.size // 2])
+        d2p = _perturb(d2, noise[noise.size // 2 :])
+        tp, rhop = ext.solve_translation(d1p, d2p, s.eloop)
+        stability = float(np.linalg.norm(tp - t)) + fro(rhop.matrix - rho.matrix)
+        return (geometry.subspace_distance(moved, d2), stability), stream
+
+    return fold(stream, count, one)
+
+
+# Row key -> per-sample reference run(suite, stream, count) -> worst residuals.
+ROWS = {
+    "loop_axioms": lambda s, stream, n: loop_axioms(s.mat, stream, n),
+    "sigma_closure": sigma_closure,
+    "bol": lambda s, stream, n: bol(s.mat, stream, n),
+    "aip": lambda s, stream, n: aip(s.mat, stream, n),
+    "left_a": lambda s, stream, n: left_a(s.mat, stream, n),
+    "conjugation_closure": conjugation_closure,
+    "factorization": factorization,
+    "transversality": lambda s, stream, n: transversality(s, stream, n)[0],
+    "ext_loop_axioms": lambda s, stream, n: loop_axioms(s.eloop, stream, n),
+    "ext_infinity_compat": ext_infinity_compat,
+    "ext_bol": lambda s, stream, n: bol(s.eloop, stream, n),
+    "ext_aip": ext_aip,
+    "solve_translation": solve_translation,
+}

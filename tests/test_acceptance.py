@@ -28,12 +28,15 @@ from bruckloops.groups import (
     SignatureForm,
     conjugate_by_phi,
     membership_residual,
+    phi_from_uniforms,
+    phi_width,
     polar_factorize,
-    sample_phi,
-    sample_sigma,
+    scale,
+    sigma_from_uniforms,
+    sigma_width,
     standard_boost,
 )
-from bruckloops.kernel import check_aip, check_bol, check_loop_axioms
+from bruckloops.kernel import check_aip, check_bol, check_loop_axioms, sample_tuples, worst
 from bruckloops.linalg import fro
 from bruckloops.matrixloop import MatrixLoop
 
@@ -67,19 +70,14 @@ def config_id(form: SignatureForm) -> str:
 @pytest.mark.parametrize("form", CONFIGS, ids=IDS)
 def test_matrix_loop_closure(form):
     mloop = MatrixLoop(form)
-    stream = SampleStream(SEED)
-    worst = 0.0
     t0 = time.perf_counter()
-    for _ in range(1000):
-        a, stream = mloop.sample(stream)
-        b, stream = mloop.sample(stream)
-        out = mloop.mul(a, b)
-        worst = max(worst, membership_residual(out.matrix, "Sigma", form).max_residual)
+    a, b = sample_tuples(mloop, SampleStream(SEED), 1000, 2)
+    residual = membership_residual(mloop.mul(a, b).matrix, "Sigma", form).max_residual
     elapsed = time.perf_counter() - t0
-    ok = worst <= 1e-9 and elapsed < 10.0
+    ok = residual <= 1e-9 and elapsed < 10.0
     emit(ok, f"closure[{config_id(form)}]",
-         f"worst membership residual {worst:.2e} <= 1e-09 over 1000 products in {elapsed:.1f}s")
-    assert worst <= 1e-9
+         f"worst membership residual {residual:.2e} <= 1e-09 over 1000 products in {elapsed:.1f}s")
+    assert residual <= 1e-9
     assert elapsed < 10.0
 
 
@@ -96,35 +94,23 @@ def test_bruck_identities(form):
 
 @pytest.mark.parametrize("form", CONFIGS, ids=IDS)
 def test_conjugation_closure(form):
-    stream = SampleStream(SEED)
-    worst = 0.0
-    for _ in range(500):
-        a, stream = sample_sigma(form, stream)
-        b, stream = sample_phi(form, stream)
-        out = conjugate_by_phi(a, b)
-        worst = max(worst, membership_residual(out.matrix, "Sigma", form).max_residual)
-    ok = worst <= 1e-9
+    (us, up), _ = SampleStream(SEED).next_rows(500, sigma_width(form), phi_width(form))
+    out = conjugate_by_phi(sigma_from_uniforms(form, us), phi_from_uniforms(form, up))
+    residual = membership_residual(out.matrix, "Sigma", form).max_residual
+    ok = residual <= 1e-9
     emit(ok, f"conjugation[{config_id(form)}]",
-         f"worst membership residual {worst:.2e} <= 1e-09 over 500 conjugations")
+         f"worst membership residual {residual:.2e} <= 1e-09 over 500 conjugations")
     assert ok
 
 
 @pytest.mark.parametrize("form", CONFIGS, ids=IDS)
 def test_factorization_roundtrip(form):
-    stream = SampleStream(SEED)
-    worst_comp = 0.0
-    worst_recon = 0.0
-    for _ in range(500):
-        s1, stream = sample_sigma(form, stream)
-        c, stream = sample_phi(form, stream)
-        s = s1.matrix @ c.matrix
-        f1, f2 = polar_factorize(s, form)
-        worst_comp = max(
-            worst_comp,
-            float(np.max(np.abs(f1.matrix - s1.matrix))),
-            float(np.max(np.abs(f2.matrix - c.matrix))),
-        )
-        worst_recon = max(worst_recon, fro(f1.matrix @ f2.matrix - s) / fro(s))
+    (us, up), _ = SampleStream(SEED).next_rows(500, sigma_width(form), phi_width(form))
+    s1, c = sigma_from_uniforms(form, us), phi_from_uniforms(form, up)
+    s = s1.matrix @ c.matrix
+    f1, f2 = polar_factorize(s, form)
+    worst_comp = worst(np.abs(f1.matrix - s1.matrix), np.abs(f2.matrix - c.matrix))
+    worst_recon = worst(fro(f1.matrix @ f2.matrix - s) / fro(s))
     ok = worst_comp <= 1e-8 and worst_recon <= 1e-10
     emit(ok, f"factorization[{config_id(form)}]",
          f"componentwise {worst_comp:.2e} <= 1e-08, reconstruction {worst_recon:.2e} <= 1e-10")
@@ -147,29 +133,21 @@ def test_coaxial_boost_product():
 @pytest.mark.parametrize("form", CONFIGS, ids=IDS)
 def test_sharp_transitivity(form):
     cfg = extension_config(form)
-    loop = cfg
-    stream = SampleStream(SEED)
-    worst = 0.0
-    worst_stability = 0.0
-    for _ in range(200):
-        e1, stream = loop.sample(stream)
-        e2, stream = loop.sample(stream)
-        d1, d2 = realize(e1, cfg), realize(e2, cfg)
-        t, rho = solve_translation(d1, d2, cfg)
-        worst = max(worst, subspace_distance(apply(rho.matrix, d1, t), d2))
-        noise, stream = stream.next_uniforms(2 * form.n * (d1.dim + 1), -1e-10, 1e-10)
-        half = noise.size // 2
-        d1p = subspace(d1.base + noise[:form.n], d1.frame + np.resize(noise[:half], d1.frame.shape))
-        d2p = subspace(d2.base + noise[half:half + form.n],
-                       d2.frame + np.resize(noise[half:], d2.frame.shape))
-        tp, rhop = solve_translation(d1p, d2p, cfg)
-        worst_stability = max(
-            worst_stability, float(np.linalg.norm(tp - t)) + fro(rhop.matrix - rho.matrix)
-        )
-    ok = worst <= 1e-8 and worst_stability <= 1e-6
+    n, k = form.n, cfg.carrier_dim
+    half = n * (k + 1)
+    (u1, u2, noise), _ = SampleStream(SEED).next_rows(200, cfg.sample_width, cfg.sample_width, 2 * half)
+    d1, d2 = realize(cfg.from_uniforms(u1), cfg), realize(cfg.from_uniforms(u2), cfg)
+    t, rho = solve_translation(d1, d2, cfg)
+    mapping = worst(subspace_distance(apply(rho.matrix, d1, t), d2))
+    noise = scale(noise, -1e-10, 1e-10)
+    d1p = subspace(d1.base + noise[:, :n], d1.frame + noise[:, : n * k].reshape(-1, n, k))
+    d2p = subspace(d2.base + noise[:, half : half + n], d2.frame + noise[:, half : half + n * k].reshape(-1, n, k))
+    tp, rhop = solve_translation(d1p, d2p, cfg)
+    worst_stability = worst(np.linalg.norm(tp - t, axis=-1) + fro(rhop.matrix - rho.matrix))
+    ok = mapping <= 1e-8 and worst_stability <= 1e-6
     emit(ok, f"sharp-transitivity[{config_id(form)}]",
-         f"mapping residual {worst:.2e} <= 1e-08, perturbation drift {worst_stability:.2e} <= 1e-06")
-    assert worst <= 1e-8
+         f"mapping residual {mapping:.2e} <= 1e-08, perturbation drift {worst_stability:.2e} <= 1e-06")
+    assert mapping <= 1e-8
     assert worst_stability <= 1e-6
 
 
@@ -179,13 +157,9 @@ def test_extension_axioms_and_projection(form):
     loop = cfg
     axioms = check_loop_axioms(loop, SampleStream(SEED), 500)
     mloop = MatrixLoop(form)
-    stream = SampleStream(SEED).split(90_000_000)
-    worst_proj = 0.0
-    for _ in range(200):
-        e1, stream = loop.sample(stream)
-        e2, stream = loop.sample(stream)
-        prod = ext_mul(e1, e2, cfg)
-        worst_proj = max(worst_proj, fro(prod.rho.matrix - mloop.mul(e1.rho, e2.rho).matrix))
+    e1, e2 = sample_tuples(loop, SampleStream(SEED).split(90_000_000), 200, 2)
+    prod = ext_mul(e1, e2, cfg)
+    worst_proj = worst(fro(prod.rho.matrix - mloop.mul(e1.rho, e2.rho).matrix))
     ok = axioms <= 1e-8 and worst_proj <= 1e-9
     emit(ok, f"extension-axioms[{config_id(form)}]",
          f"axiom residual {axioms:.2e} <= 1e-08 over 500 samples, "

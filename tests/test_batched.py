@@ -1,0 +1,132 @@
+"""The batched sampler and verification rows against their per-sample
+reference (tests/reference.py), and per-element failures inside stacks."""
+
+import json
+
+import numpy as np
+import pytest
+
+from bruckloops.cli import PROPERTIES, TOLERANCES, SuiteConfig, main, resolve
+from bruckloops.errors import InversesDisagree, NotHermitian, NotInOrbit, NotPositiveDefinite
+from bruckloops.extension import extension_config, lift_from_infinity
+from bruckloops.groups import SampleStream, SigmaElement, element_to_json, sample_sigma
+from bruckloops.kernel import inverse_of
+from bruckloops.linalg import spectral_map
+from bruckloops.matrixloop import MatrixLoop
+from conftest import one
+from reference import ROWS, ReferenceStream, draw, reference_uniforms
+
+SEEDS = [0, 1, 7919, -5, 2**70 + 3, 2**64 - 1]
+COUNTERS = [0, 10**7, 2**63 - 100]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("counter", COUNTERS)
+def test_next_uniforms_is_the_reference_splitmix_bit_for_bit(seed, counter):
+    vals, stream = SampleStream(seed, counter).next_uniforms(257, -0.75, 0.75)
+    assert np.array_equal(vals, reference_uniforms(seed, counter, 257, -0.75, 0.75))
+    assert stream == SampleStream(seed, counter + 257)
+    unit, _ = SampleStream(seed, counter).next_uniforms(5)
+    assert np.array_equal(unit, reference_uniforms(seed, counter, 5))
+
+
+def test_next_rows_split_sample_by_sample():
+    (a, b), stream = SampleStream(3).next_rows(4, 2, 3)
+    flat = reference_uniforms(3, 0, 20).reshape(4, 5)
+    assert np.array_equal(a, flat[:, :2]) and np.array_equal(b, flat[:, 2:])
+    assert stream.counter == 20
+
+
+# (3,2,1) complex, (4,2,2) real carrier 2 boost:ln 2, (4,3,1) real, (6,3,3) complex
+SUITES = {
+    "321c": dict(n=3, p1=2, p2=1, field_name="complex"),
+    "422r-c2-boost": dict(n=4, p1=2, p2=2, field_name="real", carrier=2, wtilde="boost:0.6931471805599453"),
+    "431r": dict(n=4, p1=3, p2=1, field_name="real"),
+    "633c": dict(n=6, p1=3, p2=3, field_name="complex"),
+}
+COUNT = 6
+
+
+@pytest.mark.parametrize("seed", [1, 7919])
+@pytest.mark.parametrize("name", sorted(SUITES))
+def test_every_row_matches_the_per_sample_reference(name, seed):
+    suite = resolve(SuiteConfig(seed=seed, **SUITES[name]))
+    for k, row in enumerate(PROPERTIES):
+        stream = SampleStream(seed).split((k + 1) * 1000)
+        batched, _ = row.run(suite, stream, COUNT)
+        reference = ROWS[row.key](suite, ReferenceStream(stream.seed, stream.counter), COUNT)
+        for (entry, key), got, want in zip(row.entries, batched, reference):
+            assert abs(got - want) <= 1e-15 * max(abs(got), abs(want)), (entry, got, want)
+            assert (got <= TOLERANCES[key]) == (want <= TOLERANCES[key]), entry
+
+
+@pytest.mark.parametrize("loop", ["matrix", "extension"])
+def test_sample_command_prints_the_per_sample_draws(capsys, loop):
+    assert main(["sample", "--count", "3", "--seed", "7", "--loop", loop]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    suite = resolve(SuiteConfig(seed=7))
+    stream = ReferenceStream(7)
+    expected = []
+    for _ in range(3):
+        if loop == "matrix":
+            elem, stream = draw(sample_sigma, suite.form, stream, 1, 0.75)
+            expected.append(json.dumps(element_to_json(elem), sort_keys=True))
+        else:
+            elem, stream = draw(suite.eloop.sample, stream, 1)
+            expected.append(json.dumps(elem.to_json(), sort_keys=True))
+    assert lines == expected
+
+
+class TestPerElementFailures:
+    """One bad matrix in a stack fails the stacked call with the error class
+    the same matrix raises on its own."""
+
+    @pytest.fixture
+    def mloop(self, form321r):
+        return MatrixLoop(form321r)
+
+    def _stack(self, mloop, bad):
+        good, _ = mloop.sample(SampleStream(5), 3)
+        return SigmaElement(np.concatenate([good.matrix[:2], bad[None], good.matrix[2:]]), mloop.form)
+
+    def test_one_bad_element_fails_inverse_of(self, mloop):
+        good, _ = mloop.sample(SampleStream(5), 3)
+        assert mloop.distance(inverse_of(mloop, good), mloop.inverse(good)).max() <= 1e-10
+        # 2I is no isometry: J A J is not its inverse, so e/x and x\e part
+        stack = self._stack(mloop, 2.0 * np.eye(3))
+        with pytest.raises(InversesDisagree):
+            inverse_of(mloop, stack[2])
+        with pytest.raises(InversesDisagree):
+            inverse_of(mloop, stack)
+
+    @pytest.mark.parametrize(
+        "bad, error",
+        [
+            (np.diag([1.0, 1.0, -1.0]), NotPositiveDefinite),
+            (np.array([[2.0, 1.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 2.0]]), NotHermitian),
+        ],
+    )
+    def test_one_bad_matrix_fails_the_stacked_spectral_call(self, mloop, bad, error):
+        stack = self._stack(mloop, bad)
+        with pytest.raises(error):
+            spectral_map(stack.matrix[2], "sqrt")
+        with pytest.raises(error):
+            spectral_map(stack.matrix, "sqrt")
+
+    def test_one_singular_operand_fails_the_stacked_division(self, mloop):
+        a, _ = mloop.sample(SampleStream(6), 4)
+        c = self._stack(mloop, np.zeros((3, 3)))
+        with pytest.raises(NotPositiveDefinite):
+            mloop.left_divide(a[2], c[2])
+        with pytest.raises(NotPositiveDefinite):
+            mloop.left_divide(a, c)
+
+    def test_one_direction_off_the_orbit_fails_the_stacked_lift(self, form321r):
+        cfg = extension_config(form321r)
+        x, _ = one(cfg.sample(SampleStream(8), 1))
+        good = x.rho.matrix[:, :2]
+        bad = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 2.0]])  # the graph of a non-contraction
+        with pytest.raises(NotInOrbit):
+            lift_from_infinity(bad, cfg)
+        with pytest.raises(NotInOrbit):
+            lift_from_infinity(np.stack([good, bad, good]), cfg)

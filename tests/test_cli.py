@@ -367,6 +367,72 @@ class TestVerify:
         assert main(["sample", "--count", "1", "--config", str(cfg), "--loop", loop]) in (0, 2)
 
 
+# The 16-case set's configs: the four acceptance signatures, both bench
+# suites, (3,2,1) real boosted and (4,3,1) real on carrier 2.
+SCHEMA_CONFIGS = {
+    "321r": {},
+    "321c": {"field_name": "complex"},
+    "422r": {"n": 4, "p2": 2},
+    "431r": {"n": 4, "p1": 3},
+    "422r-c2-boost": {"n": 4, "p2": 2, "carrier": 2, "wtilde": "boost:0.6931471805599453"},
+    "633c-boost": {"n": 6, "p1": 3, "p2": 3, "field_name": "complex", "wtilde": "boost:0.5"},
+    "321r-boost": {"wtilde": "boost:0.6931471805599453"},
+    "431r-c2": {"n": 4, "p1": 3, "carrier": 2},
+}
+
+
+def _small_report(**settings) -> dict:
+    cfg = SuiteConfig(**settings)
+    cfg.samples = dict(SMALL_SAMPLES)
+    return json.loads(json.dumps(run_verify(cfg), allow_nan=False))
+
+
+class TestReportSchema:
+    @pytest.fixture(scope="class")
+    def validator(self):
+        jsonschema = pytest.importorskip("jsonschema")
+        return jsonschema.Draft7Validator(json.loads(SCHEMA.read_text()))
+
+    @pytest.mark.parametrize("name", sorted(SCHEMA_CONFIGS))
+    def test_reports_of_every_config_pass(self, validator, name):
+        report = _small_report(**SCHEMA_CONFIGS[name])
+        assert validator.is_valid(report)
+        # every config runs the ext_aip fallback, which adds its own detail key
+        entry = next(p for p in report["properties"] if p["property"] == "ext_aip")
+        assert entry["detail"] == {"two_sided_inverses": False}
+
+    def test_breakdown_report_passes(self, validator, monkeypatch):
+        import bruckloops.extension
+        import bruckloops.linalg
+        from bruckloops.errors import RankAmbiguous
+
+        def ambiguous(*args, **kwargs):
+            raise RankAmbiguous("no gap")
+
+        monkeypatch.setattr(bruckloops.linalg, "TAU_ABS", 0.5)
+        monkeypatch.setattr(bruckloops.extension, "dimension_rank_report", ambiguous)
+        report = _small_report()
+        assert any("error" in p.get("detail", {}) for p in report["properties"])
+        assert report["dimension"]["error"] == "no gap"
+        assert validator.is_valid(report)
+
+    @pytest.mark.parametrize("where", ["config.tolerances", "config.bogus", "entry", "detail", "dimension", "root"])
+    def test_unknown_keys_fail(self, validator, where):
+        report = _small_report()
+        entry = next(p for p in report["properties"] if "detail" in p)
+        target = {
+            "config.tolerances": report["config"],
+            "config.bogus": report["config"],
+            "entry": entry,
+            "detail": entry["detail"],
+            "dimension": report["dimension"],
+            "root": report,
+        }[where]
+        assert validator.is_valid(report)
+        target["tolerances" if where == "config.tolerances" else "bogus"] = {"identity": 1e-8}
+        assert not validator.is_valid(report)
+
+
 class TestMul:
     def test_identity_times_element(self, tmp_path, capsys, form321r):
         b = standard_boost(form321r, 0.5)

@@ -33,7 +33,7 @@ from bruckloops.groups import (
 from bruckloops.kernel import check_loop_axioms
 from bruckloops.linalg import fro, orthonormalize
 from bruckloops.matrixloop import MatrixLoop
-from conftest import rotation
+from conftest import one, rotation
 
 
 @pytest.fixture
@@ -96,9 +96,7 @@ class TestConfig:
             extension_config(form321r, carrier=2, wtilde=wt)
 
     def test_no_sampling(self, form321r, monkeypatch):
-        import bruckloops.extension
-
-        monkeypatch.setattr(bruckloops.extension, "sample_sigma", pytest.fail)
+        monkeypatch.setattr(SampleStream, "next_uniforms", pytest.fail)
         wt = apply(standard_boost(form321r, 0.5).matrix, coordinate_subspace(form321r, 2))
         assert extension_config(form321r, wtilde=wt).wtilde.dim == 1
 
@@ -126,7 +124,7 @@ class TestRealize:
         assert subspace_distance(s, expected) <= 1e-12
 
     def test_pure_linear(self, cfg, form321r):
-        rho, _ = sample_sigma(form321r, SampleStream(1))
+        rho, _ = one(sample_sigma(form321r, SampleStream(1), 1))
         e = ExtensionElement(np.zeros(3), rho)
         expected = apply(rho.matrix, cfg.carrier_subspace())
         assert subspace_distance(realize(e, cfg), expected) <= 1e-12
@@ -143,7 +141,7 @@ class TestLift:
         config = extension_config(form)
         stream = SampleStream(2)
         for _ in range(50):
-            rho, stream = sample_sigma(form, stream)
+            rho, stream = one(sample_sigma(form, stream, 1))
             z = apply(rho.matrix, config.carrier_subspace()).frame
             lifted = lift_from_infinity(z, config)
             assert fro(lifted.matrix - rho.matrix) <= 1e-8
@@ -163,12 +161,12 @@ class TestLift:
         config = extension_config(form, carrier=carrier)
         stream = SampleStream(5)
         for _ in range(30):
-            rho, stream = sample_sigma(form, stream)
+            rho, stream = one(sample_sigma(form, stream, 1))
             z = apply(rho.matrix, config.carrier_subspace()).frame
             assert fro(lift_from_infinity(z, config).matrix - rho.matrix) <= 1e-8
 
     def test_one_eigendecomposition_and_no_svd_or_det(self, cfg, form321r, eig_calls, monkeypatch):
-        rho, _ = sample_sigma(form321r, SampleStream(6))
+        rho, _ = one(sample_sigma(form321r, SampleStream(6), 1))
         z = apply(rho.matrix, cfg.carrier_subspace()).frame
         eig_calls.clear()
         for name in ("svd", "det"):
@@ -181,7 +179,7 @@ class TestLift:
         config = extension_config(form, carrier=2)
         stream = SampleStream(3)
         for _ in range(20):
-            rho, stream = sample_sigma(form, stream)
+            rho, stream = one(sample_sigma(form, stream, 1))
             z = apply(rho.matrix, config.carrier_subspace()).frame
             assert fro(lift_from_infinity(z, config).matrix - rho.matrix) <= 1e-8
 
@@ -190,7 +188,7 @@ class TestLift:
         config = extension_config(form)
         stream = SampleStream(4)
         for _ in range(30):
-            rho, stream = sample_sigma(form, stream)
+            rho, stream = one(sample_sigma(form, stream, 1))
             z = apply(rho.matrix, config.carrier_subspace()).frame
             assert fro(lift_from_infinity(z, config).matrix - rho.matrix) <= 1e-8
 
@@ -205,7 +203,7 @@ class TestOmega:
         loop = cfg
         stream = SampleStream(5)
         for _ in range(50):
-            e, stream = loop.sample(stream)
+            e, stream = one(loop.sample(stream, 1))
             back = omega(realize(e, cfg), cfg)
             assert np.linalg.norm(back.w - e.w) <= 1e-8
             assert fro(back.rho.matrix - e.rho.matrix) <= 1e-8
@@ -214,14 +212,14 @@ class TestOmega:
 class TestExtMul:
     def test_left_identity(self, cfg):
         loop = cfg
-        e, _ = loop.sample(SampleStream(6))
+        e, _ = one(loop.sample(SampleStream(6), 1))
         out = ext_mul(cfg.identity, e, cfg)
         assert np.linalg.norm(out.w - e.w) <= 1e-12
         assert fro(out.rho.matrix - e.rho.matrix) <= 1e-12
 
     def test_right_identity(self, cfg):
         loop = cfg
-        e, _ = loop.sample(SampleStream(7))
+        e, _ = one(loop.sample(SampleStream(7), 1))
         out = ext_mul(e, cfg.identity, cfg)
         assert np.linalg.norm(out.w - e.w) <= 1e-12
         assert fro(out.rho.matrix - e.rho.matrix) <= 1e-12
@@ -235,8 +233,8 @@ class TestExtMul:
         loop = config
         stream = SampleStream(8)
         for _ in range(50):
-            e1, stream = loop.sample(stream)
-            e2, stream = loop.sample(stream)
+            e1, stream = one(loop.sample(stream, 1))
+            e2, stream = one(loop.sample(stream, 1))
             prod = ext_mul(e1, e2, config)
             oracle = apply(e1.rho.matrix, realize(e2, config), e1.w)
             assert subspace_distance(realize(prod, config), oracle) <= 1e-8
@@ -246,16 +244,16 @@ class TestExtMul:
         loop = cfg
         stream = SampleStream(9)
         for _ in range(50):
-            e1, stream = loop.sample(stream)
-            e2, stream = loop.sample(stream)
+            e1, stream = one(loop.sample(stream, 1))
+            e2, stream = one(loop.sample(stream, 1))
             prod = ext_mul(e1, e2, cfg)
             assert fro(prod.rho.matrix - mloop.mul(e1.rho, e2.rho).matrix) <= 1e-9
 
     def test_one_eigendecomposition_and_no_det(self, cfg, eig_calls, monkeypatch):
         # the orbit map: one graph lift, and no polar factorization
         loop = cfg
-        e1, stream = loop.sample(SampleStream(12))
-        e2, _ = loop.sample(stream)
+        e1, stream = one(loop.sample(SampleStream(12), 1))
+        e2, _ = one(loop.sample(stream, 1))
         eig_calls.clear()
         monkeypatch.setattr(np.linalg, "det", pytest.fail)
         ext_mul(e1, e2, cfg)
@@ -265,8 +263,8 @@ class TestExtMul:
         # left translations are positive isometries: the left division
         # inverts them as J A J, and nothing checks their rank
         loop = boosted_cfg
-        e1, stream = loop.sample(SampleStream(15))
-        e2, _ = loop.sample(stream)
+        e1, stream = one(loop.sample(SampleStream(15), 1))
+        e2, _ = one(loop.sample(stream, 1))
         for name in ("svd", "inv"):
             monkeypatch.setattr(np.linalg, name, pytest.fail)
         ext_mul(e1, e2, boosted_cfg)
@@ -285,7 +283,7 @@ class TestSolveTranslation:
 
     def test_recovers_element_coordinates(self, cfg):
         loop = cfg
-        e, _ = loop.sample(SampleStream(10))
+        e, _ = one(loop.sample(SampleStream(10), 1))
         t, rho = solve_translation(cfg.carrier_subspace(), realize(e, cfg), cfg)
         assert np.linalg.norm(t - e.w) <= 1e-8
         assert fro(rho.matrix - e.rho.matrix) <= 1e-8
@@ -294,8 +292,8 @@ class TestSolveTranslation:
         loop = cfg
         stream = SampleStream(11)
         for _ in range(50):
-            e1, stream = loop.sample(stream)
-            e2, stream = loop.sample(stream)
+            e1, stream = one(loop.sample(stream, 1))
+            e2, stream = one(loop.sample(stream, 1))
             d1, d2 = realize(e1, cfg), realize(e2, cfg)
             t, rho = solve_translation(d1, d2, cfg)
             assert subspace_distance(apply(rho.matrix, d1, t), d2) <= 1e-8
@@ -305,8 +303,8 @@ class TestSolveTranslation:
         stream = SampleStream(12)
         rng = np.random.default_rng(12)
         for _ in range(25):
-            e1, stream = loop.sample(stream)
-            e2, stream = loop.sample(stream)
+            e1, stream = one(loop.sample(stream, 1))
+            e2, stream = one(loop.sample(stream, 1))
             d1, d2 = realize(e1, cfg), realize(e2, cfg)
             t, rho = solve_translation(d1, d2, cfg)
             d1p = subspace(d1.base + 1e-10 * rng.uniform(-1, 1, 3),
@@ -471,8 +469,8 @@ class TestOnCoordinates:
     @pytest.mark.parametrize("signature, carrier, wtilde", DIMENSION_CONFIGS)
     def test_one_eigendecomposition_per_operation(self, eig_calls, signature, carrier, wtilde):
         cfg = dimension_config(signature, carrier, wtilde)
-        a, stream = cfg.sample(SampleStream(21))
-        c, _ = cfg.sample(stream)
+        a, stream = one(cfg.sample(SampleStream(21), 1))
+        c, _ = one(cfg.sample(stream, 1))
         for op in (cfg.mul, cfg.left_divide, cfg.right_divide):
             eig_calls.clear()
             op(a, c)
@@ -481,8 +479,8 @@ class TestOnCoordinates:
     @pytest.mark.parametrize("signature, carrier, wtilde", DIMENSION_CONFIGS)
     def test_no_canonical_subspace_on_the_hot_path(self, monkeypatch, signature, carrier, wtilde):
         cfg = dimension_config(signature, carrier, wtilde)
-        a, stream = cfg.sample(SampleStream(22))
-        c, _ = cfg.sample(stream)
+        a, stream = one(cfg.sample(SampleStream(22), 1))
+        c, _ = one(cfg.sample(stream, 1))
         d1, d2 = realize(a, cfg), realize(c, cfg)
 
         def refuse(*args):
@@ -507,7 +505,7 @@ class TestOnCoordinates:
         complex_field = cfg.form.field == "complex"
         stream = SampleStream(23)
         for _ in range(10):
-            e, stream = cfg.sample(stream)
+            e, stream = one(cfg.sample(stream, 1))
             noise = rng.uniform(-1, 1, (2, k + 1, k))
             shift = (noise[0] + 1j * noise[1] if complex_field else noise[0]).astype(cfg.form.dtype)
             f = ext._block_columns(e.rho.matrix, cfg.form, cfg.carrier)
@@ -519,7 +517,7 @@ class TestOnCoordinates:
 
 def test_extension_element_json_roundtrip(cfg):
     loop = cfg
-    e, _ = loop.sample(SampleStream(13))
+    e, _ = one(loop.sample(SampleStream(13), 1))
     back = extension_element_from_json(json.loads(json.dumps(e.to_json())))
     assert np.array_equal(back.w, e.w)
     assert np.array_equal(back.rho.matrix, e.rho.matrix)

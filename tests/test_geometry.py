@@ -148,45 +148,49 @@ class TestTransversality:
     def test_identity_sample(self, form321r):
         w2 = subspace(np.zeros(3), E3[:, 2:])
         w1 = subspace(np.zeros(3), E3[:, :2])
-        rep = transversality_check(w2, [np.eye(3)], w1)
+        rep = transversality_check(w2, np.eye(3)[None], w1)
         assert rep.samples == 1
 
     def test_boosted_transversal_200_samples(self, form321r):
         w1 = subspace(np.zeros(3), E3[:, :2])
         wt = apply(standard_boost(form321r, math.log(2)).matrix, subspace(np.zeros(3), E3[:, 2:]))
-        stream = SampleStream(7)
-        rhos = []
-        for _ in range(200):
-            rho, stream = sample_sigma(form321r, stream)
-            rhos.append(rho)
-        rep = transversality_check(wt, rhos, w1)
+        rhos, _ = sample_sigma(form321r, SampleStream(7), 200)
+        rep = transversality_check(wt, rhos.matrix, w1)
         assert rep.samples == 200 and rep.worst_margin > 0.0
 
     def test_wrong_dimension_rejected(self, form321r):
         w1 = subspace(np.zeros(3), E3[:, :2])
         with pytest.raises(DimensionMismatch):
-            transversality_check(w1, [np.eye(3)], w1)
+            transversality_check(w1, np.eye(3)[None], w1)
 
-    def test_one_svd_per_sample(self, form321r, monkeypatch):
+    def test_one_svd_call_for_all_samples(self, form321r, monkeypatch):
         calls = []
         real = np.linalg.svd
 
-        def counting(*args, **kwargs):
-            calls.append(kwargs.get("compute_uv", True))
-            return real(*args, **kwargs)
+        def counting(a, **kwargs):
+            calls.append((a.shape, kwargs.get("compute_uv", True)))
+            return real(a, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", counting)
         w1 = subspace(np.zeros(3), E3[:, :2])
         w2 = subspace(np.zeros(3), E3[:, 2:])
-        rhos = [standard_boost(form321r, t) for t in (0.0, 0.5, 1.0, 1.5)]
+        rhos = np.stack([standard_boost(form321r, t).matrix for t in (0.0, 0.5, 1.0, 1.5)])
         rep = transversality_check(w2, rhos, w1)
-        assert rep.samples == 4 and calls == [False] * 4
+        assert rep.samples == 4 and calls == [((4, 3, 3), False)]
+
+    def test_violation_names_the_first_failing_sample(self, form321r):
+        w1 = subspace(np.zeros(3), E3[:, :2])
+        inside = subspace(np.zeros(3), E3[:, 1:2])
+        # the boost tilts the carrier plane off the second axis; the identity does not
+        rhos = np.stack([standard_boost(form321r, 0.5).matrix, np.eye(3), np.eye(3)])
+        with pytest.raises(TransversalityViolated, match="^sample 1:"):
+            transversality_check(inside, rhos, w1)
 
     def test_violation_detected(self, form321r):
         inside = subspace(np.zeros(3), E3[:, :1])  # lies inside the carrier plane
         w1 = subspace(np.zeros(3), E3[:, :2])
         with pytest.raises(TransversalityViolated):
-            transversality_check(inside, [np.eye(3)], w1)
+            transversality_check(inside, np.eye(3)[None], w1)
 
 
 def test_subspace_json_roundtrip():

@@ -23,7 +23,7 @@ from bruckloops.groups import (
     standard_boost,
 )
 from bruckloops.linalg import eig_hermitian, fro
-from conftest import boost3, rotation
+from conftest import boost3, one, rotation
 
 
 class TestSignatureForm:
@@ -48,8 +48,8 @@ class TestSignatureForm:
 
 class TestSampleStream:
     def test_bit_for_bit_determinism(self, form321r):
-        a, _ = sample_sigma(form321r, SampleStream(42))
-        b, _ = sample_sigma(form321r, SampleStream(42))
+        a, _ = one(sample_sigma(form321r, SampleStream(42), 1))
+        b, _ = one(sample_sigma(form321r, SampleStream(42), 1))
         assert np.array_equal(a.matrix, b.matrix)
 
     def test_counter_advances(self):
@@ -112,7 +112,7 @@ class TestMembership:
 
 class TestSampleSigma:
     def test_zero_radius_gives_identity(self, form321r):
-        a, _ = sample_sigma(form321r, SampleStream(1), radius=0.0)
+        a, _ = one(sample_sigma(form321r, SampleStream(1), 1, radius=0.0))
         assert np.allclose(a.matrix, np.eye(3))
 
     def test_single_block_entry_is_boost(self, form321r):
@@ -126,17 +126,17 @@ class TestSampleSigma:
         form = SignatureForm(3, 2, 1, field)
         stream = SampleStream(1)
         for _ in range(count):
-            a, stream = sample_sigma(form, stream)
+            a, stream = one(sample_sigma(form, stream, 1))
             assert membership_residual(a.matrix, "Sigma", form).max_residual <= 1e-9
 
 
 class TestSamplePhi:
     def test_zero_radius_gives_identity(self, form321r):
-        b, _ = sample_phi(form321r, SampleStream(1), radius=0.0)
+        b, _ = one(sample_phi(form321r, SampleStream(1), 1, radius=0.0))
         assert np.allclose(b.matrix, np.eye(3))
 
     def test_block_structure_p2_one(self, form321r):
-        b, _ = sample_phi(form321r, SampleStream(4))
+        b, _ = one(sample_phi(form321r, SampleStream(4), 1))
         m = b.matrix
         # real (2,1): a rotation block in coordinates 1,2 and +1 in coordinate 3
         assert m[2, 2] == pytest.approx(1.0)
@@ -148,7 +148,7 @@ class TestSamplePhi:
         form = SignatureForm(4, 2, 2, field)
         stream = SampleStream(2)
         for _ in range(100):
-            b, stream = sample_phi(form, stream)
+            b, stream = one(sample_phi(form, stream, 1))
             assert membership_residual(b.matrix, "Phi", form).max_residual <= 1e-9
 
 
@@ -165,7 +165,7 @@ class TestPolarFactorize:
         assert fro(c.matrix - r) <= 1e-12
 
     def test_sigma_input_gives_trivial_phi(self, form321r):
-        a, _ = sample_sigma(form321r, SampleStream(3))
+        a, _ = one(sample_sigma(form321r, SampleStream(3), 1))
         s1, c = polar_factorize(a.matrix, form321r)
         assert fro(s1.matrix - a.matrix) <= 1e-12
         assert fro(c.matrix - np.eye(3)) <= 1e-12
@@ -180,8 +180,8 @@ class TestPolarFactorize:
         stream = SampleStream(1)
         count = 500 if field == "real" else 150
         for _ in range(count):
-            s1, stream = sample_sigma(form, stream)
-            c, stream = sample_phi(form, stream)
+            s1, stream = one(sample_sigma(form, stream, 1))
+            c, stream = one(sample_phi(form, stream, 1))
             s = s1.matrix @ c.matrix
             f1, f2 = polar_factorize(s, form)
             assert np.max(np.abs(f1.matrix - s1.matrix)) <= 1e-8
@@ -191,7 +191,7 @@ class TestPolarFactorize:
 
 class TestConjugation:
     def test_identity_fixes(self, form321r):
-        a, _ = sample_sigma(form321r, SampleStream(5))
+        a, _ = one(sample_sigma(form321r, SampleStream(5), 1))
         b = PhiElement(np.eye(3), form321r)
         assert np.allclose(conjugate_by_phi(a, b).matrix, a.matrix)
 
@@ -207,8 +207,8 @@ class TestConjugation:
     def test_closure_500(self, form321r):
         stream = SampleStream(1)
         for _ in range(500):
-            a, stream = sample_sigma(form321r, stream)
-            b, stream = sample_phi(form321r, stream)
+            a, stream = one(sample_sigma(form321r, stream, 1))
+            b, stream = one(sample_phi(form321r, stream, 1))
             out = conjugate_by_phi(a, b)
             assert membership_residual(out.matrix, "Sigma", form321r).max_residual <= 1e-9
 
@@ -230,7 +230,7 @@ class TestBoost:
 def test_element_json_roundtrip():
     for field in ("real", "complex"):
         form = SignatureForm(3, 2, 1, field)
-        a, _ = sample_sigma(form, SampleStream(6))
+        a, _ = one(sample_sigma(form, SampleStream(6), 1))
         back = element_from_json(json.loads(json.dumps(element_to_json(a))))
         assert np.array_equal(back.matrix, a.matrix)
         assert back.form == form

@@ -12,6 +12,7 @@ from bruckloops.kernel import (
     inverse_of,
 )
 from bruckloops.matrixloop import MatrixLoop
+from conftest import one
 
 
 @pytest.fixture
@@ -30,20 +31,20 @@ class TestCheckers:
         assert residual <= 1e-8
 
     def test_division_at_identity(self, loop):
-        a, _ = loop.sample(SampleStream(9))
+        a, _ = one(loop.sample(SampleStream(9), 1))
         x = loop.left_divide(a, a)
         assert loop.distance(x, loop.identity) <= 1e-12
 
     def test_bol_trivial_slots(self, loop):
         e = loop.identity
-        y, _ = loop.sample(SampleStream(2))
-        z, _ = loop.sample(SampleStream(3))
+        y, _ = one(loop.sample(SampleStream(2), 1))
+        z, _ = one(loop.sample(SampleStream(3), 1))
         # x = e: both sides reduce to y*z
         lhs = loop.mul(e, loop.mul(y, loop.mul(e, z)))
         rhs = loop.mul(loop.mul(e, loop.mul(y, e)), z)
         assert loop.distance(lhs, rhs) <= 1e-13
         # z = e: both sides reduce to x*(y*x)
-        x, _ = loop.sample(SampleStream(4))
+        x, _ = one(loop.sample(SampleStream(4), 1))
         lhs = loop.mul(x, loop.mul(y, loop.mul(x, e)))
         rhs = loop.mul(loop.mul(x, loop.mul(y, x)), e)
         assert loop.distance(lhs, rhs) <= 1e-13
@@ -65,8 +66,8 @@ class TestCheckers:
 
     def test_left_a_identity_slots(self, loop):
         e = loop.identity
-        u, _ = loop.sample(SampleStream(7))
-        v, _ = loop.sample(SampleStream(8))
+        u, _ = one(loop.sample(SampleStream(7), 1))
+        v, _ = one(loop.sample(SampleStream(8), 1))
         lam_e = loop.left_divide(loop.mul(e, e), loop.mul(e, loop.mul(e, u)))
         assert loop.distance(lam_e, u) <= 1e-13
 
@@ -92,7 +93,7 @@ class TestTwoSidedInverses:
         stream = SampleStream(1)
         count = 500 if field == "real" else 150
         for _ in range(count):
-            x, stream = loop.sample(stream)
+            x, stream = one(loop.sample(stream, 1))
             left = loop.left_divide(x, loop.identity)
             right = loop.right_divide(loop.identity, x)
             assert loop.distance(left, right) <= 1e-9
@@ -106,6 +107,6 @@ class TestTwoSidedInverses:
             check_aip(loop, SampleStream(1), 40)
 
     def test_inverse_of_matrix_loop(self, loop, mloop):
-        x, _ = loop.sample(SampleStream(13))
+        x, _ = one(loop.sample(SampleStream(13), 1))
         inv = inverse_of(loop, x)
         assert loop.distance(inv, mloop.inverse(x)) <= 1e-10

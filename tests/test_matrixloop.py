@@ -13,6 +13,7 @@ from bruckloops.groups import (
 )
 from bruckloops.linalg import dag, fro, spectral_map, symmetrize
 from bruckloops.matrixloop import MatrixLoop, _positive_factor, frobenius_distance
+from conftest import one
 
 
 @pytest.fixture
@@ -22,12 +23,12 @@ def mloop(form321r):
 
 class TestMul:
     def test_left_identity(self, mloop):
-        b, _ = mloop.sample(SampleStream(1))
+        b, _ = one(mloop.sample(SampleStream(1), 1))
         out = mloop.mul(mloop.identity, b)
         assert frobenius_distance(out, b) <= 1e-13
 
     def test_square(self, mloop):
-        a, _ = mloop.sample(SampleStream(2))
+        a, _ = one(mloop.sample(SampleStream(2), 1))
         out = mloop.mul(a, a)
         assert fro(out.matrix - a.matrix @ a.matrix) <= 1e-12
 
@@ -41,8 +42,8 @@ class TestMul:
     def test_closure_membership(self, mloop, form321r):
         stream = SampleStream(3)
         for _ in range(200):
-            a, stream = mloop.sample(stream)
-            b, stream = mloop.sample(stream)
+            a, stream = one(mloop.sample(stream, 1))
+            b, stream = one(mloop.sample(stream, 1))
             out = mloop.mul(a, b)
             assert membership_residual(out.matrix, "Sigma", form321r).max_residual <= 1e-9
 
@@ -59,7 +60,7 @@ class TestInverse:
     def test_mul_with_inverse(self, mloop):
         stream = SampleStream(4)
         for _ in range(40):
-            a, stream = mloop.sample(stream)
+            a, stream = one(mloop.sample(stream, 1))
             out = mloop.mul(a, mloop.inverse(a))
             assert frobenius_distance(out, mloop.identity) <= 1e-9
 
@@ -68,18 +69,18 @@ class TestInverse:
         mloop = MatrixLoop(SignatureForm(3, 2, 1, field))
         stream = SampleStream(10)
         for _ in range(40):
-            a, stream = mloop.sample(stream)
+            a, stream = one(mloop.sample(stream, 1))
             assert fro(mloop.inverse(a).matrix @ a.matrix - np.eye(3)) <= 1e-12
 
 
 class TestDivision:
     def test_left_divide_trivials(self, mloop):
-        c, _ = mloop.sample(SampleStream(5))
+        c, _ = one(mloop.sample(SampleStream(5), 1))
         assert frobenius_distance(mloop.left_divide(mloop.identity, c), c) <= 1e-13
         assert frobenius_distance(mloop.left_divide(c, c), mloop.identity) <= 1e-13
 
     def test_right_divide_trivials(self, mloop):
-        b, _ = mloop.sample(SampleStream(6))
+        b, _ = one(mloop.sample(SampleStream(6), 1))
         assert frobenius_distance(mloop.right_divide(b, mloop.identity), b) <= 1e-13
         assert frobenius_distance(mloop.right_divide(b, b), mloop.identity) <= 1e-13
 
@@ -89,8 +90,8 @@ class TestDivision:
         form = mloop.form
         stream = SampleStream(7)
         for _ in range(60):
-            a, stream = mloop.sample(stream)
-            c, stream = mloop.sample(stream)
+            a, stream = one(mloop.sample(stream, 1))
+            c, stream = one(mloop.sample(stream, 1))
             x = mloop.left_divide(a, c)
             assert frobenius_distance(mloop.mul(a, x), c) <= 1e-8
             assert membership_residual(x.matrix, "Sigma", form).max_residual <= 1e-9
@@ -103,8 +104,8 @@ class TestDivision:
     "op, expected", [("mul", 1), ("left_divide", 1), ("right_divide", 1), ("inverse", 0)]
 )
 def test_eigendecompositions_per_operation(mloop, eig_calls, op, expected):
-    a, stream = mloop.sample(SampleStream(11))
-    b, _ = mloop.sample(stream)
+    a, stream = one(mloop.sample(SampleStream(11), 1))
+    b, _ = one(mloop.sample(stream, 1))
     eig_calls.clear()
     getattr(mloop, op)(*((a,) if op == "inverse" else (a, b)))
     assert len(eig_calls) == expected
@@ -118,8 +119,8 @@ def test_positive_factor_needs_no_caller_symmetrization(field):
     stream = SampleStream(13)
     products = []
     for _ in range(20):
-        a, stream = MatrixLoop(form).sample(stream)
-        b, stream = sample_phi(form, stream)
+        a, stream = one(MatrixLoop(form).sample(stream, 1))
+        b, stream = one(sample_phi(form, stream, 1))
         products.append(a.matrix @ b.matrix)
     for s in products + [np.stack(products)]:
         assert np.array_equal(_positive_factor(s), spectral_map(symmetrize(s @ dag(s)), "sqrt"))
@@ -136,16 +137,16 @@ class TestConjugationEquivariance:
         mloop = MatrixLoop(form)
         stream = SampleStream(8)
         for _ in range(50):
-            a1, stream = mloop.sample(stream)
-            a2, stream = mloop.sample(stream)
-            b, stream = sample_phi(form, stream)
+            a1, stream = one(mloop.sample(stream, 1))
+            a2, stream = one(mloop.sample(stream, 1))
+            b, stream = one(sample_phi(form, stream, 1))
             lhs = conjugate_by_phi(mloop.mul(a1, a2), b)
             rhs = mloop.mul(conjugate_by_phi(a1, b), conjugate_by_phi(a2, b))
             assert fro(lhs.matrix - rhs.matrix) <= 1e-8
 
 
 def test_distance_properties(mloop):
-    a, stream = mloop.sample(SampleStream(9))
-    b, _ = mloop.sample(stream)
+    a, stream = one(mloop.sample(SampleStream(9), 1))
+    b, _ = one(mloop.sample(stream, 1))
     assert frobenius_distance(a, a) == 0.0
     assert frobenius_distance(a, b) == frobenius_distance(b, a)
