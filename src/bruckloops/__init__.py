@@ -18,9 +18,7 @@ from .extension import (
 )
 from .geometry import AffineSubspace, subspace, subspace_distance
 from .groups import (
-    PhiElement,
     SampleStream,
-    SigmaElement,
     SignatureForm,
     conjugate_by_phi,
     membership_residual,
@@ -40,9 +38,7 @@ __all__ = [
     "ExtensionElement",
     "Loop",
     "MatrixLoop",
-    "PhiElement",
     "SampleStream",
-    "SigmaElement",
     "SignatureForm",
     "check_aip",
     "check_bol",

@@ -46,11 +46,10 @@ import numpy as np
 
 from . import extension as ext
 from . import geometry
-from .errors import BruckLoopsError, ConfigInvalid, InversesDisagree
+from .errors import BruckLoopsError, ConfigInvalid
 from .groups import (
     MEMBERSHIP_TOLERANCE,
     SampleStream,
-    SigmaElement,
     SignatureForm,
     _convert,
     conjugate_by_phi,
@@ -66,7 +65,9 @@ from .groups import (
     sigma_width,
     standard_boost,
 )
-from .kernel import check_aip, check_bol, check_left_a, check_loop_axioms, inverse_gap, sample_tuples, worst
+from .kernel import (
+    INVERSE_GAP, check_aip, check_bol, check_left_a, check_loop_axioms, inverse_gap, sample_tuples, worst,
+)
 from .linalg import field_of, fro, read_matrix_text
 from .matrixloop import MatrixLoop
 
@@ -149,7 +150,7 @@ def load_suite_config(args) -> SuiteConfig:
     for attr, _, _ in SETTINGS.values():
         if getattr(args, attr, None) is not None:
             setattr(cfg, attr, getattr(args, attr))
-    if args.samples is not None:
+    if getattr(args, "samples", None) is not None:
         cfg.samples |= {name: args.samples for name in cfg.samples if name != "dimension_points"}
     low = sorted(name for name, count in cfg.samples.items() if count < 1)
     if low:
@@ -171,7 +172,7 @@ def build_wtilde(form: SignatureForm, carrier: int, spec: str):
         if not math.isfinite(t):
             raise ConfigInvalid(f"{spec!r} has a non-finite boost parameter")
         j = 2 if carrier == 1 else 1
-        return geometry.apply(standard_boost(form, t).matrix, ext.coordinate_subspace(form, j))
+        return geometry.apply(standard_boost(form, t), ext.coordinate_subspace(form, j))
     if spec.startswith("file:"):
         path = spec.split(":", 1)[1]
         return geometry.from_json(_read_json(path, "transversal file"), form.field)
@@ -244,7 +245,7 @@ def _one(residual: float):
 
 def _sigma_closure(s: Suite, stream: SampleStream, count: int):
     a, b = sample_tuples(s.mat, stream, count, 2)
-    return (membership_residual(s.mat.mul(a, b).matrix, "Sigma", s.form).max_residual,), None
+    return (membership_residual(s.mat.mul(a, b), "Sigma", s.form).max_residual,), None
 
 
 def _sigma_and_phi(s: Suite, stream: SampleStream, count: int):
@@ -255,21 +256,21 @@ def _sigma_and_phi(s: Suite, stream: SampleStream, count: int):
 
 def _conjugation_closure(s: Suite, stream: SampleStream, count: int):
     a, b = _sigma_and_phi(s, stream, count)
-    return (membership_residual(conjugate_by_phi(a, b).matrix, "Sigma", s.form).max_residual,), None
+    return (membership_residual(conjugate_by_phi(a, b), "Sigma", s.form).max_residual,), None
 
 
 def _factorization(s: Suite, stream: SampleStream, count: int):
     """Recovery of both sampled factors, and the relative reconstruction."""
     s1, c = _sigma_and_phi(s, stream, count)
-    m = s1.matrix @ c.matrix
+    m = s1 @ c
     f1, f2 = polar_factorize(m, s.form)
-    recovery = worst(np.abs(f1.matrix - s1.matrix), np.abs(f2.matrix - c.matrix))
-    return (recovery, worst(fro(f1.matrix @ f2.matrix - m) / fro(m))), None
+    recovery = worst(np.abs(f1 - s1), np.abs(f2 - c))
+    return (recovery, worst(fro(f1 @ f2 - m) / fro(m))), None
 
 
 def _transversality(s: Suite, stream: SampleStream, count: int):
     rhos, _ = s.mat.sample(stream, count)
-    tr = geometry.transversality_check(s.eloop.wtilde, rhos.matrix, s.eloop.carrier_subspace())
+    tr = geometry.transversality_check(s.eloop.wtilde, rhos, s.eloop.carrier_subspace())
     # with no sample checked the margin is still inf, which strict JSON refuses
     return (0.0,), {"worst_margin": tr.worst_margin} if tr.samples else None
 
@@ -280,18 +281,17 @@ def _ext_infinity_compat(s: Suite, stream: SampleStream, count: int):
     rho1 rho2: two independent computations of the same element."""
     e1, e2 = sample_tuples(s.eloop, stream, count, 2)
     prod = s.eloop.mul(e1, e2)
-    return (worst(fro(prod.rho.matrix - s.mat.mul(e1.rho, e2.rho).matrix)),), None
+    return (worst(fro(prod.rho - s.mat.mul(e1.rho, e2.rho))),), None
 
 
 def _ext_aip(s: Suite, stream: SampleStream, count: int):
-    """The extension loop need not have two-sided inverses at all; when the
-    AIP checker refuses (InversesDisagree), the entry records the measured
-    left/right inverse gap instead."""
-    try:
-        return _one(check_aip(s.eloop, stream, count))
-    except InversesDisagree:
-        x, _ = s.eloop.sample(stream, count)
-        return (worst(inverse_gap(s.eloop, x)[1]),), {"two_sided_inverses": False}
+    """The extension loop need not have two-sided inverses, without which
+    the AIP cannot be stated, so the entry records the left/right inverse
+    gap; ``two_sided_inverses`` says whether it is within the kernel's
+    inverse bound."""
+    x, _ = s.eloop.sample(stream, count)
+    gap = worst(inverse_gap(s.eloop, x)[1])
+    return (gap,), {"two_sided_inverses": gap <= INVERSE_GAP}
 
 
 def _solve_translation(s: Suite, stream: SampleStream, count: int):
@@ -303,12 +303,12 @@ def _solve_translation(s: Suite, stream: SampleStream, count: int):
     d1 = ext.realize(s.eloop.from_uniforms(u1), s.eloop)
     d2 = ext.realize(s.eloop.from_uniforms(u2), s.eloop)
     t, rho = ext.solve_translation(d1, d2, s.eloop)
-    moved = geometry.apply(rho.matrix, d1, t)
+    moved = geometry.apply(rho, d1, t)
     noise = scale(noise, -1e-10, 1e-10)
     d1p = _perturb(d1, noise[:, : noise_width // 2])
     d2p = _perturb(d2, noise[:, noise_width // 2 :])
     tp, rhop = ext.solve_translation(d1p, d2p, s.eloop)
-    stability = np.linalg.norm(tp - t, axis=-1) + fro(rhop.matrix - rho.matrix)
+    stability = np.linalg.norm(tp - t, axis=-1) + fro(rhop - rho)
     return (worst(geometry.subspace_distance(moved, d2)), worst(stability)), None
 
 
@@ -440,36 +440,30 @@ def _perturb(s, noise: np.ndarray):
 # ---------------------------------------------------------------------------
 
 
-def _check_form(path: str, elem: SigmaElement, form: SignatureForm) -> None:
-    """Refuse an element of another form than the configured one."""
-    if elem.form != form:
-        raise ConfigInvalid(f"{path}: form {elem.form.to_json()} is not the configured {form.to_json()}")
-
-
-def _load_matrix_element(path: str, form: SignatureForm) -> SigmaElement:
-    """A JSON element, or a matrix text file read in the configured form;
-    complex text for a real form would lose its imaginary part, so is refused."""
+def _load_matrix_element(path: str, form: SignatureForm) -> np.ndarray:
+    """A JSON element of the configured form, or a matrix text file read in
+    it; complex text for a real form would lose its imaginary part, so is
+    refused."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     if text.lstrip().startswith("{"):
-        return element_from_json(_read_json(path, "element file"))
+        return element_from_json(_read_json(path, "element file"), form)
     matrix = read_matrix_text(text)
     if not np.can_cast(matrix.dtype, form.dtype):
         raise ConfigInvalid(f"{path}: {field_of(matrix)} matrix text does not fit the {form.field} form")
-    return SigmaElement(matrix.astype(form.dtype), form)
+    return matrix.astype(form.dtype)
 
 
-def _check_operand(path: str, elem: SigmaElement, form: SignatureForm) -> None:
-    """Refuse an operand that is not a Sigma element of the configured form."""
-    _check_form(path, elem, form)
-    rep = membership_residual(elem.matrix, "Sigma", form)
+def _check_operand(path: str, a: np.ndarray, form: SignatureForm) -> None:
+    """Refuse an operand that is not a Sigma element."""
+    rep = membership_residual(a, "Sigma", form)
     if not rep.passed:
         condition = max(rep.residuals, key=rep.residuals.get)
         raise ConfigInvalid(f"{path}: not in Sigma, {condition} residual {rep.max_residual:.3e}")
 
 
-def _diagnostics(elem: SigmaElement) -> dict:
-    rep = membership_residual(elem.matrix, "Sigma", elem.form)
+def _diagnostics(a: np.ndarray, form: SignatureForm) -> dict:
+    rep = membership_residual(a, "Sigma", form)
     return {"membership": rep.residuals, "pass": rep.passed}
 
 
@@ -504,7 +498,7 @@ def cmd_mul(args) -> int:
     cfg = load_suite_config(args)
     with _in_float_range():
         out, rho = _product(args, cfg)
-        out["diagnostics"] = _diagnostics(rho)
+        out["diagnostics"] = _diagnostics(rho, cfg.form)
     sys.stdout.write(_json_bytes(out).decode("utf-8"))
     return 0
 
@@ -517,30 +511,30 @@ def _product(args, cfg: SuiteConfig) -> tuple:
         for path, elem in ((args.lhs, lhs), (args.rhs, rhs)):
             _check_operand(path, elem, form)
         product = MatrixLoop(form).mul(lhs, rhs)
-        return element_to_json(product), product
+        return element_to_json(product, form), product
     eloop = resolve(cfg).eloop
     e1, e2 = (
-        ext.extension_element_from_json(_read_json(path, "element file")) for path in (args.lhs, args.rhs)
+        ext.extension_element_from_json(_read_json(path, "element file"), eloop.form)
+        for path in (args.lhs, args.rhs)
     )
     for path, elem in ((args.lhs, e1), (args.rhs, e2)):
         _check_operand(path, elem.rho, eloop.form)
         if not eloop.wtilde.contains(elem.w):
             raise ConfigInvalid(f"{path}: w is not on the transversal")
     product = eloop.mul(e1, e2)
-    return product.to_json(), product.rho
+    return product.to_json(eloop.form), product.rho
 
 
 def cmd_factor(args) -> int:
     cfg = load_suite_config(args)
     form = cfg.form
-    elem = _load_matrix_element(args.matrix, form)
-    _check_form(args.matrix, elem, form)
+    s = _load_matrix_element(args.matrix, form)
     with _in_float_range():
-        s1, c = polar_factorize(elem.matrix, elem.form)
-        residual = fro(s1.matrix @ c.matrix - elem.matrix) / max(1.0, fro(elem.matrix))
+        s1, c = polar_factorize(s, form)
+        residual = fro(s1 @ c - s) / max(1.0, fro(s))
     out = {
-        "s1": element_to_json(s1),
-        "c": element_to_json(c),
+        "s1": element_to_json(s1, form),
+        "c": element_to_json(c, form),
         "reconstruction_residual": residual,
     }
     sys.stdout.write(_json_bytes(out).decode("utf-8"))
@@ -553,7 +547,7 @@ def cmd_witness(args) -> int:
     cfg = load_suite_config(args)
     report = ext.nonisomorphism_witness(resolve(cfg).eloop, SampleStream(cfg.seed), budget=args.budget)
     out = {
-        "element": element_to_json(report.element),
+        "element": element_to_json(report.element, cfg.form),
         "displacement": report.displacement,
         "samples_used": report.samples_used,
     }
@@ -570,21 +564,23 @@ def cmd_sample(args) -> int:
     with _in_float_range():
         if args.loop == "matrix":
             elems, _ = sample_sigma(suite.form, stream, args.count, args.radius)
-            lines = [json.dumps(element_to_json(elems[i]), sort_keys=True) for i in range(args.count)]
+            lines = [json.dumps(element_to_json(a, suite.form), sort_keys=True) for a in elems]
         else:
             elems, _ = suite.eloop.sample(stream, args.count, args.radius)
-            lines = [json.dumps(elems[i].to_json(), sort_keys=True) for i in range(args.count)]
+            lines = [json.dumps(elems[i].to_json(suite.form), sort_keys=True) for i in range(args.count)]
     sys.stdout.write("\n".join(lines) + ("\n" if lines else ""))
     return 0
 
 
-def _add_common(parser: argparse.ArgumentParser, out: bool = False) -> None:
-    """``--config``, a flag per setting (``--out`` only if ``out``), ``--samples``."""
+def _add_common(parser: argparse.ArgumentParser, verify: bool = False) -> None:
+    """``--config`` and a flag per setting; ``--out`` and ``--samples`` only
+    if ``verify``."""
     parser.add_argument("--config", help="JSON config file")
     for key, (attr, kind, options) in SETTINGS.items():
-        if key != "out" or out:
+        if key != "out" or verify:
             parser.add_argument(f"--{key}", dest=attr, type=kind, **options)
-    parser.add_argument("--samples", type=int, help="override every per-property sample count")
+    if verify:
+        parser.add_argument("--samples", type=int, help="override every per-property sample count")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -596,7 +592,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", help="run the full property suite")
-    _add_common(p, out=True)
+    _add_common(p, verify=True)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("mul", help="multiply two elements")

@@ -12,10 +12,11 @@ so an element is stored as ``(w, rho)``.  The loop operations run on these
 coordinates; ``omega`` reads them off any point and spanning frame.  Canonical
 subspaces (``realize``) serve only the boundaries: distance, files, JSON.
 
-Elements take stacks: ``w`` of shape (..., n) with ``rho`` a stack of the
-same batch shape is that many elements, and every loop operation,
-``distance`` and ``sample`` act on the whole stack, each step one stacked
-``solve``, eigendecomposition or QR call.
+Elements take stacks: ``w`` of shape (..., n) with ``rho`` a plain array
+(..., n, n) of the same batch shape is that many elements, and every loop
+operation, ``distance`` and ``sample`` act on the whole stack, each step
+one stacked ``solve``, eigendecomposition or QR call.  The loop holds the
+form; the JSON writer and reader take it as an argument.
 
 Every orbit direction at infinity is the graph of a strict contraction
 between the two coordinate blocks, which gives ``lift_from_infinity`` a
@@ -26,7 +27,6 @@ checkers call.
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass
 
@@ -42,11 +42,9 @@ from .errors import (
     TransversalityViolated,
     WitnessNotFound,
 )
-from .geometry import AffineSubspace, apply, subspace, subspace_distance
+from .geometry import AffineSubspace, apply, projector, subspace, subspace_distance
 from .groups import (
-    PhiElement,
     SampleStream,
-    SigmaElement,
     SignatureForm,
     _off_diagonal_generator,
     blocks,
@@ -121,12 +119,12 @@ class ExtensionConfig:
         return ext_mul(a, b, self)
 
     def left_divide(self, a, c):
-        ainv = _inverse(a.rho)
+        ainv = _inverse(a.rho, self.form)
         return omega(_image(ainv, c, self, -mv(ainv, a.w)), self)
 
     def right_divide(self, c, a):
         rho = MatrixLoop(self.form).right_divide(c.rho, a.rho)
-        return ExtensionElement(c.w - _transversal_point(_image(rho.matrix, a, self), self), rho)
+        return ExtensionElement(c.w - _transversal_point(_image(rho, a, self), self), rho)
 
     def distance(self, a, b):
         return subspace_distance(realize(a, self), realize(b, self))
@@ -195,27 +193,28 @@ def extension_config(
 class ExtensionElement:
     """Coordinates (w, rho): the transversal intersection point and the
     canonical positive-definite lift of the direction at infinity; for a
-    stack, w is (..., n) and rho's matrix (..., n, n)."""
+    stack, w is (..., n) and rho (..., n, n)."""
 
     w: np.ndarray
-    rho: SigmaElement
+    rho: np.ndarray
 
     def __getitem__(self, index):
         """The element, or sub-stack, at ``index`` of the batch axes."""
         return ExtensionElement(self.w[index], self.rho[index])
 
-    def to_json(self) -> dict:
-        return {"w": matrix_to_json(self.w.reshape(1, -1))[0], "rho": element_to_json(self.rho)}
+    def to_json(self, form: SignatureForm) -> dict:
+        return {"w": matrix_to_json(self.w.reshape(1, -1))[0], "rho": element_to_json(self.rho, form)}
 
 
-def extension_element_from_json(obj: dict) -> ExtensionElement:
+def extension_element_from_json(obj: dict, form: SignatureForm) -> ExtensionElement:
+    """An extension element file; its rho's form must be ``form``."""
     missing = [key for key in ("w", "rho") if key not in obj]
     if missing:
         raise ConfigInvalid(f"extension element lacks {', '.join(missing)}")
-    rho = element_from_json(obj["rho"])
-    w = matrix_from_json([obj["w"]], rho.form.field)[0]
-    if w.shape != (rho.form.n,):
-        raise ConfigInvalid(f"w has {w.size} entries, expected n = {rho.form.n}")
+    rho = element_from_json(obj["rho"], form)
+    w = matrix_from_json([obj["w"]], form.field)[0]
+    if w.shape != (form.n,):
+        raise ConfigInvalid(f"w has {w.size} entries, expected n = {form.n}")
     return ExtensionElement(w, rho)
 
 
@@ -223,16 +222,16 @@ def realize(e: ExtensionElement, cfg: ExtensionConfig) -> AffineSubspace:
     """The canonical orbit subspace encoded by an element: the image of the
     carrier under the linear lift meets the transversal at 0, so placing it
     through w lands that intersection on w."""
-    return subspace(e.w, _block_columns(e.rho.matrix, cfg.form, cfg.carrier))
+    return subspace(e.w, _block_columns(e.rho, cfg.form, cfg.carrier))
 
 
 def _image(linear: np.ndarray, e: ExtensionElement, cfg: ExtensionConfig, shift=0.0) -> AffineSubspace:
     """The image of e's subspace under x -> linear x + shift: a point and a spanning frame."""
-    cols = _block_columns(e.rho.matrix, cfg.form, cfg.carrier)
+    cols = _block_columns(e.rho, cfg.form, cfg.carrier)
     return AffineSubspace(mv(linear, e.w) + shift, linear @ cols)
 
 
-def lift_from_infinity(z: np.ndarray, cfg: ExtensionConfig) -> SigmaElement:
+def lift_from_infinity(z: np.ndarray, cfg: ExtensionConfig) -> np.ndarray:
     """The unique positive-definite isometry whose carrier image has the
     direction span of the frame ``z``, or one per frame of a stack
     (..., n, k): one stacked ``solve`` and one stacked ``inverse_sqrt``.
@@ -262,7 +261,7 @@ def lift_from_infinity(z: np.ndarray, cfg: ExtensionConfig) -> SigmaElement:
         scale = spectral_map(eye - t @ t, "inverse_sqrt")
     except NotPositiveDefinite as exc:
         raise NotInOrbit(f"direction is not the graph of a contraction: {exc}") from exc
-    return SigmaElement(symmetrize((eye + t) @ scale), form)
+    return symmetrize((eye + t) @ scale)
 
 
 def _transversal_point(s: AffineSubspace, cfg: ExtensionConfig) -> np.ndarray:
@@ -291,12 +290,12 @@ def ext_mul(e1: ExtensionElement, e2: ExtensionElement, cfg: ExtensionConfig) ->
     Its direction part is the graph lift of the image direction, which
     agrees with the matrix-loop product of the direction lifts (the
     positive factor of rho1 rho2) without computing it."""
-    return omega(_image(e1.rho.matrix, e2, cfg, e1.w), cfg)
+    return omega(_image(e1.rho, e2, cfg, e1.w), cfg)
 
 
 def solve_translation(
     d1: AffineSubspace, d2: AffineSubspace, cfg: ExtensionConfig
-) -> tuple[np.ndarray, SigmaElement]:
+) -> tuple[np.ndarray, np.ndarray]:
     """The unique (translation along the transversal, positive isometry)
     pair mapping d1 onto d2: the right division of their coordinates."""
     x = cfg.right_divide(omega(d2, cfg), omega(d1, cfg))
@@ -305,7 +304,7 @@ def solve_translation(
 
 @dataclass(frozen=True)
 class WitnessReport:
-    element: PhiElement
+    element: np.ndarray
     displacement: float
     samples_used: int
 
@@ -336,7 +335,7 @@ def nonisomorphism_witness(
     for used in range(1, budget + 1):
         g, stream = sample_phi(cfg.form, stream, 1)
         g = g[0]
-        moved = apply(g.matrix, cfg.wtilde)
+        moved = apply(g, cfg.wtilde)
         disp = subspace_distance(moved, cfg.wtilde)
         if disp > WITNESS_THRESHOLD:
             return WitnessReport(g, disp, used)
@@ -363,29 +362,19 @@ def expected_dimension(cfg: ExtensionConfig) -> int:
 
 def _chart_embeddings(cfg: ExtensionConfig, thetas: np.ndarray) -> np.ndarray:
     """Stack (m, d) of chart points -> stack (m, L) of carrier images in the
-    projector-plus-base embedding.
+    projector-plus-base embedding, a complex entry as its (re, im) pair.
 
-    A chart point is (transversal coordinates, exponential block); its
-    element is (w, exp of the block's generator), and its carrier image is
-    the span of the lift's carrier columns placed through w.  One stacked
-    ``orthonormalize`` call gives each image's frame, hence its projector P
-    and min-norm base (I - P) w, and refuses a collapsed carrier column.
+    A chart point is laid out as ``blocks`` reads it: the transversal
+    coordinates, then the exponential block.  Its element is (w, exp of the
+    block's generator) and its image the canonical subspace ``realize``
+    gives, from one stacked ``orthonormalize`` call, which refuses a
+    collapsed carrier column.
     """
     form = cfg.form
-    m, k = thetas.shape[0], cfg.wtilde.dim
-    if form.field == COMPLEX:
-        coef = thetas[:, 0 : 2 * k : 2] + 1j * thetas[:, 1 : 2 * k : 2]
-        x = (thetas[:, 2 * k :: 2] + 1j * thetas[:, 2 * k + 1 :: 2]).reshape(m, form.p1, form.p2)
-    else:
-        coef = thetas[:, :k]
-        x = thetas[:, k:].reshape(m, form.p1, form.p2)
-    w = coef.astype(form.dtype) @ cfg.wtilde.frame.T
-    rho = sigma_from_block(form, x.astype(form.dtype)).matrix
-    q = linalg.orthonormalize(_block_columns(rho, form, cfg.carrier))
-    p = q @ dag(q)
-    base = w - (p @ w[..., None])[..., 0]
-    parts = [p.real, p.imag, base.real, base.imag] if form.field == COMPLEX else [p, base]
-    return np.concatenate([part.reshape(m, math.prod(part.shape[1:])) for part in parts], axis=1)
+    coef, x = blocks(form, thetas, (cfg.wtilde.dim, 1), (form.p1, form.p2))
+    s = realize(ExtensionElement(mv(cfg.wtilde.frame, coef[..., 0]), sigma_from_block(form, x)), cfg)
+    p = projector(s.frame).reshape(len(thetas), form.n**2)
+    return np.concatenate([p, s.base], axis=-1).view(np.float64)
 
 
 def _chart_jacobians(cfg: ExtensionConfig, thetas: np.ndarray) -> np.ndarray:

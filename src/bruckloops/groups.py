@@ -13,6 +13,11 @@ with zero diagonal blocks, H = [[0, X], [X*, 0]].  (exp(H) J = J exp(-H)
 then gives exp(H)* J exp(H) = J, and exp of a hermitian matrix is
 positive-definite hermitian.)  The block X is the free parameter; its
 entries are drawn uniformly from a radius box.
+
+An element of Sigma or Phi, or a stack of them, is a plain array
+(..., n, n).  Its form is held by whoever holds the element (the loop or
+the config) and is passed to the functions that need it, the JSON writer
+and reader included; the reader refuses a file of another form.
 """
 
 from __future__ import annotations
@@ -82,26 +87,6 @@ def _convert(kind, value, name: str):
     if kind is str and isinstance(value, str):
         return value
     raise ConfigInvalid(f"entry {name!r} must be {kind.__name__}, got {value!r}")
-
-
-@dataclass(frozen=True, eq=False)
-class _Matrices:
-    """A matrix of the form's size, or a stack (..., n, n) of them."""
-
-    matrix: np.ndarray
-    form: SignatureForm
-
-    def __getitem__(self, index):
-        """The element, or sub-stack, at ``index`` of the batch axes."""
-        return type(self)(self.matrix[index], self.form)
-
-
-class SigmaElement(_Matrices):
-    """A positive-definite hermitian isometry; a loop element."""
-
-
-class PhiElement(_Matrices):
-    """A block-diagonal unitary stabilizer element of determinant 1."""
 
 
 @dataclass(frozen=True)
@@ -199,15 +184,14 @@ def _off_diagonal_generator(form: SignatureForm, x: np.ndarray) -> np.ndarray:
     return h
 
 
-def sigma_from_block(form: SignatureForm, x: np.ndarray) -> SigmaElement:
+def sigma_from_block(form: SignatureForm, x: np.ndarray) -> np.ndarray:
     """exp of the off-diagonal hermitian generator built from a p1 x p2 block.
 
-    A stack of blocks (..., p1, p2) gives an element whose matrix is the
-    stack (..., n, n) of their exponentials, from one eigendecomposition
-    call."""
+    A stack of blocks (..., p1, p2) gives the stack (..., n, n) of their
+    exponentials, from one eigendecomposition call."""
     if x.shape[-2:] != (form.p1, form.p2):
         raise DimensionMismatch(f"block must be {form.p1}x{form.p2}, got {x.shape}")
-    return SigmaElement(spectral_map(_off_diagonal_generator(form, x), "exp"), form)
+    return spectral_map(_off_diagonal_generator(form, x), "exp")
 
 
 def blocks(form: SignatureForm, vals: np.ndarray, *shapes) -> list:
@@ -238,7 +222,7 @@ def phi_width(form: SignatureForm) -> int:
     return _width(form, (form.p1, form.p1), (form.p2, form.p2))
 
 
-def sigma_from_uniforms(form: SignatureForm, u: np.ndarray, radius: float = 0.75) -> SigmaElement:
+def sigma_from_uniforms(form: SignatureForm, u: np.ndarray, radius: float = 0.75) -> np.ndarray:
     """The Sigma element, or stack, that unit uniforms ``u`` of shape
     (..., sigma_width) draw from the exponential chart: block entries
     uniform in the radius box.
@@ -258,7 +242,7 @@ def sample_sigma(form: SignatureForm, stream: SampleStream, count: int, radius: 
     return sigma_from_uniforms(form, u, radius), stream
 
 
-def phi_from_uniforms(form: SignatureForm, u: np.ndarray, radius: float = 1.0) -> PhiElement:
+def phi_from_uniforms(form: SignatureForm, u: np.ndarray, radius: float = 1.0) -> np.ndarray:
     """The Phi element, or stack, that unit uniforms ``u`` of shape
     (..., phi_width) draw: exp of a block-diagonal anti-hermitian generator
     K, its blocks' entries uniform in the radius box, with its trace
@@ -278,7 +262,7 @@ def phi_from_uniforms(form: SignatureForm, u: np.ndarray, radius: float = 1.0) -
         k -= (np.trace(k, axis1=-2, axis2=-1)[..., None, None] / n) * np.eye(n, dtype=form.dtype)
     dec = linalg.eig_hermitian(dag(k) @ k)
     t = np.sqrt(np.maximum(dec.eigenvalues, 0.0))
-    return PhiElement(dec.apply(np.cos(t)) + k @ dec.apply(np.sinc(t / np.pi)), form)
+    return dec.apply(np.cos(t)) + k @ dec.apply(np.sinc(t / np.pi))
 
 
 def sample_phi(form: SignatureForm, stream: SampleStream, count: int, radius: float = 1.0):
@@ -303,18 +287,16 @@ def polar_factorize(s: np.ndarray, form: SignatureForm):
         )
     s1 = spectral_map(s @ dag(s), "sqrt")
     j = form.j_matrix()
-    return SigmaElement(s1, form), PhiElement(((j @ s1) @ j) @ s, form)
+    return s1, ((j @ s1) @ j) @ s
 
 
-def conjugate_by_phi(a: SigmaElement, b: PhiElement) -> SigmaElement:
+def conjugate_by_phi(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """B^{-1} A B with B^{-1} taken as the conjugate transpose, which keeps
     unitarity exact at working precision."""
-    if a.form != b.form:
-        raise DimensionMismatch("incompatible forms")
-    return SigmaElement(symmetrize(dag(b.matrix) @ a.matrix @ b.matrix), a.form)
+    return symmetrize(dag(b) @ a @ b)
 
 
-def standard_boost(form: SignatureForm, t: float) -> SigmaElement:
+def standard_boost(form: SignatureForm, t: float) -> np.ndarray:
     """The one-parameter boost mixing coordinates p1 and p1+1: cosh(t) on
     the two diagonal entries, sinh(t) off-diagonal, identity elsewhere."""
     x = np.zeros((form.p1, form.p2), dtype=form.dtype)
@@ -369,15 +351,18 @@ def matrix_from_json(rows: list, field: str) -> np.ndarray:
     return out
 
 
-def element_to_json(elem) -> dict:
-    return {"form": elem.form.to_json(), "matrix": matrix_to_json(elem.matrix)}
+def element_to_json(a: np.ndarray, form: SignatureForm) -> dict:
+    return {"form": form.to_json(), "matrix": matrix_to_json(a)}
 
 
-def element_from_json(obj: dict) -> SigmaElement:
+def element_from_json(obj: dict, form: SignatureForm) -> np.ndarray:
+    """The matrix of an element file; the file's form must be ``form``."""
     if not isinstance(obj, dict):
         raise ConfigInvalid("an element must be a JSON object")
-    form = SignatureForm.from_json(obj.get("form", {}))
+    found = SignatureForm.from_json(obj.get("form", {}))
+    if found != form:
+        raise ConfigInvalid(f"form {found.to_json()} is not the configured {form.to_json()}")
     matrix = matrix_from_json(obj.get("matrix", []), form.field)
     if matrix.shape != (form.n, form.n):
         raise ConfigInvalid(f"matrix shape {matrix.shape} does not match n = {form.n}")
-    return SigmaElement(matrix, form)
+    return matrix

@@ -25,7 +25,7 @@ import numpy as np
 from .errors import InversesDisagree
 from .groups import SampleStream
 
-_INVERSE_GAP = 1e-9  # largest distance between e/x and x\e that inverse_of accepts
+INVERSE_GAP = 1e-9  # largest distance between e/x and x\e that inverse_of accepts
 
 
 class Loop(Protocol):
@@ -35,7 +35,10 @@ class Loop(Protocol):
     returns x with x * a = b.  Elements may be stacks, and the operations
     and ``distance`` act per element, broadcasting the single identity.
     ``sample`` draws a stack of ``count`` elements and returns it with the
-    advanced stream; an element stack is indexed along its batch axis.
+    advanced stream; a stack is indexed along its batch axis.  For the
+    matrix loop an element is a plain array, for the extension loop a
+    ``(w, rho)`` pair of arrays; either way the loop, not the element,
+    holds the form.
     """
 
     identity: Any
@@ -90,7 +93,7 @@ def inverse_gap(loop: Loop, x):
 def inverse_of(loop: Loop, x):
     """Two-sided inverse e/x, checked per element to coincide with x\\e."""
     right, gap = inverse_gap(loop, x)
-    if np.any(gap > _INVERSE_GAP):
+    if np.any(gap > INVERSE_GAP):
         raise InversesDisagree(f"e/x and x\\e differ by {np.max(gap):.3e}")
     return right
 

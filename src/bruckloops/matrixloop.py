@@ -13,18 +13,19 @@ A^{-1} = J A J: a sign flip of the off-diagonal blocks, with no spectral
 call.  Each operation except the inverse therefore costs one
 eigendecomposition (the positive factor) and the inverse costs none.
 
-Every operation, ``distance`` and ``sample`` take stacks: an element
-whose matrix is a stack (..., n, n) is that many elements, operands
-broadcast over the batch axes, and each operation is one LAPACK call for
-the whole stack, which gives each matrix the same bits as a call of its
-own.  The identity is a single matrix and broadcasts against any stack.
+An element is a plain (n, n) array and a stack (..., n, n) is that many
+elements; the loop holds the form.  Every operation, ``distance`` and
+``sample`` take stacks, operands broadcast over the batch axes, and each
+operation is one LAPACK call for the whole stack, which gives each matrix
+the same bits as a call of its own.  The identity is a single matrix and
+broadcasts against any stack.
 
 Products of three matrices are evaluated strictly left to right, every
 hermitian result is re-symmetrized and the eigensolver symmetrizes its
 own input, so residuals are reproducible on one machine with one
 numpy/LAPACK build (not across platforms: ``@`` and ``eigh`` go through
-BLAS/LAPACK).  Elements are validated on construction by the callers that
-mint them; operations trust their inputs and the test suite validates
+BLAS/LAPACK).  Elements are validated by the callers that read them from
+outside; operations trust their inputs and the test suite validates
 outputs.  ``MatrixLoop`` is the object the kernel checkers call.
 """
 
@@ -34,17 +35,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch
-from .groups import SampleStream, SigmaElement, SignatureForm, sample_sigma
+from .groups import SampleStream, SignatureForm, sample_sigma
 from .linalg import dag, fro, spectral_map, symmetrize
 
 _SAMPLE_RADIUS = 0.75  # half-width of the sampled exponential-chart block entries
 
 
-def _inverse(a: SigmaElement) -> np.ndarray:
+def _inverse(a: np.ndarray, form: SignatureForm) -> np.ndarray:
     """A^{-1} = J A J, exact for a hermitian isometry."""
-    j = a.form.j_matrix()
-    return symmetrize((j @ a.matrix) @ j)
+    j = form.j_matrix()
+    return symmetrize((j @ a) @ j)
 
 
 def _positive_factor(s: np.ndarray) -> np.ndarray:
@@ -53,10 +53,10 @@ def _positive_factor(s: np.ndarray) -> np.ndarray:
     return spectral_map(s @ dag(s), "sqrt")
 
 
-def frobenius_distance(a: SigmaElement, b: SigmaElement):
+def frobenius_distance(a: np.ndarray, b: np.ndarray):
     """Relative Frobenius distance, symmetric in its arguments; one per
     element of a stack."""
-    return fro(a.matrix - b.matrix) / (1.0 + np.maximum(fro(a.matrix), fro(b.matrix)))
+    return fro(a - b) / (1.0 + np.maximum(fro(a), fro(b)))
 
 
 @dataclass(frozen=True)
@@ -66,31 +66,22 @@ class MatrixLoop:
     distance = staticmethod(frobenius_distance)
 
     @property
-    def identity(self) -> SigmaElement:
-        return SigmaElement(np.eye(self.form.n, dtype=self.form.dtype), self.form)
+    def identity(self) -> np.ndarray:
+        return np.eye(self.form.n, dtype=self.form.dtype)
 
-    def _check(self, *elems: SigmaElement) -> None:
-        for e in elems:
-            if e.form != self.form:
-                raise DimensionMismatch("element form does not match the loop form")
+    def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return _positive_factor(a @ b)
 
-    def mul(self, a: SigmaElement, b: SigmaElement) -> SigmaElement:
-        self._check(a, b)
-        return SigmaElement(_positive_factor(a.matrix @ b.matrix), self.form)
+    def inverse(self, a: np.ndarray) -> np.ndarray:
+        return _inverse(a, self.form)
 
-    def inverse(self, a: SigmaElement) -> SigmaElement:
-        self._check(a)
-        return SigmaElement(_inverse(a), self.form)
+    def left_divide(self, a: np.ndarray, c: np.ndarray) -> np.ndarray:
+        return _positive_factor(_inverse(a, self.form) @ c)
 
-    def left_divide(self, a: SigmaElement, c: SigmaElement) -> SigmaElement:
-        self._check(a, c)
-        return SigmaElement(_positive_factor(_inverse(a) @ c.matrix), self.form)
-
-    def right_divide(self, b: SigmaElement, a: SigmaElement) -> SigmaElement:
-        self._check(a, b)
-        root = _positive_factor(a.matrix @ b.matrix)
-        ainv = _inverse(a)
-        return SigmaElement(symmetrize((ainv @ root) @ ainv), self.form)
+    def right_divide(self, b: np.ndarray, a: np.ndarray) -> np.ndarray:
+        root = _positive_factor(a @ b)
+        ainv = _inverse(a, self.form)
+        return symmetrize((ainv @ root) @ ainv)
 
     def sample(self, stream: SampleStream, count: int):
         return sample_sigma(self.form, stream, count, _SAMPLE_RADIUS)

@@ -138,7 +138,7 @@ def left_a(loop, stream, count):
 def sigma_closure(s, stream, count):
     def one(stream):
         (a, b), stream = _elements(s.mat, stream, 2)
-        return (membership_residual(s.mat.mul(a, b).matrix, "Sigma", s.form).max_residual,), stream
+        return (membership_residual(s.mat.mul(a, b), "Sigma", s.form).max_residual,), stream
 
     return fold(stream, count, one)
 
@@ -152,7 +152,7 @@ def _sigma_then_phi(s, stream):
 def conjugation_closure(s, stream, count):
     def one(stream):
         a, b, stream = _sigma_then_phi(s, stream)
-        return (membership_residual(conjugate_by_phi(a, b).matrix, "Sigma", s.form).max_residual,), stream
+        return (membership_residual(conjugate_by_phi(a, b), "Sigma", s.form).max_residual,), stream
 
     return fold(stream, count, one)
 
@@ -160,10 +160,10 @@ def conjugation_closure(s, stream, count):
 def factorization(s, stream, count):
     def one(stream):
         s1, c, stream = _sigma_then_phi(s, stream)
-        m = s1.matrix @ c.matrix
+        m = s1 @ c
         f1, f2 = polar_factorize(m, s.form)
-        recovery = max(float(np.max(np.abs(f1.matrix - s1.matrix))), float(np.max(np.abs(f2.matrix - c.matrix))))
-        return (recovery, fro(f1.matrix @ f2.matrix - m) / fro(m)), stream
+        recovery = max(float(np.max(np.abs(f1 - s1))), float(np.max(np.abs(f2 - c))))
+        return (recovery, fro(f1 @ f2 - m) / fro(m)), stream
 
     return fold(stream, count, one)
 
@@ -173,7 +173,7 @@ def transversality(s, stream, count):
     margin = np.inf
     for _ in range(count):
         rho, stream = draw(s.mat.sample, stream, 1)
-        report = geometry.transversality_check(s.eloop.wtilde, rho.matrix[None], s.eloop.carrier_subspace())
+        report = geometry.transversality_check(s.eloop.wtilde, rho[None], s.eloop.carrier_subspace())
         margin = min(margin, report.worst_margin)
     return (0.0,), margin
 
@@ -181,22 +181,20 @@ def transversality(s, stream, count):
 def ext_infinity_compat(s, stream, count):
     def one(stream):
         (e1, e2), stream = _elements(s.eloop, stream, 2)
-        return (fro(s.eloop.mul(e1, e2).rho.matrix - s.mat.mul(e1.rho, e2.rho).matrix),), stream
+        return (fro(s.eloop.mul(e1, e2).rho - s.mat.mul(e1.rho, e2.rho)),), stream
 
     return fold(stream, count, one)
 
 
 def ext_aip(s, stream, count):
-    try:
-        return aip(s.eloop, stream, count)
-    except InversesDisagree:
-        def one(stream):
-            x, stream = draw(s.eloop.sample, stream, 1)
-            right = s.eloop.right_divide(s.eloop.identity, x)
-            left = s.eloop.left_divide(x, s.eloop.identity)
-            return (s.eloop.distance(right, left),), stream
+    """The left/right inverse gap of the extension loop."""
+    def one(stream):
+        x, stream = draw(s.eloop.sample, stream, 1)
+        right = s.eloop.right_divide(s.eloop.identity, x)
+        left = s.eloop.left_divide(x, s.eloop.identity)
+        return (s.eloop.distance(right, left),), stream
 
-        return fold(stream, count, one)
+    return fold(stream, count, one)
 
 
 def _perturb(sub, noise):
@@ -212,12 +210,12 @@ def solve_translation(s, stream, count):
         (e1, e2), stream = _elements(s.eloop, stream, 2)
         d1, d2 = ext.realize(e1, s.eloop), ext.realize(e2, s.eloop)
         t, rho = ext.solve_translation(d1, d2, s.eloop)
-        moved = geometry.apply(rho.matrix, d1, t)
+        moved = geometry.apply(rho, d1, t)
         noise, stream = stream.next_uniforms(2 * s.form.n * (d1.dim + d2.dim), -1e-10, 1e-10)
         d1p = _perturb(d1, noise[: noise.size // 2])
         d2p = _perturb(d2, noise[noise.size // 2 :])
         tp, rhop = ext.solve_translation(d1p, d2p, s.eloop)
-        stability = float(np.linalg.norm(tp - t)) + fro(rhop.matrix - rho.matrix)
+        stability = float(np.linalg.norm(tp - t)) + fro(rhop - rho)
         return (geometry.subspace_distance(moved, d2), stability), stream
 
     return fold(stream, count, one)

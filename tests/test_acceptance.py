@@ -72,7 +72,7 @@ def test_matrix_loop_closure(form):
     mloop = MatrixLoop(form)
     t0 = time.perf_counter()
     a, b = sample_tuples(mloop, SampleStream(SEED), 1000, 2)
-    residual = membership_residual(mloop.mul(a, b).matrix, "Sigma", form).max_residual
+    residual = membership_residual(mloop.mul(a, b), "Sigma", form).max_residual
     elapsed = time.perf_counter() - t0
     ok = residual <= 1e-9 and elapsed < 10.0
     emit(ok, f"closure[{config_id(form)}]",
@@ -96,7 +96,7 @@ def test_bruck_identities(form):
 def test_conjugation_closure(form):
     (us, up), _ = SampleStream(SEED).next_rows(500, sigma_width(form), phi_width(form))
     out = conjugate_by_phi(sigma_from_uniforms(form, us), phi_from_uniforms(form, up))
-    residual = membership_residual(out.matrix, "Sigma", form).max_residual
+    residual = membership_residual(out, "Sigma", form).max_residual
     ok = residual <= 1e-9
     emit(ok, f"conjugation[{config_id(form)}]",
          f"worst membership residual {residual:.2e} <= 1e-09 over 500 conjugations")
@@ -107,10 +107,10 @@ def test_conjugation_closure(form):
 def test_factorization_roundtrip(form):
     (us, up), _ = SampleStream(SEED).next_rows(500, sigma_width(form), phi_width(form))
     s1, c = sigma_from_uniforms(form, us), phi_from_uniforms(form, up)
-    s = s1.matrix @ c.matrix
+    s = s1 @ c
     f1, f2 = polar_factorize(s, form)
-    worst_comp = worst(np.abs(f1.matrix - s1.matrix), np.abs(f2.matrix - c.matrix))
-    worst_recon = worst(fro(f1.matrix @ f2.matrix - s) / fro(s))
+    worst_comp = worst(np.abs(f1 - s1), np.abs(f2 - c))
+    worst_recon = worst(fro(f1 @ f2 - s) / fro(s))
     ok = worst_comp <= 1e-8 and worst_recon <= 1e-10
     emit(ok, f"factorization[{config_id(form)}]",
          f"componentwise {worst_comp:.2e} <= 1e-08, reconstruction {worst_recon:.2e} <= 1e-10")
@@ -121,7 +121,7 @@ def test_coaxial_boost_product():
     form = SignatureForm(3, 2, 1, "real")
     mloop = MatrixLoop(form)
     a = standard_boost(form, math.log(2))
-    out = mloop.mul(a, a).matrix
+    out = mloop.mul(a, a)
     # doubling the rapidity: cosh(2 log 2) = 17/8, sinh(2 log 2) = 15/8
     expected = np.array([[1.0, 0.0, 0.0], [0.0, 2.125, 1.875], [0.0, 1.875, 2.125]])
     gap = float(np.max(np.abs(out - expected)))
@@ -138,12 +138,12 @@ def test_sharp_transitivity(form):
     (u1, u2, noise), _ = SampleStream(SEED).next_rows(200, cfg.sample_width, cfg.sample_width, 2 * half)
     d1, d2 = realize(cfg.from_uniforms(u1), cfg), realize(cfg.from_uniforms(u2), cfg)
     t, rho = solve_translation(d1, d2, cfg)
-    mapping = worst(subspace_distance(apply(rho.matrix, d1, t), d2))
+    mapping = worst(subspace_distance(apply(rho, d1, t), d2))
     noise = scale(noise, -1e-10, 1e-10)
     d1p = subspace(d1.base + noise[:, :n], d1.frame + noise[:, : n * k].reshape(-1, n, k))
     d2p = subspace(d2.base + noise[:, half : half + n], d2.frame + noise[:, half : half + n * k].reshape(-1, n, k))
     tp, rhop = solve_translation(d1p, d2p, cfg)
-    worst_stability = worst(np.linalg.norm(tp - t, axis=-1) + fro(rhop.matrix - rho.matrix))
+    worst_stability = worst(np.linalg.norm(tp - t, axis=-1) + fro(rhop - rho))
     ok = mapping <= 1e-8 and worst_stability <= 1e-6
     emit(ok, f"sharp-transitivity[{config_id(form)}]",
          f"mapping residual {mapping:.2e} <= 1e-08, perturbation drift {worst_stability:.2e} <= 1e-06")
@@ -159,7 +159,7 @@ def test_extension_axioms_and_projection(form):
     mloop = MatrixLoop(form)
     e1, e2 = sample_tuples(loop, SampleStream(SEED).split(90_000_000), 200, 2)
     prod = ext_mul(e1, e2, cfg)
-    worst_proj = worst(fro(prod.rho.matrix - mloop.mul(e1.rho, e2.rho).matrix))
+    worst_proj = worst(fro(prod.rho - mloop.mul(e1.rho, e2.rho)))
     ok = axioms <= 1e-8 and worst_proj <= 1e-9
     emit(ok, f"extension-axioms[{config_id(form)}]",
          f"axiom residual {axioms:.2e} <= 1e-08 over 500 samples, "
@@ -182,7 +182,7 @@ def test_manifold_dimension(form):
 
 @pytest.mark.parametrize("form", CONFIGS, ids=IDS)
 def test_transversal_witness(form):
-    boosted = apply(standard_boost(form, math.log(2)).matrix, coordinate_subspace(form, 2))
+    boosted = apply(standard_boost(form, math.log(2)), coordinate_subspace(form, 2))
     cfg = extension_config(form, wtilde=boosted)
     report = nonisomorphism_witness(cfg, SampleStream(SEED), budget=100)
     ok = report.displacement > 1e-3 and report.samples_used <= 100

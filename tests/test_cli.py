@@ -11,7 +11,7 @@ from bruckloops.cli import (
     DEFAULT_SAMPLES, PROPERTIES, TOLERANCES, SuiteConfig, _diagnostics, main, run_verify,
 )
 from bruckloops.errors import NotInOrbit
-from bruckloops.groups import SigmaElement, SignatureForm, element_to_json, standard_boost
+from bruckloops.groups import SignatureForm, element_to_json, standard_boost
 from bruckloops.linalg import write_matrix_text
 from conftest import boost3, rotation
 
@@ -438,11 +438,11 @@ class TestMul:
         b = standard_boost(form321r, 0.5)
         lhs = tmp_path / "lhs.json"
         rhs = tmp_path / "rhs.json"
-        lhs.write_text(json.dumps(element_to_json(SigmaElement(np.eye(3), form321r))))
-        rhs.write_text(json.dumps(element_to_json(b)))
+        lhs.write_text(json.dumps(element_to_json(np.eye(3), form321r)))
+        rhs.write_text(json.dumps(element_to_json(b, form321r)))
         assert main(["mul", str(lhs), str(rhs)]) == 0
         out = json.loads(capsys.readouterr().out)
-        assert np.allclose(out["matrix"], b.matrix)
+        assert np.allclose(out["matrix"], b)
         assert out["diagnostics"]["pass"] is True
 
     def test_boost_squared_from_text_files(self, tmp_path, capsys):
@@ -457,10 +457,10 @@ class TestMul:
     def test_extension_identity(self, tmp_path, capsys, form321r):
         ident = {
             "w": [0.0, 0.0, 0.0],
-            "rho": element_to_json(SigmaElement(np.eye(3), form321r)),
+            "rho": element_to_json(np.eye(3), form321r),
         }
         b = standard_boost(form321r, 0.4)
-        other = {"w": [0.0, 0.0, 0.25], "rho": element_to_json(b)}
+        other = {"w": [0.0, 0.0, 0.25], "rho": element_to_json(b, form321r)}
         lhs = tmp_path / "e1.json"
         rhs = tmp_path / "e2.json"
         lhs.write_text(json.dumps(ident))
@@ -468,7 +468,7 @@ class TestMul:
         assert main(["mul", str(lhs), str(rhs), "--loop", "extension"]) == 0
         out = json.loads(capsys.readouterr().out)
         assert np.allclose(out["w"], other["w"])
-        assert np.allclose(out["rho"]["matrix"], b.matrix)
+        assert np.allclose(out["rho"]["matrix"], b)
 
     def test_parse_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.mat"
@@ -501,15 +501,22 @@ class TestMul:
             ("matrix", "overflow-entry"),
             ("extension", "w-overflow"),
             ("matrix", "complex-text-real-form"),
+            ("matrix", "other_signature"),
+            ("extension", "other_signature"),
+            ("factor", "other_signature"),
         ],
     )
     def test_malformed_element_file_is_config_error(
         self, tmp_path, capsys, form321r, form321c, loop, case
     ):
-        elem = element_to_json(SigmaElement(np.eye(3), form321r))
-        celem = element_to_json(SigmaElement(np.eye(3, dtype=complex), form321c))
-        boost = element_to_json(standard_boost(form321r, 0.5))
-        good = boost if loop == "matrix" else {"w": [0.0, 0.0, 0.0], "rho": boost}
+        elem = element_to_json(np.eye(3), form321r)
+        celem = element_to_json(np.eye(3, dtype=complex), form321c)
+        # the other-signature operand is read for --n 4 --p1 3 --p2 1
+        form = SignatureForm(4, 3, 1) if case == "other_signature" else form321r
+        boost = element_to_json(standard_boost(form, 0.5), form)
+        good = boost if loop != "extension" else {"w": [0.0] * form.n, "rho": boost}
+        # a Sigma element of the configured size and another signature
+        elem422 = element_to_json(np.eye(4), SignatureForm(4, 2, 2))
         # operands that parse but are not Sigma elements of the configured form
         rotated = dict(elem, matrix=rotation(3, 0, 1, 0.7).tolist())
         stretched = dict(elem, matrix=np.diag([2.0, 1.0, 0.5]).tolist())
@@ -523,7 +530,10 @@ class TestMul:
                 rotated if loop == "matrix" else {"w": [0.0, 0.0, 0.0], "rho": rotated}
             ),
             "not_an_isometry": json.dumps(stretched),
-            "other_form": json.dumps(element_to_json(SigmaElement(np.eye(3, dtype=complex), form321c))),
+            "other_form": json.dumps(element_to_json(np.eye(3, dtype=complex), form321c)),
+            "other_signature": json.dumps(
+                elem422 if loop != "extension" else {"w": [0.0] * 4, "rho": elem422}
+            ),
             "w_off_transversal": json.dumps({"w": [0.5, 0.0, 0.3], "rho": elem}),
             "form-float": json.dumps(dict(elem, form={"n": 3.9, "p1": 2.7, "p2": 1, "field": "real"})),
             "form-bool": json.dumps(dict(elem, form=dict(elem["form"], p2=True))),
@@ -547,14 +557,18 @@ class TestMul:
         other = bad if "overflow" in case else json.dumps(celem if case == "three-part-entry" else good)
         rhs.write_text(other)
         field = "complex" if case == "three-part-entry" else "real"
-        assert main(["mul", str(lhs), str(rhs), "--loop", loop, "--field", field]) == 2
+        command = ["factor", str(lhs)] if loop == "factor" else ["mul", str(lhs), str(rhs), "--loop", loop]
+        size = ["--n", "4", "--p1", "3", "--p2", "1"] if case == "other_signature" else []
+        assert main(command + ["--field", field] + size) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+        if case in ("other_form", "other_signature"):
+            assert "is not the configured" in err
 
     @pytest.mark.parametrize("case", ["matrix", "extension", "text-inf", "text-nan"])
     def test_non_finite_entries_are_refused_when_read(self, tmp_path, capsys, form321r, case):
         # JSON element files and matrix text files alike
-        elem = element_to_json(SigmaElement(np.eye(3), form321r))
+        elem = element_to_json(np.eye(3), form321r)
         bad = {
             "matrix": json.dumps(dict(elem, matrix=[[math.inf, 0, 0], [0, 1, 0], [0, 0, 1]])),
             "extension": json.dumps({"w": [0.0, 0.0, math.nan], "rho": elem}),
@@ -572,7 +586,7 @@ class TestMul:
     @given(ELEMENT_EDITS, st.booleans())
     def test_element_file_fuzz(self, tmp_path_factory, edit, squared):
         loop, path, value = edit
-        boost = element_to_json(standard_boost(SignatureForm(3, 2, 1), 0.5))
+        boost = element_to_json(standard_boost(SignatureForm(3, 2, 1), 0.5), SignatureForm(3, 2, 1))
         good = boost if loop == "matrix" else {"w": [0.0, 0.0, 0.25], "rho": boost}
         folder = tmp_path_factory.mktemp("mul")
         lhs, rhs = folder / "lhs.json", folder / "rhs.json"
@@ -581,7 +595,7 @@ class TestMul:
         assert main(["mul", str(lhs), str(rhs), "--loop", loop]) in (0, 2)
 
     def test_determinant_dominated_diagnostics_serialize(self, form321r):
-        diag = _diagnostics(SigmaElement(2.0 * np.eye(3), form321r))
+        diag = _diagnostics(2.0 * np.eye(3), form321r)
         assert diag["pass"] is False
         json.dumps(diag)
 
@@ -609,10 +623,10 @@ class TestFactor:
     def test_sigma_input(self, tmp_path, capsys, form321r):
         a = standard_boost(form321r, 0.9)
         path = tmp_path / "s.json"
-        path.write_text(json.dumps(element_to_json(a)))
+        path.write_text(json.dumps(element_to_json(a, form321r)))
         assert main(["factor", str(path)]) == 0
         out = json.loads(capsys.readouterr().out)
-        assert np.max(np.abs(np.array(out["s1"]["matrix"]) - a.matrix)) <= 1e-10
+        assert np.max(np.abs(np.array(out["s1"]["matrix"]) - a)) <= 1e-10
         assert np.allclose(out["c"]["matrix"], np.eye(3), atol=1e-10)
 
     @pytest.mark.parametrize(
@@ -638,7 +652,7 @@ class TestFactor:
     def test_element_of_another_form_is_config_error(self, tmp_path, capsys, form321r):
         # as for mul, a JSON element must carry the configured form
         path = tmp_path / "s.json"
-        path.write_text(json.dumps(element_to_json(standard_boost(form321r, 0.9))))
+        path.write_text(json.dumps(element_to_json(standard_boost(form321r, 0.9), form321r)))
         assert main(["factor", str(path), "--n", "4", "--p1", "2", "--p2", "2"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -662,6 +676,16 @@ class TestFactor:
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         if entry != "1e308":
             assert captured.err == "error: matrix entries must be finite\n"
+
+
+@pytest.mark.parametrize("command", [["mul", "a", "b"], ["factor", "a"], ["witness"], ["sample"]])
+def test_samples_and_out_are_verify_only(capsys, command):
+    # the other commands do not read them, so refuse them as unknown options
+    for flag in ("--samples", "--out"):
+        with pytest.raises(SystemExit) as exc:
+            main(command + [flag, "0"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 0" in capsys.readouterr().err
 
 
 class TestWitness:

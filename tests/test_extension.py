@@ -24,7 +24,6 @@ from bruckloops.extension import (
 from bruckloops.geometry import AffineSubspace, apply, projector, subspace, subspace_distance
 from bruckloops.groups import (
     SampleStream,
-    SigmaElement,
     SignatureForm,
     sample_sigma,
     sigma_from_block,
@@ -43,7 +42,7 @@ def cfg(form321r):
 
 @pytest.fixture
 def boosted_cfg(form321r):
-    wt = apply(standard_boost(form321r, math.log(2)).matrix, coordinate_subspace(form321r, 2))
+    wt = apply(standard_boost(form321r, math.log(2)), coordinate_subspace(form321r, 2))
     return extension_config(form321r, wtilde=wt)
 
 
@@ -97,7 +96,7 @@ class TestConfig:
 
     def test_no_sampling(self, form321r, monkeypatch):
         monkeypatch.setattr(SampleStream, "next_uniforms", pytest.fail)
-        wt = apply(standard_boost(form321r, 0.5).matrix, coordinate_subspace(form321r, 2))
+        wt = apply(standard_boost(form321r, 0.5), coordinate_subspace(form321r, 2))
         assert extension_config(form321r, wtilde=wt).wtilde.dim == 1
 
     def test_stored_base_is_exactly_zero(self, form321r):
@@ -106,7 +105,7 @@ class TestConfig:
 
     def test_near_boundary_boost_accepted(self, form321r):
         # boost 3 gives ||C|| = tanh 3 = 0.995, just inside the boundary
-        wt = apply(standard_boost(form321r, 3.0).matrix, coordinate_subspace(form321r, 2))
+        wt = apply(standard_boost(form321r, 3.0), coordinate_subspace(form321r, 2))
         loop = extension_config(form321r, wtilde=wt)
         residual = check_loop_axioms(loop, SampleStream(3), 20)
         assert residual <= 1e-8, residual
@@ -126,14 +125,14 @@ class TestRealize:
     def test_pure_linear(self, cfg, form321r):
         rho, _ = one(sample_sigma(form321r, SampleStream(1), 1))
         e = ExtensionElement(np.zeros(3), rho)
-        expected = apply(rho.matrix, cfg.carrier_subspace())
+        expected = apply(rho, cfg.carrier_subspace())
         assert subspace_distance(realize(e, cfg), expected) <= 1e-12
 
 
 class TestLift:
     def test_carrier_direction_gives_identity(self, cfg):
         z = cfg.carrier_subspace().frame
-        assert fro(lift_from_infinity(z, cfg).matrix - np.eye(3)) <= 1e-12
+        assert fro(lift_from_infinity(z, cfg) - np.eye(3)) <= 1e-12
 
     @pytest.mark.parametrize("field", ["real", "complex"])
     def test_roundtrip_uniqueness(self, field):
@@ -142,9 +141,9 @@ class TestLift:
         stream = SampleStream(2)
         for _ in range(50):
             rho, stream = one(sample_sigma(form, stream, 1))
-            z = apply(rho.matrix, config.carrier_subspace()).frame
+            z = apply(rho, config.carrier_subspace()).frame
             lifted = lift_from_infinity(z, config)
-            assert fro(lifted.matrix - rho.matrix) <= 1e-8
+            assert fro(lifted - rho) <= 1e-8
 
     def test_negative_direction_not_in_orbit(self, cfg):
         with pytest.raises(NotInOrbit):
@@ -162,12 +161,12 @@ class TestLift:
         stream = SampleStream(5)
         for _ in range(30):
             rho, stream = one(sample_sigma(form, stream, 1))
-            z = apply(rho.matrix, config.carrier_subspace()).frame
-            assert fro(lift_from_infinity(z, config).matrix - rho.matrix) <= 1e-8
+            z = apply(rho, config.carrier_subspace()).frame
+            assert fro(lift_from_infinity(z, config) - rho) <= 1e-8
 
     def test_one_eigendecomposition_and_no_svd_or_det(self, cfg, form321r, eig_calls, monkeypatch):
         rho, _ = one(sample_sigma(form321r, SampleStream(6), 1))
-        z = apply(rho.matrix, cfg.carrier_subspace()).frame
+        z = apply(rho, cfg.carrier_subspace()).frame
         eig_calls.clear()
         for name in ("svd", "det"):
             monkeypatch.setattr(np.linalg, name, pytest.fail)
@@ -180,8 +179,8 @@ class TestLift:
         stream = SampleStream(3)
         for _ in range(20):
             rho, stream = one(sample_sigma(form, stream, 1))
-            z = apply(rho.matrix, config.carrier_subspace()).frame
-            assert fro(lift_from_infinity(z, config).matrix - rho.matrix) <= 1e-8
+            z = apply(rho, config.carrier_subspace()).frame
+            assert fro(lift_from_infinity(z, config) - rho) <= 1e-8
 
     def test_determinant_correction_complex(self):
         form = SignatureForm(3, 2, 1, "complex")
@@ -189,15 +188,15 @@ class TestLift:
         stream = SampleStream(4)
         for _ in range(30):
             rho, stream = one(sample_sigma(form, stream, 1))
-            z = apply(rho.matrix, config.carrier_subspace()).frame
-            assert fro(lift_from_infinity(z, config).matrix - rho.matrix) <= 1e-8
+            z = apply(rho, config.carrier_subspace()).frame
+            assert fro(lift_from_infinity(z, config) - rho) <= 1e-8
 
 
 class TestOmega:
     def test_carrier_maps_to_identity(self, cfg):
         e = omega(cfg.carrier_subspace(), cfg)
         assert np.allclose(e.w, 0.0)
-        assert fro(e.rho.matrix - np.eye(3)) <= 1e-12
+        assert fro(e.rho - np.eye(3)) <= 1e-12
 
     def test_roundtrip(self, cfg):
         loop = cfg
@@ -206,7 +205,7 @@ class TestOmega:
             e, stream = one(loop.sample(stream, 1))
             back = omega(realize(e, cfg), cfg)
             assert np.linalg.norm(back.w - e.w) <= 1e-8
-            assert fro(back.rho.matrix - e.rho.matrix) <= 1e-8
+            assert fro(back.rho - e.rho) <= 1e-8
 
 
 class TestExtMul:
@@ -215,14 +214,14 @@ class TestExtMul:
         e, _ = one(loop.sample(SampleStream(6), 1))
         out = ext_mul(cfg.identity, e, cfg)
         assert np.linalg.norm(out.w - e.w) <= 1e-12
-        assert fro(out.rho.matrix - e.rho.matrix) <= 1e-12
+        assert fro(out.rho - e.rho) <= 1e-12
 
     def test_right_identity(self, cfg):
         loop = cfg
         e, _ = one(loop.sample(SampleStream(7), 1))
         out = ext_mul(e, cfg.identity, cfg)
         assert np.linalg.norm(out.w - e.w) <= 1e-12
-        assert fro(out.rho.matrix - e.rho.matrix) <= 1e-12
+        assert fro(out.rho - e.rho) <= 1e-12
 
     @pytest.mark.parametrize("field", ["real", "complex"])
     def test_left_translation_oracle(self, field):
@@ -236,7 +235,7 @@ class TestExtMul:
             e1, stream = one(loop.sample(stream, 1))
             e2, stream = one(loop.sample(stream, 1))
             prod = ext_mul(e1, e2, config)
-            oracle = apply(e1.rho.matrix, realize(e2, config), e1.w)
+            oracle = apply(e1.rho, realize(e2, config), e1.w)
             assert subspace_distance(realize(prod, config), oracle) <= 1e-8
 
     def test_infinity_projection_matches_matrix_loop(self, cfg, form321r):
@@ -247,7 +246,7 @@ class TestExtMul:
             e1, stream = one(loop.sample(stream, 1))
             e2, stream = one(loop.sample(stream, 1))
             prod = ext_mul(e1, e2, cfg)
-            assert fro(prod.rho.matrix - mloop.mul(e1.rho, e2.rho).matrix) <= 1e-9
+            assert fro(prod.rho - mloop.mul(e1.rho, e2.rho)) <= 1e-9
 
     def test_one_eigendecomposition_and_no_det(self, cfg, eig_calls, monkeypatch):
         # the orbit map: one graph lift, and no polar factorization
@@ -279,14 +278,14 @@ class TestSolveTranslation:
         w1 = cfg.carrier_subspace()
         t, rho = solve_translation(w1, w1, cfg)
         assert np.linalg.norm(t) <= 1e-12
-        assert fro(rho.matrix - np.eye(3)) <= 1e-12
+        assert fro(rho - np.eye(3)) <= 1e-12
 
     def test_recovers_element_coordinates(self, cfg):
         loop = cfg
         e, _ = one(loop.sample(SampleStream(10), 1))
         t, rho = solve_translation(cfg.carrier_subspace(), realize(e, cfg), cfg)
         assert np.linalg.norm(t - e.w) <= 1e-8
-        assert fro(rho.matrix - e.rho.matrix) <= 1e-8
+        assert fro(rho - e.rho) <= 1e-8
 
     def test_random_pairs(self, cfg):
         loop = cfg
@@ -296,7 +295,7 @@ class TestSolveTranslation:
             e2, stream = one(loop.sample(stream, 1))
             d1, d2 = realize(e1, cfg), realize(e2, cfg)
             t, rho = solve_translation(d1, d2, cfg)
-            assert subspace_distance(apply(rho.matrix, d1, t), d2) <= 1e-8
+            assert subspace_distance(apply(rho, d1, t), d2) <= 1e-8
 
     def test_stability_under_representative_perturbation(self, cfg):
         loop = cfg
@@ -312,7 +311,7 @@ class TestSolveTranslation:
             d2p = subspace(d2.base + 1e-10 * rng.uniform(-1, 1, 3),
                            d2.frame + 1e-10 * rng.uniform(-1, 1, d2.frame.shape))
             tp, rhop = solve_translation(d1p, d2p, cfg)
-            assert np.linalg.norm(tp - t) + fro(rhop.matrix - rho.matrix) <= 1e-6
+            assert np.linalg.norm(tp - t) + fro(rhop - rho) <= 1e-6
 
 
 class TestExtLoop:
@@ -385,10 +384,8 @@ def reference_jacobians(cfg, thetas):
             x = theta[k:].reshape(form.p1, form.p2)
         w = cfg.wtilde.frame @ coef.astype(form.dtype)
         s = realize(ExtensionElement(w, sigma_from_block(form, x.astype(form.dtype))), cfg)
-        p = projector(s.frame)
-        if form.field == "complex":
-            return np.concatenate([p.real.ravel(), p.imag.ravel(), s.base.real, s.base.imag])
-        return np.concatenate([p.ravel(), s.base])
+        # a complex entry as its (re, im) pair
+        return np.concatenate([projector(s.frame).ravel(), s.base]).view(np.float64)
 
     step = 1e-5
     jacobians = []
@@ -437,15 +434,15 @@ class TestDimension:
         # one perturbed lift whose two carrier columns coincide is refused,
         # as orthonormalize refuses that frame
         def collapsing(form, x):
-            rho = sigma_from_block(form, x).matrix.copy()
+            rho = sigma_from_block(form, x).copy()
             rho[7, :, 1] = rho[7, :, 0]
-            return SigmaElement(rho, form)
+            return rho
 
         monkeypatch.setattr(ext, "sigma_from_block", collapsing)
         with pytest.raises(RankDeficient):
             dimension_rank_report(cfg, points=3)
         with pytest.raises(RankDeficient):
-            orthonormalize(collapsing(cfg.form, np.zeros((8, 2, 1))).matrix[7][:, :2])
+            orthonormalize(collapsing(cfg.form, np.zeros((8, 2, 1)))[7][:, :2])
 
     def test_real_321(self, cfg):
         report = dimension_rank_report(cfg, points=10)
@@ -508,16 +505,16 @@ class TestOnCoordinates:
             e, stream = one(cfg.sample(stream, 1))
             noise = rng.uniform(-1, 1, (2, k + 1, k))
             shift = (noise[0] + 1j * noise[1] if complex_field else noise[0]).astype(cfg.form.dtype)
-            f = ext._block_columns(e.rho.matrix, cfg.form, cfg.carrier)
+            f = ext._block_columns(e.rho, cfg.form, cfg.carrier)
             rep = AffineSubspace(e.w + f @ shift[k], f @ (np.eye(k) + 0.2 * shift[:k]))
             got, want = omega(rep, cfg), omega(realize(e, cfg), cfg)
             assert np.linalg.norm(got.w - want.w) <= 1e-12
-            assert fro(got.rho.matrix - want.rho.matrix) <= 1e-12
+            assert fro(got.rho - want.rho) <= 1e-12
 
 
 def test_extension_element_json_roundtrip(cfg):
     loop = cfg
     e, _ = one(loop.sample(SampleStream(13), 1))
-    back = extension_element_from_json(json.loads(json.dumps(e.to_json())))
+    back = extension_element_from_json(json.loads(json.dumps(e.to_json(cfg.form))), cfg.form)
     assert np.array_equal(back.w, e.w)
-    assert np.array_equal(back.rho.matrix, e.rho.matrix)
+    assert np.array_equal(back.rho, e.rho)

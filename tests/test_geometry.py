@@ -153,9 +153,9 @@ class TestTransversality:
 
     def test_boosted_transversal_200_samples(self, form321r):
         w1 = subspace(np.zeros(3), E3[:, :2])
-        wt = apply(standard_boost(form321r, math.log(2)).matrix, subspace(np.zeros(3), E3[:, 2:]))
+        wt = apply(standard_boost(form321r, math.log(2)), subspace(np.zeros(3), E3[:, 2:]))
         rhos, _ = sample_sigma(form321r, SampleStream(7), 200)
-        rep = transversality_check(wt, rhos.matrix, w1)
+        rep = transversality_check(wt, rhos, w1)
         assert rep.samples == 200 and rep.worst_margin > 0.0
 
     def test_wrong_dimension_rejected(self, form321r):
@@ -174,7 +174,7 @@ class TestTransversality:
         monkeypatch.setattr(np.linalg, "svd", counting)
         w1 = subspace(np.zeros(3), E3[:, :2])
         w2 = subspace(np.zeros(3), E3[:, 2:])
-        rhos = np.stack([standard_boost(form321r, t).matrix for t in (0.0, 0.5, 1.0, 1.5)])
+        rhos = np.stack([standard_boost(form321r, t) for t in (0.0, 0.5, 1.0, 1.5)])
         rep = transversality_check(w2, rhos, w1)
         assert rep.samples == 4 and calls == [((4, 3, 3), False)]
 
@@ -182,7 +182,7 @@ class TestTransversality:
         w1 = subspace(np.zeros(3), E3[:, :2])
         inside = subspace(np.zeros(3), E3[:, 1:2])
         # the boost tilts the carrier plane off the second axis; the identity does not
-        rhos = np.stack([standard_boost(form321r, 0.5).matrix, np.eye(3), np.eye(3)])
+        rhos = np.stack([standard_boost(form321r, 0.5), np.eye(3), np.eye(3)])
         with pytest.raises(TransversalityViolated, match="^sample 1:"):
             transversality_check(inside, rhos, w1)
 

@@ -8,9 +8,7 @@ from hypothesis import strategies as st
 
 from bruckloops.errors import ConfigInvalid, DimensionMismatch, NotInGroup
 from bruckloops.groups import (
-    PhiElement,
     SampleStream,
-    SigmaElement,
     SignatureForm,
     conjugate_by_phi,
     element_from_json,
@@ -50,7 +48,7 @@ class TestSampleStream:
     def test_bit_for_bit_determinism(self, form321r):
         a, _ = one(sample_sigma(form321r, SampleStream(42), 1))
         b, _ = one(sample_sigma(form321r, SampleStream(42), 1))
-        assert np.array_equal(a.matrix, b.matrix)
+        assert np.array_equal(a, b)
 
     def test_counter_advances(self):
         s = SampleStream(1)
@@ -113,13 +111,13 @@ class TestMembership:
 class TestSampleSigma:
     def test_zero_radius_gives_identity(self, form321r):
         a, _ = one(sample_sigma(form321r, SampleStream(1), 1, radius=0.0))
-        assert np.allclose(a.matrix, np.eye(3))
+        assert np.allclose(a, np.eye(3))
 
     def test_single_block_entry_is_boost(self, form321r):
         t = 0.8
         x = np.array([[0.0], [t]])
         a = sigma_from_block(form321r, x)
-        assert fro(a.matrix - boost3(t)) <= 1e-13
+        assert fro(a - boost3(t)) <= 1e-13
 
     @pytest.mark.parametrize("field,count", [("real", 500), ("complex", 150)])
     def test_membership_500(self, field, count):
@@ -127,17 +125,17 @@ class TestSampleSigma:
         stream = SampleStream(1)
         for _ in range(count):
             a, stream = one(sample_sigma(form, stream, 1))
-            assert membership_residual(a.matrix, "Sigma", form).max_residual <= 1e-9
+            assert membership_residual(a, "Sigma", form).max_residual <= 1e-9
 
 
 class TestSamplePhi:
     def test_zero_radius_gives_identity(self, form321r):
         b, _ = one(sample_phi(form321r, SampleStream(1), 1, radius=0.0))
-        assert np.allclose(b.matrix, np.eye(3))
+        assert np.allclose(b, np.eye(3))
 
     def test_block_structure_p2_one(self, form321r):
         b, _ = one(sample_phi(form321r, SampleStream(4), 1))
-        m = b.matrix
+        m = b
         # real (2,1): a rotation block in coordinates 1,2 and +1 in coordinate 3
         assert m[2, 2] == pytest.approx(1.0)
         assert abs(np.linalg.det(m[:2, :2]) - 1.0) <= 1e-12
@@ -149,26 +147,26 @@ class TestSamplePhi:
         stream = SampleStream(2)
         for _ in range(100):
             b, stream = one(sample_phi(form, stream, 1))
-            assert membership_residual(b.matrix, "Phi", form).max_residual <= 1e-9
+            assert membership_residual(b, "Phi", form).max_residual <= 1e-9
 
 
 class TestPolarFactorize:
     def test_identity(self, form321r):
         s1, c = polar_factorize(np.eye(3), form321r)
-        assert np.allclose(s1.matrix, np.eye(3)) and np.allclose(c.matrix, np.eye(3))
+        assert np.allclose(s1, np.eye(3)) and np.allclose(c, np.eye(3))
 
     def test_boost_times_rotation(self, form321r):
         a = boost3(math.log(2))
         r = rotation(3, 0, 1, math.pi / 6)
         s1, c = polar_factorize(a @ r, form321r)
-        assert fro(s1.matrix - a) <= 1e-12
-        assert fro(c.matrix - r) <= 1e-12
+        assert fro(s1 - a) <= 1e-12
+        assert fro(c - r) <= 1e-12
 
     def test_sigma_input_gives_trivial_phi(self, form321r):
         a, _ = one(sample_sigma(form321r, SampleStream(3), 1))
-        s1, c = polar_factorize(a.matrix, form321r)
-        assert fro(s1.matrix - a.matrix) <= 1e-12
-        assert fro(c.matrix - np.eye(3)) <= 1e-12
+        s1, c = polar_factorize(a, form321r)
+        assert fro(s1 - a) <= 1e-12
+        assert fro(c - np.eye(3)) <= 1e-12
 
     def test_rejects_non_member(self, form321r):
         with pytest.raises(NotInGroup):
@@ -182,24 +180,24 @@ class TestPolarFactorize:
         for _ in range(count):
             s1, stream = one(sample_sigma(form, stream, 1))
             c, stream = one(sample_phi(form, stream, 1))
-            s = s1.matrix @ c.matrix
+            s = s1 @ c
             f1, f2 = polar_factorize(s, form)
-            assert np.max(np.abs(f1.matrix - s1.matrix)) <= 1e-8
-            assert np.max(np.abs(f2.matrix - c.matrix)) <= 1e-8
-            assert fro(f1.matrix @ f2.matrix - s) <= 1e-10 * fro(s)
+            assert np.max(np.abs(f1 - s1)) <= 1e-8
+            assert np.max(np.abs(f2 - c)) <= 1e-8
+            assert fro(f1 @ f2 - s) <= 1e-10 * fro(s)
 
 
 class TestConjugation:
     def test_identity_fixes(self, form321r):
         a, _ = one(sample_sigma(form321r, SampleStream(5), 1))
-        b = PhiElement(np.eye(3), form321r)
-        assert np.allclose(conjugate_by_phi(a, b).matrix, a.matrix)
+        b = np.eye(3)
+        assert np.allclose(conjugate_by_phi(a, b), a)
 
     def test_quarter_turn_moves_boost(self, form321r):
         t = 0.6
-        a = SigmaElement(boost3(t), form321r)
-        b = PhiElement(rotation(3, 0, 1, math.pi / 2), form321r)
-        out = conjugate_by_phi(a, b).matrix
+        a = boost3(t)
+        b = rotation(3, 0, 1, math.pi / 2)
+        out = conjugate_by_phi(a, b)
         c, s = np.cosh(t), np.sinh(t)
         expected = np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [s, 0.0, c]])
         assert fro(out - expected) <= 1e-12
@@ -210,18 +208,18 @@ class TestConjugation:
             a, stream = one(sample_sigma(form321r, stream, 1))
             b, stream = one(sample_phi(form321r, stream, 1))
             out = conjugate_by_phi(a, b)
-            assert membership_residual(out.matrix, "Sigma", form321r).max_residual <= 1e-9
+            assert membership_residual(out, "Sigma", form321r).max_residual <= 1e-9
 
 
 class TestBoost:
     def test_log2_boost_entries(self, form321r):
         a = standard_boost(form321r, math.log(2))
         expected = np.array([[1.0, 0.0, 0.0], [0.0, 1.25, 0.75], [0.0, 0.75, 1.25]])
-        assert fro(a.matrix - expected) <= 1e-12
+        assert fro(a - expected) <= 1e-12
 
     def test_larger_signature_placement(self):
         form = SignatureForm(4, 3, 1, "real")
-        a = standard_boost(form, 0.5).matrix
+        a = standard_boost(form, 0.5)
         assert a[2, 2] == pytest.approx(np.cosh(0.5))
         assert a[3, 2] == pytest.approx(np.sinh(0.5))
         assert np.allclose(a[:2, :2], np.eye(2))
@@ -231,6 +229,7 @@ def test_element_json_roundtrip():
     for field in ("real", "complex"):
         form = SignatureForm(3, 2, 1, field)
         a, _ = one(sample_sigma(form, SampleStream(6), 1))
-        back = element_from_json(json.loads(json.dumps(element_to_json(a))))
-        assert np.array_equal(back.matrix, a.matrix)
-        assert back.form == form
+        obj = json.loads(json.dumps(element_to_json(a, form)))
+        assert np.array_equal(element_from_json(obj, form), a)
+        with pytest.raises(ConfigInvalid, match="is not the configured"):
+            element_from_json(obj, SignatureForm(3, 2, 1, "complex" if field == "real" else "real"))

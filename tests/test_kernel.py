@@ -62,7 +62,7 @@ class TestCheckers:
         prod = mloop.mul(standard_boost(form321r, s), standard_boost(form321r, t))
         inv = mloop.inverse(prod)
         expected = standard_boost(form321r, -(s + t))
-        assert np.max(np.abs(inv.matrix - expected.matrix)) <= 1e-12
+        assert np.max(np.abs(inv - expected)) <= 1e-12
 
     def test_left_a_identity_slots(self, loop):
         e = loop.identity

@@ -30,14 +30,14 @@ class TestMul:
     def test_square(self, mloop):
         a, _ = one(mloop.sample(SampleStream(2), 1))
         out = mloop.mul(a, a)
-        assert fro(out.matrix - a.matrix @ a.matrix) <= 1e-12
+        assert fro(out - a @ a) <= 1e-12
 
     def test_coaxial_boosts_add_rapidities(self, mloop, form321r):
         a = standard_boost(form321r, math.log(2))
         out = mloop.mul(a, a)
         # cosh(2 log 2) = 17/8, sinh(2 log 2) = 15/8
         expected = np.array([[1.0, 0.0, 0.0], [0.0, 2.125, 1.875], [0.0, 1.875, 2.125]])
-        assert np.max(np.abs(out.matrix - expected)) <= 1e-10
+        assert np.max(np.abs(out - expected)) <= 1e-10
 
     def test_closure_membership(self, mloop, form321r):
         stream = SampleStream(3)
@@ -45,7 +45,7 @@ class TestMul:
             a, stream = one(mloop.sample(stream, 1))
             b, stream = one(mloop.sample(stream, 1))
             out = mloop.mul(a, b)
-            assert membership_residual(out.matrix, "Sigma", form321r).max_residual <= 1e-9
+            assert membership_residual(out, "Sigma", form321r).max_residual <= 1e-9
 
 
 class TestInverse:
@@ -55,7 +55,7 @@ class TestInverse:
     def test_boost_inverse_flips_rapidity(self, mloop, form321r):
         t = 0.7
         inv = mloop.inverse(standard_boost(form321r, t))
-        assert fro(inv.matrix - standard_boost(form321r, -t).matrix) <= 1e-12
+        assert fro(inv - standard_boost(form321r, -t)) <= 1e-12
 
     def test_mul_with_inverse(self, mloop):
         stream = SampleStream(4)
@@ -70,7 +70,7 @@ class TestInverse:
         stream = SampleStream(10)
         for _ in range(40):
             a, stream = one(mloop.sample(stream, 1))
-            assert fro(mloop.inverse(a).matrix @ a.matrix - np.eye(3)) <= 1e-12
+            assert fro(mloop.inverse(a) @ a - np.eye(3)) <= 1e-12
 
 
 class TestDivision:
@@ -94,10 +94,10 @@ class TestDivision:
             c, stream = one(mloop.sample(stream, 1))
             x = mloop.left_divide(a, c)
             assert frobenius_distance(mloop.mul(a, x), c) <= 1e-8
-            assert membership_residual(x.matrix, "Sigma", form).max_residual <= 1e-9
+            assert membership_residual(x, "Sigma", form).max_residual <= 1e-9
             y = mloop.right_divide(c, a)
             assert frobenius_distance(mloop.mul(y, a), c) <= 1e-8
-            assert membership_residual(y.matrix, "Sigma", form).max_residual <= 1e-9
+            assert membership_residual(y, "Sigma", form).max_residual <= 1e-9
 
 
 @pytest.mark.parametrize(
@@ -121,7 +121,7 @@ def test_positive_factor_needs_no_caller_symmetrization(field):
     for _ in range(20):
         a, stream = one(MatrixLoop(form).sample(stream, 1))
         b, stream = one(sample_phi(form, stream, 1))
-        products.append(a.matrix @ b.matrix)
+        products.append(a @ b)
     for s in products + [np.stack(products)]:
         assert np.array_equal(_positive_factor(s), spectral_map(symmetrize(s @ dag(s)), "sqrt"))
         # the same holds where the product is hermitian only to rounding
@@ -142,7 +142,7 @@ class TestConjugationEquivariance:
             b, stream = one(sample_phi(form, stream, 1))
             lhs = conjugate_by_phi(mloop.mul(a1, a2), b)
             rhs = mloop.mul(conjugate_by_phi(a1, b), conjugate_by_phi(a2, b))
-            assert fro(lhs.matrix - rhs.matrix) <= 1e-8
+            assert fro(lhs - rhs) <= 1e-8
 
 
 def test_distance_properties(mloop):
