@@ -159,9 +159,9 @@ def load_suite_config(args) -> SuiteConfig:
 
 
 def build_wtilde(form: SignatureForm, carrier: int, spec: str):
-    """Resolve a transversal spec: ``standard``, ``boost:<t>`` or
-    ``file:<path to subspace JSON>``.  Overflow is not trapped here;
-    ``resolve`` builds the transversal under ``_in_float_range``."""
+    """Resolve a transversal spec (``standard``, ``boost:<t>``, ``file:<path
+    to subspace JSON>``) to the point and frame ``extension_config`` checks.
+    Overflow is not trapped here but in ``resolve`` (``_in_float_range``)."""
     if spec == "standard":
         return None
     if spec.startswith("boost:"):
@@ -295,13 +295,13 @@ def _ext_aip(s: Suite, stream: SampleStream, count: int):
 
 
 def _solve_translation(s: Suite, stream: SampleStream, count: int):
-    """Sharp transitivity, and the solution's drift when both subspaces are
-    moved by 1e-10."""
+    """Sharp transitivity, and the solution's drift when both subspaces, in
+    canonical form, are moved by 1e-10."""
     # a sample draws two elements, then 2 n (dim d1 + dim d2) noise values
     width, noise_width = s.eloop.sample_width, 4 * s.form.n * s.eloop.carrier_dim
     (u1, u2, noise), _ = stream.next_rows(count, width, width, noise_width)
-    d1 = ext.realize(s.eloop.from_uniforms(u1), s.eloop)
-    d2 = ext.realize(s.eloop.from_uniforms(u2), s.eloop)
+    realized = (ext.realize(s.eloop.from_uniforms(u), s.eloop) for u in (u1, u2))
+    d1, d2 = (geometry.subspace(d.base, d.frame) for d in realized)
     t, rho = ext.solve_translation(d1, d2, s.eloop)
     moved = geometry.apply(rho, d1, t)
     noise = scale(noise, -1e-10, 1e-10)
@@ -427,12 +427,12 @@ def run_verify(cfg: SuiteConfig) -> dict:
 
 def _perturb(s, noise: np.ndarray):
     """A nearby representative of (almost) the same subspace, or of each of
-    a stack: jiggle the base and frame entries by the leading values of
-    ``noise`` (..., m), m >= n (k + 1), and re-canonicalize."""
+    a stack: its base and frame entries jiggled by the leading values of
+    ``noise`` (..., m), m >= n (k + 1)."""
     n, k = s.frame.shape[-2:]
     base = s.base + noise[..., :n].astype(s.base.dtype)
     frame = s.frame + noise[..., n : n * (k + 1)].reshape(noise.shape[:-1] + (n, k)).astype(s.frame.dtype)
-    return geometry.subspace(base, frame)
+    return geometry.AffineSubspace(base, frame)
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,10 @@ orbit subspace is identified by the pair
 
 and the direction is in turn carried by a canonical positive-definite lift,
 so an element is stored as ``(w, rho)``.  The loop operations run on these
-coordinates; ``omega`` reads them off any point and spanning frame.  Canonical
-subspaces (``realize``) serve only the boundaries: distance, files, JSON.
+coordinates: ``realize`` gives the point w and the carrier columns of rho,
+and ``omega`` reads coordinates off any point and spanning frame.  Canonical
+subspaces serve only where a minimum-norm base is read: the transversal,
+``distance``, the dimension chart and the ``solve_translation`` property.
 
 Elements take stacks: ``w`` of shape (..., n) with ``rho`` a plain array
 (..., n, n) of the same batch shape is that many elements, and every loop
@@ -59,7 +61,7 @@ from .groups import (
     sigma_width,
 )
 from .linalg import COMPLEX, dag, eig_hermitian, mv, spectral_map, symmetrize
-from .matrixloop import MatrixLoop, _inverse
+from .matrixloop import MatrixLoop
 
 _W_SCALE = 1.0  # sampled transversal points have frame coordinates in [-1, 1]
 _STEP = 1e-5  # central-difference step of the dimension Jacobian
@@ -119,12 +121,12 @@ class ExtensionConfig:
         return ext_mul(a, b, self)
 
     def left_divide(self, a, c):
-        ainv = _inverse(a.rho, self.form)
-        return omega(_image(ainv, c, self, -mv(ainv, a.w)), self)
+        ainv = MatrixLoop(self.form).inverse(a.rho)
+        return omega(apply(ainv, realize(c, self), -mv(ainv, a.w)), self)
 
     def right_divide(self, c, a):
         rho = MatrixLoop(self.form).right_divide(c.rho, a.rho)
-        return ExtensionElement(c.w - _transversal_point(_image(rho, a, self), self), rho)
+        return ExtensionElement(c.w - _transversal_point(apply(rho, realize(a, self)), self), rho)
 
     def distance(self, a, b):
         return subspace_distance(realize(a, self), realize(b, self))
@@ -158,10 +160,12 @@ def extension_config(
     """Build and validate a configuration.
 
     The transversal defaults to the complementary coordinate subspace.  Any
-    other must pass through 0 (it is stored with base exactly 0), have the
-    right dimension, and meet every orbit direction, the graph of a strict
-    contraction, in one point: exactly when the form is non-positive on it
-    (carrier 1) or non-negative (carrier 2), the angular-operator theorem.
+    other point and spanning frame is canonicalized here, the one place a
+    transversal is: it must pass through 0 (it is stored with base exactly
+    0), have independent columns and the right dimension, and meet every
+    orbit direction, the graph of a strict contraction, in one point:
+    exactly when the form is non-positive on it (carrier 1) or
+    non-negative (carrier 2), the angular-operator theorem.
     One eigendecomposition of F* J F decides it, once, for the loop; the
     sampled ``geometry.transversality_check`` is the independent
     cross-check, one singular-value decomposition per sampled direction.
@@ -219,16 +223,10 @@ def extension_element_from_json(obj: dict, form: SignatureForm) -> ExtensionElem
 
 
 def realize(e: ExtensionElement, cfg: ExtensionConfig) -> AffineSubspace:
-    """The canonical orbit subspace encoded by an element: the image of the
-    carrier under the linear lift meets the transversal at 0, so placing it
-    through w lands that intersection on w."""
-    return subspace(e.w, _block_columns(e.rho, cfg.form, cfg.carrier))
-
-
-def _image(linear: np.ndarray, e: ExtensionElement, cfg: ExtensionConfig, shift=0.0) -> AffineSubspace:
-    """The image of e's subspace under x -> linear x + shift: a point and a spanning frame."""
-    cols = _block_columns(e.rho, cfg.form, cfg.carrier)
-    return AffineSubspace(mv(linear, e.w) + shift, linear @ cols)
+    """An element's orbit subspace as the point w and the carrier columns of
+    rho: the carrier's image under the linear lift meets the transversal at
+    0, so placing it through w lands that intersection on w."""
+    return AffineSubspace(e.w, _block_columns(e.rho, cfg.form, cfg.carrier))
 
 
 def lift_from_infinity(z: np.ndarray, cfg: ExtensionConfig) -> np.ndarray:
@@ -290,7 +288,7 @@ def ext_mul(e1: ExtensionElement, e2: ExtensionElement, cfg: ExtensionConfig) ->
     Its direction part is the graph lift of the image direction, which
     agrees with the matrix-loop product of the direction lifts (the
     positive factor of rho1 rho2) without computing it."""
-    return omega(_image(e1.rho, e2, cfg, e1.w), cfg)
+    return omega(apply(e1.rho, realize(e2, cfg), e1.w), cfg)
 
 
 def solve_translation(
@@ -366,13 +364,14 @@ def _chart_embeddings(cfg: ExtensionConfig, thetas: np.ndarray) -> np.ndarray:
 
     A chart point is laid out as ``blocks`` reads it: the transversal
     coordinates, then the exponential block.  Its element is (w, exp of the
-    block's generator) and its image the canonical subspace ``realize``
-    gives, from one stacked ``orthonormalize`` call, which refuses a
-    collapsed carrier column.
+    block's generator) and its image the canonical form of its subspace
+    (w, carrier columns), from one stacked ``orthonormalize`` call, which
+    refuses a collapsed carrier column.
     """
     form = cfg.form
     coef, x = blocks(form, thetas, (cfg.wtilde.dim, 1), (form.p1, form.p2))
-    s = realize(ExtensionElement(mv(cfg.wtilde.frame, coef[..., 0]), sigma_from_block(form, x)), cfg)
+    cols = _block_columns(sigma_from_block(form, x), form, cfg.carrier)
+    s = subspace(mv(cfg.wtilde.frame, coef[..., 0]), cols)
     p = projector(s.frame).reshape(len(thetas), form.n**2)
     return np.concatenate([p, s.base], axis=-1).view(np.float64)
 

@@ -1,15 +1,17 @@
 """Affine subspaces of F^n, their directions at infinity, and their images
 under affine maps.
 
-``subspace`` stores a subspace in canonical form: the orthonormal frame
+A subspace is any point and spanning frame, and ``apply`` maps the pair as
+given.  Code that reads an orthonormal frame or the minimum-norm point
+builds it: ``subspace`` gives the canonical form, the frame
 ``orthonormalize`` gives (the positive-diagonal QR frame, the one
-Gram-Schmidt gives) plus the minimum-norm point, the base projected once
-onto the frame's orthogonal complement.  Canonical forms of one subspace
-agree to rounding, not bit for bit; ``subspace_distance`` compares them.
+Gram-Schmidt gives; a collapsed frame is RankDeficient) plus the base
+projected once onto its orthogonal complement.  Canonical forms of one
+subspace agree to rounding, not bit for bit.
 
-Every function but ``contains`` and ``to_json`` takes stacks: a subspace
-whose base is (..., n) and frame (..., n, k) is that many subspaces of one
-dimension, and each step is one call for the whole stack.
+Every function but ``contains`` takes stacks: a subspace whose base is
+(..., n) and frame (..., n, k) is that many subspaces of one dimension,
+and each step is one call for the whole stack.
 
 Over the complex field subspaces are complex-linear spans and projectors
 are hermitian; "dimension" always means the F-dimension.
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigInvalid, DimensionMismatch, TransversalityViolated
-from .groups import MEMBERSHIP_TOLERANCE, matrix_from_json, matrix_to_json
+from .groups import MEMBERSHIP_TOLERANCE, matrix_from_json
 from .linalg import dag, eig_hermitian, fro, mv, orthonormalize
 
 _RANK_REL = 1e-8
@@ -30,11 +32,10 @@ _RANK_REL = 1e-8
 
 @dataclass(frozen=True, eq=False)
 class AffineSubspace:
-    """Pair (base point, direction frame): the minimum-norm point and an
-    orthonormal frame when built by ``subspace``, any point and spanning
-    frame when built directly.  The frame's span is the direction at
-    infinity (the trace on the hyperplane at infinity), independent of the
-    base point."""
+    """Pair (base point, direction frame): any point and spanning frame, or
+    the minimum-norm point and an orthonormal frame when built by
+    ``subspace``.  The frame's span is the direction at infinity (the trace
+    on the hyperplane at infinity), independent of the base point."""
 
     base: np.ndarray
     frame: np.ndarray
@@ -49,11 +50,9 @@ class AffineSubspace:
 
     def contains(self, point: np.ndarray) -> bool:
         """Whether ``point`` lies on the subspace within the membership bound."""
+        frame = orthonormalize(self.frame)
         gap = point - self.base
-        return float(np.linalg.norm(gap - self.frame @ (dag(self.frame) @ gap))) <= MEMBERSHIP_TOLERANCE
-
-    def to_json(self) -> dict:
-        return {"base": matrix_to_json(self.base.reshape(1, -1))[0], "frame": matrix_to_json(self.frame)}
+        return float(np.linalg.norm(gap - frame @ (dag(frame) @ gap))) <= MEMBERSHIP_TOLERANCE
 
 
 def subspace(base: np.ndarray, directions: np.ndarray) -> AffineSubspace:
@@ -71,21 +70,21 @@ def subspace(base: np.ndarray, directions: np.ndarray) -> AffineSubspace:
 
 
 def from_json(obj: dict, field: str) -> AffineSubspace:
-    """``{"base": [...], "frame": [[...]]}``; anything else, or a non-finite
-    entry, is refused.  Overflow is trapped where the command line builds
-    the transversal (``cli.resolve``)."""
+    """``{"base": [...], "frame": [[...]]}`` as written; anything else, or a
+    non-finite entry, is refused.  ``extension_config`` checks a transversal
+    under the overflow trap of ``cli.resolve``."""
     if not (isinstance(obj, dict) and all(isinstance(obj.get(key), list) for key in ("base", "frame"))):
         raise ConfigInvalid('a subspace must be a JSON object with lists "base" and "frame"')
     base = matrix_from_json([obj["base"]], field)[0]
     frame = matrix_from_json(obj["frame"], field) if obj["frame"] else np.zeros((base.shape[0], 0))
-    return subspace(base, frame)
+    return AffineSubspace(base, frame)
 
 
 def apply(linear: np.ndarray, s: AffineSubspace, shift=0.0) -> AffineSubspace:
-    """The canonical image of ``s`` under x -> linear @ x + shift.  A linear
-    part that collapses the subspace is refused by orthonormalize
-    (RankDeficient)."""
-    return subspace(mv(linear, s.base) + shift, linear @ s.frame)
+    """The image of ``s`` under x -> linear @ x + shift: the mapped point and
+    the mapped frame.  A linear part that collapses the subspace is refused
+    where the image's frame is orthonormalized (RankDeficient)."""
+    return AffineSubspace(mv(linear, s.base) + shift, linear @ s.frame)
 
 
 def projector(frame: np.ndarray) -> np.ndarray:
@@ -95,12 +94,15 @@ def projector(frame: np.ndarray) -> np.ndarray:
 def subspace_distance(s1: AffineSubspace, s2: AffineSubspace) -> float:
     """Frobenius distance of the direction projectors plus the norm of the
     base gap projected onto the common normal space (the orthogonal
-    complement of the union of the two direction spans).  Zero exactly for
-    equal subspaces; symmetric by construction.  One distance per subspace
-    of a stack: the union's eigen-cut is a per-matrix mask on its
-    eigenbasis."""
+    complement of the union of the two direction spans), read from the
+    canonical forms: the gap joins minimum-norm points, as a direction the
+    union's eigen-cut drops is orthogonal to the spans only to about
+    sqrt(1e-8).  Zero exactly for equal subspaces; symmetric by
+    construction.  One distance per subspace of a stack: the cut is a
+    per-matrix mask on the union's eigenbasis."""
     if s1.ambient != s2.ambient or s1.dim != s2.dim:
         raise DimensionMismatch("subspace comparison requires matching dimensions")
+    s1, s2 = subspace(s1.base, s1.frame), subspace(s2.base, s2.frame)
     p1 = projector(s1.frame)
     p2 = projector(s2.frame)
     d_dir = fro(p1 - p2)
@@ -130,13 +132,14 @@ def transversality_check(w: AffineSubspace, linear: np.ndarray, u: AffineSubspac
     ``linear`` (..., n, n) in exactly one point.  The dimensions are
     complementary, so that holds exactly when the square matrix [w frame,
     -image frame] has full rank: its singular values, from one stacked SVD,
-    decide it with the relative threshold 1e-8 * sigma_max.  Reports the
-    worst margin sigma_min/sigma_max."""
+    decide it with the relative threshold 1e-8 * sigma_max, on w's frame as
+    given (orthonormal) and the orthonormalized image frame, which refuses a
+    collapsing map (RankDeficient).  Reports the worst margin."""
     if w.dim + u.dim != w.ambient:
         raise DimensionMismatch(
             f"dim W + dim U = {w.dim + u.dim} must equal the ambient dimension {w.ambient}"
         )
-    image = apply(linear, u).frame
+    image = orthonormalize(linear @ u.frame)
     pair = np.concatenate([np.broadcast_to(w.frame, image.shape[:-1] + (w.dim,)), -image], axis=-1)
     sv = np.linalg.svd(pair, compute_uv=False).reshape(-1, w.ambient)
     bad = sv[:, -1] <= _RANK_REL * sv[:, 0]

@@ -41,12 +41,6 @@ from .linalg import dag, fro, spectral_map, symmetrize
 _SAMPLE_RADIUS = 0.75  # half-width of the sampled exponential-chart block entries
 
 
-def _inverse(a: np.ndarray, form: SignatureForm) -> np.ndarray:
-    """A^{-1} = J A J, exact for a hermitian isometry."""
-    j = form.j_matrix()
-    return symmetrize((j @ a) @ j)
-
-
 def _positive_factor(s: np.ndarray) -> np.ndarray:
     """sqrt(S S*): the positive-definite factor P of the polar decomposition
     S = P U."""
@@ -73,14 +67,16 @@ class MatrixLoop:
         return _positive_factor(a @ b)
 
     def inverse(self, a: np.ndarray) -> np.ndarray:
-        return _inverse(a, self.form)
+        """A^{-1} = J A J, exact for a hermitian isometry."""
+        j = self.form.j_matrix()
+        return symmetrize((j @ a) @ j)
 
     def left_divide(self, a: np.ndarray, c: np.ndarray) -> np.ndarray:
-        return _positive_factor(_inverse(a, self.form) @ c)
+        return _positive_factor(self.inverse(a) @ c)
 
     def right_divide(self, b: np.ndarray, a: np.ndarray) -> np.ndarray:
         root = _positive_factor(a @ b)
-        ainv = _inverse(a, self.form)
+        ainv = self.inverse(a)
         return symmetrize((ainv @ root) @ ainv)
 
     def sample(self, stream: SampleStream, count: int):

@@ -22,7 +22,7 @@ from bruckloops.groups import (
     sample_phi,
     sample_sigma,
 )
-from bruckloops.linalg import fro
+from bruckloops.linalg import dag, eig_hermitian, fro, mv
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -197,18 +197,34 @@ def ext_aip(s, stream, count):
     return fold(stream, count, one)
 
 
+def canonical_distance(s1, s2):
+    """The subspace distance of two canonical subspaces, read as given: the
+    projector gap plus the base gap projected off the union's eigen-cut at
+    1e-8 of the largest eigenvalue, in ``geometry.subspace_distance``'s
+    order of operations."""
+    p1, p2 = geometry.projector(s1.frame), geometry.projector(s2.frame)
+    d_dir = fro(p1 - p2)
+    gap = s1.base - s2.base
+    dec = eig_hermitian(p1 + p2)
+    top = dec.eigenvalues[..., -1:]
+    basis = dec.eigenbasis * ((dec.eigenvalues > 1e-8 * top) & (top > 0.0))[..., None, :]
+    gap = gap - mv(basis, mv(dag(basis), gap))
+    return d_dir + np.linalg.norm(gap, axis=-1)
+
+
 def _perturb(sub, noise):
     n, k = sub.frame.shape
     pad = np.resize(noise, n * (k + 1))
     base = sub.base + pad[:n].astype(sub.base.dtype)
     frame = sub.frame + pad[n:].reshape(n, k).astype(sub.frame.dtype)
-    return geometry.subspace(base, frame)
+    return geometry.AffineSubspace(base, frame)
 
 
 def solve_translation(s, stream, count):
     def one(stream):
         (e1, e2), stream = _elements(s.eloop, stream, 2)
-        d1, d2 = ext.realize(e1, s.eloop), ext.realize(e2, s.eloop)
+        realized = ext.realize(e1, s.eloop), ext.realize(e2, s.eloop)
+        d1, d2 = (geometry.subspace(d.base, d.frame) for d in realized)
         t, rho = ext.solve_translation(d1, d2, s.eloop)
         moved = geometry.apply(rho, d1, t)
         noise, stream = stream.next_uniforms(2 * s.form.n * (d1.dim + d2.dim), -1e-10, 1e-10)

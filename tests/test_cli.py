@@ -300,13 +300,15 @@ class TestVerify:
             ({"out": None}, [], None),
             ({"n": "3"}, [], None),
             ({"samples": {"bol": "5"}}, [], None),
+            ({}, [], {"base": [0, 0], "frame": [[0], [0], [1]]}),
+            ({"carrier": 2}, [], {"base": [0, 0, 0], "frame": [[0, 0], [0, 0], [1, 2]]}),
         ],
         ids=[
             "n-abc", "samples-x", "membership-nan", "samples-neg", "tol-neg", "boost-overflow", "boost-700",
             "n-float", "seed-float", "samples-bool", "tol-bool", "n-inf",
             "wtilde-nan", "wtilde-no-base", "wtilde-list", "wtilde-contraction-1.25",
             "wtilde-zero-column", "wtilde-huge-base", "unknown-key", "out-null",
-            "n-string", "samples-string",
+            "n-string", "samples-string", "wtilde-short-base", "wtilde-dependent-columns",
         ],
     )
     def test_malformed_config_is_config_error(self, tmp_path, capsys, monkeypatch, extra, argv, wtilde):

@@ -33,6 +33,7 @@ from bruckloops.kernel import check_loop_axioms
 from bruckloops.linalg import fro, orthonormalize
 from bruckloops.matrixloop import MatrixLoop
 from conftest import one, rotation
+from reference import canonical_distance
 
 
 @pytest.fixture
@@ -371,7 +372,8 @@ def dimension_config(signature, carrier, wtilde):
 def reference_jacobians(cfg, thetas):
     """The per-point reference for the stacked Jacobian: every perturbed
     chart point becomes one element through the single-element
-    sigma_from_block, is realized, and is embedded by its projector and base."""
+    sigma_from_block, is realized and canonicalized, and is embedded by its
+    projector and base."""
     form = cfg.form
     k = cfg.wtilde.dim
 
@@ -383,7 +385,8 @@ def reference_jacobians(cfg, thetas):
             coef = theta[:k]
             x = theta[k:].reshape(form.p1, form.p2)
         w = cfg.wtilde.frame @ coef.astype(form.dtype)
-        s = realize(ExtensionElement(w, sigma_from_block(form, x.astype(form.dtype))), cfg)
+        raw = realize(ExtensionElement(w, sigma_from_block(form, x.astype(form.dtype))), cfg)
+        s = subspace(raw.base, raw.frame)
         # a complex entry as its (re, im) pair
         return np.concatenate([projector(s.frame).ravel(), s.base]).view(np.float64)
 
@@ -510,6 +513,17 @@ class TestOnCoordinates:
             got, want = omega(rep, cfg), omega(realize(e, cfg), cfg)
             assert np.linalg.norm(got.w - want.w) <= 1e-12
             assert fro(got.rho - want.rho) <= 1e-12
+
+    @pytest.mark.parametrize("signature, carrier, wtilde", DIMENSION_CONFIGS)
+    def test_distance_is_the_distance_of_the_canonical_realizations(self, signature, carrier, wtilde):
+        # distance hands the raw realizations to subspace_distance, which
+        # canonicalizes each once: the judge reads what it read on canonical
+        # realizations, bit for bit
+        cfg = dimension_config(signature, carrier, wtilde)
+        a, stream = cfg.sample(SampleStream(24), 16)
+        b, _ = cfg.sample(stream, 16)
+        canonical = [subspace(s.base, s.frame) for s in (realize(a, cfg), realize(b, cfg))]
+        assert np.array_equal(cfg.distance(a, b), canonical_distance(*canonical))
 
 
 def test_extension_element_json_roundtrip(cfg):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from bruckloops.errors import DimensionMismatch, RankDeficient, TransversalityViolated
 from bruckloops.geometry import (
+    AffineSubspace,
     apply,
     from_json,
     projector,
@@ -15,8 +16,8 @@ from bruckloops.geometry import (
     subspace_distance,
     transversality_check,
 )
-from bruckloops.groups import SampleStream, sample_sigma, standard_boost
-from bruckloops.linalg import fro
+from bruckloops.groups import SampleStream, matrix_to_json, sample_sigma, standard_boost
+from bruckloops.linalg import fro, orthonormalize
 from conftest import boost3, rotation
 
 E3 = np.eye(3)
@@ -61,7 +62,7 @@ class TestAtInfinity:
         c, s = np.cosh(t), np.sinh(t)
         v = np.array([0.0, c, s]) / math.hypot(c, s)
         expected = np.outer(E3[:, 0], E3[:, 0]) + np.outer(v, v)
-        assert np.max(np.abs(projector(img.frame) - expected)) <= 1e-12
+        assert np.max(np.abs(projector(orthonormalize(img.frame)) - expected)) <= 1e-12
 
 
 class TestJoin:
@@ -104,6 +105,21 @@ class TestSubspaceDistance:
             d12 = subspace_distance(tri[1], tri[2])
             assert d02 <= d01 + d12 + 1e-12
 
+    def test_distance_does_not_depend_on_the_point_given(self):
+        # two planes of F^4 at principal angles 0.5 and 5e-5: the union's
+        # eigenvalue 1 - cos(5e-5) = 1.25e-9 falls under the cut, and the
+        # direction it leaves in the normal space is orthogonal to the spans
+        # only to about 3.5e-5; a point far along the first plane must still
+        # give the distance its minimum-norm point gives
+        e4 = np.eye(4)
+        f1 = e4[:, :2]
+        f2 = np.column_stack([math.cos(0.5) * e4[:, 0] + math.sin(0.5) * e4[:, 2],
+                              math.cos(5e-5) * e4[:, 1] + math.sin(5e-5) * e4[:, 3]])
+        s2 = subspace(np.array([0.0, 0.0, 0.3, 0.2]), f2)
+        near = AffineSubspace(np.zeros(4), f1)
+        far = AffineSubspace(f1 @ np.array([30.0, -40.0]), f1)
+        assert abs(subspace_distance(far, s2) - subspace_distance(near, s2)) <= 1e-12
+
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             subspace_distance(line([0, 0, 0], E3[:, 0]), subspace(np.zeros(3), E3[:, :2]))
@@ -138,10 +154,13 @@ class TestApply:
 
     def test_collapsing_map_refused(self):
         # the projection onto the first axis sends the plane's two
-        # directions to one line
+        # directions to one line; the image's reader refuses it
         s = subspace(np.array([0.0, 0.0, 1.0]), E3[:, :2])
+        collapse = np.diag([1.0, 0.0, 0.0])
         with pytest.raises(RankDeficient):
-            apply(np.diag([1.0, 0.0, 0.0]), s)
+            subspace_distance(apply(collapse, s), s)
+        with pytest.raises(RankDeficient):
+            transversality_check(subspace(np.zeros(3), E3[:, 2:]), np.stack([np.eye(3), collapse]), s)
 
 
 class TestTransversality:
@@ -193,10 +212,16 @@ class TestTransversality:
             transversality_check(inside, np.eye(3)[None], w1)
 
 
+def _subspace_json(s):
+    return {"base": matrix_to_json(s.base[None])[0], "frame": matrix_to_json(s.frame)}
+
+
 def test_subspace_json_roundtrip():
     s = subspace(np.array([0.0, 0.0, 2.0]), E3[:, :2])
-    back = from_json(json.loads(json.dumps(s.to_json())), "real")
+    back = from_json(json.loads(json.dumps(_subspace_json(s))), "real")
     assert subspace_distance(back, s) <= 1e-15
     zc = subspace(np.zeros(3, dtype=complex), np.eye(3, dtype=complex)[:, 1:])
-    back = from_json(json.loads(json.dumps(zc.to_json())), "complex")
+    back = from_json(json.loads(json.dumps(_subspace_json(zc))), "complex")
     assert subspace_distance(back, zc) <= 1e-15
+    # the reader keeps the pair as written
+    assert np.array_equal(back.base, zc.base) and np.array_equal(back.frame, zc.frame)
