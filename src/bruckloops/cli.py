@@ -1,5 +1,7 @@
 """Command-line front door: deterministic verification suites, element
-arithmetic, factorization, witnesses and machine-readable reports.
+arithmetic, factorization, witnesses and machine-readable reports.  Each
+command is a row of ``COMMANDS`` (help line, handler, a function adding its
+arguments); a call builds the parser of its own command and no other.
 
 Exit codes are a stable contract: 0 when every required property passes,
 1 when a property fails (the report is still written), 2 for usage or
@@ -473,21 +475,21 @@ def _diagnostics(a: np.ndarray, form: SignatureForm) -> dict:
 
 
 def _check_writable(path: str) -> None:
-    """Refuse a report path that cannot be written, before the suite runs;
-    the file is neither created nor truncated here."""
+    """Refuse a report path that cannot be written, the empty one included,
+    before the suite runs; the file is neither created nor truncated here."""
     folder = os.path.dirname(path) or "."
     target = path if os.path.exists(path) else folder
-    if os.path.isdir(path) or not os.path.isdir(folder) or not os.access(target, os.W_OK):
-        raise ConfigInvalid(f"cannot write the report to {path}")
+    if not path or os.path.isdir(path) or not os.path.isdir(folder) or not os.access(target, os.W_OK):
+        raise ConfigInvalid(f"cannot write the report to {path or repr(path)}")
 
 
 def cmd_verify(args) -> int:
     cfg = load_suite_config(args)
-    if cfg.out:
+    if cfg.out is not None:
         _check_writable(cfg.out)
     report = run_verify(cfg)
     payload = _json_bytes(report)
-    if cfg.out:
+    if cfg.out is not None:
         with open(cfg.out, "wb") as fh:
             fh.write(payload)
     sys.stdout.write(payload.decode("utf-8"))
@@ -583,47 +585,69 @@ def _add_common(parser: argparse.ArgumentParser, verify: bool = False) -> None:
         parser.add_argument("--samples", type=int, help="override every per-property sample count")
 
 
+_LOOP = {"choices": ["matrix", "extension"], "default": "matrix"}
+
+
+def _mul_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("lhs")
+    parser.add_argument("rhs")
+    parser.add_argument("--loop", **_LOOP)
+    _add_common(parser)
+
+
+def _factor_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("matrix")
+    _add_common(parser)
+
+
+def _witness_arguments(parser: argparse.ArgumentParser) -> None:
+    _add_common(parser)
+    parser.add_argument("--budget", type=int, default=100)
+
+
+def _sample_arguments(parser: argparse.ArgumentParser) -> None:
+    _add_common(parser)
+    parser.add_argument("--count", type=int, default=1)
+    parser.add_argument("--radius", type=float, default=0.75)
+    parser.add_argument("--loop", **_LOOP)
+
+
+# Command name -> (help line, handler, a function adding its arguments in usage order).
+COMMANDS = {
+    "verify": ("run the full property suite", cmd_verify, lambda parser: _add_common(parser, verify=True)),
+    "mul": ("multiply two elements", cmd_mul, _mul_arguments),
+    "factor": ("split an isometry into its unique positive * unitary pair", cmd_factor, _factor_arguments),
+    "witness": ("find a block unitary displacing the transversal", cmd_witness, _witness_arguments),
+    "sample": ("emit deterministic element samples", cmd_sample, _sample_arguments),
+}
+
+
+def command_parser(name: str) -> argparse.ArgumentParser:
+    """The parser of one command, as ``bruckloops <name>``."""
+    _, handler, add_arguments = COMMANDS[name]
+    parser = argparse.ArgumentParser(prog=f"bruckloops {name}")
+    add_arguments(parser)
+    parser.set_defaults(func=handler)
+    return parser
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The top-level parser: the command names and their help lines, for help and usage errors."""
     parser = argparse.ArgumentParser(
         prog="bruckloops",
-        description="verify loop identities on matrix Bruck loops and their "
-        "affine-subspace extensions",
+        description="verify loop identities on matrix Bruck loops and their affine-subspace extensions",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("verify", help="run the full property suite")
-    _add_common(p, verify=True)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("mul", help="multiply two elements")
-    p.add_argument("lhs")
-    p.add_argument("rhs")
-    p.add_argument("--loop", choices=["matrix", "extension"], default="matrix")
-    _add_common(p)
-    p.set_defaults(func=cmd_mul)
-
-    p = sub.add_parser("factor", help="split an isometry into its unique positive * unitary pair")
-    p.add_argument("matrix")
-    _add_common(p)
-    p.set_defaults(func=cmd_factor)
-
-    p = sub.add_parser("witness", help="find a block unitary displacing the transversal")
-    _add_common(p)
-    p.add_argument("--budget", type=int, default=100)
-    p.set_defaults(func=cmd_witness)
-
-    p = sub.add_parser("sample", help="emit deterministic element samples")
-    _add_common(p)
-    p.add_argument("--count", type=int, default=1)
-    p.add_argument("--radius", type=float, default=0.75)
-    p.add_argument("--loop", choices=["matrix", "extension"], default="matrix")
-    p.set_defaults(func=cmd_sample)
+    for name, (help_line, _, _) in COMMANDS.items():
+        sub.add_parser(name, help=help_line)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if not argv or argv[0] not in COMMANDS:
+        build_parser().parse_args(argv)  # exits: help, no command or an unknown one
+    args = command_parser(argv[0]).parse_args(argv[1:])
     try:
         return args.func(args)
     except (BruckLoopsError, OSError) as exc:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bruckloops.cli import (
-    DEFAULT_SAMPLES, PROPERTIES, TOLERANCES, SuiteConfig, _diagnostics, main, run_verify,
+    COMMANDS, DEFAULT_SAMPLES, PROPERTIES, SETTINGS, TOLERANCES, SuiteConfig, _diagnostics, main, run_verify,
 )
 from bruckloops.errors import NotInOrbit
 from bruckloops.groups import SignatureForm, element_to_json, standard_boost
@@ -203,7 +203,7 @@ class TestVerify:
         assert "tolerances" in err and err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
 
-    @pytest.mark.parametrize("where", ["missing-folder", "folder", "file-as-folder"])
+    @pytest.mark.parametrize("where", ["missing-folder", "folder", "file-as-folder", "empty"])
     def test_unwritable_report_path_fails_before_the_suite(self, tmp_path, capsys, monkeypatch, where):
         import bruckloops.cli
 
@@ -216,6 +216,7 @@ class TestVerify:
             "missing-folder": tmp_path / "missing" / "r.json",
             "folder": tmp_path,
             "file-as-folder": tmp_path / "file" / "r.json",
+            "empty": "",
         }[where]
         assert main(["verify", "--samples", "3", "--out", str(out)]) == 2
         captured = capsys.readouterr()
@@ -298,6 +299,7 @@ class TestVerify:
             ({}, [], {"base": [0.0, 0.0, 1e300], "frame": [[0.0], [1.0], [0.0]]}),
             ({"seeed": 5}, [], None),
             ({"out": None}, [], None),
+            ({"out": ""}, [], None),
             ({"n": "3"}, [], None),
             ({"samples": {"bol": "5"}}, [], None),
             ({}, [], {"base": [0, 0], "frame": [[0], [0], [1]]}),
@@ -307,7 +309,7 @@ class TestVerify:
             "n-abc", "samples-x", "membership-nan", "samples-neg", "tol-neg", "boost-overflow", "boost-700",
             "n-float", "seed-float", "samples-bool", "tol-bool", "n-inf",
             "wtilde-nan", "wtilde-no-base", "wtilde-list", "wtilde-contraction-1.25",
-            "wtilde-zero-column", "wtilde-huge-base", "unknown-key", "out-null",
+            "wtilde-zero-column", "wtilde-huge-base", "unknown-key", "out-null", "out-empty",
             "n-string", "samples-string", "wtilde-short-base", "wtilde-dependent-columns",
         ],
     )
@@ -688,6 +690,91 @@ def test_samples_and_out_are_verify_only(capsys, command):
             main(command + [flag, "0"])
         assert exc.value.code == 2
         assert f"unrecognized arguments: {flag} 0" in capsys.readouterr().err
+
+
+@pytest.fixture
+def parsers_built(monkeypatch):
+    """The prog of every argparse parser constructed, in order."""
+    import argparse
+
+    built = []
+    real = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        real(self, *args, **kwargs)
+        built.append(self.prog)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    return built
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_a_call_builds_its_own_parser_alone(tmp_path, capsys, form321r, parsers_built, command):
+    element = tmp_path / "e.json"
+    element.write_text(json.dumps(element_to_json(np.eye(3), form321r)))
+    argv = {
+        "verify": ["verify", "--config", write_config(tmp_path / "cfg.json")],
+        "mul": ["mul", str(element), str(element)],
+        "factor": ["factor", str(element)],
+        "witness": ["witness", "--wtilde", "boost:0.5"],
+        "sample": ["sample", "--count", "2"],
+    }[command]
+    assert main(argv) == 0
+    assert parsers_built == [f"bruckloops {command}"]
+
+
+@pytest.mark.parametrize("argv, code", [([], 2), (["bogus"], 2), (["-h"], 0)])
+def test_no_command_goes_through_the_top_level_parser(capsys, parsers_built, argv, code):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == code
+    assert parsers_built == ["bruckloops"] + [f"bruckloops {name}" for name in COMMANDS]
+    captured = capsys.readouterr()
+    assert "{verify,mul,factor,witness,sample}" in (captured.err if code else captured.out)
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_command_help_lists_its_options(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "-h"])
+    assert exc.value.code == 0
+    text = capsys.readouterr().out
+    assert text.startswith(f"usage: bruckloops {command} ")
+    verify_only = {"--out", "--samples"}
+    own = {
+        "verify": verify_only,
+        "mul": {"lhs", "rhs", "--loop"},
+        "factor": {"matrix"},
+        "witness": {"--budget"},
+        "sample": {"--count", "--radius", "--loop"},
+    }[command]
+    expected = {"--config"} | {f"--{key}" for key in SETTINGS if key != "out"} | own
+    assert all(name in text for name in expected)
+    assert not any(name in text for name in verify_only - own)
+
+
+# Each usage error exits 2 with argparse's error line; only an unknown
+# option's line names the command it was given to.
+USAGE_ERRORS = [
+    ([], "bruckloops: error: the following arguments are required: command"),
+    (["frobnicate"], "bruckloops: error: argument command: invalid choice: 'frobnicate'"),
+    *[([name, "--seed", "x"], f"bruckloops {name}: error: argument --seed: invalid int value: 'x'")
+      for name in COMMANDS],
+    (["mul", "a"], "bruckloops mul: error: the following arguments are required: rhs"),
+    (["factor"], "bruckloops factor: error: the following arguments are required: matrix"),
+    (["mul", "a", "b", "--samples", "0"], "bruckloops mul: error: unrecognized arguments: --samples 0"),
+]
+
+
+@pytest.mark.parametrize("argv, line", USAGE_ERRORS, ids=[" ".join(argv) or "none" for argv, _ in USAGE_ERRORS])
+def test_usage_errors_exit_two(capsys, argv, line):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("usage: bruckloops")
+    # the list of choices after an invalid one is spelled differently across Python versions
+    assert captured.err.splitlines()[-1].split(" (choose from")[0] == line
 
 
 class TestWitness:
