@@ -12,13 +12,14 @@ report entries and their keys in the fixed bounds table ``TOLERANCES``,
 its sample-count key (which also selects its sample stream), whether it is
 required, its default count, and a ``run`` that returns the worst residual
 of each entry.  Every row is batched: it draws all its samples in one
-call, runs each loop operation once on the whole stack of elements and
-folds the per-element residuals with max.  One runner gives every row its
-stream, times it, builds its entries and turns a numeric breakdown inside
-it (any package error or ``LinAlgError``) into failed entries carrying
-``detail.error``, so the report is still written.  A check inside a stacked
-call covers the whole stack, so ``detail.error`` names the worst matrix of
-the stack, not the first failing sample.
+call, makes one call per loop operation per dependency level on the
+joined stacks of elements and folds the per-element residuals with max.
+One runner gives every row its stream, times it, builds its entries and
+turns a numeric breakdown inside it (any package error or
+``LinAlgError``) into failed entries carrying ``detail.error``, so the
+report is still written.  A check inside a stacked call covers the whole
+stack, so ``detail.error`` names the worst matrix of the stack, not the
+first failing sample.
 
 Every setting is a row of ``SETTINGS`` (config key, ``SuiteConfig``
 attribute, type), which the JSON loader, the command-line flags and the
@@ -133,10 +134,16 @@ def _read_json(path: str, what: str) -> dict:
 
 
 def load_suite_config(args) -> SuiteConfig:
-    """The defaults, then the ``--config`` file, then the flags in ``args``."""
+    """The defaults, then the ``--config`` file, then the flags in ``args``.
+    A config key is read only by a command that has its flag, so ``out`` and
+    ``samples`` are verify's alone."""
     cfg = SuiteConfig()
     raw = {} if args.config is None else _read_json(args.config, "config")
     for key, value in raw.items():
+        if key != "samples" and key not in SETTINGS:
+            raise ConfigInvalid(f"unknown config key {key!r}")
+        if not hasattr(args, SETTINGS[key][0] if key in SETTINGS else key):
+            raise ConfigInvalid(f"config key {key!r} is read by verify alone")
         if key == "samples":
             if not isinstance(value, dict):
                 raise ConfigInvalid("config section 'samples' must be an object")
@@ -144,11 +151,9 @@ def load_suite_config(args) -> SuiteConfig:
                 if name not in cfg.samples:
                     raise ConfigInvalid(f"unknown samples entry {name!r}")
                 cfg.samples[name] = _convert(int, entry, f"samples.{name}")
-        elif key in SETTINGS:
+        else:
             attr, kind, _ = SETTINGS[key]
             setattr(cfg, attr, _convert(kind, value, key))
-        else:
-            raise ConfigInvalid(f"unknown config key {key!r}")
     for attr, _, _ in SETTINGS.values():
         if getattr(args, attr, None) is not None:
             setattr(cfg, attr, getattr(args, attr))
@@ -229,8 +234,9 @@ class Property:
     count)`` returns the worst residual of each entry and a ``detail`` dict
     for the report, or None.  Every run is batched: one draw of all
     ``count`` samples, which gives each sample the stream counters it would
-    have drawn alone, each loop operation once on the whole stack, and a
-    fold of the per-element residuals with max from 0.
+    have drawn alone, one call per loop operation per dependency level on
+    the joined stacks, and a fold of the per-element residuals with max
+    from 0.
     """
 
     key: str
@@ -298,20 +304,22 @@ def _ext_aip(s: Suite, stream: SampleStream, count: int):
 
 def _solve_translation(s: Suite, stream: SampleStream, count: int):
     """Sharp transitivity, and the solution's drift when both subspaces, in
-    canonical form, are moved by 1e-10."""
+    canonical form, are moved by 1e-10.  Both draws of a sample are built
+    and canonicalized as one stack, and the exact and perturbed pairs are
+    solved in one call."""
     # a sample draws two elements, then 2 n (dim d1 + dim d2) noise values
     width, noise_width = s.eloop.sample_width, 4 * s.form.n * s.eloop.carrier_dim
     (u1, u2, noise), _ = stream.next_rows(count, width, width, noise_width)
-    realized = (ext.realize(s.eloop.from_uniforms(u), s.eloop) for u in (u1, u2))
-    d1, d2 = (geometry.subspace(d.base, d.frame) for d in realized)
-    t, rho = ext.solve_translation(d1, d2, s.eloop)
-    moved = geometry.apply(rho, d1, t)
-    noise = scale(noise, -1e-10, 1e-10)
-    d1p = _perturb(d1, noise[:, : noise_width // 2])
-    d2p = _perturb(d2, noise[:, noise_width // 2 :])
-    tp, rhop = ext.solve_translation(d1p, d2p, s.eloop)
-    stability = np.linalg.norm(tp - t, axis=-1) + fro(rhop - rho)
-    return (worst(geometry.subspace_distance(moved, d2)), worst(stability)), None
+    realized = ext.realize(s.eloop.from_uniforms(np.stack([u1, u2])), s.eloop)
+    d = geometry.subspace(realized.base, realized.frame)  # d[0] is d1, d[1] is d2
+    noise = scale(noise, -1e-10, 1e-10).reshape(count, 2, noise_width // 2).swapaxes(0, 1)
+    dp = _perturb(d, noise)
+    pairs = geometry.AffineSubspace(np.stack([d.base, dp.base]), np.stack([d.frame, dp.frame]))
+    # one solve for (d1 | d1p) onto (d2 | d2p): index 0 exact, 1 perturbed
+    t, rho = ext.solve_translation(pairs[:, 0], pairs[:, 1], s.eloop)
+    moved = geometry.apply(rho[0], d[0], t[0])
+    stability = np.linalg.norm(t[1] - t[0], axis=-1) + fro(rho[1] - rho[0])
+    return (worst(geometry.subspace_distance(moved, d[1])), worst(stability)), None
 
 
 # One row per property, in run order: sample-count key, default count,

@@ -17,7 +17,8 @@ subspaces serve only where a minimum-norm base is read: the transversal,
 Elements take stacks: ``w`` of shape (..., n) with ``rho`` a plain array
 (..., n, n) of the same batch shape is that many elements, and every loop
 operation, ``distance`` and ``sample`` act on the whole stack, each step
-one stacked ``solve``, eigendecomposition or QR call.  The loop holds the
+one stacked ``solve``, eigendecomposition or QR call; ``join`` concatenates
+stacks, broadcasting a single element.  The loop holds the
 form; the JSON writer and reader take it as an argument.
 
 Every orbit direction at infinity is the graph of a strict contraction
@@ -60,7 +61,7 @@ from .groups import (
     sigma_from_uniforms,
     sigma_width,
 )
-from .linalg import COMPLEX, dag, eig_hermitian, mv, spectral_map, symmetrize
+from .linalg import COMPLEX, concat, dag, eig_hermitian, mv, spectral_map, symmetrize
 from .matrixloop import MatrixLoop
 
 _W_SCALE = 1.0  # sampled transversal points have frame coordinates in [-1, 1]
@@ -116,6 +117,9 @@ class ExtensionConfig:
     @property
     def identity(self) -> "ExtensionElement":
         return ExtensionElement(np.zeros(self.form.n, dtype=self.form.dtype), MatrixLoop(self.form).identity)
+
+    def join(self, *parts):
+        return ExtensionElement(concat(*(p.w for p in parts)), concat(*(p.rho for p in parts)))
 
     def mul(self, a, b):
         return ext_mul(a, b, self)

@@ -40,6 +40,10 @@ class AffineSubspace:
     base: np.ndarray
     frame: np.ndarray
 
+    def __getitem__(self, index):
+        """The subspace, or sub-stack, at ``index`` of the batch axes."""
+        return AffineSubspace(self.base[index], self.frame[index])
+
     @property
     def dim(self) -> int:
         return self.frame.shape[-1]
@@ -99,14 +103,15 @@ def subspace_distance(s1: AffineSubspace, s2: AffineSubspace) -> float:
     union's eigen-cut drops is orthogonal to the spans only to about
     sqrt(1e-8).  Zero exactly for equal subspaces; symmetric by
     construction.  One distance per subspace of a stack: the cut is a
-    per-matrix mask on the union's eigenbasis."""
+    per-matrix mask on the union's eigenbasis.  Both operands, broadcast to
+    one batch shape, are canonicalized by one ``subspace`` call."""
     if s1.ambient != s2.ambient or s1.dim != s2.dim:
         raise DimensionMismatch("subspace comparison requires matching dimensions")
-    s1, s2 = subspace(s1.base, s1.frame), subspace(s2.base, s2.frame)
-    p1 = projector(s1.frame)
-    p2 = projector(s2.frame)
+    bases = np.stack(np.broadcast_arrays(s1.base, s2.base))
+    both = subspace(bases, np.stack(np.broadcast_arrays(s1.frame, s2.frame)))
+    p1, p2 = projector(both.frame)
     d_dir = fro(p1 - p2)
-    gap = s1.base - s2.base
+    gap = both.base[0] - both.base[1]
     # The union of the two direction spans is the range of p1 + p2; the sum
     # is commutative in floating point, so the result is exactly symmetric
     # in its arguments.

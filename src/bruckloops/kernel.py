@@ -9,11 +9,17 @@ returns the worst residual over its samples as a float, and the suite
 judges it against its fixed acceptance bound.  Sampling is delegated to the
 concrete loop -- the kernel has no way to enumerate elements.
 
-Every checker is batched: it draws all its samples in one ``sample`` call,
-splits the stack into the tuples a sample-by-sample draw would give, runs
-each loop operation once on the whole stack and folds the per-element
-residuals with max from 0.  Appending samples can only raise the returned
-residual, and it is deterministic given (seed, count).
+Every checker is batched: it draws all its samples in one ``sample`` call
+and splits the stack into the tuples a sample-by-sample draw would give.
+It then runs its identity level by level: the independent operations of
+one kind at one dependency level (``x*z`` with ``y*x``, the three
+inverses of AIP, the three lambda evaluations of left-A) are one call on
+the operand stacks ``Loop.join`` concatenates, split back by slicing, and
+every distance the checker compares is one ``distance`` call.  Each
+element gets the bits a call of its own gives it, so only the number of
+calls depends on the fusion.  The per-element residuals are folded with
+max from 0: appending samples can only raise the returned residual, and
+it is deterministic given (seed, count).
 """
 
 from __future__ import annotations
@@ -35,14 +41,17 @@ class Loop(Protocol):
     returns x with x * a = b.  Elements may be stacks, and the operations
     and ``distance`` act per element, broadcasting the single identity.
     ``sample`` draws a stack of ``count`` elements and returns it with the
-    advanced stream; a stack is indexed along its batch axis.  For the
-    matrix loop an element is a plain array, for the extension loop a
-    ``(w, rho)`` pair of arrays; either way the loop, not the element,
-    holds the form.
+    advanced stream; a stack is indexed along its batch axis.  ``join``
+    broadcasts its parts against each other, so a single element such as
+    the identity fills a stack, and concatenates them along the batch
+    axis.  For the matrix loop an element is a plain array, for the
+    extension loop a ``(w, rho)`` pair of arrays; either way the loop, not
+    the element, holds the form.
     """
 
     identity: Any
 
+    def join(self, *parts): ...
     def mul(self, a, b): ...
     def left_divide(self, a, b): ...
     def right_divide(self, b, a): ...
@@ -63,23 +72,29 @@ def sample_tuples(loop: Loop, stream: SampleStream, count: int, size: int) -> li
     return [xs[j::size] for j in range(size)]
 
 
+def split(stack, count: int, parts: int) -> list:
+    """The ``parts`` consecutive stacks of ``count`` elements that
+    ``Loop.join`` concatenated into ``stack``."""
+    return [stack[k * count : (k + 1) * count] for k in range(parts)]
+
+
 def check_loop_axioms(loop: Loop, stream: SampleStream, count: int) -> float:
-    """Residuals of e*x = x, x*e = x, a*(a\\b) = b and (b/a)*a = b."""
+    """Residuals of e*x = x, x*e = x, a*(a\\b) = b and (b/a)*a = b: both
+    divisions, then the four products in one ``mul`` call."""
     e = loop.identity
     a, b = sample_tuples(loop, stream, count, 2)
-    return worst(
-        loop.distance(loop.mul(e, a), a),
-        loop.distance(loop.mul(a, e), a),
-        loop.distance(loop.mul(a, loop.left_divide(a, b)), b),
-        loop.distance(loop.mul(loop.right_divide(b, a), a), b),
-    )
+    left, right = loop.left_divide(a, b), loop.right_divide(b, a)
+    products = loop.mul(loop.join(e, a, a, right), loop.join(a, e, left, a))
+    return worst(loop.distance(products, loop.join(a, a, b, b)))
 
 
 def check_bol(loop: Loop, stream: SampleStream, count: int) -> float:
-    """Residual of x(y . xz) = (x . yx)z over sampled triples."""
+    """Residual of x(y . xz) = (x . yx)z over sampled triples, both sides
+    together: one ``mul`` call per level."""
     x, y, z = sample_tuples(loop, stream, count, 3)
-    lhs = loop.mul(x, loop.mul(y, loop.mul(x, z)))
-    rhs = loop.mul(loop.mul(x, loop.mul(y, x)), z)
+    xz, yx = split(loop.mul(loop.join(x, y), loop.join(z, x)), count, 2)
+    y_xz, x_yx = split(loop.mul(loop.join(y, x), loop.join(xz, yx)), count, 2)
+    lhs, rhs = split(loop.mul(loop.join(x, x_yx), loop.join(y_xz, z)), count, 2)
     return worst(loop.distance(lhs, rhs))
 
 
@@ -99,11 +114,11 @@ def inverse_of(loop: Loop, x):
 
 
 def check_aip(loop: Loop, stream: SampleStream, count: int) -> float:
-    """Residual of the automorphic inverse property (xy)^-1 = x^-1 y^-1."""
+    """Residual of the automorphic inverse property (xy)^-1 = x^-1 y^-1; the
+    inverses of xy, x and y are one ``inverse_of`` call."""
     x, y = sample_tuples(loop, stream, count, 2)
-    lhs = inverse_of(loop, loop.mul(x, y))
-    rhs = loop.mul(inverse_of(loop, x), inverse_of(loop, y))
-    return worst(loop.distance(lhs, rhs))
+    lhs, inv_x, inv_y = split(inverse_of(loop, loop.join(loop.mul(x, y), x, y)), count, 3)
+    return worst(loop.distance(lhs, loop.mul(inv_x, inv_y)))
 
 
 def check_left_a(loop: Loop, stream: SampleStream, count: int) -> float:
@@ -111,12 +126,12 @@ def check_left_a(loop: Loop, stream: SampleStream, count: int) -> float:
     where lambda_{x,y}(w) = (x*y) \\ (x*(y*w)).
 
     The map is evaluated through divisions, so no translation ever has to
-    be inverted as a map.
+    be inverted as a map; its three arguments uv, u and v go through it as
+    one stack.
     """
     x, y, u, v = sample_tuples(loop, stream, count, 4)
-    xy = loop.mul(x, y)
-
-    def lam(w):
-        return loop.left_divide(xy, loop.mul(x, loop.mul(y, w)))
-
-    return worst(loop.distance(lam(loop.mul(u, v)), loop.mul(lam(u), lam(v))))
+    xy, uv = split(loop.mul(loop.join(x, u), loop.join(y, v)), count, 2)
+    ys = loop.mul(loop.join(y, y, y), loop.join(uv, u, v))
+    lam = loop.left_divide(loop.join(xy, xy, xy), loop.mul(loop.join(x, x, x), ys))
+    lam_uv, lam_u, lam_v = split(lam, count, 3)
+    return worst(loop.distance(lam_uv, loop.mul(lam_u, lam_v)))

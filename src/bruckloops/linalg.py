@@ -16,10 +16,10 @@ The whole layer takes stacks: ``dag``, ``fro``, ``symmetrize``,
 ``eig_hermitian``, ``SpectralDecomposition.apply`` and ``spectral_map``
 accept arrays of shape ``(..., n, n)`` and act on the last two axes, one
 LAPACK call for the whole stack; ``mv`` multiplies stacks of matrices and
-vectors.  ``orthonormalize`` takes stacks (..., n, k) of frames the same
-way, one QR call.  Every check is made per matrix, and a 2-D input is the
-stack with no batch axes: a matrix gives the same bits alone as inside a
-stack.
+vectors, and ``concat`` joins stacks.  ``orthonormalize`` takes stacks
+(..., n, k) of frames the same way, one QR call.  Every check is made per
+matrix, and a 2-D input is the stack with no batch axes: a matrix gives
+the same bits alone as inside a stack.
 
 Two fixed floors serve every layer: ``TAU_ABS`` is the absolute floor for
 pivots, positivity and the transversal's sign check, ``TAU_REL`` the
@@ -79,6 +79,12 @@ def mv(a: np.ndarray, v: np.ndarray) -> np.ndarray:
     """a @ v for stacks (..., n, k) of matrices and (..., k) of vectors,
     broadcast over the batch axes; one matrix-vector product per pair."""
     return (a @ v[..., None])[..., 0]
+
+
+def concat(*stacks: np.ndarray) -> np.ndarray:
+    """The stacks broadcast against each other, so a single matrix or vector
+    fills a stack, and concatenated along the first batch axis."""
+    return np.concatenate(np.broadcast_arrays(*stacks))
 
 
 def symmetrize(a: np.ndarray) -> np.ndarray:

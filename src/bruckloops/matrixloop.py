@@ -18,7 +18,7 @@ elements; the loop holds the form.  Every operation, ``distance`` and
 ``sample`` take stacks, operands broadcast over the batch axes, and each
 operation is one LAPACK call for the whole stack, which gives each matrix
 the same bits as a call of its own.  The identity is a single matrix and
-broadcasts against any stack.
+broadcasts against any stack, ``join`` among them.
 
 Products of three matrices are evaluated strictly left to right, every
 hermitian result is re-symmetrized and the eigensolver symmetrizes its
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .groups import SampleStream, SignatureForm, sample_sigma
-from .linalg import dag, fro, spectral_map, symmetrize
+from .linalg import concat, dag, fro, spectral_map, symmetrize
 
 _SAMPLE_RADIUS = 0.75  # half-width of the sampled exponential-chart block entries
 
@@ -58,6 +58,7 @@ class MatrixLoop:
     form: SignatureForm
 
     distance = staticmethod(frobenius_distance)
+    join = staticmethod(concat)
 
     @property
     def identity(self) -> np.ndarray:

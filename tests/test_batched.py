@@ -10,11 +10,11 @@ from bruckloops.cli import PROPERTIES, TOLERANCES, SuiteConfig, main, resolve
 from bruckloops.errors import InversesDisagree, NotHermitian, NotInOrbit, NotPositiveDefinite
 from bruckloops.extension import extension_config, lift_from_infinity
 from bruckloops.groups import SampleStream, element_to_json, sample_sigma
-from bruckloops.kernel import inverse_of
+from bruckloops.kernel import check_left_a, inverse_of
 from bruckloops.linalg import spectral_map
 from bruckloops.matrixloop import MatrixLoop
 from conftest import one
-from reference import ROWS, ReferenceStream, draw, reference_uniforms
+from reference import ROWS, ReferenceStream, draw, left_a, reference_uniforms
 
 SEEDS = [0, 1, 7919, -5, 2**70 + 3, 2**64 - 1]
 COUNTERS = [0, 10**7, 2**63 - 100]
@@ -58,6 +58,18 @@ def test_every_row_matches_the_per_sample_reference(name, seed):
         for (entry, key), got, want in zip(row.entries, batched, reference):
             assert abs(got - want) <= 1e-15 * max(abs(got), abs(want)), (entry, got, want)
             assert (got <= TOLERANCES[key]) == (want <= TOLERANCES[key]), entry
+
+
+@pytest.mark.parametrize("seed", [1, 7919])
+@pytest.mark.parametrize("name", sorted(SUITES))
+def test_left_a_on_the_extension_loop_matches_the_per_sample_reference(name, seed):
+    # no suite row runs left-A on extension elements, so its fused levels
+    # are checked here
+    suite = resolve(SuiteConfig(seed=seed, **SUITES[name]))
+    stream = SampleStream(seed).split(4000)
+    got = check_left_a(suite.eloop, stream, COUNT)
+    (want,) = left_a(suite.eloop, ReferenceStream(stream.seed, stream.counter), COUNT)
+    assert abs(got - want) <= 1e-15 * max(abs(got), abs(want)), (got, want)
 
 
 @pytest.mark.parametrize("loop", ["matrix", "extension"])

@@ -64,11 +64,8 @@ _VALUE = st.one_of(
     st.integers(-2, 6), st.floats(-2, 2),
     st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e308, "x", "complex", None, True, [1, 2]]),
 )
-_VALID_CONFIG = {
-    "n": 3, "p1": 2, "p2": 1, "field": "real", "carrier": 1, "seed": 1, "wtilde": "standard",
-    "samples": {"bol": 5},
-}
-_CONFIG_KEYS = [(key,) for key in _VALID_CONFIG] + [("samples", "bol")]
+_VALID_CONFIG = {"n": 3, "p1": 2, "p2": 1, "field": "real", "carrier": 1, "seed": 1, "wtilde": "standard"}
+_CONFIG_KEYS = [(key,) for key in _VALID_CONFIG]
 _MATRIX_PATHS = (
     [("matrix", i, j) for i in range(3) for j in range(3)]
     + [("form", key) for key in ("n", "p1", "p2", "field")]
@@ -690,6 +687,26 @@ def test_samples_and_out_are_verify_only(capsys, command):
             main(command + [flag, "0"])
         assert exc.value.code == 2
         assert f"unrecognized arguments: {flag} 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["mul", "a", "b"], ["factor", "a"], ["witness"], ["sample"]])
+@pytest.mark.parametrize(
+    "config, key",
+    [({"out": "zzz.json"}, "out"), ({"samples": {"bol": 3}}, "samples"),
+     ({"out": "zzz.json", "samples": {"bol": 3}}, "out")],
+    ids=["out", "samples", "both"],
+)
+def test_verify_only_config_keys_are_config_errors(tmp_path, capsys, monkeypatch, command, config, key):
+    # a config file sets no more than the command's flags may, so the keys
+    # these commands would silently ignore are refused
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main(command + ["--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: config key {key!r} is read by verify alone\n"
+    assert not (tmp_path / "zzz.json").exists()
 
 
 @pytest.fixture

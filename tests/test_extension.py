@@ -524,6 +524,10 @@ class TestOnCoordinates:
         b, _ = cfg.sample(stream, 16)
         canonical = [subspace(s.base, s.frame) for s in (realize(a, cfg), realize(b, cfg))]
         assert np.array_equal(cfg.distance(a, b), canonical_distance(*canonical))
+        # a single subspace broadcast against a stack reads what it reads alone
+        stack, single = realize(a, cfg), realize(b, cfg)[0]
+        alone = [subspace_distance(stack[i], single) for i in range(16)]
+        assert np.array_equal(subspace_distance(stack, single), alone)
 
 
 def test_extension_element_json_roundtrip(cfg):

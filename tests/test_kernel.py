@@ -86,6 +86,32 @@ class TestCheckers:
         assert a == b
 
 
+# Spectral calls per checker: one for the draw, one per loop operation per
+# dependency level, and one per distance on the extension loop.
+MATRIX_EIG_CALLS = {check_loop_axioms: 4, check_bol: 4, check_aip: 5, check_left_a: 6}
+EXTENSION_EIG_CALLS = {check_loop_axioms: 5, check_bol: 5, check_left_a: 7}
+
+
+@pytest.mark.parametrize("count", [5, 50])
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_spectral_calls_per_checker_do_not_grow_with_count(eig_calls, count, field):
+    form = SignatureForm(3, 2, 1, field)
+    for loop, expected in ((MatrixLoop(form), MATRIX_EIG_CALLS), (extension_config(form), EXTENSION_EIG_CALLS)):
+        for checker, calls in expected.items():
+            eig_calls.clear()
+            checker(loop, SampleStream(3), count)
+            assert len(eig_calls) == calls, (type(loop).__name__, checker.__name__)
+
+
+@pytest.mark.parametrize("join", ["matrix", "extension"])
+def test_join_broadcasts_a_single_element(form321c, join):
+    loop = MatrixLoop(form321c) if join == "matrix" else extension_config(form321c)
+    xs, _ = loop.sample(SampleStream(4), 3)
+    joined = loop.join(loop.identity, xs)
+    assert loop.distance(joined[:3], loop.identity).max() == 0.0
+    assert loop.distance(joined[3:], xs).max() == 0.0
+
+
 class TestTwoSidedInverses:
     @pytest.mark.parametrize("field", ["real", "complex"])
     def test_matrix_loop_two_sided(self, field):
