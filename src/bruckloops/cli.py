@@ -135,14 +135,12 @@ def _read_json(path: str, what: str) -> dict:
 
 def load_suite_config(args) -> SuiteConfig:
     """The defaults, then the ``--config`` file, then the flags in ``args``.
-    A config key is read only by a command that has its flag, so ``out`` and
-    ``samples`` are verify's alone."""
+    The ``out`` key and the ``samples`` section are read by ``verify``
+    alone, the one command with the ``--out`` and ``--samples`` flags."""
     cfg = SuiteConfig()
     raw = {} if args.config is None else _read_json(args.config, "config")
     for key, value in raw.items():
-        if key != "samples" and key not in SETTINGS:
-            raise ConfigInvalid(f"unknown config key {key!r}")
-        if not hasattr(args, SETTINGS[key][0] if key in SETTINGS else key):
+        if key in ("out", "samples") and not hasattr(args, "samples"):
             raise ConfigInvalid(f"config key {key!r} is read by verify alone")
         if key == "samples":
             if not isinstance(value, dict):
@@ -151,9 +149,11 @@ def load_suite_config(args) -> SuiteConfig:
                 if name not in cfg.samples:
                     raise ConfigInvalid(f"unknown samples entry {name!r}")
                 cfg.samples[name] = _convert(int, entry, f"samples.{name}")
-        else:
+        elif key in SETTINGS:
             attr, kind, _ = SETTINGS[key]
             setattr(cfg, attr, _convert(kind, value, key))
+        else:
+            raise ConfigInvalid(f"unknown config key {key!r}")
     for attr, _, _ in SETTINGS.values():
         if getattr(args, attr, None) is not None:
             setattr(cfg, attr, getattr(args, attr))
@@ -162,6 +162,9 @@ def load_suite_config(args) -> SuiteConfig:
     low = sorted(name for name, count in cfg.samples.items() if count < 1)
     if low:
         raise ConfigInvalid(f"sample counts must be >= 1: {', '.join(low)}")
+    high = sorted(name for name, count in cfg.samples.items() if count > MAX_SAMPLES)
+    if high:
+        raise ConfigInvalid(f"sample counts must be <= {MAX_SAMPLES}: {', '.join(high)}")
     return cfg
 
 
@@ -354,6 +357,11 @@ PROPERTIES = (
 )
 
 DEFAULT_SAMPLES = {row.key: row.default_samples for row in PROPERTIES} | {"dimension_points": 20}
+
+# The most samples a row may draw: a row holds all its samples' matrices at
+# once, so a larger count is refused before the suite runs rather than left
+# to exhaust memory or overflow the draw.
+MAX_SAMPLES = 100_000
 
 # Entries whose residuals carry no pass requirement; they are measured and
 # reported only.

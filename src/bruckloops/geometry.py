@@ -103,12 +103,18 @@ def subspace_distance(s1: AffineSubspace, s2: AffineSubspace) -> float:
     union's eigen-cut drops is orthogonal to the spans only to about
     sqrt(1e-8).  Zero exactly for equal subspaces; symmetric by
     construction.  One distance per subspace of a stack: the cut is a
-    per-matrix mask on the union's eigenbasis.  Both operands, broadcast to
-    one batch shape, are canonicalized by one ``subspace`` call."""
+    per-matrix mask on the union's eigenbasis.  Operands of one batch shape
+    are canonicalized by one ``subspace`` call on their stack; a single
+    subspace against a stack is canonicalized once, then broadcast."""
     if s1.ambient != s2.ambient or s1.dim != s2.dim:
         raise DimensionMismatch("subspace comparison requires matching dimensions")
-    bases = np.stack(np.broadcast_arrays(s1.base, s2.base))
-    both = subspace(bases, np.stack(np.broadcast_arrays(s1.frame, s2.frame)))
+    if s1.base.shape == s2.base.shape:
+        both = subspace(np.stack([s1.base, s2.base]), np.stack([s1.frame, s2.frame]))
+    else:
+        s1, s2 = subspace(s1.base, s1.frame), subspace(s2.base, s2.frame)
+        both = AffineSubspace(
+            np.stack(np.broadcast_arrays(s1.base, s2.base)), np.stack(np.broadcast_arrays(s1.frame, s2.frame))
+        )
     p1, p2 = projector(both.frame)
     d_dir = fro(p1 - p2)
     gap = both.base[0] - both.base[1]

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bruckloops.cli import (
-    COMMANDS, DEFAULT_SAMPLES, PROPERTIES, SETTINGS, TOLERANCES, SuiteConfig, _diagnostics, main, run_verify,
+    COMMANDS, DEFAULT_SAMPLES, MAX_SAMPLES, PROPERTIES, SETTINGS, TOLERANCES, SuiteConfig, _diagnostics, main,
+    run_verify,
 )
 from bruckloops.errors import NotInOrbit
 from bruckloops.groups import SignatureForm, element_to_json, standard_boost
@@ -301,6 +302,13 @@ class TestVerify:
             ({"samples": {"bol": "5"}}, [], None),
             ({}, [], {"base": [0, 0], "frame": [[0], [0], [1]]}),
             ({"carrier": 2}, [], {"base": [0, 0, 0], "frame": [[0, 0], [0, 0], [1, 2]]}),
+            ({"samples": None}, [], None),
+            ({"samples": [1, 2]}, [], None),
+            ({"samples": {"bol": math.nan}}, [], None),
+            ({"samples": {"bol": 1e308}}, [], None),
+            ({"samples": {"bol": [1, 2]}}, [], None),
+            ({"samples": {"bol": 2.5}}, [], None),
+            ({}, ["--samples", str(MAX_SAMPLES + 1)], None),
         ],
         ids=[
             "n-abc", "samples-x", "membership-nan", "samples-neg", "tol-neg", "boost-overflow", "boost-700",
@@ -308,6 +316,8 @@ class TestVerify:
             "wtilde-nan", "wtilde-no-base", "wtilde-list", "wtilde-contraction-1.25",
             "wtilde-zero-column", "wtilde-huge-base", "unknown-key", "out-null", "out-empty",
             "n-string", "samples-string", "wtilde-short-base", "wtilde-dependent-columns",
+            "samples-null", "samples-list", "samples-nan", "samples-1e308", "samples-entry-list",
+            "samples-fraction", "samples-over-max",
         ],
     )
     def test_malformed_config_is_config_error(self, tmp_path, capsys, monkeypatch, extra, argv, wtilde):
@@ -366,6 +376,16 @@ class TestVerify:
         cfg = tmp_path_factory.mktemp("cfg") / "cfg.json"
         cfg.write_text(json.dumps(replaced(_VALID_CONFIG, path, value)))
         assert main(["sample", "--count", "1", "--config", str(cfg), "--loop", loop]) in (0, 2)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from([("samples",), ("samples", "bol")]), _VALUE)
+    def test_samples_section_fuzz(self, tmp_path_factory, path, value):
+        # verify, the one command that reads the section, runs on a count in
+        # [1, MAX_SAMPLES] and refuses any other value before the suite runs
+        cfg = tmp_path_factory.mktemp("cfg") / "cfg.json"
+        cfg.write_text(json.dumps(replaced(_VALID_CONFIG | {"samples": SMALL_SAMPLES}, path, value)))
+        count = len(path) == 2 and type(value) in (int, float) and value % 1 == 0 and 1 <= value <= MAX_SAMPLES
+        assert main(["verify", "--config", str(cfg)]) == (0 if count else 2)
 
 
 # The 16-case set's configs: the four acceptance signatures, both bench

@@ -528,6 +528,7 @@ class TestOnCoordinates:
         stack, single = realize(a, cfg), realize(b, cfg)[0]
         alone = [subspace_distance(stack[i], single) for i in range(16)]
         assert np.array_equal(subspace_distance(stack, single), alone)
+        assert np.array_equal(subspace_distance(single, stack), alone)
 
 
 def test_extension_element_json_roundtrip(cfg):
