@@ -17,9 +17,10 @@ subspaces serve only where a minimum-norm base is read: the transversal,
 Elements take stacks: ``w`` of shape (..., n) with ``rho`` a plain array
 (..., n, n) of the same batch shape is that many elements, and every loop
 operation, ``distance`` and ``sample`` act on the whole stack, each step
-one stacked ``solve``, eigendecomposition or QR call; ``join`` concatenates
-stacks, broadcasting a single element.  The loop holds the
-form; the JSON writer and reader take it as an argument.
+one stacked ``solve``, eigendecomposition or QR call; ``distance`` makes no
+spectral call, only one QR per operand.  ``join`` concatenates stacks,
+broadcasting a single element.  The loop holds the form; the JSON writer
+and reader take it as an argument.
 
 Every orbit direction at infinity is the graph of a strict contraction
 between the two coordinate blocks, which gives ``lift_from_infinity`` a

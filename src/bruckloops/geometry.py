@@ -7,7 +7,9 @@ builds it: ``subspace`` gives the canonical form, the frame
 ``orthonormalize`` gives (the positive-diagonal QR frame, the one
 Gram-Schmidt gives; a collapsed frame is RankDeficient) plus the base
 projected once onto its orthogonal complement.  Canonical forms of one
-subspace agree to rounding, not bit for bit.
+subspace agree to rounding, not bit for bit.  ``subspace_distance`` reads
+the canonical forms it builds: the Frobenius gap of the direction
+projectors plus the gap of the minimum-norm points, with no spectral call.
 
 Every function but ``contains`` takes stacks: a subspace whose base is
 (..., n) and frame (..., n, k) is that many subspaces of one dimension,
@@ -25,7 +27,7 @@ import numpy as np
 
 from .errors import ConfigInvalid, DimensionMismatch, TransversalityViolated
 from .groups import MEMBERSHIP_TOLERANCE, matrix_from_json
-from .linalg import dag, eig_hermitian, fro, mv, orthonormalize
+from .linalg import dag, fro, mv, orthonormalize
 
 _RANK_REL = 1e-8
 
@@ -96,37 +98,17 @@ def projector(frame: np.ndarray) -> np.ndarray:
 
 
 def subspace_distance(s1: AffineSubspace, s2: AffineSubspace) -> float:
-    """Frobenius distance of the direction projectors plus the norm of the
-    base gap projected onto the common normal space (the orthogonal
-    complement of the union of the two direction spans), read from the
-    canonical forms: the gap joins minimum-norm points, as a direction the
-    union's eigen-cut drops is orthogonal to the spans only to about
-    sqrt(1e-8).  Zero exactly for equal subspaces; symmetric by
-    construction.  One distance per subspace of a stack: the cut is a
-    per-matrix mask on the union's eigenbasis.  Operands of one batch shape
-    are canonicalized by one ``subspace`` call on their stack; a single
-    subspace against a stack is canonicalized once, then broadcast."""
+    """Frobenius distance of the direction projectors plus the distance of
+    the minimum-norm points, read from the canonical forms: a metric on the
+    (projector, point) embedding of affine subspaces, continuous in both
+    operands and zero exactly for equal subspaces; symmetric by
+    construction.  One distance per subspace of a stack; each operand is
+    canonicalized once, so a single subspace against a stack takes one QR
+    and broadcasts."""
     if s1.ambient != s2.ambient or s1.dim != s2.dim:
         raise DimensionMismatch("subspace comparison requires matching dimensions")
-    if s1.base.shape == s2.base.shape:
-        both = subspace(np.stack([s1.base, s2.base]), np.stack([s1.frame, s2.frame]))
-    else:
-        s1, s2 = subspace(s1.base, s1.frame), subspace(s2.base, s2.frame)
-        both = AffineSubspace(
-            np.stack(np.broadcast_arrays(s1.base, s2.base)), np.stack(np.broadcast_arrays(s1.frame, s2.frame))
-        )
-    p1, p2 = projector(both.frame)
-    d_dir = fro(p1 - p2)
-    gap = both.base[0] - both.base[1]
-    # The union of the two direction spans is the range of p1 + p2; the sum
-    # is commutative in floating point, so the result is exactly symmetric
-    # in its arguments.
-    dec = eig_hermitian(p1 + p2)
-    top = dec.eigenvalues[..., -1:]
-    keep = (dec.eigenvalues > _RANK_REL * top) & (top > 0.0)
-    basis = dec.eigenbasis * keep[..., None, :]
-    gap = gap - mv(basis, mv(dag(basis), gap))
-    return d_dir + np.linalg.norm(gap, axis=-1)
+    c1, c2 = subspace(s1.base, s1.frame), subspace(s2.base, s2.frame)
+    return fro(projector(c1.frame) - projector(c2.frame)) + np.linalg.norm(c1.base - c2.base, axis=-1)
 
 
 @dataclass(frozen=True)

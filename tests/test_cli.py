@@ -13,6 +13,7 @@ from bruckloops.cli import (
 )
 from bruckloops.errors import NotInOrbit
 from bruckloops.groups import SignatureForm, element_to_json, standard_boost
+from bruckloops.kernel import INVERSE_GAP
 from bruckloops.linalg import write_matrix_text
 from conftest import boost3, rotation
 
@@ -163,6 +164,7 @@ class TestVerify:
         assert TOLERANCES == {
             "identity": 1e-8, "membership": 1e-9, "factor": 1e-8,
             "factor_reconstruction": 1e-10, "solve": 1e-8, "solve_stability": 1e-6,
+            "inverse": 1e-9,
         }
         bound = {name: TOLERANCES[key] for row in PROPERTIES for name, key in row.entries}
         report = run_verify(SuiteConfig(samples={name: 2 for name in DEFAULT_SAMPLES}))
@@ -418,9 +420,10 @@ class TestReportSchema:
     def test_reports_of_every_config_pass(self, validator, name):
         report = _small_report(**SCHEMA_CONFIGS[name])
         assert validator.is_valid(report)
-        # every config runs the ext_aip fallback, which adds its own detail key
+        # ext_aip is judged against the kernel's inverse bound, and no
+        # config's extension loop has two-sided inverses
         entry = next(p for p in report["properties"] if p["property"] == "ext_aip")
-        assert entry["detail"] == {"two_sided_inverses": False}
+        assert entry["tolerance"] == INVERSE_GAP and entry["pass"] is False and "detail" not in entry
 
     def test_breakdown_report_passes(self, validator, monkeypatch):
         import bruckloops.extension

@@ -105,20 +105,29 @@ class TestSubspaceDistance:
             d12 = subspace_distance(tri[1], tri[2])
             assert d02 <= d01 + d12 + 1e-12
 
-    def test_distance_does_not_depend_on_the_point_given(self):
-        # two planes of F^4 at principal angles 0.5 and 5e-5: the union's
-        # eigenvalue 1 - cos(5e-5) = 1.25e-9 falls under the cut, and the
-        # direction it leaves in the normal space is orthogonal to the spans
-        # only to about 3.5e-5; a point far along the first plane must still
-        # give the distance its minimum-norm point gives
+    @staticmethod
+    def planes(theta):
+        """Two planes of R^4 at principal angles 0.5 and theta: the first
+        through 0, the second through (0, 0, 0.3, 0.2)."""
         e4 = np.eye(4)
-        f1 = e4[:, :2]
         f2 = np.column_stack([math.cos(0.5) * e4[:, 0] + math.sin(0.5) * e4[:, 2],
-                              math.cos(5e-5) * e4[:, 1] + math.sin(5e-5) * e4[:, 3]])
-        s2 = subspace(np.array([0.0, 0.0, 0.3, 0.2]), f2)
-        near = AffineSubspace(np.zeros(4), f1)
-        far = AffineSubspace(f1 @ np.array([30.0, -40.0]), f1)
+                              math.cos(theta) * e4[:, 1] + math.sin(theta) * e4[:, 3]])
+        return AffineSubspace(np.zeros(4), e4[:, :2]), subspace(np.array([0.0, 0.0, 0.3, 0.2]), f2)
+
+    def test_distance_does_not_depend_on_the_point_given(self):
+        # a point far along the first plane gives the distance its
+        # minimum-norm point gives
+        near, s2 = self.planes(5e-5)
+        far = AffineSubspace(near.frame @ np.array([30.0, -40.0]), near.frame)
         assert abs(subspace_distance(far, s2) - subspace_distance(near, s2)) <= 1e-12
+
+    def test_distance_is_continuous_in_the_principal_angles(self):
+        # theta = 2e-4 is where the union's eigenvalue 1 - cos(theta) meets a
+        # rank cut at 1e-8 of the largest; with no cut the distance moves by
+        # about 1e-9 across it
+        below, above = (subspace_distance(*self.planes(theta)) for theta in (1.99e-4, 2.01e-4))
+        assert abs(below - above) <= 1e-6
+        assert below == pytest.approx(1.0086362333, abs=1e-9)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
