@@ -288,9 +288,9 @@ def _transversality(s: Suite, stream: SampleStream, count: int):
 
 
 def _ext_infinity_compat(s: Suite, stream: SampleStream, count: int):
-    """ext_mul's direction part, the graph lift of the image direction,
-    against the matrix loop product, the spectral positive factor of
-    rho1 rho2: two independent computations of the same element."""
+    """ext_mul's direction part, the lift read off the image graph X,
+    against the matrix loop product, the positive factor of rho1 rho2 read
+    off its C12 and C22 blocks: two computations of the same element."""
     e1, e2 = sample_tuples(s.eloop, stream, count, 2)
     prod = s.eloop.mul(e1, e2)
     return (worst(fro(prod.rho - s.mat.mul(e1.rho, e2.rho))),), None

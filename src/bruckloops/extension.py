@@ -17,10 +17,9 @@ subspaces serve only where a minimum-norm base is read: the transversal,
 Elements take stacks: ``w`` of shape (..., n) with ``rho`` a plain array
 (..., n, n) of the same batch shape is that many elements, and every loop
 operation, ``distance`` and ``sample`` act on the whole stack, each step
-one stacked ``solve``, eigendecomposition or QR call; ``distance`` makes no
-spectral call, only one QR per operand.  ``join`` concatenates stacks,
-broadcasting a single element.  The loop holds the form; the JSON writer
-and reader take it as an argument.
+one stacked ``solve``, p2 x p2 eigendecomposition or QR call; ``distance``
+makes one QR call.  ``join`` concatenates stacks, broadcasting one element.
+The loop holds the form; the JSON writer and reader take it as an argument.
 
 Every orbit direction at infinity is the graph of a strict contraction
 between the two coordinate blocks, which gives ``lift_from_infinity`` a
@@ -50,7 +49,6 @@ from .geometry import AffineSubspace, apply, projector, subspace, subspace_dista
 from .groups import (
     SampleStream,
     SignatureForm,
-    _off_diagonal_generator,
     blocks,
     element_from_json,
     element_to_json,
@@ -59,10 +57,11 @@ from .groups import (
     sample_phi,
     scale,
     sigma_from_block,
+    sigma_from_spectrum,
     sigma_from_uniforms,
     sigma_width,
 )
-from .linalg import COMPLEX, concat, dag, eig_hermitian, mv, spectral_map, symmetrize
+from .linalg import COMPLEX, concat, dag, eig_hermitian, mv, spectral_map
 from .matrixloop import MatrixLoop
 
 _W_SCALE = 1.0  # sampled transversal points have frame coordinates in [-1, 1]
@@ -237,34 +236,30 @@ def realize(e: ExtensionElement, cfg: ExtensionConfig) -> AffineSubspace:
 def lift_from_infinity(z: np.ndarray, cfg: ExtensionConfig) -> np.ndarray:
     """The unique positive-definite isometry whose carrier image has the
     direction span of the frame ``z``, or one per frame of a stack
-    (..., n, k): one stacked ``solve`` and one stacked ``inverse_sqrt``.
+    (..., n, k): one stacked ``solve`` and one stacked p2 x p2 ``spectral_map``.
 
     An orbit direction is the graph of a p1 x p2 contraction X: the span of
     [I; X*] for carrier 1 and of [X; I] for carrier 2.  With z = [F1; F2]
     split at p1, X* = F2 F1^-1 (carrier 1) or X = F1 F2^-1 (carrier 2).
     The lift is the boost (I + T)(I - T^2)^{-1/2} = exp(artanh T) with
     T = [[0, X], [X*, 0]], which maps W_1 onto span [I; X*] and W_2 onto
-    span [X; I].  A singular block, or I - T^2 not positive definite
-    (||X|| >= 1), means z is not in the orbit.
+    span [X; I]: the block X with a = b = M^{-1/2}, M = I - X* X.  A singular
+    block, or M not positive definite (||X|| >= 1), means z is not in the orbit.
     """
     form = cfg.form
     if z.shape[-2:] != (form.n, cfg.carrier_dim):
-        raise DimensionMismatch(
-            f"direction must be {cfg.carrier_dim}-dimensional in F^{form.n}"
-        )
+        raise DimensionMismatch(f"direction must be {cfg.carrier_dim}-dimensional in F^{form.n}")
     zh = dag(z.astype(form.dtype))
     f1h, f2h = zh[..., : form.p1], zh[..., form.p1 :]  # F1*, F2*
     try:
         x = np.linalg.solve(f1h, f2h) if cfg.carrier == 1 else dag(np.linalg.solve(f2h, f1h))
     except np.linalg.LinAlgError as exc:
         raise NotInOrbit(f"direction is not a graph over the carrier: {exc}") from exc
-    t = _off_diagonal_generator(form, x)
-    eye = np.eye(form.n, dtype=form.dtype)
     try:
-        scale = spectral_map(eye - t @ t, "inverse_sqrt")
+        dec, r = spectral_map(np.eye(form.p2, dtype=form.dtype) - dag(x) @ x, "inverse_sqrt")
     except NotPositiveDefinite as exc:
         raise NotInOrbit(f"direction is not the graph of a contraction: {exc}") from exc
-    return symmetrize((eye + t) @ scale)
+    return sigma_from_spectrum(form, x, dec, r, r)
 
 
 def _transversal_point(s: AffineSubspace, cfg: ExtensionConfig) -> np.ndarray:

@@ -102,13 +102,19 @@ def subspace_distance(s1: AffineSubspace, s2: AffineSubspace) -> float:
     the minimum-norm points, read from the canonical forms: a metric on the
     (projector, point) embedding of affine subspaces, continuous in both
     operands and zero exactly for equal subspaces; symmetric by
-    construction.  One distance per subspace of a stack; each operand is
-    canonicalized once, so a single subspace against a stack takes one QR
-    and broadcasts."""
+    construction.  One distance per subspace of a stack; both operands, batch
+    axes flattened, are canonicalized by one ``subspace`` call, so a single
+    subspace against a stack takes one QR and broadcasts."""
     if s1.ambient != s2.ambient or s1.dim != s2.dim:
         raise DimensionMismatch("subspace comparison requires matching dimensions")
-    c1, c2 = subspace(s1.base, s1.frame), subspace(s2.base, s2.frame)
-    return fro(projector(c1.frame) - projector(c2.frame)) + np.linalg.norm(c1.base - c2.base, axis=-1)
+    n, k = s1.ambient, s1.dim
+    shapes = [np.broadcast_shapes(s.base.shape[:-1], s.frame.shape[:-2]) for s in (s1, s2)]
+    bases = [np.broadcast_to(s.base, b + (n,)).reshape(-1, n) for s, b in zip((s1, s2), shapes)]
+    frames = [np.broadcast_to(s.frame, b + (n, k)).reshape(-1, n, k) for s, b in zip((s1, s2), shapes)]
+    c, size = subspace(np.concatenate(bases), np.concatenate(frames)), len(bases[0])
+    p1, p2 = (part.reshape(b + (n, n)) for part, b in zip(np.split(projector(c.frame), [size]), shapes))
+    m1, m2 = (part.reshape(b + (n,)) for part, b in zip(np.split(c.base, [size]), shapes))
+    return fro(p1 - p2) + np.linalg.norm(m1 - m2, axis=-1)
 
 
 @dataclass(frozen=True)

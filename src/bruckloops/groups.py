@@ -7,12 +7,10 @@ membership targets are exposed:
 * ``Sigma``  -- positive-definite hermitian isometries of determinant 1,
 * ``Phi``    -- block-diagonal unitary stabilizer elements of determinant 1.
 
-Sampling Sigma uses the exponential chart: exp(H) lands in the isometry
-group and is hermitian exactly when H J + J H = 0, i.e. when H is hermitian
-with zero diagonal blocks, H = [[0, X], [X*, 0]].  (exp(H) J = J exp(-H)
-then gives exp(H)* J exp(H) = J, and exp of a hermitian matrix is
-positive-definite hermitian.)  The block X is the free parameter; its
-entries are drawn uniformly from a radius box.
+A Sigma element is fixed by its p1 x p2 block and built from one p2 x p2
+spectral call (``sigma_from_spectrum``).  Sampling uses the exponential
+chart exp([[0, X], [X*, 0]]), whose generators are the hermitian H with
+H J + J H = 0; the entries of X are drawn uniformly from a radius box.
 
 An element of Sigma or Phi, or a stack of them, is a plain array
 (..., n, n).  Its form is held by whoever holds the element (the loop or
@@ -24,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -61,10 +60,12 @@ class SignatureForm:
     def dtype(self):
         return linalg.dtype_of(self.field)
 
+    @cache
     def j_matrix(self) -> np.ndarray:
-        d = np.ones(self.n)
-        d[self.p1 :] = -1.0
-        return np.diag(d).astype(self.dtype)
+        """J, built once per form and read-only."""
+        j = np.diag(np.where(np.arange(self.n) < self.p1, 1.0, -1.0)).astype(self.dtype)
+        j.flags.writeable = False
+        return j
 
     def to_json(self) -> dict:
         return {"n": self.n, "p1": self.p1, "p2": self.p2, "field": self.field}
@@ -161,7 +162,7 @@ def membership_residual(a: np.ndarray, target: str, form: SignatureForm) -> Memb
     if target == "U_p2":
         res["isometry"] = fro(dag(a) @ j @ a - j)
     elif target == "Sigma":
-        res["hermitian"] = linalg.hermitian_residual(a)
+        res["hermitian"] = fro(a - dag(a))
         dec = linalg.eig_hermitian(symmetrize(a))
         res["positive_definite"] = np.maximum(0.0, -dec.eigenvalues[..., 0])
         res["isometry"] = fro(dag(a) @ j @ a - j)
@@ -177,21 +178,38 @@ def membership_residual(a: np.ndarray, target: str, form: SignatureForm) -> Memb
     return MembershipReport(target, {name: r if np.ndim(r) else float(r) for name, r in res.items()})
 
 
-def _off_diagonal_generator(form: SignatureForm, x: np.ndarray) -> np.ndarray:
-    h = np.zeros(x.shape[:-2] + (form.n, form.n), dtype=form.dtype)
-    h[..., : form.p1, form.p1 :] = x
-    h[..., form.p1 :, : form.p1] = dag(x)
-    return h
+def sigma_from_spectrum(form: SignatureForm, y: np.ndarray, dec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The Sigma element [[I + Y c Y*, Y a], [a Y*, b]], or stack, of the
+    p1 x p2 block Y, with a, b and c = a^2 / (1 + b), the isometry condition,
+    functions on the spectrum of the p2 x p2 matrix ``dec`` decomposes:
+    J + 2 U U* with U = [Y Q diag(top); Q diag(bottom)], Q its eigenbasis."""
+    q = dec.eigenbasis
+    bottom = np.sqrt((1.0 + b) / 2.0)
+    top = a / (2.0 * bottom)
+    u = np.concatenate([(y @ q) * top[..., None, :], q * bottom[..., None, :]], axis=-2)
+    return form.j_matrix() + (2.0 * u) @ dag(u)
 
 
 def sigma_from_block(form: SignatureForm, x: np.ndarray) -> np.ndarray:
-    """exp of the off-diagonal hermitian generator built from a p1 x p2 block.
-
-    A stack of blocks (..., p1, p2) gives the stack (..., n, n) of their
-    exponentials, from one eigendecomposition call."""
+    """exp([[0, X], [X*, 0]]) of a p1 x p2 block, or stack, from one
+    eigendecomposition of X* X: a = sinh t / t (1 at t = 0) and b = cosh t
+    on its eigenvalues t^2."""
     if x.shape[-2:] != (form.p1, form.p2):
         raise DimensionMismatch(f"block must be {form.p1}x{form.p2}, got {x.shape}")
-    return spectral_map(_off_diagonal_generator(form, x), "exp")
+    dec = linalg.eig_hermitian(dag(x) @ x)
+    t = np.sqrt(np.maximum(dec.eigenvalues, 0.0))
+    a = np.divide(np.sinh(t), t, out=np.ones_like(t), where=t > 0)
+    return sigma_from_spectrum(form, x, dec, a, np.cosh(t))
+
+
+def positive_factor(s: np.ndarray, form: SignatureForm) -> np.ndarray:
+    """sqrt(S S*) for an isometry S, or stack: the square root of the positive
+    isometry C = S S*, with Y = C12, b = sqrt((1 + lambda) / 2) on the
+    spectrum of C22 >= I and a = 1 / (2 b).  A singular S has a C22
+    eigenvalue <= TAU_ABS: NotPositiveDefinite."""
+    c = s @ dag(s[..., form.p1 :, :])  # the last p2 columns of S S*
+    dec, b = spectral_map(c[..., form.p1 :, :], "sqrt")
+    return sigma_from_spectrum(form, c[..., : form.p1, :], dec, 0.5 / b, b)
 
 
 def blocks(form: SignatureForm, vals: np.ndarray, *shapes) -> list:
@@ -282,10 +300,8 @@ def polar_factorize(s: np.ndarray, form: SignatureForm):
     report = membership_residual(s, "U_p2", form)
     det_res = np.max(np.abs(np.linalg.det(s) - 1.0), initial=0.0)
     if not report.passed or det_res > MEMBERSHIP_TOLERANCE:
-        raise NotInGroup(
-            f"isometry residual {report.max_residual:.3e}, det residual {det_res:.3e}"
-        )
-    s1 = spectral_map(s @ dag(s), "sqrt")
+        raise NotInGroup(f"isometry residual {report.max_residual:.3e}, det residual {det_res:.3e}")
+    s1 = positive_factor(s, form)
     j = form.j_matrix()
     return s1, ((j @ s1) @ j) @ s
 

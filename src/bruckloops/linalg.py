@@ -92,10 +92,6 @@ def symmetrize(a: np.ndarray) -> np.ndarray:
     return (a + dag(a)) / 2.0
 
 
-def hermitian_residual(a: np.ndarray):
-    return fro(a - dag(a))
-
-
 @dataclass(frozen=True)
 class SpectralDecomposition:
     """Eigenvalues (real, ascending) and a unitary eigenbasis Q with
@@ -141,33 +137,24 @@ def eig_hermitian(a: np.ndarray) -> SpectralDecomposition:
     return SpectralDecomposition(vals, q)
 
 
+# Functions on the spectrum of the p2 x p2 matrix M of a positive isometry
+# (``groups.sigma_from_spectrum``): for M = C22 = cosh t of C, the C22 block
+# cosh(t/2) of sqrt(C); for M = I - X* X of a contraction X, M^{-1/2}.
 _SPECTRAL_FUNCTIONS = {
-    "sqrt": np.sqrt,
-    "inverse_sqrt": lambda x: 1.0 / np.sqrt(x),
-    "exp": np.exp,
+    "sqrt": lambda lam: np.sqrt((1.0 + lam) / 2.0),
+    "inverse_sqrt": lambda lam: 1.0 / np.sqrt(lam),
 }
-_NEEDS_POSITIVITY = {"sqrt", "inverse_sqrt"}
 
 
-def spectral_map(a: np.ndarray, func: str) -> np.ndarray:
-    """Apply a scalar function to a hermitian matrix, or to each matrix of a
-    stack (..., n, n), through its spectrum.
-
-    ``sqrt`` returns the unique positive-definite square root.  Functions
-    needing positivity (sqrt, inverse_sqrt) raise NotPositiveDefinite when
-    the smallest eigenvalue of any matrix is <= TAU_ABS.  The result is
-    re-symmetrized so hermiticity cannot drift through long chains of loop
-    multiplications.
-    """
-    if func not in _SPECTRAL_FUNCTIONS:
-        raise ValueError(f"unknown spectral function {func!r}")
+def spectral_map(a: np.ndarray, func: str):
+    """The decomposition of a positive-definite hermitian matrix, or stack,
+    and a function's values on its spectrum, from one ``eig_hermitian`` call;
+    NotPositiveDefinite when any eigenvalue is <= TAU_ABS."""
     dec = eig_hermitian(a)
     lowest = dec.eigenvalues[..., 0]
-    if func in _NEEDS_POSITIVITY and (lowest <= TAU_ABS).any():
-        raise NotPositiveDefinite(
-            f"{func}: smallest eigenvalue {np.min(lowest):.3e} <= {TAU_ABS:.1e}"
-        )
-    return dec.apply(_SPECTRAL_FUNCTIONS[func](dec.eigenvalues))
+    if (lowest <= TAU_ABS).any():
+        raise NotPositiveDefinite(f"{func}: smallest eigenvalue {np.min(lowest):.3e} <= {TAU_ABS:.1e}")
+    return dec, _SPECTRAL_FUNCTIONS[func](dec.eigenvalues)
 
 
 def orthonormalize(v: np.ndarray) -> np.ndarray:

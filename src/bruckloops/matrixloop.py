@@ -10,8 +10,8 @@ x = A^{-1} sqrt(A B^2 A) A^{-1}.
 
 Every element is a hermitian isometry, A J A = J, so its inverse is
 A^{-1} = J A J: a sign flip of the off-diagonal blocks, with no spectral
-call.  Each operation except the inverse therefore costs one
-eigendecomposition (the positive factor) and the inverse costs none.
+call.  Every other operation costs one p2 x p2 eigendecomposition, that of
+``groups.positive_factor``, which builds the result in block coordinates.
 
 An element is a plain (n, n) array and a stack (..., n, n) is that many
 elements; the loop holds the form.  Every operation, ``distance`` and
@@ -20,11 +20,11 @@ operation is one LAPACK call for the whole stack, which gives each matrix
 the same bits as a call of its own.  The identity is a single matrix and
 broadcasts against any stack, ``join`` among them.
 
-Products of three matrices are evaluated strictly left to right, every
-hermitian result is re-symmetrized and the eigensolver symmetrizes its
-own input, so residuals are reproducible on one machine with one
-numpy/LAPACK build (not across platforms: ``@`` and ``eigh`` go through
-BLAS/LAPACK).  Elements are validated by the callers that read them from
+Products of three matrices are evaluated strictly left to right, results
+are assembled from their blocks or re-symmetrized, and the eigensolver
+symmetrizes its own input, so residuals are reproducible on one machine
+with one numpy/LAPACK build (not across platforms: ``@`` and ``eigh`` go
+through BLAS/LAPACK).  Elements are validated by the callers that read them from
 outside; operations trust their inputs and the test suite validates
 outputs.  ``MatrixLoop`` is the object the kernel checkers call.
 """
@@ -35,16 +35,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import SampleStream, SignatureForm, sample_sigma
-from .linalg import concat, dag, fro, spectral_map, symmetrize
+from .groups import SampleStream, SignatureForm, positive_factor, sample_sigma
+# spectral_map is held for bench/tests/test_bench.py; groups.positive_factor calls it
+from .linalg import concat, fro, spectral_map, symmetrize  # noqa: F401
 
 _SAMPLE_RADIUS = 0.75  # half-width of the sampled exponential-chart block entries
-
-
-def _positive_factor(s: np.ndarray) -> np.ndarray:
-    """sqrt(S S*): the positive-definite factor P of the polar decomposition
-    S = P U."""
-    return spectral_map(s @ dag(s), "sqrt")
 
 
 def frobenius_distance(a: np.ndarray, b: np.ndarray):
@@ -65,7 +60,7 @@ class MatrixLoop:
         return np.eye(self.form.n, dtype=self.form.dtype)
 
     def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return _positive_factor(a @ b)
+        return positive_factor(a @ b, self.form)
 
     def inverse(self, a: np.ndarray) -> np.ndarray:
         """A^{-1} = J A J, exact for a hermitian isometry."""
@@ -73,10 +68,10 @@ class MatrixLoop:
         return symmetrize((j @ a) @ j)
 
     def left_divide(self, a: np.ndarray, c: np.ndarray) -> np.ndarray:
-        return _positive_factor(self.inverse(a) @ c)
+        return positive_factor(self.inverse(a) @ c, self.form)
 
     def right_divide(self, b: np.ndarray, a: np.ndarray) -> np.ndarray:
-        root = _positive_factor(a @ b)
+        root = positive_factor(a @ b, self.form)
         ainv = self.inverse(a)
         return symmetrize((ainv @ root) @ ainv)
 

@@ -1,10 +1,15 @@
-"""Per-sample reference for the batched sampler and verification rows.
+"""Per-sample reference for the batched sampler and verification rows, and
+the n x n oracle for the positive isometries built in block coordinates.
 
 ``ReferenceStream`` draws with the scalar Python splitmix64 loop, one value
 at a time.  The ``ROWS`` functions are the suite's rows written sample by
 sample: each sample is drawn alone, through a stack of one, and every loop
 operation runs on single elements; residuals are folded with Python's max
 from 0.  The batched code in the package must agree with them.
+
+``hermitian_function``, ``sigma_exp``, ``positive_factor`` and ``boost`` are
+the n x n forms the package's block path replaced: a function of a whole
+n x n hermitian matrix through one ``numpy.linalg.eigh`` of it.
 """
 
 from __future__ import annotations
@@ -22,11 +27,43 @@ from bruckloops.groups import (
     sample_phi,
     sample_sigma,
 )
-from bruckloops.linalg import fro
+from bruckloops.linalg import dag, fro, symmetrize
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _INVERSE_GAP = 1e-9
+
+
+def hermitian_function(a, func):
+    """func(A) for a hermitian matrix A, or each of a stack, through its
+    spectrum: Q func(lambda) Q* from one eigh of the whole matrix."""
+    vals, q = np.linalg.eigh(symmetrize(a))
+    return symmetrize((q * func(vals)[..., None, :]) @ dag(q))
+
+
+def off_diagonal(form, x):
+    """The hermitian generator [[0, X], [X*, 0]] of a block, or stack."""
+    h = np.zeros(x.shape[:-2] + (form.n, form.n), dtype=form.dtype)
+    h[..., : form.p1, form.p1 :] = x
+    h[..., form.p1 :, : form.p1] = dag(x)
+    return h
+
+
+def sigma_exp(form, x):
+    """exp([[0, X], [X*, 0]])."""
+    return hermitian_function(off_diagonal(form, x), np.exp)
+
+
+def positive_factor(s):
+    """sqrt(S S*)."""
+    return hermitian_function(s @ dag(s), np.sqrt)
+
+
+def boost(form, x):
+    """(I + T)(I - T^2)^{-1/2} with T = [[0, X], [X*, 0]], X a contraction."""
+    t = off_diagonal(form, x)
+    eye = np.eye(form.n, dtype=form.dtype)
+    return symmetrize((eye + t) @ hermitian_function(eye - t @ t, lambda v: 1.0 / np.sqrt(v)))
 
 
 def splitmix(state: int) -> int:

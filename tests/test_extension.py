@@ -432,7 +432,7 @@ class TestDimension:
         eig_calls.clear()
         dimension_rank_report(cfg, points=5)
         d = expected_dimension(cfg)
-        assert eig_calls == [(2 * d * 5, 3, 3)]
+        assert eig_calls == [(2 * d * 5, 1, 1)]
 
     def test_collapsed_carrier_frame_is_refused(self, monkeypatch, cfg):
         # one perturbed lift whose two carrier columns coincide is refused,

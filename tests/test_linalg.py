@@ -26,6 +26,7 @@ from bruckloops.linalg import (
     write_matrix_text,
 )
 from conftest import boost3
+from reference import hermitian_function
 
 
 def random_hermitian(rng, n, complex_case=False):
@@ -136,7 +137,13 @@ class TestStacks:
             assert np.array_equal(vals[i], single.eigenvalues)
             assert np.array_equal(basis[i], single.eigenbasis)
             assert np.array_equal(applied[i], single.apply(np.exp(single.eigenvalues)))
-            assert np.array_equal(spectral_map(stack, "exp")[i], spectral_map(a, "exp"))
+        # the positivity-checked call as well, on the stack shifted positive
+        shifted = stack + (n + 1) * np.eye(n)
+        stacked_dec, stacked_values = spectral_map(shifted, "inverse_sqrt")
+        for i, a in enumerate(shifted):
+            dec, values = spectral_map(a, "inverse_sqrt")
+            assert np.array_equal(stacked_dec.eigenbasis[i], dec.eigenbasis)
+            assert np.array_equal(stacked_values[i], values)
 
     def test_one_non_hermitian_matrix_refuses_the_stack(self):
         stack = np.stack([np.eye(3)] * 5)
@@ -166,8 +173,8 @@ class TestStacks:
         stack[1] = np.diag([1.0, -1.0, 2.0])
         with pytest.raises(NotPositiveDefinite):
             spectral_map(stack, "sqrt")
-        roots = spectral_map(np.delete(stack, 1, axis=0), "sqrt")
-        assert np.allclose(roots[0], np.diag(np.sqrt([1.0, 2.0, 3.0])))
+        dec, values = spectral_map(np.delete(stack, 1, axis=0), "sqrt")
+        assert np.allclose(dec.apply(values)[0], np.diag(np.sqrt([1.0, 1.5, 2.0])))
 
     def test_non_square_stack_is_refused(self):
         with pytest.raises(DimensionMismatch):
@@ -184,37 +191,65 @@ class TestStacks:
 
 
 class TestSpectralMap:
-    def test_sqrt_identity(self):
-        assert np.allclose(spectral_map(np.eye(3), "sqrt"), np.eye(3))
+    """The positivity-checked spectral call of the block path: a p2 x p2
+    hermitian M's decomposition and a function on its spectrum."""
 
-    def test_sqrt_diagonal(self):
-        out = spectral_map(np.diag([4.0, 1.0, 0.25]), "sqrt")
-        assert np.allclose(out, np.diag([2.0, 1.0, 0.5]), atol=1e-14)
-
-    def test_sqrt_of_squared_boost(self):
-        a = boost3(math.log(2))
-        squared = a @ a  # independent route: plain matrix product
-        assert fro(spectral_map(squared, "sqrt") - a) <= 1e-12
+    def test_sqrt_is_the_half_angle_block(self):
+        # M = C22 = cosh 2t of the squared boost; its square root, the
+        # boost, has C22 block cosh t
+        t = math.log(2)
+        dec, values = spectral_map(np.array([[math.cosh(2 * t)]]), "sqrt")
+        assert values[0] == pytest.approx(math.cosh(t), rel=1e-15)
+        assert np.array_equal(dec.eigenbasis, np.eye(1))
 
     @pytest.mark.parametrize("complex_case", [False, True])
-    def test_sqrt_square_roundtrip(self, complex_case):
-        rng = np.random.default_rng(5)
-        for _ in range(50):
-            a = random_spd(rng, 3, complex_case=complex_case)
-            back = spectral_map(a @ a, "sqrt")
-            assert fro(back - a) <= 1e-9 * fro(a)
-
-    def test_output_hermitian(self):
+    def test_inverse_sqrt_of_a_random_positive_matrix(self, complex_case):
         rng = np.random.default_rng(7)
-        a = random_spd(rng, 4, complex_case=True)
-        out = spectral_map(a, "inverse_sqrt")
-        assert fro(out - dag(out)) <= 1e-12
+        a = random_spd(rng, 3, complex_case=complex_case)
+        dec, values = spectral_map(a, "inverse_sqrt")
+        root = dec.apply(values)
+        assert fro(root @ a @ root - np.eye(3)) <= 1e-12
+        assert fro(root - dag(root)) == 0.0
+
+    def test_unknown_function(self):
+        with pytest.raises(KeyError):
+            spectral_map(np.eye(2), "exp")
 
     def test_positivity_guard(self):
         with pytest.raises(NotPositiveDefinite):
             spectral_map(np.diag([1.0, -1.0]), "sqrt")
         with pytest.raises(NotPositiveDefinite):
             spectral_map(np.diag([1.0, 0.0]), "inverse_sqrt")
+
+
+class TestHermitianFunctionOracle:
+    """The n x n oracle the block path is judged against (tests/reference)."""
+
+    def test_sqrt_identity(self):
+        assert np.allclose(hermitian_function(np.eye(3), np.sqrt), np.eye(3))
+
+    def test_sqrt_diagonal(self):
+        out = hermitian_function(np.diag([4.0, 1.0, 0.25]), np.sqrt)
+        assert np.allclose(out, np.diag([2.0, 1.0, 0.5]), atol=1e-14)
+
+    def test_sqrt_of_squared_boost(self):
+        a = boost3(math.log(2))
+        squared = a @ a  # independent route: plain matrix product
+        assert fro(hermitian_function(squared, np.sqrt) - a) <= 1e-12
+
+    @pytest.mark.parametrize("complex_case", [False, True])
+    def test_sqrt_square_roundtrip(self, complex_case):
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            a = random_spd(rng, 3, complex_case=complex_case)
+            back = hermitian_function(a @ a, np.sqrt)
+            assert fro(back - a) <= 1e-9 * fro(a)
+
+    def test_output_hermitian(self):
+        rng = np.random.default_rng(7)
+        a = random_spd(rng, 4, complex_case=True)
+        out = hermitian_function(a, lambda v: 1.0 / np.sqrt(v))
+        assert fro(out - dag(out)) <= 1e-12
 
 
 class TestOrthonormalize:

@@ -8,11 +8,13 @@ from bruckloops.groups import (
     SignatureForm,
     conjugate_by_phi,
     membership_residual,
+    positive_factor,
     sample_phi,
+    sigma_from_spectrum,
     standard_boost,
 )
 from bruckloops.linalg import dag, fro, spectral_map, symmetrize
-from bruckloops.matrixloop import MatrixLoop, _positive_factor, frobenius_distance
+from bruckloops.matrixloop import MatrixLoop, frobenius_distance
 from conftest import one
 
 
@@ -114,7 +116,8 @@ def test_eigendecompositions_per_operation(mloop, eig_calls, op, expected):
 @pytest.mark.parametrize("field", ["real", "complex"])
 def test_positive_factor_needs_no_caller_symmetrization(field):
     # the eigensolver symmetrizes its input and (A + A*)/2 is exactly
-    # hermitian, so symmetrizing S S* first changes no bit of the result
+    # hermitian, so symmetrizing the C22 block of S S* first changes no bit
+    # of the result
     form = SignatureForm(4, 2, 2, field)
     stream = SampleStream(13)
     products = []
@@ -123,11 +126,15 @@ def test_positive_factor_needs_no_caller_symmetrization(field):
         b, stream = one(sample_phi(form, stream, 1))
         products.append(a @ b)
     for s in products + [np.stack(products)]:
-        assert np.array_equal(_positive_factor(s), spectral_map(symmetrize(s @ dag(s)), "sqrt"))
-        # the same holds where the product is hermitian only to rounding
-        h = s @ dag(s) + 1e-15 * np.tril(np.ones_like(s))
+        c = s @ dag(s[..., 2:, :])
+        dec, b = spectral_map(symmetrize(c[..., 2:, :]), "sqrt")
+        expected = sigma_from_spectrum(form, c[..., :2, :], dec, 0.5 / b, b)
+        assert np.array_equal(positive_factor(s, form), expected)
+        # the same holds where the block is hermitian only to rounding
+        h = c[..., 2:, :] + 1e-15 * np.tril(np.ones_like(c[..., 2:, :]))
         assert not np.array_equal(h, symmetrize(h))
-        assert np.array_equal(spectral_map(h, "sqrt"), spectral_map(symmetrize(h), "sqrt"))
+        (raw, raw_b), (sym, sym_b) = spectral_map(h, "sqrt"), spectral_map(symmetrize(h), "sqrt")
+        assert np.array_equal(raw.eigenbasis, sym.eigenbasis) and np.array_equal(raw_b, sym_b)
 
 
 class TestConjugationEquivariance:
