@@ -79,8 +79,7 @@ def _block_columns(a: np.ndarray, form: SignatureForm, which: int) -> np.ndarray
 
 def coordinate_subspace(form: SignatureForm, which: int) -> AffineSubspace:
     """W_1 = span of the first p1 basis vectors, W_2 = span of the last p2."""
-    eye = np.eye(form.n, dtype=form.dtype)
-    return subspace(np.zeros(form.n, dtype=form.dtype), _block_columns(eye, form, which))
+    return subspace(np.zeros(form.n, dtype=form.dtype), _block_columns(form.eye(), form, which))
 
 
 @dataclass(frozen=True, eq=False)
@@ -295,8 +294,11 @@ def solve_translation(
     d1: AffineSubspace, d2: AffineSubspace, cfg: ExtensionConfig
 ) -> tuple[np.ndarray, np.ndarray]:
     """The unique (translation along the transversal, positive isometry)
-    pair mapping d1 onto d2: the right division of their coordinates."""
-    x = cfg.right_divide(omega(d2, cfg), omega(d1, cfg))
+    pair mapping d1 onto d2: the right division of their coordinates, both
+    read by one ``omega`` call on the stacked pair."""
+    pair = AffineSubspace(concat(d2.base[None], d1.base[None]), concat(d2.frame[None], d1.frame[None]))
+    both = omega(pair, cfg)
+    x = cfg.right_divide(both[0], both[1])
     return x.w, x.rho
 
 
@@ -321,6 +323,10 @@ def nonisomorphism_witness(
     to differ from the coordinate one; the coordinate subspaces are
     invariant under every block-diagonal unitary, so no witness exists
     there.
+
+    Elements are drawn in stacks of 1, 2, 4, ... up to the budget, one
+    ``sample_phi`` call each.  The draws are counter-based, so the witness
+    and ``samples_used`` are those of a search drawing one element per try.
     """
     w_standard = coordinate_subspace(cfg.form, cfg.complement_index)
     if subspace_distance(cfg.wtilde, w_standard) <= WITNESS_THRESHOLD:
@@ -330,13 +336,14 @@ def nonisomorphism_witness(
         )
     if stream is None:
         stream = SampleStream(1)
-    for used in range(1, budget + 1):
-        g, stream = sample_phi(cfg.form, stream, 1)
-        g = g[0]
-        moved = apply(g, cfg.wtilde)
-        disp = subspace_distance(moved, cfg.wtilde)
-        if disp > WITNESS_THRESHOLD:
-            return WitnessReport(g, disp, used)
+    used, chunk = 0, 1
+    while used < budget:
+        g, stream = sample_phi(cfg.form, stream, min(chunk, budget - used))
+        disp = subspace_distance(apply(g, cfg.wtilde), cfg.wtilde)
+        hits = np.flatnonzero(disp > WITNESS_THRESHOLD)
+        if hits.size:
+            return WitnessReport(g[hits[0]], disp[hits[0]], used + int(hits[0]) + 1)
+        used, chunk = used + len(g), 2 * chunk
     raise WitnessNotFound(f"no displacement above {WITNESS_THRESHOLD:g} in {budget} samples")
 
 
@@ -416,24 +423,24 @@ def dimension_rank_report(
     d = expected_dimension(cfg)
     thetas, stream = stream.next_uniforms(points * d, -0.4, 0.4)
     svs = np.linalg.svd(_chart_jacobians(cfg, thetas.reshape(points, d)), compute_uv=False)
-    ranks = []
-    ok = 0
-    for sv in svs:
-        if sv.size == 0 or sv[0] == 0.0:
-            ranks.append(0)
-            continue
-        sn = sv / sv[0]
-        kept = sn[sn >= DIMENSION_GAP]
-        dropped = sn[sn < DIMENSION_GAP]
-        rank = int(kept.size)
-        margin = float(kept[-1] - (dropped[0] if dropped.size else 0.0)) if kept.size else 0.0
-        if margin >= DIMENSION_GAP:
-            ok += 1
-        ranks.append(rank)
-    gap_fraction = ok / points if points else 0.0
+    ranks, gapped = _rank_fold(svs)
+    gap_fraction = int(np.count_nonzero(gapped)) / points if points else 0.0
     if gap_fraction < 1.0 - _AMBIGUITY_FRACTION:
         raise RankAmbiguous(
             f"singular-value gap present at only {gap_fraction:.0%} of {points} points"
         )
-    modal = Counter(ranks).most_common(1)[0][0]
-    return DimensionReport(modal, tuple(ranks), gap_fraction, points)
+    modal = Counter(ranks.tolist()).most_common(1)[0][0]
+    return DimensionReport(modal, tuple(ranks.tolist()), gap_fraction, points)
+
+
+def _rank_fold(svs: np.ndarray) -> tuple:
+    """Per point of a stack (points, m) of descending singular values: its
+    rank, the count of values at or above ``DIMENSION_GAP`` relative to the
+    largest, and whether the smallest kept value lies ``DIMENSION_GAP`` above
+    the largest dropped one (or 0).  A largest value of 0 gives rank 0."""
+    top = svs[:, :1]
+    sn = np.zeros((len(svs), svs.shape[1] + 1))  # the trailing 0 is read when nothing is dropped
+    np.divide(svs, top, out=sn[:, :-1], where=top > 0)
+    ranks, rows = np.count_nonzero(sn >= DIMENSION_GAP, axis=1), np.arange(len(sn))
+    margin = sn[rows, ranks - 1] - sn[rows, ranks]
+    return ranks, (ranks > 0) & (margin >= DIMENSION_GAP)

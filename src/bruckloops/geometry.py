@@ -107,14 +107,25 @@ def subspace_distance(s1: AffineSubspace, s2: AffineSubspace) -> float:
     subspace against a stack takes one QR and broadcasts."""
     if s1.ambient != s2.ambient or s1.dim != s2.dim:
         raise DimensionMismatch("subspace comparison requires matching dimensions")
-    n, k = s1.ambient, s1.dim
-    shapes = [np.broadcast_shapes(s.base.shape[:-1], s.frame.shape[:-2]) for s in (s1, s2)]
-    bases = [np.broadcast_to(s.base, b + (n,)).reshape(-1, n) for s, b in zip((s1, s2), shapes)]
-    frames = [np.broadcast_to(s.frame, b + (n, k)).reshape(-1, n, k) for s, b in zip((s1, s2), shapes)]
-    c, size = subspace(np.concatenate(bases), np.concatenate(frames)), len(bases[0])
-    p1, p2 = (part.reshape(b + (n, n)) for part, b in zip(np.split(projector(c.frame), [size]), shapes))
-    m1, m2 = (part.reshape(b + (n,)) for part, b in zip(np.split(c.base, [size]), shapes))
+    n = s1.ambient
+    (b1, f1, shape1), (b2, f2, shape2) = _flattened(s1), _flattened(s2)
+    c, size = subspace(np.concatenate([b1, b2]), np.concatenate([f1, f2])), len(b1)
+    p = projector(c.frame)
+    p1, p2 = p[:size].reshape(shape1 + (n, n)), p[size:].reshape(shape2 + (n, n))
+    m1, m2 = c.base[:size].reshape(shape1 + (n,)), c.base[size:].reshape(shape2 + (n,))
     return fro(p1 - p2) + np.linalg.norm(m1 - m2, axis=-1)
+
+
+def _flattened(s: AffineSubspace) -> tuple:
+    """A stack's base (m, n) and frame (m, n, k), batch axes flattened, and
+    its batch shape; base and frame are broadcast only when their batch
+    shapes differ."""
+    base, frame, batch = s.base, s.frame, s.frame.shape[:-2]
+    if base.shape[:-1] != batch:
+        batch = np.broadcast_shapes(base.shape[:-1], batch)
+        base = np.broadcast_to(base, batch + base.shape[-1:])
+        frame = np.broadcast_to(frame, batch + frame.shape[-2:])
+    return base.reshape(-1, s.ambient), frame.reshape(-1, s.ambient, s.dim), batch
 
 
 @dataclass(frozen=True)

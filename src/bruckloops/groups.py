@@ -11,6 +11,10 @@ A Sigma element is fixed by its p1 x p2 block and built from one p2 x p2
 spectral call (``sigma_from_spectrum``).  Sampling uses the exponential
 chart exp([[0, X], [X*, 0]]), whose generators are the hermitian H with
 H J + J H = 0; the entries of X are drawn uniformly from a radius box.
+A draw is cut into per-sample parts and blocks by slicing, so a block
+already in the field's dtype is a view of the draw.  ``SignatureForm``
+builds J, its sign pattern (``x * signs()`` is J X J) and the identity
+once per form, read-only.
 
 An element of Sigma or Phi, or a stack of them, is a plain array
 (..., n, n).  Its form is held by whoever holds the element (the loop or
@@ -23,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -63,9 +68,20 @@ class SignatureForm:
     @cache
     def j_matrix(self) -> np.ndarray:
         """J, built once per form and read-only."""
-        j = np.diag(np.where(np.arange(self.n) < self.p1, 1.0, -1.0)).astype(self.dtype)
-        j.flags.writeable = False
-        return j
+        return _read_only(np.diag(np.where(np.arange(self.n) < self.p1, 1.0, -1.0)).astype(self.dtype))
+
+    @cache
+    def signs(self) -> np.ndarray:
+        """The signs J_ii J_jj, +1 on the diagonal blocks and -1 off them, so
+        that ``x * signs()`` is J X J with no matrix product; built once per
+        form and read-only."""
+        d = np.diagonal(self.j_matrix()).real
+        return _read_only(np.multiply.outer(d, d))
+
+    @cache
+    def eye(self) -> np.ndarray:
+        """The identity in the form's field, built once and read-only."""
+        return _read_only(np.eye(self.n, dtype=self.dtype))
 
     def to_json(self) -> dict:
         return {"n": self.n, "p1": self.p1, "p2": self.p2, "field": self.field}
@@ -77,6 +93,11 @@ class SignatureForm:
             return SignatureForm(n, p1, p2, obj.get("field", REAL))
         except (KeyError, TypeError) as exc:
             raise ConfigInvalid(f"bad form object {obj!r}") from exc
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def _convert(kind, value, name: str):
@@ -120,10 +141,11 @@ class SampleStream:
         """``count`` samples' draws from one ``next_uniforms`` call, split per
         sample into consecutive parts of the given widths: one array
         (count, width) of unit uniforms per part, in the order the parts
-        would be drawn sample by sample, and the advanced stream."""
+        would be drawn sample by sample, and the advanced stream.  The parts
+        are column slices of one array (count, sum of widths)."""
         vals, stream = self.next_uniforms(count * sum(widths))
         rows = vals.reshape(count, sum(widths))
-        return np.split(rows, np.cumsum(widths)[:-1], axis=1), stream
+        return _slices(rows, widths), stream
 
     def split(self, offset: int) -> "SampleStream":
         return SampleStream(self.seed, self.counter + offset)
@@ -170,7 +192,7 @@ def membership_residual(a: np.ndarray, target: str, form: SignatureForm) -> Memb
     elif target == "Phi":
         p1 = form.p1
         res["block_diagonal"] = np.sqrt(fro(a[..., :p1, p1:]) ** 2 + fro(a[..., p1:, :p1]) ** 2)
-        res["unitary"] = fro(a @ dag(a) - np.eye(form.n, dtype=form.dtype))
+        res["unitary"] = fro(a @ dag(a) - form.eye())
         res["determinant"] = np.abs(np.linalg.det(a) - 1.0)
     else:
         raise ValueError(f"unknown membership target {target!r}")
@@ -215,14 +237,18 @@ def positive_factor(s: np.ndarray, form: SignatureForm) -> np.ndarray:
 def blocks(form: SignatureForm, vals: np.ndarray, *shapes) -> list:
     """Consecutive blocks of the given (rows, cols) shapes read off the last
     axis of ``vals``, as entries of the form's field: a complex entry takes
-    two values, real part first.  Leading axes of ``vals`` are batch axes."""
+    two values, real part first.  Leading axes of ``vals`` are batch axes.
+    A block already in the field's dtype is a view of ``vals``, not a copy."""
     if form.field == COMPLEX:
         vals = vals[..., 0::2] + 1j * vals[..., 1::2]
-    ends = np.cumsum([rows * cols for rows, cols in shapes])
-    return [
-        part.reshape(vals.shape[:-1] + shape).astype(form.dtype)
-        for part, shape in zip(np.split(vals, ends[:-1], axis=-1), shapes)
-    ]
+    parts = zip(_slices(vals, [rows * cols for rows, cols in shapes]), shapes)
+    return [part.reshape(vals.shape[:-1] + shape).astype(form.dtype, copy=False) for part, shape in parts]
+
+
+def _slices(vals: np.ndarray, widths) -> list:
+    """Consecutive slices of the last axis of ``vals`` of the given widths."""
+    ends = list(accumulate(widths, initial=0))
+    return [vals[..., start:end] for start, end in zip(ends, ends[1:])]
 
 
 def _width(form: SignatureForm, *shapes) -> int:
@@ -294,16 +320,16 @@ def polar_factorize(s: np.ndarray, form: SignatureForm):
     unique Sigma * Phi pair.
 
     The Sigma factor is the positive polar factor S1 = sqrt(S S*); being a
-    positive isometry, its inverse is J S1 J, so the Phi factor
-    S1^{-1} S = (J S1 J) S costs no second spectral call.
+    positive isometry, its inverse is J S1 J, S1 with its off-diagonal
+    blocks negated, so the Phi factor S1^{-1} S = (J S1 J) S costs no second
+    spectral call and no product by J.
     """
     report = membership_residual(s, "U_p2", form)
     det_res = np.max(np.abs(np.linalg.det(s) - 1.0), initial=0.0)
     if not report.passed or det_res > MEMBERSHIP_TOLERANCE:
         raise NotInGroup(f"isometry residual {report.max_residual:.3e}, det residual {det_res:.3e}")
     s1 = positive_factor(s, form)
-    j = form.j_matrix()
-    return s1, ((j @ s1) @ j) @ s
+    return s1, (s1 * form.signs()) @ s
 
 
 def conjugate_by_phi(a: np.ndarray, b: np.ndarray) -> np.ndarray:

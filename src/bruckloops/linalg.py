@@ -19,11 +19,15 @@ LAPACK call for the whole stack; ``mv`` multiplies stacks of matrices and
 vectors, and ``concat`` joins stacks.  ``orthonormalize`` takes stacks
 (..., n, k) of frames the same way, one QR call.  Every check is made per
 matrix, and a 2-D input is the stack with no batch axes: a matrix gives
-the same bits alone as inside a stack.
+the same bits alone as inside a stack.  The glue around the LAPACK calls
+copies nothing it need not: ``dag`` of a real array is a transpose view,
+``concat`` broadcasts only parts whose shapes differ, and ``eig_hermitian``
+takes one conjugate transpose for its check and its symmetrization.
 
-Two fixed floors serve every layer: ``TAU_ABS`` is the absolute floor for
-pivots, positivity and the transversal's sign check, ``TAU_REL`` the
-relative tolerance of the hermiticity check.  Verdicts on measured
+Three fixed floors serve every layer: ``TAU_ABS`` is the absolute floor
+for pivots, positivity and the transversal's sign check, ``TAU_COLUMN``
+the relative floor of a QR column against its own norm, and ``TAU_REL``
+the relative tolerance of the hermiticity check.  Verdicts on measured
 residuals are the suite's, against its fixed acceptance bounds.
 """
 
@@ -47,6 +51,7 @@ from .errors import (
 REAL = "real"
 COMPLEX = "complex"
 TAU_ABS = 1e-9
+TAU_COLUMN = 1e-9
 TAU_REL = 1e-7
 
 
@@ -63,16 +68,18 @@ def dtype_of(field: str):
 
 
 def dag(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose of the last two axes (plain transpose on the
-    real field)."""
-    return a.conj().swapaxes(-1, -2)
+    """Conjugate transpose of the last two axes; on the real field a
+    transpose view, with no copy."""
+    return (a.conj() if a.dtype.kind == "c" else a).swapaxes(-1, -2)
 
 
 def fro(a: np.ndarray):
     """Frobenius norm of a matrix, or of each matrix of a stack: the norm
     over the last two axes, which gives a matrix the same bits alone as
-    inside a stack."""
-    return np.linalg.norm(a, axis=(-2, -1))
+    inside a stack.  It is the sum ``numpy.linalg.norm`` evaluates for it,
+    without that function's argument handling."""
+    squares = (a.conj() * a).real if a.dtype.kind == "c" else a * a
+    return np.sqrt(np.add.reduce(squares, axis=(-2, -1)))
 
 
 def mv(a: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -82,9 +89,12 @@ def mv(a: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def concat(*stacks: np.ndarray) -> np.ndarray:
-    """The stacks broadcast against each other, so a single matrix or vector
-    fills a stack, and concatenated along the first batch axis."""
-    return np.concatenate(np.broadcast_arrays(*stacks))
+    """The stacks concatenated along the first batch axis; when their shapes
+    differ they are first broadcast against each other, so a single matrix
+    or vector fills a stack."""
+    if len({s.shape for s in stacks}) > 1:
+        stacks = np.broadcast_arrays(*stacks)
+    return np.concatenate(stacks)
 
 
 def symmetrize(a: np.ndarray) -> np.ndarray:
@@ -126,12 +136,13 @@ def eig_hermitian(a: np.ndarray) -> SpectralDecomposition:
         raise DimensionMismatch(f"expected square matrices, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise NoConvergence("matrix has non-finite entries")
-    residual = fro(a - dag(a))
+    ah = dag(a)
+    residual = fro(a - ah)
     bad = residual > TAU_ABS + TAU_REL * fro(a)
     if bad.any():
         raise NotHermitian(f"symmetry residual {np.max(residual[bad]):.3e} exceeds tolerance")
     try:
-        vals, q = np.linalg.eigh(symmetrize(a))
+        vals, q = np.linalg.eigh((a + ah) / 2.0)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"eigh failed: {exc}") from exc
     return SpectralDecomposition(vals, q)
@@ -166,15 +177,15 @@ def orthonormalize(v: np.ndarray) -> np.ndarray:
     real diagonal: Q's columns are multiplied by the phase of R's diagonal.
     That frame is unique, the one Gram-Schmidt gives.
 
-    Raises RankDeficient when a column's residual |R_jj| is at most TAU_ABS
-    times its norm, or when there are more columns than rows.
+    Raises RankDeficient when a column's residual |R_jj| is at most
+    TAU_COLUMN times its norm, or when there are more columns than rows.
     """
     if v.shape[-1] > v.shape[-2]:
         raise RankDeficient(f"{v.shape[-1]} columns in dimension {v.shape[-2]} are dependent")
     q, r = np.linalg.qr(v)
     diag = np.diagonal(r, axis1=-2, axis2=-1)
     size = np.abs(diag)
-    collapsed = size <= TAU_ABS * np.linalg.norm(v, axis=-2)
+    collapsed = size <= TAU_COLUMN * np.linalg.norm(v, axis=-2)
     if collapsed.any():
         raise RankDeficient(f"a column is dependent (residual {np.min(size[collapsed]):.3e})")
     return q * (diag / size)[..., None, :]

@@ -9,16 +9,18 @@ equation whose unique positive-definite solution is
 x = A^{-1} sqrt(A B^2 A) A^{-1}.
 
 Every element is a hermitian isometry, A J A = J, so its inverse is
-A^{-1} = J A J: a sign flip of the off-diagonal blocks, with no spectral
-call.  Every other operation costs one p2 x p2 eigendecomposition, that of
+A^{-1} = J A J: a sign flip of the off-diagonal blocks, by the form's sign
+pattern, with no matrix product and no spectral call.  Every other
+operation costs one p2 x p2 eigendecomposition, that of
 ``groups.positive_factor``, which builds the result in block coordinates.
 
 An element is a plain (n, n) array and a stack (..., n, n) is that many
 elements; the loop holds the form.  Every operation, ``distance`` and
 ``sample`` take stacks, operands broadcast over the batch axes, and each
 operation is one LAPACK call for the whole stack, which gives each matrix
-the same bits as a call of its own.  The identity is a single matrix and
-broadcasts against any stack, ``join`` among them.
+the same bits as a call of its own.  The identity is a single read-only
+matrix, built once per form, and broadcasts against any stack, ``join``
+among them.
 
 Products of three matrices are evaluated strictly left to right, results
 are assembled from their blocks or re-symmetrized, and the eigensolver
@@ -57,15 +59,15 @@ class MatrixLoop:
 
     @property
     def identity(self) -> np.ndarray:
-        return np.eye(self.form.n, dtype=self.form.dtype)
+        return self.form.eye()
 
     def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return positive_factor(a @ b, self.form)
 
     def inverse(self, a: np.ndarray) -> np.ndarray:
-        """A^{-1} = J A J, exact for a hermitian isometry."""
-        j = self.form.j_matrix()
-        return symmetrize((j @ a) @ j)
+        """A^{-1} = J A J, exact for a hermitian isometry: A with its
+        off-diagonal blocks negated."""
+        return symmetrize(a * self.form.signs())
 
     def left_divide(self, a: np.ndarray, c: np.ndarray) -> np.ndarray:
         return positive_factor(self.inverse(a) @ c, self.form)

@@ -10,6 +10,12 @@ from 0.  The batched code in the package must agree with them.
 ``hermitian_function``, ``sigma_exp``, ``positive_factor`` and ``boost`` are
 the n x n forms the package's block path replaced: a function of a whole
 n x n hermitian matrix through one ``numpy.linalg.eigh`` of it.
+
+The functions after them are the earlier forms of the stacked kernels'
+glue: ``np.split`` parts, joins that always broadcast, products by the
+diagonal J, a second conjugate transpose in the eigensolver, two ``omega``
+calls per translation, a per-point rank fold and a one-element-per-try
+witness search.  The package must agree with each bit for bit.
 """
 
 from __future__ import annotations
@@ -18,16 +24,17 @@ import numpy as np
 
 from bruckloops import extension as ext
 from bruckloops import geometry
-from bruckloops.errors import InversesDisagree
+from bruckloops.errors import InversesDisagree, NotHermitian, WitnessNotFound
 from bruckloops.groups import (
     SampleStream,
     conjugate_by_phi,
     membership_residual,
     polar_factorize,
+    positive_factor as block_positive_factor,
     sample_phi,
     sample_sigma,
 )
-from bruckloops.linalg import dag, fro, symmetrize
+from bruckloops.linalg import COMPLEX, TAU_ABS, TAU_REL, SpectralDecomposition, dag, fro, symmetrize
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -64,6 +71,106 @@ def boost(form, x):
     t = off_diagonal(form, x)
     eye = np.eye(form.n, dtype=form.dtype)
     return symmetrize((eye + t) @ hermitian_function(eye - t @ t, lambda v: 1.0 / np.sqrt(v)))
+
+
+def split_rows(stream, count: int, *widths: int):
+    """``SampleStream.next_rows`` through ``np.split``."""
+    vals, stream = stream.next_uniforms(count * sum(widths))
+    rows = vals.reshape(count, sum(widths))
+    return np.split(rows, np.cumsum(widths)[:-1], axis=1), stream
+
+
+def split_blocks(form, vals, *shapes) -> list:
+    """``groups.blocks`` through ``np.split``, every block a copy."""
+    if form.field == COMPLEX:
+        vals = vals[..., 0::2] + 1j * vals[..., 1::2]
+    ends = np.cumsum([rows * cols for rows, cols in shapes])
+    return [
+        part.reshape(vals.shape[:-1] + shape).astype(form.dtype)
+        for part, shape in zip(np.split(vals, ends[:-1], axis=-1), shapes)
+    ]
+
+
+def broadcast_concat(*stacks):
+    """``linalg.concat`` broadcasting its parts whatever their shapes."""
+    return np.concatenate(np.broadcast_arrays(*stacks))
+
+
+def conj_dag(a):
+    """``linalg.dag`` with the conjugate copy on the real field too."""
+    return a.conj().swapaxes(-1, -2)
+
+
+def eig_hermitian(a):
+    """``linalg.eig_hermitian`` taking the conjugate transpose twice."""
+    residual = fro(a - conj_dag(a))
+    bad = residual > TAU_ABS + TAU_REL * fro(a)
+    if bad.any():
+        raise NotHermitian(f"symmetry residual {np.max(residual[bad]):.3e} exceeds tolerance")
+    vals, q = np.linalg.eigh((a + conj_dag(a)) / 2.0)
+    return SpectralDecomposition(vals, q)
+
+
+def j_inverse(form, a):
+    """``MatrixLoop.inverse`` as the products J A J."""
+    j = form.j_matrix()
+    return symmetrize((j @ a) @ j)
+
+
+def j_polar_factorize(s, form):
+    """``polar_factorize`` with its Phi factor as ((J S1) J) S."""
+    s1 = block_positive_factor(s, form)
+    j = form.j_matrix()
+    return s1, ((j @ s1) @ j) @ s
+
+
+def split_subspace_distance(s1, s2):
+    """``geometry.subspace_distance`` broadcasting both operands and
+    splitting the canonical forms with ``np.split``."""
+    n, k = s1.ambient, s1.dim
+    shapes = [np.broadcast_shapes(s.base.shape[:-1], s.frame.shape[:-2]) for s in (s1, s2)]
+    bases = [np.broadcast_to(s.base, b + (n,)).reshape(-1, n) for s, b in zip((s1, s2), shapes)]
+    frames = [np.broadcast_to(s.frame, b + (n, k)).reshape(-1, n, k) for s, b in zip((s1, s2), shapes)]
+    c, size = geometry.subspace(np.concatenate(bases), np.concatenate(frames)), len(bases[0])
+    p1, p2 = (part.reshape(b + (n, n)) for part, b in zip(np.split(geometry.projector(c.frame), [size]), shapes))
+    m1, m2 = (part.reshape(b + (n,)) for part, b in zip(np.split(c.base, [size]), shapes))
+    return fro(p1 - p2) + np.linalg.norm(m1 - m2, axis=-1)
+
+
+def two_omega_translation(d1, d2, cfg):
+    """``extension.solve_translation`` with one ``omega`` call per subspace."""
+    x = cfg.right_divide(ext.omega(d2, cfg), ext.omega(d1, cfg))
+    return x.w, x.rho
+
+
+def rank_fold_by_point(svs):
+    """The dimension check's rank and gap fold, one point at a time: the
+    ranks and the number of points with a gap."""
+    ranks = []
+    ok = 0
+    for sv in svs:
+        if sv.size == 0 or sv[0] == 0.0:
+            ranks.append(0)
+            continue
+        sn = sv / sv[0]
+        kept = sn[sn >= ext.DIMENSION_GAP]
+        dropped = sn[sn < ext.DIMENSION_GAP]
+        margin = float(kept[-1] - (dropped[0] if dropped.size else 0.0)) if kept.size else 0.0
+        if margin >= ext.DIMENSION_GAP:
+            ok += 1
+        ranks.append(int(kept.size))
+    return ranks, ok
+
+
+def witness_by_try(cfg, stream, budget: int):
+    """``nonisomorphism_witness``'s search drawing one element per try:
+    (element, displacement, samples used)."""
+    for used in range(1, budget + 1):
+        g, stream = draw(sample_phi, cfg.form, stream, 1)
+        disp = geometry.subspace_distance(geometry.apply(g, cfg.wtilde), cfg.wtilde)
+        if disp > ext.WITNESS_THRESHOLD:
+            return g, disp, used
+    raise WitnessNotFound(f"no displacement above {ext.WITNESS_THRESHOLD:g} in {budget} samples")
 
 
 def splitmix(state: int) -> int:

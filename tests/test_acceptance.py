@@ -3,8 +3,19 @@
 Each test runs one verification contract at its stated tolerance over the
 four reference signatures (seed 1) and prints a single pass/fail line; run
 with ``pytest -s tests/test_acceptance.py`` to see the lines as they pass.
+
+Run as a script, it prints the sha256 of the timing-stripped ``verify``
+report body for the two benchmark suite configs (8 samples per row) and
+the five default-count acceptance configs, at seeds 1 and 7919:
+
+    PYTHONPATH=src python tests/test_acceptance.py
+
+A change that claims to leave every result bit alone cites these digests
+before and after.  They hold on one machine and one numpy/LAPACK build,
+so they are no test.
 """
 
+import hashlib
 import json
 import math
 import time
@@ -12,7 +23,7 @@ import time
 import numpy as np
 import pytest
 
-from bruckloops.cli import main
+from bruckloops.cli import SuiteConfig, main, run_verify
 from bruckloops.extension import (
     coordinate_subspace,
     dimension_rank_report,
@@ -65,6 +76,15 @@ def emit(ok: bool, label: str, detail: str) -> None:
 
 def config_id(form: SignatureForm) -> str:
     return IDS[CONFIGS.index(form)]
+
+
+def strip_timing(obj):
+    """A report without its wall-clock fields."""
+    if isinstance(obj, dict):
+        return {k: strip_timing(v) for k, v in obj.items() if k not in ("seconds", "total_seconds")}
+    if isinstance(obj, list):
+        return [strip_timing(v) for v in obj]
+    return obj
 
 
 @pytest.mark.parametrize("form", CONFIGS, ids=IDS)
@@ -210,16 +230,36 @@ def test_report_determinism(tmp_path):
         assert main(["verify", "--config", str(cfg_path), "--out", str(out)]) == 0
         return out.read_bytes()
 
-    def strip(obj):
-        if isinstance(obj, dict):
-            return {k: strip(v) for k, v in obj.items() if k not in ("seconds", "total_seconds")}
-        if isinstance(obj, list):
-            return [strip(v) for v in obj]
-        return obj
-
     first, second = run("r1.json"), run("r2.json")
-    a = json.dumps(strip(json.loads(first)), sort_keys=True).encode()
-    b = json.dumps(strip(json.loads(second)), sort_keys=True).encode()
+    a = json.dumps(strip_timing(json.loads(first)), sort_keys=True).encode()
+    b = json.dumps(strip_timing(json.loads(second)), sort_keys=True).encode()
     ok = a == b
     emit(ok, "determinism", f"two verify runs agree on {len(a)} bytes modulo timing fields")
     assert ok
+
+
+# Label -> (SuiteConfig settings, samples per row, or None for the default counts).
+DIGEST_CONFIGS = {
+    "suite-321c": (dict(n=3, p1=2, p2=1, field_name="complex"), 8),
+    "suite-422r-c2": (dict(n=4, p1=2, p2=2, carrier=2, wtilde=f"boost:{math.log(2)!r}"), 8),
+    "default-321r": (dict(n=3, p1=2, p2=1), None),
+    "default-321c": (dict(n=3, p1=2, p2=1, field_name="complex"), None),
+    "default-422r": (dict(n=4, p1=2, p2=2), None),
+    "default-431r": (dict(n=4, p1=3, p2=1), None),
+    "default-422r-c2": (dict(n=4, p1=2, p2=2, carrier=2, wtilde=f"boost:{math.log(2)!r}"), None),
+}
+
+
+def report_digest(settings: dict, samples, seed: int) -> str:
+    """sha256 of the timing-stripped report body, as the benchmark reads it."""
+    cfg = SuiteConfig(seed=seed, **settings)
+    if samples is not None:
+        cfg.samples |= {name: samples for name in cfg.samples if name != "dimension_points"}
+    body = json.dumps(strip_timing(run_verify(cfg)), sort_keys=True, indent=2).encode("utf-8")
+    return hashlib.sha256(body).hexdigest()
+
+
+if __name__ == "__main__":
+    for label, (settings, samples) in DIGEST_CONFIGS.items():
+        for seed in (1, 7919):
+            print(f"{label:16s} seed {seed:<5d} {report_digest(settings, samples, seed)}")

@@ -225,22 +225,12 @@ class TestVerify:
         assert str(out) in captured.err
 
     def test_numeric_breakdown_is_a_failed_entry(self, tmp_path, capsys, monkeypatch):
-        import bruckloops.cli
         import bruckloops.linalg
 
         jsonschema = pytest.importorskip("jsonschema")
         # C22 >= I makes a floor of at least 1 necessary to break the positive
-        # factor, and orthonormalize refuses every unit frame under such a
-        # floor, the coordinate transversal included: raise it once the
-        # config has resolved
-        resolve = bruckloops.cli.resolve
-
-        def resolve_then_raise_the_floor(config):
-            suite = resolve(config)
-            monkeypatch.setattr(bruckloops.linalg, "TAU_ABS", 2.0)
-            return suite
-
-        monkeypatch.setattr(bruckloops.cli, "resolve", resolve_then_raise_the_floor)
+        # factor; the QR column floor is TAU_COLUMN, so the config still resolves
+        monkeypatch.setattr(bruckloops.linalg, "TAU_ABS", 2.0)
         cfg = write_config(tmp_path / "cfg.json")
         out = tmp_path / "report.json"
         assert main(["verify", "--config", cfg, "--samples", "3", "--out", str(out)]) == 1
