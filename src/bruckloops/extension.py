@@ -295,7 +295,9 @@ def solve_translation(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The unique (translation along the transversal, positive isometry)
     pair mapping d1 onto d2: the right division of their coordinates, both
-    read by one ``omega`` call on the stacked pair."""
+    read by one ``omega`` call on the stacked pair.  A base and a frame of
+    different batch shapes are first copied out to one."""
+    d1, d2 = d1.broadcast(), d2.broadcast()
     pair = AffineSubspace(concat(d2.base[None], d1.base[None]), concat(d2.frame[None], d1.frame[None]))
     both = omega(pair, cfg)
     x = cfg.right_divide(both[0], both[1])
@@ -323,10 +325,6 @@ def nonisomorphism_witness(
     to differ from the coordinate one; the coordinate subspaces are
     invariant under every block-diagonal unitary, so no witness exists
     there.
-
-    Elements are drawn in stacks of 1, 2, 4, ... up to the budget, one
-    ``sample_phi`` call each.  The draws are counter-based, so the witness
-    and ``samples_used`` are those of a search drawing one element per try.
     """
     w_standard = coordinate_subspace(cfg.form, cfg.complement_index)
     if subspace_distance(cfg.wtilde, w_standard) <= WITNESS_THRESHOLD:
@@ -336,14 +334,13 @@ def nonisomorphism_witness(
         )
     if stream is None:
         stream = SampleStream(1)
-    used, chunk = 0, 1
-    while used < budget:
-        g, stream = sample_phi(cfg.form, stream, min(chunk, budget - used))
-        disp = subspace_distance(apply(g, cfg.wtilde), cfg.wtilde)
-        hits = np.flatnonzero(disp > WITNESS_THRESHOLD)
-        if hits.size:
-            return WitnessReport(g[hits[0]], disp[hits[0]], used + int(hits[0]) + 1)
-        used, chunk = used + len(g), 2 * chunk
+    for used in range(1, budget + 1):
+        g, stream = sample_phi(cfg.form, stream, 1)
+        g = g[0]
+        moved = apply(g, cfg.wtilde)
+        disp = subspace_distance(moved, cfg.wtilde)
+        if disp > WITNESS_THRESHOLD:
+            return WitnessReport(g, disp, used)
     raise WitnessNotFound(f"no displacement above {WITNESS_THRESHOLD:g} in {budget} samples")
 
 

@@ -54,6 +54,19 @@ class AffineSubspace:
     def ambient(self) -> int:
         return self.frame.shape[-2]
 
+    def broadcast(self) -> AffineSubspace:
+        """The stack with base and frame copied out to one batch shape; the
+        subspace itself when their batch shapes already agree.  The copies
+        are contiguous, so a stack gives the bits of its subspaces alone."""
+        batch = self.frame.shape[:-2]
+        if self.base.shape[:-1] == batch:
+            return self
+        batch = np.broadcast_shapes(self.base.shape[:-1], batch)
+        return AffineSubspace(
+            np.ascontiguousarray(np.broadcast_to(self.base, batch + self.base.shape[-1:])),
+            np.ascontiguousarray(np.broadcast_to(self.frame, batch + self.frame.shape[-2:])),
+        )
+
     def contains(self, point: np.ndarray) -> bool:
         """Whether ``point`` lies on the subspace within the membership bound."""
         frame = orthonormalize(self.frame)
@@ -118,14 +131,9 @@ def subspace_distance(s1: AffineSubspace, s2: AffineSubspace) -> float:
 
 def _flattened(s: AffineSubspace) -> tuple:
     """A stack's base (m, n) and frame (m, n, k), batch axes flattened, and
-    its batch shape; base and frame are broadcast only when their batch
-    shapes differ."""
-    base, frame, batch = s.base, s.frame, s.frame.shape[:-2]
-    if base.shape[:-1] != batch:
-        batch = np.broadcast_shapes(base.shape[:-1], batch)
-        base = np.broadcast_to(base, batch + base.shape[-1:])
-        frame = np.broadcast_to(frame, batch + frame.shape[-2:])
-    return base.reshape(-1, s.ambient), frame.reshape(-1, s.ambient, s.dim), batch
+    its batch shape."""
+    s = s.broadcast()
+    return s.base.reshape(-1, s.ambient), s.frame.reshape(-1, s.ambient, s.dim), s.frame.shape[:-2]
 
 
 @dataclass(frozen=True)

@@ -76,10 +76,8 @@ def dag(a: np.ndarray) -> np.ndarray:
 def fro(a: np.ndarray):
     """Frobenius norm of a matrix, or of each matrix of a stack: the norm
     over the last two axes, which gives a matrix the same bits alone as
-    inside a stack.  It is the sum ``numpy.linalg.norm`` evaluates for it,
-    without that function's argument handling."""
-    squares = (a.conj() * a).real if a.dtype.kind == "c" else a * a
-    return np.sqrt(np.add.reduce(squares, axis=(-2, -1)))
+    inside a stack."""
+    return np.linalg.norm(a, axis=(-2, -1))
 
 
 def mv(a: np.ndarray, v: np.ndarray) -> np.ndarray:

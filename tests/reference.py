@@ -14,8 +14,8 @@ n x n hermitian matrix through one ``numpy.linalg.eigh`` of it.
 The functions after them are the earlier forms of the stacked kernels'
 glue: ``np.split`` parts, joins that always broadcast, products by the
 diagonal J, a second conjugate transpose in the eigensolver, two ``omega``
-calls per translation, a per-point rank fold and a one-element-per-try
-witness search.  The package must agree with each bit for bit.
+calls per translation and a per-point rank fold.  The package must agree
+with each bit for bit.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 
 from bruckloops import extension as ext
 from bruckloops import geometry
-from bruckloops.errors import InversesDisagree, NotHermitian, WitnessNotFound
+from bruckloops.errors import InversesDisagree, NotHermitian
 from bruckloops.groups import (
     SampleStream,
     conjugate_by_phi,
@@ -160,17 +160,6 @@ def rank_fold_by_point(svs):
             ok += 1
         ranks.append(int(kept.size))
     return ranks, ok
-
-
-def witness_by_try(cfg, stream, budget: int):
-    """``nonisomorphism_witness``'s search drawing one element per try:
-    (element, displacement, samples used)."""
-    for used in range(1, budget + 1):
-        g, stream = draw(sample_phi, cfg.form, stream, 1)
-        disp = geometry.subspace_distance(geometry.apply(g, cfg.wtilde), cfg.wtilde)
-        if disp > ext.WITNESS_THRESHOLD:
-            return g, disp, used
-    raise WitnessNotFound(f"no displacement above {ext.WITNESS_THRESHOLD:g} in {budget} samples")
 
 
 def splitmix(state: int) -> int:

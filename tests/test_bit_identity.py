@@ -2,15 +2,11 @@
 bit for bit on both fields: slices for ``np.split`` parts, joins that
 broadcast only parts of differing shapes, the sign pattern for products by
 J, one conjugate transpose in the eigensolver, one ``omega`` call per
-translation, the array rank fold and the witness search in chunks."""
-
-import json
+translation and the array rank fold."""
 
 import numpy as np
 import pytest
 
-from bruckloops.cli import main
-from bruckloops.errors import WitnessNotFound
 from bruckloops.extension import (
     DIMENSION_GAP,
     _chart_jacobians,
@@ -18,7 +14,6 @@ from bruckloops.extension import (
     coordinate_subspace,
     expected_dimension,
     extension_config,
-    nonisomorphism_witness,
     realize,
     solve_translation,
 )
@@ -27,7 +22,6 @@ from bruckloops.groups import (
     SampleStream,
     SignatureForm,
     blocks,
-    element_to_json,
     phi_from_uniforms,
     phi_width,
     polar_factorize,
@@ -36,7 +30,7 @@ from bruckloops.groups import (
     sigma_width,
     standard_boost,
 )
-from bruckloops.linalg import concat, dag, eig_hermitian, fro
+from bruckloops.linalg import concat, dag, eig_hermitian
 from bruckloops.matrixloop import MatrixLoop
 import reference
 
@@ -98,13 +92,6 @@ def test_dag_and_eig_hermitian_match_the_conjugate_copies(form):
 
 
 @pytest.mark.parametrize("form", FORMS, ids=FORM_IDS)
-def test_fro_is_numpy_norm(form):
-    a, _ = sample_sigma(form, SampleStream(6), 30)
-    for x in (a, a[4], a[:, 1:, :], a.swapaxes(-1, -2), a - a[0]):
-        assert same_bits(fro(x), np.linalg.norm(x, axis=(-2, -1)))
-
-
-@pytest.mark.parametrize("form", FORMS, ids=FORM_IDS)
 def test_inverse_and_phi_factor_are_the_j_products(form):
     (us, up), _ = SampleStream(1).next_rows(60, sigma_width(form), phi_width(form))
     s1, c = sigma_from_uniforms(form, us), phi_from_uniforms(form, up)
@@ -123,8 +110,8 @@ def test_the_identity_is_one_read_only_array(form321c):
         loop.identity[0, 0] = 2.0
 
 
-def _boosted(form, carrier, t=np.log(2)):
-    w = apply(standard_boost(form, t), coordinate_subspace(form, 2 if carrier == 1 else 1))
+def _boosted(form, carrier):
+    w = apply(standard_boost(form, np.log(2)), coordinate_subspace(form, 2 if carrier == 1 else 1))
     return extension_config(form, carrier, w)
 
 
@@ -152,9 +139,17 @@ def test_stacked_solve_translation_is_two_omega_calls(form, carrier):
     (u1, u2), _ = SampleStream(4).next_rows(10, cfg.sample_width, cfg.sample_width)
     d1, d2 = (realize(cfg.from_uniforms(u), cfg) for u in (u1, u2))
     d1, d2 = subspace(d1.base, d1.frame), subspace(d2.base, d2.frame)
-    for a, b in ((d1, d2), (d1[3], d2[3]), (d2, d1)):
+    cases = [
+        (d1, d2),
+        (d1[3], d2[3]),
+        (d2, d1),
+        (AffineSubspace(d1.base[0], d1.frame), d2[::-1]),  # base and frame of different batch shapes
+        (d1[2], AffineSubspace(d2.base, d2.frame[5])),
+    ]
+    for a, b in cases:
         for got, want in zip(solve_translation(a, b, cfg), reference.two_omega_translation(a, b, cfg)):
-            assert same_bits(got, want)
+            # a rho that two unstacked frames give is repeated over the stack
+            assert same_bits(got, np.broadcast_to(want, got.shape))
 
 
 def _chart_singular_values(form):
@@ -190,42 +185,3 @@ def test_rank_fold_edge_rows():
     assert (ranks.tolist(), int(np.count_nonzero(gapped))) == reference.rank_fold_by_point(svs)
     assert ranks.tolist() == [rank for _, rank, _ in EDGE_ROWS.values()]
     assert gapped.tolist() == [gap for _, _, gap in EDGE_ROWS.values()]
-
-
-# Boosts this small leave most draws under the threshold, so at seeds 1 and
-# 7919 the witness comes after 3 to 7 tries, past the first chunks, or not
-# within a small budget.
-WITNESS_CONFIGS = {
-    "431r": (SignatureForm(4, 3, 1, "real"), 0.001),
-    "321c": (SignatureForm(3, 2, 1, "complex"), 0.0008),
-}
-
-
-@pytest.mark.parametrize("name", sorted(WITNESS_CONFIGS))
-@pytest.mark.parametrize("seed", [1, 7919])
-@pytest.mark.parametrize("budget", [1, 2, 5, 100])
-def test_witness_in_chunks_is_the_per_try_search(name, seed, budget):
-    form, t = WITNESS_CONFIGS[name]
-    cfg = _boosted(form, 1, t)
-    try:
-        want = reference.witness_by_try(cfg, SampleStream(seed), budget)
-    except WitnessNotFound as exc:
-        with pytest.raises(WitnessNotFound, match=str(exc)):
-            nonisomorphism_witness(cfg, SampleStream(seed), budget)
-        return
-    got = nonisomorphism_witness(cfg, SampleStream(seed), budget)
-    assert same_bits(got.element, want[0]) and same_bits(got.displacement, want[1])
-    assert got.samples_used == want[2]
-
-
-def test_witness_stdout_is_the_per_try_output(capsys):
-    form, t = WITNESS_CONFIGS["431r"]
-    cfg = _boosted(form, 1, t)
-    for seed in (1, 7919):
-        element, disp, used = reference.witness_by_try(cfg, SampleStream(seed), 100)
-        assert used > 2  # found after the first two chunks
-        want = {"element": element_to_json(element, form), "displacement": disp, "samples_used": used}
-        argv = ["--n", "4", "--p1", "3", "--p2", "1", "--wtilde", "boost:0.001", "--seed", str(seed)]
-        assert main(["witness", *argv]) == 0
-        assert capsys.readouterr().out == json.dumps(want, sort_keys=True, indent=2) + "\n"
-
