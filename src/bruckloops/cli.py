@@ -10,16 +10,19 @@ configuration errors.
 The verification suite is one table, ``PROPERTIES``: each row names its
 report entries and their keys in the fixed bounds table ``TOLERANCES``,
 its sample-count key (which also selects its sample stream), whether it is
-required, its default count, and a ``run`` that returns the worst residual
-of each entry.  Every row is batched: it draws all its samples in one
-call, makes one call per loop operation per dependency level on the
-joined stacks of elements and folds the per-element residuals with max.
-One runner gives every row its stream, times it, builds its entries and
-turns a numeric breakdown inside it (any package error or
-``LinAlgError``) into failed entries carrying ``detail.error``, so the
-report is still written.  A check inside a stacked call covers the whole
-stack, so ``detail.error`` names the worst matrix of the stack, not the
-first failing sample.
+required, its default count, its per-sample draw layout (kinds of value,
+keys of ``PARTS``) and a ``run`` that returns the worst residual of each
+entry.  ``draw_parts`` draws every row's uniforms from the row's own
+stream and evaluates each kind's chart once over all rows, so a verify
+makes one Sigma chart call and one Phi chart call, and each row gets its
+values as slices.  Every row is batched: it makes one call per loop
+operation per dependency level on the joined stacks of elements and folds
+the per-element residuals with max.  One runner times every row's check,
+builds its entries and turns a numeric breakdown inside it or inside a
+chart serving it (any package error or ``LinAlgError``) into failed
+entries carrying ``detail.error``, so the report is still written.  A
+check inside a stacked call covers the whole stack, so ``detail.error``
+names the worst matrix of the stack, not the first failing sample.
 
 Every setting is a row of ``SETTINGS`` (config key, ``SuiteConfig``
 attribute, type), which the JSON loader, the command-line flags and the
@@ -43,6 +46,7 @@ import sys
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Callable
 
 import numpy as np
@@ -69,7 +73,7 @@ from .groups import (
     standard_boost,
 )
 from .kernel import (
-    INVERSE_GAP, check_aip, check_bol, check_left_a, check_loop_axioms, inverse_gap, sample_tuples, worst,
+    INVERSE_GAP, check_aip, check_bol, check_left_a, check_loop_axioms, inverse_gap, worst,
 )
 from .linalg import field_of, fro, read_matrix_text
 from .matrixloop import MatrixLoop
@@ -228,25 +232,40 @@ def _json_bytes(obj) -> bytes:
 # ---------------------------------------------------------------------------
 
 
+# Draw part kind -> (how many uniforms one value draws on a suite, the chart
+# mapping unit uniforms (m, width) to a stack of m values).  A ``point`` is
+# an extension element's transversal point, which with the ``sigma`` after
+# it makes the element; ``noise`` jiggles both of solve_translation's
+# subspaces, 2 n k values each of which n (k + 1) are read.
+PARTS = {
+    "sigma": (lambda s: sigma_width(s.form), lambda s, u: sigma_from_uniforms(s.form, u)),
+    "phi": (lambda s: phi_width(s.form), lambda s, u: phi_from_uniforms(s.form, u)),
+    "point": (lambda s: s.eloop.point_width, lambda s, u: s.eloop.point_from_uniforms(u)),
+    "noise": (lambda s: 4 * s.form.n * s.eloop.carrier_dim, lambda s, u: scale(u, -1e-10, 1e-10)),
+}
+_ELEMENT = ("point", "sigma")  # the layout of one extension element
+
+
 @dataclass(frozen=True)
 class Property:
     """One row of the verification suite.
 
     ``key`` names the row's sample count in ``SuiteConfig.samples`` and
     selects its sample stream.  ``entries`` are the report entries the row
-    fills, as ``(entry name, TOLERANCES key)`` pairs.  ``run(suite, stream,
-    count)`` returns the worst residual of each entry and a ``detail`` dict
-    for the report, or None.  Every run is batched: one draw of all
-    ``count`` samples, which gives each sample the stream counters it would
-    have drawn alone, one call per loop operation per dependency level on
-    the joined stacks, and a fold of the per-element residuals with max
-    from 0.
+    fills, as ``(entry name, TOLERANCES key)`` pairs.  ``draw`` is what one
+    sample draws, in draw order, as ``PARTS`` kinds.  ``run(suite, *parts)``
+    takes one stack per part of the layout, whose i-th values sample i drew,
+    and returns the worst residual of each entry and a ``detail`` dict for
+    the report, or None.  Every run is batched: one call per loop operation
+    per dependency level on the joined stacks, and a fold of the
+    per-element residuals with max from 0.
     """
 
     key: str
     default_samples: int
     required: bool
     entries: tuple
+    draw: tuple
     run: Callable
 
 
@@ -255,68 +274,58 @@ def _one(residual: float):
     return (residual,), None
 
 
-def _sigma_closure(s: Suite, stream: SampleStream, count: int):
-    a, b = sample_tuples(s.mat, stream, count, 2)
+def _elements(parts) -> list:
+    """The extension elements of consecutive (point, Sigma) part pairs."""
+    return [ext.ExtensionElement(w, rho) for w, rho in zip(parts[0::2], parts[1::2])]
+
+
+def _sigma_closure(s: Suite, a, b):
     return (membership_residual(s.mat.mul(a, b), "Sigma", s.form).max_residual,), None
 
 
-def _sigma_and_phi(s: Suite, stream: SampleStream, count: int):
-    """``count`` (Sigma, Phi) pairs, each drawn Sigma first."""
-    (us, up), _ = stream.next_rows(count, sigma_width(s.form), phi_width(s.form))
-    return sigma_from_uniforms(s.form, us), phi_from_uniforms(s.form, up)
-
-
-def _conjugation_closure(s: Suite, stream: SampleStream, count: int):
-    a, b = _sigma_and_phi(s, stream, count)
+def _conjugation_closure(s: Suite, a, b):
     return (membership_residual(conjugate_by_phi(a, b), "Sigma", s.form).max_residual,), None
 
 
-def _factorization(s: Suite, stream: SampleStream, count: int):
+def _factorization(s: Suite, s1, c):
     """Recovery of both sampled factors, and the relative reconstruction."""
-    s1, c = _sigma_and_phi(s, stream, count)
     m = s1 @ c
     f1, f2 = polar_factorize(m, s.form)
     recovery = worst(np.abs(f1 - s1), np.abs(f2 - c))
     return (recovery, worst(fro(f1 @ f2 - m) / fro(m))), None
 
 
-def _transversality(s: Suite, stream: SampleStream, count: int):
-    rhos, _ = s.mat.sample(stream, count)
+def _transversality(s: Suite, rhos):
     tr = geometry.transversality_check(s.eloop.wtilde, rhos, s.eloop.carrier_subspace())
     # with no sample checked the margin is still inf, which strict JSON refuses
     return (0.0,), {"worst_margin": tr.worst_margin} if tr.samples else None
 
 
-def _ext_infinity_compat(s: Suite, stream: SampleStream, count: int):
+def _ext_infinity_compat(s: Suite, *parts):
     """ext_mul's direction part, the lift read off the image graph X,
     against the matrix loop product, the positive factor of rho1 rho2 read
     off its C12 and C22 blocks: two computations of the same element."""
-    e1, e2 = sample_tuples(s.eloop, stream, count, 2)
+    e1, e2 = _elements(parts)
     prod = s.eloop.mul(e1, e2)
     return (worst(fro(prod.rho - s.mat.mul(e1.rho, e2.rho))),), None
 
 
-def _ext_aip(s: Suite, stream: SampleStream, count: int):
+def _ext_aip(s: Suite, w, rho):
     """The extension loop need not have two-sided inverses, without which
     the AIP cannot be stated, so the entry records the left/right inverse
     gap, judged against the kernel's inverse bound: ``pass`` says whether
     the sampled elements have two-sided inverses."""
-    x, _ = s.eloop.sample(stream, count)
-    return (worst(inverse_gap(s.eloop, x)[1]),), None
+    return (worst(inverse_gap(s.eloop, ext.ExtensionElement(w, rho))[1]),), None
 
 
-def _solve_translation(s: Suite, stream: SampleStream, count: int):
+def _solve_translation(s: Suite, w1, rho1, w2, rho2, noise):
     """Sharp transitivity, and the solution's drift when both subspaces, in
-    canonical form, are moved by 1e-10.  Both draws of a sample are built
-    and canonicalized as one stack, and the exact and perturbed pairs are
-    solved in one call."""
-    # a sample draws two elements, then 2 n (dim d1 + dim d2) noise values
-    width, noise_width = s.eloop.sample_width, 4 * s.form.n * s.eloop.carrier_dim
-    (u1, u2, noise), _ = stream.next_rows(count, width, width, noise_width)
-    realized = ext.realize(s.eloop.from_uniforms(np.stack([u1, u2])), s.eloop)
+    canonical form, are moved by 1e-10.  Both elements of a sample are
+    realized and canonicalized as one stack, and the exact and perturbed
+    pairs are solved in one call."""
+    realized = ext.realize(ext.ExtensionElement(np.stack([w1, w2]), np.stack([rho1, rho2])), s.eloop)
     d = geometry.subspace(realized.base, realized.frame)  # d[0] is d1, d[1] is d2
-    noise = scale(noise, -1e-10, 1e-10).reshape(count, 2, noise_width // 2).swapaxes(0, 1)
-    dp = _perturb(d, noise)
+    dp = _perturb(d, noise.reshape(len(noise), 2, noise.shape[-1] // 2).swapaxes(0, 1))
     pairs = geometry.AffineSubspace(np.stack([d.base, dp.base]), np.stack([d.frame, dp.frame]))
     # one solve for (d1 | d1p) onto (d2 | d2p): index 0 exact, 1 perturbed
     t, rho = ext.solve_translation(pairs[:, 0], pairs[:, 1], s.eloop)
@@ -326,42 +335,51 @@ def _solve_translation(s: Suite, stream: SampleStream, count: int):
 
 
 # One row per property, in run order: sample-count key, default count,
-# required, (entry name, TOLERANCES key) pairs, run.
+# required, (entry name, TOLERANCES key) pairs, draw layout, run.
 PROPERTIES = (
-    Property("loop_axioms", 500, True, (("loop_axioms", "identity"),),
-             lambda s, stream, n: _one(check_loop_axioms(s.mat, stream, n))),
-    Property("sigma_closure", 1000, True, (("sigma_closure", "membership"),), _sigma_closure),
-    Property("bol", 1000, True, (("bol", "identity"),),
-             lambda s, stream, n: _one(check_bol(s.mat, stream, n))),
-    Property("aip", 1000, True, (("aip", "identity"),),
-             lambda s, stream, n: _one(check_aip(s.mat, stream, n))),
-    Property("left_a", 500, False, (("left_a", "identity"),),
-             lambda s, stream, n: _one(check_left_a(s.mat, stream, n))),
-    Property("conjugation_closure", 500, True, (("conjugation_closure", "membership"),),
+    Property("loop_axioms", 500, True, (("loop_axioms", "identity"),), ("sigma",) * 2,
+             lambda s, *xs: _one(check_loop_axioms(s.mat, *xs))),
+    Property("sigma_closure", 1000, True, (("sigma_closure", "membership"),), ("sigma",) * 2,
+             _sigma_closure),
+    Property("bol", 1000, True, (("bol", "identity"),), ("sigma",) * 3,
+             lambda s, *xs: _one(check_bol(s.mat, *xs))),
+    Property("aip", 1000, True, (("aip", "identity"),), ("sigma",) * 2,
+             lambda s, *xs: _one(check_aip(s.mat, *xs))),
+    Property("left_a", 500, False, (("left_a", "identity"),), ("sigma",) * 4,
+             lambda s, *xs: _one(check_left_a(s.mat, *xs))),
+    Property("conjugation_closure", 500, True, (("conjugation_closure", "membership"),), ("sigma", "phi"),
              _conjugation_closure),
     Property("factorization", 500, True,
              (("factorization_recovery", "factor"),
               ("factorization_reconstruction", "factor_reconstruction")),
-             _factorization),
-    Property("transversality", 200, True, (("transversality", "membership"),), _transversality),
-    Property("ext_loop_axioms", 500, True, (("ext_loop_axioms", "identity"),),
-             lambda s, stream, n: _one(check_loop_axioms(s.eloop, stream, n))),
-    Property("ext_infinity_compat", 500, True, (("ext_infinity_compat", "membership"),),
+             ("sigma", "phi"), _factorization),
+    Property("transversality", 200, True, (("transversality", "membership"),), ("sigma",), _transversality),
+    Property("ext_loop_axioms", 500, True, (("ext_loop_axioms", "identity"),), _ELEMENT * 2,
+             lambda s, *parts: _one(check_loop_axioms(s.eloop, *_elements(parts)))),
+    Property("ext_infinity_compat", 500, True, (("ext_infinity_compat", "membership"),), _ELEMENT * 2,
              _ext_infinity_compat),
-    Property("ext_bol", 100, False, (("ext_bol", "identity"),),
-             lambda s, stream, n: _one(check_bol(s.eloop, stream, n))),
-    Property("ext_aip", 100, False, (("ext_aip", "inverse"),), _ext_aip),
+    Property("ext_bol", 100, False, (("ext_bol", "identity"),), _ELEMENT * 3,
+             lambda s, *parts: _one(check_bol(s.eloop, *_elements(parts)))),
+    Property("ext_aip", 100, False, (("ext_aip", "inverse"),), _ELEMENT, _ext_aip),
     Property("solve_translation", 200, True,
              (("solve_translation", "solve"), ("solve_translation_stability", "solve_stability")),
-             _solve_translation),
+             _ELEMENT * 2 + ("noise",), _solve_translation),
 )
 
 DEFAULT_SAMPLES = {row.key: row.default_samples for row in PROPERTIES} | {"dimension_points": 20}
 
-# The most samples a row may draw: a row holds all its samples' matrices at
-# once, so a larger count is refused before the suite runs rather than left
-# to exhaust memory or overflow the draw.
+# The most samples a row may draw.  A verify holds every row's drawn values
+# at once: per sample over all rows, 26 Sigma and 2 Phi elements, 10
+# transversal points and one noise draw, so at 100,000 samples a row 2.8
+# million n x n matrices, 200 MB at (3,2,1) real and 1.6 GB at (6,3,3)
+# complex.  A larger count is refused before the suite runs rather than
+# left to exhaust memory or overflow the draw.
 MAX_SAMPLES = 100_000
+
+# The most values one chart call maps: what one row may draw, MAX_SAMPLES
+# times the widest layout, so pooling the rows' draws does not enlarge a
+# chart's temporaries.
+_CHART_CHUNK = MAX_SAMPLES * max(len(row.draw) for row in PROPERTIES)
 
 # Entries whose residuals carry no pass requirement; they are measured and
 # reported only.
@@ -371,17 +389,58 @@ INFORMATIONAL = frozenset(name for row in PROPERTIES if not row.required for nam
 _BREAKDOWN = (BruckLoopsError, np.linalg.LinAlgError)
 
 
-def _run_property(row: Property, suite: Suite, stream: SampleStream, count: int) -> list:
-    """The report entries of one row.  The row's time goes on its first
-    entry; a companion entry records 0 seconds and names that entry in
-    ``detail.timed_with``.  A breakdown fails every entry with residual 1.0
-    and the exception text in ``detail.error``."""
-    t0 = time.perf_counter()
+def _chart(suite: Suite, kind: str, us: list) -> list:
+    """The values of ``kind`` that each stack of unit uniforms in ``us``
+    (m, width) draws, one stack for each, from one chart call on them all
+    per ``_CHART_CHUNK`` values (an empty draw is one call on the empty
+    stack); or, for each, the breakdown the chart raised."""
+    u, chart = np.concatenate(us), PARTS[kind][1]
     try:
-        residuals, detail = row.run(suite, stream, count)
-        broke = False
+        chunks = [chart(suite, u[k : k + _CHART_CHUNK]) for k in range(0, max(len(u), 1), _CHART_CHUNK)]
     except _BREAKDOWN as exc:
-        residuals, detail, broke = (1.0,) * len(row.entries), {"error": str(exc)}, True
+        return [exc] * len(us)
+    values = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
+    return [values[end - len(x) : end] for x, end in zip(us, accumulate(len(x) for x in us))]
+
+
+def draw_parts(suite: Suite, streams: dict, counts: dict) -> dict:
+    """Every row's drawn values, by row key: one stack per part of its
+    layout, or the breakdown a chart serving the row raised.
+
+    Each row draws ``counts[key]`` samples' uniforms from ``streams[key]``
+    in one ``next_rows`` call, sample by sample in layout order, as a
+    sample-by-sample draw would; each kind's uniforms, pooled over all rows
+    in row order, go through its chart once and are sliced back.  A stacked
+    chart call gives each value the bits it gets alone."""
+    pooled = {kind: [] for kind in PARTS}  # each kind's uniforms, part by part in row order
+    for row in PROPERTIES:
+        widths = [PARTS[kind][0](suite) for kind in row.draw]
+        parts, _ = streams[row.key].next_rows(counts[row.key], *widths)
+        for kind, u in zip(row.draw, parts):
+            pooled[kind].append(u)
+    values = {kind: iter(_chart(suite, kind, us)) for kind, us in pooled.items()}
+    drawn = {}
+    for row in PROPERTIES:
+        parts = [next(values[kind]) for kind in row.draw]
+        drawn[row.key] = next((p for p in parts if isinstance(p, Exception)), parts)
+    return drawn
+
+
+def _run_property(row: Property, suite: Suite, parts, count: int) -> list:
+    """The report entries of one row from its drawn ``parts``, or the
+    breakdown that drawing them raised.  The time of the row's check goes on
+    its first entry; a companion entry records 0 seconds and names that
+    entry in ``detail.timed_with``.  A breakdown fails every entry with
+    residual 1.0 and the exception text in ``detail.error``."""
+    t0 = time.perf_counter()
+    broke = parts if isinstance(parts, Exception) else None
+    if broke is None:
+        try:
+            residuals, detail = row.run(suite, *parts)
+        except _BREAKDOWN as exc:
+            broke = exc
+    if broke is not None:
+        residuals, detail = (1.0,) * len(row.entries), {"error": str(broke)}
     seconds = time.perf_counter() - t0
     first = row.entries[0][0]
     entries = []
@@ -392,7 +451,7 @@ def _run_property(row: Property, suite: Suite, stream: SampleStream, count: int)
             "samples": count,
             "max_residual": residual,
             "tolerance": tolerance,
-            "pass": not broke and residual <= tolerance,
+            "pass": broke is None and residual <= tolerance,
             "required": row.required,
             "seconds": seconds if name == first else 0.0,
         }
@@ -406,16 +465,18 @@ def _run_property(row: Property, suite: Suite, stream: SampleStream, count: int)
 
 
 def run_verify(cfg: SuiteConfig) -> dict:
-    """Run every row of PROPERTIES and the dimension check, each on its own
-    sample stream, and assemble the report."""
+    """Draw every row of PROPERTIES from its own sample stream, run each on
+    its values, run the dimension check on its stream, and assemble the
+    report."""
     suite = resolve(cfg)
     counts = cfg.samples
     t_start = time.perf_counter()
     base = SampleStream(cfg.seed)
     offsets = {name: (k + 1) * 10_000_000 for k, name in enumerate(sorted(counts))}
+    drawn = draw_parts(suite, {row.key: base.split(offsets[row.key]) for row in PROPERTIES}, counts)
     entries = []
     for row in PROPERTIES:
-        entries += _run_property(row, suite, base.split(offsets[row.key]), counts[row.key])
+        entries += _run_property(row, suite, drawn[row.key], counts[row.key])
 
     t0 = time.perf_counter()
     expected = ext.expected_dimension(suite.eloop)

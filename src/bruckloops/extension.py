@@ -135,18 +135,28 @@ class ExtensionConfig:
         return subspace_distance(realize(a, self), realize(b, self))
 
     @property
+    def point_width(self) -> int:
+        """How many uniforms one transversal point draws: its frame coordinates."""
+        return (2 if self.form.field == COMPLEX else 1) * self.wtilde.dim
+
+    @property
     def sample_width(self) -> int:
-        """How many uniforms one sample draws: the transversal point's frame
-        coordinates, then the Sigma element."""
-        return (2 if self.form.field == COMPLEX else 1) * self.wtilde.dim + sigma_width(self.form)
+        """How many uniforms one sample draws: the transversal point, then the
+        Sigma element."""
+        return self.point_width + sigma_width(self.form)
+
+    def point_from_uniforms(self, u: np.ndarray) -> np.ndarray:
+        """The transversal point, or stack, that unit uniforms ``u`` of shape
+        (..., point_width) draw: frame coordinates uniform in [-1, 1)."""
+        (coef,) = blocks(self.form, scale(u, -_W_SCALE, _W_SCALE), (self.wtilde.dim, 1))
+        return mv(self.wtilde.frame, coef[..., 0])
 
     def from_uniforms(self, u: np.ndarray, radius: float = 0.75) -> "ExtensionElement":
         """The element, or stack, that unit uniforms ``u`` of shape
-        (..., sample_width) draw: a transversal point with frame coordinates
-        uniform in [-1, 1) and a Sigma element of the given radius."""
-        k = u.shape[-1] - sigma_width(self.form)
-        (coef,) = blocks(self.form, scale(u[..., :k], -_W_SCALE, _W_SCALE), (self.wtilde.dim, 1))
-        w = mv(self.wtilde.frame, coef[..., 0])
+        (..., sample_width) draw: a transversal point and a Sigma element of
+        the given radius."""
+        k = self.point_width
+        w = self.point_from_uniforms(u[..., :k])
         return ExtensionElement(w, sigma_from_uniforms(self.form, u[..., k:], radius))
 
     def sample(self, stream: SampleStream, count: int, radius: float = 0.75):
@@ -208,6 +218,10 @@ class ExtensionElement:
     def __getitem__(self, index):
         """The element, or sub-stack, at ``index`` of the batch axes."""
         return ExtensionElement(self.w[index], self.rho[index])
+
+    def __len__(self) -> int:
+        """The length of a stack's first batch axis."""
+        return len(self.w)
 
     def to_json(self, form: SignatureForm) -> dict:
         return {"w": matrix_to_json(self.w.reshape(1, -1))[0], "rho": element_to_json(self.rho, form)}

@@ -6,9 +6,10 @@ real field and flips the sign of the imaginary part on the complex one,
 so a single code path written with ``conj``/``conjugate-transpose``
 serves both fields.
 
-Hermitian eigenproblems go to LAPACK through ``numpy.linalg.eigh``.  The
-result is deterministic only in the weak sense that identical input bytes
-give identical output on one machine with one numpy/LAPACK build; like
+Hermitian eigenproblems go to LAPACK through ``numpy.linalg.eigh``, except
+1 x 1 ones, which take LAPACK's closed form directly.  The result is
+deterministic only in the weak sense that identical input bytes give
+identical output on one machine with one numpy/LAPACK build; like
 ``svd``, ``det``, ``inv`` and ``@`` elsewhere in the package, it may differ
 in the last bits across platforms or BLAS/LAPACK builds.
 
@@ -116,7 +117,9 @@ class SpectralDecomposition:
 
 def eig_hermitian(a: np.ndarray) -> SpectralDecomposition:
     """Full eigendecomposition of a hermitian matrix, or of a stack of them
-    of shape (..., n, n), by one LAPACK ``eigh`` call.
+    of shape (..., n, n): one LAPACK ``eigh`` call for the stack, or for
+    n = 1 LAPACK's own closed form, the entry's real part with eigenbasis
+    1, which is what ``?syevd``/``?heevd`` return at N = 1.
 
     Each matrix is checked for hermiticity, its residual ||A - A*||
     against its own TAU_ABS + TAU_REL ||A||, and then symmetrized, so
@@ -139,8 +142,11 @@ def eig_hermitian(a: np.ndarray) -> SpectralDecomposition:
     bad = residual > TAU_ABS + TAU_REL * fro(a)
     if bad.any():
         raise NotHermitian(f"symmetry residual {np.max(residual[bad]):.3e} exceeds tolerance")
+    h = (a + ah) / 2.0
+    if a.shape[-1] == 1:
+        return SpectralDecomposition(np.ascontiguousarray(h.real[..., 0]), np.ones_like(h))
     try:
-        vals, q = np.linalg.eigh((a + ah) / 2.0)
+        vals, q = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"eigh failed: {exc}") from exc
     return SpectralDecomposition(vals, q)

@@ -6,6 +6,8 @@ at a time.  The ``ROWS`` functions are the suite's rows written sample by
 sample: each sample is drawn alone, through a stack of one, and every loop
 operation runs on single elements; residuals are folded with Python's max
 from 0.  The batched code in the package must agree with them.
+``sample_tuples`` is a row's own stacked draw, which the suite replaced by
+one draw pooled over all rows; ``check_drawn`` runs a kernel checker on it.
 
 ``hermitian_function``, ``sigma_exp``, ``positive_factor`` and ``boost`` are
 the n x n forms the package's block path replaced: a function of a whole
@@ -34,6 +36,7 @@ from bruckloops.groups import (
     sample_phi,
     sample_sigma,
 )
+from bruckloops.kernel import check_aip, check_bol, check_left_a, check_loop_axioms
 from bruckloops.linalg import COMPLEX, TAU_ABS, TAU_REL, SpectralDecomposition, dag, fro, symmetrize
 
 _MASK64 = (1 << 64) - 1
@@ -203,6 +206,23 @@ def fold(stream, count: int, fn) -> tuple:
         residuals, stream = fn(stream)
         worst = tuple(map(max, worst or (0.0,) * len(residuals), residuals))
     return worst
+
+
+def sample_tuples(loop, stream, count: int, size: int) -> list:
+    """``count`` sampled ``size``-tuples from one stacked draw, as ``size``
+    stacks: slot j of tuple i is draw size * i + j, the element a
+    sample-by-sample draw gives it."""
+    xs, _ = loop.sample(stream, size * count)
+    return [xs[j::size] for j in range(size)]
+
+
+# Elements per sample of each kernel checker.
+CHECK_SLOTS = {check_loop_axioms: 2, check_bol: 3, check_aip: 2, check_left_a: 4}
+
+
+def check_drawn(check, loop, stream, count: int) -> float:
+    """A kernel checker on ``count`` samples drawn from ``stream`` as one stack."""
+    return check(loop, *sample_tuples(loop, stream, count, CHECK_SLOTS[check]))
 
 
 def _elements(loop, stream, size: int):

@@ -47,9 +47,10 @@ from bruckloops.groups import (
     sigma_width,
     standard_boost,
 )
-from bruckloops.kernel import check_aip, check_bol, check_loop_axioms, sample_tuples, worst
+from bruckloops.kernel import check_aip, check_bol, check_loop_axioms, worst
 from bruckloops.linalg import fro
 from bruckloops.matrixloop import MatrixLoop
+from reference import check_drawn, sample_tuples
 
 SEED = 1
 
@@ -104,8 +105,8 @@ def test_matrix_loop_closure(form):
 @pytest.mark.parametrize("form", CONFIGS, ids=IDS)
 def test_bruck_identities(form):
     loop = MatrixLoop(form)
-    bol = check_bol(loop, SampleStream(SEED), 1000)
-    aip = check_aip(loop, SampleStream(SEED).split(50_000_000), 1000)
+    bol = check_drawn(check_bol, loop, SampleStream(SEED), 1000)
+    aip = check_drawn(check_aip, loop, SampleStream(SEED).split(50_000_000), 1000)
     ok = bol <= 1e-8 and aip <= 1e-8
     emit(ok, f"bruck[{config_id(form)}]",
          f"bol residual {bol:.2e}, aip residual {aip:.2e} <= 1e-08")
@@ -175,7 +176,7 @@ def test_sharp_transitivity(form):
 def test_extension_axioms_and_projection(form):
     cfg = extension_config(form)
     loop = cfg
-    axioms = check_loop_axioms(loop, SampleStream(SEED), 500)
+    axioms = check_drawn(check_loop_axioms, loop, SampleStream(SEED), 500)
     mloop = MatrixLoop(form)
     e1, e2 = sample_tuples(loop, SampleStream(SEED).split(90_000_000), 200, 2)
     prod = ext_mul(e1, e2, cfg)

@@ -1,20 +1,25 @@
 """The batched sampler and verification rows against their per-sample
-reference (tests/reference.py), and per-element failures inside stacks."""
+reference (tests/reference.py), the draw pooled over all rows, and
+per-element failures inside stacks."""
 
 import json
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bruckloops.cli import PROPERTIES, TOLERANCES, SuiteConfig, main, resolve
-from bruckloops.errors import InversesDisagree, NotHermitian, NotInOrbit, NotPositiveDefinite
+import bruckloops.cli as cli
+import bruckloops.extension
+from bruckloops.cli import PROPERTIES, TOLERANCES, SuiteConfig, draw_parts, main, resolve, run_verify
+from bruckloops.errors import InversesDisagree, NoConvergence, NotHermitian, NotInOrbit, NotPositiveDefinite
 from bruckloops.extension import extension_config, lift_from_infinity
 from bruckloops.groups import SampleStream, element_to_json, sample_sigma
 from bruckloops.kernel import check_left_a, inverse_of
 from bruckloops.linalg import spectral_map
 from bruckloops.matrixloop import MatrixLoop
 from conftest import one
-from reference import ROWS, ReferenceStream, draw, left_a, reference_uniforms
+from reference import ROWS, ReferenceStream, check_drawn, draw, left_a, reference_uniforms
 
 SEEDS = [0, 1, 7919, -5, 2**70 + 3, 2**64 - 1]
 COUNTERS = [0, 10**7, 2**63 - 100]
@@ -45,16 +50,21 @@ SUITES = {
     "633c": dict(n=6, p1=3, p2=3, field_name="complex"),
 }
 COUNT = 6
+# Samples per row, mixed so that slicing the pooled draw back shows
+MIXED_COUNTS = (1, 3, 6)
 
 
 @pytest.mark.parametrize("seed", [1, 7919])
 @pytest.mark.parametrize("name", sorted(SUITES))
 def test_every_row_matches_the_per_sample_reference(name, seed):
     suite = resolve(SuiteConfig(seed=seed, **SUITES[name]))
-    for k, row in enumerate(PROPERTIES):
-        stream = SampleStream(seed).split((k + 1) * 1000)
-        batched, _ = row.run(suite, stream, COUNT)
-        reference = ROWS[row.key](suite, ReferenceStream(stream.seed, stream.counter), COUNT)
+    streams = {row.key: SampleStream(seed).split((k + 1) * 1000) for k, row in enumerate(PROPERTIES)}
+    counts = {row.key: MIXED_COUNTS[k % 3] for k, row in enumerate(PROPERTIES)}
+    drawn = draw_parts(suite, streams, counts)
+    for row in PROPERTIES:
+        stream, count = streams[row.key], counts[row.key]
+        batched, _ = row.run(suite, *drawn[row.key])
+        reference = ROWS[row.key](suite, ReferenceStream(stream.seed, stream.counter), count)
         for (entry, key), got, want in zip(row.entries, batched, reference):
             assert abs(got - want) <= 1e-15 * max(abs(got), abs(want)), (entry, got, want)
             assert (got <= TOLERANCES[key]) == (want <= TOLERANCES[key]), entry
@@ -67,9 +77,98 @@ def test_left_a_on_the_extension_loop_matches_the_per_sample_reference(name, see
     # are checked here
     suite = resolve(SuiteConfig(seed=seed, **SUITES[name]))
     stream = SampleStream(seed).split(4000)
-    got = check_left_a(suite.eloop, stream, COUNT)
+    got = check_drawn(check_left_a, suite.eloop, stream, COUNT)
     (want,) = left_a(suite.eloop, ReferenceStream(stream.seed, stream.counter), COUNT)
     assert abs(got - want) <= 1e-15 * max(abs(got), abs(want)), (got, want)
+
+
+def _without_timing(obj):
+    if isinstance(obj, dict):
+        return {k: _without_timing(v) for k, v in obj.items() if k not in ("seconds", "total_seconds")}
+    if isinstance(obj, list):
+        return [_without_timing(v) for v in obj]
+    return obj
+
+
+def _counting(monkeypatch, module, name: str) -> list:
+    """Record the size of every call ``module``'s binding ``name`` makes."""
+    calls, real = [], getattr(module, name)
+
+    def counted(form, u, *args):
+        calls.append(len(u))
+        return real(form, u, *args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+# The two benchmark suites, at the benchmark's 20 dimension points, and the
+# spectral calls of one verify: one Sigma chart and one Phi chart for all
+# rows, one chart for the dimension check, one call per loop operation per
+# dependency level and the membership judge's
+BENCH_SUITES = {
+    "321c": (dict(n=3, p1=2, p2=1, field_name="complex"), 35),
+    "422r-c2": (dict(n=4, p1=2, p2=2, carrier=2, wtilde=f"boost:{math.log(2)!r}"), 36),
+}
+
+
+@pytest.mark.parametrize("samples", [2, 8])
+@pytest.mark.parametrize("name", sorted(BENCH_SUITES))
+def test_a_verify_makes_one_chart_call_per_kind(monkeypatch, eig_calls, name, samples):
+    settings, eig_count = BENCH_SUITES[name]
+    sigma = _counting(monkeypatch, cli, "sigma_from_uniforms")
+    phi = _counting(monkeypatch, cli, "phi_from_uniforms")
+    dimension = _counting(monkeypatch, bruckloops.extension, "sigma_from_block")
+    cfg = SuiteConfig(**settings)
+    cfg.samples |= {key: samples for key in cfg.samples if key != "dimension_points"}
+    run_verify(cfg)
+    draws = {kind: sum(row.draw.count(kind) for row in PROPERTIES) for kind in ("sigma", "phi")}
+    assert sigma == [draws["sigma"] * samples] and phi == [draws["phi"] * samples]
+    assert len(dimension) == 1
+    assert len(eig_calls) == eig_count
+
+
+def test_chunked_charts_give_the_same_report(monkeypatch):
+    cfg = SuiteConfig(field_name="complex", seed=7919)
+    cfg.samples |= {row.key: (1, 3, 6)[k % 3] for k, row in enumerate(PROPERTIES)}
+    whole = _without_timing(run_verify(cfg))
+    monkeypatch.setattr(cli, "_CHART_CHUNK", 7)
+    sigma = _counting(monkeypatch, cli, "sigma_from_uniforms")
+    assert _without_timing(run_verify(cfg)) == whole
+    total = sum(row.draw.count("sigma") * cfg.samples[row.key] for row in PROPERTIES)
+    assert sigma == [7] * (total // 7) + [total % 7] * (total % 7 > 0)
+
+
+SCHEMA = Path(__file__).resolve().parent.parent / "schema" / "suite_report.schema.json"
+
+
+@pytest.mark.parametrize("kind, chart", [("sigma", "sigma_from_uniforms"), ("phi", "phi_from_uniforms")])
+def test_a_chart_breakdown_fails_the_rows_it_serves(tmp_path, monkeypatch, kind, chart):
+    jsonschema = pytest.importorskip("jsonschema")
+    clean = tmp_path / "clean.json"
+    assert main(["verify", "--samples", "2", "--out", str(clean)]) == 0
+
+    def refuse(*args, **kwargs):
+        raise NoConvergence("injected")
+
+    monkeypatch.setattr(cli, chart, refuse)
+    out = tmp_path / "report.json"
+    assert main(["verify", "--samples", "2", "--out", str(out)]) == 1
+    report = json.loads(out.read_text())
+    jsonschema.validate(report, json.loads(SCHEMA.read_text()))
+    served = {name for row in PROPERTIES if kind in row.draw for name, _ in row.entries}
+    if kind == "phi":
+        assert served == {"conjugation_closure", "factorization_recovery", "factorization_reconstruction"}
+    else:  # every row draws Sigma elements
+        assert len(served) == len(report["properties"])
+    before = _without_timing(json.loads(clean.read_text()))
+    for entry, was in zip(report["properties"], before["properties"]):
+        if entry["property"] in served:
+            assert entry["pass"] is False and entry["max_residual"] == 1.0
+            assert entry["detail"]["error"] == "injected"
+        else:
+            assert _without_timing(entry) == was
+    assert _without_timing(report["dimension"]) == before["dimension"]
 
 
 @pytest.mark.parametrize("loop", ["matrix", "extension"])

@@ -91,6 +91,27 @@ def test_dag_and_eig_hermitian_match_the_conjugate_copies(form):
     assert same_bits(got.eigenvalues, want.eigenvalues) and same_bits(got.eigenbasis, want.eigenbasis)
 
 
+# 1 x 1 entries at the edges: signed zeros, the least subnormal, +-1e300
+# and negative values; on the complex field with imaginary parts inside the
+# hermiticity tolerance, which the symmetrization drops.
+ONE_BY_ONE = np.array([0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, -2.5, -0.75, 1.0])
+ONE_BY_ONE_IMAG = np.array([0.0, -0.0, 5e-324, 1e-10, 0.0, -0.0, -1e-9, 1e-12, -5e-324])
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("batch", [(), (9,), (3, 3)])
+def test_one_by_one_eig_hermitian_is_lapacks_closed_form(field, batch):
+    a = ONE_BY_ONE + 1j * ONE_BY_ONE_IMAG if field == "complex" else ONE_BY_ONE
+    stacks = [x.reshape(1, 1) for x in a] if batch == () else [a.reshape(batch + (1, 1))]
+    for a in stacks:
+        # the hermiticity check's norm of a 1e300 entry overflows to inf,
+        # which passes it
+        with np.errstate(over="ignore"):
+            got = eig_hermitian(a)
+        vals, q = np.linalg.eigh((a + reference.conj_dag(a)) / 2.0)
+        assert same_bits(got.eigenvalues, vals) and same_bits(got.eigenbasis, q)
+
+
 @pytest.mark.parametrize("form", FORMS, ids=FORM_IDS)
 def test_inverse_and_phi_factor_are_the_j_products(form):
     (us, up), _ = SampleStream(1).next_rows(60, sigma_width(form), phi_width(form))

@@ -33,7 +33,7 @@ from bruckloops.kernel import check_loop_axioms
 from bruckloops.linalg import fro, orthonormalize
 from bruckloops.matrixloop import MatrixLoop
 from conftest import one, rotation
-from reference import canonical_distance
+from reference import canonical_distance, check_drawn
 
 
 @pytest.fixture
@@ -109,7 +109,7 @@ class TestConfig:
         # boost 3 gives ||C|| = tanh 3 = 0.995, just inside the boundary
         wt = apply(standard_boost(form321r, 3.0), coordinate_subspace(form321r, 2))
         loop = extension_config(form321r, wtilde=wt)
-        residual = check_loop_axioms(loop, SampleStream(3), 20)
+        residual = check_drawn(check_loop_axioms, loop, SampleStream(3), 20)
         assert residual <= 1e-8, residual
 
 
@@ -321,12 +321,12 @@ class TestExtLoop:
     def test_axioms(self, field):
         form = SignatureForm(3, 2, 1, field)
         loop = extension_config(form)
-        residual = check_loop_axioms(loop, SampleStream(1), 100)
+        residual = check_drawn(check_loop_axioms, loop, SampleStream(1), 100)
         assert residual <= 1e-8, residual
 
     def test_axioms_boosted_transversal(self, boosted_cfg):
         loop = boosted_cfg
-        residual = check_loop_axioms(loop, SampleStream(2), 100)
+        residual = check_drawn(check_loop_axioms, loop, SampleStream(2), 100)
         assert residual <= 1e-8, residual
 
 

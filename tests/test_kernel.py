@@ -13,6 +13,7 @@ from bruckloops.kernel import (
 )
 from bruckloops.matrixloop import MatrixLoop
 from conftest import one
+from reference import CHECK_SLOTS, check_drawn, sample_tuples
 
 
 @pytest.fixture
@@ -27,7 +28,7 @@ def loop(mloop):
 
 class TestCheckers:
     def test_axioms_pass(self, loop):
-        residual = check_loop_axioms(loop, SampleStream(1), 200)
+        residual = check_drawn(check_loop_axioms, loop, SampleStream(1), 200)
         assert residual <= 1e-8
 
     def test_division_at_identity(self, loop):
@@ -50,11 +51,11 @@ class TestCheckers:
         assert loop.distance(lhs, rhs) <= 1e-13
 
     def test_bol_pass(self, loop):
-        residual = check_bol(loop, SampleStream(5), 200)
+        residual = check_drawn(check_bol, loop, SampleStream(5), 200)
         assert residual <= 1e-8
 
     def test_aip_pass(self, loop):
-        residual = check_aip(loop, SampleStream(6), 200)
+        residual = check_drawn(check_aip, loop, SampleStream(6), 200)
         assert residual <= 1e-8
 
     def test_aip_commuting_boosts(self, mloop, form321r):
@@ -72,24 +73,24 @@ class TestCheckers:
         assert loop.distance(lam_e, u) <= 1e-13
 
     def test_left_a_reported(self, loop):
-        residual = check_left_a(loop, SampleStream(9), 100)
+        residual = check_drawn(check_left_a, loop, SampleStream(9), 100)
         assert residual >= 0.0
 
     def test_monotone_in_sample_count(self, loop):
-        small = check_bol(loop, SampleStream(10), 50)
-        large = check_bol(loop, SampleStream(10), 150)
+        small = check_drawn(check_bol, loop, SampleStream(10), 50)
+        large = check_drawn(check_bol, loop, SampleStream(10), 150)
         assert small <= large
 
     def test_deterministic_reports(self, loop):
-        a = check_aip(loop, SampleStream(11), 60)
-        b = check_aip(loop, SampleStream(11), 60)
+        a = check_drawn(check_aip, loop, SampleStream(11), 60)
+        b = check_drawn(check_aip, loop, SampleStream(11), 60)
         assert a == b
 
 
-# Spectral calls per checker: one for the draw and one per loop operation
-# per dependency level; the distances make none.
-MATRIX_EIG_CALLS = {check_loop_axioms: 4, check_bol: 4, check_aip: 5, check_left_a: 6}
-EXTENSION_EIG_CALLS = {check_loop_axioms: 4, check_bol: 4, check_left_a: 6}
+# Spectral calls per checker: one per loop operation per dependency level;
+# the checkers draw nothing and the distances make no spectral call.
+MATRIX_EIG_CALLS = {check_loop_axioms: 3, check_bol: 3, check_aip: 4, check_left_a: 5}
+EXTENSION_EIG_CALLS = {check_loop_axioms: 3, check_bol: 3, check_left_a: 5}
 
 
 @pytest.mark.parametrize("count", [5, 50])
@@ -98,8 +99,9 @@ def test_spectral_calls_per_checker_do_not_grow_with_count(eig_calls, count, fie
     form = SignatureForm(3, 2, 1, field)
     for loop, expected in ((MatrixLoop(form), MATRIX_EIG_CALLS), (extension_config(form), EXTENSION_EIG_CALLS)):
         for checker, calls in expected.items():
+            elements = sample_tuples(loop, SampleStream(3), count, CHECK_SLOTS[checker])
             eig_calls.clear()
-            checker(loop, SampleStream(3), count)
+            checker(loop, *elements)
             assert len(eig_calls) == calls, (type(loop).__name__, checker.__name__)
 
 
@@ -130,7 +132,7 @@ class TestTwoSidedInverses:
         # refuse rather than report a meaningless residual
         loop = extension_config(form321r)
         with pytest.raises(InversesDisagree):
-            check_aip(loop, SampleStream(1), 40)
+            check_drawn(check_aip, loop, SampleStream(1), 40)
 
     def test_inverse_of_matrix_loop(self, loop, mloop):
         x, _ = one(loop.sample(SampleStream(13), 1))
