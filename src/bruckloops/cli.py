@@ -22,7 +22,9 @@ builds its entries and turns a numeric breakdown inside it or inside a
 chart serving it (any package error or ``LinAlgError``) into failed
 entries carrying ``detail.error``, so the report is still written.  A
 check inside a stacked call covers the whole stack, so ``detail.error``
-names the worst matrix of the stack, not the first failing sample.
+names the worst matrix of the stack, not the first failing sample.  The
+suite samples from the resolved ``ExtensionConfig``, which holds the form
+and the matrix loop.
 
 Every setting is a row of ``SETTINGS`` (config key, ``SuiteConfig``
 attribute, type), which the JSON loader, the command-line flags and the
@@ -56,6 +58,7 @@ from . import geometry
 from .errors import BruckLoopsError, ConfigInvalid
 from .groups import (
     MEMBERSHIP_TOLERANCE,
+    SAMPLE_RADIUS,
     SampleStream,
     SignatureForm,
     _convert,
@@ -186,21 +189,11 @@ def build_wtilde(form: SignatureForm, carrier: int, spec: str):
             raise ConfigInvalid(f"bad boost parameter in {spec!r}") from exc
         if not math.isfinite(t):
             raise ConfigInvalid(f"{spec!r} has a non-finite boost parameter")
-        j = 2 if carrier == 1 else 1
-        return geometry.apply(standard_boost(form, t), ext.coordinate_subspace(form, j))
+        return geometry.apply(standard_boost(form, t), ext.complement(form, carrier))
     if spec.startswith("file:"):
         path = spec.split(":", 1)[1]
         return geometry.from_json(_read_json(path, "transversal file"), form.field)
     raise ConfigInvalid(f"unknown wtilde spec {spec!r}")
-
-
-@dataclass(frozen=True)
-class Suite:
-    """A validated config as the live objects every property samples from."""
-
-    form: SignatureForm
-    mat: MatrixLoop
-    eloop: ext.ExtensionConfig
 
 
 @contextmanager
@@ -215,12 +208,11 @@ def _in_float_range(inputs: str = "inputs"):
         raise ConfigInvalid(f"{inputs} out of floating-point range: {exc}") from exc
 
 
-def resolve(cfg: SuiteConfig) -> Suite:
-    """Validate a suite config into live objects."""
+def resolve(cfg: SuiteConfig) -> ext.ExtensionConfig:
+    """Validate a suite config into the extension loop every property samples from."""
     form = cfg.form
     with _in_float_range(f"transversal {cfg.wtilde!r}"):
-        eloop = ext.extension_config(form, cfg.carrier, build_wtilde(form, cfg.carrier, cfg.wtilde))
-    return Suite(form, MatrixLoop(form), eloop)
+        return ext.extension_config(form, cfg.carrier, build_wtilde(form, cfg.carrier, cfg.wtilde))
 
 
 def _json_bytes(obj) -> bytes:
@@ -232,16 +224,16 @@ def _json_bytes(obj) -> bytes:
 # ---------------------------------------------------------------------------
 
 
-# Draw part kind -> (how many uniforms one value draws on a suite, the chart
+# Draw part kind -> (how many uniforms one value draws on a loop, the chart
 # mapping unit uniforms (m, width) to a stack of m values).  A ``point`` is
 # an extension element's transversal point, which with the ``sigma`` after
 # it makes the element; ``noise`` jiggles both of solve_translation's
 # subspaces, 2 n k values each of which n (k + 1) are read.
 PARTS = {
-    "sigma": (lambda s: sigma_width(s.form), lambda s, u: sigma_from_uniforms(s.form, u)),
-    "phi": (lambda s: phi_width(s.form), lambda s, u: phi_from_uniforms(s.form, u)),
-    "point": (lambda s: s.eloop.point_width, lambda s, u: s.eloop.point_from_uniforms(u)),
-    "noise": (lambda s: 4 * s.form.n * s.eloop.carrier_dim, lambda s, u: scale(u, -1e-10, 1e-10)),
+    "sigma": (lambda loop: sigma_width(loop.form), lambda loop, u: sigma_from_uniforms(loop.form, u)),
+    "phi": (lambda loop: phi_width(loop.form), lambda loop, u: phi_from_uniforms(loop.form, u)),
+    "point": (lambda loop: loop.point_width, lambda loop, u: loop.point_from_uniforms(u)),
+    "noise": (lambda loop: 4 * loop.form.n * loop.carrier_dim, lambda loop, u: scale(u, -1e-10, 1e-10)),
 }
 _ELEMENT = ("point", "sigma")  # the layout of one extension element
 
@@ -253,7 +245,7 @@ class Property:
     ``key`` names the row's sample count in ``SuiteConfig.samples`` and
     selects its sample stream.  ``entries`` are the report entries the row
     fills, as ``(entry name, TOLERANCES key)`` pairs.  ``draw`` is what one
-    sample draws, in draw order, as ``PARTS`` kinds.  ``run(suite, *parts)``
+    sample draws, in draw order, as ``PARTS`` kinds.  ``run(loop, *parts)``
     takes one stack per part of the layout, whose i-th values sample i drew,
     and returns the worst residual of each entry and a ``detail`` dict for
     the report, or None.  Every run is batched: one call per loop operation
@@ -279,56 +271,56 @@ def _elements(parts) -> list:
     return [ext.ExtensionElement(w, rho) for w, rho in zip(parts[0::2], parts[1::2])]
 
 
-def _sigma_closure(s: Suite, a, b):
-    return (membership_residual(s.mat.mul(a, b), "Sigma", s.form).max_residual,), None
+def _sigma_closure(loop: ext.ExtensionConfig, a, b):
+    return (membership_residual(loop.mat.mul(a, b), "Sigma", loop.form).max_residual,), None
 
 
-def _conjugation_closure(s: Suite, a, b):
-    return (membership_residual(conjugate_by_phi(a, b), "Sigma", s.form).max_residual,), None
+def _conjugation_closure(loop: ext.ExtensionConfig, a, b):
+    return (membership_residual(conjugate_by_phi(a, b), "Sigma", loop.form).max_residual,), None
 
 
-def _factorization(s: Suite, s1, c):
+def _factorization(loop: ext.ExtensionConfig, s1, c):
     """Recovery of both sampled factors, and the relative reconstruction."""
     m = s1 @ c
-    f1, f2 = polar_factorize(m, s.form)
+    f1, f2 = polar_factorize(m, loop.form)
     recovery = worst(np.abs(f1 - s1), np.abs(f2 - c))
     return (recovery, worst(fro(f1 @ f2 - m) / fro(m))), None
 
 
-def _transversality(s: Suite, rhos):
-    tr = geometry.transversality_check(s.eloop.wtilde, rhos, s.eloop.carrier_subspace())
+def _transversality(loop: ext.ExtensionConfig, rhos):
+    tr = geometry.transversality_check(loop.wtilde, rhos, loop.carrier_subspace())
     # with no sample checked the margin is still inf, which strict JSON refuses
     return (0.0,), {"worst_margin": tr.worst_margin} if tr.samples else None
 
 
-def _ext_infinity_compat(s: Suite, *parts):
+def _ext_infinity_compat(loop: ext.ExtensionConfig, *parts):
     """ext_mul's direction part, the lift read off the image graph X,
     against the matrix loop product, the positive factor of rho1 rho2 read
     off its C12 and C22 blocks: two computations of the same element."""
     e1, e2 = _elements(parts)
-    prod = s.eloop.mul(e1, e2)
-    return (worst(fro(prod.rho - s.mat.mul(e1.rho, e2.rho))),), None
+    prod = loop.mul(e1, e2)
+    return (worst(fro(prod.rho - loop.mat.mul(e1.rho, e2.rho))),), None
 
 
-def _ext_aip(s: Suite, w, rho):
+def _ext_aip(loop: ext.ExtensionConfig, w, rho):
     """The extension loop need not have two-sided inverses, without which
     the AIP cannot be stated, so the entry records the left/right inverse
     gap, judged against the kernel's inverse bound: ``pass`` says whether
     the sampled elements have two-sided inverses."""
-    return (worst(inverse_gap(s.eloop, ext.ExtensionElement(w, rho))[1]),), None
+    return (worst(inverse_gap(loop, ext.ExtensionElement(w, rho))[1]),), None
 
 
-def _solve_translation(s: Suite, w1, rho1, w2, rho2, noise):
+def _solve_translation(loop: ext.ExtensionConfig, w1, rho1, w2, rho2, noise):
     """Sharp transitivity, and the solution's drift when both subspaces, in
     canonical form, are moved by 1e-10.  Both elements of a sample are
     realized and canonicalized as one stack, and the exact and perturbed
     pairs are solved in one call."""
-    realized = ext.realize(ext.ExtensionElement(np.stack([w1, w2]), np.stack([rho1, rho2])), s.eloop)
+    realized = ext.realize(ext.ExtensionElement(np.stack([w1, w2]), np.stack([rho1, rho2])), loop)
     d = geometry.subspace(realized.base, realized.frame)  # d[0] is d1, d[1] is d2
     dp = _perturb(d, noise.reshape(len(noise), 2, noise.shape[-1] // 2).swapaxes(0, 1))
     pairs = geometry.AffineSubspace(np.stack([d.base, dp.base]), np.stack([d.frame, dp.frame]))
     # one solve for (d1 | d1p) onto (d2 | d2p): index 0 exact, 1 perturbed
-    t, rho = ext.solve_translation(pairs[:, 0], pairs[:, 1], s.eloop)
+    t, rho = ext.solve_translation(pairs[:, 0], pairs[:, 1], loop)
     moved = geometry.apply(rho[0], d[0], t[0])
     stability = np.linalg.norm(t[1] - t[0], axis=-1) + fro(rho[1] - rho[0])
     return (worst(geometry.subspace_distance(moved, d[1])), worst(stability)), None
@@ -338,15 +330,15 @@ def _solve_translation(s: Suite, w1, rho1, w2, rho2, noise):
 # required, (entry name, TOLERANCES key) pairs, draw layout, run.
 PROPERTIES = (
     Property("loop_axioms", 500, True, (("loop_axioms", "identity"),), ("sigma",) * 2,
-             lambda s, *xs: _one(check_loop_axioms(s.mat, *xs))),
+             lambda loop, *xs: _one(check_loop_axioms(loop.mat, *xs))),
     Property("sigma_closure", 1000, True, (("sigma_closure", "membership"),), ("sigma",) * 2,
              _sigma_closure),
     Property("bol", 1000, True, (("bol", "identity"),), ("sigma",) * 3,
-             lambda s, *xs: _one(check_bol(s.mat, *xs))),
+             lambda loop, *xs: _one(check_bol(loop.mat, *xs))),
     Property("aip", 1000, True, (("aip", "identity"),), ("sigma",) * 2,
-             lambda s, *xs: _one(check_aip(s.mat, *xs))),
+             lambda loop, *xs: _one(check_aip(loop.mat, *xs))),
     Property("left_a", 500, False, (("left_a", "identity"),), ("sigma",) * 4,
-             lambda s, *xs: _one(check_left_a(s.mat, *xs))),
+             lambda loop, *xs: _one(check_left_a(loop.mat, *xs))),
     Property("conjugation_closure", 500, True, (("conjugation_closure", "membership"),), ("sigma", "phi"),
              _conjugation_closure),
     Property("factorization", 500, True,
@@ -355,11 +347,11 @@ PROPERTIES = (
              ("sigma", "phi"), _factorization),
     Property("transversality", 200, True, (("transversality", "membership"),), ("sigma",), _transversality),
     Property("ext_loop_axioms", 500, True, (("ext_loop_axioms", "identity"),), _ELEMENT * 2,
-             lambda s, *parts: _one(check_loop_axioms(s.eloop, *_elements(parts)))),
+             lambda loop, *parts: _one(check_loop_axioms(loop, *_elements(parts)))),
     Property("ext_infinity_compat", 500, True, (("ext_infinity_compat", "membership"),), _ELEMENT * 2,
              _ext_infinity_compat),
     Property("ext_bol", 100, False, (("ext_bol", "identity"),), _ELEMENT * 3,
-             lambda s, *parts: _one(check_bol(s.eloop, *_elements(parts)))),
+             lambda loop, *parts: _one(check_bol(loop, *_elements(parts)))),
     Property("ext_aip", 100, False, (("ext_aip", "inverse"),), _ELEMENT, _ext_aip),
     Property("solve_translation", 200, True,
              (("solve_translation", "solve"), ("solve_translation_stability", "solve_stability")),
@@ -368,12 +360,12 @@ PROPERTIES = (
 
 DEFAULT_SAMPLES = {row.key: row.default_samples for row in PROPERTIES} | {"dimension_points": 20}
 
-# The most samples a row may draw.  A verify holds every row's drawn values
-# at once: per sample over all rows, 26 Sigma and 2 Phi elements, 10
-# transversal points and one noise draw, so at 100,000 samples a row 2.8
-# million n x n matrices, 200 MB at (3,2,1) real and 1.6 GB at (6,3,3)
-# complex.  A larger count is refused before the suite runs rather than
-# left to exhaust memory or overflow the draw.
+# The most samples a row, or a ``sample`` call, may draw.  A verify holds
+# every row's drawn values at once: per sample over all rows, 26 Sigma and
+# 2 Phi elements, 10 transversal points and one noise draw, so at 100,000
+# samples a row 2.8 million n x n matrices, 200 MB at (3,2,1) real and
+# 1.6 GB at (6,3,3) complex.  A larger count is refused before anything is
+# drawn rather than left to exhaust memory or overflow the draw.
 MAX_SAMPLES = 100_000
 
 # The most values one chart call maps: what one row may draw, MAX_SAMPLES
@@ -389,21 +381,37 @@ INFORMATIONAL = frozenset(name for row in PROPERTIES if not row.required for nam
 _BREAKDOWN = (BruckLoopsError, np.linalg.LinAlgError)
 
 
-def _chart(suite: Suite, kind: str, us: list) -> list:
+def _chart(loop: ext.ExtensionConfig, kind: str, us: list) -> list:
     """The values of ``kind`` that each stack of unit uniforms in ``us``
     (m, width) draws, one stack for each, from one chart call on them all
     per ``_CHART_CHUNK`` values (an empty draw is one call on the empty
     stack); or, for each, the breakdown the chart raised."""
     u, chart = np.concatenate(us), PARTS[kind][1]
     try:
-        chunks = [chart(suite, u[k : k + _CHART_CHUNK]) for k in range(0, max(len(u), 1), _CHART_CHUNK)]
+        chunks = [chart(loop, u[k : k + _CHART_CHUNK]) for k in range(0, max(len(u), 1), _CHART_CHUNK)]
     except _BREAKDOWN as exc:
         return [exc] * len(us)
     values = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
     return [values[end - len(x) : end] for x, end in zip(us, accumulate(len(x) for x in us))]
 
 
-def draw_parts(suite: Suite, streams: dict, counts: dict) -> dict:
+def _widths(loop: ext.ExtensionConfig, row: Property) -> list:
+    """How many uniforms each part of one sample of ``row`` draws."""
+    return [PARTS[kind][0](loop) for kind in row.draw]
+
+
+def stream_slots(loop: ext.ExtensionConfig, counts: dict) -> dict:
+    """Where each row, and the dimension check, draws on the seed's stream:
+    (offset, uniforms drawn) by sample-count key.  Key k in sorted order
+    starts at (k + 1) strides, a stride being 10,000,000 or the largest
+    draw if that is larger, so no two draws share a uniform."""
+    sizes = {row.key: counts[row.key] * sum(_widths(loop, row)) for row in PROPERTIES}
+    sizes["dimension_points"] = counts["dimension_points"] * ext.expected_dimension(loop)
+    stride = max(10_000_000, *sizes.values())
+    return {key: ((k + 1) * stride, sizes[key]) for k, key in enumerate(sorted(sizes))}
+
+
+def draw_parts(loop: ext.ExtensionConfig, streams: dict, counts: dict) -> dict:
     """Every row's drawn values, by row key: one stack per part of its
     layout, or the breakdown a chart serving the row raised.
 
@@ -414,11 +422,10 @@ def draw_parts(suite: Suite, streams: dict, counts: dict) -> dict:
     chart call gives each value the bits it gets alone."""
     pooled = {kind: [] for kind in PARTS}  # each kind's uniforms, part by part in row order
     for row in PROPERTIES:
-        widths = [PARTS[kind][0](suite) for kind in row.draw]
-        parts, _ = streams[row.key].next_rows(counts[row.key], *widths)
+        parts, _ = streams[row.key].next_rows(counts[row.key], *_widths(loop, row))
         for kind, u in zip(row.draw, parts):
             pooled[kind].append(u)
-    values = {kind: iter(_chart(suite, kind, us)) for kind, us in pooled.items()}
+    values = {kind: iter(_chart(loop, kind, us)) for kind, us in pooled.items()}
     drawn = {}
     for row in PROPERTIES:
         parts = [next(values[kind]) for kind in row.draw]
@@ -426,7 +433,7 @@ def draw_parts(suite: Suite, streams: dict, counts: dict) -> dict:
     return drawn
 
 
-def _run_property(row: Property, suite: Suite, parts, count: int) -> list:
+def _run_property(row: Property, loop: ext.ExtensionConfig, parts, count: int) -> list:
     """The report entries of one row from its drawn ``parts``, or the
     breakdown that drawing them raised.  The time of the row's check goes on
     its first entry; a companion entry records 0 seconds and names that
@@ -436,7 +443,7 @@ def _run_property(row: Property, suite: Suite, parts, count: int) -> list:
     broke = parts if isinstance(parts, Exception) else None
     if broke is None:
         try:
-            residuals, detail = row.run(suite, *parts)
+            residuals, detail = row.run(loop, *parts)
         except _BREAKDOWN as exc:
             broke = exc
     if broke is not None:
@@ -465,26 +472,24 @@ def _run_property(row: Property, suite: Suite, parts, count: int) -> list:
 
 
 def run_verify(cfg: SuiteConfig) -> dict:
-    """Draw every row of PROPERTIES from its own sample stream, run each on
-    its values, run the dimension check on its stream, and assemble the
-    report."""
-    suite = resolve(cfg)
+    """Draw every row of PROPERTIES from its own slot of the seed's stream,
+    run each on its values, run the dimension check on its slot, and
+    assemble the report."""
+    loop = resolve(cfg)
     counts = cfg.samples
     t_start = time.perf_counter()
     base = SampleStream(cfg.seed)
-    offsets = {name: (k + 1) * 10_000_000 for k, name in enumerate(sorted(counts))}
-    drawn = draw_parts(suite, {row.key: base.split(offsets[row.key]) for row in PROPERTIES}, counts)
+    streams = {key: base.split(offset) for key, (offset, _) in stream_slots(loop, counts).items()}
+    drawn = draw_parts(loop, streams, counts)
     entries = []
     for row in PROPERTIES:
-        entries += _run_property(row, suite, drawn[row.key], counts[row.key])
+        entries += _run_property(row, loop, drawn[row.key], counts[row.key])
 
     t0 = time.perf_counter()
-    expected = ext.expected_dimension(suite.eloop)
+    expected = ext.expected_dimension(loop)
     dim_entry = {"expected": expected, "measured": None, "gap_fraction": 0.0, "pass": False}
     try:
-        dim = ext.dimension_rank_report(
-            suite.eloop, counts["dimension_points"], base.split(offsets["dimension_points"])
-        )
+        dim = ext.dimension_rank_report(loop, counts["dimension_points"], streams["dimension_points"])
         dim_entry.update(
             measured=dim.rank, gap_fraction=dim.gap_fraction, points=dim.points, ranks=list(dim.ranks)
         )
@@ -591,7 +596,7 @@ def _product(args, cfg: SuiteConfig) -> tuple:
             _check_operand(path, elem, form)
         product = MatrixLoop(form).mul(lhs, rhs)
         return element_to_json(product, form), product
-    eloop = resolve(cfg).eloop
+    eloop = resolve(cfg)
     e1, e2 = (
         ext.extension_element_from_json(_read_json(path, "element file"), eloop.form)
         for path in (args.lhs, args.rhs)
@@ -624,7 +629,7 @@ def cmd_witness(args) -> int:
     if args.budget < 1:
         raise ConfigInvalid(f"budget must be >= 1, got {args.budget}")
     cfg = load_suite_config(args)
-    report = ext.nonisomorphism_witness(resolve(cfg).eloop, SampleStream(cfg.seed), budget=args.budget)
+    report = ext.nonisomorphism_witness(resolve(cfg), SampleStream(cfg.seed), budget=args.budget)
     out = {
         "element": element_to_json(report.element, cfg.form),
         "displacement": report.displacement,
@@ -635,18 +640,18 @@ def cmd_witness(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    if args.count < 0:
-        raise ConfigInvalid(f"count must be >= 0, got {args.count}")
+    if not 0 <= args.count <= MAX_SAMPLES:
+        raise ConfigInvalid(f"count must be in [0, {MAX_SAMPLES}], got {args.count}")
     cfg = load_suite_config(args)
-    suite = resolve(cfg)
+    loop = resolve(cfg)
     stream = SampleStream(cfg.seed)
     with _in_float_range():
         if args.loop == "matrix":
-            elems, _ = sample_sigma(suite.form, stream, args.count, args.radius)
-            lines = [json.dumps(element_to_json(a, suite.form), sort_keys=True) for a in elems]
+            elems, _ = sample_sigma(loop.form, stream, args.count, args.radius)
+            lines = [json.dumps(element_to_json(a, loop.form), sort_keys=True) for a in elems]
         else:
-            elems, _ = suite.eloop.sample(stream, args.count, args.radius)
-            lines = [json.dumps(elems[i].to_json(suite.form), sort_keys=True) for i in range(args.count)]
+            elems, _ = loop.sample(stream, args.count, args.radius)
+            lines = [json.dumps(elems[i].to_json(loop.form), sort_keys=True) for i in range(args.count)]
     sys.stdout.write("\n".join(lines) + ("\n" if lines else ""))
     return 0
 
@@ -685,7 +690,7 @@ def _witness_arguments(parser: argparse.ArgumentParser) -> None:
 def _sample_arguments(parser: argparse.ArgumentParser) -> None:
     _add_common(parser)
     parser.add_argument("--count", type=int, default=1)
-    parser.add_argument("--radius", type=float, default=0.75)
+    parser.add_argument("--radius", type=float, default=SAMPLE_RADIUS)
     parser.add_argument("--loop", **_LOOP)
 
 

@@ -25,13 +25,14 @@ Every orbit direction at infinity is the graph of a strict contraction
 between the two coordinate blocks, which gives ``lift_from_infinity`` a
 closed form (the boost of that contraction, as in the gyrogroup view of
 the loop).  ``ExtensionConfig`` is the loop itself, the object the kernel
-checkers call.
+checkers call, and holds the matrix loop of its lifts, built once.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -47,9 +48,11 @@ from .errors import (
 )
 from .geometry import AffineSubspace, apply, projector, subspace, subspace_distance
 from .groups import (
+    SAMPLE_RADIUS,
     SampleStream,
     SignatureForm,
     blocks,
+    draw_width,
     element_from_json,
     element_to_json,
     matrix_from_json,
@@ -61,7 +64,7 @@ from .groups import (
     sigma_from_uniforms,
     sigma_width,
 )
-from .linalg import COMPLEX, concat, dag, eig_hermitian, mv, spectral_map
+from .linalg import concat, dag, eig_hermitian, mv, spectral_map
 from .matrixloop import MatrixLoop
 
 _W_SCALE = 1.0  # sampled transversal points have frame coordinates in [-1, 1]
@@ -82,6 +85,12 @@ def coordinate_subspace(form: SignatureForm, which: int) -> AffineSubspace:
     return subspace(np.zeros(form.n, dtype=form.dtype), _block_columns(form.eye(), form, which))
 
 
+def complement(form: SignatureForm, carrier: int) -> AffineSubspace:
+    """W_j, the coordinate subspace complementary to the carrier W_i: the
+    default transversal, whose dimension every transversal has."""
+    return coordinate_subspace(form, 2 if carrier == 1 else 1)
+
+
 @dataclass(frozen=True, eq=False)
 class ExtensionConfig:
     """The extension loop: its validated form, carrier index i and
@@ -99,23 +108,20 @@ class ExtensionConfig:
     wtilde: AffineSubspace
 
     @property
-    def complement_index(self) -> int:
-        return 2 if self.carrier == 1 else 1
-
-    @property
     def carrier_dim(self) -> int:
         return self.form.p1 if self.carrier == 1 else self.form.p2
 
-    @property
-    def transversal_dim(self) -> int:
-        return self.form.n - self.carrier_dim
+    @cached_property
+    def mat(self) -> MatrixLoop:
+        """The matrix loop of the directions' lifts."""
+        return MatrixLoop(self.form)
 
     def carrier_subspace(self) -> AffineSubspace:
         return coordinate_subspace(self.form, self.carrier)
 
     @property
     def identity(self) -> "ExtensionElement":
-        return ExtensionElement(np.zeros(self.form.n, dtype=self.form.dtype), MatrixLoop(self.form).identity)
+        return ExtensionElement(np.zeros(self.form.n, dtype=self.form.dtype), self.mat.identity)
 
     def join(self, *parts):
         return ExtensionElement(concat(*(p.w for p in parts)), concat(*(p.rho for p in parts)))
@@ -124,11 +130,11 @@ class ExtensionConfig:
         return ext_mul(a, b, self)
 
     def left_divide(self, a, c):
-        ainv = MatrixLoop(self.form).inverse(a.rho)
+        ainv = self.mat.inverse(a.rho)
         return omega(apply(ainv, realize(c, self), -mv(ainv, a.w)), self)
 
     def right_divide(self, c, a):
-        rho = MatrixLoop(self.form).right_divide(c.rho, a.rho)
+        rho = self.mat.right_divide(c.rho, a.rho)
         return ExtensionElement(c.w - _transversal_point(apply(rho, realize(a, self)), self), rho)
 
     def distance(self, a, b):
@@ -137,13 +143,7 @@ class ExtensionConfig:
     @property
     def point_width(self) -> int:
         """How many uniforms one transversal point draws: its frame coordinates."""
-        return (2 if self.form.field == COMPLEX else 1) * self.wtilde.dim
-
-    @property
-    def sample_width(self) -> int:
-        """How many uniforms one sample draws: the transversal point, then the
-        Sigma element."""
-        return self.point_width + sigma_width(self.form)
+        return draw_width(self.form, (self.wtilde.dim, 1))
 
     def point_from_uniforms(self, u: np.ndarray) -> np.ndarray:
         """The transversal point, or stack, that unit uniforms ``u`` of shape
@@ -151,18 +151,12 @@ class ExtensionConfig:
         (coef,) = blocks(self.form, scale(u, -_W_SCALE, _W_SCALE), (self.wtilde.dim, 1))
         return mv(self.wtilde.frame, coef[..., 0])
 
-    def from_uniforms(self, u: np.ndarray, radius: float = 0.75) -> "ExtensionElement":
-        """The element, or stack, that unit uniforms ``u`` of shape
-        (..., sample_width) draw: a transversal point and a Sigma element of
-        the given radius."""
-        k = self.point_width
-        w = self.point_from_uniforms(u[..., :k])
-        return ExtensionElement(w, sigma_from_uniforms(self.form, u[..., k:], radius))
-
-    def sample(self, stream: SampleStream, count: int, radius: float = 0.75):
-        """Draw a stack of ``count`` elements, one ``next_uniforms`` call."""
-        (u,), stream = stream.next_rows(count, self.sample_width)
-        return self.from_uniforms(u, radius), stream
+    def sample(self, stream: SampleStream, count: int, radius: float = SAMPLE_RADIUS):
+        """Draw a stack of ``count`` elements, one ``next_rows`` call: per
+        sample a transversal point, then a Sigma element of the given radius."""
+        (uw, urho), stream = stream.next_rows(count, self.point_width, sigma_width(self.form))
+        elems = ExtensionElement(self.point_from_uniforms(uw), sigma_from_uniforms(self.form, urho, radius))
+        return elems, stream
 
 
 def extension_config(
@@ -186,14 +180,11 @@ def extension_config(
     """
     if carrier not in (1, 2):
         raise ConfigInvalid(f"carrier index must be 1 or 2, got {carrier}")
-    if wtilde is None:
-        wtilde = coordinate_subspace(form, 2 if carrier == 1 else 1)
-    else:
-        wtilde = subspace(wtilde.base, wtilde.frame)
-    pj = form.n - (form.p1 if carrier == 1 else form.p2)
-    if wtilde.ambient != form.n or wtilde.dim != pj:
+    standard = complement(form, carrier)
+    wtilde = standard if wtilde is None else subspace(wtilde.base, wtilde.frame)
+    if wtilde.ambient != form.n or wtilde.dim != standard.dim:
         raise ConfigInvalid(
-            f"transversal must be a {pj}-dimensional subspace of F^{form.n}, "
+            f"transversal must be a {standard.dim}-dimensional subspace of F^{form.n}, "
             f"got dim {wtilde.dim} in F^{wtilde.ambient}"
         )
     if float(np.linalg.norm(wtilde.base)) > 10 * linalg.TAU_ABS:
@@ -340,8 +331,7 @@ def nonisomorphism_witness(
     invariant under every block-diagonal unitary, so no witness exists
     there.
     """
-    w_standard = coordinate_subspace(cfg.form, cfg.complement_index)
-    if subspace_distance(cfg.wtilde, w_standard) <= WITNESS_THRESHOLD:
+    if subspace_distance(cfg.wtilde, complement(cfg.form, cfg.carrier)) <= WITNESS_THRESHOLD:
         raise ConfigInvalid(
             "transversal coincides with the coordinate subspace; every "
             "block-diagonal unitary stabilizes it"
@@ -372,8 +362,8 @@ class DimensionReport:
 
 
 def expected_dimension(cfg: ExtensionConfig) -> int:
-    eps = 2 if cfg.form.field == COMPLEX else 1
-    return eps * (cfg.transversal_dim + cfg.form.p1 * cfg.form.p2)
+    """The real dimension of the chart: transversal coordinates and a p1 x p2 block."""
+    return draw_width(cfg.form, (cfg.wtilde.dim, 1), (cfg.form.p1, cfg.form.p2))
 
 
 def _chart_embeddings(cfg: ExtensionConfig, thetas: np.ndarray) -> np.ndarray:

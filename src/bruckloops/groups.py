@@ -40,6 +40,8 @@ _GAMMA = 0x9E3779B97F4A7C15
 # The membership bound: the largest residual a matrix may show and still
 # count as a group element, for factor's input, mul's operands and the suite.
 MEMBERSHIP_TOLERANCE = 1e-9
+SAMPLE_RADIUS = 0.75  # half-width of the sampled Sigma block entries, every sampler's default
+_PHI_RADIUS = 1.0  # half-width of the sampled Phi generator entries
 
 
 @dataclass(frozen=True)
@@ -251,22 +253,22 @@ def _slices(vals: np.ndarray, widths) -> list:
     return [vals[..., start:end] for start, end in zip(ends, ends[1:])]
 
 
-def _width(form: SignatureForm, *shapes) -> int:
+def draw_width(form: SignatureForm, *shapes) -> int:
     """How many uniforms ``blocks`` reads for blocks of these shapes."""
     return (2 if form.field == COMPLEX else 1) * sum(rows * cols for rows, cols in shapes)
 
 
 def sigma_width(form: SignatureForm) -> int:
     """How many uniforms one Sigma sample draws."""
-    return _width(form, (form.p1, form.p2))
+    return draw_width(form, (form.p1, form.p2))
 
 
 def phi_width(form: SignatureForm) -> int:
     """How many uniforms one Phi sample draws."""
-    return _width(form, (form.p1, form.p1), (form.p2, form.p2))
+    return draw_width(form, (form.p1, form.p1), (form.p2, form.p2))
 
 
-def sigma_from_uniforms(form: SignatureForm, u: np.ndarray, radius: float = 0.75) -> np.ndarray:
+def sigma_from_uniforms(form: SignatureForm, u: np.ndarray, radius: float = SAMPLE_RADIUS) -> np.ndarray:
     """The Sigma element, or stack, that unit uniforms ``u`` of shape
     (..., sigma_width) draw from the exponential chart: block entries
     uniform in the radius box.
@@ -280,16 +282,16 @@ def sigma_from_uniforms(form: SignatureForm, u: np.ndarray, radius: float = 0.75
     return sigma_from_block(form, x)
 
 
-def sample_sigma(form: SignatureForm, stream: SampleStream, count: int, radius: float = 0.75):
+def sample_sigma(form: SignatureForm, stream: SampleStream, count: int, radius: float = SAMPLE_RADIUS):
     """Draw a stack of ``count`` Sigma elements, one ``next_uniforms`` call."""
     (u,), stream = stream.next_rows(count, sigma_width(form))
     return sigma_from_uniforms(form, u, radius), stream
 
 
-def phi_from_uniforms(form: SignatureForm, u: np.ndarray, radius: float = 1.0) -> np.ndarray:
+def phi_from_uniforms(form: SignatureForm, u: np.ndarray) -> np.ndarray:
     """The Phi element, or stack, that unit uniforms ``u`` of shape
     (..., phi_width) draw: exp of a block-diagonal anti-hermitian generator
-    K, its blocks' entries uniform in the radius box, with its trace
+    K, its blocks' entries uniform in the ``_PHI_RADIUS`` box, with its trace
     shifted to zero so the determinant is exactly 1.
 
     K is normal, so Rodrigues' formula gives its exponential from one
@@ -298,7 +300,7 @@ def phi_from_uniforms(form: SignatureForm, u: np.ndarray, radius: float = 1.0) -
     are even power series in T, so the formula is exact and stays real on
     the real field."""
     n, p1 = form.n, form.p1
-    top, bottom = blocks(form, scale(u, -radius, radius), (p1, p1), (form.p2, form.p2))
+    top, bottom = blocks(form, scale(u, -_PHI_RADIUS, _PHI_RADIUS), (p1, p1), (form.p2, form.p2))
     k = np.zeros(u.shape[:-1] + (n, n), dtype=form.dtype)
     k[..., :p1, :p1] = (top - dag(top)) / 2.0
     k[..., p1:, p1:] = (bottom - dag(bottom)) / 2.0
@@ -309,10 +311,10 @@ def phi_from_uniforms(form: SignatureForm, u: np.ndarray, radius: float = 1.0) -
     return dec.apply(np.cos(t)) + k @ dec.apply(np.sinc(t / np.pi))
 
 
-def sample_phi(form: SignatureForm, stream: SampleStream, count: int, radius: float = 1.0):
+def sample_phi(form: SignatureForm, stream: SampleStream, count: int):
     """Draw a stack of ``count`` Phi elements, one ``next_uniforms`` call."""
     (u,), stream = stream.next_rows(count, phi_width(form))
-    return phi_from_uniforms(form, u, radius), stream
+    return phi_from_uniforms(form, u), stream
 
 
 def polar_factorize(s: np.ndarray, form: SignatureForm):

@@ -41,8 +41,6 @@ from .groups import SampleStream, SignatureForm, positive_factor, sample_sigma
 # spectral_map is held for bench/tests/test_bench.py; groups.positive_factor calls it
 from .linalg import concat, fro, spectral_map, symmetrize  # noqa: F401
 
-_SAMPLE_RADIUS = 0.75  # half-width of the sampled exponential-chart block entries
-
 
 def frobenius_distance(a: np.ndarray, b: np.ndarray):
     """Relative Frobenius distance, symmetric in its arguments; one per
@@ -78,4 +76,4 @@ class MatrixLoop:
         return symmetrize((ainv @ root) @ ainv)
 
     def sample(self, stream: SampleStream, count: int):
-        return sample_sigma(self.form, stream, count, _SAMPLE_RADIUS)
+        return sample_sigma(self.form, stream, count)

@@ -326,15 +326,15 @@ def transversality(s, stream, count):
     margin = np.inf
     for _ in range(count):
         rho, stream = draw(s.mat.sample, stream, 1)
-        report = geometry.transversality_check(s.eloop.wtilde, rho[None], s.eloop.carrier_subspace())
+        report = geometry.transversality_check(s.wtilde, rho[None], s.carrier_subspace())
         margin = min(margin, report.worst_margin)
     return (0.0,), margin
 
 
 def ext_infinity_compat(s, stream, count):
     def one(stream):
-        (e1, e2), stream = _elements(s.eloop, stream, 2)
-        return (fro(s.eloop.mul(e1, e2).rho - s.mat.mul(e1.rho, e2.rho)),), stream
+        (e1, e2), stream = _elements(s, stream, 2)
+        return (fro(s.mul(e1, e2).rho - s.mat.mul(e1.rho, e2.rho)),), stream
 
     return fold(stream, count, one)
 
@@ -342,10 +342,10 @@ def ext_infinity_compat(s, stream, count):
 def ext_aip(s, stream, count):
     """The left/right inverse gap of the extension loop."""
     def one(stream):
-        x, stream = draw(s.eloop.sample, stream, 1)
-        right = s.eloop.right_divide(s.eloop.identity, x)
-        left = s.eloop.left_divide(x, s.eloop.identity)
-        return (s.eloop.distance(right, left),), stream
+        x, stream = draw(s.sample, stream, 1)
+        right = s.right_divide(s.identity, x)
+        left = s.left_divide(x, s.identity)
+        return (s.distance(right, left),), stream
 
     return fold(stream, count, one)
 
@@ -368,22 +368,23 @@ def _perturb(sub, noise):
 
 def solve_translation(s, stream, count):
     def one(stream):
-        (e1, e2), stream = _elements(s.eloop, stream, 2)
-        realized = ext.realize(e1, s.eloop), ext.realize(e2, s.eloop)
+        (e1, e2), stream = _elements(s, stream, 2)
+        realized = ext.realize(e1, s), ext.realize(e2, s)
         d1, d2 = (geometry.subspace(d.base, d.frame) for d in realized)
-        t, rho = ext.solve_translation(d1, d2, s.eloop)
+        t, rho = ext.solve_translation(d1, d2, s)
         moved = geometry.apply(rho, d1, t)
         noise, stream = stream.next_uniforms(2 * s.form.n * (d1.dim + d2.dim), -1e-10, 1e-10)
         d1p = _perturb(d1, noise[: noise.size // 2])
         d2p = _perturb(d2, noise[noise.size // 2 :])
-        tp, rhop = ext.solve_translation(d1p, d2p, s.eloop)
+        tp, rhop = ext.solve_translation(d1p, d2p, s)
         stability = float(np.linalg.norm(tp - t)) + fro(rhop - rho)
         return (geometry.subspace_distance(moved, d2), stability), stream
 
     return fold(stream, count, one)
 
 
-# Row key -> per-sample reference run(suite, stream, count) -> worst residuals.
+# Row key -> per-sample reference run(loop, stream, count) -> worst residuals,
+# on the resolved extension loop and the matrix loop it holds.
 ROWS = {
     "loop_axioms": lambda s, stream, n: loop_axioms(s.mat, stream, n),
     "sigma_closure": sigma_closure,
@@ -393,9 +394,9 @@ ROWS = {
     "conjugation_closure": conjugation_closure,
     "factorization": factorization,
     "transversality": lambda s, stream, n: transversality(s, stream, n)[0],
-    "ext_loop_axioms": lambda s, stream, n: loop_axioms(s.eloop, stream, n),
+    "ext_loop_axioms": loop_axioms,
     "ext_infinity_compat": ext_infinity_compat,
-    "ext_bol": lambda s, stream, n: bol(s.eloop, stream, n),
+    "ext_bol": bol,
     "ext_aip": ext_aip,
     "solve_translation": solve_translation,
 }

@@ -25,6 +25,7 @@ import pytest
 
 from bruckloops.cli import SuiteConfig, main, run_verify
 from bruckloops.extension import (
+    ExtensionElement,
     coordinate_subspace,
     dimension_rank_report,
     ext_mul,
@@ -156,8 +157,12 @@ def test_sharp_transitivity(form):
     cfg = extension_config(form)
     n, k = form.n, cfg.carrier_dim
     half = n * (k + 1)
-    (u1, u2, noise), _ = SampleStream(SEED).next_rows(200, cfg.sample_width, cfg.sample_width, 2 * half)
-    d1, d2 = realize(cfg.from_uniforms(u1), cfg), realize(cfg.from_uniforms(u2), cfg)
+    element = (cfg.point_width, sigma_width(form))  # a transversal point, then a Sigma element
+    (w1, u1, w2, u2, noise), _ = SampleStream(SEED).next_rows(200, *element, *element, 2 * half)
+    d1, d2 = (
+        realize(ExtensionElement(cfg.point_from_uniforms(w), sigma_from_uniforms(form, u)), cfg)
+        for w, u in ((w1, u1), (w2, u2))
+    )
     t, rho = solve_translation(d1, d2, cfg)
     mapping = worst(subspace_distance(apply(rho, d1, t), d2))
     noise = scale(noise, -1e-10, 1e-10)

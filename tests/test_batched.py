@@ -57,14 +57,14 @@ MIXED_COUNTS = (1, 3, 6)
 @pytest.mark.parametrize("seed", [1, 7919])
 @pytest.mark.parametrize("name", sorted(SUITES))
 def test_every_row_matches_the_per_sample_reference(name, seed):
-    suite = resolve(SuiteConfig(seed=seed, **SUITES[name]))
+    loop = resolve(SuiteConfig(seed=seed, **SUITES[name]))
     streams = {row.key: SampleStream(seed).split((k + 1) * 1000) for k, row in enumerate(PROPERTIES)}
     counts = {row.key: MIXED_COUNTS[k % 3] for k, row in enumerate(PROPERTIES)}
-    drawn = draw_parts(suite, streams, counts)
+    drawn = draw_parts(loop, streams, counts)
     for row in PROPERTIES:
         stream, count = streams[row.key], counts[row.key]
-        batched, _ = row.run(suite, *drawn[row.key])
-        reference = ROWS[row.key](suite, ReferenceStream(stream.seed, stream.counter), count)
+        batched, _ = row.run(loop, *drawn[row.key])
+        reference = ROWS[row.key](loop, ReferenceStream(stream.seed, stream.counter), count)
         for (entry, key), got, want in zip(row.entries, batched, reference):
             assert abs(got - want) <= 1e-15 * max(abs(got), abs(want)), (entry, got, want)
             assert (got <= TOLERANCES[key]) == (want <= TOLERANCES[key]), entry
@@ -75,11 +75,47 @@ def test_every_row_matches_the_per_sample_reference(name, seed):
 def test_left_a_on_the_extension_loop_matches_the_per_sample_reference(name, seed):
     # no suite row runs left-A on extension elements, so its fused levels
     # are checked here
-    suite = resolve(SuiteConfig(seed=seed, **SUITES[name]))
+    loop = resolve(SuiteConfig(seed=seed, **SUITES[name]))
     stream = SampleStream(seed).split(4000)
-    got = check_drawn(check_left_a, suite.eloop, stream, COUNT)
-    (want,) = left_a(suite.eloop, ReferenceStream(stream.seed, stream.counter), COUNT)
+    got = check_drawn(check_left_a, loop, stream, COUNT)
+    (want,) = left_a(loop, ReferenceStream(stream.seed, stream.counter), COUNT)
     assert abs(got - want) <= 1e-15 * max(abs(got), abs(want)), (got, want)
+
+
+def test_extension_sample_is_the_verify_element_draw():
+    # ExtensionConfig.sample (``sample --loop extension``) and a verify row
+    # of layout _ELEMENT give the same elements from the same stream
+    loop = resolve(SuiteConfig(seed=3, **SUITES["633c"]))
+    streams = {row.key: SampleStream(3).split((k + 1) * 1000) for k, row in enumerate(PROPERTIES)}
+    counts = {row.key: 5 for row in PROPERTIES}
+    drawn = draw_parts(loop, streams, counts)
+    row = next(row for row in PROPERTIES if row.draw == cli._ELEMENT)
+    w, rho = drawn[row.key]
+    elems, _ = loop.sample(streams[row.key], counts[row.key])
+    assert w.tobytes() == elems.w.tobytes() and rho.tobytes() == elems.rho.tobytes()
+
+
+@pytest.mark.parametrize("carrier", [1, 2])
+def test_stream_slots_are_disjoint_at_the_largest_counts(monkeypatch, carrier):
+    # at (7,4,3) complex a row's draw at MAX_SAMPLES outgrows 10,000,000
+    # uniforms, so the stride grows with it; nothing is drawn here
+    def no_draw(*args):
+        raise AssertionError("drew uniforms")
+
+    monkeypatch.setattr(SampleStream, "next_uniforms", no_draw)
+    loop = resolve(SuiteConfig(n=7, p1=4, p2=3, field_name="complex", carrier=carrier))
+    slots = sorted(cli.stream_slots(loop, {key: cli.MAX_SAMPLES for key in cli.DEFAULT_SAMPLES}).values())
+    assert len(slots) == len(cli.DEFAULT_SAMPLES)
+    assert max(size for _, size in slots) > 10_000_000
+    assert all(start + size <= following for (start, size), (following, _) in zip(slots, slots[1:]))
+
+
+def test_stream_slots_keep_their_offsets_while_the_draws_fit():
+    loop = resolve(SuiteConfig())
+    slots = cli.stream_slots(loop, cli.DEFAULT_SAMPLES)
+    assert [offset for _, (offset, _) in sorted(slots.items())] == [
+        (k + 1) * 10_000_000 for k in range(len(slots))
+    ]
 
 
 def _without_timing(obj):
@@ -175,16 +211,16 @@ def test_a_chart_breakdown_fails_the_rows_it_serves(tmp_path, monkeypatch, kind,
 def test_sample_command_prints_the_per_sample_draws(capsys, loop):
     assert main(["sample", "--count", "3", "--seed", "7", "--loop", loop]) == 0
     lines = capsys.readouterr().out.splitlines()
-    suite = resolve(SuiteConfig(seed=7))
+    eloop = resolve(SuiteConfig(seed=7))
     stream = ReferenceStream(7)
     expected = []
     for _ in range(3):
         if loop == "matrix":
-            elem, stream = draw(sample_sigma, suite.form, stream, 1, 0.75)
-            expected.append(json.dumps(element_to_json(elem, suite.form), sort_keys=True))
+            elem, stream = draw(sample_sigma, eloop.form, stream, 1, 0.75)
+            expected.append(json.dumps(element_to_json(elem, eloop.form), sort_keys=True))
         else:
-            elem, stream = draw(suite.eloop.sample, stream, 1)
-            expected.append(json.dumps(elem.to_json(suite.form), sort_keys=True))
+            elem, stream = draw(eloop.sample, stream, 1)
+            expected.append(json.dumps(elem.to_json(eloop.form), sort_keys=True))
     assert lines == expected
 
 

@@ -157,8 +157,8 @@ def test_subspace_distance_matches_the_split_form(form, carrier):
 @pytest.mark.parametrize("carrier", [1, 2])
 def test_stacked_solve_translation_is_two_omega_calls(form, carrier):
     cfg = _boosted(form, carrier)
-    (u1, u2), _ = SampleStream(4).next_rows(10, cfg.sample_width, cfg.sample_width)
-    d1, d2 = (realize(cfg.from_uniforms(u), cfg) for u in (u1, u2))
+    e, _ = cfg.sample(SampleStream(4), 20)
+    d1, d2 = realize(e[0::2], cfg), realize(e[1::2], cfg)
     d1, d2 = subspace(d1.base, d1.frame), subspace(d2.base, d2.frame)
     cases = [
         (d1, d2),

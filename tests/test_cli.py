@@ -12,7 +12,7 @@ from bruckloops.cli import (
     run_verify,
 )
 from bruckloops.errors import NotInOrbit
-from bruckloops.groups import SignatureForm, element_to_json, standard_boost
+from bruckloops.groups import SampleStream, SignatureForm, element_to_json, standard_boost
 from bruckloops.kernel import INVERSE_GAP
 from bruckloops.linalg import write_matrix_text
 from conftest import boost3, rotation
@@ -888,6 +888,19 @@ class TestSample:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and "count" in captured.err
+
+    @pytest.mark.parametrize("loop", ["matrix", "extension"])
+    @pytest.mark.parametrize("count", [MAX_SAMPLES + 1, 10**13])
+    def test_count_above_the_bound_is_refused_before_drawing(self, capsys, monkeypatch, loop, count):
+        # 10**13 samples would exhaust memory in the draw; the bound is verify's
+        def no_draw(*args):
+            raise AssertionError("drew uniforms")
+
+        monkeypatch.setattr(SampleStream, "next_uniforms", no_draw)
+        assert main(["sample", "--count", str(count), "--loop", loop]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: count must be in [0, {MAX_SAMPLES}], got {count}\n"
 
     def test_extension_elements(self, capsys):
         assert main(["sample", "--count", "2", "--loop", "extension", "--seed", "3"]) == 0

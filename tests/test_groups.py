@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bruckloops import groups
 from bruckloops.errors import ConfigInvalid, DimensionMismatch, NotInGroup
 from bruckloops.groups import (
     SampleStream,
@@ -129,8 +130,9 @@ class TestSampleSigma:
 
 
 class TestSamplePhi:
-    def test_zero_radius_gives_identity(self, form321r):
-        b, _ = one(sample_phi(form321r, SampleStream(1), 1, radius=0.0))
+    def test_zero_radius_gives_identity(self, form321r, monkeypatch):
+        monkeypatch.setattr(groups, "_PHI_RADIUS", 0.0)
+        b, _ = one(sample_phi(form321r, SampleStream(1), 1))
         assert np.allclose(b, np.eye(3))
 
     def test_block_structure_p2_one(self, form321r):
