@@ -78,7 +78,7 @@ from .groups import (
 from .kernel import (
     INVERSE_GAP, check_aip, check_bol, check_left_a, check_loop_axioms, inverse_gap, worst,
 )
-from .linalg import field_of, fro, read_matrix_text
+from .linalg import dag, field_of, fro, read_matrix_text
 from .matrixloop import MatrixLoop
 
 # The fixed acceptance bound of each kind of report entry; every entry
@@ -129,12 +129,22 @@ class SuiteConfig:
         return settings | {"samples": dict(self.samples)}
 
 
-def _read_json(path: str, what: str) -> dict:
-    """The JSON object in the file at ``path``; ``what`` names it in errors."""
+def _read_text(path: str, what: str) -> str:
+    """The UTF-8 text of the file at ``path``, the one reader of every input
+    file; ``what`` names it in errors."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigInvalid(f"cannot read {what} {path}: {exc}") from exc
+
+
+def _read_json(path: str, what: str, text: str | None = None) -> dict:
+    """The JSON object in the file at ``path``, whose ``text`` is read here
+    unless given; ``what`` names it in errors."""
+    try:
+        obj = json.loads(_read_text(path, what) if text is None else text)
+    except json.JSONDecodeError as exc:
         raise ConfigInvalid(f"cannot read {what} {path}: {exc}") from exc
     if not isinstance(obj, dict):
         raise ConfigInvalid(f"{what} {path} must hold a JSON object")
@@ -228,12 +238,12 @@ def _json_bytes(obj) -> bytes:
 # mapping unit uniforms (m, width) to a stack of m values).  A ``point`` is
 # an extension element's transversal point, which with the ``sigma`` after
 # it makes the element; ``noise`` jiggles both of solve_translation's
-# subspaces, 2 n k values each of which n (k + 1) are read.
+# subspaces, n (k + 1) values each: the base, then the frame row-major.
 PARTS = {
     "sigma": (lambda loop: sigma_width(loop.form), lambda loop, u: sigma_from_uniforms(loop.form, u)),
     "phi": (lambda loop: phi_width(loop.form), lambda loop, u: phi_from_uniforms(loop.form, u)),
     "point": (lambda loop: loop.point_width, lambda loop, u: loop.point_from_uniforms(u)),
-    "noise": (lambda loop: 4 * loop.form.n * loop.carrier_dim, lambda loop, u: scale(u, -1e-10, 1e-10)),
+    "noise": (lambda loop: 2 * loop.form.n * (loop.carrier_dim + 1), lambda loop, u: scale(u, -1e-10, 1e-10)),
 }
 _ELEMENT = ("point", "sigma")  # the layout of one extension element
 
@@ -272,11 +282,11 @@ def _elements(parts) -> list:
 
 
 def _sigma_closure(loop: ext.ExtensionConfig, a, b):
-    return (membership_residual(loop.mat.mul(a, b), "Sigma", loop.form).max_residual,), None
+    return (membership_residual(loop.mat.mul(a, b), loop.form).max_residual,), None
 
 
 def _conjugation_closure(loop: ext.ExtensionConfig, a, b):
-    return (membership_residual(conjugate_by_phi(a, b), "Sigma", loop.form).max_residual,), None
+    return (membership_residual(conjugate_by_phi(a, b), loop.form).max_residual,), None
 
 
 def _factorization(loop: ext.ExtensionConfig, s1, c):
@@ -511,11 +521,11 @@ def run_verify(cfg: SuiteConfig) -> dict:
 
 def _perturb(s, noise: np.ndarray):
     """A nearby representative of (almost) the same subspace, or of each of
-    a stack: its base and frame entries jiggled by the leading values of
-    ``noise`` (..., m), m >= n (k + 1)."""
+    a stack: its base and then its frame entries, row-major, jiggled by
+    ``noise`` (..., n (k + 1))."""
     n, k = s.frame.shape[-2:]
     base = s.base + noise[..., :n].astype(s.base.dtype)
-    frame = s.frame + noise[..., n : n * (k + 1)].reshape(noise.shape[:-1] + (n, k)).astype(s.frame.dtype)
+    frame = s.frame + noise[..., n:].reshape(noise.shape[:-1] + (n, k)).astype(s.frame.dtype)
     return geometry.AffineSubspace(base, frame)
 
 
@@ -528,10 +538,9 @@ def _load_matrix_element(path: str, form: SignatureForm) -> np.ndarray:
     """A JSON element of the configured form, or a matrix text file read in
     it; complex text for a real form would lose its imaginary part, so is
     refused."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    text = _read_text(path, "element file")
     if text.lstrip().startswith("{"):
-        return element_from_json(_read_json(path, "element file"), form)
+        return element_from_json(_read_json(path, "element file", text), form)
     matrix = read_matrix_text(text)
     if not np.can_cast(matrix.dtype, form.dtype):
         raise ConfigInvalid(f"{path}: {field_of(matrix)} matrix text does not fit the {form.field} form")
@@ -540,14 +549,14 @@ def _load_matrix_element(path: str, form: SignatureForm) -> np.ndarray:
 
 def _check_operand(path: str, a: np.ndarray, form: SignatureForm) -> None:
     """Refuse an operand that is not a Sigma element."""
-    rep = membership_residual(a, "Sigma", form)
+    rep = membership_residual(a, form)
     if not rep.passed:
         condition = max(rep.residuals, key=rep.residuals.get)
         raise ConfigInvalid(f"{path}: not in Sigma, {condition} residual {rep.max_residual:.3e}")
 
 
 def _diagnostics(a: np.ndarray, form: SignatureForm) -> dict:
-    rep = membership_residual(a, "Sigma", form)
+    rep = membership_residual(a, form)
     return {"membership": rep.residuals, "pass": rep.passed}
 
 
@@ -601,9 +610,10 @@ def _product(args, cfg: SuiteConfig) -> tuple:
         ext.extension_element_from_json(_read_json(path, "element file"), eloop.form)
         for path in (args.lhs, args.rhs)
     )
+    frame = eloop.wtilde.frame  # orthonormal, through 0 once validated
     for path, elem in ((args.lhs, e1), (args.rhs, e2)):
         _check_operand(path, elem.rho, eloop.form)
-        if not eloop.wtilde.contains(elem.w):
+        if not np.linalg.norm(elem.w - frame @ (dag(frame) @ elem.w)) <= MEMBERSHIP_TOLERANCE:
             raise ConfigInvalid(f"{path}: w is not on the transversal")
     product = eloop.mul(e1, e2)
     return product.to_json(eloop.form), product.rho
@@ -643,15 +653,16 @@ def cmd_sample(args) -> int:
     if not 0 <= args.count <= MAX_SAMPLES:
         raise ConfigInvalid(f"count must be in [0, {MAX_SAMPLES}], got {args.count}")
     cfg = load_suite_config(args)
-    loop = resolve(cfg)
+    form = cfg.form
+    loop = None if args.loop == "matrix" else resolve(cfg)
     stream = SampleStream(cfg.seed)
     with _in_float_range():
-        if args.loop == "matrix":
-            elems, _ = sample_sigma(loop.form, stream, args.count, args.radius)
-            lines = [json.dumps(element_to_json(a, loop.form), sort_keys=True) for a in elems]
+        if loop is None:
+            elems, _ = sample_sigma(form, stream, args.count, args.radius)
+            lines = [json.dumps(element_to_json(a, form), sort_keys=True) for a in elems]
         else:
             elems, _ = loop.sample(stream, args.count, args.radius)
-            lines = [json.dumps(elems[i].to_json(loop.form), sort_keys=True) for i in range(args.count)]
+            lines = [json.dumps(elems[i].to_json(form), sort_keys=True) for i in range(args.count)]
     sys.stdout.write("\n".join(lines) + ("\n" if lines else ""))
     return 0
 

@@ -81,8 +81,9 @@ def _block_columns(a: np.ndarray, form: SignatureForm, which: int) -> np.ndarray
 
 
 def coordinate_subspace(form: SignatureForm, which: int) -> AffineSubspace:
-    """W_1 = span of the first p1 basis vectors, W_2 = span of the last p2."""
-    return subspace(np.zeros(form.n, dtype=form.dtype), _block_columns(form.eye(), form, which))
+    """W_1 = span of the first p1 basis vectors, W_2 = span of the last p2,
+    canonical as built: base 0 and a read-only view of the identity's columns."""
+    return AffineSubspace(np.zeros(form.n, dtype=form.dtype), _block_columns(form.eye(), form, which))
 
 
 def complement(form: SignatureForm, carrier: int) -> AffineSubspace:

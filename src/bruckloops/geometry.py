@@ -11,9 +11,9 @@ subspace agree to rounding, not bit for bit.  ``subspace_distance`` reads
 the canonical forms it builds: the Frobenius gap of the direction
 projectors plus the gap of the minimum-norm points, with no spectral call.
 
-Every function but ``contains`` takes stacks: a subspace whose base is
-(..., n) and frame (..., n, k) is that many subspaces of one dimension,
-and each step is one call for the whole stack.
+Every function takes stacks: a subspace whose base is (..., n) and frame
+(..., n, k) is that many subspaces of one dimension, and each step is one
+call for the whole stack.
 
 Over the complex field subspaces are complex-linear spans and projectors
 are hermitian; "dimension" always means the F-dimension.
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigInvalid, DimensionMismatch, TransversalityViolated
-from .groups import MEMBERSHIP_TOLERANCE, matrix_from_json
+from .groups import matrix_from_json
 from .linalg import dag, fro, mv, orthonormalize
 
 _RANK_REL = 1e-8
@@ -66,12 +66,6 @@ class AffineSubspace:
             np.ascontiguousarray(np.broadcast_to(self.base, batch + self.base.shape[-1:])),
             np.ascontiguousarray(np.broadcast_to(self.frame, batch + self.frame.shape[-2:])),
         )
-
-    def contains(self, point: np.ndarray) -> bool:
-        """Whether ``point`` lies on the subspace within the membership bound."""
-        frame = orthonormalize(self.frame)
-        gap = point - self.base
-        return float(np.linalg.norm(gap - frame @ (dag(frame) @ gap))) <= MEMBERSHIP_TOLERANCE
 
 
 def subspace(base: np.ndarray, directions: np.ndarray) -> AffineSubspace:

@@ -1,10 +1,12 @@
 """The indefinite form, its isometry groups, and the sharply transitive set.
 
 The diagonal form J has p1 entries +1 followed by p2 entries -1.  Three
-membership targets are exposed:
+groups appear:
 
-* ``U_p2``   -- A* J A = J (the isometry group of the form),
+* ``U_p2``   -- A* J A = J (the isometry group of the form), which
+  ``polar_factorize`` splits,
 * ``Sigma``  -- positive-definite hermitian isometries of determinant 1,
+  the one target of ``membership_residual``,
 * ``Phi``    -- block-diagonal unitary stabilizer elements of determinant 1.
 
 A Sigma element is fixed by its p1 x p2 block and built from one p2 x p2
@@ -163,7 +165,6 @@ def scale(u: np.ndarray, lo: float, hi: float) -> np.ndarray:
 class MembershipReport:
     """Per-condition residuals, each a float or, for a stack, one per matrix."""
 
-    target: str
     residuals: dict
 
     @property
@@ -176,30 +177,18 @@ class MembershipReport:
         return self.max_residual <= MEMBERSHIP_TOLERANCE
 
 
-def membership_residual(a: np.ndarray, target: str, form: SignatureForm) -> MembershipReport:
-    """Per-condition residuals for membership in U_p2, Sigma or Phi, of a
-    matrix or of each matrix of a stack (..., n, n)."""
+def membership_residual(a: np.ndarray, form: SignatureForm) -> MembershipReport:
+    """Per-condition residuals for membership in Sigma, of a matrix or of
+    each matrix of a stack (..., n, n)."""
     if a.shape[-2:] != (form.n, form.n):
         raise DimensionMismatch(f"expected {form.n}x{form.n}, got {a.shape}")
     j = form.j_matrix()
-    res: dict = {}
-    if target == "U_p2":
-        res["isometry"] = fro(dag(a) @ j @ a - j)
-    elif target == "Sigma":
-        res["hermitian"] = fro(a - dag(a))
-        dec = linalg.eig_hermitian(symmetrize(a))
-        res["positive_definite"] = np.maximum(0.0, -dec.eigenvalues[..., 0])
-        res["isometry"] = fro(dag(a) @ j @ a - j)
-        res["determinant"] = np.abs(np.linalg.det(a) - 1.0)
-    elif target == "Phi":
-        p1 = form.p1
-        res["block_diagonal"] = np.sqrt(fro(a[..., :p1, p1:]) ** 2 + fro(a[..., p1:, :p1]) ** 2)
-        res["unitary"] = fro(a @ dag(a) - form.eye())
-        res["determinant"] = np.abs(np.linalg.det(a) - 1.0)
-    else:
-        raise ValueError(f"unknown membership target {target!r}")
+    res = {"hermitian": fro(a - dag(a))}
+    res["positive_definite"] = np.maximum(0.0, -linalg.eig_hermitian(symmetrize(a)).eigenvalues[..., 0])
+    res["isometry"] = fro(dag(a) @ j @ a - j)
+    res["determinant"] = np.abs(np.linalg.det(a) - 1.0)
     # a single matrix's residuals are plain floats, ready for JSON
-    return MembershipReport(target, {name: r if np.ndim(r) else float(r) for name, r in res.items()})
+    return MembershipReport({name: r if np.ndim(r) else float(r) for name, r in res.items()})
 
 
 def sigma_from_spectrum(form: SignatureForm, y: np.ndarray, dec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -326,10 +315,13 @@ def polar_factorize(s: np.ndarray, form: SignatureForm):
     blocks negated, so the Phi factor S1^{-1} S = (J S1 J) S costs no second
     spectral call and no product by J.
     """
-    report = membership_residual(s, "U_p2", form)
+    if s.shape[-2:] != (form.n, form.n):
+        raise DimensionMismatch(f"expected {form.n}x{form.n}, got {s.shape}")
+    j = form.j_matrix()
+    iso_res = np.max(fro(dag(s) @ j @ s - j), initial=0.0)
     det_res = np.max(np.abs(np.linalg.det(s) - 1.0), initial=0.0)
-    if not report.passed or det_res > MEMBERSHIP_TOLERANCE:
-        raise NotInGroup(f"isometry residual {report.max_residual:.3e}, det residual {det_res:.3e}")
+    if not iso_res <= MEMBERSHIP_TOLERANCE or det_res > MEMBERSHIP_TOLERANCE:
+        raise NotInGroup(f"isometry residual {iso_res:.3e}, det residual {det_res:.3e}")
     s1 = positive_factor(s, form)
     return s1, (s1 * form.signs()) @ s
 

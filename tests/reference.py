@@ -291,7 +291,7 @@ def left_a(loop, stream, count):
 def sigma_closure(s, stream, count):
     def one(stream):
         (a, b), stream = _elements(s.mat, stream, 2)
-        return (membership_residual(s.mat.mul(a, b), "Sigma", s.form).max_residual,), stream
+        return (membership_residual(s.mat.mul(a, b), s.form).max_residual,), stream
 
     return fold(stream, count, one)
 
@@ -305,7 +305,7 @@ def _sigma_then_phi(s, stream):
 def conjugation_closure(s, stream, count):
     def one(stream):
         a, b, stream = _sigma_then_phi(s, stream)
-        return (membership_residual(conjugate_by_phi(a, b), "Sigma", s.form).max_residual,), stream
+        return (membership_residual(conjugate_by_phi(a, b), s.form).max_residual,), stream
 
     return fold(stream, count, one)
 
@@ -360,9 +360,8 @@ def canonical_distance(s1, s2):
 
 def _perturb(sub, noise):
     n, k = sub.frame.shape
-    pad = np.resize(noise, n * (k + 1))
-    base = sub.base + pad[:n].astype(sub.base.dtype)
-    frame = sub.frame + pad[n:].reshape(n, k).astype(sub.frame.dtype)
+    base = sub.base + noise[:n].astype(sub.base.dtype)
+    frame = sub.frame + noise[n:].reshape(n, k).astype(sub.frame.dtype)
     return geometry.AffineSubspace(base, frame)
 
 
@@ -373,7 +372,7 @@ def solve_translation(s, stream, count):
         d1, d2 = (geometry.subspace(d.base, d.frame) for d in realized)
         t, rho = ext.solve_translation(d1, d2, s)
         moved = geometry.apply(rho, d1, t)
-        noise, stream = stream.next_uniforms(2 * s.form.n * (d1.dim + d2.dim), -1e-10, 1e-10)
+        noise, stream = stream.next_uniforms(2 * s.form.n * (d1.dim + 1), -1e-10, 1e-10)
         d1p = _perturb(d1, noise[: noise.size // 2])
         d2p = _perturb(d2, noise[noise.size // 2 :])
         tp, rhop = ext.solve_translation(d1p, d2p, s)

@@ -94,7 +94,7 @@ def test_matrix_loop_closure(form):
     mloop = MatrixLoop(form)
     t0 = time.perf_counter()
     a, b = sample_tuples(mloop, SampleStream(SEED), 1000, 2)
-    residual = membership_residual(mloop.mul(a, b), "Sigma", form).max_residual
+    residual = membership_residual(mloop.mul(a, b), form).max_residual
     elapsed = time.perf_counter() - t0
     ok = residual <= 1e-9 and elapsed < 10.0
     emit(ok, f"closure[{config_id(form)}]",
@@ -118,7 +118,7 @@ def test_bruck_identities(form):
 def test_conjugation_closure(form):
     (us, up), _ = SampleStream(SEED).next_rows(500, sigma_width(form), phi_width(form))
     out = conjugate_by_phi(sigma_from_uniforms(form, us), phi_from_uniforms(form, up))
-    residual = membership_residual(out, "Sigma", form).max_residual
+    residual = membership_residual(out, form).max_residual
     ok = residual <= 1e-9
     emit(ok, f"conjugation[{config_id(form)}]",
          f"worst membership residual {residual:.2e} <= 1e-09 over 500 conjugations")

@@ -591,6 +591,35 @@ class TestMul:
         if case in ("other_form", "other_signature"):
             assert "is not the configured" in err
 
+    def test_extension_operands_make_no_qr(self, tmp_path, capsys, monkeypatch):
+        # the standard transversal is canonical as built and the operands'
+        # w are measured against its stored frame
+        assert main(["sample", "--loop", "extension", "--count", "2"]) == 0
+        lhs, rhs = tmp_path / "a.json", tmp_path / "b.json"
+        for path, line in zip((lhs, rhs), capsys.readouterr().out.splitlines()):
+            path.write_text(line)
+
+        def no_qr(*args, **kwargs):
+            raise AssertionError("made a QR call")
+
+        monkeypatch.setattr(np.linalg, "qr", no_qr)
+        assert main(["mul", "--loop", "extension", str(lhs), str(rhs)]) == 0
+        assert json.loads(capsys.readouterr().out)["diagnostics"]["pass"] is True
+
+    @pytest.mark.parametrize("wtilde", ["standard", "boost:0.5"])
+    def test_w_is_measured_against_the_transversal(self, tmp_path, capsys, form321r, wtilde):
+        # carrier 1: the transversal is the span of e3, or of its boost
+        # (0, sinh t, cosh t); each one's point is off the other
+        standard, boosted = [0.0, 0.0, 0.25], [0.0, 0.25 * math.sinh(0.5), 0.25 * math.cosh(0.5)]
+        on, off = (standard, boosted) if wtilde == "standard" else (boosted, standard)
+        rho = element_to_json(np.eye(3), form321r)
+        path = tmp_path / "e.json"
+        for w, code in ((on, 0), (off, 2), ([0.25, 0.0, 0.0], 2)):
+            path.write_text(json.dumps({"w": w, "rho": rho}))
+            assert main(["mul", "--loop", "extension", "--wtilde", wtilde, str(path), str(path)]) == code
+            err = capsys.readouterr().err
+            assert err == ("" if code == 0 else f"error: {path}: w is not on the transversal\n")
+
     @pytest.mark.parametrize("case", ["matrix", "extension", "text-inf", "text-nan"])
     def test_non_finite_entries_are_refused_when_read(self, tmp_path, capsys, form321r, case):
         # JSON element files and matrix text files alike
@@ -819,6 +848,26 @@ def test_usage_errors_exit_two(capsys, argv, line):
     assert captured.err.splitlines()[-1].split(" (choose from")[0] == line
 
 
+UNDECODABLE_READS = [
+    ["verify", "--config", "{bad}"],
+    ["verify", "--wtilde", "file:{bad}"],
+    ["mul", "{bad}", "{bad}"],
+    ["mul", "--loop", "extension", "{bad}", "{bad}"],
+    ["factor", "{bad}"],
+]
+
+
+@pytest.mark.parametrize("argv", UNDECODABLE_READS, ids=[" ".join(argv) for argv in UNDECODABLE_READS])
+def test_undecodable_input_file_is_config_error(tmp_path, capsys, argv):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe\x00")
+    assert main([arg.format(bad=bad) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot read ") and f"{bad}: 'utf-8' codec can't decode" in captured.err
+    assert captured.err.count("\n") == 1
+
+
 class TestWitness:
     def test_boosted(self, capsys):
         code = main(
@@ -864,7 +913,7 @@ class TestSample:
         for line in lines:
             obj = json.loads(line)
             m = np.array(obj["matrix"])
-            assert membership_residual(m, "Sigma", form321r).max_residual <= 1e-9
+            assert membership_residual(m, form321r).max_residual <= 1e-9
 
     def test_zero_radius_emits_identity(self, capsys):
         assert main(["sample", "--count", "2", "--radius", "0"]) == 0
@@ -901,6 +950,22 @@ class TestSample:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: count must be in [0, {MAX_SAMPLES}], got {count}\n"
+
+    def test_matrix_sample_reads_no_transversal(self, tmp_path, capsys, monkeypatch):
+        # as mul and factor do, the matrix sample ignores the transversal
+        # settings and resolves none, so it makes no QR call
+        missing = f"file:{tmp_path / 'missing.json'}"
+        assert main(["sample", "--count", "3"]) == 0
+        plain = capsys.readouterr().out
+
+        def no_qr(*args, **kwargs):
+            raise AssertionError("made a QR call")
+
+        monkeypatch.setattr(np.linalg, "qr", no_qr)
+        assert main(["sample", "--count", "3", "--wtilde", missing]) == 0
+        assert capsys.readouterr().out == plain
+        assert main(["sample", "--count", "3", "--wtilde", missing, "--loop", "extension"]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot read transversal file")
 
     def test_extension_elements(self, capsys):
         assert main(["sample", "--count", "2", "--loop", "extension", "--seed", "3"]) == 0

@@ -47,6 +47,27 @@ def boosted_cfg(form321r):
     return extension_config(form321r, wtilde=wt)
 
 
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("n", range(3, 8))
+def test_coordinate_subspaces_are_canonical_by_construction(monkeypatch, field, n):
+    # base 0 and the identity's columns, every zero +0.0, with no QR: the
+    # canonical form a QR would give up to the signs of its zeros
+    def refuse(*args):
+        pytest.fail("a coordinate subspace was orthonormalized")
+
+    monkeypatch.setattr("bruckloops.linalg.orthonormalize", refuse)
+    monkeypatch.setattr("bruckloops.geometry.orthonormalize", refuse)
+    for p2 in range(1, n // 2 + 1):
+        form = SignatureForm(n, n - p2, p2, field)
+        for which, columns in ((1, slice(None, n - p2)), (2, slice(n - p2, None))):
+            w = coordinate_subspace(form, which)
+            assert w.base.dtype == w.frame.dtype == form.dtype
+            assert np.array_equal(w.base, np.zeros(n))
+            assert np.array_equal(w.frame, np.eye(n)[:, columns])
+            for part in (w.base, w.frame):
+                assert not np.signbit(part.real).any() and not np.signbit(part.imag).any()
+
+
 def test_eig_calls_counts_calls_through_imported_names(form321r, eig_calls):
     # extension holds eig_hermitian under its own name; the subspace
     # distance makes no spectral call

@@ -72,12 +72,12 @@ class TestSampleStream:
 
 class TestMembership:
     def test_identity_is_sigma(self, form321r):
-        rep = membership_residual(np.eye(3), "Sigma", form321r)
+        rep = membership_residual(np.eye(3), form321r)
         assert rep.passed and all(r == 0.0 for r in rep.residuals.values())
 
     def test_boost_is_sigma(self, form321r):
         a = np.array([[1.0, 0.0, 0.0], [0.0, 1.25, 0.75], [0.0, 0.75, 1.25]])
-        rep = membership_residual(a, "Sigma", form321r)
+        rep = membership_residual(a, form321r)
         assert rep.passed
         # eigenvalues of the boost are {2, 1, 1/2}: cosh +- sinh at log 2
         dec = eig_hermitian(a)
@@ -85,24 +85,19 @@ class TestMembership:
 
     def test_diagonal_isometry_failure(self, form321r):
         a = np.diag([2.0, 1.0, 0.5])
-        rep = membership_residual(a, "Sigma", form321r)
+        rep = membership_residual(a, form321r)
         assert not rep.passed
         # A^t J A = diag(4, 1, -1/4); residual is its distance from J
         assert math.isclose(rep.residuals["isometry"], math.sqrt(9.5625), rel_tol=1e-12)
 
     def test_dimension_mismatch(self, form321r):
         with pytest.raises(DimensionMismatch):
-            membership_residual(np.eye(4), "Sigma", form321r)
+            membership_residual(np.eye(4), form321r)
 
-    def test_unknown_target(self, form321r):
-        with pytest.raises(ValueError):
-            membership_residual(np.eye(3), "Omega", form321r)
-
-    @pytest.mark.parametrize("target", ["Sigma", "Phi"])
-    def test_determinant_dominated_report_is_plain_json(self, form321r, target):
+    def test_determinant_dominated_report_is_plain_json(self, form321r):
         # For 2I the determinant residual (about 7) exceeds every other one
         # (at most 3 sqrt 3), so it alone decides ``passed``.
-        rep = membership_residual(2.0 * np.eye(3), target, form321r)
+        rep = membership_residual(2.0 * np.eye(3), form321r)
         assert rep.max_residual == rep.residuals["determinant"]
         assert type(rep.passed) is bool
         assert all(type(r) is float for r in rep.residuals.values())
@@ -126,7 +121,7 @@ class TestSampleSigma:
         stream = SampleStream(1)
         for _ in range(count):
             a, stream = one(sample_sigma(form, stream, 1))
-            assert membership_residual(a, "Sigma", form).max_residual <= 1e-9
+            assert membership_residual(a, form).max_residual <= 1e-9
 
 
 class TestSamplePhi:
@@ -149,7 +144,11 @@ class TestSamplePhi:
         stream = SampleStream(2)
         for _ in range(100):
             b, stream = one(sample_phi(form, stream, 1))
-            assert membership_residual(b, "Phi", form).max_residual <= 1e-9
+            p1 = form.p1
+            off_diagonal = np.sqrt(fro(b[:p1, p1:]) ** 2 + fro(b[p1:, :p1]) ** 2)
+            unitary = fro(b @ b.conj().T - np.eye(form.n))
+            determinant = abs(np.linalg.det(b) - 1.0)
+            assert max(off_diagonal, unitary, determinant) <= 1e-9
 
 
 class TestPolarFactorize:
@@ -173,6 +172,14 @@ class TestPolarFactorize:
     def test_rejects_non_member(self, form321r):
         with pytest.raises(NotInGroup):
             polar_factorize(np.diag([2.0, 1.0, 0.5]), form321r)
+
+    def test_refusal_names_the_worst_residuals(self, form321r):
+        # a stack of a stretch (isometry residual sqrt 9.5625) and J (det -1)
+        stack = np.stack([np.diag([2.0, 1.0, 0.5]), form321r.j_matrix()])
+        with pytest.raises(NotInGroup, match=r"^isometry residual 3\.092e\+00, det residual 2\.000e\+00$"):
+            polar_factorize(stack, form321r)
+        with pytest.raises(DimensionMismatch, match=r"^expected 3x3, got \(4, 4\)$"):
+            polar_factorize(np.eye(4), form321r)
 
     @pytest.mark.parametrize("field", ["real", "complex"])
     def test_roundtrip_500(self, field):
@@ -210,7 +217,7 @@ class TestConjugation:
             a, stream = one(sample_sigma(form321r, stream, 1))
             b, stream = one(sample_phi(form321r, stream, 1))
             out = conjugate_by_phi(a, b)
-            assert membership_residual(out, "Sigma", form321r).max_residual <= 1e-9
+            assert membership_residual(out, form321r).max_residual <= 1e-9
 
 
 class TestBoost:

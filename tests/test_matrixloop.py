@@ -47,7 +47,7 @@ class TestMul:
             a, stream = one(mloop.sample(stream, 1))
             b, stream = one(mloop.sample(stream, 1))
             out = mloop.mul(a, b)
-            assert membership_residual(out, "Sigma", form321r).max_residual <= 1e-9
+            assert membership_residual(out, form321r).max_residual <= 1e-9
 
 
 class TestInverse:
@@ -96,10 +96,10 @@ class TestDivision:
             c, stream = one(mloop.sample(stream, 1))
             x = mloop.left_divide(a, c)
             assert frobenius_distance(mloop.mul(a, x), c) <= 1e-8
-            assert membership_residual(x, "Sigma", form).max_residual <= 1e-9
+            assert membership_residual(x, form).max_residual <= 1e-9
             y = mloop.right_divide(c, a)
             assert frobenius_distance(mloop.mul(y, a), c) <= 1e-8
-            assert membership_residual(y, "Sigma", form).max_residual <= 1e-9
+            assert membership_residual(y, form).max_residual <= 1e-9
 
 
 @pytest.mark.parametrize(
