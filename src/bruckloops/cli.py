@@ -1,7 +1,8 @@
 """Command-line front door: deterministic verification suites, element
 arithmetic, factorization, witnesses and machine-readable reports.  Each
 command is a row of ``COMMANDS`` (help line, handler, a function adding its
-arguments); a call builds the parser of its own command and no other.
+arguments); the first call of a command in a process builds that command's
+parser alone, and later calls reuse it.
 
 Exit codes are a stable contract: 0 when every required property passes,
 1 when a property fails (the report is still written), 2 for usage or
@@ -41,6 +42,7 @@ outside it, so their breakdowns stay failed report entries.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -547,12 +549,29 @@ def _load_matrix_element(path: str, form: SignatureForm) -> np.ndarray:
     return matrix.astype(form.dtype)
 
 
+def _not_in_sigma(what: str, residuals: dict) -> ConfigInvalid:
+    """The refusal of ``what``, a matrix with these membership ``residuals``,
+    naming its worst condition."""
+    condition = max(residuals, key=residuals.get)
+    return ConfigInvalid(f"{what}: not in Sigma, {condition} residual {residuals[condition]:.3e}")
+
+
 def _check_operand(path: str, a: np.ndarray, form: SignatureForm) -> None:
     """Refuse an operand that is not a Sigma element."""
     rep = membership_residual(a, form)
     if not rep.passed:
-        condition = max(rep.residuals, key=rep.residuals.get)
-        raise ConfigInvalid(f"{path}: not in Sigma, {condition} residual {rep.max_residual:.3e}")
+        raise _not_in_sigma(path, rep.residuals)
+
+
+def _check_draw(stack: np.ndarray, form: SignatureForm) -> None:
+    """Refuse a drawn stack of Sigma parts holding a matrix that is not a
+    Sigma element, as an operand would be refused, naming the first."""
+    rep = membership_residual(stack, form)
+    if not rep.passed:
+        worst = np.max(list(rep.residuals.values()), axis=0)
+        first = int(np.argmax(worst > MEMBERSHIP_TOLERANCE))
+        residuals = {name: float(r[first]) for name, r in rep.residuals.items()}
+        raise _not_in_sigma(f"sample {first + 1} of {len(stack)}", residuals)
 
 
 def _diagnostics(a: np.ndarray, form: SignatureForm) -> dict:
@@ -659,9 +678,11 @@ def cmd_sample(args) -> int:
     with _in_float_range():
         if loop is None:
             elems, _ = sample_sigma(form, stream, args.count, args.radius)
+            _check_draw(elems, form)
             lines = [json.dumps(element_to_json(a, form), sort_keys=True) for a in elems]
         else:
             elems, _ = loop.sample(stream, args.count, args.radius)
+            _check_draw(elems.rho, form)
             lines = [json.dumps(elems[i].to_json(form), sort_keys=True) for i in range(args.count)]
     sys.stdout.write("\n".join(lines) + ("\n" if lines else ""))
     return 0
@@ -715,8 +736,11 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def command_parser(name: str) -> argparse.ArgumentParser:
-    """The parser of one command, as ``bruckloops <name>``."""
+    """The parser of one command, as ``bruckloops <name>``, built on its first
+    call in a process and reused after: ``parse_args`` fills a fresh
+    namespace from the parser's fixed defaults on every call."""
     _, handler, add_arguments = COMMANDS[name]
     parser = argparse.ArgumentParser(prog=f"bruckloops {name}")
     add_arguments(parser)

@@ -34,7 +34,6 @@ residuals are the suite's, against its fixed acceptance bounds.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 
@@ -196,28 +195,19 @@ def orthonormalize(v: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Matrix text format (CLI interchange)
+# Matrix text format (CLI input)
 #
 #   rows cols field
 #   row-major entries, one row per line
 #
-# Complex entries are written a+bi / a-bi with no spaces.  Scalars use 17
-# significant decimal digits, which round-trips float64 bit-exactly.
+# Complex entries are spelled a+bi / a-bi with no spaces.  The package reads
+# this format and writes none; its commands print JSON.
 # ---------------------------------------------------------------------------
 
 _COMPLEX_ENTRY = re.compile(
     r"^(?P<re>[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
     r"(?P<im>[+-](?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)i$"
 )
-
-
-def format_scalar(x, field: str) -> str:
-    if field == REAL:
-        return format(float(np.real(x)), ".17g")
-    rp = format(float(np.real(x)), ".17g")
-    ip = float(np.imag(x))
-    sign = "+" if (ip >= 0 or math.isnan(ip)) else "-"
-    return f"{rp}{sign}{format(abs(ip), '.17g')}i"
 
 
 def parse_scalar(token: str, field: str):
@@ -232,15 +222,6 @@ def parse_scalar(token: str, field: str):
         return complex(float(token), 0.0)
     except ValueError as exc:
         raise ParseError(f"bad {field} entry {token!r}") from exc
-
-
-def write_matrix_text(a: np.ndarray) -> str:
-    field = field_of(a)
-    rows, cols = a.shape
-    lines = [f"{rows} {cols} {field}"]
-    for i in range(rows):
-        lines.append(" ".join(format_scalar(a[i, j], field) for j in range(cols)))
-    return "\n".join(lines) + "\n"
 
 
 def read_matrix_text(text: str) -> np.ndarray:

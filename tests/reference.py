@@ -9,6 +9,10 @@ from 0.  The batched code in the package must agree with them.
 ``sample_tuples`` is a row's own stacked draw, which the suite replaced by
 one draw pooled over all rows; ``check_drawn`` runs a kernel checker on it.
 
+``format_scalar`` and ``write_matrix_text`` write the matrix text format
+the package reads, with 17 significant digits, which round-trips float64
+bit-exactly; the tests write their matrix text input with them.
+
 ``hermitian_function``, ``sigma_exp``, ``positive_factor`` and ``boost`` are
 the n x n forms the package's block path replaced: a function of a whole
 n x n hermitian matrix through one ``numpy.linalg.eigh`` of it.
@@ -21,6 +25,8 @@ with each bit for bit.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -37,11 +43,31 @@ from bruckloops.groups import (
     sample_sigma,
 )
 from bruckloops.kernel import check_aip, check_bol, check_left_a, check_loop_axioms
-from bruckloops.linalg import COMPLEX, TAU_ABS, TAU_REL, SpectralDecomposition, dag, fro, symmetrize
+from bruckloops.linalg import (
+    COMPLEX, REAL, TAU_ABS, TAU_REL, SpectralDecomposition, dag, field_of, fro, symmetrize,
+)
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _INVERSE_GAP = 1e-9
+
+
+def format_scalar(x, field: str) -> str:
+    if field == REAL:
+        return format(float(np.real(x)), ".17g")
+    rp = format(float(np.real(x)), ".17g")
+    ip = float(np.imag(x))
+    sign = "+" if (ip >= 0 or math.isnan(ip)) else "-"
+    return f"{rp}{sign}{format(abs(ip), '.17g')}i"
+
+
+def write_matrix_text(a: np.ndarray) -> str:
+    field = field_of(a)
+    rows, cols = a.shape
+    lines = [f"{rows} {cols} {field}"]
+    for i in range(rows):
+        lines.append(" ".join(format_scalar(a[i, j], field) for j in range(cols)))
+    return "\n".join(lines) + "\n"
 
 
 def hermitian_function(a, func):

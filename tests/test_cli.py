@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bruckloops import cli
 from bruckloops.cli import (
     COMMANDS, DEFAULT_SAMPLES, MAX_SAMPLES, PROPERTIES, SETTINGS, TOLERANCES, SuiteConfig, _diagnostics, main,
     run_verify,
@@ -14,8 +15,8 @@ from bruckloops.cli import (
 from bruckloops.errors import NotInOrbit
 from bruckloops.groups import SampleStream, SignatureForm, element_to_json, standard_boost
 from bruckloops.kernel import INVERSE_GAP
-from bruckloops.linalg import write_matrix_text
 from conftest import boost3, rotation
+from reference import write_matrix_text
 
 SCHEMA = Path(__file__).resolve().parent.parent / "schema" / "suite_report.schema.json"
 
@@ -765,9 +766,11 @@ def test_verify_only_config_keys_are_config_errors(tmp_path, capsys, monkeypatch
 
 @pytest.fixture
 def parsers_built(monkeypatch):
-    """The prog of every argparse parser constructed, in order."""
+    """The prog of every argparse parser constructed, in order, from a
+    process with no command parser built yet."""
     import argparse
 
+    cli.command_parser.cache_clear()
     built = []
     real = argparse.ArgumentParser.__init__
 
@@ -792,6 +795,65 @@ def test_a_call_builds_its_own_parser_alone(tmp_path, capsys, form321r, parsers_
     }[command]
     assert main(argv) == 0
     assert parsers_built == [f"bruckloops {command}"]
+    # a later call of the command reuses its parser
+    assert main(argv) == 0
+    assert parsers_built == [f"bruckloops {command}"]
+
+
+def _cold_out(capsys, argv) -> str:
+    """The stdout of ``main(argv)`` in a process with no command parser built."""
+    cli.command_parser.cache_clear()
+    assert main(argv) == 0
+    return capsys.readouterr().out
+
+
+class TestReusedParser:
+    """A command's parser is built once per process; no argument of one call
+    reaches the next."""
+
+    def test_sample_radius_does_not_carry_over(self, capsys):
+        default = ["sample", "--count", "2", "--seed", "5"]
+        cold = _cold_out(capsys, default)
+        assert main(["sample", "--count", "2", "--radius", "0", "--seed", "5"]) == 0
+        assert capsys.readouterr().out != cold
+        assert main(default) == 0
+        assert capsys.readouterr().out == cold
+
+    def test_mul_loop_does_not_carry_over(self, tmp_path, capsys, form321r):
+        assert main(["sample", "--loop", "extension", "--count", "2", "--seed", "4"]) == 0
+        ext_files = (tmp_path / "e1.json", tmp_path / "e2.json")
+        for path, line in zip(ext_files, capsys.readouterr().out.splitlines()):
+            path.write_text(line)
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        a.write_text(json.dumps(element_to_json(boost3(0.5), form321r)))
+        b.write_text(json.dumps(element_to_json(boost3(-0.25), form321r)))
+        matrix = ["mul", str(a), str(b)]
+        cold = _cold_out(capsys, matrix)
+        assert main(["mul", "--loop", "extension", *map(str, ext_files)]) == 0
+        assert "w" in json.loads(capsys.readouterr().out)
+        assert main(matrix) == 0
+        assert capsys.readouterr().out == cold
+
+    def test_verify_samples_do_not_carry_over(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json")
+        cli.command_parser.cache_clear()
+        assert main(["verify", "--config", cfg, "--samples", "3"]) == 0
+        echo = json.loads(capsys.readouterr().out)["config"]["samples"]
+        assert set(echo.values()) == {3, SMALL_SAMPLES["dimension_points"]}
+        assert main(["verify", "--config", cfg]) == 0
+        assert json.loads(capsys.readouterr().out)["config"]["samples"] == DEFAULT_SAMPLES | SMALL_SAMPLES
+
+    def test_usage_error_between_calls(self, tmp_path, capsys, form321r):
+        a = tmp_path / "a.json"
+        a.write_text(json.dumps(element_to_json(boost3(0.5), form321r)))
+        good = ["mul", str(a), str(a)]
+        cold = _cold_out(capsys, good)
+        with pytest.raises(SystemExit) as exc:
+            main(good + ["--samples", "0"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+        assert main(good) == 0
+        assert capsys.readouterr().out == cold
 
 
 @pytest.mark.parametrize("argv, code", [([], 2), (["bogus"], 2), (["-h"], 0)])
@@ -966,6 +1028,56 @@ class TestSample:
         assert capsys.readouterr().out == plain
         assert main(["sample", "--count", "3", "--wtilde", missing, "--loop", "extension"]) == 2
         assert capsys.readouterr().err.startswith("error: cannot read transversal file")
+
+    @pytest.mark.parametrize(
+        "argv, err",
+        [(["--radius", "10", "--seed", "3"], "sample 1 of 1: not in Sigma, isometry residual 7.589e-09"),
+         (["--count", "3", "--radius", "10", "--seed", "1"], "sample 2 of 3: not in Sigma, isometry residual"),
+         (["--loop", "extension", "--radius", "20", "--seed", "3"],
+          "sample 1 of 1: not in Sigma, isometry residual 6.133e-09")],
+        ids=["matrix", "matrix-second", "extension"],
+    )
+    def test_draw_outside_sigma_is_refused(self, capsys, argv, err):
+        # a draw whose Sigma part is too far out for float64 to keep it in
+        # Sigma prints nothing rather than an element mul would refuse
+        assert main(["sample", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {err}") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("loop", ["matrix", "extension"])
+    def test_draw_is_checked_in_one_stacked_call(self, capsys, monkeypatch, loop):
+        calls = []
+        real = cli.membership_residual
+
+        def counting(a, form):
+            calls.append(a.shape)
+            return real(a, form)
+
+        monkeypatch.setattr(cli, "membership_residual", counting)
+        assert main(["sample", "--count", "4", "--loop", loop]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 4
+        assert calls == [(4, 3, 3)]
+
+    @pytest.mark.parametrize("loop", ["matrix", "extension"])
+    def test_count_zero_prints_nothing(self, capsys, loop):
+        assert main(["sample", "--count", "0", "--loop", loop]) == 0
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("loop", ["matrix", "extension"])
+    @pytest.mark.parametrize("radius", ["8", "10", "20"])
+    @pytest.mark.parametrize("seed", ["1", "3", "7"])
+    def test_mul_accepts_what_sample_prints(self, tmp_path, capsys, loop, radius, seed):
+        code = main(["sample", "--loop", loop, "--radius", radius, "--seed", seed])
+        out = capsys.readouterr().out
+        if code == 2:
+            assert out == ""
+            return
+        element = tmp_path / "s.json"
+        element.write_text(out)
+        # a product may still break down far out; membership of the operands is not why
+        main(["mul", "--loop", loop, str(element), str(element)])
+        assert "not in Sigma" not in capsys.readouterr().err
 
     def test_extension_elements(self, capsys):
         assert main(["sample", "--count", "2", "--loop", "extension", "--seed", "3"]) == 0

@@ -16,17 +16,15 @@ from bruckloops.errors import (
 from bruckloops.linalg import (
     dag,
     eig_hermitian,
-    format_scalar,
     fro,
     orthonormalize,
     parse_scalar,
     read_matrix_text,
     spectral_map,
     symmetrize,
-    write_matrix_text,
 )
 from conftest import boost3
-from reference import hermitian_function
+from reference import format_scalar, hermitian_function, write_matrix_text
 
 
 def random_hermitian(rng, n, complex_case=False):
