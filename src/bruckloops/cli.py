@@ -5,8 +5,11 @@ arguments); the first call of a command in a process builds that command's
 parser alone, and later calls reuse it.
 
 Exit codes are a stable contract: 0 when every required property passes,
-1 when a property fails (the report is still written), 2 for usage or
-configuration errors.
+1 when a property fails, or ``mul``'s product fails its membership
+diagnostics (the output is still written), 2 for usage or configuration
+errors.  ``witness`` constructs its element, so ``--seed`` does not change
+it.  Each command's Sigma operands or draws are checked by one stacked
+``membership_residual`` call (``_check_sigma``).
 
 The verification suite is one table, ``PROPERTIES``: each row names its
 report entries and their keys in the fixed bounds table ``TOLERANCES``,
@@ -227,8 +230,13 @@ def resolve(cfg: SuiteConfig) -> ext.ExtensionConfig:
         return ext.extension_config(form, cfg.carrier, build_wtilde(form, cfg.carrier, cfg.wtilde))
 
 
+# The two JSON writers, built once: an indented document, and one line.
+_DOCUMENT = json.JSONEncoder(sort_keys=True, indent=2).encode
+_LINE = json.JSONEncoder(sort_keys=True).encode
+
+
 def _json_bytes(obj) -> bytes:
-    return (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode("utf-8")
+    return (_DOCUMENT(obj) + "\n").encode("utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -549,29 +557,17 @@ def _load_matrix_element(path: str, form: SignatureForm) -> np.ndarray:
     return matrix.astype(form.dtype)
 
 
-def _not_in_sigma(what: str, residuals: dict) -> ConfigInvalid:
-    """The refusal of ``what``, a matrix with these membership ``residuals``,
-    naming its worst condition."""
-    condition = max(residuals, key=residuals.get)
-    return ConfigInvalid(f"{what}: not in Sigma, {condition} residual {residuals[condition]:.3e}")
-
-
-def _check_operand(path: str, a: np.ndarray, form: SignatureForm) -> None:
-    """Refuse an operand that is not a Sigma element."""
-    rep = membership_residual(a, form)
-    if not rep.passed:
-        raise _not_in_sigma(path, rep.residuals)
-
-
-def _check_draw(stack: np.ndarray, form: SignatureForm) -> None:
-    """Refuse a drawn stack of Sigma parts holding a matrix that is not a
-    Sigma element, as an operand would be refused, naming the first."""
+def _check_sigma(stack: np.ndarray, form: SignatureForm, name: Callable[[int], str]) -> None:
+    """Refuse a stack of operands or drawn Sigma parts holding a matrix that
+    is not a Sigma element, from one ``membership_residual`` call: the first
+    such, matrix i, is named ``name(i)`` with its worst condition."""
     rep = membership_residual(stack, form)
     if not rep.passed:
         worst = np.max(list(rep.residuals.values()), axis=0)
         first = int(np.argmax(worst > MEMBERSHIP_TOLERANCE))
-        residuals = {name: float(r[first]) for name, r in rep.residuals.items()}
-        raise _not_in_sigma(f"sample {first + 1} of {len(stack)}", residuals)
+        residuals = {cond: float(r[first]) for cond, r in rep.residuals.items()}
+        condition = max(residuals, key=residuals.get)
+        raise ConfigInvalid(f"{name(first)}: not in Sigma, {condition} residual {residuals[condition]:.3e}")
 
 
 def _diagnostics(a: np.ndarray, form: SignatureForm) -> dict:
@@ -612,28 +608,29 @@ def cmd_mul(args) -> int:
         out, rho = _product(args, cfg)
         out["diagnostics"] = _diagnostics(rho, cfg.form)
     sys.stdout.write(_json_bytes(out).decode("utf-8"))
-    return 0
+    return 0 if out["diagnostics"]["pass"] else 1
 
 
 def _product(args, cfg: SuiteConfig) -> tuple:
-    """The product of the two operand files, as JSON and its Sigma part."""
+    """The product of the two operand files, as JSON and its Sigma part.
+    Both operands' Sigma parts are checked by one ``_check_sigma`` call;
+    a refusal names the first bad operand as checking lhs, then rhs would."""
+    paths = (args.lhs, args.rhs)
     if args.loop == "matrix":
         form = cfg.form
-        lhs, rhs = (_load_matrix_element(path, form) for path in (args.lhs, args.rhs))
-        for path, elem in ((args.lhs, lhs), (args.rhs, rhs)):
-            _check_operand(path, elem, form)
+        lhs, rhs = (_load_matrix_element(path, form) for path in paths)
+        _check_sigma(np.stack([lhs, rhs]), form, paths.__getitem__)
         product = MatrixLoop(form).mul(lhs, rhs)
         return element_to_json(product, form), product
     eloop = resolve(cfg)
-    e1, e2 = (
-        ext.extension_element_from_json(_read_json(path, "element file"), eloop.form)
-        for path in (args.lhs, args.rhs)
-    )
+    e1, e2 = (ext.extension_element_from_json(_read_json(path, "element file"), eloop.form) for path in paths)
     frame = eloop.wtilde.frame  # orthonormal, through 0 once validated
-    for path, elem in ((args.lhs, e1), (args.rhs, e2)):
-        _check_operand(path, elem.rho, eloop.form)
-        if not np.linalg.norm(elem.w - frame @ (dag(frame) @ elem.w)) <= MEMBERSHIP_TOLERANCE:
-            raise ConfigInvalid(f"{path}: w is not on the transversal")
+    off = [not np.linalg.norm(e.w - frame @ (dag(frame) @ e.w)) <= MEMBERSHIP_TOLERANCE for e in (e1, e2)]
+    # checked in the order lhs rho, lhs w, rhs rho, rhs w: the rho up to the first w off the transversal
+    last = off.index(True) if True in off else 1
+    _check_sigma(np.stack([e1.rho, e2.rho])[: last + 1], eloop.form, paths.__getitem__)
+    if off[last]:
+        raise ConfigInvalid(f"{paths[last]}: w is not on the transversal")
     product = eloop.mul(e1, e2)
     return product.to_json(eloop.form), product.rho
 
@@ -655,10 +652,8 @@ def cmd_factor(args) -> int:
 
 
 def cmd_witness(args) -> int:
-    if args.budget < 1:
-        raise ConfigInvalid(f"budget must be >= 1, got {args.budget}")
     cfg = load_suite_config(args)
-    report = ext.nonisomorphism_witness(resolve(cfg), SampleStream(cfg.seed), budget=args.budget)
+    report = ext.nonisomorphism_witness(resolve(cfg))
     out = {
         "element": element_to_json(report.element, cfg.form),
         "displacement": report.displacement,
@@ -678,12 +673,12 @@ def cmd_sample(args) -> int:
     with _in_float_range():
         if loop is None:
             elems, _ = sample_sigma(form, stream, args.count, args.radius)
-            _check_draw(elems, form)
-            lines = [json.dumps(element_to_json(a, form), sort_keys=True) for a in elems]
+            sigma, objs = elems, (element_to_json(a, form) for a in elems)
         else:
             elems, _ = loop.sample(stream, args.count, args.radius)
-            _check_draw(elems.rho, form)
-            lines = [json.dumps(elems[i].to_json(form), sort_keys=True) for i in range(args.count)]
+            sigma, objs = elems.rho, (elems[i].to_json(form) for i in range(args.count))
+        _check_sigma(sigma, form, lambda i: f"sample {i + 1} of {args.count}")
+        lines = [_LINE(obj) for obj in objs]
     sys.stdout.write("\n".join(lines) + ("\n" if lines else ""))
     return 0
 
@@ -714,11 +709,6 @@ def _factor_arguments(parser: argparse.ArgumentParser) -> None:
     _add_common(parser)
 
 
-def _witness_arguments(parser: argparse.ArgumentParser) -> None:
-    _add_common(parser)
-    parser.add_argument("--budget", type=int, default=100)
-
-
 def _sample_arguments(parser: argparse.ArgumentParser) -> None:
     _add_common(parser)
     parser.add_argument("--count", type=int, default=1)
@@ -731,7 +721,7 @@ COMMANDS = {
     "verify": ("run the full property suite", cmd_verify, lambda parser: _add_common(parser, verify=True)),
     "mul": ("multiply two elements", cmd_mul, _mul_arguments),
     "factor": ("split an isometry into its unique positive * unitary pair", cmd_factor, _factor_arguments),
-    "witness": ("find a block unitary displacing the transversal", cmd_witness, _witness_arguments),
+    "witness": ("find a block unitary displacing the transversal", cmd_witness, _add_common),
     "sample": ("emit deterministic element samples", cmd_sample, _sample_arguments),
 }
 

@@ -48,10 +48,6 @@ class NotInOrbit(BruckLoopsError):
     """A direction at infinity is not in the orbit of the carrier subspace."""
 
 
-class WitnessNotFound(BruckLoopsError):
-    """The non-isomorphism witness search exhausted its sample budget."""
-
-
 class RankAmbiguous(BruckLoopsError):
     """The dimension rank estimate lacks a clean singular-value gap at too
     many sample points."""

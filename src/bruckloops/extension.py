@@ -26,6 +26,10 @@ between the two coordinate blocks, which gives ``lift_from_infinity`` a
 closed form (the boost of that contraction, as in the gyrogroup view of
 the loop).  ``ExtensionConfig`` is the loop itself, the object the kernel
 checkers call, and holds the matrix loop of its lifts, built once.
+
+A transversal is likewise the graph of a block over the coordinate
+subspace it complements, which gives ``nonisomorphism_witness`` its
+element in closed form, one SVD of that block, with no sampling.
 """
 
 from __future__ import annotations
@@ -44,7 +48,6 @@ from .errors import (
     NotPositiveDefinite,
     RankAmbiguous,
     TransversalityViolated,
-    WitnessNotFound,
 )
 from .geometry import AffineSubspace, apply, projector, subspace, subspace_distance
 from .groups import (
@@ -57,7 +60,6 @@ from .groups import (
     element_to_json,
     matrix_from_json,
     matrix_to_json,
-    sample_phi,
     scale,
     sigma_from_block,
     sigma_from_spectrum,
@@ -238,26 +240,33 @@ def realize(e: ExtensionElement, cfg: ExtensionConfig) -> AffineSubspace:
     return AffineSubspace(e.w, _block_columns(e.rho, cfg.form, cfg.carrier))
 
 
+def _graph_block(z: np.ndarray, form: SignatureForm, over: int) -> np.ndarray:
+    """The p1 x p2 block X whose graph over W_over is the span of the frame
+    z, or of each frame of a stack: span [I; X*] over W_1 and [X; I] over
+    W_2.  With z = [F1; F2] split at p1, X* = F2 F1^-1 or X = F1 F2^-1, one
+    stacked ``solve``; a singular F1 or F2 raises ``LinAlgError``."""
+    zh = dag(z.astype(form.dtype))
+    f1h, f2h = zh[..., : form.p1], zh[..., form.p1 :]  # F1*, F2*
+    return np.linalg.solve(f1h, f2h) if over == 1 else dag(np.linalg.solve(f2h, f1h))
+
+
 def lift_from_infinity(z: np.ndarray, cfg: ExtensionConfig) -> np.ndarray:
     """The unique positive-definite isometry whose carrier image has the
     direction span of the frame ``z``, or one per frame of a stack
     (..., n, k): one stacked ``solve`` and one stacked p2 x p2 ``spectral_map``.
 
-    An orbit direction is the graph of a p1 x p2 contraction X: the span of
-    [I; X*] for carrier 1 and of [X; I] for carrier 2.  With z = [F1; F2]
-    split at p1, X* = F2 F1^-1 (carrier 1) or X = F1 F2^-1 (carrier 2).
-    The lift is the boost (I + T)(I - T^2)^{-1/2} = exp(artanh T) with
-    T = [[0, X], [X*, 0]], which maps W_1 onto span [I; X*] and W_2 onto
-    span [X; I]: the block X with a = b = M^{-1/2}, M = I - X* X.  A singular
+    An orbit direction is the graph of a p1 x p2 contraction X over the
+    carrier (``_graph_block``).  The lift is the boost
+    (I + T)(I - T^2)^{-1/2} = exp(artanh T) with T = [[0, X], [X*, 0]],
+    which maps W_1 onto span [I; X*] and W_2 onto span [X; I]: the block X
+    with a = b = M^{-1/2}, M = I - X* X.  A singular
     block, or M not positive definite (||X|| >= 1), means z is not in the orbit.
     """
     form = cfg.form
     if z.shape[-2:] != (form.n, cfg.carrier_dim):
         raise DimensionMismatch(f"direction must be {cfg.carrier_dim}-dimensional in F^{form.n}")
-    zh = dag(z.astype(form.dtype))
-    f1h, f2h = zh[..., : form.p1], zh[..., form.p1 :]  # F1*, F2*
     try:
-        x = np.linalg.solve(f1h, f2h) if cfg.carrier == 1 else dag(np.linalg.solve(f2h, f1h))
+        x = _graph_block(z, form, cfg.carrier)
     except np.linalg.LinAlgError as exc:
         raise NotInOrbit(f"direction is not a graph over the carrier: {exc}") from exc
     try:
@@ -312,17 +321,16 @@ def solve_translation(
 
 @dataclass(frozen=True)
 class WitnessReport:
+    """The witness and how far it moves the transversal.  ``samples_used``
+    is 1: the element is constructed, not searched for."""
+
     element: np.ndarray
     displacement: float
-    samples_used: int
+    samples_used: int = 1
 
 
-def nonisomorphism_witness(
-    cfg: ExtensionConfig,
-    stream: SampleStream | None = None,
-    budget: int = 100,
-) -> WitnessReport:
-    """Search for a block-diagonal unitary that moves the transversal.
+def nonisomorphism_witness(cfg: ExtensionConfig) -> WitnessReport:
+    """A block-diagonal unitary of determinant 1 that moves the transversal.
 
     Such an element conjugates translations along the transversal to
     translations along a genuinely different subspace, so the left
@@ -331,22 +339,28 @@ def nonisomorphism_witness(
     to differ from the coordinate one; the coordinate subspaces are
     invariant under every block-diagonal unitary, so no witness exists
     there.
+
+    The element is constructed, with no draw.  The transversal is the graph
+    of a p1 x p2 block L over the coordinate subspace it complements
+    (``_graph_block``): L = F1 F2^-1 for carrier 1, L = (F2 F1^-1)* for
+    carrier 2.  With Q the first two columns of L's full left singular
+    basis (p1 >= 2 always), g = diag(I - 2 Q Q*, I) turns the plane of Q by
+    pi, so its determinant is 1 on both fields, and negates L along its top
+    two left singular directions: the graph of L goes to the graph of
+    (I - 2 Q Q*) L.  Near the coordinate transversal the displacement is at
+    least 2 sqrt(2 / max(m, 2)) times the distance from it, m <= p2 the
+    count of L's nonzero singular values.
     """
-    if subspace_distance(cfg.wtilde, complement(cfg.form, cfg.carrier)) <= WITNESS_THRESHOLD:
+    form = cfg.form
+    if subspace_distance(cfg.wtilde, complement(form, cfg.carrier)) <= WITNESS_THRESHOLD:
         raise ConfigInvalid(
             "transversal coincides with the coordinate subspace; every "
             "block-diagonal unitary stabilizes it"
         )
-    if stream is None:
-        stream = SampleStream(1)
-    for used in range(1, budget + 1):
-        g, stream = sample_phi(cfg.form, stream, 1)
-        g = g[0]
-        moved = apply(g, cfg.wtilde)
-        disp = subspace_distance(moved, cfg.wtilde)
-        if disp > WITNESS_THRESHOLD:
-            return WitnessReport(g, disp, used)
-    raise WitnessNotFound(f"no displacement above {WITNESS_THRESHOLD:g} in {budget} samples")
+    q = np.linalg.svd(_graph_block(cfg.wtilde.frame, form, 3 - cfg.carrier))[0][:, :2]
+    g = form.eye().copy()
+    g[: form.p1, : form.p1] -= 2.0 * q @ dag(q)
+    return WitnessReport(g, float(subspace_distance(apply(g, cfg.wtilde), cfg.wtilde)))
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from itertools import accumulate
 
 import numpy as np
@@ -167,9 +167,10 @@ class MembershipReport:
 
     residuals: dict
 
-    @property
+    @cached_property
     def max_residual(self) -> float:
-        """The worst residual over every condition and every matrix."""
+        """The worst residual over every condition and every matrix, folded
+        on the first read."""
         return max((float(np.max(r, initial=0.0)) for r in self.residuals.values()), default=0.0)
 
     @property
@@ -348,9 +349,10 @@ def standard_boost(form: SignatureForm, t: float) -> np.ndarray:
 
 
 def matrix_to_json(a: np.ndarray) -> list:
+    """Rows of Python floats, a complex entry as its [re, im] pair."""
     if np.iscomplexobj(a):
-        return [[[float(v.real), float(v.imag)] for v in row] for row in a]
-    return [[float(v) for v in row] for row in a]
+        return np.stack([a.real, a.imag], -1).tolist()
+    return a.tolist()
 
 
 def _is_number(v) -> bool:

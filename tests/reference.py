@@ -12,6 +12,10 @@ one draw pooled over all rows; ``check_drawn`` runs a kernel checker on it.
 ``format_scalar`` and ``write_matrix_text`` write the matrix text format
 the package reads, with 17 significant digits, which round-trips float64
 bit-exactly; the tests write their matrix text input with them.
+``elementwise_matrix_json`` is the JSON matrix writer the package's
+``tolist`` one replaced, one ``float`` per entry, and ``operand_refusal``
+the refusal of one operand checked alone, the refusal of each stacked
+check names.
 
 ``hermitian_function``, ``sigma_exp``, ``positive_factor`` and ``boost`` are
 the n x n forms the package's block path replaced: a function of a whole
@@ -68,6 +72,23 @@ def write_matrix_text(a: np.ndarray) -> str:
     for i in range(rows):
         lines.append(" ".join(format_scalar(a[i, j], field) for j in range(cols)))
     return "\n".join(lines) + "\n"
+
+
+def elementwise_matrix_json(a: np.ndarray) -> list:
+    """Rows of entries built one ``float`` at a time, a complex entry as [re, im]."""
+    if np.iscomplexobj(a):
+        return [[[float(v.real), float(v.imag)] for v in row] for row in a]
+    return [[float(v) for v in row] for row in a]
+
+
+def operand_refusal(path: str, a: np.ndarray, form) -> str | None:
+    """The error line refusing the single matrix ``a`` read from ``path`` as
+    not in Sigma, naming its worst condition; None if it is in Sigma."""
+    rep = membership_residual(a, form)
+    if rep.passed:
+        return None
+    condition = max(rep.residuals, key=rep.residuals.get)
+    return f"error: {path}: not in Sigma, {condition} residual {rep.residuals[condition]:.3e}\n"
 
 
 def hermitian_function(a, func):

@@ -210,10 +210,9 @@ def test_manifold_dimension(form):
 def test_transversal_witness(form):
     boosted = apply(standard_boost(form, math.log(2)), coordinate_subspace(form, 2))
     cfg = extension_config(form, wtilde=boosted)
-    report = nonisomorphism_witness(cfg, SampleStream(SEED), budget=100)
-    ok = report.displacement > 1e-3 and report.samples_used <= 100
-    emit(ok, f"witness[{config_id(form)}]",
-         f"displacement {report.displacement:.3e} > 1e-03 after {report.samples_used} samples")
+    report = nonisomorphism_witness(cfg)
+    ok = report.displacement > 1e-3
+    emit(ok, f"witness[{config_id(form)}]", f"constructed displacement {report.displacement:.3e} > 1e-03")
     assert ok
 
 

@@ -16,7 +16,7 @@ from bruckloops.errors import NotInOrbit
 from bruckloops.groups import SampleStream, SignatureForm, element_to_json, standard_boost
 from bruckloops.kernel import INVERSE_GAP
 from conftest import boost3, rotation
-from reference import write_matrix_text
+from reference import operand_refusal, write_matrix_text
 
 SCHEMA = Path(__file__).resolve().parent.parent / "schema" / "suite_report.schema.json"
 
@@ -650,6 +650,81 @@ class TestMul:
         rhs.write_text(lhs.read_text() if squared else json.dumps(good))
         assert main(["mul", str(lhs), str(rhs), "--loop", loop]) in (0, 2)
 
+    @pytest.mark.parametrize("loop, seed", [("matrix", "1"), ("extension", "2")])
+    def test_failed_diagnostics_exit_one(self, tmp_path, capsys, loop, seed):
+        # a radius-8 sample squared leaves Sigma by more than the bound in
+        # float64: the product is still written, and the exit code says it failed
+        assert main(["sample", "--loop", loop, "--radius", "8", "--seed", seed]) == 0
+        element = tmp_path / "x.json"
+        element.write_text(capsys.readouterr().out)
+        assert main(["mul", "--loop", loop, str(element), str(element)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        out = json.loads(captured.out)
+        assert out["diagnostics"]["pass"] is False
+        assert max(out["diagnostics"]["membership"].values()) > TOLERANCES["membership"]
+
+    @pytest.mark.parametrize("loop", ["matrix", "extension"])
+    @pytest.mark.parametrize("bad", ["lhs", "rhs", "both"])
+    def test_operand_refusal_names_the_first_bad_operand(self, tmp_path, capsys, form321r, loop, bad):
+        # a block rotation is not hermitian, a stretch not an isometry: each
+        # refusal is the one checking that operand alone gives
+        good = standard_boost(form321r, 0.5)
+        wrong = {"lhs": rotation(3, 0, 1, 0.7), "rhs": np.diag([2.0, 1.0, 0.5])}
+        mats = {side: wrong[side] if bad in (side, "both") else good for side in ("lhs", "rhs")}
+        paths = {}
+        for side, m in mats.items():
+            elem = element_to_json(m, form321r)
+            paths[side] = tmp_path / f"{side}.json"
+            paths[side].write_text(json.dumps(elem if loop == "matrix" else {"w": [0.0] * 3, "rho": elem}))
+        assert main(["mul", "--loop", loop, str(paths["lhs"]), str(paths["rhs"])]) == 2
+        captured = capsys.readouterr()
+        first = "rhs" if bad == "rhs" else "lhs"
+        assert captured.out == ""
+        assert captured.err == operand_refusal(str(paths[first]), mats[first], form321r)
+
+    @pytest.mark.parametrize(
+        "lhs_rho, lhs_w, rhs_rho, rhs_w, refused",
+        [("bad", "off", "good", "on", "lhs rho"), ("good", "off", "bad", "on", "lhs w"),
+         ("good", "on", "bad", "off", "rhs rho"), ("bad", "on", "good", "off", "lhs rho"),
+         ("good", "on", "good", "off", "rhs w")],
+    )
+    def test_extension_operands_are_refused_lhs_first(
+        self, tmp_path, capsys, form321r, lhs_rho, lhs_w, rhs_rho, rhs_w, refused
+    ):
+        # the checks run as lhs rho, lhs w, rhs rho, rhs w would, one at a time
+        rho = {"good": standard_boost(form321r, 0.5), "bad": rotation(3, 0, 1, 0.7)}
+        w = {"on": [0.0, 0.0, 0.25], "off": [0.5, 0.0, 0.25]}
+        paths = {}
+        for side, r, x in (("lhs", lhs_rho, lhs_w), ("rhs", rhs_rho, rhs_w)):
+            paths[side] = tmp_path / f"{side}.json"
+            paths[side].write_text(json.dumps({"w": w[x], "rho": element_to_json(rho[r], form321r)}))
+        assert main(["mul", "--loop", "extension", str(paths["lhs"]), str(paths["rhs"])]) == 2
+        side, part = refused.split()
+        expected = (
+            operand_refusal(str(paths[side]), rho["bad"], form321r) if part == "rho"
+            else f"error: {paths[side]}: w is not on the transversal\n"
+        )
+        assert capsys.readouterr().err == expected
+
+    @pytest.mark.parametrize("loop", ["matrix", "extension"])
+    def test_operands_are_checked_in_one_stacked_call(self, tmp_path, capsys, monkeypatch, loop):
+        assert main(["sample", "--loop", loop, "--count", "2"]) == 0
+        lhs, rhs = tmp_path / "a.json", tmp_path / "b.json"
+        for path, line in zip((lhs, rhs), capsys.readouterr().out.splitlines()):
+            path.write_text(line)
+        calls = []
+        real = cli.membership_residual
+
+        def counting(a, form):
+            calls.append(a.shape)
+            return real(a, form)
+
+        monkeypatch.setattr(cli, "membership_residual", counting)
+        assert main(["mul", "--loop", loop, str(lhs), str(rhs)]) == 0
+        # the two operands at once, then the product's diagnostics
+        assert calls == [(2, 3, 3), (3, 3)]
+
     def test_determinant_dominated_diagnostics_serialize(self, form321r):
         diag = _diagnostics(2.0 * np.eye(3), form321r)
         assert diag["pass"] is False
@@ -878,7 +953,7 @@ def test_command_help_lists_its_options(capsys, command):
         "verify": verify_only,
         "mul": {"lhs", "rhs", "--loop"},
         "factor": {"matrix"},
-        "witness": {"--budget"},
+        "witness": set(),
         "sample": {"--count", "--radius", "--loop"},
     }[command]
     expected = {"--config"} | {f"--{key}" for key in SETTINGS if key != "out"} | own
@@ -896,6 +971,7 @@ USAGE_ERRORS = [
     (["mul", "a"], "bruckloops mul: error: the following arguments are required: rhs"),
     (["factor"], "bruckloops factor: error: the following arguments are required: matrix"),
     (["mul", "a", "b", "--samples", "0"], "bruckloops mul: error: unrecognized arguments: --samples 0"),
+    (["witness", "--budget", "5"], "bruckloops witness: error: unrecognized arguments: --budget 5"),
 ]
 
 
@@ -939,23 +1015,34 @@ class TestWitness:
         assert code == 0
         out = json.loads(capsys.readouterr().out)
         assert out["displacement"] > 1e-3
-        assert out["samples_used"] <= 100
+        assert out["samples_used"] == 1
 
-    def test_standard_transversal_rejected(self, capsys):
-        assert main(["witness", "--n", "3", "--p1", "2", "--p2", "1"]) == 2
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("carrier", ["1", "2"])
+    def test_seed_has_no_effect(self, capsys, field, carrier):
+        # the witness is constructed, not drawn
+        argv = ["witness", "--n", "4", "--p1", "2", "--p2", "2", "--field", field,
+                "--carrier", carrier, "--wtilde", "boost:0.3"]
+        assert main(argv + ["--seed", "1"]) == 0
+        first = capsys.readouterr().out
+        assert main(argv + ["--seed", "7"]) == 0
+        assert capsys.readouterr().out == first
+
+    @pytest.mark.parametrize("carrier", ["1", "2"])
+    def test_standard_transversal_rejected(self, capsys, carrier):
+        assert main(["witness", "--n", "3", "--p1", "2", "--p2", "1", "--carrier", carrier]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: transversal coincides with the coordinate subspace; "
+            "every block-diagonal unitary stabilizes it\n"
+        )
 
     @pytest.mark.parametrize("t", ["nan", "inf"])
     def test_non_finite_boost_is_config_error(self, capsys, t):
         argv = ["witness", "--n", "3", "--p1", "2", "--p2", "1", "--wtilde", f"boost:{t}"]
         assert main(argv) == 2
         assert "non-finite" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("budget", ["0", "-1"])
-    def test_nonpositive_budget_is_config_error(self, capsys, budget):
-        assert main(["witness", "--wtilde", "boost:0.5", "--budget", budget]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"error: budget must be >= 1, got {budget}\n"
 
 
 class TestSample:

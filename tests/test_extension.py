@@ -25,6 +25,7 @@ from bruckloops.geometry import AffineSubspace, apply, projector, subspace, subs
 from bruckloops.groups import (
     SampleStream,
     SignatureForm,
+    matrix_to_json,
     sample_sigma,
     sigma_from_block,
     standard_boost,
@@ -366,10 +367,61 @@ class TestWitness:
         assert subspace_distance(moved, boosted_cfg.wtilde) == pytest.approx(expected, rel=1e-12)
         assert expected > 1e-3
 
-    def test_search_succeeds(self, boosted_cfg):
-        report = nonisomorphism_witness(boosted_cfg, SampleStream(3))
+    def test_constructed(self, boosted_cfg):
+        report = nonisomorphism_witness(boosted_cfg)
         assert report.displacement > 1e-3
-        assert report.samples_used <= 100
+        assert report.samples_used == 1
+
+
+def _assert_witness(cfg):
+    """The constructed witness is a block-diagonal unitary of determinant 1
+    whose displacement of the transversal is the one reported, and clears
+    the threshold with room."""
+    form, report = cfg.form, nonisomorphism_witness(cfg)
+    g, p1 = report.element, form.p1
+    assert g.dtype == form.dtype
+    assert not g[:p1, p1:].any() and not g[p1:, :p1].any()
+    assert np.array_equal(g[p1:, p1:], np.eye(form.p2))
+    assert fro(g @ g.conj().T - np.eye(form.n)) <= 1e-12
+    assert abs(np.linalg.det(g) - 1.0) <= 1e-12
+    moved = apply(g, cfg.wtilde)
+    moved = subspace(moved.base, moved.frame)
+    assert report.displacement == pytest.approx(canonical_distance(moved, cfg.wtilde), rel=1e-9, abs=1e-15)
+    assert report.displacement > 2.8 * ext.WITNESS_THRESHOLD
+
+
+WITNESS_FORMS = [(n, p1, n - p1) for n in range(3, 7) for p1 in range(n - 1, (n - 1) // 2, -1)]
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("n, p1, p2", WITNESS_FORMS)
+def test_constructed_witness_on_boosted_transversals(n, p1, p2, field):
+    form = SignatureForm(n, p1, p2, field)
+    for carrier in (1, 2):
+        for t in (1e-3, 0.1, 1.0, 8.0):
+            cfg = extension_config(form, carrier, build_wtilde(form, carrier, f"boost:{t!r}"))
+            _assert_witness(cfg)
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("carrier", [1, 2])
+@pytest.mark.parametrize("n, p1, p2", [(3, 2, 1), (4, 2, 2), (5, 3, 2), (6, 3, 3)])
+def test_constructed_witness_on_file_transversals(tmp_path, n, p1, p2, field, carrier):
+    # the graph of a random block L of norm from 1e-2 to 0.9, spanned by a
+    # frame mixed by a random invertible matrix, read from a file
+    form = SignatureForm(n, p1, p2, field)
+    rng = np.random.default_rng(100 * n + 10 * p1 + carrier)
+    k = p2 if carrier == 1 else p1
+    for size in (1e-2, 0.3, 0.9):
+        shape = (p1, p2) if carrier == 1 else (p2, p1)
+        block = rng.standard_normal(shape) + (1j * rng.standard_normal(shape) if field == "complex" else 0)
+        block *= size / np.linalg.norm(block, 2)
+        graph = np.vstack([block, np.eye(p2)]) if carrier == 1 else np.vstack([np.eye(p1), block])
+        frame = graph @ (rng.standard_normal((k, k)) + 2 * np.eye(k))
+        path = tmp_path / "wt.json"
+        base = matrix_to_json(np.zeros((1, n), dtype=form.dtype))[0]
+        path.write_text(json.dumps({"base": base, "frame": matrix_to_json(frame)}))
+        _assert_witness(extension_config(form, carrier, build_wtilde(form, carrier, f"file:{path}")))
 
 
 # The configs of the 16-case report set (the (3,2,1) complex one doubles as

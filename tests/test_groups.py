@@ -14,6 +14,7 @@ from bruckloops.groups import (
     conjugate_by_phi,
     element_from_json,
     element_to_json,
+    matrix_to_json,
     membership_residual,
     polar_factorize,
     sample_phi,
@@ -23,6 +24,7 @@ from bruckloops.groups import (
 )
 from bruckloops.linalg import eig_hermitian, fro
 from conftest import boost3, one, rotation
+from reference import elementwise_matrix_json
 
 
 class TestSignatureForm:
@@ -242,3 +244,37 @@ def test_element_json_roundtrip():
         assert np.array_equal(element_from_json(obj, form), a)
         with pytest.raises(ConfigInvalid, match="is not the configured"):
             element_from_json(obj, SignatureForm(3, 2, 1, "complex" if field == "real" else "real"))
+
+
+_EDGE_ENTRIES = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 1.0, -3.0, 2.0**53, 0.1, 1 / 3]
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("rows, cols", [(3, 3), (1, 4), (4, 2), (0, 3)])
+def test_matrix_json_matches_the_elementwise_writer(field, rows, cols):
+    # -0.0, the smallest subnormal, near-overflow and integer-valued floats
+    # print byte for byte as the one-float-per-entry writer prints them
+    rng = np.random.default_rng(rows * 10 + cols)
+    vals = rng.choice(_EDGE_ENTRIES, size=(rows, cols))
+    if field == "complex":
+        vals = vals.astype(complex)
+        vals.imag = rng.choice(_EDGE_ENTRIES, size=(rows, cols))
+    for a in (vals, rng.standard_normal((rows, cols)).astype(vals.dtype)):
+        for dumps in (lambda obj: json.dumps(obj, sort_keys=True), lambda obj: json.dumps(obj, indent=2)):
+            assert dumps(matrix_to_json(a)) == dumps(elementwise_matrix_json(a))
+
+
+def test_element_json_matches_the_elementwise_writer():
+    for field in ("real", "complex"):
+        form = SignatureForm(3, 2, 1, field)
+        a, _ = sample_sigma(form, SampleStream(6), 5)
+        for m in a:
+            expected = {"form": form.to_json(), "matrix": elementwise_matrix_json(m)}
+            assert json.dumps(element_to_json(m, form), sort_keys=True) == json.dumps(expected, sort_keys=True)
+
+
+def test_max_residual_is_folded_once(form321r):
+    rep = membership_residual(np.stack([np.eye(3), 2.0 * np.eye(3)]), form321r)
+    first = rep.max_residual
+    rep.residuals["determinant"] = np.zeros(2)  # a second fold would see this
+    assert rep.max_residual == first and not rep.passed

@@ -336,3 +336,14 @@ class TestMatrixText:
         z = complex(re_part, im_part)
         assert parse_scalar(format_scalar(z, "complex"), "complex") == z
 
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (5, 4, 4), (2, 3, 1, 2), (0, 3, 3)])
+@pytest.mark.parametrize("complex_case", [False, True])
+def test_fro_is_numpy_norm_bit_for_bit(shape, complex_case):
+    rng = np.random.default_rng(sum(shape))
+    a = rng.standard_normal(shape) * 10.0 ** rng.integers(-150, 150, size=shape)
+    if complex_case:
+        a = a + 1j * rng.standard_normal(shape)
+    expected = np.linalg.norm(a, axis=(-2, -1))
+    assert np.array_equal(fro(a), expected) and np.shape(fro(a)) == np.shape(expected)
