@@ -17,9 +17,10 @@ its sample-count key (which also selects its sample stream), whether it is
 required, its default count, its per-sample draw layout (kinds of value,
 keys of ``PARTS``) and a ``run`` that returns the worst residual of each
 entry.  ``draw_parts`` draws every row's uniforms from the row's own
-stream and evaluates each kind's chart once over all rows, so a verify
-makes one Sigma chart call and one Phi chart call, and each row gets its
-values as slices.  Every row is batched: it makes one call per loop
+stream, all rows in one splitmix64 pass at the usual counts, and
+evaluates each kind's chart once over all rows, so a verify makes one
+Sigma chart call and one Phi chart call, and each row gets its values as
+slices.  Every row is batched: it makes one call per loop
 operation per dependency level on the joined stacks of elements and folds
 the per-element residuals with max.  One runner times every row's check,
 builds its entries and turns a numeric breakdown inside it or inside a
@@ -60,7 +61,7 @@ import numpy as np
 
 from . import extension as ext
 from . import geometry
-from .errors import BruckLoopsError, ConfigInvalid
+from .errors import BruckLoopsError, ConfigInvalid, NotInOrbit, TransversalityViolated
 from .groups import (
     MEMBERSHIP_TOLERANCE,
     SAMPLE_RADIUS,
@@ -74,11 +75,13 @@ from .groups import (
     phi_from_uniforms,
     phi_width,
     polar_factorize,
+    sample_parts,
     sample_sigma,
     scale,
     sigma_from_uniforms,
     sigma_width,
     standard_boost,
+    unit_uniforms,
 )
 from .kernel import (
     INVERSE_GAP, check_aip, check_bol, check_left_a, check_loop_axioms, inverse_gap, worst,
@@ -435,16 +438,29 @@ def draw_parts(loop: ext.ExtensionConfig, streams: dict, counts: dict) -> dict:
     """Every row's drawn values, by row key: one stack per part of its
     layout, or the breakdown a chart serving the row raised.
 
-    Each row draws ``counts[key]`` samples' uniforms from ``streams[key]``
-    in one ``next_rows`` call, sample by sample in layout order, as a
-    sample-by-sample draw would; each kind's uniforms, pooled over all rows
-    in row order, go through its chart once and are sliced back.  A stacked
-    chart call gives each value the bits it gets alone."""
-    pooled = {kind: [] for kind in PARTS}  # each kind's uniforms, part by part in row order
+    Each row draws ``counts[key]`` samples' uniforms from ``streams[key]``,
+    sample by sample in layout order, as a sample-by-sample draw would.
+    Consecutive rows on one seed draw together, one ``unit_uniforms`` pass
+    over their counters per batch of at most ``_CHART_CHUNK`` uniforms (a
+    larger row is a batch alone), and each row's parts are sliced from it.
+    Each kind's uniforms, pooled over all rows in row order, go through its
+    chart once and are sliced back.  A stacked chart call gives each value
+    the bits it gets alone."""
+    batches, room = [], 0  # runs of (row, widths, stream, uniforms drawn); what the last may still take
     for row in PROPERTIES:
-        parts, _ = streams[row.key].next_rows(counts[row.key], *_widths(loop, row))
-        for kind, u in zip(row.draw, parts):
-            pooled[kind].append(u)
+        widths, stream = _widths(loop, row), streams[row.key]
+        size = counts[row.key] * sum(widths)
+        if not batches or size > room or stream.seed != batches[-1][0][2].seed:
+            batches.append([])
+            room = _CHART_CHUNK
+        batches[-1].append((row, widths, stream, size))
+        room -= size
+    pooled = {kind: [] for kind in PARTS}  # each kind's uniforms, part by part in row order
+    for batch in batches:
+        u = unit_uniforms(batch[0][2].seed, np.concatenate([stream.counters(n) for *_, stream, n in batch]))
+        for (row, widths, _, n), end in zip(batch, accumulate(n for *_, n in batch)):
+            for kind, part in zip(row.draw, sample_parts(u[end - n : end], counts[row.key], widths)):
+                pooled[kind].append(part)
     values = {kind: iter(_chart(loop, kind, us)) for kind, us in pooled.items()}
     drawn = {}
     for row in PROPERTIES:
@@ -614,7 +630,9 @@ def cmd_mul(args) -> int:
 def _product(args, cfg: SuiteConfig) -> tuple:
     """The product of the two operand files, as JSON and its Sigma part.
     Both operands' Sigma parts are checked by one ``_check_sigma`` call;
-    a refusal names the first bad operand as checking lhs, then rhs would."""
+    a refusal names the first bad operand as checking lhs, then rhs would.
+    An extension product that breaks down in the orbit chart is refused
+    naming both operands."""
     paths = (args.lhs, args.rhs)
     if args.loop == "matrix":
         form = cfg.form
@@ -631,7 +649,12 @@ def _product(args, cfg: SuiteConfig) -> tuple:
     _check_sigma(np.stack([e1.rho, e2.rho])[: last + 1], eloop.form, paths.__getitem__)
     if off[last]:
         raise ConfigInvalid(f"{paths[last]}: w is not on the transversal")
-    product = eloop.mul(e1, e2)
+    try:
+        product = eloop.mul(e1, e2)
+    except (NotInOrbit, TransversalityViolated) as exc:
+        raise ConfigInvalid(
+            f"product of {paths[0]} and {paths[1]} leaves float64's range of the orbit chart: {exc}"
+        ) from exc
     return product.to_json(eloop.form), product.rho
 
 

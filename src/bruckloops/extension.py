@@ -12,7 +12,7 @@ so an element is stored as ``(w, rho)``.  The loop operations run on these
 coordinates: ``realize`` gives the point w and the carrier columns of rho,
 and ``omega`` reads coordinates off any point and spanning frame.  Canonical
 subspaces serve only where a minimum-norm base is read: the transversal,
-``distance``, the dimension chart and the ``solve_translation`` property.
+``distance`` and the ``solve_translation`` property.
 
 Elements take stacks: ``w`` of shape (..., n) with ``rho`` a plain array
 (..., n, n) of the same batch shape is that many elements, and every loop
@@ -24,8 +24,9 @@ The loop holds the form; the JSON writer and reader take it as an argument.
 Every orbit direction at infinity is the graph of a strict contraction
 between the two coordinate blocks, which gives ``lift_from_infinity`` a
 closed form (the boost of that contraction, as in the gyrogroup view of
-the loop).  ``ExtensionConfig`` is the loop itself, the object the kernel
-checkers call, and holds the matrix loop of its lifts, built once.
+the loop) and the dimension chart its projectors, with no QR.
+``ExtensionConfig`` is the loop itself, the object the kernel checkers
+call, and holds the matrix loop of its lifts, built once.
 
 A transversal is likewise the graph of a block over the coordinate
 subspace it complements, which gives ``nonisomorphism_witness`` its
@@ -49,7 +50,7 @@ from .errors import (
     RankAmbiguous,
     TransversalityViolated,
 )
-from .geometry import AffineSubspace, apply, projector, subspace, subspace_distance
+from .geometry import AffineSubspace, apply, subspace, subspace_distance
 from .groups import (
     SAMPLE_RADIUS,
     SampleStream,
@@ -61,7 +62,6 @@ from .groups import (
     matrix_from_json,
     matrix_to_json,
     scale,
-    sigma_from_block,
     sigma_from_spectrum,
     sigma_from_uniforms,
     sigma_width,
@@ -386,17 +386,25 @@ def _chart_embeddings(cfg: ExtensionConfig, thetas: np.ndarray) -> np.ndarray:
     projector-plus-base embedding, a complex entry as its (re, im) pair.
 
     A chart point is laid out as ``blocks`` reads it: the transversal
-    coordinates, then the exponential block.  Its element is (w, exp of the
-    block's generator) and its image the canonical form of its subspace
-    (w, carrier columns), from one stacked ``orthonormalize`` call, which
-    refuses a collapsed carrier column.
+    coordinates w, then the exponential block X.  exp([[0, X], [X*, 0]])
+    carries W_2 onto the graph of the contraction Z = X Q diag(tau / t) Q*
+    and W_1 onto the graph of Z*, with X* X = Q diag(t^2) Q* from one stacked
+    eigendecomposition and tau = tanh t.  So the orthonormal frame
+    U = [+-X Q diag(c tau / t); Q diag(c)], c = (1 + tau^2)^-1/2, gives the
+    carrier projector in closed form: U U* for carrier 2 (sign +) and
+    I - U U* for carrier 1 (sign -), and the base is w - P w.
     """
     form = cfg.form
     coef, x = blocks(form, thetas, (cfg.wtilde.dim, 1), (form.p1, form.p2))
-    cols = _block_columns(sigma_from_block(form, x), form, cfg.carrier)
-    s = subspace(mv(cfg.wtilde.frame, coef[..., 0]), cols)
-    p = projector(s.frame).reshape(len(thetas), form.n**2)
-    return np.concatenate([p, s.base], axis=-1).view(np.float64)
+    dec = eig_hermitian(dag(x) @ x)
+    t = np.sqrt(np.maximum(dec.eigenvalues, 0.0))
+    tau = np.tanh(t)
+    c = 1.0 / np.sqrt(1.0 + tau * tau)
+    top = c * np.divide(tau, t, out=np.ones_like(t), where=t > 0) * (1.0 if cfg.carrier == 2 else -1.0)
+    u = np.concatenate([(x @ dec.eigenbasis) * top[..., None, :], dec.eigenbasis * c[..., None, :]], axis=-2)
+    p = u @ dag(u) if cfg.carrier == 2 else form.eye() - u @ dag(u)
+    w = mv(cfg.wtilde.frame, coef[..., 0])
+    return np.concatenate([p.reshape(len(thetas), form.n**2), w - mv(p, w)], axis=-1).view(np.float64)
 
 
 def _chart_jacobians(cfg: ExtensionConfig, thetas: np.ndarray) -> np.ndarray:
@@ -429,10 +437,10 @@ def dimension_rank_report(
     refused.
 
     The Jacobians are computed as stacks: one draw of every chart point,
-    one eigendecomposition call for the lifts of all 2 * d * points
-    perturbed chart points, one QR call and one SVD call.  The spectral
-    layer still checks each matrix, and each carrier frame is checked for
-    collapse.
+    one eigendecomposition call for the closed-form projectors of all
+    2 * d * points perturbed chart points and one SVD call, with no QR.
+    The spectral layer still checks each matrix; a non-finite embedding
+    breaks the SVD, which raises ``LinAlgError``.
     """
     if stream is None:
         stream = SampleStream(1)

@@ -38,7 +38,9 @@ from .errors import ConfigInvalid, DimensionMismatch, NotInGroup
 from .linalg import COMPLEX, REAL, dag, fro, spectral_map, symmetrize
 
 _MODULUS = 1 << 64
-_GAMMA = 0x9E3779B97F4A7C15
+# splitmix64's golden gamma, multipliers and shifts as uint64 scalars, built once
+_GAMMA, _M1, _M2, _S11, _S27, _S30, _S31 = np.array(
+    [0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB, 11, 27, 30, 31], dtype=np.uint64)
 # The membership bound: the largest residual a matrix may show and still
 # count as a group element, for factor's input, mul's operands and the suite.
 MEMBERSHIP_TOLERANCE = 1e-9
@@ -128,31 +130,48 @@ class SampleStream:
     counter: int = 0
 
     def next_uniforms(self, count: int, lo: float = 0.0, hi: float = 1.0):
-        """The next ``count`` draws, uniform on [lo, hi): splitmix64 of
-        seed + (k + 1) * golden gamma modulo 2^64 for counter k, its top 53
-        bits read as a fraction, computed in ``uint64`` for all k at once."""
-        k = np.arange(count, dtype=np.uint64) + np.uint64((self.counter + 1) % _MODULUS)
-        z = k * np.uint64(_GAMMA) + np.uint64(self.seed % _MODULUS)
-        z ^= z >> np.uint64(30)
-        z *= np.uint64(0xBF58476D1CE4E5B9)
-        z ^= z >> np.uint64(27)
-        z *= np.uint64(0x94D049BB133111EB)
-        z ^= z >> np.uint64(31)
-        vals = (z >> np.uint64(11)).astype(np.float64) * (1.0 / (1 << 53))
+        """The next ``count`` draws, uniform on [lo, hi), from one
+        ``unit_uniforms`` pass over their counters."""
+        vals = unit_uniforms(self.seed, self.counters(count))
         return scale(vals, lo, hi), SampleStream(self.seed, self.counter + count)
 
+    def counters(self, count: int) -> np.ndarray:
+        """The ``uint64`` counters k + 1 of the next ``count`` draws k."""
+        return np.arange(count, dtype=np.uint64) + np.uint64((self.counter + 1) % _MODULUS)
+
     def next_rows(self, count: int, *widths: int):
-        """``count`` samples' draws from one ``next_uniforms`` call, split per
-        sample into consecutive parts of the given widths: one array
-        (count, width) of unit uniforms per part, in the order the parts
-        would be drawn sample by sample, and the advanced stream.  The parts
-        are column slices of one array (count, sum of widths)."""
+        """``count`` samples' draws from one ``next_uniforms`` call, split by
+        ``sample_parts``, and the advanced stream."""
         vals, stream = self.next_uniforms(count * sum(widths))
-        rows = vals.reshape(count, sum(widths))
-        return _slices(rows, widths), stream
+        return sample_parts(vals, count, widths), stream
 
     def split(self, offset: int) -> "SampleStream":
         return SampleStream(self.seed, self.counter + offset)
+
+
+def unit_uniforms(seed: int, k: np.ndarray) -> np.ndarray:
+    """splitmix64 of seed + k * golden gamma modulo 2^64 for each ``uint64``
+    counter of ``k``, its top 53 bits read as a fraction in [0, 1): one
+    pass over the whole array, updated in place."""
+    z = k * _GAMMA
+    z += np.uint64(seed % _MODULUS)
+    z ^= z >> _S30
+    z *= _M1
+    z ^= z >> _S27
+    z *= _M2
+    z ^= z >> _S31
+    z >>= _S11
+    u = z.astype(np.float64)
+    u *= 1.0 / (1 << 53)
+    return u
+
+
+def sample_parts(vals: np.ndarray, count: int, widths) -> list:
+    """``count`` samples' unit uniforms, split per sample into consecutive
+    parts of the given widths: one array (count, width) per part, in the
+    order the parts would be drawn sample by sample.  The parts are column
+    slices of ``vals`` read as (count, sum of widths)."""
+    return _slices(vals.reshape(count, sum(widths)), widths)
 
 
 def scale(u: np.ndarray, lo: float, hi: float) -> np.ndarray:

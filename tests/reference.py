@@ -25,7 +25,10 @@ The functions after them are the earlier forms of the stacked kernels'
 glue: ``np.split`` parts, joins that always broadcast, products by the
 diagonal J, a second conjugate transpose in the eigensolver, two ``omega``
 calls per translation and a per-point rank fold.  The package must agree
-with each bit for bit.
+with each bit for bit.  ``per_row_draw_parts`` is the verify's draw with
+one splitmix64 pass per row, which the batched draw must match byte for
+byte; ``qr_chart_embeddings`` is the dimension chart through the assembled
+lift and a QR, which the closed-form projectors must match to rounding.
 """
 
 from __future__ import annotations
@@ -34,21 +37,24 @@ import math
 
 import numpy as np
 
+from bruckloops import cli
 from bruckloops import extension as ext
 from bruckloops import geometry
 from bruckloops.errors import InversesDisagree, NotHermitian
 from bruckloops.groups import (
     SampleStream,
+    blocks,
     conjugate_by_phi,
     membership_residual,
     polar_factorize,
     positive_factor as block_positive_factor,
     sample_phi,
     sample_sigma,
+    sigma_from_block,
 )
 from bruckloops.kernel import check_aip, check_bol, check_left_a, check_loop_axioms
 from bruckloops.linalg import (
-    COMPLEX, REAL, TAU_ABS, TAU_REL, SpectralDecomposition, dag, field_of, fro, symmetrize,
+    COMPLEX, REAL, TAU_ABS, TAU_REL, SpectralDecomposition, dag, field_of, fro, mv, symmetrize,
 )
 
 _MASK64 = (1 << 64) - 1
@@ -210,6 +216,36 @@ def rank_fold_by_point(svs):
             ok += 1
         ranks.append(int(kept.size))
     return ranks, ok
+
+
+def qr_chart_embeddings(cfg, thetas):
+    """``extension._chart_embeddings`` through the assembled lift: each
+    chart point's element exp([[0, X], [X*, 0]]) from ``sigma_from_block``,
+    its carrier columns made canonical by one QR (``geometry.subspace``),
+    then their projector and the minimum-norm base."""
+    form = cfg.form
+    coef, x = blocks(form, thetas, (cfg.wtilde.dim, 1), (form.p1, form.p2))
+    rho = sigma_from_block(form, x)
+    cols = rho[..., : form.p1] if cfg.carrier == 1 else rho[..., form.p1 :]
+    s = geometry.subspace(mv(cfg.wtilde.frame, coef[..., 0]), cols)
+    p = geometry.projector(s.frame).reshape(len(thetas), form.n**2)
+    return np.concatenate([p, s.base], axis=-1).view(np.float64)
+
+
+def per_row_draw_parts(loop, streams, counts):
+    """``cli.draw_parts`` with one ``next_rows`` call per row: each row's
+    own splitmix64 pass, then each kind's chart once over all rows."""
+    pooled = {kind: [] for kind in cli.PARTS}
+    for row in cli.PROPERTIES:
+        parts, _ = streams[row.key].next_rows(counts[row.key], *cli._widths(loop, row))
+        for kind, u in zip(row.draw, parts):
+            pooled[kind].append(u)
+    values = {kind: iter(cli._chart(loop, kind, us)) for kind, us in pooled.items()}
+    drawn = {}
+    for row in cli.PROPERTIES:
+        parts = [next(values[kind]) for kind in row.draw]
+        drawn[row.key] = next((p for p in parts if isinstance(p, Exception)), parts)
+    return drawn
 
 
 def splitmix(state: int) -> int:

@@ -11,6 +11,8 @@ import pytest
 
 import bruckloops.cli as cli
 import bruckloops.extension
+import bruckloops.geometry
+import bruckloops.linalg
 from bruckloops.cli import PROPERTIES, TOLERANCES, SuiteConfig, draw_parts, main, resolve, run_verify
 from bruckloops.errors import InversesDisagree, NoConvergence, NotHermitian, NotInOrbit, NotPositiveDefinite
 from bruckloops.extension import extension_config, lift_from_infinity
@@ -19,7 +21,7 @@ from bruckloops.kernel import check_left_a, inverse_of
 from bruckloops.linalg import spectral_map
 from bruckloops.matrixloop import MatrixLoop
 from conftest import one
-from reference import ROWS, ReferenceStream, check_drawn, draw, left_a, reference_uniforms
+from reference import ROWS, ReferenceStream, check_drawn, draw, left_a, per_row_draw_parts, reference_uniforms
 
 SEEDS = [0, 1, 7919, -5, 2**70 + 3, 2**64 - 1]
 COUNTERS = [0, 10**7, 2**63 - 100]
@@ -154,14 +156,57 @@ def test_a_verify_makes_one_chart_call_per_kind(monkeypatch, eig_calls, name, sa
     settings, eig_count = BENCH_SUITES[name]
     sigma = _counting(monkeypatch, cli, "sigma_from_uniforms")
     phi = _counting(monkeypatch, cli, "phi_from_uniforms")
-    dimension = _counting(monkeypatch, bruckloops.extension, "sigma_from_block")
+    draws = _counting(monkeypatch, cli, "unit_uniforms")
+    qr = []
+    real_qr = bruckloops.linalg.orthonormalize
+    for module in (bruckloops.linalg, bruckloops.geometry):
+        monkeypatch.setattr(module, "orthonormalize", lambda v: qr.append(v.shape) or real_qr(v))
+    inside = {}  # the eigendecompositions and QR calls of the dimension check
+    real_report = bruckloops.extension.dimension_rank_report
+
+    def dimension(loop, points, stream):
+        eig_before, qr_before = len(eig_calls), len(qr)
+        report = real_report(loop, points, stream)
+        inside.update(eig=eig_calls[eig_before:], qr=qr[qr_before:])
+        return report
+
+    monkeypatch.setattr(bruckloops.extension, "dimension_rank_report", dimension)
     cfg = SuiteConfig(**settings)
     cfg.samples |= {key: samples for key in cfg.samples if key != "dimension_points"}
     run_verify(cfg)
-    draws = {kind: sum(row.draw.count(kind) for row in PROPERTIES) for kind in ("sigma", "phi")}
-    assert sigma == [draws["sigma"] * samples] and phi == [draws["phi"] * samples]
-    assert len(dimension) == 1
     assert len(eig_calls) == eig_count
+    loop = resolve(cfg)
+    draws_of = {kind: sum(row.draw.count(kind) for row in PROPERTIES) for kind in ("sigma", "phi")}
+    assert sigma == [draws_of["sigma"] * samples] and phi == [draws_of["phi"] * samples]
+    assert draws == [samples * sum(sum(cli._widths(loop, row)) for row in PROPERTIES)]
+    d, p2 = bruckloops.extension.expected_dimension(loop), cfg.p2
+    assert inside == {"eig": [(2 * d * cfg.samples["dimension_points"], p2, p2)], "qr": []}
+
+
+@pytest.mark.parametrize("seed", [1, 7919])
+@pytest.mark.parametrize("name", sorted(SUITES))
+def test_batched_draw_is_the_per_row_draw_bit_for_bit(monkeypatch, name, seed):
+    # each row's own next_rows pass, against batches of rows drawn in one
+    # pass: the whole draw at the real chunk, every row in a batch of its
+    # own (most larger than the chunk) at 7 uniforms, runs of rows at 60
+    loop = resolve(SuiteConfig(seed=seed, **SUITES[name]))
+    streams = {row.key: SampleStream(seed).split((k + 1) * 1000) for k, row in enumerate(PROPERTIES)}
+    counts = {row.key: MIXED_COUNTS[k % 3] for k, row in enumerate(PROPERTIES)}
+    sizes = [counts[row.key] * sum(cli._widths(loop, row)) for row in PROPERTIES]
+    for chunk, batches in ((cli._CHART_CHUNK, 1), (7, len(PROPERTIES)), (60, None)):
+        monkeypatch.setattr(cli, "_CHART_CHUNK", chunk)
+        draws = _counting(monkeypatch, cli, "unit_uniforms")
+        batched, per_row = draw_parts(loop, streams, counts), per_row_draw_parts(loop, streams, counts)
+        packed = []  # consecutive rows packed greedily, a row larger than the chunk alone
+        for size in sizes:
+            if packed and packed[-1] + size <= chunk:
+                packed[-1] += size
+            else:
+                packed.append(size)
+        assert draws == packed and len(draws) == (batches or len(packed))
+        for row in PROPERTIES:
+            for got, want in zip(batched[row.key], per_row[row.key], strict=True):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (row.key, chunk)
 
 
 def test_chunked_charts_give_the_same_report(monkeypatch):

@@ -664,6 +664,19 @@ class TestMul:
         assert out["diagnostics"]["pass"] is False
         assert max(out["diagnostics"]["membership"].values()) > TOLERANCES["membership"]
 
+    def test_product_leaving_the_orbit_chart_is_refused(self, tmp_path, capsys):
+        # a radius-15 draw is in Sigma, but its square's direction is no
+        # longer the graph of a contraction in float64: the product, not an
+        # operand, is refused, and nothing is written
+        assert main(["sample", "--loop", "extension", "--radius", "15", "--seed", "3"]) == 0
+        element = tmp_path / "e.json"
+        element.write_text(capsys.readouterr().out)
+        assert main(["mul", "--loop", "extension", str(element), str(element)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: product of {element} and {element} leaves float64's range")
+        assert captured.err.count("\n") == 1
+
     @pytest.mark.parametrize("loop", ["matrix", "extension"])
     @pytest.mark.parametrize("bad", ["lhs", "rhs", "both"])
     def test_operand_refusal_names_the_first_bad_operand(self, tmp_path, capsys, form321r, loop, bad):

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from bruckloops import extension as ext
-from bruckloops.cli import build_wtilde
-from bruckloops.errors import ConfigInvalid, NotInOrbit, RankDeficient, TransversalityViolated
+from bruckloops.cli import build_wtilde, main
+from bruckloops.errors import ConfigInvalid, NotInOrbit, TransversalityViolated
 from bruckloops.extension import (
     ExtensionElement,
     coordinate_subspace,
@@ -31,10 +31,10 @@ from bruckloops.groups import (
     standard_boost,
 )
 from bruckloops.kernel import check_loop_axioms
-from bruckloops.linalg import fro, orthonormalize
+from bruckloops.linalg import fro
 from bruckloops.matrixloop import MatrixLoop
 from conftest import one, rotation
-from reference import canonical_distance, check_drawn
+from reference import canonical_distance, check_drawn, qr_chart_embeddings
 
 
 @pytest.fixture
@@ -438,6 +438,17 @@ DIMENSION_CONFIGS = [
 ]
 
 
+# n = 3..7, every p2, both fields and carriers, standard and boosted transversals
+CHART_CONFIGS = [
+    ((n, n - p2, p2, field), carrier, wtilde)
+    for n in range(3, 8)
+    for p2 in range(1, n // 2 + 1)
+    for field in ("real", "complex")
+    for carrier in (1, 2)
+    for wtilde in ("standard", f"boost:{math.log(2)!r}", "boost:3")
+]
+
+
 def dimension_config(signature, carrier, wtilde):
     form = SignatureForm(*signature)
     return extension_config(form, carrier, build_wtilde(form, carrier, wtilde))
@@ -507,19 +518,45 @@ class TestDimension:
         d = expected_dimension(cfg)
         assert eig_calls == [(2 * d * 5, 1, 1)]
 
-    def test_collapsed_carrier_frame_is_refused(self, monkeypatch, cfg):
-        # one perturbed lift whose two carrier columns coincide is refused,
-        # as orthonormalize refuses that frame
-        def collapsing(form, x):
-            rho = sigma_from_block(form, x).copy()
-            rho[7, :, 1] = rho[7, :, 0]
-            return rho
+    @pytest.mark.parametrize("signature, carrier, wtilde", CHART_CONFIGS)
+    def test_closed_form_chart_matches_the_qr_oracle(self, signature, carrier, wtilde):
+        cfg = dimension_config(signature, carrier, wtilde)
+        d = expected_dimension(cfg)
+        thetas, _ = SampleStream(11).next_uniforms(24 * d, -0.4, 0.4)
+        # eight box corners, coordinate j at +0.4 where bit j mod 3 of the
+        # corner's index is set: all -0.4 and all +0.4 among them
+        corners = np.where((np.arange(8)[:, None] >> (np.arange(d) % 3)) & 1, 0.4, -0.4)
+        thetas = np.concatenate([thetas.reshape(24, d), np.zeros((1, d)), corners])
+        assert np.max(np.abs(ext._chart_embeddings(cfg, thetas) - qr_chart_embeddings(cfg, thetas))) <= 1e-13
 
-        monkeypatch.setattr(ext, "sigma_from_block", collapsing)
-        with pytest.raises(RankDeficient):
-            dimension_rank_report(cfg, points=3)
-        with pytest.raises(RankDeficient):
-            orthonormalize(collapsing(cfg.form, np.zeros((8, 2, 1)))[7][:, :2])
+    @pytest.mark.parametrize("seed", [1, 7919])
+    @pytest.mark.parametrize("signature, carrier, wtilde", CHART_CONFIGS)
+    def test_closed_form_chart_gives_the_qr_oracle_report(self, monkeypatch, signature, carrier, wtilde, seed):
+        cfg = dimension_config(signature, carrier, wtilde)
+        report = dimension_rank_report(cfg, points=20, stream=SampleStream(seed))
+        monkeypatch.setattr(ext, "_chart_embeddings", qr_chart_embeddings)
+        oracle = dimension_rank_report(cfg, points=20, stream=SampleStream(seed))
+        assert (report.rank, report.ranks, report.gap_fraction) == (oracle.rank, oracle.ranks, oracle.gap_fraction)
+
+    def test_a_chart_breakdown_fails_the_dimension_entry(self, tmp_path, monkeypatch):
+        # a non-finite eigenvalue in the chart's one eigendecomposition
+        # breaks the dimension check, which reports the error and no rank
+        real = ext.eig_hermitian
+
+        def broken(a):
+            dec = real(a)
+            if a.ndim == 3:  # the chart's stack, not the transversal's 2-D check
+                dec.eigenvalues[7, 0] = np.nan
+            return dec
+
+        monkeypatch.setattr(ext, "eig_hermitian", broken)
+        out = tmp_path / "report.json"
+        assert main(["verify", "--samples", "2", "--out", str(out)]) == 1
+        report = json.loads(out.read_text())
+        dim = report["dimension"]
+        assert dim["error"] and dim["pass"] is False and report["pass"] is False
+        assert dim["measured"] is None and "ranks" not in dim and "gap_fraction" in dim
+        assert all(entry["pass"] for entry in report["properties"] if entry["required"])
 
     def test_real_321(self, cfg):
         report = dimension_rank_report(cfg, points=10)
