@@ -457,7 +457,9 @@ def draw_parts(loop: ext.ExtensionConfig, streams: dict, counts: dict) -> dict:
         room -= size
     pooled = {kind: [] for kind in PARTS}  # each kind's uniforms, part by part in row order
     for batch in batches:
-        u = unit_uniforms(batch[0][2].seed, np.concatenate([stream.counters(n) for *_, stream, n in batch]))
+        counters = [stream.counters(n) for *_, stream, n in batch]  # a lone row's passed uncopied
+        u = unit_uniforms(batch[0][2].seed, counters[0] if len(batch) == 1 else np.concatenate(counters))
+        del counters
         for (row, widths, _, n), end in zip(batch, accumulate(n for *_, n in batch)):
             for kind, part in zip(row.draw, sample_parts(u[end - n : end], counts[row.key], widths)):
                 pooled[kind].append(part)

@@ -30,7 +30,8 @@ call, and holds the matrix loop of its lifts, built once.
 
 A transversal is likewise the graph of a block over the coordinate
 subspace it complements, which gives ``nonisomorphism_witness`` its
-element in closed form, one SVD of that block, with no sampling.
+element in closed form, one SVD of that block, with no sampling, and its
+distances read off canonical forms with no QR.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from .errors import (
     RankAmbiguous,
     TransversalityViolated,
 )
-from .geometry import AffineSubspace, apply, subspace, subspace_distance
+from .geometry import AffineSubspace, apply, canonical_distance, subspace, subspace_distance
 from .groups import (
     SAMPLE_RADIUS,
     SampleStream,
@@ -350,9 +351,13 @@ def nonisomorphism_witness(cfg: ExtensionConfig) -> WitnessReport:
     (I - 2 Q Q*) L.  Near the coordinate transversal the displacement is at
     least 2 sqrt(2 / max(m, 2)) times the distance from it, m <= p2 the
     count of L's nonzero singular values.
+
+    Both distances read canonical forms as given, with no QR: the stored
+    transversal (base exactly 0, a QR frame), the coordinate subspace, and
+    the transversal's image under the unitary g, canonical to rounding.
     """
     form = cfg.form
-    if subspace_distance(cfg.wtilde, complement(form, cfg.carrier)) <= WITNESS_THRESHOLD:
+    if canonical_distance(cfg.wtilde, complement(form, cfg.carrier)) <= WITNESS_THRESHOLD:
         raise ConfigInvalid(
             "transversal coincides with the coordinate subspace; every "
             "block-diagonal unitary stabilizes it"
@@ -360,7 +365,7 @@ def nonisomorphism_witness(cfg: ExtensionConfig) -> WitnessReport:
     q = np.linalg.svd(_graph_block(cfg.wtilde.frame, form, 3 - cfg.carrier))[0][:, :2]
     g = form.eye().copy()
     g[: form.p1, : form.p1] -= 2.0 * q @ dag(q)
-    return WitnessReport(g, float(subspace_distance(apply(g, cfg.wtilde), cfg.wtilde)))
+    return WitnessReport(g, float(canonical_distance(apply(g, cfg.wtilde), cfg.wtilde)))
 
 
 # ---------------------------------------------------------------------------

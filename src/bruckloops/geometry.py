@@ -3,13 +3,15 @@ under affine maps.
 
 A subspace is any point and spanning frame, and ``apply`` maps the pair as
 given.  Code that reads an orthonormal frame or the minimum-norm point
-builds it: ``subspace`` gives the canonical form, the frame
-``orthonormalize`` gives (the positive-diagonal QR frame, the one
-Gram-Schmidt gives; a collapsed frame is RankDeficient) plus the base
-projected once onto its orthogonal complement.  Canonical forms of one
-subspace agree to rounding, not bit for bit.  ``subspace_distance`` reads
-the canonical forms it builds: the Frobenius gap of the direction
-projectors plus the gap of the minimum-norm points, with no spectral call.
+builds it only where it is not already known: ``subspace`` gives the
+canonical form, the frame ``orthonormalize`` gives (the positive-diagonal
+QR frame, the one Gram-Schmidt gives; a collapsed frame is RankDeficient)
+plus the base projected once onto its orthogonal complement.  Canonical
+forms of one subspace agree to rounding, not bit for bit.
+``canonical_distance`` is the one metric on canonical forms, read as
+given: the Frobenius gap of the direction projectors plus the gap of the
+minimum-norm points, with no spectral call; ``subspace_distance`` is one
+stacked QR of any two operands followed by it.
 
 Every function takes stacks: a subspace whose base is (..., n) and frame
 (..., n, k) is that many subspaces of one dimension, and each step is one
@@ -53,6 +55,11 @@ class AffineSubspace:
     @property
     def ambient(self) -> int:
         return self.frame.shape[-2]
+
+    def reshape(self, batch: tuple) -> AffineSubspace:
+        """The stack with its batch axes read as the shape ``batch``."""
+        n, k = self.frame.shape[-2:]
+        return AffineSubspace(self.base.reshape(batch + (n,)), self.frame.reshape(batch + (n, k)))
 
     def broadcast(self) -> AffineSubspace:
         """The stack with base and frame copied out to one batch shape; the
@@ -104,30 +111,34 @@ def projector(frame: np.ndarray) -> np.ndarray:
     return frame @ dag(frame)
 
 
+def canonical_distance(s1: AffineSubspace, s2: AffineSubspace) -> float:
+    """The metric on canonical forms, read off their frames and bases as
+    given: the Frobenius gap of the direction projectors plus the gap of the
+    minimum-norm points, ||P1 - P2|| + |m1 - m2|, broadcast over the batch
+    axes.  Operands known canonical (a stored transversal, a coordinate
+    subspace, their images under a unitary) take it with no QR call."""
+    return fro(projector(s1.frame) - projector(s2.frame)) + np.linalg.norm(s1.base - s2.base, axis=-1)
+
+
 def subspace_distance(s1: AffineSubspace, s2: AffineSubspace) -> float:
-    """Frobenius distance of the direction projectors plus the distance of
-    the minimum-norm points, read from the canonical forms: a metric on the
-    (projector, point) embedding of affine subspaces, continuous in both
-    operands and zero exactly for equal subspaces; symmetric by
-    construction.  One distance per subspace of a stack; both operands, batch
-    axes flattened, are canonicalized by one ``subspace`` call, so a single
-    subspace against a stack takes one QR and broadcasts."""
+    """``canonical_distance`` of the canonical forms of any two subspaces: a
+    metric on the (projector, point) embedding of affine subspaces,
+    continuous in both operands and zero exactly for equal subspaces;
+    symmetric by construction.  One distance per subspace of a stack; both
+    operands, batch axes flattened, are canonicalized by one ``subspace``
+    call, so a single subspace against a stack takes one QR and broadcasts."""
     if s1.ambient != s2.ambient or s1.dim != s2.dim:
         raise DimensionMismatch("subspace comparison requires matching dimensions")
-    n = s1.ambient
-    (b1, f1, shape1), (b2, f2, shape2) = _flattened(s1), _flattened(s2)
-    c, size = subspace(np.concatenate([b1, b2]), np.concatenate([f1, f2])), len(b1)
-    p = projector(c.frame)
-    p1, p2 = p[:size].reshape(shape1 + (n, n)), p[size:].reshape(shape2 + (n, n))
-    m1, m2 = c.base[:size].reshape(shape1 + (n,)), c.base[size:].reshape(shape2 + (n,))
-    return fro(p1 - p2) + np.linalg.norm(m1 - m2, axis=-1)
+    (f1, shape1), (f2, shape2) = _flattened(s1), _flattened(s2)
+    c, size = subspace(np.concatenate([f1.base, f2.base]), np.concatenate([f1.frame, f2.frame])), len(f1.base)
+    return canonical_distance(c[:size].reshape(shape1), c[size:].reshape(shape2))
 
 
 def _flattened(s: AffineSubspace) -> tuple:
-    """A stack's base (m, n) and frame (m, n, k), batch axes flattened, and
-    its batch shape."""
+    """A stack as one batch axis, base (m, n) and frame (m, n, k), and its
+    batch shape."""
     s = s.broadcast()
-    return s.base.reshape(-1, s.ambient), s.frame.reshape(-1, s.ambient, s.dim), s.frame.shape[:-2]
+    return s.reshape((-1,)), s.frame.shape[:-2]
 
 
 @dataclass(frozen=True)

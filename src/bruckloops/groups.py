@@ -34,7 +34,7 @@ from itertools import accumulate
 import numpy as np
 
 from . import linalg
-from .errors import ConfigInvalid, DimensionMismatch, NotInGroup
+from .errors import ConfigInvalid, DimensionMismatch, NoConvergence, NotInGroup
 from .linalg import COMPLEX, REAL, dag, fro, spectral_map, symmetrize
 
 _MODULUS = 1 << 64
@@ -199,12 +199,22 @@ class MembershipReport:
 
 def membership_residual(a: np.ndarray, form: SignatureForm) -> MembershipReport:
     """Per-condition residuals for membership in Sigma, of a matrix or of
-    each matrix of a stack (..., n, n)."""
+    each matrix of a stack (..., n, n).
+
+    Positivity is read off the lowest eigenvalue of the hermitian part alone,
+    one LAPACK ``eigvalsh`` call with no eigenvectors: ``symmetrize`` is
+    exactly hermitian, so there is nothing to check first.  A non-finite
+    hermitian part, or LAPACK not converging, raises NoConvergence."""
     if a.shape[-2:] != (form.n, form.n):
         raise DimensionMismatch(f"expected {form.n}x{form.n}, got {a.shape}")
-    j = form.j_matrix()
-    res = {"hermitian": fro(a - dag(a))}
-    res["positive_definite"] = np.maximum(0.0, -linalg.eig_hermitian(symmetrize(a)).eigenvalues[..., 0])
+    j, h = form.j_matrix(), symmetrize(a)
+    if not np.isfinite(h).all():
+        raise NoConvergence("matrix has non-finite entries")
+    try:
+        lowest = np.linalg.eigvalsh(h)[..., 0]
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"eigvalsh failed: {exc}") from exc
+    res = {"hermitian": fro(a - dag(a)), "positive_definite": np.maximum(0.0, -lowest)}
     res["isometry"] = fro(dag(a) @ j @ a - j)
     res["determinant"] = np.abs(np.linalg.det(a) - 1.0)
     # a single matrix's residuals are plain floats, ready for JSON

@@ -7,7 +7,11 @@ so a single code path written with ``conj``/``conjugate-transpose``
 serves both fields.
 
 Hermitian eigenproblems go to LAPACK through ``numpy.linalg.eigh``, except
-1 x 1 ones, which take LAPACK's closed form directly.  The result is
+1 x 1 ones, which take LAPACK's closed form directly, and whose hermiticity
+residual is read in closed form too: |2 Im a|, nothing to check but
+finiteness on the real field.  Positivity of a matrix already symmetrized
+needs its spectrum alone (``groups.membership_residual``, one
+``numpy.linalg.eigvalsh`` call with no eigenvectors).  The result is
 deterministic only in the weak sense that identical input bytes give
 identical output on one machine with one numpy/LAPACK build; like
 ``svd``, ``det``, ``inv`` and ``@`` elsewhere in the package, it may differ
@@ -122,8 +126,10 @@ def eig_hermitian(a: np.ndarray) -> SpectralDecomposition:
     1, which is what ``?syevd``/``?heevd`` return at N = 1.
 
     Each matrix is checked for hermiticity, its residual ||A - A*||
-    against its own TAU_ABS + TAU_REL ||A||, and then symmetrized, so
-    LAPACK sees an exactly hermitian matrix whichever triangle it reads.
+    (|2 Im a| at n = 1, exactly what the norm gives short of overflow far
+    above the bound) against its own TAU_ABS + TAU_REL ||A||, and then
+    symmetrized, so LAPACK sees an exactly hermitian matrix whichever
+    triangle it reads.
     Eigenvalues are real and ascending.  The sign or phase of each
     eigenvector, and the basis chosen within a degenerate cluster, are
     whatever LAPACK returns; no caller may depend on them.
@@ -138,10 +144,12 @@ def eig_hermitian(a: np.ndarray) -> SpectralDecomposition:
     if not np.isfinite(a).all():
         raise NoConvergence("matrix has non-finite entries")
     ah = dag(a)
-    residual = fro(a - ah)
-    bad = residual > TAU_ABS + TAU_REL * fro(a)
-    if bad.any():
-        raise NotHermitian(f"symmetry residual {np.max(residual[bad]):.3e} exceeds tolerance")
+    if a.shape[-1] > 1 or a.dtype.kind == "c":
+        # at n = 1, ||A - A*|| is |2 Im a|, and 0 on the real field
+        residual = fro(a - ah) if a.shape[-1] > 1 else 2.0 * np.abs(a.imag[..., 0, 0])
+        bad = residual > TAU_ABS + TAU_REL * fro(a)
+        if bad.any():
+            raise NotHermitian(f"symmetry residual {np.max(fro(a - ah)[bad]):.3e} exceeds tolerance")
     h = (a + ah) / 2.0
     if a.shape[-1] == 1:
         return SpectralDecomposition(np.ascontiguousarray(h.real[..., 0]), np.ones_like(h))

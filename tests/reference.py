@@ -23,9 +23,12 @@ n x n hermitian matrix through one ``numpy.linalg.eigh`` of it.
 
 The functions after them are the earlier forms of the stacked kernels'
 glue: ``np.split`` parts, joins that always broadcast, products by the
-diagonal J, a second conjugate transpose in the eigensolver, two ``omega``
+diagonal J, a second conjugate transpose in the eigensolver (whose
+hermiticity residual is the general norm at every n), two ``omega``
 calls per translation and a per-point rank fold.  The package must agree
-with each bit for bit.  ``per_row_draw_parts`` is the verify's draw with
+with each bit for bit.  ``eig_positive_definite`` is the membership
+positivity condition through a full eigendecomposition, which the
+eigenvalues-only call must match.  ``per_row_draw_parts`` is the verify's draw with
 one splitmix64 pass per row, which the batched draw must match byte for
 byte; ``qr_chart_embeddings`` is the dimension chart through the assembled
 lift and a QR, which the closed-form projectors must match to rounding.
@@ -39,7 +42,7 @@ import numpy as np
 
 from bruckloops import cli
 from bruckloops import extension as ext
-from bruckloops import geometry
+from bruckloops import geometry, linalg
 from bruckloops.errors import InversesDisagree, NotHermitian
 from bruckloops.groups import (
     SampleStream,
@@ -165,6 +168,13 @@ def eig_hermitian(a):
         raise NotHermitian(f"symmetry residual {np.max(residual[bad]):.3e} exceeds tolerance")
     vals, q = np.linalg.eigh((a + conj_dag(a)) / 2.0)
     return SpectralDecomposition(vals, q)
+
+
+def eig_positive_definite(a):
+    """``membership_residual``'s positivity condition through the full
+    ``linalg.eig_hermitian`` of the hermitian part, eigenvectors and the
+    hermiticity check included."""
+    return np.maximum(0.0, -linalg.eig_hermitian(symmetrize(a)).eigenvalues[..., 0])
 
 
 def j_inverse(form, a):

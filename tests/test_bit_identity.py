@@ -22,6 +22,7 @@ from bruckloops.groups import (
     SampleStream,
     SignatureForm,
     blocks,
+    membership_residual,
     phi_from_uniforms,
     phi_width,
     polar_factorize,
@@ -30,7 +31,8 @@ from bruckloops.groups import (
     sigma_width,
     standard_boost,
 )
-from bruckloops.linalg import concat, dag, eig_hermitian
+from bruckloops.errors import NoConvergence, NotHermitian
+from bruckloops.linalg import TAU_ABS, TAU_REL, concat, dag, eig_hermitian
 from bruckloops.matrixloop import MatrixLoop
 import reference
 
@@ -110,6 +112,100 @@ def test_one_by_one_eig_hermitian_is_lapacks_closed_form(field, batch):
             got = eig_hermitian(a)
         vals, q = np.linalg.eigh((a + reference.conj_dag(a)) / 2.0)
         assert same_bits(got.eigenvalues, vals) and same_bits(got.eigenbasis, q)
+
+
+def _threshold_parts(re: float) -> list:
+    """Imaginary parts within 3 ulp of where |2 Im a| meets the bound
+    TAU_ABS + TAU_REL |a| of the 1 x 1 hermiticity check."""
+    im = 0.0
+    for _ in range(8):
+        im = (TAU_ABS + TAU_REL * np.hypot(re, im)) / 2.0
+    parts = [im]
+    for direction in (np.inf, -np.inf):
+        x = im
+        for _ in range(3):
+            x = np.nextafter(x, direction)
+            parts.append(x)
+    return parts + [-x for x in parts]
+
+
+ONE_BY_ONE_RE = [0.0, -0.0, 5e-324, 1e-310, 1.0, -2.5, 1e150, 1e160, 1e300, -1e300]
+ONE_BY_ONE_IM = [0.0, -0.0, 5e-324, -1e-310, 1e-12, 1e-8, 1e154, -1e154, 1e160, 1e300, -1e300]
+
+
+def _outcome(eig, a):
+    """The NotHermitian message an eigensolver gives ``a``, or None."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            eig(a)
+        except NotHermitian as exc:
+            return str(exc)
+    return None
+
+
+def test_one_by_one_hermiticity_residual_is_the_general_formula():
+    # |2 Im a| in closed form refuses exactly what ||A - A*|| refuses, with
+    # its message, the overflowing norm of Im a = 1e154 included
+    entries = [complex(re, im) for re in ONE_BY_ONE_RE for im in ONE_BY_ONE_IM + _threshold_parts(re)]
+    messages = []
+    for x in entries:
+        a = np.array([[x]])
+        messages.append(_outcome(eig_hermitian, a))
+        assert messages[-1] == _outcome(reference.eig_hermitian, a), x
+    assert None in messages and "symmetry residual inf exceeds tolerance" in messages
+    stack = np.array(entries).reshape(-1, 1, 1)
+    assert _outcome(eig_hermitian, stack) == _outcome(reference.eig_hermitian, stack) is not None
+    # the real field has no hermiticity residual to refuse
+    real = np.array(ONE_BY_ONE_RE + [x.imag for x in entries]).reshape(-1, 1, 1)
+    assert _outcome(eig_hermitian, real) is None
+    assert all(_outcome(eig_hermitian, x) is None for x in real)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(1.0, np.nan), complex(0.0, np.inf)])
+def test_one_by_one_non_finite_entry_is_no_convergence(bad):
+    for a in (np.array([[bad]]), np.full((3, 1, 1), bad)):
+        with pytest.raises(NoConvergence, match="non-finite"):
+            eig_hermitian(a)
+
+
+SIGMA_FORMS = [
+    SignatureForm(n, p1, n - p1, field)
+    for n in range(3, 8) for p1 in range(n - 1, (n - 1) // 2, -1) for field in ("real", "complex")
+]
+
+
+@pytest.mark.parametrize("form", SIGMA_FORMS, ids=lambda f: f"{f.n}{f.p1}{f.p2}{f.field[0]}")
+def test_positive_definite_residual_is_the_eigendecomposition_oracle(form):
+    a, _ = sample_sigma(form, SampleStream(3), 40)
+    for stack in (a, a[7], a @ a):
+        got = membership_residual(stack, form).residuals["positive_definite"]
+        assert same_bits(got, reference.eig_positive_definite(stack))
+
+
+@pytest.mark.parametrize("form", FORMS, ids=FORM_IDS)
+def test_positive_definite_residual_of_indefinite_matrices(form):
+    a, _ = sample_sigma(form, SampleStream(5), 20)
+    j, eye = form.j_matrix(), form.eye()
+    for stack in (j, -eye, -a, j @ a @ j - 2.0 * eye, np.stack([j, -eye, eye])):
+        got = membership_residual(stack, form).residuals["positive_definite"]
+        want = reference.eig_positive_definite(stack)
+        assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want)) and np.any(want > 0.0)
+    assert membership_residual(j, form).residuals["positive_definite"] == 1.0
+
+
+@pytest.mark.parametrize("form", FORMS, ids=FORM_IDS)
+def test_positive_definite_breakdowns_are_no_convergence(monkeypatch, form):
+    a, _ = sample_sigma(form, SampleStream(5), 4)
+    a[2, 0, 1] = np.nan
+    with pytest.raises(NoConvergence, match="non-finite"):
+        membership_residual(a, form)
+
+    def fail(_):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    with pytest.raises(NoConvergence, match="did not converge"):
+        membership_residual(form.eye(), form)
 
 
 @pytest.mark.parametrize("form", FORMS, ids=FORM_IDS)

@@ -243,6 +243,20 @@ class TestVerify:
         errors = {p["property"]: p["detail"]["error"] for p in broken}
         assert errors["loop_axioms"].startswith("sqrt: smallest eigenvalue")
 
+    def test_membership_lapack_failure_fails_its_rows(self, tmp_path, monkeypatch):
+        # the closure rows judge membership by its eigenvalues alone; a LAPACK
+        # failure there is a breakdown of those rows, not of the suite
+        _fail_eigvalsh(monkeypatch)
+        out = tmp_path / "report.json"
+        assert main(["verify", "--samples", "3", "--out", str(out)]) == 1
+        entries = {p["property"]: p for p in json.loads(out.read_text())["properties"]}
+        broken = {name for name, p in entries.items() if "error" in p.get("detail", {})}
+        assert broken == {"sigma_closure", "conjugation_closure"}
+        for name in broken:
+            assert entries[name]["pass"] is False and entries[name]["max_residual"] == 1.0
+            assert entries[name]["detail"]["error"] == "eigvalsh failed: Eigenvalues did not converge"
+        assert all(p["pass"] for name, p in entries.items() if p["required"] and name not in broken)
+
     def test_breakdown_fails_every_entry_of_its_row(self, tmp_path, monkeypatch):
         import bruckloops.extension
 
@@ -1056,6 +1070,27 @@ class TestWitness:
         argv = ["witness", "--n", "3", "--p1", "2", "--p2", "1", "--wtilde", f"boost:{t}"]
         assert main(argv) == 2
         assert "non-finite" in capsys.readouterr().err
+
+
+def _fail_eigvalsh(monkeypatch):
+    def fail(_):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+
+
+@pytest.mark.parametrize("loop", ["matrix", "extension"])
+def test_membership_lapack_failure_exits_two(tmp_path, capsys, monkeypatch, loop):
+    # mul's operand check and sample's check of its draws turn a LAPACK
+    # failure of the membership eigenvalues into NoConvergence: exit 2
+    assert main(["sample", "--count", "2", "--loop", loop]) == 0
+    paths = [tmp_path / f"{k}.json" for k in range(2)]
+    for path, line in zip(paths, capsys.readouterr().out.splitlines()):
+        path.write_text(line)
+    _fail_eigvalsh(monkeypatch)
+    for argv in (["mul", str(paths[0]), str(paths[1])], ["sample", "--count", "2"]):
+        assert main(argv + ["--loop", loop]) == 2
+        assert capsys.readouterr().err == "error: eigvalsh failed: Eigenvalues did not converge\n"
 
 
 class TestSample:

@@ -31,7 +31,7 @@ from bruckloops.groups import (
     standard_boost,
 )
 from bruckloops.kernel import check_loop_axioms
-from bruckloops.linalg import fro
+from bruckloops.linalg import fro, orthonormalize
 from bruckloops.matrixloop import MatrixLoop
 from conftest import one, rotation
 from reference import canonical_distance, check_drawn, qr_chart_embeddings
@@ -372,6 +372,21 @@ class TestWitness:
         assert report.displacement > 1e-3
         assert report.samples_used == 1
 
+    @pytest.mark.parametrize("wtilde", ["boost:0.5", "file"])
+    def test_one_witness_makes_one_qr_call(self, monkeypatch, tmp_path, capsys, wtilde):
+        # the transversal's canonicalization; both distances read canonical
+        # forms as given
+        if wtilde == "file":
+            path = tmp_path / "wt.json"
+            path.write_text(json.dumps({"base": [0, 0, 0], "frame": [[0.25], [0], [1]]}))
+            wtilde = f"file:{path}"
+        qr = []
+        for module in ("bruckloops.linalg", "bruckloops.geometry"):
+            monkeypatch.setattr(f"{module}.orthonormalize", lambda v: qr.append(v.shape) or orthonormalize(v))
+        assert main(["witness", "--wtilde", wtilde]) == 0
+        assert qr == [(3, 1)]
+        assert json.loads(capsys.readouterr().out)["displacement"] > ext.WITNESS_THRESHOLD
+
 
 def _assert_witness(cfg):
     """The constructed witness is a block-diagonal unitary of determinant 1
@@ -384,9 +399,9 @@ def _assert_witness(cfg):
     assert np.array_equal(g[p1:, p1:], np.eye(form.p2))
     assert fro(g @ g.conj().T - np.eye(form.n)) <= 1e-12
     assert abs(np.linalg.det(g) - 1.0) <= 1e-12
-    moved = apply(g, cfg.wtilde)
-    moved = subspace(moved.base, moved.frame)
-    assert report.displacement == pytest.approx(canonical_distance(moved, cfg.wtilde), rel=1e-9, abs=1e-15)
+    # read off the canonical forms as given, it is the QR route's distance to rounding
+    qr_route = subspace_distance(apply(g, cfg.wtilde), cfg.wtilde)
+    assert abs(report.displacement - qr_route) <= 1e-14 * qr_route
     assert report.displacement > 2.8 * ext.WITNESS_THRESHOLD
 
 
