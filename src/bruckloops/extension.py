@@ -60,14 +60,13 @@ from .groups import (
     draw_width,
     element_from_json,
     element_to_json,
-    matrix_from_json,
-    matrix_to_json,
+    graph_frame,
     scale,
     sigma_from_spectrum,
     sigma_from_uniforms,
     sigma_width,
 )
-from .linalg import concat, dag, eig_hermitian, mv, spectral_map
+from .linalg import concat, dag, eig_hermitian, matrix_from_json, matrix_to_json, mv, spectral_map
 from .matrixloop import MatrixLoop
 
 _W_SCALE = 1.0  # sampled transversal points have frame coordinates in [-1, 1]
@@ -322,12 +321,10 @@ def solve_translation(
 
 @dataclass(frozen=True)
 class WitnessReport:
-    """The witness and how far it moves the transversal.  ``samples_used``
-    is 1: the element is constructed, not searched for."""
+    """The witness and how far it moves the transversal."""
 
     element: np.ndarray
     displacement: float
-    samples_used: int = 1
 
 
 def nonisomorphism_witness(cfg: ExtensionConfig) -> WitnessReport:
@@ -406,7 +403,7 @@ def _chart_embeddings(cfg: ExtensionConfig, thetas: np.ndarray) -> np.ndarray:
     tau = np.tanh(t)
     c = 1.0 / np.sqrt(1.0 + tau * tau)
     top = c * np.divide(tau, t, out=np.ones_like(t), where=t > 0) * (1.0 if cfg.carrier == 2 else -1.0)
-    u = np.concatenate([(x @ dec.eigenbasis) * top[..., None, :], dec.eigenbasis * c[..., None, :]], axis=-2)
+    u = graph_frame(x, dec.eigenbasis, top, c)
     p = u @ dag(u) if cfg.carrier == 2 else form.eye() - u @ dag(u)
     w = mv(cfg.wtilde.frame, coef[..., 0])
     return np.concatenate([p.reshape(len(thetas), form.n**2), w - mv(p, w)], axis=-1).view(np.float64)
@@ -424,11 +421,7 @@ def _chart_jacobians(cfg: ExtensionConfig, thetas: np.ndarray) -> np.ndarray:
     return ((emb[:, 0] - emb[:, 1]) / (2 * _STEP)).swapaxes(-1, -2)
 
 
-def dimension_rank_report(
-    cfg: ExtensionConfig,
-    points: int = 20,
-    stream: SampleStream | None = None,
-) -> DimensionReport:
+def dimension_rank_report(cfg: ExtensionConfig, points: int, stream: SampleStream) -> DimensionReport:
     """Estimate the manifold dimension of the carrier set.
 
     The chart (transversal coordinates) x (exponential block) is pushed
@@ -447,8 +440,6 @@ def dimension_rank_report(
     The spectral layer still checks each matrix; a non-finite embedding
     breaks the SVD, which raises ``LinAlgError``.
     """
-    if stream is None:
-        stream = SampleStream(1)
     d = expected_dimension(cfg)
     thetas, stream = stream.next_uniforms(points * d, -0.4, 0.4)
     svs = np.linalg.svd(_chart_jacobians(cfg, thetas.reshape(points, d)), compute_uv=False)

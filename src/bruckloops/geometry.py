@@ -28,8 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigInvalid, DimensionMismatch, TransversalityViolated
-from .groups import matrix_from_json
-from .linalg import dag, fro, mv, orthonormalize
+from .linalg import dag, fro, matrix_from_json, mv, orthonormalize
 
 _RANK_REL = 1e-8
 

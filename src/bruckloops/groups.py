@@ -21,7 +21,8 @@ once per form, read-only.
 An element of Sigma or Phi, or a stack of them, is a plain array
 (..., n, n).  Its form is held by whoever holds the element (the loop or
 the config) and is passed to the functions that need it, the JSON writer
-and reader included; the reader refuses a file of another form.
+and reader included; the reader refuses a file of another form.  The
+matrix inside an element file is read and written by ``linalg``'s codec.
 """
 
 from __future__ import annotations
@@ -35,7 +36,18 @@ import numpy as np
 
 from . import linalg
 from .errors import ConfigInvalid, DimensionMismatch, NoConvergence, NotInGroup
-from .linalg import COMPLEX, REAL, dag, fro, spectral_map, symmetrize
+from .linalg import (
+    COMPLEX,
+    REAL,
+    convert,
+    dag,
+    fro,
+    matrix_from_json,
+    matrix_to_json,
+    spectral_map,
+    symmetrize,
+    worst,
+)
 
 _MODULUS = 1 << 64
 # splitmix64's golden gamma, multipliers and shifts as uint64 scalars, built once
@@ -95,7 +107,7 @@ class SignatureForm:
     @staticmethod
     def from_json(obj: dict) -> "SignatureForm":
         try:
-            n, p1, p2 = (_convert(int, obj[key], f"form.{key}") for key in ("n", "p1", "p2"))
+            n, p1, p2 = (convert(int, obj[key], f"form.{key}") for key in ("n", "p1", "p2"))
             return SignatureForm(n, p1, p2, obj.get("field", REAL))
         except (KeyError, TypeError) as exc:
             raise ConfigInvalid(f"bad form object {obj!r}") from exc
@@ -104,17 +116,6 @@ class SignatureForm:
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
-
-
-def _convert(kind, value, name: str):
-    """``value`` as ``kind``, int or str: an int must be a JSON number with
-    no fractional part and a str a JSON string.  Anything else, booleans
-    and numeric strings included, is refused rather than coerced."""
-    if kind is int and _is_number(value) and value % 1 == 0:
-        return int(value)
-    if kind is str and isinstance(value, str):
-        return value
-    raise ConfigInvalid(f"entry {name!r} must be {kind.__name__}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -190,7 +191,7 @@ class MembershipReport:
     def max_residual(self) -> float:
         """The worst residual over every condition and every matrix, folded
         on the first read."""
-        return max((float(np.max(r, initial=0.0)) for r in self.residuals.values()), default=0.0)
+        return worst(*self.residuals.values())
 
     @property
     def passed(self) -> bool:
@@ -225,12 +226,19 @@ def sigma_from_spectrum(form: SignatureForm, y: np.ndarray, dec, a: np.ndarray, 
     """The Sigma element [[I + Y c Y*, Y a], [a Y*, b]], or stack, of the
     p1 x p2 block Y, with a, b and c = a^2 / (1 + b), the isometry condition,
     functions on the spectrum of the p2 x p2 matrix ``dec`` decomposes:
-    J + 2 U U* with U = [Y Q diag(top); Q diag(bottom)], Q its eigenbasis."""
-    q = dec.eigenbasis
+    J + 2 U U* with U = ``graph_frame(Y, Q, a / (2 bottom), bottom)``, Q its
+    eigenbasis and bottom = sqrt((1 + b) / 2)."""
     bottom = np.sqrt((1.0 + b) / 2.0)
-    top = a / (2.0 * bottom)
-    u = np.concatenate([(y @ q) * top[..., None, :], q * bottom[..., None, :]], axis=-2)
+    u = graph_frame(y, dec.eigenbasis, a / (2.0 * bottom), bottom)
     return form.j_matrix() + (2.0 * u) @ dag(u)
+
+
+def graph_frame(y: np.ndarray, q: np.ndarray, top: np.ndarray, bottom: np.ndarray) -> np.ndarray:
+    """[Y Q diag(top); Q diag(bottom)], or stack, for a p1 x p2 block Y, a
+    p2 x p2 eigenbasis Q and per-column scales: the frame U of both
+    J + 2 U U* in ``sigma_from_spectrum`` and the dimension chart's
+    projector U U*."""
+    return np.concatenate([(y @ q) * top[..., None, :], q * bottom[..., None, :]], axis=-2)
 
 
 def sigma_from_block(form: SignatureForm, x: np.ndarray) -> np.ndarray:
@@ -373,49 +381,8 @@ def standard_boost(form: SignatureForm, t: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # JSON encoding of group elements:
 #   { "form": {"n":…, "p1":…, "p2":…, "field":…}, "matrix": [[…]] }
-# with complex entries as [re, im] pairs.
+# with the matrix as ``linalg.matrix_to_json`` writes it.
 # ---------------------------------------------------------------------------
-
-
-def matrix_to_json(a: np.ndarray) -> list:
-    """Rows of Python floats, a complex entry as its [re, im] pair."""
-    if np.iscomplexobj(a):
-        return np.stack([a.real, a.imag], -1).tolist()
-    return a.tolist()
-
-
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
-def _is_entry(v, field: str) -> bool:
-    """A real entry is a JSON number; a complex one is a [re, im] pair."""
-    if field == COMPLEX:
-        return isinstance(v, list) and len(v) == 2 and all(map(_is_number, v))
-    return _is_number(v)
-
-
-def matrix_from_json(rows: list, field: str) -> np.ndarray:
-    """A list of rows, each a list of entries; strings, booleans,
-    non-finite numbers and wrongly shaped entries are refused."""
-    if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)):
-        raise ConfigInvalid("matrix payload must be a list of rows, each a list")
-    if not all(_is_entry(v, field) for row in rows for v in row):
-        kind = "[re, im] pairs of numbers" if field == COMPLEX else "numbers"
-        raise ConfigInvalid(f"matrix entries must be {kind}")
-    try:
-        if field == COMPLEX:
-            data = [[complex(*v) for v in row] for row in rows]
-        else:
-            data = [[float(v) for v in row] for row in rows]
-        out = np.array(data, dtype=linalg.dtype_of(field))
-    except (OverflowError, ValueError) as exc:
-        raise ConfigInvalid(f"bad matrix payload: {exc}") from exc
-    if out.ndim != 2:
-        raise ConfigInvalid("matrix payload must be a list of equal-length rows")
-    if not np.all(np.isfinite(out)):
-        raise ConfigInvalid("matrix entries must be finite")
-    return out
 
 
 def element_to_json(a: np.ndarray, form: SignatureForm) -> dict:

@@ -28,6 +28,7 @@ from typing import Any, Protocol
 import numpy as np
 
 from .errors import InversesDisagree
+from .linalg import worst
 
 INVERSE_GAP = 1e-9  # largest distance between e/x and x\e that inverse_of accepts
 
@@ -53,11 +54,6 @@ class Loop(Protocol):
     def left_divide(self, a, b): ...
     def right_divide(self, b, a): ...
     def distance(self, a, b): ...
-
-
-def worst(*residuals) -> float:
-    """Fold residuals, floats or per-element stacks, with max from 0."""
-    return max((float(np.max(r, initial=0.0)) for r in residuals), default=0.0)
 
 
 def split(stack, count: int, parts: int) -> list:

@@ -33,7 +33,13 @@ Three fixed floors serve every layer: ``TAU_ABS`` is the absolute floor
 for pivots, positivity and the transversal's sign check, ``TAU_COLUMN``
 the relative floor of a QR column against its own norm, and ``TAU_REL``
 the relative tolerance of the hermiticity check.  Verdicts on measured
-residuals are the suite's, against its fixed acceptance bounds.
+residuals are the suite's, against its fixed acceptance bounds; ``worst``
+is their one fold, max from 0.
+
+The layer also holds how a matrix is written in a file, for every reader
+above it: the matrix text reader, and the JSON codec (``matrix_to_json``,
+``matrix_from_json``) with the JSON scalar rules the config and form
+readers share (``convert``).
 """
 
 from __future__ import annotations
@@ -44,6 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    ConfigInvalid,
     DimensionMismatch,
     NoConvergence,
     NotHermitian,
@@ -83,6 +90,11 @@ def fro(a: np.ndarray):
     for bit, without its dispatch.  A matrix gives the same bits alone as
     inside a stack."""
     return np.sqrt(np.add.reduce((a.conj() * a).real, axis=(-2, -1)))
+
+
+def worst(*residuals) -> float:
+    """Fold residuals, floats or per-element stacks, with max from 0."""
+    return max((float(np.max(r, initial=0.0)) for r in residuals), default=0.0)
 
 
 def mv(a: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -256,3 +268,62 @@ def read_matrix_text(text: str) -> np.ndarray:
     if not np.isfinite(data).all():
         raise ParseError("matrix entries must be finite")
     return np.array(data, dtype=dtype_of(field)).reshape(rows, cols)
+
+
+# ---------------------------------------------------------------------------
+# JSON encoding of matrices: a list of rows, complex entries as [re, im]
+# pairs.  Its scalar rules serve every JSON reader of the package: the
+# config, the form and the matrix payloads.
+# ---------------------------------------------------------------------------
+
+
+def matrix_to_json(a: np.ndarray) -> list:
+    """Rows of Python floats, a complex entry as its [re, im] pair."""
+    if np.iscomplexobj(a):
+        return np.stack([a.real, a.imag], -1).tolist()
+    return a.tolist()
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def convert(kind, value, name: str):
+    """``value`` as ``kind``, int or str: an int must be a JSON number with
+    no fractional part and a str a JSON string.  Anything else, booleans
+    and numeric strings included, is refused rather than coerced."""
+    if kind is int and _is_number(value) and value % 1 == 0:
+        return int(value)
+    if kind is str and isinstance(value, str):
+        return value
+    raise ConfigInvalid(f"entry {name!r} must be {kind.__name__}, got {value!r}")
+
+
+def _is_entry(v, field: str) -> bool:
+    """A real entry is a JSON number; a complex one is a [re, im] pair."""
+    if field == COMPLEX:
+        return isinstance(v, list) and len(v) == 2 and all(map(_is_number, v))
+    return _is_number(v)
+
+
+def matrix_from_json(rows: list, field: str) -> np.ndarray:
+    """A list of rows, each a list of entries; strings, booleans,
+    non-finite numbers and wrongly shaped entries are refused."""
+    if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)):
+        raise ConfigInvalid("matrix payload must be a list of rows, each a list")
+    if not all(_is_entry(v, field) for row in rows for v in row):
+        kind = "[re, im] pairs of numbers" if field == COMPLEX else "numbers"
+        raise ConfigInvalid(f"matrix entries must be {kind}")
+    try:
+        if field == COMPLEX:
+            data = [[complex(*v) for v in row] for row in rows]
+        else:
+            data = [[float(v) for v in row] for row in rows]
+        out = np.array(data, dtype=dtype_of(field))
+    except (OverflowError, ValueError) as exc:
+        raise ConfigInvalid(f"bad matrix payload: {exc}") from exc
+    if out.ndim != 2:
+        raise ConfigInvalid("matrix payload must be a list of equal-length rows")
+    if not np.all(np.isfinite(out)):
+        raise ConfigInvalid("matrix entries must be finite")
+    return out

@@ -27,14 +27,14 @@ def one(drawn):
 
 @pytest.fixture
 def form321r():
-    from bruckloops import SignatureForm
+    from bruckloops.groups import SignatureForm
 
     return SignatureForm(3, 2, 1, "real")
 
 
 @pytest.fixture
 def form321c():
-    from bruckloops import SignatureForm
+    from bruckloops.groups import SignatureForm
 
     return SignatureForm(3, 2, 1, "complex")
 

@@ -48,8 +48,8 @@ from bruckloops.groups import (
     sigma_width,
     standard_boost,
 )
-from bruckloops.kernel import check_aip, check_bol, check_loop_axioms, worst
-from bruckloops.linalg import fro
+from bruckloops.kernel import check_aip, check_bol, check_loop_axioms
+from bruckloops.linalg import fro, worst
 from bruckloops.matrixloop import MatrixLoop
 from reference import check_drawn, sample_tuples
 

@@ -16,8 +16,8 @@ from bruckloops.geometry import (
     subspace_distance,
     transversality_check,
 )
-from bruckloops.groups import SampleStream, matrix_to_json, sample_sigma, standard_boost
-from bruckloops.linalg import fro, orthonormalize
+from bruckloops.groups import SampleStream, sample_sigma, standard_boost
+from bruckloops.linalg import fro, matrix_to_json, orthonormalize
 from conftest import boost3, rotation
 
 E3 = np.eye(3)

@@ -14,7 +14,6 @@ from bruckloops.groups import (
     conjugate_by_phi,
     element_from_json,
     element_to_json,
-    matrix_to_json,
     membership_residual,
     polar_factorize,
     sample_phi,
@@ -22,7 +21,7 @@ from bruckloops.groups import (
     sigma_from_block,
     standard_boost,
 )
-from bruckloops.linalg import eig_hermitian, fro
+from bruckloops.linalg import eig_hermitian, fro, matrix_to_json
 from conftest import boost3, one, rotation
 from reference import elementwise_matrix_json
 
