@@ -16,9 +16,9 @@ subspaces serve only where a minimum-norm base is read: the transversal,
 
 Elements take stacks: ``w`` of shape (..., n) with ``rho`` a plain array
 (..., n, n) of the same batch shape is that many elements, and every loop
-operation, ``distance`` and ``sample`` act on the whole stack, each step
-one stacked ``solve``, p2 x p2 eigendecomposition or QR call; ``distance``
-makes one QR call.  ``join`` concatenates stacks, broadcasting one element.
+operation and ``distance`` act on the whole stack, each step one stacked
+``solve``, p2 x p2 eigendecomposition or QR call; ``distance`` makes one QR
+call.  ``join`` concatenates stacks, broadcasting one element.
 The loop holds the form; the JSON writer and reader take it as an argument.
 
 Every orbit direction at infinity is the graph of a strict contraction
@@ -53,7 +53,6 @@ from .errors import (
 )
 from .geometry import AffineSubspace, apply, canonical_distance, subspace, subspace_distance
 from .groups import (
-    SAMPLE_RADIUS,
     SampleStream,
     SignatureForm,
     blocks,
@@ -63,8 +62,7 @@ from .groups import (
     graph_frame,
     scale,
     sigma_from_spectrum,
-    sigma_from_uniforms,
-    sigma_width,
+    unit_uniforms,
 )
 from .linalg import concat, dag, eig_hermitian, matrix_from_json, matrix_to_json, mv, spectral_map
 from .matrixloop import MatrixLoop
@@ -102,8 +100,8 @@ class ExtensionConfig:
     Left division maps by the inverse of the divisor's left translation,
     x -> A^-1 (x - w) with A^-1 = J A J, and reads the coordinates of the
     image.  Right division c / a takes rho = c.rho / a.rho in the matrix loop
-    and w = c.w minus the transversal point of a's subspace moved by rho.  The
-    sampler draws a uniform transversal point and a random positive isometry.
+    and w = c.w minus the transversal point of a's subspace moved by rho.
+    ``point_from_uniforms`` is the chart of a uniform transversal point.
     """
 
     form: SignatureForm
@@ -153,13 +151,6 @@ class ExtensionConfig:
         (..., point_width) draw: frame coordinates uniform in [-1, 1)."""
         (coef,) = blocks(self.form, scale(u, -_W_SCALE, _W_SCALE), (self.wtilde.dim, 1))
         return mv(self.wtilde.frame, coef[..., 0])
-
-    def sample(self, stream: SampleStream, count: int, radius: float = SAMPLE_RADIUS):
-        """Draw a stack of ``count`` elements, one ``next_rows`` call: per
-        sample a transversal point, then a Sigma element of the given radius."""
-        (uw, urho), stream = stream.next_rows(count, self.point_width, sigma_width(self.form))
-        elems = ExtensionElement(self.point_from_uniforms(uw), sigma_from_uniforms(self.form, urho, radius))
-        return elems, stream
 
 
 def extension_config(
@@ -441,7 +432,7 @@ def dimension_rank_report(cfg: ExtensionConfig, points: int, stream: SampleStrea
     breaks the SVD, which raises ``LinAlgError``.
     """
     d = expected_dimension(cfg)
-    thetas, stream = stream.next_uniforms(points * d, -0.4, 0.4)
+    thetas = scale(unit_uniforms(stream.seed, stream.counters(points * d)), -0.4, 0.4)
     svs = np.linalg.svd(_chart_jacobians(cfg, thetas.reshape(points, d)), compute_uv=False)
     ranks, gapped = _rank_fold(svs)
     gap_fraction = int(np.count_nonzero(gapped)) / points if points else 0.0

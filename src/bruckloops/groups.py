@@ -120,31 +120,20 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SampleStream:
-    """Counter-based splitmix64 stream; draw k is a pure function of
-    (seed, k), so identical streams replay identical values on any
-    platform, and one draw of many values gives the same bits as many
-    draws of few.  Each draw returns the values together with the advanced
-    stream; concurrent use splits by counter offset.
+    """A position on a counter-based splitmix64 stream: draw k of the seed
+    is a pure function of (seed, k), so one position replays identical
+    values on any platform, and one draw of many values gives the same bits
+    as many draws of few.  A stream draws nothing itself: ``counters``
+    names the next draws, ``unit_uniforms`` computes them, and ``split``
+    moves the position, which is how the suite gives each row its slot.
     """
 
     seed: int
     counter: int = 0
 
-    def next_uniforms(self, count: int, lo: float = 0.0, hi: float = 1.0):
-        """The next ``count`` draws, uniform on [lo, hi), from one
-        ``unit_uniforms`` pass over their counters."""
-        vals = unit_uniforms(self.seed, self.counters(count))
-        return scale(vals, lo, hi), SampleStream(self.seed, self.counter + count)
-
     def counters(self, count: int) -> np.ndarray:
         """The ``uint64`` counters k + 1 of the next ``count`` draws k."""
         return np.arange(count, dtype=np.uint64) + np.uint64((self.counter + 1) % _MODULUS)
-
-    def next_rows(self, count: int, *widths: int):
-        """``count`` samples' draws from one ``next_uniforms`` call, split by
-        ``sample_parts``, and the advanced stream."""
-        vals, stream = self.next_uniforms(count * sum(widths))
-        return sample_parts(vals, count, widths), stream
 
     def split(self, offset: int) -> "SampleStream":
         return SampleStream(self.seed, self.counter + offset)
@@ -176,8 +165,7 @@ def sample_parts(vals: np.ndarray, count: int, widths) -> list:
 
 
 def scale(u: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    """Unit uniforms mapped onto [lo, hi), bit for bit as ``next_uniforms``
-    maps its draws."""
+    """Unit uniforms mapped onto [lo, hi); onto [0, 1) it is exact."""
     return lo + (hi - lo) * u
 
 
@@ -309,12 +297,6 @@ def sigma_from_uniforms(form: SignatureForm, u: np.ndarray, radius: float = SAMP
     return sigma_from_block(form, x)
 
 
-def sample_sigma(form: SignatureForm, stream: SampleStream, count: int, radius: float = SAMPLE_RADIUS):
-    """Draw a stack of ``count`` Sigma elements, one ``next_uniforms`` call."""
-    (u,), stream = stream.next_rows(count, sigma_width(form))
-    return sigma_from_uniforms(form, u, radius), stream
-
-
 def phi_from_uniforms(form: SignatureForm, u: np.ndarray) -> np.ndarray:
     """The Phi element, or stack, that unit uniforms ``u`` of shape
     (..., phi_width) draw: exp of a block-diagonal anti-hermitian generator
@@ -336,12 +318,6 @@ def phi_from_uniforms(form: SignatureForm, u: np.ndarray) -> np.ndarray:
     dec = linalg.eig_hermitian(dag(k) @ k)
     t = np.sqrt(np.maximum(dec.eigenvalues, 0.0))
     return dec.apply(np.cos(t)) + k @ dec.apply(np.sinc(t / np.pi))
-
-
-def sample_phi(form: SignatureForm, stream: SampleStream, count: int):
-    """Draw a stack of ``count`` Phi elements, one ``next_uniforms`` call."""
-    (u,), stream = stream.next_rows(count, phi_width(form))
-    return phi_from_uniforms(form, u), stream
 
 
 def polar_factorize(s: np.ndarray, form: SignatureForm):

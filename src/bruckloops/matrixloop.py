@@ -15,8 +15,8 @@ operation costs one p2 x p2 eigendecomposition, that of
 ``groups.positive_factor``, which builds the result in block coordinates.
 
 An element is a plain (n, n) array and a stack (..., n, n) is that many
-elements; the loop holds the form.  Every operation, ``distance`` and
-``sample`` take stacks, operands broadcast over the batch axes, and each
+elements; the loop holds the form.  Every operation and ``distance``
+take stacks, operands broadcast over the batch axes, and each
 operation is one LAPACK call for the whole stack, which gives each matrix
 the same bits as a call of its own.  The identity is a single read-only
 matrix, built once per form, and broadcasts against any stack, ``join``
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import SampleStream, SignatureForm, positive_factor, sample_sigma
+from .groups import SignatureForm, positive_factor
 # spectral_map is held for bench/tests/test_bench.py; groups.positive_factor calls it
 from .linalg import concat, fro, spectral_map, symmetrize  # noqa: F401
 
@@ -75,5 +75,3 @@ class MatrixLoop:
         ainv = self.inverse(a)
         return symmetrize((ainv @ root) @ ainv)
 
-    def sample(self, stream: SampleStream, count: int):
-        return sample_sigma(self.form, stream, count)

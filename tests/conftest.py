@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -39,12 +41,30 @@ def form321c():
     return SignatureForm(3, 2, 1, "complex")
 
 
+def patch_bindings(monkeypatch, name: str, real, replacement) -> None:
+    """Bind ``replacement`` in place of ``real`` under ``name`` in every
+    package module that holds ``real`` by that name."""
+    for module_name, module in list(sys.modules.items()):
+        if module_name.split(".")[0] == "bruckloops" and getattr(module, name, None) is real:
+            monkeypatch.setattr(module, name, replacement)
+
+
+@pytest.fixture
+def no_draw(monkeypatch):
+    """Make every draw of uniforms fail, under whichever name a module of
+    the package holds unit_uniforms."""
+    from bruckloops import groups
+
+    def drew(*args):
+        raise AssertionError("drew uniforms")
+
+    patch_bindings(monkeypatch, "unit_uniforms", groups.unit_uniforms, drew)
+
+
 @pytest.fixture
 def eig_calls(monkeypatch):
     """Record every eigendecomposition, including those inside spectral_map,
     under whichever name a module of the package holds eig_hermitian."""
-    import sys
-
     from bruckloops import linalg
 
     calls = []
@@ -54,7 +74,5 @@ def eig_calls(monkeypatch):
         calls.append(a.shape)
         return real(a)
 
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "bruckloops" and getattr(module, "eig_hermitian", None) is real:
-            monkeypatch.setattr(module, "eig_hermitian", counting)
+    patch_bindings(monkeypatch, "eig_hermitian", real, counting)
     return calls

@@ -1,13 +1,17 @@
 """Per-sample reference for the batched sampler and verification rows, and
 the n x n oracle for the positive isometries built in block coordinates.
 
-``ReferenceStream`` draws with the scalar Python splitmix64 loop, one value
-at a time.  The ``ROWS`` functions are the suite's rows written sample by
-sample: each sample is drawn alone, through a stack of one, and every loop
-operation runs on single elements; residuals are folded with Python's max
-from 0.  The batched code in the package must agree with them.
-``sample_tuples`` is a row's own stacked draw, which the suite replaced by
-one draw pooled over all rows; ``check_drawn`` runs a kernel checker on it.
+``draw`` is how the tests draw values, as the package does: ``uniforms``
+(``unit_uniforms`` over a stream's ``counters``, with the stream past
+them), cut per sample by ``sample_parts`` (``rows``) and mapped by the
+charts.  On a ``ReferenceStream`` the uniforms come from the scalar Python
+splitmix64 loop, one value at a time.  The ``ROWS`` functions are the
+suite's rows written sample by sample: each sample is drawn alone, through
+a stack of one, and every loop operation runs on single elements;
+residuals are folded with Python's max from 0.  The batched code in the
+package must agree with them.  ``sample_tuples`` is a row's own stacked
+draw, which the suite replaced by one draw pooled over all rows;
+``check_drawn`` runs a kernel checker on it.
 
 ``format_scalar`` and ``write_matrix_text`` write the matrix text format
 the package reads, with 17 significant digits, which round-trips float64
@@ -36,24 +40,30 @@ lift and a QR, which the closed-form projectors must match to rounding.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
 
-from bruckloops import cli
 from bruckloops import extension as ext
-from bruckloops import geometry, linalg
+from bruckloops import geometry, linalg, suite
 from bruckloops.errors import InversesDisagree, NotHermitian
 from bruckloops.groups import (
+    SAMPLE_RADIUS,
     SampleStream,
     blocks,
     conjugate_by_phi,
     membership_residual,
+    phi_from_uniforms,
+    phi_width,
     polar_factorize,
     positive_factor as block_positive_factor,
-    sample_phi,
-    sample_sigma,
+    sample_parts,
+    scale,
     sigma_from_block,
+    sigma_from_uniforms,
+    sigma_width,
+    unit_uniforms,
 )
 from bruckloops.kernel import check_aip, check_bol, check_left_a, check_loop_axioms
 from bruckloops.linalg import (
@@ -133,10 +143,9 @@ def boost(form, x):
 
 
 def split_rows(stream, count: int, *widths: int):
-    """``SampleStream.next_rows`` through ``np.split``."""
-    vals, stream = stream.next_uniforms(count * sum(widths))
-    rows = vals.reshape(count, sum(widths))
-    return np.split(rows, np.cumsum(widths)[:-1], axis=1), stream
+    """``rows`` through ``np.split``."""
+    vals, stream = uniforms(stream, count * sum(widths))
+    return np.split(vals.reshape(count, sum(widths)), np.cumsum(widths)[:-1], axis=1), stream
 
 
 def split_blocks(form, vals, *shapes) -> list:
@@ -243,16 +252,16 @@ def qr_chart_embeddings(cfg, thetas):
 
 
 def per_row_draw_parts(loop, streams, counts):
-    """``cli.draw_parts`` with one ``next_rows`` call per row: each row's
-    own splitmix64 pass, then each kind's chart once over all rows."""
-    pooled = {kind: [] for kind in cli.PARTS}
-    for row in cli.PROPERTIES:
-        parts, _ = streams[row.key].next_rows(counts[row.key], *cli._widths(loop, row))
+    """``suite.draw_parts`` with one ``rows`` call per row: each row's own
+    splitmix64 pass, then each kind's chart once over all rows."""
+    pooled = {kind: [] for kind in suite.PARTS}
+    for row in suite.PROPERTIES:
+        parts, _ = rows(streams[row.key], counts[row.key], *suite._widths(loop, row))
         for kind, u in zip(row.draw, parts):
             pooled[kind].append(u)
-    values = {kind: iter(cli._chart(loop, kind, us)) for kind, us in pooled.items()}
+    values = {kind: iter(suite._chart(loop, kind, us)) for kind, us in pooled.items()}
     drawn = {}
-    for row in cli.PROPERTIES:
+    for row in suite.PROPERTIES:
         parts = [next(values[kind]) for kind in row.draw]
         drawn[row.key] = next((p for p in parts if isinstance(p, Exception)), parts)
     return drawn
@@ -278,17 +287,45 @@ def reference_uniforms(seed: int, counter: int, count: int, lo: float = 0.0, hi:
 
 
 class ReferenceStream(SampleStream):
-    """A SampleStream whose draws come from the scalar reference loop."""
-
-    def next_uniforms(self, count: int, lo: float = 0.0, hi: float = 1.0):
-        vals = reference_uniforms(self.seed, self.counter, count, lo, hi)
-        return vals, ReferenceStream(self.seed, self.counter + count)
+    """A SampleStream whose ``uniforms`` come from the scalar reference loop."""
 
 
-def draw(sample, *args):
-    """One element from a sampler of stacks, ``sample(stream, 1, ...)``."""
-    stack, stream = sample(*args)
-    return stack[0], stream
+def uniforms(stream, count: int, lo: float = 0.0, hi: float = 1.0):
+    """The stream's next ``count`` draws, uniform on [lo, hi), and the
+    stream past them: ``unit_uniforms`` over its ``counters``, or on a
+    ``ReferenceStream`` the scalar reference loop."""
+    if isinstance(stream, ReferenceStream):
+        vals = reference_uniforms(stream.seed, stream.counter, count)
+    else:
+        vals = unit_uniforms(stream.seed, stream.counters(count))
+    return scale(vals, lo, hi), dataclasses.replace(stream, counter=stream.counter + count)
+
+
+def rows(stream, count: int, *widths: int):
+    """``count`` samples' unit uniforms from one ``uniforms`` call, cut per
+    sample into parts of the given widths by ``sample_parts``, and the
+    stream past them."""
+    vals, stream = uniforms(stream, count * sum(widths))
+    return sample_parts(vals, count, widths), stream
+
+
+def draw(loop, stream, count: int, kind: str | None = None, radius: float = SAMPLE_RADIUS):
+    """A stack of ``count`` values drawn as the package draws them, one
+    ``rows`` call mapped by the charts, and the stream past them.  ``kind``
+    is ``"sigma"``, ``"phi"`` or ``"element"``, an extension element: per
+    sample a transversal point, then a Sigma element of the given radius.
+    It defaults to the loop's own elements: extension elements on an
+    extension loop, Sigma elements on a matrix loop or a bare form."""
+    form = getattr(loop, "form", loop)
+    kind = kind or ("element" if isinstance(loop, ext.ExtensionConfig) else "sigma")
+    if kind == "phi":
+        (u,), stream = rows(stream, count, phi_width(form))
+        return phi_from_uniforms(form, u), stream
+    if kind == "sigma":
+        (u,), stream = rows(stream, count, sigma_width(form))
+        return sigma_from_uniforms(form, u, radius), stream
+    (uw, u), stream = rows(stream, count, loop.point_width, sigma_width(form))
+    return ext.ExtensionElement(loop.point_from_uniforms(uw), sigma_from_uniforms(form, u, radius)), stream
 
 
 def fold(stream, count: int, fn) -> tuple:
@@ -305,7 +342,7 @@ def sample_tuples(loop, stream, count: int, size: int) -> list:
     """``count`` sampled ``size``-tuples from one stacked draw, as ``size``
     stacks: slot j of tuple i is draw size * i + j, the element a
     sample-by-sample draw gives it."""
-    xs, _ = loop.sample(stream, size * count)
+    xs, _ = draw(loop, stream, size * count)
     return [xs[j::size] for j in range(size)]
 
 
@@ -318,11 +355,11 @@ def check_drawn(check, loop, stream, count: int) -> float:
     return check(loop, *sample_tuples(loop, stream, count, CHECK_SLOTS[check]))
 
 
-def _elements(loop, stream, size: int):
+def _elements(loop, stream, size: int, kind: str | None = None):
     out = []
     for _ in range(size):
-        x, stream = draw(loop.sample, stream, 1)
-        out.append(x)
+        x, stream = draw(loop, stream, 1, kind)
+        out.append(x[0])
     return out, stream
 
 
@@ -390,8 +427,8 @@ def sigma_closure(s, stream, count):
 
 
 def _sigma_then_phi(s, stream):
-    a, stream = draw(sample_sigma, s.form, stream, 1)
-    b, stream = draw(sample_phi, s.form, stream, 1)
+    (a,), stream = _elements(s.form, stream, 1)
+    (b,), stream = _elements(s.form, stream, 1, "phi")
     return a, b, stream
 
 
@@ -418,7 +455,7 @@ def transversality(s, stream, count):
     """Residual 0 and the worst margin, one sample per check."""
     margin = np.inf
     for _ in range(count):
-        rho, stream = draw(s.mat.sample, stream, 1)
+        (rho,), stream = _elements(s.mat, stream, 1)
         report = geometry.transversality_check(s.wtilde, rho[None], s.carrier_subspace())
         margin = min(margin, report.worst_margin)
     return (0.0,), margin
@@ -435,7 +472,7 @@ def ext_infinity_compat(s, stream, count):
 def ext_aip(s, stream, count):
     """The left/right inverse gap of the extension loop."""
     def one(stream):
-        x, stream = draw(s.sample, stream, 1)
+        (x,), stream = _elements(s, stream, 1)
         right = s.right_divide(s.identity, x)
         left = s.left_divide(x, s.identity)
         return (s.distance(right, left),), stream
@@ -465,7 +502,7 @@ def solve_translation(s, stream, count):
         d1, d2 = (geometry.subspace(d.base, d.frame) for d in realized)
         t, rho = ext.solve_translation(d1, d2, s)
         moved = geometry.apply(rho, d1, t)
-        noise, stream = stream.next_uniforms(2 * s.form.n * (d1.dim + 1), -1e-10, 1e-10)
+        noise, stream = uniforms(stream, 2 * s.form.n * (d1.dim + 1), -1e-10, 1e-10)
         d1p = _perturb(d1, noise[: noise.size // 2])
         d2p = _perturb(d2, noise[noise.size // 2 :])
         tp, rhop = ext.solve_translation(d1p, d2p, s)

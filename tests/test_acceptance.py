@@ -51,7 +51,7 @@ from bruckloops.groups import (
 from bruckloops.kernel import check_aip, check_bol, check_loop_axioms
 from bruckloops.linalg import fro, worst
 from bruckloops.matrixloop import MatrixLoop
-from reference import check_drawn, sample_tuples
+from reference import check_drawn, rows, sample_tuples
 
 SEED = 1
 
@@ -116,7 +116,7 @@ def test_bruck_identities(form):
 
 @pytest.mark.parametrize("form", CONFIGS, ids=IDS)
 def test_conjugation_closure(form):
-    (us, up), _ = SampleStream(SEED).next_rows(500, sigma_width(form), phi_width(form))
+    (us, up), _ = rows(SampleStream(SEED), 500, sigma_width(form), phi_width(form))
     out = conjugate_by_phi(sigma_from_uniforms(form, us), phi_from_uniforms(form, up))
     residual = membership_residual(out, form).max_residual
     ok = residual <= 1e-9
@@ -127,7 +127,7 @@ def test_conjugation_closure(form):
 
 @pytest.mark.parametrize("form", CONFIGS, ids=IDS)
 def test_factorization_roundtrip(form):
-    (us, up), _ = SampleStream(SEED).next_rows(500, sigma_width(form), phi_width(form))
+    (us, up), _ = rows(SampleStream(SEED), 500, sigma_width(form), phi_width(form))
     s1, c = sigma_from_uniforms(form, us), phi_from_uniforms(form, up)
     s = s1 @ c
     f1, f2 = polar_factorize(s, form)
@@ -158,7 +158,7 @@ def test_sharp_transitivity(form):
     n, k = form.n, cfg.carrier_dim
     half = n * (k + 1)
     element = (cfg.point_width, sigma_width(form))  # a transversal point, then a Sigma element
-    (w1, u1, w2, u2, noise), _ = SampleStream(SEED).next_rows(200, *element, *element, 2 * half)
+    (w1, u1, w2, u2, noise), _ = rows(SampleStream(SEED), 200, *element, *element, 2 * half)
     d1, d2 = (
         realize(ExtensionElement(cfg.point_from_uniforms(w), sigma_from_uniforms(form, u)), cfg)
         for w, u in ((w1, u1), (w2, u2))

@@ -9,17 +9,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import bruckloops.cli as cli
 import bruckloops.extension
 import bruckloops.geometry
 import bruckloops.linalg
-from bruckloops.cli import PROPERTIES, TOLERANCES, SuiteConfig, draw_parts, main, resolve, run_verify
+import bruckloops.suite as suite
+from bruckloops.cli import SuiteConfig, main, resolve, run_verify
 from bruckloops.errors import InversesDisagree, NoConvergence, NotHermitian, NotInOrbit, NotPositiveDefinite
 from bruckloops.extension import extension_config, lift_from_infinity
-from bruckloops.groups import SampleStream, element_to_json, sample_sigma
+from bruckloops.groups import SampleStream, element_to_json, sample_parts, unit_uniforms
 from bruckloops.kernel import check_left_a, inverse_of
 from bruckloops.linalg import spectral_map
 from bruckloops.matrixloop import MatrixLoop
+from bruckloops.suite import PROPERTIES, TOLERANCES, draw_parts
 from conftest import one
 from reference import ROWS, ReferenceStream, check_drawn, draw, left_a, per_row_draw_parts, reference_uniforms
 
@@ -29,19 +30,17 @@ COUNTERS = [0, 10**7, 2**63 - 100]
 
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("counter", COUNTERS)
-def test_next_uniforms_is_the_reference_splitmix_bit_for_bit(seed, counter):
-    vals, stream = SampleStream(seed, counter).next_uniforms(257, -0.75, 0.75)
-    assert np.array_equal(vals, reference_uniforms(seed, counter, 257, -0.75, 0.75))
-    assert stream == SampleStream(seed, counter + 257)
-    unit, _ = SampleStream(seed, counter).next_uniforms(5)
-    assert np.array_equal(unit, reference_uniforms(seed, counter, 5))
+def test_unit_uniforms_are_the_reference_splitmix_bit_for_bit(seed, counter):
+    stream = SampleStream(seed, counter)
+    assert np.array_equal(unit_uniforms(seed, stream.counters(257)), reference_uniforms(seed, counter, 257))
+    assert np.array_equal(unit_uniforms(seed, stream.counters(5)), reference_uniforms(seed, counter, 5))
+    assert stream.split(257) == SampleStream(seed, counter + 257)
 
 
-def test_next_rows_split_sample_by_sample():
-    (a, b), stream = SampleStream(3).next_rows(4, 2, 3)
+def test_sample_parts_split_sample_by_sample():
+    a, b = sample_parts(unit_uniforms(3, SampleStream(3).counters(20)), 4, (2, 3))
     flat = reference_uniforms(3, 0, 20).reshape(4, 5)
     assert np.array_equal(a, flat[:, :2]) and np.array_equal(b, flat[:, 2:])
-    assert stream.counter == 20
 
 
 # (3,2,1) complex, (4,2,2) real carrier 2 boost:ln 2, (4,3,1) real, (6,3,3) complex
@@ -84,37 +83,33 @@ def test_left_a_on_the_extension_loop_matches_the_per_sample_reference(name, see
     assert abs(got - want) <= 1e-15 * max(abs(got), abs(want)), (got, want)
 
 
-def test_extension_sample_is_the_verify_element_draw():
-    # ExtensionConfig.sample (``sample --loop extension``) and a verify row
-    # of layout _ELEMENT give the same elements from the same stream
+def test_the_element_draw_is_the_verify_element_draw():
+    # the tests' draw of extension elements and a verify row of layout
+    # _ELEMENT give the same elements from the same stream
     loop = resolve(SuiteConfig(seed=3, **SUITES["633c"]))
     streams = {row.key: SampleStream(3).split((k + 1) * 1000) for k, row in enumerate(PROPERTIES)}
     counts = {row.key: 5 for row in PROPERTIES}
     drawn = draw_parts(loop, streams, counts)
-    row = next(row for row in PROPERTIES if row.draw == cli._ELEMENT)
+    row = next(row for row in PROPERTIES if row.draw == suite._ELEMENT)
     w, rho = drawn[row.key]
-    elems, _ = loop.sample(streams[row.key], counts[row.key])
+    elems, _ = draw(loop, streams[row.key], counts[row.key])
     assert w.tobytes() == elems.w.tobytes() and rho.tobytes() == elems.rho.tobytes()
 
 
 @pytest.mark.parametrize("carrier", [1, 2])
-def test_stream_slots_are_disjoint_at_the_largest_counts(monkeypatch, carrier):
+def test_stream_slots_are_disjoint_at_the_largest_counts(no_draw, carrier):
     # at (7,4,3) complex a row's draw at MAX_SAMPLES outgrows 10,000,000
     # uniforms, so the stride grows with it; nothing is drawn here
-    def no_draw(*args):
-        raise AssertionError("drew uniforms")
-
-    monkeypatch.setattr(SampleStream, "next_uniforms", no_draw)
     loop = resolve(SuiteConfig(n=7, p1=4, p2=3, field_name="complex", carrier=carrier))
-    slots = sorted(cli.stream_slots(loop, {key: cli.MAX_SAMPLES for key in cli.DEFAULT_SAMPLES}).values())
-    assert len(slots) == len(cli.DEFAULT_SAMPLES)
+    slots = sorted(suite.stream_slots(loop, {key: suite.MAX_SAMPLES for key in suite.DEFAULT_SAMPLES}).values())
+    assert len(slots) == len(suite.DEFAULT_SAMPLES)
     assert max(size for _, size in slots) > 10_000_000
     assert all(start + size <= following for (start, size), (following, _) in zip(slots, slots[1:]))
 
 
 def test_stream_slots_keep_their_offsets_while_the_draws_fit():
     loop = resolve(SuiteConfig())
-    slots = cli.stream_slots(loop, cli.DEFAULT_SAMPLES)
+    slots = suite.stream_slots(loop, suite.DEFAULT_SAMPLES)
     assert [offset for _, (offset, _) in sorted(slots.items())] == [
         (k + 1) * 10_000_000 for k in range(len(slots))
     ]
@@ -155,9 +150,9 @@ BENCH_SUITES = {
 @pytest.mark.parametrize("name", sorted(BENCH_SUITES))
 def test_a_verify_makes_one_chart_call_per_kind(monkeypatch, eig_calls, name, samples):
     settings, eig_count = BENCH_SUITES[name]
-    sigma = _counting(monkeypatch, cli, "sigma_from_uniforms")
-    phi = _counting(monkeypatch, cli, "phi_from_uniforms")
-    draws = _counting(monkeypatch, cli, "unit_uniforms")
+    sigma = _counting(monkeypatch, suite, "sigma_from_uniforms")
+    phi = _counting(monkeypatch, suite, "phi_from_uniforms")
+    draws = _counting(monkeypatch, suite, "unit_uniforms")
     qr = []
     real_qr = bruckloops.linalg.orthonormalize
     for module in (bruckloops.linalg, bruckloops.geometry):
@@ -179,7 +174,7 @@ def test_a_verify_makes_one_chart_call_per_kind(monkeypatch, eig_calls, name, sa
     loop = resolve(cfg)
     draws_of = {kind: sum(row.draw.count(kind) for row in PROPERTIES) for kind in ("sigma", "phi")}
     assert sigma == [draws_of["sigma"] * samples] and phi == [draws_of["phi"] * samples]
-    assert draws == [samples * sum(sum(cli._widths(loop, row)) for row in PROPERTIES)]
+    assert draws == [samples * sum(sum(suite._widths(loop, row)) for row in PROPERTIES)]
     d, p2 = bruckloops.extension.expected_dimension(loop), cfg.p2
     assert inside == {"eig": [(2 * d * cfg.samples["dimension_points"], p2, p2)], "qr": []}
 
@@ -187,16 +182,16 @@ def test_a_verify_makes_one_chart_call_per_kind(monkeypatch, eig_calls, name, sa
 @pytest.mark.parametrize("seed", [1, 7919])
 @pytest.mark.parametrize("name", sorted(SUITES))
 def test_batched_draw_is_the_per_row_draw_bit_for_bit(monkeypatch, name, seed):
-    # each row's own next_rows pass, against batches of rows drawn in one
+    # each row's own splitmix64 pass, against batches of rows drawn in one
     # pass: the whole draw at the real chunk, every row in a batch of its
     # own (most larger than the chunk) at 7 uniforms, runs of rows at 60
     loop = resolve(SuiteConfig(seed=seed, **SUITES[name]))
     streams = {row.key: SampleStream(seed).split((k + 1) * 1000) for k, row in enumerate(PROPERTIES)}
     counts = {row.key: MIXED_COUNTS[k % 3] for k, row in enumerate(PROPERTIES)}
-    sizes = [counts[row.key] * sum(cli._widths(loop, row)) for row in PROPERTIES]
-    for chunk, batches in ((cli._CHART_CHUNK, 1), (7, len(PROPERTIES)), (60, None)):
-        monkeypatch.setattr(cli, "_CHART_CHUNK", chunk)
-        draws = _counting(monkeypatch, cli, "unit_uniforms")
+    sizes = [counts[row.key] * sum(suite._widths(loop, row)) for row in PROPERTIES]
+    for chunk, batches in ((suite._CHART_CHUNK, 1), (7, len(PROPERTIES)), (60, None)):
+        monkeypatch.setattr(suite, "_CHART_CHUNK", chunk)
+        draws = _counting(monkeypatch, suite, "unit_uniforms")
         batched, per_row = draw_parts(loop, streams, counts), per_row_draw_parts(loop, streams, counts)
         packed = []  # consecutive rows packed greedily, a row larger than the chunk alone
         for size in sizes:
@@ -214,8 +209,8 @@ def test_chunked_charts_give_the_same_report(monkeypatch):
     cfg = SuiteConfig(field_name="complex", seed=7919)
     cfg.samples |= {row.key: (1, 3, 6)[k % 3] for k, row in enumerate(PROPERTIES)}
     whole = _without_timing(run_verify(cfg))
-    monkeypatch.setattr(cli, "_CHART_CHUNK", 7)
-    sigma = _counting(monkeypatch, cli, "sigma_from_uniforms")
+    monkeypatch.setattr(suite, "_CHART_CHUNK", 7)
+    sigma = _counting(monkeypatch, suite, "sigma_from_uniforms")
     assert _without_timing(run_verify(cfg)) == whole
     total = sum(row.draw.count("sigma") * cfg.samples[row.key] for row in PROPERTIES)
     assert sigma == [7] * (total // 7) + [total % 7] * (total % 7 > 0)
@@ -233,7 +228,7 @@ def test_a_chart_breakdown_fails_the_rows_it_serves(tmp_path, monkeypatch, kind,
     def refuse(*args, **kwargs):
         raise NoConvergence("injected")
 
-    monkeypatch.setattr(cli, chart, refuse)
+    monkeypatch.setattr(suite, chart, refuse)
     out = tmp_path / "report.json"
     assert main(["verify", "--samples", "2", "--out", str(out)]) == 1
     report = json.loads(out.read_text())
@@ -262,10 +257,10 @@ def test_sample_command_prints_the_per_sample_draws(capsys, loop):
     expected = []
     for _ in range(3):
         if loop == "matrix":
-            elem, stream = draw(sample_sigma, eloop.form, stream, 1, 0.75)
+            elem, stream = one(draw(eloop.form, stream, 1, radius=0.75))
             expected.append(json.dumps(element_to_json(elem, eloop.form), sort_keys=True))
         else:
-            elem, stream = draw(eloop.sample, stream, 1)
+            elem, stream = one(draw(eloop, stream, 1))
             expected.append(json.dumps(elem.to_json(eloop.form), sort_keys=True))
     assert lines == expected
 
@@ -279,11 +274,11 @@ class TestPerElementFailures:
         return MatrixLoop(form321r)
 
     def _stack(self, mloop, bad):
-        good, _ = mloop.sample(SampleStream(5), 3)
+        good, _ = draw(mloop, SampleStream(5), 3)
         return np.concatenate([good[:2], bad[None], good[2:]])
 
     def test_one_bad_element_fails_inverse_of(self, mloop):
-        good, _ = mloop.sample(SampleStream(5), 3)
+        good, _ = draw(mloop, SampleStream(5), 3)
         assert mloop.distance(inverse_of(mloop, good), mloop.inverse(good)).max() <= 1e-10
         # 2I is no isometry: J A J is not its inverse, so e/x and x\e part
         stack = self._stack(mloop, 2.0 * np.eye(3))
@@ -307,7 +302,7 @@ class TestPerElementFailures:
             spectral_map(stack, "sqrt")
 
     def test_one_singular_operand_fails_the_stacked_division(self, mloop):
-        a, _ = mloop.sample(SampleStream(6), 4)
+        a, _ = draw(mloop, SampleStream(6), 4)
         c = self._stack(mloop, np.zeros((3, 3)))
         with pytest.raises(NotPositiveDefinite):
             mloop.left_divide(a[2], c[2])
@@ -316,7 +311,7 @@ class TestPerElementFailures:
 
     def test_one_direction_off_the_orbit_fails_the_stacked_lift(self, form321r):
         cfg = extension_config(form321r)
-        x, _ = one(cfg.sample(SampleStream(8), 1))
+        x, _ = one(draw(cfg, SampleStream(8), 1))
         good = x.rho[:, :2]
         bad = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 2.0]])  # the graph of a non-contraction
         with pytest.raises(NotInOrbit):

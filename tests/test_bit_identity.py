@@ -26,10 +26,11 @@ from bruckloops.groups import (
     phi_from_uniforms,
     phi_width,
     polar_factorize,
-    sample_sigma,
+    sample_parts,
     sigma_from_uniforms,
     sigma_width,
     standard_boost,
+    unit_uniforms,
 )
 from bruckloops.errors import NoConvergence, NotHermitian
 from bruckloops.linalg import TAU_ABS, TAU_REL, concat, dag, eig_hermitian
@@ -52,11 +53,11 @@ def same_bits(a, b) -> bool:
 
 @pytest.mark.parametrize("widths", [(1,), (4,), (2, 3), (6, 1, 12), (3, 0, 2)])
 @pytest.mark.parametrize("count", [0, 1, 7])
-def test_next_rows_slices_are_the_split_parts(count, widths):
+def test_sample_parts_are_the_split_parts(count, widths):
     stream = SampleStream(7919, 11)
-    parts, after = stream.next_rows(count, *widths)
+    parts = sample_parts(unit_uniforms(stream.seed, stream.counters(count * sum(widths))), count, widths)
     want, want_after = reference.split_rows(stream, count, *widths)
-    assert after == want_after and len(parts) == len(want)
+    assert stream.split(count * sum(widths)) == want_after and len(parts) == len(want)
     assert all(same_bits(got, part) for got, part in zip(parts, want))
 
 
@@ -65,7 +66,7 @@ def test_next_rows_slices_are_the_split_parts(count, widths):
 def test_blocks_are_the_split_copies(form, batch):
     shapes = [(form.p1, form.p2), (form.p1, form.p1), (form.p2, 1)]
     width = (2 if form.field == "complex" else 1) * sum(r * c for r, c in shapes)
-    vals, _ = SampleStream(3).next_uniforms(int(np.prod(batch, dtype=int)) * width, -1.0, 1.0)
+    vals, _ = reference.uniforms(SampleStream(3), int(np.prod(batch, dtype=int)) * width, -1.0, 1.0)
     vals = vals.reshape(batch + (width,))
     got, want = blocks(form, vals, *shapes), reference.split_blocks(form, vals, *shapes)
     assert all(same_bits(g, w) for g, w in zip(got, want))
@@ -73,7 +74,7 @@ def test_blocks_are_the_split_copies(form, batch):
 
 @pytest.mark.parametrize("form", FORMS, ids=FORM_IDS)
 def test_equal_shape_concat_is_the_broadcast_join(form):
-    stacks, _ = sample_sigma(form, SampleStream(1), 9)
+    stacks, _ = reference.draw(form, SampleStream(1), 9)
     parts = (stacks[:3], stacks[3:6], stacks[6:])
     assert same_bits(concat(*parts), reference.broadcast_concat(*parts))
     w = stacks[:, 0]  # vectors join the same way
@@ -85,7 +86,7 @@ def test_equal_shape_concat_is_the_broadcast_join(form):
 
 @pytest.mark.parametrize("form", FORMS, ids=FORM_IDS)
 def test_dag_and_eig_hermitian_match_the_conjugate_copies(form):
-    a, _ = sample_sigma(form, SampleStream(5), 40)
+    a, _ = reference.draw(form, SampleStream(5), 40)
     a = a @ a  # not exactly hermitian: the symmetrization shows
     assert same_bits(dag(a), reference.conj_dag(a))
     assert np.shares_memory(dag(a), a) == (form.field == "real")
@@ -176,7 +177,7 @@ SIGMA_FORMS = [
 
 @pytest.mark.parametrize("form", SIGMA_FORMS, ids=lambda f: f"{f.n}{f.p1}{f.p2}{f.field[0]}")
 def test_positive_definite_residual_is_the_eigendecomposition_oracle(form):
-    a, _ = sample_sigma(form, SampleStream(3), 40)
+    a, _ = reference.draw(form, SampleStream(3), 40)
     for stack in (a, a[7], a @ a):
         got = membership_residual(stack, form).residuals["positive_definite"]
         assert same_bits(got, reference.eig_positive_definite(stack))
@@ -184,7 +185,7 @@ def test_positive_definite_residual_is_the_eigendecomposition_oracle(form):
 
 @pytest.mark.parametrize("form", FORMS, ids=FORM_IDS)
 def test_positive_definite_residual_of_indefinite_matrices(form):
-    a, _ = sample_sigma(form, SampleStream(5), 20)
+    a, _ = reference.draw(form, SampleStream(5), 20)
     j, eye = form.j_matrix(), form.eye()
     for stack in (j, -eye, -a, j @ a @ j - 2.0 * eye, np.stack([j, -eye, eye])):
         got = membership_residual(stack, form).residuals["positive_definite"]
@@ -195,7 +196,7 @@ def test_positive_definite_residual_of_indefinite_matrices(form):
 
 @pytest.mark.parametrize("form", FORMS, ids=FORM_IDS)
 def test_positive_definite_breakdowns_are_no_convergence(monkeypatch, form):
-    a, _ = sample_sigma(form, SampleStream(5), 4)
+    a, _ = reference.draw(form, SampleStream(5), 4)
     a[2, 0, 1] = np.nan
     with pytest.raises(NoConvergence, match="non-finite"):
         membership_residual(a, form)
@@ -210,7 +211,7 @@ def test_positive_definite_breakdowns_are_no_convergence(monkeypatch, form):
 
 @pytest.mark.parametrize("form", FORMS, ids=FORM_IDS)
 def test_inverse_and_phi_factor_are_the_j_products(form):
-    (us, up), _ = SampleStream(1).next_rows(60, sigma_width(form), phi_width(form))
+    (us, up), _ = reference.rows(SampleStream(1), 60, sigma_width(form), phi_width(form))
     s1, c = sigma_from_uniforms(form, us), phi_from_uniforms(form, up)
     loop = MatrixLoop(form)
     assert same_bits(loop.inverse(s1), reference.j_inverse(form, s1))
@@ -236,7 +237,7 @@ def _boosted(form, carrier):
 @pytest.mark.parametrize("carrier", [1, 2])
 def test_subspace_distance_matches_the_split_form(form, carrier):
     cfg = _boosted(form, carrier)
-    e, _ = cfg.sample(SampleStream(2), 12)
+    e, _ = reference.draw(cfg, SampleStream(2), 12)
     s = realize(e, cfg)
     cases = [
         (s, s[::-1]),
@@ -253,7 +254,7 @@ def test_subspace_distance_matches_the_split_form(form, carrier):
 @pytest.mark.parametrize("carrier", [1, 2])
 def test_stacked_solve_translation_is_two_omega_calls(form, carrier):
     cfg = _boosted(form, carrier)
-    e, _ = cfg.sample(SampleStream(4), 20)
+    e, _ = reference.draw(cfg, SampleStream(4), 20)
     d1, d2 = realize(e[0::2], cfg), realize(e[1::2], cfg)
     d1, d2 = subspace(d1.base, d1.frame), subspace(d2.base, d2.frame)
     cases = [
@@ -273,7 +274,7 @@ def _chart_singular_values(form):
     """Singular values of a dimension chart's Jacobians at six points."""
     cfg = extension_config(form)
     d = expected_dimension(cfg)
-    thetas, _ = SampleStream(1).next_uniforms(6 * d, -0.4, 0.4)
+    thetas, _ = reference.uniforms(SampleStream(1), 6 * d, -0.4, 0.4)
     return np.linalg.svd(_chart_jacobians(cfg, thetas.reshape(6, d)), compute_uv=False)
 
 

@@ -8,13 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bruckloops import cli
-from bruckloops.cli import (
-    COMMANDS, DEFAULT_SAMPLES, MAX_SAMPLES, PROPERTIES, SETTINGS, TOLERANCES, SuiteConfig, _diagnostics, main,
-    run_verify,
-)
+from bruckloops.cli import COMMANDS, SETTINGS, SuiteConfig, _diagnostics, main, run_verify
 from bruckloops.errors import NotInOrbit
-from bruckloops.groups import SampleStream, SignatureForm, element_to_json, standard_boost
+from bruckloops.groups import SignatureForm, element_to_json, standard_boost
 from bruckloops.kernel import INVERSE_GAP
+from bruckloops.suite import DEFAULT_SAMPLES, MAX_SAMPLES, PROPERTIES, TOLERANCES
 from conftest import boost3, rotation
 from reference import operand_refusal, write_matrix_text
 
@@ -1137,12 +1135,8 @@ class TestSample:
 
     @pytest.mark.parametrize("loop", ["matrix", "extension"])
     @pytest.mark.parametrize("count", [MAX_SAMPLES + 1, 10**13])
-    def test_count_above_the_bound_is_refused_before_drawing(self, capsys, monkeypatch, loop, count):
+    def test_count_above_the_bound_is_refused_before_drawing(self, capsys, no_draw, loop, count):
         # 10**13 samples would exhaust memory in the draw; the bound is verify's
-        def no_draw(*args):
-            raise AssertionError("drew uniforms")
-
-        monkeypatch.setattr(SampleStream, "next_uniforms", no_draw)
         assert main(["sample", "--count", str(count), "--loop", loop]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -1219,3 +1213,50 @@ class TestSample:
         for line in capsys.readouterr().out.strip().splitlines():
             obj = json.loads(line)
             assert "w" in obj and "rho" in obj
+
+
+HUGE = ["--n", "3000000", "--p1", "1500000", "--p2", "1500000"]
+LARGE = ["--n", "3000", "--p1", "1500", "--p2", "1500"]
+
+
+class TestSizeBudget:
+    """A command whose n x n matrices would pass the fixed size budget is
+    refused with exit 2 when its config is loaded, before any matrix is
+    built or any uniform drawn."""
+
+    @pytest.fixture
+    def nothing_built(self, monkeypatch, no_draw):
+        monkeypatch.setattr(SignatureForm, "eye", pytest.fail)
+
+    @pytest.mark.parametrize("signature", [HUGE, LARGE], ids=["huge", "3000"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["sample"], ["witness", "--wtilde", "boost:0.5"], ["verify", "--samples", "1"]],
+        ids=["sample", "witness", "verify"],
+    )
+    def test_refused_before_anything_is_built(self, capsys, nothing_built, argv, signature):
+        assert main(argv + signature) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: n = {signature[1]} needs about ")
+        assert captured.err.endswith(f" bytes of n x n matrices, over the size budget of {cli.SIZE_BUDGET:,}\n")
+
+    def test_the_estimate_counts_the_draws_and_the_workspace(self, capsys, nothing_built):
+        # a verify at n = 3000 draws 28 Sigma and Phi matrices per sample over all rows
+        assert main(["verify", "--samples", "1"] + LARGE) == 2
+        estimate = (28 + cli._WORKSPACE) * 3000**2 * 8
+        assert f"needs about {estimate:,} bytes" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n, field", [(20, "complex"), (47, "real"), (33, "complex")])
+    def test_default_count_verifies_fit(self, n, field):
+        p2 = n // 2
+        args = cli.command_parser("verify").parse_args(
+            ["--n", str(n), "--p1", str(n - p2), "--p2", str(p2), "--field", field]
+        )
+        assert cli.load_suite_config(args).samples == DEFAULT_SAMPLES
+
+    def test_the_largest_count_fits_at_the_smallest_signature(self):
+        args = cli.command_parser("verify").parse_args(["--samples", str(MAX_SAMPLES)])
+        assert cli.load_suite_config(args).n == 3
+        args = cli.command_parser("sample").parse_args(["--count", str(MAX_SAMPLES), "--field", "complex"])
+        assert cli.load_suite_config(args).n == 3

@@ -22,12 +22,12 @@ from bruckloops.extension import (
     solve_translation,
 )
 from bruckloops.geometry import AffineSubspace, apply, projector, subspace, subspace_distance
-from bruckloops.groups import SampleStream, SignatureForm, sample_sigma, sigma_from_block, standard_boost
+from bruckloops.groups import SampleStream, SignatureForm, sigma_from_block, standard_boost
 from bruckloops.kernel import check_loop_axioms
 from bruckloops.linalg import fro, matrix_to_json, orthonormalize
 from bruckloops.matrixloop import MatrixLoop
 from conftest import one, rotation
-from reference import canonical_distance, check_drawn, qr_chart_embeddings
+from reference import canonical_distance, check_drawn, draw, qr_chart_embeddings, uniforms
 
 
 @pytest.fixture
@@ -111,8 +111,7 @@ class TestConfig:
         with pytest.raises(TransversalityViolated):
             extension_config(form321r, carrier=2, wtilde=wt)
 
-    def test_no_sampling(self, form321r, monkeypatch):
-        monkeypatch.setattr(SampleStream, "next_uniforms", pytest.fail)
+    def test_no_sampling(self, form321r, no_draw):
         wt = apply(standard_boost(form321r, 0.5), coordinate_subspace(form321r, 2))
         assert extension_config(form321r, wtilde=wt).wtilde.dim == 1
 
@@ -140,7 +139,7 @@ class TestRealize:
         assert subspace_distance(s, expected) <= 1e-12
 
     def test_pure_linear(self, cfg, form321r):
-        rho, _ = one(sample_sigma(form321r, SampleStream(1), 1))
+        rho, _ = one(draw(form321r, SampleStream(1), 1))
         e = ExtensionElement(np.zeros(3), rho)
         expected = apply(rho, cfg.carrier_subspace())
         assert subspace_distance(realize(e, cfg), expected) <= 1e-12
@@ -157,7 +156,7 @@ class TestLift:
         config = extension_config(form)
         stream = SampleStream(2)
         for _ in range(50):
-            rho, stream = one(sample_sigma(form, stream, 1))
+            rho, stream = one(draw(form, stream, 1))
             z = apply(rho, config.carrier_subspace()).frame
             lifted = lift_from_infinity(z, config)
             assert fro(lifted - rho) <= 1e-8
@@ -177,12 +176,12 @@ class TestLift:
         config = extension_config(form, carrier=carrier)
         stream = SampleStream(5)
         for _ in range(30):
-            rho, stream = one(sample_sigma(form, stream, 1))
+            rho, stream = one(draw(form, stream, 1))
             z = apply(rho, config.carrier_subspace()).frame
             assert fro(lift_from_infinity(z, config) - rho) <= 1e-8
 
     def test_one_eigendecomposition_and_no_svd_or_det(self, cfg, form321r, eig_calls, monkeypatch):
-        rho, _ = one(sample_sigma(form321r, SampleStream(6), 1))
+        rho, _ = one(draw(form321r, SampleStream(6), 1))
         z = apply(rho, cfg.carrier_subspace()).frame
         eig_calls.clear()
         for name in ("svd", "det"):
@@ -195,7 +194,7 @@ class TestLift:
         config = extension_config(form, carrier=2)
         stream = SampleStream(3)
         for _ in range(20):
-            rho, stream = one(sample_sigma(form, stream, 1))
+            rho, stream = one(draw(form, stream, 1))
             z = apply(rho, config.carrier_subspace()).frame
             assert fro(lift_from_infinity(z, config) - rho) <= 1e-8
 
@@ -204,7 +203,7 @@ class TestLift:
         config = extension_config(form)
         stream = SampleStream(4)
         for _ in range(30):
-            rho, stream = one(sample_sigma(form, stream, 1))
+            rho, stream = one(draw(form, stream, 1))
             z = apply(rho, config.carrier_subspace()).frame
             assert fro(lift_from_infinity(z, config) - rho) <= 1e-8
 
@@ -219,7 +218,7 @@ class TestOmega:
         loop = cfg
         stream = SampleStream(5)
         for _ in range(50):
-            e, stream = one(loop.sample(stream, 1))
+            e, stream = one(draw(loop, stream, 1))
             back = omega(realize(e, cfg), cfg)
             assert np.linalg.norm(back.w - e.w) <= 1e-8
             assert fro(back.rho - e.rho) <= 1e-8
@@ -228,14 +227,14 @@ class TestOmega:
 class TestExtMul:
     def test_left_identity(self, cfg):
         loop = cfg
-        e, _ = one(loop.sample(SampleStream(6), 1))
+        e, _ = one(draw(loop, SampleStream(6), 1))
         out = ext_mul(cfg.identity, e, cfg)
         assert np.linalg.norm(out.w - e.w) <= 1e-12
         assert fro(out.rho - e.rho) <= 1e-12
 
     def test_right_identity(self, cfg):
         loop = cfg
-        e, _ = one(loop.sample(SampleStream(7), 1))
+        e, _ = one(draw(loop, SampleStream(7), 1))
         out = ext_mul(e, cfg.identity, cfg)
         assert np.linalg.norm(out.w - e.w) <= 1e-12
         assert fro(out.rho - e.rho) <= 1e-12
@@ -249,8 +248,8 @@ class TestExtMul:
         loop = config
         stream = SampleStream(8)
         for _ in range(50):
-            e1, stream = one(loop.sample(stream, 1))
-            e2, stream = one(loop.sample(stream, 1))
+            e1, stream = one(draw(loop, stream, 1))
+            e2, stream = one(draw(loop, stream, 1))
             prod = ext_mul(e1, e2, config)
             oracle = apply(e1.rho, realize(e2, config), e1.w)
             assert subspace_distance(realize(prod, config), oracle) <= 1e-8
@@ -260,16 +259,16 @@ class TestExtMul:
         loop = cfg
         stream = SampleStream(9)
         for _ in range(50):
-            e1, stream = one(loop.sample(stream, 1))
-            e2, stream = one(loop.sample(stream, 1))
+            e1, stream = one(draw(loop, stream, 1))
+            e2, stream = one(draw(loop, stream, 1))
             prod = ext_mul(e1, e2, cfg)
             assert fro(prod.rho - mloop.mul(e1.rho, e2.rho)) <= 1e-9
 
     def test_one_eigendecomposition_and_no_det(self, cfg, eig_calls, monkeypatch):
         # the orbit map: one graph lift, and no polar factorization
         loop = cfg
-        e1, stream = one(loop.sample(SampleStream(12), 1))
-        e2, _ = one(loop.sample(stream, 1))
+        e1, stream = one(draw(loop, SampleStream(12), 1))
+        e2, _ = one(draw(loop, stream, 1))
         eig_calls.clear()
         monkeypatch.setattr(np.linalg, "det", pytest.fail)
         ext_mul(e1, e2, cfg)
@@ -279,8 +278,8 @@ class TestExtMul:
         # left translations are positive isometries: the left division
         # inverts them as J A J, and nothing checks their rank
         loop = boosted_cfg
-        e1, stream = one(loop.sample(SampleStream(15), 1))
-        e2, _ = one(loop.sample(stream, 1))
+        e1, stream = one(draw(loop, SampleStream(15), 1))
+        e2, _ = one(draw(loop, stream, 1))
         for name in ("svd", "inv"):
             monkeypatch.setattr(np.linalg, name, pytest.fail)
         ext_mul(e1, e2, boosted_cfg)
@@ -299,7 +298,7 @@ class TestSolveTranslation:
 
     def test_recovers_element_coordinates(self, cfg):
         loop = cfg
-        e, _ = one(loop.sample(SampleStream(10), 1))
+        e, _ = one(draw(loop, SampleStream(10), 1))
         t, rho = solve_translation(cfg.carrier_subspace(), realize(e, cfg), cfg)
         assert np.linalg.norm(t - e.w) <= 1e-8
         assert fro(rho - e.rho) <= 1e-8
@@ -308,8 +307,8 @@ class TestSolveTranslation:
         loop = cfg
         stream = SampleStream(11)
         for _ in range(50):
-            e1, stream = one(loop.sample(stream, 1))
-            e2, stream = one(loop.sample(stream, 1))
+            e1, stream = one(draw(loop, stream, 1))
+            e2, stream = one(draw(loop, stream, 1))
             d1, d2 = realize(e1, cfg), realize(e2, cfg)
             t, rho = solve_translation(d1, d2, cfg)
             assert subspace_distance(apply(rho, d1, t), d2) <= 1e-8
@@ -319,8 +318,8 @@ class TestSolveTranslation:
         stream = SampleStream(12)
         rng = np.random.default_rng(12)
         for _ in range(25):
-            e1, stream = one(loop.sample(stream, 1))
-            e2, stream = one(loop.sample(stream, 1))
+            e1, stream = one(draw(loop, stream, 1))
+            e2, stream = one(draw(loop, stream, 1))
             d1, d2 = realize(e1, cfg), realize(e2, cfg)
             t, rho = solve_translation(d1, d2, cfg)
             d1p = subspace(d1.base + 1e-10 * rng.uniform(-1, 1, 3),
@@ -529,7 +528,7 @@ class TestDimension:
     def test_closed_form_chart_matches_the_qr_oracle(self, signature, carrier, wtilde):
         cfg = dimension_config(signature, carrier, wtilde)
         d = expected_dimension(cfg)
-        thetas, _ = SampleStream(11).next_uniforms(24 * d, -0.4, 0.4)
+        thetas, _ = uniforms(SampleStream(11), 24 * d, -0.4, 0.4)
         # eight box corners, coordinate j at +0.4 where bit j mod 3 of the
         # corner's index is set: all -0.4 and all +0.4 among them
         corners = np.where((np.arange(8)[:, None] >> (np.arange(d) % 3)) & 1, 0.4, -0.4)
@@ -587,8 +586,8 @@ class TestOnCoordinates:
     @pytest.mark.parametrize("signature, carrier, wtilde", DIMENSION_CONFIGS)
     def test_one_eigendecomposition_per_operation(self, eig_calls, signature, carrier, wtilde):
         cfg = dimension_config(signature, carrier, wtilde)
-        a, stream = one(cfg.sample(SampleStream(21), 1))
-        c, _ = one(cfg.sample(stream, 1))
+        a, stream = one(draw(cfg, SampleStream(21), 1))
+        c, _ = one(draw(cfg, stream, 1))
         for op in (cfg.mul, cfg.left_divide, cfg.right_divide):
             eig_calls.clear()
             op(a, c)
@@ -597,8 +596,8 @@ class TestOnCoordinates:
     @pytest.mark.parametrize("signature, carrier, wtilde", DIMENSION_CONFIGS)
     def test_no_canonical_subspace_on_the_hot_path(self, monkeypatch, signature, carrier, wtilde):
         cfg = dimension_config(signature, carrier, wtilde)
-        a, stream = one(cfg.sample(SampleStream(22), 1))
-        c, _ = one(cfg.sample(stream, 1))
+        a, stream = one(draw(cfg, SampleStream(22), 1))
+        c, _ = one(draw(cfg, stream, 1))
         d1, d2 = realize(a, cfg), realize(c, cfg)
 
         def refuse(*args):
@@ -623,7 +622,7 @@ class TestOnCoordinates:
         complex_field = cfg.form.field == "complex"
         stream = SampleStream(23)
         for _ in range(10):
-            e, stream = one(cfg.sample(stream, 1))
+            e, stream = one(draw(cfg, stream, 1))
             noise = rng.uniform(-1, 1, (2, k + 1, k))
             shift = (noise[0] + 1j * noise[1] if complex_field else noise[0]).astype(cfg.form.dtype)
             f = ext._block_columns(e.rho, cfg.form, cfg.carrier)
@@ -638,8 +637,8 @@ class TestOnCoordinates:
         # canonicalizes each once: the judge reads what it read on canonical
         # realizations, bit for bit
         cfg = dimension_config(signature, carrier, wtilde)
-        a, stream = cfg.sample(SampleStream(24), 16)
-        b, _ = cfg.sample(stream, 16)
+        a, stream = draw(cfg, SampleStream(24), 16)
+        b, _ = draw(cfg, stream, 16)
         canonical = [subspace(s.base, s.frame) for s in (realize(a, cfg), realize(b, cfg))]
         assert np.array_equal(cfg.distance(a, b), canonical_distance(*canonical))
         # a single subspace broadcast against a stack reads what it reads alone
@@ -651,7 +650,7 @@ class TestOnCoordinates:
 
 def test_extension_element_json_roundtrip(cfg):
     loop = cfg
-    e, _ = one(loop.sample(SampleStream(13), 1))
+    e, _ = one(draw(loop, SampleStream(13), 1))
     back = extension_element_from_json(json.loads(json.dumps(e.to_json(cfg.form))), cfg.form)
     assert np.array_equal(back.w, e.w)
     assert np.array_equal(back.rho, e.rho)

@@ -16,9 +16,10 @@ from bruckloops.geometry import (
     subspace_distance,
     transversality_check,
 )
-from bruckloops.groups import SampleStream, sample_sigma, standard_boost
+from bruckloops.groups import SampleStream, standard_boost
 from bruckloops.linalg import fro, matrix_to_json, orthonormalize
 from conftest import boost3, rotation
+from reference import draw
 
 E3 = np.eye(3)
 
@@ -182,7 +183,7 @@ class TestTransversality:
     def test_boosted_transversal_200_samples(self, form321r):
         w1 = subspace(np.zeros(3), E3[:, :2])
         wt = apply(standard_boost(form321r, math.log(2)), subspace(np.zeros(3), E3[:, 2:]))
-        rhos, _ = sample_sigma(form321r, SampleStream(7), 200)
+        rhos, _ = draw(form321r, SampleStream(7), 200)
         rep = transversality_check(wt, rhos, w1)
         assert rep.samples == 200 and rep.worst_margin > 0.0
 

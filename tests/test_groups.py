@@ -16,14 +16,14 @@ from bruckloops.groups import (
     element_to_json,
     membership_residual,
     polar_factorize,
-    sample_phi,
-    sample_sigma,
+    scale,
     sigma_from_block,
     standard_boost,
+    unit_uniforms,
 )
 from bruckloops.linalg import eig_hermitian, fro, matrix_to_json
 from conftest import boost3, one, rotation
-from reference import elementwise_matrix_json
+from reference import draw, elementwise_matrix_json
 
 
 class TestSignatureForm:
@@ -48,26 +48,28 @@ class TestSignatureForm:
 
 class TestSampleStream:
     def test_bit_for_bit_determinism(self, form321r):
-        a, _ = one(sample_sigma(form321r, SampleStream(42), 1))
-        b, _ = one(sample_sigma(form321r, SampleStream(42), 1))
+        a, _ = one(draw(form321r, SampleStream(42), 1))
+        b, _ = one(draw(form321r, SampleStream(42), 1))
         assert np.array_equal(a, b)
 
     def test_counter_advances(self):
         s = SampleStream(1)
-        x, s1 = s.next_uniforms(1)
-        y, s2 = s1.next_uniforms(1)
-        assert s1.counter == 1 and s2.counter == 2
-        assert x != y
+        s1 = s.split(1)
+        assert s1.counter == 1 and s1.split(1).counter == 2
+        assert s.counters(2).tolist() == [1, 2] and s1.counters(1).tolist() == [2]
+        assert unit_uniforms(1, s.counters(1)) != unit_uniforms(1, s1.counters(1))
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 2**63), st.integers(1, 30), st.integers(1, 30))
     def test_prefix_stability(self, seed, k, extra):
-        short, _ = SampleStream(seed).next_uniforms(k)
-        long, _ = SampleStream(seed).next_uniforms(k + extra)
+        short = unit_uniforms(seed, SampleStream(seed).counters(k))
+        long = unit_uniforms(seed, SampleStream(seed).counters(k + extra))
         assert np.array_equal(short, long[:k])
 
     def test_range(self):
-        vals, _ = SampleStream(7).next_uniforms(1000, -0.75, 0.75)
+        unit = unit_uniforms(7, SampleStream(7).counters(1000))
+        assert np.all(unit >= 0.0) and np.all(unit < 1.0)
+        vals = scale(unit, -0.75, 0.75)
         assert np.all(vals >= -0.75) and np.all(vals < 0.75)
 
 
@@ -107,7 +109,7 @@ class TestMembership:
 
 class TestSampleSigma:
     def test_zero_radius_gives_identity(self, form321r):
-        a, _ = one(sample_sigma(form321r, SampleStream(1), 1, radius=0.0))
+        a, _ = one(draw(form321r, SampleStream(1), 1, radius=0.0))
         assert np.allclose(a, np.eye(3))
 
     def test_single_block_entry_is_boost(self, form321r):
@@ -121,18 +123,18 @@ class TestSampleSigma:
         form = SignatureForm(3, 2, 1, field)
         stream = SampleStream(1)
         for _ in range(count):
-            a, stream = one(sample_sigma(form, stream, 1))
+            a, stream = one(draw(form, stream, 1))
             assert membership_residual(a, form).max_residual <= 1e-9
 
 
 class TestSamplePhi:
     def test_zero_radius_gives_identity(self, form321r, monkeypatch):
         monkeypatch.setattr(groups, "_PHI_RADIUS", 0.0)
-        b, _ = one(sample_phi(form321r, SampleStream(1), 1))
+        b, _ = one(draw(form321r, SampleStream(1), 1, "phi"))
         assert np.allclose(b, np.eye(3))
 
     def test_block_structure_p2_one(self, form321r):
-        b, _ = one(sample_phi(form321r, SampleStream(4), 1))
+        b, _ = one(draw(form321r, SampleStream(4), 1, "phi"))
         m = b
         # real (2,1): a rotation block in coordinates 1,2 and +1 in coordinate 3
         assert m[2, 2] == pytest.approx(1.0)
@@ -144,7 +146,7 @@ class TestSamplePhi:
         form = SignatureForm(4, 2, 2, field)
         stream = SampleStream(2)
         for _ in range(100):
-            b, stream = one(sample_phi(form, stream, 1))
+            b, stream = one(draw(form, stream, 1, "phi"))
             p1 = form.p1
             off_diagonal = np.sqrt(fro(b[:p1, p1:]) ** 2 + fro(b[p1:, :p1]) ** 2)
             unitary = fro(b @ b.conj().T - np.eye(form.n))
@@ -165,7 +167,7 @@ class TestPolarFactorize:
         assert fro(c - r) <= 1e-12
 
     def test_sigma_input_gives_trivial_phi(self, form321r):
-        a, _ = one(sample_sigma(form321r, SampleStream(3), 1))
+        a, _ = one(draw(form321r, SampleStream(3), 1))
         s1, c = polar_factorize(a, form321r)
         assert fro(s1 - a) <= 1e-12
         assert fro(c - np.eye(3)) <= 1e-12
@@ -188,8 +190,8 @@ class TestPolarFactorize:
         stream = SampleStream(1)
         count = 500 if field == "real" else 150
         for _ in range(count):
-            s1, stream = one(sample_sigma(form, stream, 1))
-            c, stream = one(sample_phi(form, stream, 1))
+            s1, stream = one(draw(form, stream, 1))
+            c, stream = one(draw(form, stream, 1, "phi"))
             s = s1 @ c
             f1, f2 = polar_factorize(s, form)
             assert np.max(np.abs(f1 - s1)) <= 1e-8
@@ -199,7 +201,7 @@ class TestPolarFactorize:
 
 class TestConjugation:
     def test_identity_fixes(self, form321r):
-        a, _ = one(sample_sigma(form321r, SampleStream(5), 1))
+        a, _ = one(draw(form321r, SampleStream(5), 1))
         b = np.eye(3)
         assert np.allclose(conjugate_by_phi(a, b), a)
 
@@ -215,8 +217,8 @@ class TestConjugation:
     def test_closure_500(self, form321r):
         stream = SampleStream(1)
         for _ in range(500):
-            a, stream = one(sample_sigma(form321r, stream, 1))
-            b, stream = one(sample_phi(form321r, stream, 1))
+            a, stream = one(draw(form321r, stream, 1))
+            b, stream = one(draw(form321r, stream, 1, "phi"))
             out = conjugate_by_phi(a, b)
             assert membership_residual(out, form321r).max_residual <= 1e-9
 
@@ -238,7 +240,7 @@ class TestBoost:
 def test_element_json_roundtrip():
     for field in ("real", "complex"):
         form = SignatureForm(3, 2, 1, field)
-        a, _ = one(sample_sigma(form, SampleStream(6), 1))
+        a, _ = one(draw(form, SampleStream(6), 1))
         obj = json.loads(json.dumps(element_to_json(a, form)))
         assert np.array_equal(element_from_json(obj, form), a)
         with pytest.raises(ConfigInvalid, match="is not the configured"):
@@ -266,7 +268,7 @@ def test_matrix_json_matches_the_elementwise_writer(field, rows, cols):
 def test_element_json_matches_the_elementwise_writer():
     for field in ("real", "complex"):
         form = SignatureForm(3, 2, 1, field)
-        a, _ = sample_sigma(form, SampleStream(6), 5)
+        a, _ = draw(form, SampleStream(6), 5)
         for m in a:
             expected = {"form": form.to_json(), "matrix": elementwise_matrix_json(m)}
             assert json.dumps(element_to_json(m, form), sort_keys=True) == json.dumps(expected, sort_keys=True)

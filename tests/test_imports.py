@@ -1,6 +1,8 @@
 """Which package modules each module loads, in a fresh interpreter: a module
 loads only itself and the modules it imports from below, and the package
-itself binds no names, so importing it loads no submodule."""
+itself binds no names, so importing it loads no submodule.  The argument
+parser, ``argparse``, is loaded by ``bruckloops.cli`` alone: the suite runs
+without it."""
 
 import os
 import subprocess
@@ -23,12 +25,15 @@ LOADS = {
     "bruckloops.extension": BASE
     | {"bruckloops.geometry", "bruckloops.groups", "bruckloops.matrixloop", "bruckloops.extension"},
 }
+LOADS["bruckloops.suite"] = LOADS["bruckloops.extension"] | {"bruckloops.kernel", "bruckloops.suite"}
+LOADS["bruckloops.cli"] = LOADS["bruckloops.suite"] | {"bruckloops.cli", "argparse"}
 
 
 def loaded_by(module: str) -> set:
-    """The package modules in ``sys.modules`` after importing ``module``
-    alone, in a fresh interpreter that finds the package where this one does."""
-    code = f"import sys, {module}\nprint(*(m for m in sys.modules if m.split('.')[0] == 'bruckloops'))"
+    """The package modules, and ``argparse`` if loaded, in ``sys.modules``
+    after importing ``module`` alone, in a fresh interpreter that finds the
+    package where this one does."""
+    code = f"import sys, {module}\nprint(*(m for m in sys.modules if m.split('.')[0] in ('bruckloops', 'argparse')))"
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)

@@ -13,7 +13,7 @@ from bruckloops.kernel import (
 )
 from bruckloops.matrixloop import MatrixLoop
 from conftest import one
-from reference import CHECK_SLOTS, check_drawn, sample_tuples
+from reference import CHECK_SLOTS, check_drawn, draw, sample_tuples
 
 
 @pytest.fixture
@@ -32,20 +32,20 @@ class TestCheckers:
         assert residual <= 1e-8
 
     def test_division_at_identity(self, loop):
-        a, _ = one(loop.sample(SampleStream(9), 1))
+        a, _ = one(draw(loop, SampleStream(9), 1))
         x = loop.left_divide(a, a)
         assert loop.distance(x, loop.identity) <= 1e-12
 
     def test_bol_trivial_slots(self, loop):
         e = loop.identity
-        y, _ = one(loop.sample(SampleStream(2), 1))
-        z, _ = one(loop.sample(SampleStream(3), 1))
+        y, _ = one(draw(loop, SampleStream(2), 1))
+        z, _ = one(draw(loop, SampleStream(3), 1))
         # x = e: both sides reduce to y*z
         lhs = loop.mul(e, loop.mul(y, loop.mul(e, z)))
         rhs = loop.mul(loop.mul(e, loop.mul(y, e)), z)
         assert loop.distance(lhs, rhs) <= 1e-13
         # z = e: both sides reduce to x*(y*x)
-        x, _ = one(loop.sample(SampleStream(4), 1))
+        x, _ = one(draw(loop, SampleStream(4), 1))
         lhs = loop.mul(x, loop.mul(y, loop.mul(x, e)))
         rhs = loop.mul(loop.mul(x, loop.mul(y, x)), e)
         assert loop.distance(lhs, rhs) <= 1e-13
@@ -67,8 +67,8 @@ class TestCheckers:
 
     def test_left_a_identity_slots(self, loop):
         e = loop.identity
-        u, _ = one(loop.sample(SampleStream(7), 1))
-        v, _ = one(loop.sample(SampleStream(8), 1))
+        u, _ = one(draw(loop, SampleStream(7), 1))
+        v, _ = one(draw(loop, SampleStream(8), 1))
         lam_e = loop.left_divide(loop.mul(e, e), loop.mul(e, loop.mul(e, u)))
         assert loop.distance(lam_e, u) <= 1e-13
 
@@ -108,7 +108,7 @@ def test_spectral_calls_per_checker_do_not_grow_with_count(eig_calls, count, fie
 @pytest.mark.parametrize("join", ["matrix", "extension"])
 def test_join_broadcasts_a_single_element(form321c, join):
     loop = MatrixLoop(form321c) if join == "matrix" else extension_config(form321c)
-    xs, _ = loop.sample(SampleStream(4), 3)
+    xs, _ = draw(loop, SampleStream(4), 3)
     joined = loop.join(loop.identity, xs)
     assert loop.distance(joined[:3], loop.identity).max() == 0.0
     assert loop.distance(joined[3:], xs).max() == 0.0
@@ -121,7 +121,7 @@ class TestTwoSidedInverses:
         stream = SampleStream(1)
         count = 500 if field == "real" else 150
         for _ in range(count):
-            x, stream = one(loop.sample(stream, 1))
+            x, stream = one(draw(loop, stream, 1))
             left = loop.left_divide(x, loop.identity)
             right = loop.right_divide(loop.identity, x)
             assert loop.distance(left, right) <= 1e-9
@@ -135,6 +135,6 @@ class TestTwoSidedInverses:
             check_drawn(check_aip, loop, SampleStream(1), 40)
 
     def test_inverse_of_matrix_loop(self, loop, mloop):
-        x, _ = one(loop.sample(SampleStream(13), 1))
+        x, _ = one(draw(loop, SampleStream(13), 1))
         inv = inverse_of(loop, x)
         assert loop.distance(inv, mloop.inverse(x)) <= 1e-10

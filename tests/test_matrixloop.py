@@ -9,13 +9,13 @@ from bruckloops.groups import (
     conjugate_by_phi,
     membership_residual,
     positive_factor,
-    sample_phi,
     sigma_from_spectrum,
     standard_boost,
 )
 from bruckloops.linalg import dag, fro, spectral_map, symmetrize
 from bruckloops.matrixloop import MatrixLoop, frobenius_distance
 from conftest import one
+from reference import draw
 
 
 @pytest.fixture
@@ -25,12 +25,12 @@ def mloop(form321r):
 
 class TestMul:
     def test_left_identity(self, mloop):
-        b, _ = one(mloop.sample(SampleStream(1), 1))
+        b, _ = one(draw(mloop, SampleStream(1), 1))
         out = mloop.mul(mloop.identity, b)
         assert frobenius_distance(out, b) <= 1e-13
 
     def test_square(self, mloop):
-        a, _ = one(mloop.sample(SampleStream(2), 1))
+        a, _ = one(draw(mloop, SampleStream(2), 1))
         out = mloop.mul(a, a)
         assert fro(out - a @ a) <= 1e-12
 
@@ -44,8 +44,8 @@ class TestMul:
     def test_closure_membership(self, mloop, form321r):
         stream = SampleStream(3)
         for _ in range(200):
-            a, stream = one(mloop.sample(stream, 1))
-            b, stream = one(mloop.sample(stream, 1))
+            a, stream = one(draw(mloop, stream, 1))
+            b, stream = one(draw(mloop, stream, 1))
             out = mloop.mul(a, b)
             assert membership_residual(out, form321r).max_residual <= 1e-9
 
@@ -62,7 +62,7 @@ class TestInverse:
     def test_mul_with_inverse(self, mloop):
         stream = SampleStream(4)
         for _ in range(40):
-            a, stream = one(mloop.sample(stream, 1))
+            a, stream = one(draw(mloop, stream, 1))
             out = mloop.mul(a, mloop.inverse(a))
             assert frobenius_distance(out, mloop.identity) <= 1e-9
 
@@ -71,18 +71,18 @@ class TestInverse:
         mloop = MatrixLoop(SignatureForm(3, 2, 1, field))
         stream = SampleStream(10)
         for _ in range(40):
-            a, stream = one(mloop.sample(stream, 1))
+            a, stream = one(draw(mloop, stream, 1))
             assert fro(mloop.inverse(a) @ a - np.eye(3)) <= 1e-12
 
 
 class TestDivision:
     def test_left_divide_trivials(self, mloop):
-        c, _ = one(mloop.sample(SampleStream(5), 1))
+        c, _ = one(draw(mloop, SampleStream(5), 1))
         assert frobenius_distance(mloop.left_divide(mloop.identity, c), c) <= 1e-13
         assert frobenius_distance(mloop.left_divide(c, c), mloop.identity) <= 1e-13
 
     def test_right_divide_trivials(self, mloop):
-        b, _ = one(mloop.sample(SampleStream(6), 1))
+        b, _ = one(draw(mloop, SampleStream(6), 1))
         assert frobenius_distance(mloop.right_divide(b, mloop.identity), b) <= 1e-13
         assert frobenius_distance(mloop.right_divide(b, b), mloop.identity) <= 1e-13
 
@@ -92,8 +92,8 @@ class TestDivision:
         form = mloop.form
         stream = SampleStream(7)
         for _ in range(60):
-            a, stream = one(mloop.sample(stream, 1))
-            c, stream = one(mloop.sample(stream, 1))
+            a, stream = one(draw(mloop, stream, 1))
+            c, stream = one(draw(mloop, stream, 1))
             x = mloop.left_divide(a, c)
             assert frobenius_distance(mloop.mul(a, x), c) <= 1e-8
             assert membership_residual(x, form).max_residual <= 1e-9
@@ -106,8 +106,8 @@ class TestDivision:
     "op, expected", [("mul", 1), ("left_divide", 1), ("right_divide", 1), ("inverse", 0)]
 )
 def test_eigendecompositions_per_operation(mloop, eig_calls, op, expected):
-    a, stream = one(mloop.sample(SampleStream(11), 1))
-    b, _ = one(mloop.sample(stream, 1))
+    a, stream = one(draw(mloop, SampleStream(11), 1))
+    b, _ = one(draw(mloop, stream, 1))
     eig_calls.clear()
     getattr(mloop, op)(*((a,) if op == "inverse" else (a, b)))
     assert len(eig_calls) == expected
@@ -122,8 +122,8 @@ def test_positive_factor_needs_no_caller_symmetrization(field):
     stream = SampleStream(13)
     products = []
     for _ in range(20):
-        a, stream = one(MatrixLoop(form).sample(stream, 1))
-        b, stream = one(sample_phi(form, stream, 1))
+        a, stream = one(draw(MatrixLoop(form), stream, 1))
+        b, stream = one(draw(form, stream, 1, "phi"))
         products.append(a @ b)
     for s in products + [np.stack(products)]:
         c = s @ dag(s[..., 2:, :])
@@ -144,16 +144,16 @@ class TestConjugationEquivariance:
         mloop = MatrixLoop(form)
         stream = SampleStream(8)
         for _ in range(50):
-            a1, stream = one(mloop.sample(stream, 1))
-            a2, stream = one(mloop.sample(stream, 1))
-            b, stream = one(sample_phi(form, stream, 1))
+            a1, stream = one(draw(mloop, stream, 1))
+            a2, stream = one(draw(mloop, stream, 1))
+            b, stream = one(draw(form, stream, 1, "phi"))
             lhs = conjugate_by_phi(mloop.mul(a1, a2), b)
             rhs = mloop.mul(conjugate_by_phi(a1, b), conjugate_by_phi(a2, b))
             assert fro(lhs - rhs) <= 1e-8
 
 
 def test_distance_properties(mloop):
-    a, stream = one(mloop.sample(SampleStream(9), 1))
-    b, _ = one(mloop.sample(stream, 1))
+    a, stream = one(draw(mloop, SampleStream(9), 1))
+    b, _ = one(draw(mloop, stream, 1))
     assert frobenius_distance(a, a) == 0.0
     assert frobenius_distance(a, b) == frobenius_distance(b, a)

@@ -14,7 +14,6 @@ from bruckloops.groups import (
     blocks,
     polar_factorize,
     positive_factor,
-    sample_phi,
     scale,
     sigma_from_block,
     sigma_width,
@@ -51,13 +50,13 @@ def test_signatures_cover_every_form_up_to_seven():
 def test_block_path_matches_the_oracle(signature, field):
     form = SignatureForm(*signature, field)
     loop = MatrixLoop(form)
-    (u,), stream = SampleStream(31).next_rows(16, sigma_width(form))
+    (u,), stream = reference.rows(SampleStream(31), 16, sigma_width(form))
     (x,) = blocks(form, scale(u, -0.75, 0.75), (form.p1, form.p2))
     a = sigma_from_block(form, x)
     assert relative(a, reference.sigma_exp(form, x)) <= 1e-13
-    b, stream = loop.sample(stream, 16)
+    b, stream = reference.draw(loop, stream, 16)
     assert relative(loop.mul(a, b), reference.positive_factor(a @ b)) <= 1e-13
-    phi, _ = sample_phi(form, stream, 16)
+    phi, _ = reference.draw(form, stream, 16, "phi")
     s = b @ phi  # an isometry that is not hermitian
     assert relative(polar_factorize(s, form)[0], reference.positive_factor(s)) <= 1e-13
     for carrier in (1, 2):
@@ -83,7 +82,7 @@ def test_tiny_blocks_keep_their_relative_accuracy(signature, field):
     # every path keeps it to rounding relative to X itself, where an n x n
     # function of the whole matrix loses it to rounding relative to I
     form = SignatureForm(*signature, field)
-    (u,), _ = SampleStream(5).next_rows(8, sigma_width(form))
+    (u,), _ = reference.rows(SampleStream(5), 8, sigma_width(form))
     (x,) = blocks(form, scale(u, -1e-9, 1e-9), (form.p1, form.p2))
     a = sigma_from_block(form, x)
     eye = np.eye(form.n, dtype=form.dtype)
@@ -105,10 +104,10 @@ def test_every_sigma_spectral_call_is_p2_by_p2(eig_calls, signature):
     form = SignatureForm(*signature, "complex")
     loop = MatrixLoop(form)
     cfg = extension_config(form)
-    a, stream = loop.sample(SampleStream(3), 4)
-    b, stream = loop.sample(stream, 4)
+    a, stream = reference.draw(loop, SampleStream(3), 4)
+    b, stream = reference.draw(loop, stream, 4)
     eig_calls.clear()
-    loop.sample(stream, 4)
+    reference.draw(loop, stream, 4)
     for op in (loop.mul, loop.left_divide, loop.right_divide):
         op(a, b)
     polar_factorize(a, form)
