@@ -62,7 +62,7 @@ from .groups import (
     standard_boost,
     unit_uniforms,
 )
-# check_bol is held for bench/tests/test_bench.py; the suite's rows call it
+# check_bol is held for bench/tests/test_bench.py; the suite's rows run its steps, kernel.bol
 from .kernel import check_bol  # noqa: F401
 from .linalg import COMPLEX, convert, dag, field_of, fro, read_matrix_text
 from .matrixloop import MatrixLoop

@@ -72,6 +72,11 @@ _STEP = 1e-5  # central-difference step of the dimension Jacobian
 _AMBIGUITY_FRACTION = 0.10  # share of gapless points that refuses a rank estimate
 WITNESS_THRESHOLD = 1e-3  # least displacement of the transversal that counts as a witness
 DIMENSION_GAP = 1e-4  # relative singular-value cut and least gap of a rank estimate
+# The most bytes of perturbed points' n x n projectors one pass of the
+# dimension chart maps.  8 MiB takes every point of a default check in one
+# pass up to n = 17 real and n = 12 complex (p1 - p2 <= 1), and bounds the
+# temporaries of a larger check.
+_CHART_BYTES = 1 << 23
 
 
 def _block_columns(a: np.ndarray, form: SignatureForm, which: int) -> np.ndarray:
@@ -402,14 +407,27 @@ def _chart_embeddings(cfg: ExtensionConfig, thetas: np.ndarray) -> np.ndarray:
 
 def _chart_jacobians(cfg: ExtensionConfig, thetas: np.ndarray) -> np.ndarray:
     """Stack (points, d) of chart points -> stack (points, L, d) of central
-    finite-difference Jacobians of the embedding, from one stacked pass
-    over all 2 d points perturbed chart points."""
+    finite-difference Jacobians of the embedding, from stacked passes over
+    the 2 d perturbed chart points of each point: one pass per chunk of
+    points whose n x n projectors fit ``_CHART_BYTES`` (a point too large
+    is a chunk alone), so a larger check holds no larger temporaries."""
     points, d = thetas.shape
     steps = _STEP * np.eye(d)
-    moved = np.stack([thetas[:, None, :] + steps, thetas[:, None, :] - steps], axis=1)
-    emb = _chart_embeddings(cfg, moved.reshape(2 * d * points, d))
-    emb = emb.reshape(points, 2, d, emb.shape[-1])
-    return ((emb[:, 0] - emb[:, 1]) / (2 * _STEP)).swapaxes(-1, -2)
+    projector = cfg.form.n**2 * np.dtype(cfg.form.dtype).itemsize
+    chunk = max(1, _CHART_BYTES // (2 * d * projector))
+    jacobians = None
+    for k in range(0, max(points, 1), chunk):
+        t = thetas[k : k + chunk]
+        moved = np.stack([t[:, None, :] + steps, t[:, None, :] - steps], axis=1)
+        emb = _chart_embeddings(cfg, moved.reshape(2 * d * len(t), d))
+        emb = emb.reshape(len(t), 2, d, emb.shape[-1])
+        part = ((emb[:, 0] - emb[:, 1]) / (2 * _STEP)).swapaxes(-1, -2)
+        if chunk >= points:
+            return part
+        if jacobians is None:
+            jacobians = np.empty((points,) + part.shape[1:])
+        jacobians[k : k + len(t)] = part
+    return jacobians
 
 
 def dimension_rank_report(cfg: ExtensionConfig, points: int, stream: SampleStream) -> DimensionReport:
@@ -426,8 +444,9 @@ def dimension_rank_report(cfg: ExtensionConfig, points: int, stream: SampleStrea
     refused.
 
     The Jacobians are computed as stacks: one draw of every chart point,
-    one eigendecomposition call for the closed-form projectors of all
-    2 * d * points perturbed chart points and one SVD call, with no QR.
+    one eigendecomposition call for the closed-form projectors of the
+    2 * d perturbed chart points of every point in a pass (one pass unless
+    they outgrow ``_CHART_BYTES``) and one SVD call, with no QR.
     The spectral layer still checks each matrix; a non-finite embedding
     breaks the SVD, which raises ``LinAlgError``.
     """

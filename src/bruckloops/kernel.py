@@ -1,36 +1,58 @@
-"""The loop protocol and numeric checkers for loop identities.
+"""The loop protocol, numeric checkers for loop identities, and the driver
+that runs checks as steps.
 
 A loop here is a carrier with a binary operation, a two-sided identity,
 and unique left/right division; associativity is not assumed.  Both loops
 of the package, ``MatrixLoop`` and ``ExtensionConfig``, satisfy the
-``Loop`` protocol, and the checkers call them directly.  The checkers
-measure identities as residual distances rather than booleans: each
-returns the worst residual over its samples as a float, and the suite
-judges it against its fixed acceptance bound.  A checker takes its
-samples as element stacks, one per slot of the identity (the i-th
-elements of the stacks are sample i), and draws nothing itself.
+``Loop`` protocol.  The checkers measure identities as residual distances
+rather than booleans: each returns the worst residual over its samples as
+a float, and the suite judges it against its fixed acceptance bound.  A
+checker takes its samples as element stacks, one per slot of the identity
+(the i-th elements of the stacks are sample i), and draws nothing itself.
 
-Every checker is batched and runs its identity level by level: the
-independent operations of one kind at one dependency level (``x*z`` with
-``y*x``, the three inverses of AIP, the three lambda evaluations of
-left-A) are one call on the operand stacks ``Loop.join`` concatenates,
-split back by slicing, and every distance the checker compares is one
-``distance`` call.  Each element gets the bits a call of its own gives
-it, so only the number of calls depends on the fusion.  The per-element
-residuals are folded with max from 0: appending samples can only raise
-the returned residual, and it is deterministic given the elements.
+Every identity is written as steps, a generator that runs it level by
+level.  At each level it yields its requests, a non-empty list of
+``(loop, operation, operands)``: the name of a ``Loop`` method and its
+operand stacks, all of one length.  It receives their results in the same
+order and finally returns its value.  Within a level the independent
+operations of one kind (``x*z`` with ``y*x``, the three inverses of AIP,
+the three lambda evaluations of left-A) are already one request on the
+operand stacks ``Loop.join`` concatenates, split back by slicing.
+
+``drive`` advances many steps together.  While requests wait, it takes
+every waiting request of one ``(loop, operation)`` (the group with the
+most elements first, the one waiting longest on a tie, and ``distance``
+only when nothing else waits), makes one call on their
+operands joined with plain concatenation and slices the result back to
+each request.  A call on a stack gives each element the bits a call of
+its own gives it, so only the number of calls depends on who shares them.
+A numeric breakdown in a shared call re-runs it once per request, so only
+the steps whose own operands break fail, each with the error its own call
+raises; a breakdown is thrown into its steps, and one that escapes ends
+them.  Each steps' seconds are its own time in the generator plus a share
+of every call it took part in, in proportion to the elements it gave.
+
+The checkers ``check_*`` are ``drive`` run on one generator.  The
+per-element residuals are folded with max from 0: appending samples can
+only raise the returned residual, and it is deterministic given the
+elements.
 """
 
 from __future__ import annotations
 
+import time
+from itertools import accumulate
 from typing import Any, Protocol
 
 import numpy as np
 
-from .errors import InversesDisagree
+from .errors import BruckLoopsError, InversesDisagree
 from .linalg import worst
 
 INVERSE_GAP = 1e-9  # largest distance between e/x and x\e that inverse_of accepts
+
+# A numeric breakdown fails the check whose operands raised it, not its caller.
+BREAKDOWN = (BruckLoopsError, np.linalg.LinAlgError)
 
 
 class Loop(Protocol):
@@ -40,11 +62,11 @@ class Loop(Protocol):
     returns x with x * a = b.  Elements may be stacks, and the operations
     and ``distance`` act per element, broadcasting the single identity; a
     stack is indexed along its batch axis and ``len`` counts it.  ``join``
-    broadcasts its parts against each other, so a single element such as
-    the identity fills a stack, and concatenates them along the batch
-    axis.  For the matrix loop an element is a plain array, for the
-    extension loop a ``(w, rho)`` pair of arrays; either way the loop, not
-    the element, holds the form.
+    concatenates its parts along the batch axis; a single element among
+    them, such as the identity, first fills a stack of the length of the
+    stacks it joins.  For the matrix loop an element is a plain array, for
+    the extension loop a ``(w, rho)`` pair of arrays; either way the loop,
+    not the element, holds the form.
     """
 
     identity: Any
@@ -62,59 +84,198 @@ def split(stack, count: int, parts: int) -> list:
     return [stack[k * count : (k + 1) * count] for k in range(parts)]
 
 
-def check_loop_axioms(loop: Loop, a, b) -> float:
-    """Residuals of e*x = x, x*e = x, a*(a\\b) = b and (b/a)*a = b over the
-    sampled pairs: both divisions, then the four products in one ``mul``
-    call."""
+def step(loop: Loop, operation: str, *operands):
+    """One loop operation as a level of steps:
+    ``result = yield from step(loop, "mul", a, b)``."""
+    (result,) = yield [(loop, operation, operands)]
+    return result
+
+
+class Outcome:
+    """What driving one steps generator gave: its value, or the breakdown
+    that ended it, and its seconds.  A plain class: a dataclass would add
+    a millisecond to every command's import."""
+
+    __slots__ = ("value", "error", "seconds")
+
+    def __init__(self, value: Any = None, error: Exception | None = None):
+        self.value, self.error, self.seconds = value, error, 0.0
+
+
+def drive(steps: list) -> list:
+    """Advance every generator of ``steps`` together and return the
+    ``Outcome`` of each, in order; see the module docstring."""
+    outcomes = [Outcome() for _ in steps]
+    levels = [None] * len(steps)  # per steps: the results of its requests while it waits
+    waiting = [0] * len(steps)  # per steps: how many of its requests still wait
+    groups = {}  # (loop, operation) -> its waiting requests and their (steps index, request index)
+    sizes = {}  # (loop, operation) -> the elements of its waiting requests
+
+    def advance(i: int, results=None, error=None) -> None:
+        t0 = time.perf_counter()
+        try:
+            requests = steps[i].send(results) if error is None else steps[i].throw(error)
+        except StopIteration as stop:
+            outcomes[i].value = stop.value
+        except BREAKDOWN as exc:
+            outcomes[i].error = exc
+        else:
+            levels[i], waiting[i] = [None] * len(requests), len(requests)
+            for k, request in enumerate(requests):
+                key = (id(request[0]), request[1])
+                batch, places = groups.setdefault(key, ([], []))
+                batch.append(request)
+                places.append((i, k))
+                sizes[key] = sizes.get(key, 0) + len(request[2][0])
+        outcomes[i].seconds += time.perf_counter() - t0
+
+    for i in range(len(steps)):
+        advance(i)
+    while groups:
+        key = max(groups, key=lambda key: (key[1] != "distance", sizes[key]))
+        batch, places = groups.pop(key)
+        del sizes[key]
+        results = _call(batch, [outcomes[i] for i, _ in places])
+        del batch  # the operands go before their steps build the next level's
+        ready = []
+        for (i, k), result in zip(places, results):
+            levels[i][k] = result
+            waiting[i] -= 1
+            if not waiting[i]:
+                ready.append(i)
+        for i in ready:
+            done, levels[i] = levels[i], None
+            advance(i, done, next((r for r in done if isinstance(r, BREAKDOWN)), None))
+    return outcomes
+
+
+def _call(requests: list, outcomes: list) -> list:
+    """The results of ``requests``, all of one loop and operation, from one
+    call on their joined operands, or from one call each when that call
+    breaks down; a request whose own call breaks down gets the exception.
+    Each call's seconds go to the outcomes of its requests, a shared call's
+    in proportion to the elements each request gave."""
+    loop, operation, _ = requests[0]
+    method = getattr(loop, operation)
+    t0 = time.perf_counter()
+    if len(requests) == 1:
+        try:
+            results = [method(*requests[0][2])]
+        except BREAKDOWN as exc:
+            results = [exc]
+        outcomes[0].seconds += time.perf_counter() - t0
+        return results
+    counts = [len(operands[0]) for *_, operands in requests]
+    joined = [loop.join(*parts) for parts in zip(*(operands for *_, operands in requests))]
+    try:
+        stacked = method(*joined)
+    except BREAKDOWN:
+        stacked = None
+    elapsed, total = time.perf_counter() - t0, sum(counts)
+    for outcome, count in zip(outcomes, counts):
+        outcome.seconds += elapsed * (count / total if total else 1 / len(requests))
+    if stacked is None:
+        return [_call([request], [outcome])[0] for request, outcome in zip(requests, outcomes)]
+    return [stacked[end - count : end] for count, end in zip(counts, accumulate(counts))]
+
+
+def run(steps):
+    """The value of one steps generator driven alone; the breakdown that
+    ended it is raised."""
+    (outcome,) = drive([steps])
+    if outcome.error is not None:
+        raise outcome.error
+    return outcome.value
+
+
+def loop_axioms(loop: Loop, a, b):
+    """Steps: the residuals of e*x = x, x*e = x, a*(a\\b) = b and
+    (b/a)*a = b over the sampled pairs: both divisions, then the four
+    products as one ``mul``."""
     e = loop.identity
-    left, right = loop.left_divide(a, b), loop.right_divide(b, a)
-    products = loop.mul(loop.join(e, a, a, right), loop.join(a, e, left, a))
-    return worst(loop.distance(products, loop.join(a, a, b, b)))
+    left, right = yield [(loop, "left_divide", (a, b)), (loop, "right_divide", (b, a))]
+    products = yield from step(loop, "mul", loop.join(e, a, a, right), loop.join(a, e, left, a))
+    return worst((yield from step(loop, "distance", products, loop.join(a, a, b, b))))
 
 
-def check_bol(loop: Loop, x, y, z) -> float:
-    """Residual of x(y . xz) = (x . yx)z over sampled triples, both sides
-    together: one ``mul`` call per level."""
+def bol(loop: Loop, x, y, z):
+    """Steps: the residual of x(y . xz) = (x . yx)z over sampled triples,
+    both sides together: one ``mul`` per level."""
     count = len(x)
-    xz, yx = split(loop.mul(loop.join(x, y), loop.join(z, x)), count, 2)
-    y_xz, x_yx = split(loop.mul(loop.join(y, x), loop.join(xz, yx)), count, 2)
-    lhs, rhs = split(loop.mul(loop.join(x, x_yx), loop.join(y_xz, z)), count, 2)
-    return worst(loop.distance(lhs, rhs))
+    xz, yx = split((yield from step(loop, "mul", loop.join(x, y), loop.join(z, x))), count, 2)
+    y_xz, x_yx = split((yield from step(loop, "mul", loop.join(y, x), loop.join(xz, yx))), count, 2)
+    lhs, rhs = split((yield from step(loop, "mul", loop.join(x, x_yx), loop.join(y_xz, z))), count, 2)
+    return worst((yield from step(loop, "distance", lhs, rhs)))
 
 
 def inverse_gap(loop: Loop, x):
-    """The right inverse e/x and its distance to the left inverse x\\e, per
-    element."""
-    right = loop.right_divide(loop.identity, x)
-    return right, loop.distance(right, loop.left_divide(x, loop.identity))
+    """Steps: the right inverse e/x and its distance to the left inverse
+    x\\e, per element."""
+    # a request's operands are stacks of one length: the identity once per
+    # element of x, joined in front of (a copy of) x itself
+    e, x = split(loop.join(loop.identity, x), len(x), 2)
+    right, left = yield [(loop, "right_divide", (e, x)), (loop, "left_divide", (x, e))]
+    return right, (yield from step(loop, "distance", right, left))
 
 
-def inverse_of(loop: Loop, x):
-    """Two-sided inverse e/x, checked per element to coincide with x\\e."""
-    right, gap = inverse_gap(loop, x)
+def _two_sided(right, gap):
+    """The right inverses, once each is checked to coincide with its left
+    inverse."""
     if np.any(gap > INVERSE_GAP):
         raise InversesDisagree(f"e/x and x\\e differ by {np.max(gap):.3e}")
     return right
 
 
-def check_aip(loop: Loop, x, y) -> float:
-    """Residual of the automorphic inverse property (xy)^-1 = x^-1 y^-1 over
-    sampled pairs; the inverses of xy, x and y are one ``inverse_of`` call."""
-    lhs, inv_x, inv_y = split(inverse_of(loop, loop.join(loop.mul(x, y), x, y)), len(x), 3)
-    return worst(loop.distance(lhs, loop.mul(inv_x, inv_y)))
+def inverse_of(loop: Loop, x):
+    """Two-sided inverse e/x, checked per element to coincide with x\\e."""
+    return _two_sided(*run(inverse_gap(loop, x)))
 
 
-def check_left_a(loop: Loop, x, y, u, v) -> float:
-    """Residual of lambda_{x,y}(u*v) = lambda_{x,y}(u) * lambda_{x,y}(v),
-    where lambda_{x,y}(w) = (x*y) \\ (x*(y*w)).
+def aip(loop: Loop, x, y):
+    """Steps: the residual of the automorphic inverse property
+    (xy)^-1 = x^-1 y^-1 over sampled pairs; the inverses of xy, x and y are
+    one ``inverse_gap``."""
+    xy = yield from step(loop, "mul", x, y)
+    inverses = _two_sided(*(yield from inverse_gap(loop, loop.join(xy, x, y))))
+    lhs, inv_x, inv_y = split(inverses, len(x), 3)
+    rhs = yield from step(loop, "mul", inv_x, inv_y)
+    return worst((yield from step(loop, "distance", lhs, rhs)))
+
+
+def left_a(loop: Loop, x, y, u, v):
+    """Steps: the residual of lambda_{x,y}(u*v) = lambda_{x,y}(u) *
+    lambda_{x,y}(v), where lambda_{x,y}(w) = (x*y) \\ (x*(y*w)).
 
     The map is evaluated through divisions, so no translation ever has to
     be inverted as a map; its three arguments uv, u and v go through it as
     one stack.
     """
     count = len(x)
-    xy, uv = split(loop.mul(loop.join(x, u), loop.join(y, v)), count, 2)
-    ys = loop.mul(loop.join(y, y, y), loop.join(uv, u, v))
-    lam = loop.left_divide(loop.join(xy, xy, xy), loop.mul(loop.join(x, x, x), ys))
+    xy, uv = split((yield from step(loop, "mul", loop.join(x, u), loop.join(y, v))), count, 2)
+    ys = yield from step(loop, "mul", loop.join(y, y, y), loop.join(uv, u, v))
+    xys = yield from step(loop, "mul", loop.join(x, x, x), ys)
+    lam = yield from step(loop, "left_divide", loop.join(xy, xy, xy), xys)
     lam_uv, lam_u, lam_v = split(lam, count, 3)
-    return worst(loop.distance(lam_uv, loop.mul(lam_u, lam_v)))
+    rhs = yield from step(loop, "mul", lam_u, lam_v)
+    return worst((yield from step(loop, "distance", lam_uv, rhs)))
+
+
+def check_loop_axioms(loop: Loop, a, b) -> float:
+    """The worst residual of the loop axioms over the sampled pairs."""
+    return run(loop_axioms(loop, a, b))
+
+
+def check_bol(loop: Loop, x, y, z) -> float:
+    """The worst residual of the left Bol identity over the sampled triples."""
+    return run(bol(loop, x, y, z))
+
+
+def check_aip(loop: Loop, x, y) -> float:
+    """The worst residual of the automorphic inverse property over the
+    sampled pairs; InversesDisagree when the loop lacks two-sided inverses."""
+    return run(aip(loop, x, y))
+
+
+def check_left_a(loop: Loop, x, y, u, v) -> float:
+    """The worst residual of the left-A property over the sampled tuples."""
+    return run(left_a(loop, x, y, u, v))

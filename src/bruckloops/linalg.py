@@ -104,11 +104,13 @@ def mv(a: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def concat(*stacks: np.ndarray) -> np.ndarray:
-    """The stacks concatenated along the first batch axis; when their shapes
-    differ they are first broadcast against each other, so a single matrix
-    or vector fills a stack."""
-    if len({s.shape for s in stacks}) > 1:
-        stacks = np.broadcast_arrays(*stacks)
+    """The stacks concatenated along the first batch axis, whatever their
+    lengths.  A single matrix or vector among them, a part with fewer axes
+    than the rest, is first broadcast to the shape of the first stack, so it
+    fills a stack of that length."""
+    if len({s.ndim for s in stacks}) > 1:
+        shape = max(stacks, key=np.ndim).shape
+        stacks = [s if s.ndim == len(shape) else np.broadcast_to(s, shape) for s in stacks]
     return np.concatenate(stacks)
 
 

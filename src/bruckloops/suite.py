@@ -4,19 +4,30 @@ The suite is one table, ``PROPERTIES``: each row names its report entries
 and their keys in the fixed bounds table ``TOLERANCES``, its sample-count
 key (which also selects its slot of the seed's stream), whether it is
 required, its default count, its per-sample draw layout (kinds of value,
-keys of ``PARTS``) and a ``run`` that returns the worst residual of each
-entry.  ``draw_parts`` draws every row's uniforms from the row's own slot,
-all rows in one splitmix64 pass at the usual counts, and evaluates each
-kind's chart once over all rows, so a verify makes one Sigma chart call
-and one Phi chart call, and each row gets its values as slices.  Every row
-is batched: it makes one call per loop operation per dependency level on
-the joined stacks of elements and folds the per-element residuals with
-max.  One runner times every row's check, builds its entries and turns a
-numeric breakdown inside it or inside a chart serving it (any package
-error or ``LinAlgError``) into failed entries carrying ``detail.error``,
-so the report is still written.  A check inside a stacked call covers the
-whole stack, so ``detail.error`` names the worst matrix of the stack, not
-the first failing sample.
+keys of ``PARTS``) and its ``steps``, which return the worst residual of
+each entry.  ``draw_parts`` draws every row's uniforms from the row's own
+slot, all rows in one splitmix64 pass at the usual counts, and evaluates
+each kind's chart once over all rows, so a verify makes one Sigma chart
+call and one Phi chart call, and each row gets its values as slices.
+
+A row's steps are a generator in the kernel's step protocol: at each
+dependency level it yields its loop operations, each one request on the
+joined stacks of its elements, and it folds the per-element residuals
+with max.  A row that calls no loop operation finishes at its first step.
+``run_suite`` hands the steps of consecutive rows, as many as fit
+``_STEPS_BYTES`` of drawn values (all rows at small counts), to one
+``kernel.drive``, which advances them together: the waiting requests of
+one loop operation share one stacked call, whatever row they come from,
+so a verify makes far fewer calls than its rows make levels, and every
+residual keeps the bits of its row run alone.  A numeric breakdown (any
+package error or ``LinAlgError``) in a shared call is re-run row by row,
+so it fails only the rows whose own operands break.  A breakdown inside a
+row, or inside a chart serving it, becomes failed entries carrying
+``detail.error``, so the report is still written.  A check inside a
+stacked call covers the whole stack, so ``detail.error`` names the worst
+matrix of the row's stack, not the first failing sample.  A row's
+``seconds`` are its own time in its steps plus a share of every call it
+took part in, in proportion to the elements it gave.
 
 ``run_suite`` samples from a resolved ``ExtensionConfig``, which holds the
 form and the matrix loop; it reads no file and parses no argument.  The
@@ -34,7 +45,6 @@ import numpy as np
 
 from . import extension as ext
 from . import geometry
-from .errors import BruckLoopsError
 from .groups import (
     MEMBERSHIP_TOLERANCE,
     SampleStream,
@@ -49,7 +59,7 @@ from .groups import (
     sigma_width,
     unit_uniforms,
 )
-from .kernel import INVERSE_GAP, check_aip, check_bol, check_left_a, check_loop_axioms, inverse_gap
+from .kernel import BREAKDOWN, INVERSE_GAP, Outcome, aip, bol, drive, inverse_gap, left_a, loop_axioms, step
 from .linalg import fro, worst
 
 # The fixed acceptance bound of each kind of report entry; every entry
@@ -86,10 +96,11 @@ class Property:
     ``key`` names the row's sample count and selects its slot of the
     seed's stream.  ``entries`` are the report entries the row fills, as
     ``(entry name, TOLERANCES key)`` pairs.  ``draw`` is what one sample
-    draws, in draw order, as ``PARTS`` kinds.  ``run(loop, *parts)`` takes
-    one stack per part of the layout, whose i-th values sample i drew, and
-    returns the worst residual of each entry and a ``detail`` dict for the
-    report, or None.  Every run is batched: one call per loop operation per
+    draws, in draw order, as ``PARTS`` kinds.  ``steps(loop, *parts)``
+    takes one stack per part of the layout, whose i-th values sample i
+    drew, and is a generator in the kernel's step protocol that returns
+    the worst residual of each entry and a ``detail`` dict for the report,
+    or None.  Every row is batched: one request per loop operation per
     dependency level on the joined stacks, and a fold of the per-element
     residuals with max from 0.
     """
@@ -99,12 +110,35 @@ class Property:
     required: bool
     entries: tuple
     draw: tuple
-    run: Callable
+    steps: Callable
 
 
-def _one(residual: float):
-    """A kernel checker's worst residual as a one-entry row result."""
-    return (residual,), None
+def _plain(check: Callable) -> Callable:
+    """A row that calls no loop operation, as steps that finish at once."""
+
+    def steps(loop: ext.ExtensionConfig, *parts):
+        yield from ()
+        return check(loop, *parts)
+
+    return steps
+
+
+def _on_lifts(identity: Callable) -> Callable:
+    """A kernel identity's steps as a row on the matrix loop of the lifts."""
+
+    def steps(loop: ext.ExtensionConfig, *xs):
+        return ((yield from identity(loop.mat, *xs)),), None
+
+    return steps
+
+
+def _on_elements(identity: Callable) -> Callable:
+    """A kernel identity's steps as a row on the extension loop."""
+
+    def steps(loop: ext.ExtensionConfig, *parts):
+        return ((yield from identity(loop, *_elements(parts))),), None
+
+    return steps
 
 
 def _elements(parts) -> list:
@@ -113,7 +147,8 @@ def _elements(parts) -> list:
 
 
 def _sigma_closure(loop: ext.ExtensionConfig, a, b):
-    return (membership_residual(loop.mat.mul(a, b), loop.form).max_residual,), None
+    product = yield from step(loop.mat, "mul", a, b)
+    return (membership_residual(product, loop.form).max_residual,), None
 
 
 def _conjugation_closure(loop: ext.ExtensionConfig, a, b):
@@ -139,8 +174,8 @@ def _ext_infinity_compat(loop: ext.ExtensionConfig, *parts):
     against the matrix loop product, the positive factor of rho1 rho2 read
     off its C12 and C22 blocks: two computations of the same element."""
     e1, e2 = _elements(parts)
-    prod = loop.mul(e1, e2)
-    return (worst(fro(prod.rho - loop.mat.mul(e1.rho, e2.rho))),), None
+    prod, lifts = yield [(loop, "mul", (e1, e2)), (loop.mat, "mul", (e1.rho, e2.rho))]
+    return (worst(fro(prod.rho - lifts)),), None
 
 
 def _ext_aip(loop: ext.ExtensionConfig, w, rho):
@@ -148,7 +183,8 @@ def _ext_aip(loop: ext.ExtensionConfig, w, rho):
     the AIP cannot be stated, so the entry records the left/right inverse
     gap, judged against the kernel's inverse bound: ``pass`` says whether
     the sampled elements have two-sided inverses."""
-    return (worst(inverse_gap(loop, ext.ExtensionElement(w, rho))[1]),), None
+    _, gap = yield from inverse_gap(loop, ext.ExtensionElement(w, rho))
+    return (worst(gap),), None
 
 
 def _solve_translation(loop: ext.ExtensionConfig, w1, rho1, w2, rho2, noise):
@@ -185,35 +221,31 @@ def _perturb(s, noise: np.ndarray):
 
 
 # One row per property, in run order: sample-count key, default count,
-# required, (entry name, TOLERANCES key) pairs, draw layout, run.
+# required, (entry name, TOLERANCES key) pairs, draw layout, steps.
 PROPERTIES = (
-    Property("loop_axioms", 500, True, (("loop_axioms", "identity"),), ("sigma",) * 2,
-             lambda loop, *xs: _one(check_loop_axioms(loop.mat, *xs))),
+    Property("loop_axioms", 500, True, (("loop_axioms", "identity"),), ("sigma",) * 2, _on_lifts(loop_axioms)),
     Property("sigma_closure", 1000, True, (("sigma_closure", "membership"),), ("sigma",) * 2,
              _sigma_closure),
-    Property("bol", 1000, True, (("bol", "identity"),), ("sigma",) * 3,
-             lambda loop, *xs: _one(check_bol(loop.mat, *xs))),
-    Property("aip", 1000, True, (("aip", "identity"),), ("sigma",) * 2,
-             lambda loop, *xs: _one(check_aip(loop.mat, *xs))),
-    Property("left_a", 500, False, (("left_a", "identity"),), ("sigma",) * 4,
-             lambda loop, *xs: _one(check_left_a(loop.mat, *xs))),
+    Property("bol", 1000, True, (("bol", "identity"),), ("sigma",) * 3, _on_lifts(bol)),
+    Property("aip", 1000, True, (("aip", "identity"),), ("sigma",) * 2, _on_lifts(aip)),
+    Property("left_a", 500, False, (("left_a", "identity"),), ("sigma",) * 4, _on_lifts(left_a)),
     Property("conjugation_closure", 500, True, (("conjugation_closure", "membership"),), ("sigma", "phi"),
-             _conjugation_closure),
+             _plain(_conjugation_closure)),
     Property("factorization", 500, True,
              (("factorization_recovery", "factor"),
               ("factorization_reconstruction", "factor_reconstruction")),
-             ("sigma", "phi"), _factorization),
-    Property("transversality", 200, True, (("transversality", "membership"),), ("sigma",), _transversality),
+             ("sigma", "phi"), _plain(_factorization)),
+    Property("transversality", 200, True, (("transversality", "membership"),), ("sigma",),
+             _plain(_transversality)),
     Property("ext_loop_axioms", 500, True, (("ext_loop_axioms", "identity"),), _ELEMENT * 2,
-             lambda loop, *parts: _one(check_loop_axioms(loop, *_elements(parts)))),
+             _on_elements(loop_axioms)),
     Property("ext_infinity_compat", 500, True, (("ext_infinity_compat", "membership"),), _ELEMENT * 2,
              _ext_infinity_compat),
-    Property("ext_bol", 100, False, (("ext_bol", "identity"),), _ELEMENT * 3,
-             lambda loop, *parts: _one(check_bol(loop, *_elements(parts)))),
+    Property("ext_bol", 100, False, (("ext_bol", "identity"),), _ELEMENT * 3, _on_elements(bol)),
     Property("ext_aip", 100, False, (("ext_aip", "inverse"),), _ELEMENT, _ext_aip),
     Property("solve_translation", 200, True,
              (("solve_translation", "solve"), ("solve_translation_stability", "solve_stability")),
-             _ELEMENT * 2 + ("noise",), _solve_translation),
+             _ELEMENT * 2 + ("noise",), _plain(_solve_translation)),
 )
 
 DEFAULT_SAMPLES = {row.key: row.default_samples for row in PROPERTIES} | {"dimension_points": 20}
@@ -231,18 +263,36 @@ MAX_SAMPLES = 100_000
 # chart's temporaries.
 _CHART_CHUNK = MAX_SAMPLES * max(len(row.draw) for row in PROPERTIES)
 
+# The most bytes of drawn values, counted as n x n matrices, whose rows are
+# driven together.  Sharing a call saves its fixed cost, which shows only
+# on small stacks: 256 KiB takes every row of a verify at 8 samples a row
+# up to n = 6 complex in one run.  A default-count row, thousands of
+# values, runs alone or with few others, as larger shared stacks would
+# only cost memory and cache.
+_STEPS_BYTES = 1 << 18
+
 # Entries whose residuals carry no pass requirement; they are measured and
 # reported only.
 INFORMATIONAL = frozenset(name for row in PROPERTIES if not row.required for name, _ in row.entries)
-
-# A numeric breakdown inside a property fails that property, not the run.
-_BREAKDOWN = (BruckLoopsError, np.linalg.LinAlgError)
 
 
 def held_matrices(counts: dict) -> int:
     """How many n x n matrices a verify's draw holds at once: each row's
     count times the Sigma and Phi parts of its layout."""
     return sum(counts[row.key] * sum(kind in ("sigma", "phi") for kind in row.draw) for row in PROPERTIES)
+
+
+def _packed(items: list, sizes: list, room: int) -> list:
+    """``items`` in runs of consecutive items whose ``sizes`` sum to at most
+    ``room``; a larger item is a run alone."""
+    runs, left = [], 0
+    for item, size in zip(items, sizes):
+        if not runs or size > left:
+            runs.append([])
+            left = room
+        runs[-1].append(item)
+        left -= size
+    return runs
 
 
 def _chart(loop: ext.ExtensionConfig, kind: str, us: list) -> list:
@@ -253,7 +303,7 @@ def _chart(loop: ext.ExtensionConfig, kind: str, us: list) -> list:
     u, chart = np.concatenate(us), PARTS[kind][1]
     try:
         chunks = [chart(loop, u[k : k + _CHART_CHUNK]) for k in range(0, max(len(u), 1), _CHART_CHUNK)]
-    except _BREAKDOWN as exc:
+    except BREAKDOWN as exc:
         return [exc] * len(us)
     values = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
     return [values[end - len(x) : end] for x, end in zip(us, accumulate(len(x) for x in us))]
@@ -288,17 +338,12 @@ def draw_parts(loop: ext.ExtensionConfig, streams: dict, counts: dict) -> dict:
     rows in row order, go through its chart once and are sliced back.  A
     stacked chart call gives each value the bits it gets alone."""
     seed = streams[PROPERTIES[0].key].seed
-    batches, room = [], 0  # runs of (row, widths, stream, uniforms drawn); what the last may still take
+    draws = []  # (row, widths, stream, uniforms drawn) per row
     for row in PROPERTIES:
-        widths, stream = _widths(loop, row), streams[row.key]
-        size = counts[row.key] * sum(widths)
-        if not batches or size > room:
-            batches.append([])
-            room = _CHART_CHUNK
-        batches[-1].append((row, widths, stream, size))
-        room -= size
+        widths = _widths(loop, row)
+        draws.append((row, widths, streams[row.key], counts[row.key] * sum(widths)))
     pooled = {kind: [] for kind in PARTS}  # each kind's uniforms, part by part in row order
-    for batch in batches:
+    for batch in _packed(draws, [n for *_, n in draws], _CHART_CHUNK):
         counters = [stream.counters(n) for *_, stream, n in batch]  # a lone row's passed uncopied
         u = unit_uniforms(seed, counters[0] if len(batch) == 1 else np.concatenate(counters))
         del counters
@@ -313,22 +358,17 @@ def draw_parts(loop: ext.ExtensionConfig, streams: dict, counts: dict) -> dict:
     return drawn
 
 
-def _run_property(row: Property, loop: ext.ExtensionConfig, parts, count: int) -> list:
-    """The report entries of one row from its drawn ``parts``, or the
-    breakdown that drawing them raised.  The time of the row's check goes on
-    its first entry; a companion entry records 0 seconds and names that
-    entry in ``detail.timed_with``.  A breakdown fails every entry with
-    residual 1.0 and the exception text in ``detail.error``."""
-    t0 = time.perf_counter()
-    broke = parts if isinstance(parts, Exception) else None
+def _entries(row: Property, count: int, outcome: Outcome) -> list:
+    """The report entries of one row from the ``Outcome`` of its steps.
+    The row's seconds go on its first entry; a companion entry records 0
+    seconds and names that entry in ``detail.timed_with``.  A breakdown
+    fails every entry with residual 1.0 and the exception text in
+    ``detail.error``."""
+    broke = outcome.error
     if broke is None:
-        try:
-            residuals, detail = row.run(loop, *parts)
-        except _BREAKDOWN as exc:
-            broke = exc
-    if broke is not None:
+        residuals, detail = outcome.value
+    else:
         residuals, detail = (1.0,) * len(row.entries), {"error": str(broke)}
-    seconds = time.perf_counter() - t0
     first = row.entries[0][0]
     entries = []
     for (name, tol_key), residual in zip(row.entries, residuals):
@@ -340,7 +380,7 @@ def _run_property(row: Property, loop: ext.ExtensionConfig, parts, count: int) -
             "tolerance": tolerance,
             "pass": broke is None and residual <= tolerance,
             "required": row.required,
-            "seconds": seconds if name == first else 0.0,
+            "seconds": outcome.seconds if name == first else 0.0,
         }
         info = dict(detail or {})
         if name != first:
@@ -353,15 +393,22 @@ def _run_property(row: Property, loop: ext.ExtensionConfig, parts, count: int) -
 
 def run_suite(loop: ext.ExtensionConfig, counts: dict, seed: int) -> dict:
     """Draw every row of PROPERTIES, ``counts[key]`` samples, from its own
-    slot of the seed's stream, run each on its values, run the dimension
-    check on its slot, and return the report's ``properties``,
-    ``dimension`` and ``pass``."""
+    slot of the seed's stream, drive the steps of consecutive rows on their
+    values together, per run of at most ``_STEPS_BYTES`` of drawn values (a
+    larger row is a run alone), run the dimension check on its slot, and
+    return the report's ``properties``, ``dimension`` and ``pass``."""
     base = SampleStream(seed)
     streams = {key: base.split(offset) for key, (offset, _) in stream_slots(loop, counts).items()}
     drawn = draw_parts(loop, streams, counts)
+    # a row whose draw broke down fails as it stands
+    outcomes = {key: Outcome(error=parts) for key, parts in drawn.items() if isinstance(parts, Exception)}
+    ready = [row for row in PROPERTIES if row.key not in outcomes]
+    value_bytes = loop.form.n**2 * np.dtype(loop.form.dtype).itemsize
+    for batch in _packed(ready, [counts[row.key] * len(row.draw) * value_bytes for row in ready], _STEPS_BYTES):
+        outcomes |= zip((row.key for row in batch), drive([row.steps(loop, *drawn[row.key]) for row in batch]))
     entries = []
     for row in PROPERTIES:
-        entries += _run_property(row, loop, drawn[row.key], counts[row.key])
+        entries += _entries(row, counts[row.key], outcomes[row.key])
 
     t0 = time.perf_counter()
     expected = ext.expected_dimension(loop)
@@ -372,7 +419,7 @@ def run_suite(loop: ext.ExtensionConfig, counts: dict, seed: int) -> dict:
             measured=dim.rank, gap_fraction=dim.gap_fraction, points=dim.points, ranks=list(dim.ranks)
         )
         dim_entry["pass"] = dim.rank == expected
-    except _BREAKDOWN as exc:
+    except BREAKDOWN as exc:
         dim_entry.update(points=counts["dimension_points"], error=str(exc))
     dim_entry["seconds"] = time.perf_counter() - t0
 

@@ -4,6 +4,7 @@ per-element failures inside stacks."""
 
 import json
 import math
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,7 @@ from bruckloops.cli import SuiteConfig, main, resolve, run_verify
 from bruckloops.errors import InversesDisagree, NoConvergence, NotHermitian, NotInOrbit, NotPositiveDefinite
 from bruckloops.extension import extension_config, lift_from_infinity
 from bruckloops.groups import SampleStream, element_to_json, sample_parts, unit_uniforms
-from bruckloops.kernel import check_left_a, inverse_of
+from bruckloops.kernel import check_left_a, drive, inverse_of
 from bruckloops.linalg import spectral_map
 from bruckloops.matrixloop import MatrixLoop
 from bruckloops.suite import PROPERTIES, TOLERANCES, draw_parts
@@ -62,9 +63,11 @@ def test_every_row_matches_the_per_sample_reference(name, seed):
     streams = {row.key: SampleStream(seed).split((k + 1) * 1000) for k, row in enumerate(PROPERTIES)}
     counts = {row.key: MIXED_COUNTS[k % 3] for k, row in enumerate(PROPERTIES)}
     drawn = draw_parts(loop, streams, counts)
-    for row in PROPERTIES:
+    # every row driven together, so rows of unequal counts share calls
+    outcomes = drive([row.steps(loop, *drawn[row.key]) for row in PROPERTIES])
+    for row, outcome in zip(PROPERTIES, outcomes):
         stream, count = streams[row.key], counts[row.key]
-        batched, _ = row.run(loop, *drawn[row.key])
+        batched, _ = outcome.value
         reference = ROWS[row.key](loop, ReferenceStream(stream.seed, stream.counter), count)
         for (entry, key), got, want in zip(row.entries, batched, reference):
             assert abs(got - want) <= 1e-15 * max(abs(got), abs(want)), (entry, got, want)
@@ -135,14 +138,54 @@ def _counting(monkeypatch, module, name: str) -> list:
     return calls
 
 
+def _loop_calls(monkeypatch) -> list:
+    """Record every loop operation a verify calls from outside any other,
+    as ``(loop class, operation)``; the extension loop's right division
+    calls the matrix loop's inside it."""
+    calls, depth = [], [0]
+
+    def wrap(cls, name):
+        real = getattr(cls, name)
+
+        def counted(*args):
+            if depth[0] == 0:
+                calls.append((cls.__name__, name))
+            depth[0] += 1
+            try:
+                return real(*args)
+            finally:
+                depth[0] -= 1
+
+        static = isinstance(cls.__dict__[name], staticmethod)
+        monkeypatch.setattr(cls, name, staticmethod(counted) if static else counted)
+
+    for cls in (MatrixLoop, bruckloops.extension.ExtensionConfig):
+        for name in ("mul", "left_divide", "right_divide", "distance"):
+            wrap(cls, name)
+    return calls
+
+
 # The two benchmark suites, at the benchmark's 20 dimension points, and the
 # eigendecompositions of one verify: one Sigma chart and one Phi chart for
-# all rows, one chart for the dimension check and one call per loop
-# operation per dependency level; the membership judge takes eigenvalues
-# alone, outside ``eig_hermitian``
+# all rows, one chart for the dimension check, one for the transversal and
+# one per shared call of a loop operation, all rows' requests of one
+# operation at once; the membership judge takes eigenvalues alone, outside
+# ``eig_hermitian``
 BENCH_SUITES = {
-    "321c": (dict(n=3, p1=2, p2=1, field_name="complex"), 33),
-    "422r-c2": (dict(n=4, p1=2, p2=2, carrier=2, wtilde=f"boost:{math.log(2)!r}"), 34),
+    "321c": (dict(n=3, p1=2, p2=1, field_name="complex"), 19),
+    "422r-c2": (dict(n=4, p1=2, p2=2, carrier=2, wtilde=f"boost:{math.log(2)!r}"), 20),
+}
+# The loop operations of one such verify at equal counts: 16 calls where
+# the rows driven one by one make 35
+LOOP_CALLS = {
+    ("MatrixLoop", "mul"): 5,
+    ("MatrixLoop", "left_divide"): 1,
+    ("MatrixLoop", "right_divide"): 1,
+    ("MatrixLoop", "distance"): 2,
+    ("ExtensionConfig", "mul"): 3,
+    ("ExtensionConfig", "left_divide"): 1,
+    ("ExtensionConfig", "right_divide"): 2,
+    ("ExtensionConfig", "distance"): 1,
 }
 
 
@@ -167,16 +210,112 @@ def test_a_verify_makes_one_chart_call_per_kind(monkeypatch, eig_calls, name, sa
         return report
 
     monkeypatch.setattr(bruckloops.extension, "dimension_rank_report", dimension)
+    operations = _loop_calls(monkeypatch)
     cfg = SuiteConfig(**settings)
     cfg.samples |= {key: samples for key in cfg.samples if key != "dimension_points"}
     run_verify(cfg)
     assert len(eig_calls) == eig_count
+    assert Counter(operations) == LOOP_CALLS
+    assert len(operations) == 16
     loop = resolve(cfg)
     draws_of = {kind: sum(row.draw.count(kind) for row in PROPERTIES) for kind in ("sigma", "phi")}
     assert sigma == [draws_of["sigma"] * samples] and phi == [draws_of["phi"] * samples]
     assert draws == [samples * sum(sum(suite._widths(loop, row)) for row in PROPERTIES)]
     d, p2 = bruckloops.extension.expected_dimension(loop), cfg.p2
     assert inside == {"eig": [(2 * d * cfg.samples["dimension_points"], p2, p2)], "qr": []}
+
+
+# Counts per row for the fused-schedule checks: rows of unequal counts in
+# one shared call, every row empty, every row one sample
+FUSED_COUNTS = {
+    "mixed": lambda k: MIXED_COUNTS[k % 3],
+    "zero": lambda k: 0,
+    "one": lambda k: 1,
+}
+FUSED_SUITES = ("321c", "422r-c2-boost", "633c")
+
+
+def _fused_config(name: str, counts: str) -> SuiteConfig:
+    cfg = SuiteConfig(seed=7919, **SUITES[name])
+    cfg.samples |= {row.key: FUSED_COUNTS[counts](k) for k, row in enumerate(PROPERTIES)}
+    return cfg
+
+
+@pytest.mark.parametrize("counts", sorted(FUSED_COUNTS))
+@pytest.mark.parametrize("name", FUSED_SUITES)
+def test_fused_rows_are_the_rows_driven_alone_bit_for_bit(name, counts):
+    cfg = _fused_config(name, counts)
+    loop = resolve(cfg)
+    streams = {row.key: SampleStream(cfg.seed).split((k + 1) * 1000) for k, row in enumerate(PROPERTIES)}
+    drawn = draw_parts(loop, streams, cfg.samples)
+    fused = drive([row.steps(loop, *drawn[row.key]) for row in PROPERTIES])
+    for row, got in zip(PROPERTIES, fused):
+        (alone,) = drive([row.steps(loop, *drawn[row.key])])
+        assert got.error is None and alone.error is None, row.key
+        # json writes each float's shortest round-trip repr: equal text, equal bits
+        assert json.dumps(got.value) == json.dumps(alone.value), row.key
+
+
+@pytest.mark.parametrize("counts", sorted(FUSED_COUNTS))
+@pytest.mark.parametrize("name", FUSED_SUITES)
+def test_fused_report_is_the_report_of_rows_driven_one_by_one(monkeypatch, name, counts):
+    cfg = _fused_config(name, counts)
+    calls = _loop_calls(monkeypatch)
+    fused = run_verify(cfg)
+    shared = len(calls)
+    monkeypatch.setattr(suite, "_STEPS_BYTES", -1)  # every row a run of its own, an empty one too
+    alone = run_verify(cfg)
+    assert _without_timing(fused) == _without_timing(alone)
+    assert shared < len(calls) - shared
+
+
+@pytest.mark.parametrize("name", ["321c", "422r-c2-boost"])
+def test_a_breakdown_in_a_shared_call_fails_its_row_alone(monkeypatch, name):
+    # the first matrix bol draws breaks every product whose left factors
+    # hold it: bol's first level, shared with other rows, re-runs per row,
+    # and only bol fails, with the text its own call raises
+    cfg = _fused_config(name, "mixed")
+    clean = _without_timing(run_verify(cfg))
+    loop = resolve(cfg)
+    slots = suite.stream_slots(loop, cfg.samples)
+    streams = {key: SampleStream(cfg.seed).split(offset) for key, (offset, _) in slots.items()}
+    poison = draw_parts(loop, streams, cfg.samples)["bol"][0][0]
+    real, sizes = MatrixLoop.mul, []
+
+    def mul(self, a, b):
+        if np.all(a == poison, axis=(-2, -1)).any():
+            sizes.append(len(a))
+            raise NotPositiveDefinite(f"injected in a stack of {len(a)}")
+        return real(self, a, b)
+
+    monkeypatch.setattr(MatrixLoop, "mul", mul)
+    reports = []
+    for steps_bytes in (suite._STEPS_BYTES, -1):  # fused, then every row alone
+        monkeypatch.setattr(suite, "_STEPS_BYTES", steps_bytes)
+        reports.append(_without_timing(run_verify(cfg)))
+    fused, alone = reports
+    bol_stack = 2 * cfg.samples["bol"]
+    assert sizes[0] > bol_stack and sizes[1:] == [bol_stack, bol_stack]
+    assert fused == alone and fused["pass"] is False
+    for entry, was in zip(fused["properties"], clean["properties"]):
+        if entry["property"] == "bol":
+            assert entry["pass"] is False and entry["max_residual"] == 1.0
+            assert entry["detail"] == {"error": f"injected in a stack of {bol_stack}"}
+        else:
+            assert entry == was
+    assert fused["dimension"] == clean["dimension"]
+
+
+@pytest.mark.parametrize("samples", [1, 8, 60])
+def test_entry_seconds_fit_in_the_total(samples):
+    # a row's seconds are its own steps plus its share of the calls it took
+    # part in, so with the dimension check's they never exceed the total
+    cfg = SuiteConfig(field_name="complex")
+    cfg.samples |= {key: samples for key in cfg.samples if key != "dimension_points"}
+    report = run_verify(cfg)
+    seconds = [entry["seconds"] for entry in report["properties"]]
+    assert all(s >= 0.0 for s in seconds)
+    assert sum(seconds) + report["dimension"]["seconds"] <= report["total_seconds"]
 
 
 @pytest.mark.parametrize("seed", [1, 7919])

@@ -524,6 +524,26 @@ class TestDimension:
         d = expected_dimension(cfg)
         assert eig_calls == [(2 * d * 5, 1, 1)]
 
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_passes_bounded_in_bytes_keep_the_bits(self, monkeypatch, eig_calls, field):
+        # three points a pass: 3 + 3 + 1 points, the same Jacobians and the
+        # same report; a point larger than the bound is a pass alone
+        cfg = extension_config(SignatureForm(4, 2, 2, field))
+        d = expected_dimension(cfg)
+        thetas = uniforms(SampleStream(3), 7 * d, -0.4, 0.4)[0].reshape(7, d)
+        whole = ext._chart_jacobians(cfg, thetas)
+        report = dimension_rank_report(cfg, points=7, stream=SampleStream(3))
+        monkeypatch.setattr(ext, "_CHART_BYTES", 3 * 2 * d * cfg.form.n**2 * np.dtype(cfg.form.dtype).itemsize)
+        eig_calls.clear()
+        assert ext._chart_jacobians(cfg, thetas).tobytes() == whole.tobytes()
+        assert [shape[0] for shape in eig_calls] == [2 * d * 3, 2 * d * 3, 2 * d]
+        chunked = dimension_rank_report(cfg, points=7, stream=SampleStream(3))
+        assert (chunked.rank, chunked.ranks, chunked.gap_fraction) == (report.rank, report.ranks, report.gap_fraction)
+        monkeypatch.setattr(ext, "_CHART_BYTES", 1)
+        eig_calls.clear()
+        assert ext._chart_jacobians(cfg, thetas).tobytes() == whole.tobytes()
+        assert len(eig_calls) == 7
+
     @pytest.mark.parametrize("signature, carrier, wtilde", CHART_CONFIGS)
     def test_closed_form_chart_matches_the_qr_oracle(self, signature, carrier, wtilde):
         cfg = dimension_config(signature, carrier, wtilde)

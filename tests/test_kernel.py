@@ -1,15 +1,20 @@
 import numpy as np
 import pytest
 
-from bruckloops.errors import InversesDisagree
+from bruckloops.errors import InversesDisagree, NotPositiveDefinite
 from bruckloops.extension import extension_config
 from bruckloops.groups import SampleStream, SignatureForm, standard_boost
 from bruckloops.kernel import (
+    aip,
+    bol,
     check_aip,
     check_bol,
     check_left_a,
     check_loop_axioms,
+    drive,
     inverse_of,
+    left_a,
+    step,
 )
 from bruckloops.matrixloop import MatrixLoop
 from conftest import one
@@ -112,6 +117,56 @@ def test_join_broadcasts_a_single_element(form321c, join):
     joined = loop.join(loop.identity, xs)
     assert loop.distance(joined[:3], loop.identity).max() == 0.0
     assert loop.distance(joined[3:], xs).max() == 0.0
+
+
+@pytest.mark.parametrize("join", ["matrix", "extension"])
+def test_join_concatenates_stacks_of_any_lengths(form321c, join):
+    loop = MatrixLoop(form321c) if join == "matrix" else extension_config(form321c)
+    xs, _ = draw(loop, SampleStream(4), 4)
+    joined = loop.join(xs[:1], xs[1:])
+    arrays = (lambda e: (e,)) if join == "matrix" else (lambda e: (e.w, e.rho))
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(arrays(joined), arrays(xs)))
+
+
+class TestDrive:
+    def test_steps_driven_together_share_each_level(self, monkeypatch, mloop):
+        # bol, AIP and left-A on stacks of 1, 4 and 3 samples: alone they
+        # make 3 + 2 + 4 products, together 5, and each value is its
+        # checker's.  The first three products serve every steps that
+        # waits on one; left-A's division shares AIP's left division; AIP's
+        # inverse gap is a distance, which waits until nothing else does,
+        # so AIP's last product comes after left-A's, a call of its own
+        stream = SampleStream(12)
+        samples = [(bol, check_bol, 1, 3), (aip, check_aip, 4, 2), (left_a, check_left_a, 3, 4)]
+        slots = [sample_tuples(mloop, stream.split(100 * k), n, size) for k, (*_, n, size) in enumerate(samples)]
+        alone = [checker(mloop, *xs) for (_, checker, *_), xs in zip(samples, slots)]
+        sizes, real = [], MatrixLoop.mul
+        monkeypatch.setattr(MatrixLoop, "mul", lambda self, a, b: sizes.append(len(a)) or real(self, a, b))
+        outcomes = drive([steps(mloop, *xs) for (steps, *_), xs in zip(samples, slots)])
+        assert [o.value for o in outcomes] == alone and all(o.error is None for o in outcomes)
+        assert sizes == [2 + 4 + 6, 2 + 9, 2 + 9, 3, 4]
+        assert all(o.seconds > 0.0 for o in outcomes)
+
+    def test_a_breakdown_is_thrown_into_the_steps_that_met_it(self, mloop):
+        # a zero right operand breaks the shared left division; re-run per
+        # request, only the steps whose operands hold it meet the error
+        a, _ = draw(mloop, SampleStream(6), 3)
+
+        def divide(c, catch):
+            try:
+                return (yield from step(mloop, "left_divide", a, c))
+            except NotPositiveDefinite as exc:
+                if catch:
+                    return str(exc)
+                raise
+
+        broken = np.concatenate([a[:1], np.zeros((2, 3, 3))])
+        good, caught, failed = drive([divide(a, False), divide(broken, True), divide(broken, False)])
+        assert good.error is None and good.value.tobytes() == mloop.left_divide(a, a).tobytes()
+        with pytest.raises(NotPositiveDefinite) as alone:
+            mloop.left_divide(a, broken)
+        assert caught.error is None and caught.value == str(alone.value)
+        assert isinstance(failed.error, NotPositiveDefinite) and str(failed.error) == str(alone.value)
 
 
 class TestTwoSidedInverses:
