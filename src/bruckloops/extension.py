@@ -10,7 +10,10 @@ orbit subspace is identified by the pair
 and the direction is in turn carried by a canonical positive-definite lift,
 so an element is stored as ``(w, rho)``.  The loop operations run on these
 coordinates: ``realize`` gives the point w and the carrier columns of rho,
-and ``omega`` reads coordinates off any point and spanning frame.  Canonical
+and ``omega`` reads coordinates off any point and spanning frame: a
+product or a left division is the coordinates of a moved subspace, so
+``ExtensionConfig.run`` reads those of several calls with one ``omega``
+call, which the kernel's driver shares among them.  Canonical
 subspaces serve only where a minimum-norm base is read: the transversal,
 ``distance`` and the ``solve_translation`` property.
 
@@ -64,7 +67,7 @@ from .groups import (
     sigma_from_spectrum,
     unit_uniforms,
 )
-from .linalg import concat, dag, eig_hermitian, matrix_from_json, matrix_to_json, mv, spectral_map
+from .linalg import concat, dag, eig_hermitian, matrix_from_json, matrix_to_json, mv, pieces, spectral_map
 from .matrixloop import MatrixLoop
 
 _W_SCALE = 1.0  # sampled transversal points have frame coordinates in [-1, 1]
@@ -113,6 +116,8 @@ class ExtensionConfig:
     carrier: int
     wtilde: AffineSubspace
 
+    primitive = {"mul": "omega", "left_divide": "omega"}
+
     @property
     def carrier_dim(self) -> int:
         return self.form.p1 if self.carrier == 1 else self.form.p2
@@ -129,15 +134,43 @@ class ExtensionConfig:
     def identity(self) -> "ExtensionElement":
         return ExtensionElement(np.zeros(self.form.n, dtype=self.form.dtype), self.mat.identity)
 
+    def identity_like(self, a: "ExtensionElement") -> "ExtensionElement":
+        """The identity filling the batch shape of ``a``: read-only views."""
+        return ExtensionElement(np.broadcast_to(self.identity.w, a.w.shape), self.mat.identity_like(a.rho))
+
     def join(self, *parts):
         return ExtensionElement(concat(*(p.w for p in parts)), concat(*(p.rho for p in parts)))
 
+    def run(self, calls: list) -> list:
+        """The result of each of ``calls``, ``(operation, operands)`` pairs
+        of one primitive: the moved subspaces of the operations in
+        ``primitive``, their batch axes read as one, through one ``omega``
+        call; any other operation is a call of its own."""
+        if calls[0][0] not in self.primitive:
+            ((operation, operands),) = calls
+            return [getattr(self, operation)(*operands)]
+        moved = [self._moved(operation, *operands) for operation, operands in calls]
+        if len(moved) == 1:
+            return [omega(moved[0], self)]
+        flat = [s.reshape((-1,)) for s in moved]
+        both = AffineSubspace(concat(*(s.base for s in flat)), concat(*(s.frame for s in flat)))
+        coordinates = pieces(omega(both, self), [len(s.base) for s in flat])
+        return [x.reshape(s.base.shape[:-1]) for s, x in zip(moved, coordinates)]
+
+    def _moved(self, operation: str, a, c) -> AffineSubspace:
+        """The subspace whose coordinates ``operation`` reads: c's under a's
+        left translation x -> rho x + w for mul(a, c), under its inverse
+        for left_divide(a, c)."""
+        if operation == "mul":
+            return apply(a.rho, realize(c, self), a.w)
+        ainv = self.mat.inverse(a.rho)
+        return apply(ainv, realize(c, self), -mv(ainv, a.w))
+
     def mul(self, a, b):
-        return ext_mul(a, b, self)
+        return self.run([("mul", (a, b))])[0]
 
     def left_divide(self, a, c):
-        ainv = self.mat.inverse(a.rho)
-        return omega(apply(ainv, realize(c, self), -mv(ainv, a.w)), self)
+        return self.run([("left_divide", (a, c))])[0]
 
     def right_divide(self, c, a):
         rho = self.mat.right_divide(c.rho, a.rho)
@@ -212,6 +245,11 @@ class ExtensionElement:
     def __len__(self) -> int:
         """The length of a stack's first batch axis."""
         return len(self.w)
+
+    def reshape(self, batch: tuple) -> "ExtensionElement":
+        """The stack with its batch axes read as the shape ``batch``."""
+        n = self.w.shape[-1]
+        return ExtensionElement(self.w.reshape(batch + (n,)), self.rho.reshape(batch + (n, n)))
 
     def to_json(self, form: SignatureForm) -> dict:
         return {"w": matrix_to_json(self.w.reshape(1, -1))[0], "rho": element_to_json(self.rho, form)}
@@ -298,19 +336,26 @@ def ext_mul(e1: ExtensionElement, e2: ExtensionElement, cfg: ExtensionConfig) ->
     Its direction part is the graph lift of the image direction, which
     agrees with the matrix-loop product of the direction lifts (the
     positive factor of rho1 rho2) without computing it."""
-    return omega(apply(e1.rho, realize(e2, cfg), e1.w), cfg)
+    return cfg.mul(e1, e2)
+
+
+def translation_operands(d1: AffineSubspace, d2: AffineSubspace, cfg: ExtensionConfig) -> ExtensionElement:
+    """The coordinates of d2 and of d1, stacked on a new first axis in that
+    order, whose right division is the pair mapping d1 onto d2: one
+    ``omega`` call on the stacked pair.  A base and a frame of different
+    batch shapes are first copied out to one."""
+    d1, d2 = d1.broadcast(), d2.broadcast()
+    pair = AffineSubspace(concat(d2.base[None], d1.base[None]), concat(d2.frame[None], d1.frame[None]))
+    return omega(pair, cfg)
 
 
 def solve_translation(
     d1: AffineSubspace, d2: AffineSubspace, cfg: ExtensionConfig
 ) -> tuple[np.ndarray, np.ndarray]:
     """The unique (translation along the transversal, positive isometry)
-    pair mapping d1 onto d2: the right division of their coordinates, both
-    read by one ``omega`` call on the stacked pair.  A base and a frame of
-    different batch shapes are first copied out to one."""
-    d1, d2 = d1.broadcast(), d2.broadcast()
-    pair = AffineSubspace(concat(d2.base[None], d1.base[None]), concat(d2.frame[None], d1.frame[None]))
-    both = omega(pair, cfg)
+    pair mapping d1 onto d2: the right division of their coordinates,
+    ``translation_operands``."""
+    both = translation_operands(d1, d2, cfg)
     x = cfg.right_divide(both[0], both[1])
     return x.w, x.rho
 

@@ -320,6 +320,19 @@ def phi_from_uniforms(form: SignatureForm, u: np.ndarray) -> np.ndarray:
     return dec.apply(np.cos(t)) + k @ dec.apply(np.sinc(t / np.pi))
 
 
+def require_isometry(s: np.ndarray, form: SignatureForm) -> None:
+    """NotInGroup unless ``s``, or every matrix of a stack, is an isometry
+    of determinant 1 to the membership bound: what ``polar_factorize``
+    splits."""
+    if s.shape[-2:] != (form.n, form.n):
+        raise DimensionMismatch(f"expected {form.n}x{form.n}, got {s.shape}")
+    j = form.j_matrix()
+    iso_res = np.max(fro(dag(s) @ j @ s - j), initial=0.0)
+    det_res = np.max(np.abs(np.linalg.det(s) - 1.0), initial=0.0)
+    if not iso_res <= MEMBERSHIP_TOLERANCE or det_res > MEMBERSHIP_TOLERANCE:
+        raise NotInGroup(f"isometry residual {iso_res:.3e}, det residual {det_res:.3e}")
+
+
 def polar_factorize(s: np.ndarray, form: SignatureForm):
     """Split an isometry of determinant 1, or each of a stack, into its
     unique Sigma * Phi pair.
@@ -329,13 +342,7 @@ def polar_factorize(s: np.ndarray, form: SignatureForm):
     blocks negated, so the Phi factor S1^{-1} S = (J S1 J) S costs no second
     spectral call and no product by J.
     """
-    if s.shape[-2:] != (form.n, form.n):
-        raise DimensionMismatch(f"expected {form.n}x{form.n}, got {s.shape}")
-    j = form.j_matrix()
-    iso_res = np.max(fro(dag(s) @ j @ s - j), initial=0.0)
-    det_res = np.max(np.abs(np.linalg.det(s) - 1.0), initial=0.0)
-    if not iso_res <= MEMBERSHIP_TOLERANCE or det_res > MEMBERSHIP_TOLERANCE:
-        raise NotInGroup(f"isometry residual {iso_res:.3e}, det residual {det_res:.3e}")
+    require_isometry(s, form)
     s1 = positive_factor(s, form)
     return s1, (s1 * form.signs()) @ s
 

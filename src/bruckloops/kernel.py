@@ -12,25 +12,32 @@ checker takes its samples as element stacks, one per slot of the identity
 
 Every identity is written as steps, a generator that runs it level by
 level.  At each level it yields its requests, a non-empty list of
-``(loop, operation, operands)``: the name of a ``Loop`` method and its
+``(loop, operation, operands)``: the name of a ``Loop`` operation and its
 operand stacks, all of one length.  It receives their results in the same
 order and finally returns its value.  Within a level the independent
 operations of one kind (``x*z`` with ``y*x``, the three inverses of AIP,
 the three lambda evaluations of left-A) are already one request on the
 operand stacks ``Loop.join`` concatenates, split back by slicing.
 
-``drive`` advances many steps together.  While requests wait, it takes
-every waiting request of one ``(loop, operation)`` (the group with the
-most elements first, the one waiting longest on a tie, and ``distance``
-only when nothing else waits), makes one call on their
-operands joined with plain concatenation and slices the result back to
-each request.  A call on a stack gives each element the bits a call of
-its own gives it, so only the number of calls depends on who shares them.
-A numeric breakdown in a shared call re-runs it once per request, so only
-the steps whose own operands break fail, each with the error its own call
-raises; a breakdown is thrown into its steps, and one that escapes ends
-them.  Each steps' seconds are its own time in the generator plus a share
-of every call it took part in, in proportion to the elements it gave.
+``drive`` advances many steps together.  Every operation of a loop rests
+on a primitive, ``Loop.primitive``: the matrix loop's products and
+divisions on one ``positive_factor``, the extension loop's products and
+left divisions on one ``omega``; an operation not named there is a
+primitive of its own.  While requests wait, ``drive`` takes every waiting
+request of one loop and primitive (the group with the most elements
+first, the one waiting longest on a tie, and the readings ``distance``
+and ``membership`` only when nothing else waits), joins the operands of
+each operation's requests with plain concatenation, hands the operations
+to one ``Loop.run``, which makes one call of the primitive on them all
+(the matrix loop's, past a size bound, one call per operation), and
+slices the results back to each request.  A call on a stack gives
+each element the bits a call of its own gives it, so only the number of
+calls depends on who shares them.  A numeric breakdown in a shared call
+re-runs it once per request, so only the steps whose own operands break
+fail, each with the error its own call raises; a breakdown is thrown into
+its steps, and one that escapes ends them.  Each steps' seconds are its
+own time in the generator plus a share of every call it took part in, in
+proportion to the elements it gave.
 
 The checkers ``check_*`` are ``drive`` run on one generator.  The
 per-element residuals are folded with max from 0: appending samples can
@@ -41,15 +48,17 @@ elements.
 from __future__ import annotations
 
 import time
-from itertools import accumulate
 from typing import Any, Protocol
 
 import numpy as np
 
 from .errors import BruckLoopsError, InversesDisagree
-from .linalg import worst
+from .linalg import pieces, worst
 
 INVERSE_GAP = 1e-9  # largest distance between e/x and x\e that inverse_of accepts
+# Operations that read results rather than make them: a group of them runs
+# only when nothing else waits, so every steps' readings share one call.
+READINGS = ("distance", "membership")
 
 # A numeric breakdown fails the check whose operands raised it, not its caller.
 BREAKDOWN = (BruckLoopsError, np.linalg.LinAlgError)
@@ -64,14 +73,22 @@ class Loop(Protocol):
     stack is indexed along its batch axis and ``len`` counts it.  ``join``
     concatenates its parts along the batch axis; a single element among
     them, such as the identity, first fills a stack of the length of the
-    stacks it joins.  For the matrix loop an element is a plain array, for
-    the extension loop a ``(w, rho)`` pair of arrays; either way the loop,
-    not the element, holds the form.
+    stacks it joins.  ``identity_like(x)`` is the identity filling the
+    batch shape of ``x``, with no copy.  For the matrix loop an element is
+    a plain array, for the extension loop a ``(w, rho)`` pair of arrays;
+    either way the loop, not the element, holds the form.
+
+    ``primitive`` maps each operation that shares a primitive to its name;
+    ``run(calls)`` gives the result of each ``(operation, operands)`` call
+    of one primitive, from one call of it.
     """
 
     identity: Any
+    primitive: dict
 
     def join(self, *parts): ...
+    def identity_like(self, x): ...
+    def run(self, calls: list) -> list: ...
     def mul(self, a, b): ...
     def left_divide(self, a, b): ...
     def right_divide(self, b, a): ...
@@ -108,8 +125,8 @@ def drive(steps: list) -> list:
     outcomes = [Outcome() for _ in steps]
     levels = [None] * len(steps)  # per steps: the results of its requests while it waits
     waiting = [0] * len(steps)  # per steps: how many of its requests still wait
-    groups = {}  # (loop, operation) -> its waiting requests and their (steps index, request index)
-    sizes = {}  # (loop, operation) -> the elements of its waiting requests
+    groups = {}  # (loop, primitive) -> its waiting requests and their (steps index, request index)
+    sizes = {}  # (loop, primitive) -> the elements of its waiting requests
 
     def advance(i: int, results=None, error=None) -> None:
         t0 = time.perf_counter()
@@ -121,18 +138,18 @@ def drive(steps: list) -> list:
             outcomes[i].error = exc
         else:
             levels[i], waiting[i] = [None] * len(requests), len(requests)
-            for k, request in enumerate(requests):
-                key = (id(request[0]), request[1])
+            for k, (loop, operation, operands) in enumerate(requests):
+                key = (id(loop), loop.primitive.get(operation, operation))
                 batch, places = groups.setdefault(key, ([], []))
-                batch.append(request)
+                batch.append((loop, operation, operands))
                 places.append((i, k))
-                sizes[key] = sizes.get(key, 0) + len(request[2][0])
+                sizes[key] = sizes.get(key, 0) + len(operands[0])
         outcomes[i].seconds += time.perf_counter() - t0
 
     for i in range(len(steps)):
         advance(i)
     while groups:
-        key = max(groups, key=lambda key: (key[1] != "distance", sizes[key]))
+        key = max(groups, key=lambda key: (key[1] not in READINGS, sizes[key]))
         batch, places = groups.pop(key)
         del sizes[key]
         results = _call(batch, [outcomes[i] for i, _ in places])
@@ -150,33 +167,37 @@ def drive(steps: list) -> list:
 
 
 def _call(requests: list, outcomes: list) -> list:
-    """The results of ``requests``, all of one loop and operation, from one
-    call on their joined operands, or from one call each when that call
-    breaks down; a request whose own call breaks down gets the exception.
-    Each call's seconds go to the outcomes of its requests, a shared call's
-    in proportion to the elements each request gave."""
-    loop, operation, _ = requests[0]
-    method = getattr(loop, operation)
-    t0 = time.perf_counter()
-    if len(requests) == 1:
-        try:
-            results = [method(*requests[0][2])]
-        except BREAKDOWN as exc:
-            results = [exc]
-        outcomes[0].seconds += time.perf_counter() - t0
-        return results
+    """The results of ``requests``, all of one loop and primitive, from one
+    ``Loop.run`` on each operation's joined operands, or from one run each
+    when that breaks down; a request whose own run breaks down gets the
+    exception.  Each run's seconds go to the outcomes of its requests, a
+    shared run's in proportion to the elements each request gave."""
+    loop = requests[0][0]
+    by_operation = {}  # operation -> the indices of its requests, in order
+    for k, (_, operation, _) in enumerate(requests):
+        by_operation.setdefault(operation, []).append(k)
     counts = [len(operands[0]) for *_, operands in requests]
-    joined = [loop.join(*parts) for parts in zip(*(operands for *_, operands in requests))]
+    t0 = time.perf_counter()
+    calls = []
+    for operation, ks in by_operation.items():
+        operands = [requests[k][2] for k in ks]  # a lone request's are passed as they are
+        calls.append((operation, operands[0] if len(ks) == 1 else [loop.join(*parts) for parts in zip(*operands)]))
     try:
-        stacked = method(*joined)
-    except BREAKDOWN:
-        stacked = None
+        stacked = loop.run(calls)
+    except BREAKDOWN as exc:
+        stacked = exc
     elapsed, total = time.perf_counter() - t0, sum(counts)
     for outcome, count in zip(outcomes, counts):
         outcome.seconds += elapsed * (count / total if total else 1 / len(requests))
-    if stacked is None:
+    if isinstance(stacked, BREAKDOWN):
+        if len(requests) == 1:
+            return [stacked]
         return [_call([request], [outcome])[0] for request, outcome in zip(requests, outcomes)]
-    return [stacked[end - count : end] for count, end in zip(counts, accumulate(counts))]
+    results = [None] * len(requests)
+    for ks, stack in zip(by_operation.values(), stacked):
+        for k, result in zip(ks, pieces(stack, [counts[k] for k in ks])):
+            results[k] = result
+    return results
 
 
 def run(steps):
@@ -211,9 +232,7 @@ def bol(loop: Loop, x, y, z):
 def inverse_gap(loop: Loop, x):
     """Steps: the right inverse e/x and its distance to the left inverse
     x\\e, per element."""
-    # a request's operands are stacks of one length: the identity once per
-    # element of x, joined in front of (a copy of) x itself
-    e, x = split(loop.join(loop.identity, x), len(x), 2)
+    e = loop.identity_like(x)  # a view: filled by a shared call's join, passed as it is alone
     right, left = yield [(loop, "right_divide", (e, x)), (loop, "left_divide", (x, e))]
     return right, (yield from step(loop, "distance", right, left))
 

@@ -21,10 +21,10 @@ The whole layer takes stacks: ``dag``, ``fro``, ``symmetrize``,
 ``eig_hermitian``, ``SpectralDecomposition.apply`` and ``spectral_map``
 accept arrays of shape ``(..., n, n)`` and act on the last two axes, one
 LAPACK call for the whole stack; ``mv`` multiplies stacks of matrices and
-vectors, and ``concat`` joins stacks.  ``orthonormalize`` takes stacks
-(..., n, k) of frames the same way, one QR call.  Every check is made per
-matrix, and a 2-D input is the stack with no batch axes: a matrix gives
-the same bits alone as inside a stack.  The glue around the LAPACK calls
+vectors, ``concat`` joins stacks and ``pieces`` cuts them back.
+``orthonormalize`` takes stacks (..., n, k) of frames the same way, one QR
+call.  Every check is made per matrix, and a 2-D input is the stack with
+no batch axes: a matrix gives the same bits alone as inside a stack.  The glue around the LAPACK calls
 copies nothing it need not: ``dag`` of a real array is a transpose view,
 ``concat`` broadcasts only parts whose shapes differ, and ``eig_hermitian``
 takes one conjugate transpose for its check and its symmetrization.
@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -112,6 +113,14 @@ def concat(*stacks: np.ndarray) -> np.ndarray:
         shape = max(stacks, key=np.ndim).shape
         stacks = [s if s.ndim == len(shape) else np.broadcast_to(s, shape) for s in stacks]
     return np.concatenate(stacks)
+
+
+def pieces(stack, lengths: list) -> list:
+    """The consecutive stacks of the given lengths that ``concat``, or a
+    loop's ``join``, joined into ``stack``; one length is the whole stack."""
+    if len(lengths) == 1:
+        return [stack]
+    return [stack[end - length : end] for length, end in zip(lengths, accumulate(lengths))]
 
 
 def symmetrize(a: np.ndarray) -> np.ndarray:

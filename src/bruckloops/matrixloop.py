@@ -10,9 +10,17 @@ x = A^{-1} sqrt(A B^2 A) A^{-1}.
 
 Every element is a hermitian isometry, A J A = J, so its inverse is
 A^{-1} = J A J: a sign flip of the off-diagonal blocks, by the form's sign
-pattern, with no matrix product and no spectral call.  Every other
-operation costs one p2 x p2 eigendecomposition, that of
-``groups.positive_factor``, which builds the result in block coordinates.
+pattern, with no matrix product and no spectral call.  So every operation
+is one primitive, ``groups.positive_factor`` of a product (a b, J a J c,
+a b), one p2 x p2 eigendecomposition that builds the result in block
+coordinates, and right division then finishes A^{-1} root A^{-1}.
+``run`` takes the calls of several operations at once, forms each one's
+product, makes one ``positive_factor`` call on them all and cuts it back,
+so the kernel's driver shares one spectral call among a loop's waiting
+products and divisions; past ``_JOIN_BYTES`` of products it factors each
+operation's apart.  Each operation is ``run`` on its own call.
+``membership`` reads the worst Sigma membership residual of each element,
+the suite's closure rows' request.
 
 An element is a plain (n, n) array and a stack (..., n, n) is that many
 elements; the loop holds the form.  Every operation and ``distance``
@@ -20,7 +28,7 @@ take stacks, operands broadcast over the batch axes, and each
 operation is one LAPACK call for the whole stack, which gives each matrix
 the same bits as a call of its own.  The identity is a single read-only
 matrix, built once per form, and broadcasts against any stack, ``join``
-among them.
+among them; ``identity_like`` fills a stack with it, a view with no copy.
 
 Products of three matrices are evaluated strictly left to right, results
 are assembled from their blocks or re-symmetrized, and the eigensolver
@@ -37,9 +45,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import SignatureForm, positive_factor
+from .groups import SignatureForm, membership_residual, positive_factor
 # spectral_map is held for bench/tests/test_bench.py; groups.positive_factor calls it
-from .linalg import concat, fro, spectral_map, symmetrize  # noqa: F401
+from .linalg import concat, fro, pieces, spectral_map, symmetrize  # noqa: F401
+
+# The product whose positive factor each operation takes: a b for
+# mul(a, b), A^{-1} c for left_divide(a, c), and a b for right_divide(b, a).
+_PRODUCTS = {
+    "mul": lambda loop, a, b: a @ b,
+    "left_divide": lambda loop, a, c: loop.inverse(a) @ c,
+    "right_divide": lambda loop, b, a: a @ b,
+}
+
+# The most bytes of products that ``run`` joins for one ``positive_factor``
+# call.  Sharing a call saves its fixed cost, which shows only on small
+# stacks: two divisions' products took 0.73-0.80 of the time of two calls
+# joined at 2 KiB, 0.89-0.94 at 32-36 KiB and 1.1-1.2 from 256 KiB on
+# ((4,2,2) real, (3,2,1) and (6,3,3) complex).  A joined stack also holds
+# all its temporaries at once: AIP's inverse gap at 1,000 samples and
+# (20,10,10) complex peaked 229 MB above its draw joined, 127 MB apart.
+_JOIN_BYTES = 1 << 17
 
 
 def frobenius_distance(a: np.ndarray, b: np.ndarray):
@@ -54,13 +79,52 @@ class MatrixLoop:
 
     distance = staticmethod(frobenius_distance)
     join = staticmethod(concat)
+    primitive = dict.fromkeys(_PRODUCTS, "positive_factor")
 
     @property
     def identity(self) -> np.ndarray:
         return self.form.eye()
 
+    def identity_like(self, a: np.ndarray) -> np.ndarray:
+        """The identity filling the batch shape of ``a``: a read-only view."""
+        return np.broadcast_to(self.form.eye(), a.shape)
+
+    def run(self, calls: list) -> list:
+        """The result of each of ``calls``, ``(operation, operands)`` pairs
+        of one primitive: the products of the operations in ``primitive``,
+        their batch axes read as one, through one ``positive_factor`` call,
+        each right division finished on its own slice; any other operation
+        is a call of its own."""
+        if calls[0][0] not in self.primitive:
+            ((operation, operands),) = calls
+            return [getattr(self, operation)(*operands)]
+        form = self.form
+        matrix_bytes = form.n**2 * np.dtype(form.dtype).itemsize
+        if len(calls) == 1 or sum(len(operands[0]) for _, operands in calls) * matrix_bytes > _JOIN_BYTES:
+            # one call after another, so each product and root goes before the next
+            return [
+                self._finished(operation, operands, positive_factor(_PRODUCTS[operation](self, *operands), form))
+                for operation, operands in calls
+            ]
+        products = [_PRODUCTS[operation](self, *operands) for operation, operands in calls]
+        flat = [p.reshape(-1, form.n, form.n) for p in products]  # batch axes read as one, single matrices too
+        roots = pieces(positive_factor(concat(*flat), form), [len(f) for f in flat])
+        return [
+            self._finished(operation, operands, root.reshape(p.shape))
+            for (operation, operands), p, root in zip(calls, products, roots)
+        ]
+
+    def _finished(self, operation: str, operands: tuple, root: np.ndarray) -> np.ndarray:
+        """An operation's result from the positive factor of its product:
+        right division's x = A^{-1} sqrt(A B^2 A) A^{-1}, the factor itself
+        otherwise."""
+        if operation != "right_divide":
+            return root
+        ainv = self.inverse(operands[1])
+        return symmetrize((ainv @ root) @ ainv)
+
     def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return positive_factor(a @ b, self.form)
+        return self.run([("mul", (a, b))])[0]
 
     def inverse(self, a: np.ndarray) -> np.ndarray:
         """A^{-1} = J A J, exact for a hermitian isometry: A with its
@@ -68,10 +132,12 @@ class MatrixLoop:
         return symmetrize(a * self.form.signs())
 
     def left_divide(self, a: np.ndarray, c: np.ndarray) -> np.ndarray:
-        return positive_factor(self.inverse(a) @ c, self.form)
+        return self.run([("left_divide", (a, c))])[0]
 
     def right_divide(self, b: np.ndarray, a: np.ndarray) -> np.ndarray:
-        root = positive_factor(a @ b, self.form)
-        ainv = self.inverse(a)
-        return symmetrize((ainv @ root) @ ainv)
+        return self.run([("right_divide", (b, a))])[0]
 
+    def membership(self, a: np.ndarray) -> np.ndarray:
+        """The worst of the Sigma membership residuals of each element:
+        one ``membership_residual`` call for the stack."""
+        return np.max(list(membership_residual(a, self.form).residuals.values()), axis=0)

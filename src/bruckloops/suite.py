@@ -5,29 +5,39 @@ and their keys in the fixed bounds table ``TOLERANCES``, its sample-count
 key (which also selects its slot of the seed's stream), whether it is
 required, its default count, its per-sample draw layout (kinds of value,
 keys of ``PARTS``) and its ``steps``, which return the worst residual of
-each entry.  ``draw_parts`` draws every row's uniforms from the row's own
-slot, all rows in one splitmix64 pass at the usual counts, and evaluates
-each kind's chart once over all rows, so a verify makes one Sigma chart
-call and one Phi chart call, and each row gets its values as slices.
+each entry.  ``layout`` works out every row's part widths once a verify,
+for ``stream_slots`` and ``draw_parts``.  ``draw_parts`` draws every row's
+uniforms from the row's own slot, all rows in one splitmix64 pass at the
+usual counts, and evaluates each kind's chart over all rows, in calls of
+at most ``_CHART_BYTES`` of values, so a verify at small counts makes one
+Sigma chart call and one Phi chart call, and each row gets its values as
+slices.
 
 A row's steps are a generator in the kernel's step protocol: at each
-dependency level it yields its loop operations, each one request on the
-joined stacks of its elements, and it folds the per-element residuals
-with max.  A row that calls no loop operation finishes at its first step.
-``run_suite`` hands the steps of consecutive rows, as many as fit
-``_STEPS_BYTES`` of drawn values (all rows at small counts), to one
-``kernel.drive``, which advances them together: the waiting requests of
-one loop operation share one stacked call, whatever row they come from,
-so a verify makes far fewer calls than its rows make levels, and every
-residual keeps the bits of its row run alone.  A numeric breakdown (any
-package error or ``LinAlgError``) in a shared call is re-run row by row,
-so it fails only the rows whose own operands break.  A breakdown inside a
-row, or inside a chart serving it, becomes failed entries carrying
-``detail.error``, so the report is still written.  A check inside a
-stacked call covers the whole stack, so ``detail.error`` names the worst
-matrix of the row's stack, not the first failing sample.  A row's
-``seconds`` are its own time in its steps plus a share of every call it
-took part in, in proportion to the elements it gave.
+dependency level it yields its requests, each one request on the joined
+stacks of its elements, and it folds the per-element residuals with max.
+Every row but ``transversality``, which finishes at its first step, asks
+for its loop work this way: ``factorization`` its positive factor as a
+matrix product, ``solve_translation`` its right division on the flattened
+stack of its exact and perturbed pairs, and the closure rows their
+membership residuals, a request that, like ``distance``, runs only when
+nothing else waits.  ``run_suite`` hands the steps of consecutive rows, as
+many as fit ``_STEPS_BYTES`` of drawn values (all rows at small counts),
+to one ``kernel.drive``, which advances them together: the waiting
+requests of one loop and primitive share one call, whatever row and
+operation they come from (the matrix loop's products and divisions one
+``positive_factor`` call, the extension loop's products and left
+divisions one ``omega`` call), so a verify makes far fewer calls than its
+rows make levels, and every residual keeps the bits of its row run alone.
+A numeric breakdown (any package error or ``LinAlgError``) in a shared
+call is re-run request by request, so it fails only the rows whose own
+operands break.  A breakdown inside a row, or inside a chart
+serving it, becomes failed entries carrying ``detail.error``, so the
+report is still written.  A check inside a stacked call covers the whole
+stack, so ``detail.error`` names the worst matrix of the row's stack, not
+the first failing sample.  A row's ``seconds`` are its own time in its
+steps plus a share of every call it took part in, in proportion to the
+elements it gave.
 
 ``run_suite`` samples from a resolved ``ExtensionConfig``, which holds the
 form and the matrix loop; it reads no file and parses no argument.  The
@@ -38,7 +48,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Callable
 
 import numpy as np
@@ -49,10 +58,9 @@ from .groups import (
     MEMBERSHIP_TOLERANCE,
     SampleStream,
     conjugate_by_phi,
-    membership_residual,
     phi_from_uniforms,
     phi_width,
-    polar_factorize,
+    require_isometry,
     sample_parts,
     scale,
     sigma_from_uniforms,
@@ -60,7 +68,7 @@ from .groups import (
     unit_uniforms,
 )
 from .kernel import BREAKDOWN, INVERSE_GAP, Outcome, aip, bol, drive, inverse_gap, left_a, loop_axioms, step
-from .linalg import fro, worst
+from .linalg import fro, pieces, worst
 
 # The fixed acceptance bound of each kind of report entry; every entry
 # carries its bound as ``tolerance``.
@@ -113,16 +121,6 @@ class Property:
     steps: Callable
 
 
-def _plain(check: Callable) -> Callable:
-    """A row that calls no loop operation, as steps that finish at once."""
-
-    def steps(loop: ext.ExtensionConfig, *parts):
-        yield from ()
-        return check(loop, *parts)
-
-    return steps
-
-
 def _on_lifts(identity: Callable) -> Callable:
     """A kernel identity's steps as a row on the matrix loop of the lifts."""
 
@@ -148,22 +146,27 @@ def _elements(parts) -> list:
 
 def _sigma_closure(loop: ext.ExtensionConfig, a, b):
     product = yield from step(loop.mat, "mul", a, b)
-    return (membership_residual(product, loop.form).max_residual,), None
+    return (worst((yield from step(loop.mat, "membership", product))),), None
 
 
 def _conjugation_closure(loop: ext.ExtensionConfig, a, b):
-    return (membership_residual(conjugate_by_phi(a, b), loop.form).max_residual,), None
+    return (worst((yield from step(loop.mat, "membership", conjugate_by_phi(a, b)))),), None
 
 
 def _factorization(loop: ext.ExtensionConfig, s1, c):
-    """Recovery of both sampled factors, and the relative reconstruction."""
+    """Recovery of both sampled factors, and the relative reconstruction,
+    from ``polar_factorize`` of m = s1 c: its check inline, its positive
+    factor sqrt(m m*) as the matrix loop's product s1 * c."""
     m = s1 @ c
-    f1, f2 = polar_factorize(m, loop.form)
+    require_isometry(m, loop.form)
+    f1 = yield from step(loop.mat, "mul", s1, c)
+    f2 = (f1 * loop.form.signs()) @ m
     recovery = worst(np.abs(f1 - s1), np.abs(f2 - c))
     return (recovery, worst(fro(f1 @ f2 - m) / fro(m))), None
 
 
 def _transversality(loop: ext.ExtensionConfig, rhos):
+    yield from ()  # a row that calls no loop operation finishes at its first step
     tr = geometry.transversality_check(loop.wtilde, rhos, loop.carrier_subspace())
     # with no sample checked the margin is still inf, which strict JSON refuses
     return (0.0,), {"worst_margin": tr.worst_margin} if tr.samples else None
@@ -191,7 +194,8 @@ def _solve_translation(loop: ext.ExtensionConfig, w1, rho1, w2, rho2, noise):
     """Sharp transitivity, and the solution's drift when both subspaces, in
     canonical form, are moved by 1e-10.  Both elements of a sample are
     realized and canonicalized as one stack, and the exact and perturbed
-    pairs are solved in one call.
+    pairs are read by one ``omega`` call and divided by one request on
+    their flattened stack.
 
     The drift reads the conditioning of the map from subspace pairs to
     their translation, not rounding: it is exactly linear in the jiggle (a
@@ -204,7 +208,10 @@ def _solve_translation(loop: ext.ExtensionConfig, w1, rho1, w2, rho2, noise):
     dp = _perturb(d, noise.reshape(len(noise), 2, noise.shape[-1] // 2).swapaxes(0, 1))
     pairs = geometry.AffineSubspace(np.stack([d.base, dp.base]), np.stack([d.frame, dp.frame]))
     # one solve for (d1 | d1p) onto (d2 | d2p): index 0 exact, 1 perturbed
-    t, rho = ext.solve_translation(pairs[:, 0], pairs[:, 1], loop)
+    both = ext.translation_operands(pairs[:, 0], pairs[:, 1], loop)
+    x = yield from step(loop, "right_divide", both[0].reshape((-1,)), both[1].reshape((-1,)))
+    x = x.reshape(both.w.shape[1:-1])
+    t, rho = x.w, x.rho
     moved = geometry.apply(rho[0], d[0], t[0])
     stability = np.linalg.norm(t[1] - t[0], axis=-1) + fro(rho[1] - rho[0])
     return (worst(geometry.subspace_distance(moved, d[1])), worst(stability)), None
@@ -230,13 +237,12 @@ PROPERTIES = (
     Property("aip", 1000, True, (("aip", "identity"),), ("sigma",) * 2, _on_lifts(aip)),
     Property("left_a", 500, False, (("left_a", "identity"),), ("sigma",) * 4, _on_lifts(left_a)),
     Property("conjugation_closure", 500, True, (("conjugation_closure", "membership"),), ("sigma", "phi"),
-             _plain(_conjugation_closure)),
+             _conjugation_closure),
     Property("factorization", 500, True,
              (("factorization_recovery", "factor"),
               ("factorization_reconstruction", "factor_reconstruction")),
-             ("sigma", "phi"), _plain(_factorization)),
-    Property("transversality", 200, True, (("transversality", "membership"),), ("sigma",),
-             _plain(_transversality)),
+             ("sigma", "phi"), _factorization),
+    Property("transversality", 200, True, (("transversality", "membership"),), ("sigma",), _transversality),
     Property("ext_loop_axioms", 500, True, (("ext_loop_axioms", "identity"),), _ELEMENT * 2,
              _on_elements(loop_axioms)),
     Property("ext_infinity_compat", 500, True, (("ext_infinity_compat", "membership"),), _ELEMENT * 2,
@@ -245,7 +251,7 @@ PROPERTIES = (
     Property("ext_aip", 100, False, (("ext_aip", "inverse"),), _ELEMENT, _ext_aip),
     Property("solve_translation", 200, True,
              (("solve_translation", "solve"), ("solve_translation_stability", "solve_stability")),
-             _ELEMENT * 2 + ("noise",), _plain(_solve_translation)),
+             _ELEMENT * 2 + ("noise",), _solve_translation),
 )
 
 DEFAULT_SAMPLES = {row.key: row.default_samples for row in PROPERTIES} | {"dimension_points": 20}
@@ -258,10 +264,18 @@ DEFAULT_SAMPLES = {row.key: row.default_samples for row in PROPERTIES} | {"dimen
 # drawn rather than left to exhaust memory or overflow the draw.
 MAX_SAMPLES = 100_000
 
-# The most values one chart call maps: what one row may draw, MAX_SAMPLES
-# times the widest layout, so pooling the rows' draws does not enlarge a
-# chart's temporaries.
-_CHART_CHUNK = MAX_SAMPLES * max(len(row.draw) for row in PROPERTIES)
+# The most uniforms one splitmix64 pass of the draw computes: MAX_SAMPLES
+# times the widest layout, so pooling the rows' draws takes no larger pass
+# than some row's own.
+_DRAW_CHUNK = MAX_SAMPLES * max(len(row.draw) for row in PROPERTIES)
+
+# The most bytes of values, counted as n x n matrices, that one chart call
+# maps, as ``extension._CHART_BYTES`` bounds the dimension chart's passes.
+# 8 MiB takes every value of a kind in one call at 8 samples a row up to
+# n = 50 complex, and at the default counts up to n = 6 complex and n = 8
+# real, and bounds the temporaries of a larger draw: the values of a kind
+# are then assembled in one array, one call's worth at a time.
+_CHART_BYTES = 1 << 23
 
 # The most bytes of drawn values, counted as n x n matrices, whose rows are
 # driven together.  Sharing a call saves its fixed cost, which shows only
@@ -297,58 +311,66 @@ def _packed(items: list, sizes: list, room: int) -> list:
 
 def _chart(loop: ext.ExtensionConfig, kind: str, us: list) -> list:
     """The values of ``kind`` that each stack of unit uniforms in ``us``
-    (m, width) draws, one stack for each, from one chart call on them all
-    per ``_CHART_CHUNK`` values (an empty draw is one call on the empty
-    stack); or, for each, the breakdown the chart raised."""
+    (m, width) draws, one stack for each, from chart calls on them all of
+    at most ``_CHART_BYTES`` of values each (an empty draw is one call on
+    the empty stack); or, for each, the breakdown the chart raised."""
     u, chart = np.concatenate(us), PARTS[kind][1]
+    chunk = max(1, _CHART_BYTES // (loop.form.n**2 * np.dtype(loop.form.dtype).itemsize))
     try:
-        chunks = [chart(loop, u[k : k + _CHART_CHUNK]) for k in range(0, max(len(u), 1), _CHART_CHUNK)]
+        values = chart(loop, u[:chunk])
+        if len(u) > chunk:
+            whole = np.empty((len(u),) + values.shape[1:], values.dtype)
+            whole[:chunk] = values
+            for k in range(chunk, len(u), chunk):
+                whole[k : k + chunk] = chart(loop, u[k : k + chunk])
+            values = whole
     except BREAKDOWN as exc:
         return [exc] * len(us)
-    values = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
-    return [values[end - len(x) : end] for x, end in zip(us, accumulate(len(x) for x in us))]
+    return pieces(values, [len(x) for x in us])
 
 
-def _widths(loop: ext.ExtensionConfig, row: Property) -> list:
-    """How many uniforms each part of one sample of ``row`` draws."""
-    return [PARTS[kind][0](loop) for kind in row.draw]
+def layout(loop: ext.ExtensionConfig) -> dict:
+    """How many uniforms each part of one sample of each row draws, by row
+    key: each kind's width worked out once, for the whole verify."""
+    width = {kind: part_width(loop) for kind, (part_width, _) in PARTS.items()}
+    return {row.key: [width[kind] for kind in row.draw] for row in PROPERTIES}
 
 
-def stream_slots(loop: ext.ExtensionConfig, counts: dict) -> dict:
+def stream_slots(loop: ext.ExtensionConfig, counts: dict, widths: dict) -> dict:
     """Where each row, and the dimension check, draws on the seed's stream:
-    (offset, uniforms drawn) by sample-count key.  Key k in sorted order
-    starts at (k + 1) strides, a stride being 10,000,000 or the largest
-    draw if that is larger, so no two draws share a uniform."""
-    sizes = {row.key: counts[row.key] * sum(_widths(loop, row)) for row in PROPERTIES}
+    (offset, uniforms drawn) by sample-count key, for the row ``widths`` of
+    ``layout``.  Key k in sorted order starts at (k + 1) strides, a stride
+    being 10,000,000 or the largest draw if that is larger, so no two draws
+    share a uniform."""
+    sizes = {row.key: counts[row.key] * sum(widths[row.key]) for row in PROPERTIES}
     sizes["dimension_points"] = counts["dimension_points"] * ext.expected_dimension(loop)
     stride = max(10_000_000, *sizes.values())
     return {key: ((k + 1) * stride, sizes[key]) for k, key in enumerate(sorted(sizes))}
 
 
-def draw_parts(loop: ext.ExtensionConfig, streams: dict, counts: dict) -> dict:
+def draw_parts(loop: ext.ExtensionConfig, streams: dict, counts: dict, widths: dict) -> dict:
     """Every row's drawn values, by row key: one stack per part of its
-    layout, or the breakdown a chart serving the row raised.
+    layout, of the row ``widths`` of ``layout``, or the breakdown a chart
+    serving the row raised.
 
     Each row draws ``counts[key]`` samples' uniforms from ``streams[key]``,
     sample by sample in layout order, as a sample-by-sample draw would.
     Every stream is on one seed.  Consecutive rows draw together, one
     ``unit_uniforms`` pass over their counters per batch of at most
-    ``_CHART_CHUNK`` uniforms (a larger row is a batch alone), and each
+    ``_DRAW_CHUNK`` uniforms (a larger row is a batch alone), and each
     row's parts are sliced from it.  Each kind's uniforms, pooled over all
-    rows in row order, go through its chart once and are sliced back.  A
-    stacked chart call gives each value the bits it gets alone."""
+    rows in row order, go through its chart, in calls of at most
+    ``_CHART_BYTES`` of values, and are sliced back.  A stacked chart call
+    gives each value the bits it gets alone."""
     seed = streams[PROPERTIES[0].key].seed
-    draws = []  # (row, widths, stream, uniforms drawn) per row
-    for row in PROPERTIES:
-        widths = _widths(loop, row)
-        draws.append((row, widths, streams[row.key], counts[row.key] * sum(widths)))
+    draws = [(row, streams[row.key], counts[row.key] * sum(widths[row.key])) for row in PROPERTIES]
     pooled = {kind: [] for kind in PARTS}  # each kind's uniforms, part by part in row order
-    for batch in _packed(draws, [n for *_, n in draws], _CHART_CHUNK):
-        counters = [stream.counters(n) for *_, stream, n in batch]  # a lone row's passed uncopied
+    for batch in _packed(draws, [n for *_, n in draws], _DRAW_CHUNK):
+        counters = [stream.counters(n) for _, stream, n in batch]  # a lone row's passed uncopied
         u = unit_uniforms(seed, counters[0] if len(batch) == 1 else np.concatenate(counters))
         del counters
-        for (row, widths, _, n), end in zip(batch, accumulate(n for *_, n in batch)):
-            for kind, part in zip(row.draw, sample_parts(u[end - n : end], counts[row.key], widths)):
+        for (row, _, n), part_uniforms in zip(batch, pieces(u, [n for *_, n in batch])):
+            for kind, part in zip(row.draw, sample_parts(part_uniforms, counts[row.key], widths[row.key])):
                 pooled[kind].append(part)
     values = {kind: iter(_chart(loop, kind, us)) for kind, us in pooled.items()}
     drawn = {}
@@ -397,9 +419,9 @@ def run_suite(loop: ext.ExtensionConfig, counts: dict, seed: int) -> dict:
     values together, per run of at most ``_STEPS_BYTES`` of drawn values (a
     larger row is a run alone), run the dimension check on its slot, and
     return the report's ``properties``, ``dimension`` and ``pass``."""
-    base = SampleStream(seed)
-    streams = {key: base.split(offset) for key, (offset, _) in stream_slots(loop, counts).items()}
-    drawn = draw_parts(loop, streams, counts)
+    base, widths = SampleStream(seed), layout(loop)
+    streams = {key: base.split(offset) for key, (offset, _) in stream_slots(loop, counts, widths).items()}
+    drawn = draw_parts(loop, streams, counts, widths)
     # a row whose draw broke down fails as it stands
     outcomes = {key: Outcome(error=parts) for key, parts in drawn.items() if isinstance(parts, Exception)}
     ready = [row for row in PROPERTIES if row.key not in outcomes]

@@ -254,9 +254,9 @@ def qr_chart_embeddings(cfg, thetas):
 def per_row_draw_parts(loop, streams, counts):
     """``suite.draw_parts`` with one ``rows`` call per row: each row's own
     splitmix64 pass, then each kind's chart once over all rows."""
-    pooled = {kind: [] for kind in suite.PARTS}
+    pooled, widths = {kind: [] for kind in suite.PARTS}, suite.layout(loop)
     for row in suite.PROPERTIES:
-        parts, _ = rows(streams[row.key], counts[row.key], *suite._widths(loop, row))
+        parts, _ = rows(streams[row.key], counts[row.key], *widths[row.key])
         for kind, u in zip(row.draw, parts):
             pooled[kind].append(u)
     values = {kind: iter(suite._chart(loop, kind, us)) for kind, us in pooled.items()}

@@ -62,7 +62,7 @@ def test_every_row_matches_the_per_sample_reference(name, seed):
     loop = resolve(SuiteConfig(seed=seed, **SUITES[name]))
     streams = {row.key: SampleStream(seed).split((k + 1) * 1000) for k, row in enumerate(PROPERTIES)}
     counts = {row.key: MIXED_COUNTS[k % 3] for k, row in enumerate(PROPERTIES)}
-    drawn = draw_parts(loop, streams, counts)
+    drawn = draw_parts(loop, streams, counts, suite.layout(loop))
     # every row driven together, so rows of unequal counts share calls
     outcomes = drive([row.steps(loop, *drawn[row.key]) for row in PROPERTIES])
     for row, outcome in zip(PROPERTIES, outcomes):
@@ -92,7 +92,7 @@ def test_the_element_draw_is_the_verify_element_draw():
     loop = resolve(SuiteConfig(seed=3, **SUITES["633c"]))
     streams = {row.key: SampleStream(3).split((k + 1) * 1000) for k, row in enumerate(PROPERTIES)}
     counts = {row.key: 5 for row in PROPERTIES}
-    drawn = draw_parts(loop, streams, counts)
+    drawn = draw_parts(loop, streams, counts, suite.layout(loop))
     row = next(row for row in PROPERTIES if row.draw == suite._ELEMENT)
     w, rho = drawn[row.key]
     elems, _ = draw(loop, streams[row.key], counts[row.key])
@@ -104,7 +104,8 @@ def test_stream_slots_are_disjoint_at_the_largest_counts(no_draw, carrier):
     # at (7,4,3) complex a row's draw at MAX_SAMPLES outgrows 10,000,000
     # uniforms, so the stride grows with it; nothing is drawn here
     loop = resolve(SuiteConfig(n=7, p1=4, p2=3, field_name="complex", carrier=carrier))
-    slots = sorted(suite.stream_slots(loop, {key: suite.MAX_SAMPLES for key in suite.DEFAULT_SAMPLES}).values())
+    counts = {key: suite.MAX_SAMPLES for key in suite.DEFAULT_SAMPLES}
+    slots = sorted(suite.stream_slots(loop, counts, suite.layout(loop)).values())
     assert len(slots) == len(suite.DEFAULT_SAMPLES)
     assert max(size for _, size in slots) > 10_000_000
     assert all(start + size <= following for (start, size), (following, _) in zip(slots, slots[1:]))
@@ -112,7 +113,7 @@ def test_stream_slots_are_disjoint_at_the_largest_counts(no_draw, carrier):
 
 def test_stream_slots_keep_their_offsets_while_the_draws_fit():
     loop = resolve(SuiteConfig())
-    slots = suite.stream_slots(loop, suite.DEFAULT_SAMPLES)
+    slots = suite.stream_slots(loop, suite.DEFAULT_SAMPLES, suite.layout(loop))
     assert [offset for _, (offset, _) in sorted(slots.items())] == [
         (k + 1) * 10_000_000 for k in range(len(slots))
     ]
@@ -139,9 +140,10 @@ def _counting(monkeypatch, module, name: str) -> list:
 
 
 def _loop_calls(monkeypatch) -> list:
-    """Record every loop operation a verify calls from outside any other,
-    as ``(loop class, operation)``; the extension loop's right division
-    calls the matrix loop's inside it."""
+    """Record every primitive call a verify makes from outside any other,
+    as ``(loop class, primitive)``: every ``Loop.run``, and every operation
+    called directly; the extension loop's right division runs the matrix
+    loop's inside it."""
     calls, depth = [], [0]
 
     def wrap(cls, name):
@@ -149,7 +151,8 @@ def _loop_calls(monkeypatch) -> list:
 
         def counted(*args):
             if depth[0] == 0:
-                calls.append((cls.__name__, name))
+                operation = args[1][0][0] if name == "run" else name
+                calls.append((cls.__name__, cls.primitive.get(operation, operation)))
             depth[0] += 1
             try:
                 return real(*args)
@@ -160,7 +163,7 @@ def _loop_calls(monkeypatch) -> list:
         monkeypatch.setattr(cls, name, staticmethod(counted) if static else counted)
 
     for cls in (MatrixLoop, bruckloops.extension.ExtensionConfig):
-        for name in ("mul", "left_divide", "right_divide", "distance"):
+        for name in ("run", "mul", "left_divide", "right_divide", "distance"):
             wrap(cls, name)
     return calls
 
@@ -168,23 +171,21 @@ def _loop_calls(monkeypatch) -> list:
 # The two benchmark suites, at the benchmark's 20 dimension points, and the
 # eigendecompositions of one verify: one Sigma chart and one Phi chart for
 # all rows, one chart for the dimension check, one for the transversal and
-# one per shared call of a loop operation, all rows' requests of one
-# operation at once; the membership judge takes eigenvalues alone, outside
+# one per shared call of a primitive, all rows' requests of one loop and
+# primitive at once; the membership judge takes eigenvalues alone, outside
 # ``eig_hermitian``
 BENCH_SUITES = {
-    "321c": (dict(n=3, p1=2, p2=1, field_name="complex"), 19),
-    "422r-c2": (dict(n=4, p1=2, p2=2, carrier=2, wtilde=f"boost:{math.log(2)!r}"), 20),
+    "321c": (dict(n=3, p1=2, p2=1, field_name="complex"), 15),
+    "422r-c2": (dict(n=4, p1=2, p2=2, carrier=2, wtilde=f"boost:{math.log(2)!r}"), 16),
 }
-# The loop operations of one such verify at equal counts: 16 calls where
-# the rows driven one by one make 35
+# The primitive calls of one such verify at equal counts, 14: all rows'
+# waiting requests of one loop and primitive share a call
 LOOP_CALLS = {
-    ("MatrixLoop", "mul"): 5,
-    ("MatrixLoop", "left_divide"): 1,
-    ("MatrixLoop", "right_divide"): 1,
+    ("MatrixLoop", "positive_factor"): 6,
     ("MatrixLoop", "distance"): 2,
-    ("ExtensionConfig", "mul"): 3,
-    ("ExtensionConfig", "left_divide"): 1,
-    ("ExtensionConfig", "right_divide"): 2,
+    ("MatrixLoop", "membership"): 1,
+    ("ExtensionConfig", "omega"): 3,
+    ("ExtensionConfig", "right_divide"): 1,
     ("ExtensionConfig", "distance"): 1,
 }
 
@@ -216,11 +217,11 @@ def test_a_verify_makes_one_chart_call_per_kind(monkeypatch, eig_calls, name, sa
     run_verify(cfg)
     assert len(eig_calls) == eig_count
     assert Counter(operations) == LOOP_CALLS
-    assert len(operations) == 16
+    assert len(operations) == 14
     loop = resolve(cfg)
     draws_of = {kind: sum(row.draw.count(kind) for row in PROPERTIES) for kind in ("sigma", "phi")}
     assert sigma == [draws_of["sigma"] * samples] and phi == [draws_of["phi"] * samples]
-    assert draws == [samples * sum(sum(suite._widths(loop, row)) for row in PROPERTIES)]
+    assert draws == [samples * sum(sum(widths) for widths in suite.layout(loop).values())]
     d, p2 = bruckloops.extension.expected_dimension(loop), cfg.p2
     assert inside == {"eig": [(2 * d * cfg.samples["dimension_points"], p2, p2)], "qr": []}
 
@@ -247,7 +248,7 @@ def test_fused_rows_are_the_rows_driven_alone_bit_for_bit(name, counts):
     cfg = _fused_config(name, counts)
     loop = resolve(cfg)
     streams = {row.key: SampleStream(cfg.seed).split((k + 1) * 1000) for k, row in enumerate(PROPERTIES)}
-    drawn = draw_parts(loop, streams, cfg.samples)
+    drawn = draw_parts(loop, streams, cfg.samples, suite.layout(loop))
     fused = drive([row.steps(loop, *drawn[row.key]) for row in PROPERTIES])
     for row, got in zip(PROPERTIES, fused):
         (alone,) = drive([row.steps(loop, *drawn[row.key])])
@@ -271,24 +272,26 @@ def test_fused_report_is_the_report_of_rows_driven_one_by_one(monkeypatch, name,
 
 @pytest.mark.parametrize("name", ["321c", "422r-c2-boost"])
 def test_a_breakdown_in_a_shared_call_fails_its_row_alone(monkeypatch, name):
-    # the first matrix bol draws breaks every product whose left factors
-    # hold it: bol's first level, shared with other rows, re-runs per row,
-    # and only bol fails, with the text its own call raises
+    # the first matrix bol draws breaks every positive_factor call whose
+    # products' left factors hold it: bol's first level, shared with other
+    # rows, re-runs per request, and only bol fails, with the text its own
+    # call raises
     cfg = _fused_config(name, "mixed")
     clean = _without_timing(run_verify(cfg))
     loop = resolve(cfg)
-    slots = suite.stream_slots(loop, cfg.samples)
+    slots = suite.stream_slots(loop, cfg.samples, suite.layout(loop))
     streams = {key: SampleStream(cfg.seed).split(offset) for key, (offset, _) in slots.items()}
-    poison = draw_parts(loop, streams, cfg.samples)["bol"][0][0]
-    real, sizes = MatrixLoop.mul, []
+    poison = draw_parts(loop, streams, cfg.samples, suite.layout(loop))["bol"][0][0]
+    real, sizes = MatrixLoop.run, []
 
-    def mul(self, a, b):
-        if np.all(a == poison, axis=(-2, -1)).any():
-            sizes.append(len(a))
-            raise NotPositiveDefinite(f"injected in a stack of {len(a)}")
-        return real(self, a, b)
+    def run(self, calls):
+        if any(op == "mul" and np.all(ops[0] == poison, axis=(-2, -1)).any() for op, ops in calls):
+            size = sum(len(ops[0]) for _, ops in calls)
+            sizes.append(size)
+            raise NotPositiveDefinite(f"injected in a stack of {size}")
+        return real(self, calls)
 
-    monkeypatch.setattr(MatrixLoop, "mul", mul)
+    monkeypatch.setattr(MatrixLoop, "run", run)
     reports = []
     for steps_bytes in (suite._STEPS_BYTES, -1):  # fused, then every row alone
         monkeypatch.setattr(suite, "_STEPS_BYTES", steps_bytes)
@@ -327,11 +330,12 @@ def test_batched_draw_is_the_per_row_draw_bit_for_bit(monkeypatch, name, seed):
     loop = resolve(SuiteConfig(seed=seed, **SUITES[name]))
     streams = {row.key: SampleStream(seed).split((k + 1) * 1000) for k, row in enumerate(PROPERTIES)}
     counts = {row.key: MIXED_COUNTS[k % 3] for k, row in enumerate(PROPERTIES)}
-    sizes = [counts[row.key] * sum(suite._widths(loop, row)) for row in PROPERTIES]
-    for chunk, batches in ((suite._CHART_CHUNK, 1), (7, len(PROPERTIES)), (60, None)):
-        monkeypatch.setattr(suite, "_CHART_CHUNK", chunk)
+    widths = suite.layout(loop)
+    sizes = [counts[row.key] * sum(widths[row.key]) for row in PROPERTIES]
+    for chunk, batches in ((suite._DRAW_CHUNK, 1), (7, len(PROPERTIES)), (60, None)):
+        monkeypatch.setattr(suite, "_DRAW_CHUNK", chunk)
         draws = _counting(monkeypatch, suite, "unit_uniforms")
-        batched, per_row = draw_parts(loop, streams, counts), per_row_draw_parts(loop, streams, counts)
+        batched, per_row = draw_parts(loop, streams, counts, widths), per_row_draw_parts(loop, streams, counts)
         packed = []  # consecutive rows packed greedily, a row larger than the chunk alone
         for size in sizes:
             if packed and packed[-1] + size <= chunk:
@@ -348,7 +352,7 @@ def test_chunked_charts_give_the_same_report(monkeypatch):
     cfg = SuiteConfig(field_name="complex", seed=7919)
     cfg.samples |= {row.key: (1, 3, 6)[k % 3] for k, row in enumerate(PROPERTIES)}
     whole = _without_timing(run_verify(cfg))
-    monkeypatch.setattr(suite, "_CHART_CHUNK", 7)
+    monkeypatch.setattr(suite, "_CHART_BYTES", 7 * 3 * 3 * 16)  # seven 3 x 3 complex values a call
     sigma = _counting(monkeypatch, suite, "sigma_from_uniforms")
     assert _without_timing(run_verify(cfg)) == whole
     total = sum(row.draw.count("sigma") * cfg.samples[row.key] for row in PROPERTIES)

@@ -261,7 +261,7 @@ class TestVerify:
         def refuse(*args, **kwargs):
             raise NotInOrbit("no translation")
 
-        monkeypatch.setattr(bruckloops.extension, "solve_translation", refuse)
+        monkeypatch.setattr(bruckloops.extension, "translation_operands", refuse)
         cfg = write_config(tmp_path / "cfg.json")
         out = tmp_path / "report.json"
         assert main(["verify", "--config", cfg, "--out", str(out)]) == 1

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import bruckloops.matrixloop
 from bruckloops.errors import InversesDisagree, NotPositiveDefinite
 from bruckloops.extension import extension_config
 from bruckloops.groups import SampleStream, SignatureForm, standard_boost
@@ -92,9 +93,10 @@ class TestCheckers:
         assert a == b
 
 
-# Spectral calls per checker: one per loop operation per dependency level;
-# the checkers draw nothing and the distances make no spectral call.
-MATRIX_EIG_CALLS = {check_loop_axioms: 3, check_bol: 3, check_aip: 4, check_left_a: 5}
+# Spectral calls per checker: one per primitive per dependency level, so
+# the matrix loop's two divisions of one level share one; the checkers draw
+# nothing and the distances make no spectral call.
+MATRIX_EIG_CALLS = {check_loop_axioms: 2, check_bol: 3, check_aip: 3, check_left_a: 5}
 EXTENSION_EIG_CALLS = {check_loop_axioms: 3, check_bol: 3, check_left_a: 5}
 
 
@@ -131,20 +133,34 @@ def test_join_concatenates_stacks_of_any_lengths(form321c, join):
 class TestDrive:
     def test_steps_driven_together_share_each_level(self, monkeypatch, mloop):
         # bol, AIP and left-A on stacks of 1, 4 and 3 samples: alone they
-        # make 3 + 2 + 4 products, together 5, and each value is its
-        # checker's.  The first three products serve every steps that
-        # waits on one; left-A's division shares AIP's left division; AIP's
-        # inverse gap is a distance, which waits until nothing else does,
-        # so AIP's last product comes after left-A's, a call of its own
+        # make 3 + 3 + 5 positive_factor calls, together 6, and each value
+        # is its checker's.  The first three calls serve every steps that
+        # waits on one, and AIP's two divisions share the second with two
+        # levels' products; AIP's inverse gap is a distance, which waits
+        # until nothing else does, so AIP's last product comes after
+        # left-A's, a call of its own
         stream = SampleStream(12)
         samples = [(bol, check_bol, 1, 3), (aip, check_aip, 4, 2), (left_a, check_left_a, 3, 4)]
         slots = [sample_tuples(mloop, stream.split(100 * k), n, size) for k, (*_, n, size) in enumerate(samples)]
         alone = [checker(mloop, *xs) for (_, checker, *_), xs in zip(samples, slots)]
-        sizes, real = [], MatrixLoop.mul
-        monkeypatch.setattr(MatrixLoop, "mul", lambda self, a, b: sizes.append(len(a)) or real(self, a, b))
+        sizes, real = [], MatrixLoop.run
+
+        def run(self, calls):
+            if calls[0][0] != "distance":
+                sizes.append([(operation, len(operands[0])) for operation, operands in calls])
+            return real(self, calls)
+
+        monkeypatch.setattr(MatrixLoop, "run", run)
         outcomes = drive([steps(mloop, *xs) for (steps, *_), xs in zip(samples, slots)])
         assert [o.value for o in outcomes] == alone and all(o.error is None for o in outcomes)
-        assert sizes == [2 + 4 + 6, 2 + 9, 2 + 9, 3, 4]
+        assert sizes == [
+            [("mul", 2 + 4 + 6)],
+            [("mul", 2 + 9), ("right_divide", 12), ("left_divide", 12)],
+            [("mul", 2 + 9)],
+            [("left_divide", 9)],
+            [("mul", 3)],
+            [("mul", 4)],
+        ]
         assert all(o.seconds > 0.0 for o in outcomes)
 
     def test_a_breakdown_is_thrown_into_the_steps_that_met_it(self, mloop):
@@ -167,6 +183,85 @@ class TestDrive:
             mloop.left_divide(a, broken)
         assert caught.error is None and caught.value == str(alone.value)
         assert isinstance(failed.error, NotPositiveDefinite) and str(failed.error) == str(alone.value)
+
+
+def _bits(x) -> tuple:
+    """The bytes of a matrix stack, or of an extension stack's two arrays."""
+    return (x.tobytes(),) if isinstance(x, np.ndarray) else (x.w.tobytes(), x.rho.tobytes())
+
+
+# Requests of one primitive on stacks of unequal lengths: the matrix loop's
+# three operations rest on positive_factor, the extension loop's product
+# and left division on omega
+MIXED = {
+    "matrix": [("mul", 2), ("left_divide", 5), ("right_divide", 3), ("mul", 4)],
+    "extension": [("mul", 2), ("left_divide", 5), ("mul", 3)],
+}
+
+
+class TestMixedGroups:
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("kind", sorted(MIXED))
+    def test_each_request_gets_the_bits_of_its_own_call(self, monkeypatch, kind, field):
+        form = SignatureForm(3, 2, 1, field)
+        loop = MatrixLoop(form) if kind == "matrix" else extension_config(form)
+        xs, _ = draw(loop, SampleStream(21), 5)
+        ys, _ = draw(loop, SampleStream(22), 5)
+        requests = [(operation, (xs[:count], ys[:count])) for operation, count in MIXED[kind]]
+        alone = [_bits(getattr(loop, operation)(*operands)) for operation, operands in requests]
+        runs, real = [], type(loop).run
+        monkeypatch.setattr(type(loop), "run", lambda self, calls: runs.append(calls) or real(self, calls))
+        outcomes = drive([step(loop, operation, *operands) for operation, operands in requests])
+        assert [_bits(o.value) for o in outcomes] == alone
+        # one call, one entry per operation, each on its requests' joined operands
+        assert [[(op, len(operands[0])) for op, operands in calls] for calls in runs] == [
+            [(op, sum(n for o, n in MIXED[kind] if o == op)) for op in dict(MIXED[kind])]
+        ]
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_products_past_the_join_bound_run_apart_with_the_same_bits(self, monkeypatch, field):
+        loop = MatrixLoop(SignatureForm(3, 2, 1, field))
+        xs, _ = draw(loop, SampleStream(21), 5)
+        ys, _ = draw(loop, SampleStream(22), 5)
+        requests = [(operation, (xs[:count], ys[:count])) for operation, count in MIXED["matrix"]]
+        joined = [_bits(o.value) for o in drive([step(loop, op, *operands) for op, operands in requests])]
+        factored, real = [], bruckloops.matrixloop.positive_factor
+
+        def counted(s, form):
+            factored.append(len(s))
+            return real(s, form)
+
+        monkeypatch.setattr(bruckloops.matrixloop, "positive_factor", counted)
+        monkeypatch.setattr(bruckloops.matrixloop, "_JOIN_BYTES", 0)
+        apart = drive([step(loop, op, *operands) for op, operands in requests])
+        assert [_bits(o.value) for o in apart] == joined
+        assert factored == [2 + 4, 5, 3]  # one call per operation, on its requests' joined operands
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_a_breakdown_fails_only_the_request_that_breaks(self, field):
+        # a singular operand breaks the shared positive_factor call; re-run
+        # per request, only its division fails, with its own call's text
+        loop = MatrixLoop(SignatureForm(3, 2, 1, field))
+        a, _ = draw(loop, SampleStream(23), 4)
+        broken = np.concatenate([a[:1], np.zeros((2, 3, 3), dtype=a.dtype)])
+        requests = [("mul", (a, a)), ("left_divide", (a[:3], broken)), ("right_divide", (a[:2], a[:2]))]
+        outcomes = drive([step(loop, operation, *operands) for operation, operands in requests])
+        with pytest.raises(NotPositiveDefinite) as own:
+            loop.left_divide(a[:3], broken)
+        good, bad, other = outcomes
+        assert isinstance(bad.error, NotPositiveDefinite) and str(bad.error) == str(own.value)
+        assert good.error is None and _bits(good.value) == _bits(loop.mul(a, a))
+        assert other.error is None and _bits(other.value) == _bits(loop.right_divide(a[:2], a[:2]))
+
+
+@pytest.mark.parametrize("kind", ["matrix", "extension"])
+def test_identity_like_fills_a_stack_with_no_copy(form321c, kind):
+    loop = MatrixLoop(form321c) if kind == "matrix" else extension_config(form321c)
+    xs, _ = draw(loop, SampleStream(4), 3)
+    filled = loop.identity_like(xs)
+    assert len(filled) == 3 and loop.distance(filled, loop.identity).max() == 0.0
+    rho = filled if kind == "matrix" else filled.rho
+    assert not rho.flags.writeable and np.shares_memory(rho, form321c.eye())
 
 
 class TestTwoSidedInverses:
