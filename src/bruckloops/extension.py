@@ -11,17 +11,23 @@ and the direction is in turn carried by a canonical positive-definite lift,
 so an element is stored as ``(w, rho)``.  The loop operations run on these
 coordinates: ``realize`` gives the point w and the carrier columns of rho,
 and ``omega`` reads coordinates off any point and spanning frame: a
-product or a left division is the coordinates of a moved subspace, so
+product or a left division is the coordinates of a moved subspace, and
+``coordinates`` those of the subspaces it is given, so
 ``ExtensionConfig.run`` reads those of several calls with one ``omega``
-call, which the kernel's driver shares among them.  Canonical
-subspaces serve only where a minimum-norm base is read: the transversal,
-``distance`` and the ``solve_translation`` property.
+call, which the kernel's driver shares among them; so too one QR call
+serves the readings ``distance``, of element pairs, and
+``subspace_distance``, of subspace pairs.  ``solve_translation``, the
+library function and the suite's row, reads its subspaces' coordinates
+through ``coordinates``.  Canonical subspaces serve only where a
+minimum-norm base is read: the transversal, the distances and the
+``solve_translation`` property.
 
 Elements take stacks: ``w`` of shape (..., n) with ``rho`` a plain array
 (..., n, n) of the same batch shape is that many elements, and every loop
 operation and ``distance`` act on the whole stack, each step one stacked
 ``solve``, p2 x p2 eigendecomposition or QR call; ``distance`` makes one QR
-call.  ``join`` concatenates stacks, broadcasting one element.
+call.  ``join`` concatenates element stacks, broadcasting one element, or
+subspace stacks.
 The loop holds the form; the JSON writer and reader take it as an argument.
 
 Every orbit direction at infinity is the graph of a strict contraction
@@ -116,7 +122,12 @@ class ExtensionConfig:
     carrier: int
     wtilde: AffineSubspace
 
-    primitive = {"mul": "omega", "left_divide": "omega"}
+    # The operations that share a call: products, left divisions and
+    # coordinates read subspaces' coordinates with one ``omega`` call, and
+    # the distances of element pairs and of subspace pairs one
+    # ``geometry.subspace_distance`` call
+    primitive = {"mul": "omega", "left_divide": "omega", "coordinates": "omega",
+                 "distance": "distance", "subspace_distance": "distance"}
 
     @property
     def carrier_dim(self) -> int:
@@ -139,32 +150,43 @@ class ExtensionConfig:
         return ExtensionElement(np.broadcast_to(self.identity.w, a.w.shape), self.mat.identity_like(a.rho))
 
     def join(self, *parts):
+        """The element stacks, or subspace stacks, of ``parts`` concatenated."""
+        if isinstance(parts[0], AffineSubspace):
+            return AffineSubspace(concat(*(p.base for p in parts)), concat(*(p.frame for p in parts)))
         return ExtensionElement(concat(*(p.w for p in parts)), concat(*(p.rho for p in parts)))
 
     def run(self, calls: list) -> list:
         """The result of each of ``calls``, ``(operation, operands)`` pairs
-        of one primitive: the moved subspaces of the operations in
-        ``primitive``, their batch axes read as one, through one ``omega``
-        call; any other operation is a call of its own."""
-        if calls[0][0] not in self.primitive:
+        of one primitive, from the subspaces each reads (``_read``), their
+        batch axes read as one: the coordinates through one ``omega`` call,
+        the distances through one ``subspace_distance`` call.  Any other
+        operation is a call of its own."""
+        operation = calls[0][0]
+        if operation not in self.primitive:
             ((operation, operands),) = calls
             return [getattr(self, operation)(*operands)]
-        moved = [self._moved(operation, *operands) for operation, operands in calls]
-        if len(moved) == 1:
-            return [omega(moved[0], self)]
-        flat = [s.reshape((-1,)) for s in moved]
-        both = AffineSubspace(concat(*(s.base for s in flat)), concat(*(s.frame for s in flat)))
-        coordinates = pieces(omega(both, self), [len(s.base) for s in flat])
-        return [x.reshape(s.base.shape[:-1]) for s, x in zip(moved, coordinates)]
+        read = (lambda s: omega(s, self)) if self.primitive[operation] == "omega" else subspace_distance
+        subspaces = [self._read(operation, *operands) for operation, operands in calls]
+        if len(subspaces) == 1:
+            return [read(*subspaces[0])]
+        flat = [[s.reshape((-1,)) for s in read_by] for read_by in subspaces]
+        results = pieces(read(*(self.join(*same) for same in zip(*flat))), [len(f[0]) for f in flat])
+        return [x.reshape(s[0].base.shape[:-1]) for s, x in zip(subspaces, results)]
 
-    def _moved(self, operation: str, a, c) -> AffineSubspace:
-        """The subspace whose coordinates ``operation`` reads: c's under a's
-        left translation x -> rho x + w for mul(a, c), under its inverse
-        for left_divide(a, c)."""
+    def _read(self, operation: str, *operands) -> tuple:
+        """The subspaces ``operation`` reads: c's under a's left translation
+        x -> rho x + w for mul(a, c), under its inverse for
+        left_divide(a, c); the realized elements for distance; the operands
+        themselves for ``coordinates`` and ``subspace_distance``."""
+        if operation == "distance":
+            return tuple(realize(e, self) for e in operands)
+        if operation not in ("mul", "left_divide"):
+            return operands
+        a, c = operands
         if operation == "mul":
-            return apply(a.rho, realize(c, self), a.w)
+            return (apply(a.rho, realize(c, self), a.w),)
         ainv = self.mat.inverse(a.rho)
-        return apply(ainv, realize(c, self), -mv(ainv, a.w))
+        return (apply(ainv, realize(c, self), -mv(ainv, a.w)),)
 
     def mul(self, a, b):
         return self.run([("mul", (a, b))])[0]
@@ -176,8 +198,18 @@ class ExtensionConfig:
         rho = self.mat.right_divide(c.rho, a.rho)
         return ExtensionElement(c.w - _transversal_point(apply(rho, realize(a, self)), self), rho)
 
+    def coordinates(self, s: AffineSubspace) -> "ExtensionElement":
+        """The coordinates of an orbit subspace, or of each of a stack:
+        ``omega``."""
+        return self.run([("coordinates", (s,))])[0]
+
     def distance(self, a, b):
-        return subspace_distance(realize(a, self), realize(b, self))
+        return self.run([("distance", (a, b))])[0]
+
+    def subspace_distance(self, s1: AffineSubspace, s2: AffineSubspace):
+        """``geometry.subspace_distance``, a reading that shares its QR call
+        with the loop's ``distance``."""
+        return self.run([("subspace_distance", (s1, s2))])[0]
 
     @property
     def point_width(self) -> int:
@@ -339,23 +371,15 @@ def ext_mul(e1: ExtensionElement, e2: ExtensionElement, cfg: ExtensionConfig) ->
     return cfg.mul(e1, e2)
 
 
-def translation_operands(d1: AffineSubspace, d2: AffineSubspace, cfg: ExtensionConfig) -> ExtensionElement:
-    """The coordinates of d2 and of d1, stacked on a new first axis in that
-    order, whose right division is the pair mapping d1 onto d2: one
-    ``omega`` call on the stacked pair.  A base and a frame of different
-    batch shapes are first copied out to one."""
-    d1, d2 = d1.broadcast(), d2.broadcast()
-    pair = AffineSubspace(concat(d2.base[None], d1.base[None]), concat(d2.frame[None], d1.frame[None]))
-    return omega(pair, cfg)
-
-
 def solve_translation(
     d1: AffineSubspace, d2: AffineSubspace, cfg: ExtensionConfig
 ) -> tuple[np.ndarray, np.ndarray]:
     """The unique (translation along the transversal, positive isometry)
-    pair mapping d1 onto d2: the right division of their coordinates,
-    ``translation_operands``."""
-    both = translation_operands(d1, d2, cfg)
+    pair mapping d1 onto d2: the right division of their coordinates, read
+    by one ``coordinates`` call on d2 and d1 stacked on a new first axis.
+    A base and a frame of different batch shapes are first copied out to
+    one."""
+    both = cfg.coordinates(cfg.join(d2.broadcast()[None], d1.broadcast()[None]))
     x = cfg.right_divide(both[0], both[1])
     return x.w, x.rho
 

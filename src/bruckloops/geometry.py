@@ -47,6 +47,10 @@ class AffineSubspace:
         """The subspace, or sub-stack, at ``index`` of the batch axes."""
         return AffineSubspace(self.base[index], self.frame[index])
 
+    def __len__(self) -> int:
+        """The length of a stack's first batch axis."""
+        return len(self.frame)
+
     @property
     def dim(self) -> int:
         return self.frame.shape[-1]

@@ -21,18 +21,19 @@ operand stacks ``Loop.join`` concatenates, split back by slicing.
 
 ``drive`` advances many steps together.  Every operation of a loop rests
 on a primitive, ``Loop.primitive``: the matrix loop's products and
-divisions on one ``positive_factor``, the extension loop's products and
-left divisions on one ``omega``; an operation not named there is a
-primitive of its own.  While requests wait, ``drive`` takes every waiting
-request of one loop and primitive (the group with the most elements
-first, the one waiting longest on a tie, and the readings ``distance``
-and ``membership`` only when nothing else waits), joins the operands of
-each operation's requests with plain concatenation, hands the operations
-to one ``Loop.run``, which makes one call of the primitive on them all
-(the matrix loop's, past a size bound, one call per operation), and
-slices the results back to each request.  A call on a stack gives
-each element the bits a call of its own gives it, so only the number of
-calls depends on who shares them.  A numeric breakdown in a shared call
+divisions on one ``positive_factor``, the extension loop's products, left
+divisions and coordinates of subspaces on one ``omega``, and its
+distances of elements and of subspaces on one ``distance``; an operation
+not named there is a primitive of its own.  While requests wait,
+``drive`` takes every waiting request of one loop and primitive (the
+group with the most elements first, the one waiting longest on a tie,
+and the readings ``distance`` and ``membership`` only when nothing else
+waits), joins the operands of each operation's requests with plain
+concatenation, hands the operations to one ``Loop.run``, which makes one
+call of the primitive on them all (the matrix loop's, past a size bound,
+one call per operation), and slices the results back to each request.
+A call on a stack gives each element the bits a call of its own gives
+it, so only the number of calls depends on who shares them.  A numeric breakdown in a shared call
 re-runs it once per request, so only the steps whose own operands break
 fail, each with the error its own call raises; a breakdown is thrown into
 its steps, and one that escapes ends them.  Each steps' seconds are its
@@ -192,6 +193,9 @@ def _call(requests: list, outcomes: list) -> list:
     if isinstance(stacked, BREAKDOWN):
         if len(requests) == 1:
             return [stacked]
+        # its traceback holds this frame, which holds it: dropped now, the
+        # cycle would keep every request's operands until a collection
+        del stacked
         return [_call([request], [outcome])[0] for request, outcome in zip(requests, outcomes)]
     results = [None] * len(requests)
     for ks, stack in zip(by_operation.values(), stacked):

@@ -6,29 +6,33 @@ key (which also selects its slot of the seed's stream), whether it is
 required, its default count, its per-sample draw layout (kinds of value,
 keys of ``PARTS``) and its ``steps``, which return the worst residual of
 each entry.  ``layout`` works out every row's part widths once a verify,
-for ``stream_slots`` and ``draw_parts``.  ``draw_parts`` draws every row's
-uniforms from the row's own slot, all rows in one splitmix64 pass at the
-usual counts, and evaluates each kind's chart over all rows, in calls of
-at most ``_CHART_BYTES`` of values, so a verify at small counts makes one
-Sigma chart call and one Phi chart call, and each row gets its values as
-slices.
+for ``stream_slots`` and ``draw_parts``.  ``draw_parts`` draws the
+uniforms of a run of rows, each from the row's own slot, in one
+splitmix64 pass at the usual counts, and evaluates each kind's chart over
+the run's rows, in calls of at most ``_CHART_BYTES`` of values, so a
+verify at small counts, one run, makes one Sigma chart call and one Phi
+chart call, and each row gets its values as slices.
 
 A row's steps are a generator in the kernel's step protocol: at each
 dependency level it yields its requests, each one request on the joined
 stacks of its elements, and it folds the per-element residuals with max.
 Every row but ``transversality``, which finishes at its first step, asks
 for its loop work this way: ``factorization`` its positive factor as a
-matrix product, ``solve_translation`` its right division on the flattened
-stack of its exact and perturbed pairs, and the closure rows their
-membership residuals, a request that, like ``distance``, runs only when
-nothing else waits.  ``run_suite`` hands the steps of consecutive rows, as
-many as fit ``_STEPS_BYTES`` of drawn values (all rows at small counts),
-to one ``kernel.drive``, which advances them together: the waiting
+matrix product, ``solve_translation`` the coordinates and the right
+divisions of its exact and perturbed pairs and its mapping residual, each
+on their flattened stack, and the closure rows their membership
+residuals, a request that, like the distances, runs only when nothing
+else waits.  ``run_suite`` packs consecutive rows into runs, as many as
+fit ``_STEPS_BYTES`` of drawn values (all rows at small counts), draws
+each run just before it hands the run's steps to one ``kernel.drive``,
+and keeps only the text of a breakdown, so a verify holds one run's
+draws at a time.  The driver advances the steps together: the waiting
 requests of one loop and primitive share one call, whatever row and
 operation they come from (the matrix loop's products and divisions one
-``positive_factor`` call, the extension loop's products and left
-divisions one ``omega`` call), so a verify makes far fewer calls than its
-rows make levels, and every residual keeps the bits of its row run alone.
+``positive_factor`` call, the extension loop's products, left divisions
+and coordinates one ``omega`` call, its distances of elements and of
+subspaces one QR call), so a verify makes far fewer calls than its rows
+make levels, and every residual keeps the bits of its row run alone.
 A numeric breakdown (any package error or ``LinAlgError``) in a shared
 call is re-run request by request, so it fails only the rows whose own
 operands break.  A breakdown inside a row, or inside a chart
@@ -193,9 +197,10 @@ def _ext_aip(loop: ext.ExtensionConfig, w, rho):
 def _solve_translation(loop: ext.ExtensionConfig, w1, rho1, w2, rho2, noise):
     """Sharp transitivity, and the solution's drift when both subspaces, in
     canonical form, are moved by 1e-10.  Both elements of a sample are
-    realized and canonicalized as one stack, and the exact and perturbed
-    pairs are read by one ``omega`` call and divided by one request on
-    their flattened stack.
+    realized and canonicalized as one stack; the coordinates of the exact
+    and perturbed pairs are one ``coordinates`` request, their right
+    divisions one request, and the mapping residual one
+    ``subspace_distance`` request, each on the flattened stack.
 
     The drift reads the conditioning of the map from subspace pairs to
     their translation, not rounding: it is exactly linear in the jiggle (a
@@ -206,15 +211,16 @@ def _solve_translation(loop: ext.ExtensionConfig, w1, rho1, w2, rho2, noise):
     realized = ext.realize(ext.ExtensionElement(np.stack([w1, w2]), np.stack([rho1, rho2])), loop)
     d = geometry.subspace(realized.base, realized.frame)  # d[0] is d1, d[1] is d2
     dp = _perturb(d, noise.reshape(len(noise), 2, noise.shape[-1] // 2).swapaxes(0, 1))
-    pairs = geometry.AffineSubspace(np.stack([d.base, dp.base]), np.stack([d.frame, dp.frame]))
-    # one solve for (d1 | d1p) onto (d2 | d2p): index 0 exact, 1 perturbed
-    both = ext.translation_operands(pairs[:, 0], pairs[:, 1], loop)
-    x = yield from step(loop, "right_divide", both[0].reshape((-1,)), both[1].reshape((-1,)))
-    x = x.reshape(both.w.shape[1:-1])
+    # index (d1 | d2, exact | perturbed, sample)
+    pairs = geometry.AffineSubspace(np.stack([d.base, dp.base], axis=1), np.stack([d.frame, dp.frame], axis=1))
+    both = yield from step(loop, "coordinates", pairs.reshape((-1,)))
+    both = both.reshape(pairs.base.shape[:-1])
+    x = yield from step(loop, "right_divide", both[1].reshape((-1,)), both[0].reshape((-1,)))
+    x = x.reshape(both.w.shape[1:-1])  # index 0 exact, 1 perturbed
     t, rho = x.w, x.rho
     moved = geometry.apply(rho[0], d[0], t[0])
     stability = np.linalg.norm(t[1] - t[0], axis=-1) + fro(rho[1] - rho[0])
-    return (worst(geometry.subspace_distance(moved, d[1])), worst(stability)), None
+    return (worst((yield from step(loop, "subspace_distance", moved, d[1]))), worst(stability)), None
 
 
 def _perturb(s, noise: np.ndarray):
@@ -256,11 +262,11 @@ PROPERTIES = (
 
 DEFAULT_SAMPLES = {row.key: row.default_samples for row in PROPERTIES} | {"dimension_points": 20}
 
-# The most samples a row, or a ``sample`` call, may draw.  A verify holds
-# every row's drawn values at once: per sample over all rows, 26 Sigma and
-# 2 Phi elements, 10 transversal points and one noise draw, so at 100,000
-# samples a row 2.8 million n x n matrices, 200 MB at (3,2,1) real and
-# 1.6 GB at (6,3,3) complex.  A larger count is refused before anything is
+# The most samples a row, or a ``sample`` call, may draw.  A verify draws,
+# per sample over all rows, 26 Sigma and 2 Phi elements, 10 transversal
+# points and one noise draw, so at 100,000 samples a row 2.8 million n x n
+# matrices, 200 MB at (3,2,1) real and 1.6 GB at (6,3,3) complex, though
+# it holds only one run of rows' draws at a time.  A larger count is refused before anything is
 # drawn rather than left to exhaust memory or overflow the draw.
 MAX_SAMPLES = 100_000
 
@@ -291,8 +297,9 @@ INFORMATIONAL = frozenset(name for row in PROPERTIES if not row.required for nam
 
 
 def held_matrices(counts: dict) -> int:
-    """How many n x n matrices a verify's draw holds at once: each row's
-    count times the Sigma and Phi parts of its layout."""
+    """How many n x n matrices a verify draws, of which it holds one run of
+    rows' at a time: each row's count times the Sigma and Phi parts of its
+    layout."""
     return sum(counts[row.key] * sum(kind in ("sigma", "phi") for kind in row.draw) for row in PROPERTIES)
 
 
@@ -348,22 +355,25 @@ def stream_slots(loop: ext.ExtensionConfig, counts: dict, widths: dict) -> dict:
     return {key: ((k + 1) * stride, sizes[key]) for k, key in enumerate(sorted(sizes))}
 
 
-def draw_parts(loop: ext.ExtensionConfig, streams: dict, counts: dict, widths: dict) -> dict:
-    """Every row's drawn values, by row key: one stack per part of its
-    layout, of the row ``widths`` of ``layout``, or the breakdown a chart
-    serving the row raised.
+def draw_parts(
+    loop: ext.ExtensionConfig, streams: dict, counts: dict, widths: dict, rows: tuple = PROPERTIES
+) -> dict:
+    """The drawn values of each of ``rows``, by row key: one stack per part
+    of its layout, of the row ``widths`` of ``layout``, or the breakdown a
+    chart serving the row raised.
 
     Each row draws ``counts[key]`` samples' uniforms from ``streams[key]``,
     sample by sample in layout order, as a sample-by-sample draw would.
     Every stream is on one seed.  Consecutive rows draw together, one
     ``unit_uniforms`` pass over their counters per batch of at most
     ``_DRAW_CHUNK`` uniforms (a larger row is a batch alone), and each
-    row's parts are sliced from it.  Each kind's uniforms, pooled over all
+    row's parts are sliced from it.  Each kind's uniforms, pooled over the
     rows in row order, go through its chart, in calls of at most
-    ``_CHART_BYTES`` of values, and are sliced back.  A stacked chart call
-    gives each value the bits it gets alone."""
-    seed = streams[PROPERTIES[0].key].seed
-    draws = [(row, streams[row.key], counts[row.key] * sum(widths[row.key])) for row in PROPERTIES]
+    ``_CHART_BYTES`` of values, and are sliced back; a kind no row draws
+    makes no call.  A stacked chart call gives each value the bits it gets
+    alone."""
+    seed = streams[rows[0].key].seed
+    draws = [(row, streams[row.key], counts[row.key] * sum(widths[row.key])) for row in rows]
     pooled = {kind: [] for kind in PARTS}  # each kind's uniforms, part by part in row order
     for batch in _packed(draws, [n for *_, n in draws], _DRAW_CHUNK):
         counters = [stream.counters(n) for _, stream, n in batch]  # a lone row's passed uncopied
@@ -372,9 +382,9 @@ def draw_parts(loop: ext.ExtensionConfig, streams: dict, counts: dict, widths: d
         for (row, _, n), part_uniforms in zip(batch, pieces(u, [n for *_, n in batch])):
             for kind, part in zip(row.draw, sample_parts(part_uniforms, counts[row.key], widths[row.key])):
                 pooled[kind].append(part)
-    values = {kind: iter(_chart(loop, kind, us)) for kind, us in pooled.items()}
+    values = {kind: iter(_chart(loop, kind, us)) for kind, us in pooled.items() if us}
     drawn = {}
-    for row in PROPERTIES:
+    for row in rows:
         parts = [next(values[kind]) for kind in row.draw]
         drawn[row.key] = next((p for p in parts if isinstance(p, Exception)), parts)
     return drawn
@@ -413,21 +423,41 @@ def _entries(row: Property, count: int, outcome: Outcome) -> list:
     return entries
 
 
+def _drop_frames(error: BaseException | None) -> None:
+    """Clear the tracebacks of ``error`` and of the exceptions chained to
+    it: they hold the frames of the steps and calls it passed through, and
+    so the draws of its run, in cycles that only a collection would free,
+    while the report reads only its text."""
+    chained, seen = [error], set()
+    while chained:
+        exc = chained.pop()
+        if exc is not None and id(exc) not in seen:
+            seen.add(id(exc))
+            exc.__traceback__ = None
+            chained += [exc.__cause__, exc.__context__]
+
+
 def run_suite(loop: ext.ExtensionConfig, counts: dict, seed: int) -> dict:
-    """Draw every row of PROPERTIES, ``counts[key]`` samples, from its own
-    slot of the seed's stream, drive the steps of consecutive rows on their
-    values together, per run of at most ``_STEPS_BYTES`` of drawn values (a
-    larger row is a run alone), run the dimension check on its slot, and
-    return the report's ``properties``, ``dimension`` and ``pass``."""
+    """Pack the rows of PROPERTIES into runs of consecutive rows of at most
+    ``_STEPS_BYTES`` of drawn values (a larger row is a run alone); for each
+    run, draw its rows, ``counts[key]`` samples, each from its own slot of
+    the seed's stream, and drive their steps on their values together, so
+    a verify holds one run's draws at a time, and of a breakdown it keeps
+    only the text.  Then run the dimension check on its slot, and return
+    the report's ``properties``, ``dimension`` and ``pass``."""
     base, widths = SampleStream(seed), layout(loop)
     streams = {key: base.split(offset) for key, (offset, _) in stream_slots(loop, counts, widths).items()}
-    drawn = draw_parts(loop, streams, counts, widths)
-    # a row whose draw broke down fails as it stands
-    outcomes = {key: Outcome(error=parts) for key, parts in drawn.items() if isinstance(parts, Exception)}
-    ready = [row for row in PROPERTIES if row.key not in outcomes]
     value_bytes = loop.form.n**2 * np.dtype(loop.form.dtype).itemsize
-    for batch in _packed(ready, [counts[row.key] * len(row.draw) * value_bytes for row in ready], _STEPS_BYTES):
-        outcomes |= zip((row.key for row in batch), drive([row.steps(loop, *drawn[row.key]) for row in batch]))
+    sizes, outcomes = [counts[row.key] * len(row.draw) * value_bytes for row in PROPERTIES], {}
+    for batch in _packed(PROPERTIES, sizes, _STEPS_BYTES):
+        drawn = draw_parts(loop, streams, counts, widths, batch)
+        # a row whose draw broke down fails as it stands
+        ready = [row for row in batch if not isinstance(drawn[row.key], Exception)]
+        outcomes |= {key: Outcome(error=parts) for key, parts in drawn.items() if isinstance(parts, Exception)}
+        outcomes |= zip((row.key for row in ready), drive([row.steps(loop, *drawn[row.key]) for row in ready]))
+        del drawn  # the run's draws go before the next run's are drawn
+        for row in batch:
+            _drop_frames(outcomes[row.key].error)
     entries = []
     for row in PROPERTIES:
         entries += _entries(row, counts[row.key], outcomes[row.key])

@@ -4,6 +4,7 @@ per-element failures inside stacks."""
 
 import json
 import math
+import weakref
 from collections import Counter
 from pathlib import Path
 
@@ -175,8 +176,8 @@ def _loop_calls(monkeypatch) -> list:
 # primitive at once; the membership judge takes eigenvalues alone, outside
 # ``eig_hermitian``
 BENCH_SUITES = {
-    "321c": (dict(n=3, p1=2, p2=1, field_name="complex"), 15),
-    "422r-c2": (dict(n=4, p1=2, p2=2, carrier=2, wtilde=f"boost:{math.log(2)!r}"), 16),
+    "321c": (dict(n=3, p1=2, p2=1, field_name="complex"), 14),
+    "422r-c2": (dict(n=4, p1=2, p2=2, carrier=2, wtilde=f"boost:{math.log(2)!r}"), 15),
 }
 # The primitive calls of one such verify at equal counts, 14: all rows'
 # waiting requests of one loop and primitive share a call
@@ -268,6 +269,70 @@ def test_fused_report_is_the_report_of_rows_driven_one_by_one(monkeypatch, name,
     alone = run_verify(cfg)
     assert _without_timing(fused) == _without_timing(alone)
     assert shared < len(calls) - shared
+
+
+def test_each_run_of_rows_is_drawn_just_before_it_is_driven(monkeypatch):
+    # a default-count (3,2,1) real verify packs its rows into several runs:
+    # each is drawn, its rows only, then driven, and the report has the
+    # bits of one draw and one drive of every row
+    cfg = SuiteConfig()
+    loop = resolve(cfg)
+    value_bytes = cfg.n**2 * 8
+    sizes = [cfg.samples[row.key] * len(row.draw) * value_bytes for row in PROPERTIES]
+    runs = [[row.key for row in batch] for batch in suite._packed(PROPERTIES, sizes, suite._STEPS_BYTES)]
+    assert len(runs) > 1
+    events, real_draw, real_drive = [], suite.draw_parts, suite.drive
+
+    def drawing(loop, streams, counts, widths, rows):
+        events.append(("draw", [row.key for row in rows]))
+        return real_draw(loop, streams, counts, widths, rows)
+
+    def driving(steps):
+        events.append(("drive", len(steps)))
+        return real_drive(steps)
+
+    monkeypatch.setattr(suite, "draw_parts", drawing)
+    monkeypatch.setattr(suite, "drive", driving)
+    report = _without_timing(run_verify(cfg))
+    assert events == [event for run in runs for event in (("draw", run), ("drive", len(run)))]
+    events.clear()
+    monkeypatch.setattr(suite, "_STEPS_BYTES", 1 << 40)  # one run: every row drawn and driven at once
+    assert _without_timing(run_verify(cfg)) == report
+    assert events == [("draw", [row.key for row in PROPERTIES]), ("drive", len(PROPERTIES))]
+
+
+def test_a_broken_row_holds_no_draws_after_its_run(monkeypatch):
+    # the solve_translation row's coordinates request breaks; its error's
+    # traceback, and those of the errors chained to it, hold the frames of
+    # its steps, and so its draws, unless they are cleared after the run
+    refs, real_draw, real_run = [], suite.draw_parts, bruckloops.extension.ExtensionConfig.run
+
+    def drawing(*args):
+        drawn = real_draw(*args)
+        refs.extend(weakref.ref(part) for parts in drawn.values() for part in parts)
+        return drawn
+
+    def refuse(self, calls):
+        if any(operation == "coordinates" for operation, _ in calls):
+            raise NotInOrbit("no translation")
+        return real_run(self, calls)
+
+    alive, real_entries = [], suite._entries
+
+    def entries(row, count, outcome):
+        if not alive:  # every run is driven
+            alive.append(sum(ref() is not None for ref in refs))
+        return real_entries(row, count, outcome)
+
+    monkeypatch.setattr(suite, "draw_parts", drawing)
+    monkeypatch.setattr(bruckloops.extension.ExtensionConfig, "run", refuse)
+    monkeypatch.setattr(suite, "_entries", entries)
+    cfg = SuiteConfig()
+    cfg.samples |= {key: 3 for key in cfg.samples if key != "dimension_points"}
+    report = run_verify(cfg)
+    assert refs and alive == [0]
+    broken = [entry for entry in report["properties"] if entry.get("detail", {}).get("error")]
+    assert {entry["property"] for entry in broken} == {"solve_translation", "solve_translation_stability"}
 
 
 @pytest.mark.parametrize("name", ["321c", "422r-c2-boost"])

@@ -256,12 +256,18 @@ class TestVerify:
         assert all(p["pass"] for name, p in entries.items() if p["required"] and name not in broken)
 
     def test_breakdown_fails_every_entry_of_its_row(self, tmp_path, monkeypatch):
-        import bruckloops.extension
+        # the row's coordinates request shares the extension loop's omega
+        # call: that call breaks, and re-run per request only the row's fails
+        from bruckloops.extension import ExtensionConfig
 
-        def refuse(*args, **kwargs):
-            raise NotInOrbit("no translation")
+        real = ExtensionConfig.run
 
-        monkeypatch.setattr(bruckloops.extension, "translation_operands", refuse)
+        def refuse(self, calls):
+            if any(operation == "coordinates" for operation, _ in calls):
+                raise NotInOrbit("no translation")
+            return real(self, calls)
+
+        monkeypatch.setattr(ExtensionConfig, "run", refuse)
         cfg = write_config(tmp_path / "cfg.json")
         out = tmp_path / "report.json"
         assert main(["verify", "--config", cfg, "--out", str(out)]) == 1

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 import bruckloops.matrixloop
-from bruckloops.errors import InversesDisagree, NotPositiveDefinite
-from bruckloops.extension import extension_config
+from bruckloops.errors import BruckLoopsError, InversesDisagree, NotPositiveDefinite
+from bruckloops.extension import extension_config, realize
+from bruckloops.geometry import AffineSubspace
 from bruckloops.groups import SampleStream, SignatureForm, standard_boost
 from bruckloops.kernel import (
     aip,
@@ -191,12 +192,24 @@ def _bits(x) -> tuple:
 
 
 # Requests of one primitive on stacks of unequal lengths: the matrix loop's
-# three operations rest on positive_factor, the extension loop's product
-# and left division on omega
+# three operations rest on positive_factor, the extension loop's product,
+# left division and coordinates of orbit subspaces on omega, and its
+# distances of elements and of subspaces on one QR call
 MIXED = {
     "matrix": [("mul", 2), ("left_divide", 5), ("right_divide", 3), ("mul", 4)],
-    "extension": [("mul", 2), ("left_divide", 5), ("mul", 3)],
+    "extension": [("mul", 2), ("coordinates", 4), ("left_divide", 5), ("mul", 3), ("coordinates", 1)],
+    "extension-distance": [("subspace_distance", 2), ("distance", 5), ("subspace_distance", 4), ("distance", 1)],
 }
+
+
+def _operands(loop, operation: str, xs, ys) -> tuple:
+    """The operands of one request: for the operations on subspace stacks
+    the orbit subspaces of ``ys`` (and ``xs``), elements otherwise."""
+    if operation == "coordinates":
+        return (realize(ys, loop),)
+    if operation == "subspace_distance":
+        return realize(xs, loop), realize(ys, loop)
+    return xs, ys
 
 
 class TestMixedGroups:
@@ -207,7 +220,7 @@ class TestMixedGroups:
         loop = MatrixLoop(form) if kind == "matrix" else extension_config(form)
         xs, _ = draw(loop, SampleStream(21), 5)
         ys, _ = draw(loop, SampleStream(22), 5)
-        requests = [(operation, (xs[:count], ys[:count])) for operation, count in MIXED[kind]]
+        requests = [(op, _operands(loop, op, xs[:count], ys[:count])) for op, count in MIXED[kind]]
         alone = [_bits(getattr(loop, operation)(*operands)) for operation, operands in requests]
         runs, real = [], type(loop).run
         monkeypatch.setattr(type(loop), "run", lambda self, calls: runs.append(calls) or real(self, calls))
@@ -217,6 +230,23 @@ class TestMixedGroups:
         assert [[(op, len(operands[0])) for op, operands in calls] for calls in runs] == [
             [(op, sum(n for o, n in MIXED[kind] if o == op)) for op in dict(MIXED[kind])]
         ]
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_a_breakdown_in_a_joined_coordinates_call_fails_only_its_request(self, field):
+        # a subspace with a zero frame is not in the orbit: it breaks the
+        # shared omega call, and re-run per request only its own fails
+        loop = extension_config(SignatureForm(3, 2, 1, field))
+        xs, _ = draw(loop, SampleStream(24), 4)
+        good = realize(xs, loop)
+        broken = realize(xs[:3], loop)
+        broken = AffineSubspace(broken.base, np.concatenate([broken.frame[:1], np.zeros_like(broken.frame[1:])]))
+        requests = [("coordinates", (good,)), ("mul", (xs, xs)), ("coordinates", (broken,))]
+        fine, product, bad = drive([step(loop, operation, *operands) for operation, operands in requests])
+        with pytest.raises(BruckLoopsError) as own:
+            loop.coordinates(broken)
+        assert isinstance(bad.error, type(own.value)) and str(bad.error) == str(own.value)
+        assert fine.error is None and _bits(fine.value) == _bits(loop.coordinates(good))
+        assert product.error is None and _bits(product.value) == _bits(loop.mul(xs, xs))
 
     @pytest.mark.parametrize("field", ["real", "complex"])
     def test_products_past_the_join_bound_run_apart_with_the_same_bits(self, monkeypatch, field):
