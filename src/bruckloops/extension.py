@@ -261,14 +261,17 @@ def extension_config(
     return ExtensionConfig(form, carrier, AffineSubspace(np.zeros_like(wtilde.base), wtilde.frame))
 
 
-@dataclass(frozen=True, eq=False)
 class ExtensionElement:
     """Coordinates (w, rho): the transversal intersection point and the
     canonical positive-definite lift of the direction at infinity; for a
     stack, w is (..., n) and rho (..., n, n)."""
 
-    w: np.ndarray
-    rho: np.ndarray
+    __slots__ = ("w", "rho")
+    __setattr__ = __delattr__ = linalg.refuse_assignment
+
+    def __init__(self, w: np.ndarray, rho: np.ndarray):
+        _set_w(self, w)
+        _set_rho(self, rho)
 
     def __getitem__(self, index):
         """The element, or sub-stack, at ``index`` of the batch axes."""
@@ -285,6 +288,9 @@ class ExtensionElement:
 
     def to_json(self, form: SignatureForm) -> dict:
         return {"w": matrix_to_json(self.w.reshape(1, -1))[0], "rho": element_to_json(self.rho, form)}
+
+
+_set_w, _set_rho = ExtensionElement.w.__set__, ExtensionElement.rho.__set__
 
 
 def extension_element_from_json(obj: dict, form: SignatureForm) -> ExtensionElement:

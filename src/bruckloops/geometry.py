@@ -28,20 +28,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigInvalid, DimensionMismatch, TransversalityViolated
-from .linalg import dag, fro, matrix_from_json, mv, orthonormalize
+from .linalg import dag, fro, matrix_from_json, mv, orthonormalize, refuse_assignment
 
 _RANK_REL = 1e-8
 
 
-@dataclass(frozen=True, eq=False)
 class AffineSubspace:
     """Pair (base point, direction frame): any point and spanning frame, or
     the minimum-norm point and an orthonormal frame when built by
     ``subspace``.  The frame's span is the direction at infinity (the trace
     on the hyperplane at infinity), independent of the base point."""
 
-    base: np.ndarray
-    frame: np.ndarray
+    __slots__ = ("base", "frame")
+    __setattr__ = __delattr__ = refuse_assignment
+
+    def __init__(self, base: np.ndarray, frame: np.ndarray):
+        _set_base(self, base)
+        _set_frame(self, frame)
 
     def __getitem__(self, index):
         """The subspace, or sub-stack, at ``index`` of the batch axes."""
@@ -76,6 +79,9 @@ class AffineSubspace:
             np.ascontiguousarray(np.broadcast_to(self.base, batch + self.base.shape[-1:])),
             np.ascontiguousarray(np.broadcast_to(self.frame, batch + self.frame.shape[-2:])),
         )
+
+
+_set_base, _set_frame = AffineSubspace.base.__set__, AffineSubspace.frame.__set__
 
 
 def subspace(base: np.ndarray, directions: np.ndarray) -> AffineSubspace:
@@ -120,7 +126,7 @@ def canonical_distance(s1: AffineSubspace, s2: AffineSubspace) -> float:
     minimum-norm points, ||P1 - P2|| + |m1 - m2|, broadcast over the batch
     axes.  Operands known canonical (a stored transversal, a coordinate
     subspace, their images under a unitary) take it with no QR call."""
-    return fro(projector(s1.frame) - projector(s2.frame)) + np.linalg.norm(s1.base - s2.base, axis=-1)
+    return fro(projector(s1.frame) - projector(s2.frame)) + fro(s1.base - s2.base, axis=-1)
 
 
 def subspace_distance(s1: AffineSubspace, s2: AffineSubspace) -> float:

@@ -17,7 +17,10 @@ operand stacks, all of one length.  It receives their results in the same
 order and finally returns its value.  Within a level the independent
 operations of one kind (``x*z`` with ``y*x``, the three inverses of AIP,
 the three lambda evaluations of left-A) are already one request on the
-operand stacks ``Loop.join`` concatenates, split back by slicing.
+operand stacks ``Loop.join`` concatenates, split back by slicing.  An
+identity asks for each loop operation as soon as its operands exist, in
+the level of whatever else it asks for then, so no product waits on a
+reading it does not use.
 
 ``drive`` advances many steps together.  Every operation of a loop rests
 on a primitive, ``Loop.primitive``: the matrix loop's products and
@@ -233,11 +236,17 @@ def bol(loop: Loop, x, y, z):
     return worst((yield from step(loop, "distance", lhs, rhs)))
 
 
+def _inverses(loop: Loop, x):
+    """Steps: the right inverse e/x and the left inverse x\\e, per
+    element, as one level."""
+    e = loop.identity_like(x)  # a view: filled by a shared call's join, passed as it is alone
+    return (yield [(loop, "right_divide", (e, x)), (loop, "left_divide", (x, e))])
+
+
 def inverse_gap(loop: Loop, x):
     """Steps: the right inverse e/x and its distance to the left inverse
     x\\e, per element."""
-    e = loop.identity_like(x)  # a view: filled by a shared call's join, passed as it is alone
-    right, left = yield [(loop, "right_divide", (e, x)), (loop, "left_divide", (x, e))]
+    right, left = yield from _inverses(loop, x)
     return right, (yield from step(loop, "distance", right, left))
 
 
@@ -257,11 +266,15 @@ def inverse_of(loop: Loop, x):
 def aip(loop: Loop, x, y):
     """Steps: the residual of the automorphic inverse property
     (xy)^-1 = x^-1 y^-1 over sampled pairs; the inverses of xy, x and y are
-    one ``inverse_gap``."""
+    one level of divisions.  The product x^-1 y^-1 is asked for in the
+    level that reads the inverses' gap, so it waits on no reading; a
+    breakdown in it therefore ends the steps before the inverses are
+    checked to be two-sided."""
     xy = yield from step(loop, "mul", x, y)
-    inverses = _two_sided(*(yield from inverse_gap(loop, loop.join(xy, x, y))))
-    lhs, inv_x, inv_y = split(inverses, len(x), 3)
-    rhs = yield from step(loop, "mul", inv_x, inv_y)
+    right, left = yield from _inverses(loop, loop.join(xy, x, y))
+    lhs, inv_x, inv_y = split(right, len(x), 3)
+    rhs, gap = yield [(loop, "mul", (inv_x, inv_y)), (loop, "distance", (right, left))]
+    _two_sided(right, gap)
     return worst((yield from step(loop, "distance", lhs, rhs)))
 
 
@@ -295,7 +308,8 @@ def check_bol(loop: Loop, x, y, z) -> float:
 
 def check_aip(loop: Loop, x, y) -> float:
     """The worst residual of the automorphic inverse property over the
-    sampled pairs; InversesDisagree when the loop lacks two-sided inverses."""
+    sampled pairs; InversesDisagree when the loop lacks two-sided inverses.
+    A breakdown in the product x^-1 y^-1 is raised before that check."""
     return run(aip(loop, x, y))
 
 

@@ -45,7 +45,6 @@ readers share (``convert``).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
@@ -85,12 +84,12 @@ def dag(a: np.ndarray) -> np.ndarray:
     return (a.conj() if a.dtype.kind == "c" else a).swapaxes(-1, -2)
 
 
-def fro(a: np.ndarray):
+def fro(a: np.ndarray, axis=(-2, -1)):
     """Frobenius norm of a matrix, or of each matrix of a stack, over the
-    last two axes: the expression ``np.linalg.norm`` evaluates for it, bit
-    for bit, without its dispatch.  A matrix gives the same bits alone as
-    inside a stack."""
-    return np.sqrt(np.add.reduce((a.conj() * a).real, axis=(-2, -1)))
+    last two axes, or the 2-norm over the one ``axis`` given: the expression
+    ``np.linalg.norm`` evaluates for it, bit for bit, without its dispatch.
+    A matrix gives the same bits alone as inside a stack."""
+    return np.sqrt(np.add.reduce((a.conj() * a).real, axis=axis))
 
 
 def worst(*residuals) -> float:
@@ -128,18 +127,33 @@ def symmetrize(a: np.ndarray) -> np.ndarray:
     return (a + dag(a)) / 2.0
 
 
-@dataclass(frozen=True)
+def refuse_assignment(self, name: str, *_):
+    """``__setattr__`` and ``__delattr__`` of the immutable value types,
+    plain slotted classes whose ``__init__`` sets each field once through
+    its slot's own setter: they are built on every loop operation, and a
+    frozen dataclass's generated constructor, which sets its fields through
+    ``object.__setattr__``, costs 1.7 times as much."""
+    raise AttributeError(f"cannot assign to field {name!r} of an immutable {type(self).__name__}")
+
+
 class SpectralDecomposition:
     """Eigenvalues (real, ascending) and a unitary eigenbasis Q with
     A = Q diag(eigenvalues) Q*; for a stack, shapes (..., n) and (..., n, n)."""
 
-    eigenvalues: np.ndarray
-    eigenbasis: np.ndarray
+    __slots__ = ("eigenvalues", "eigenbasis")
+    __setattr__ = __delattr__ = refuse_assignment
+
+    def __init__(self, eigenvalues: np.ndarray, eigenbasis: np.ndarray):
+        _set_eigenvalues(self, eigenvalues)
+        _set_eigenbasis(self, eigenbasis)
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         """Assemble Q diag(values) Q*, re-symmetrized."""
         q = self.eigenbasis
         return symmetrize((q * values[..., None, :]) @ dag(q))
+
+
+_set_eigenvalues, _set_eigenbasis = SpectralDecomposition.eigenvalues.__set__, SpectralDecomposition.eigenbasis.__set__
 
 
 def eig_hermitian(a: np.ndarray) -> SpectralDecomposition:
@@ -220,7 +234,7 @@ def orthonormalize(v: np.ndarray) -> np.ndarray:
     q, r = np.linalg.qr(v)
     diag = np.diagonal(r, axis1=-2, axis2=-1)
     size = np.abs(diag)
-    collapsed = size <= TAU_COLUMN * np.linalg.norm(v, axis=-2)
+    collapsed = size <= TAU_COLUMN * fro(v, axis=-2)
     if collapsed.any():
         raise RankDeficient(f"a column is dependent (residual {np.min(size[collapsed]):.3e})")
     return q * (diag / size)[..., None, :]

@@ -219,7 +219,7 @@ def _solve_translation(loop: ext.ExtensionConfig, w1, rho1, w2, rho2, noise):
     x = x.reshape(both.w.shape[1:-1])  # index 0 exact, 1 perturbed
     t, rho = x.w, x.rho
     moved = geometry.apply(rho[0], d[0], t[0])
-    stability = np.linalg.norm(t[1] - t[0], axis=-1) + fro(rho[1] - rho[0])
+    stability = fro(t[1] - t[0], axis=-1) + fro(rho[1] - rho[0])
     return (worst((yield from step(loop, "subspace_distance", moved, d[1]))), worst(stability)), None
 
 

@@ -19,7 +19,7 @@ from bruckloops.cli import SuiteConfig, main, resolve, run_verify
 from bruckloops.errors import InversesDisagree, NoConvergence, NotHermitian, NotInOrbit, NotPositiveDefinite
 from bruckloops.extension import extension_config, lift_from_infinity
 from bruckloops.groups import SampleStream, element_to_json, sample_parts, unit_uniforms
-from bruckloops.kernel import check_left_a, drive, inverse_of
+from bruckloops.kernel import check_aip, check_left_a, drive, inverse_of
 from bruckloops.linalg import spectral_map
 from bruckloops.matrixloop import MatrixLoop
 from bruckloops.suite import PROPERTIES, TOLERANCES, draw_parts
@@ -176,13 +176,15 @@ def _loop_calls(monkeypatch) -> list:
 # primitive at once; the membership judge takes eigenvalues alone, outside
 # ``eig_hermitian``
 BENCH_SUITES = {
-    "321c": (dict(n=3, p1=2, p2=1, field_name="complex"), 14),
-    "422r-c2": (dict(n=4, p1=2, p2=2, carrier=2, wtilde=f"boost:{math.log(2)!r}"), 15),
+    "321c": (dict(n=3, p1=2, p2=1, field_name="complex"), 13),
+    "422r-c2": (dict(n=4, p1=2, p2=2, carrier=2, wtilde=f"boost:{math.log(2)!r}"), 14),
 }
-# The primitive calls of one such verify at equal counts, 14: all rows'
-# waiting requests of one loop and primitive share a call
+# The primitive calls of one such verify at equal counts, 13: all rows'
+# waiting requests of one loop and primitive share a call, and no product
+# waits on a reading, so the matrix loop's products and divisions take
+# five calls, left-A's depth
 LOOP_CALLS = {
-    ("MatrixLoop", "positive_factor"): 6,
+    ("MatrixLoop", "positive_factor"): 5,
     ("MatrixLoop", "distance"): 2,
     ("MatrixLoop", "membership"): 1,
     ("ExtensionConfig", "omega"): 3,
@@ -218,7 +220,7 @@ def test_a_verify_makes_one_chart_call_per_kind(monkeypatch, eig_calls, name, sa
     run_verify(cfg)
     assert len(eig_calls) == eig_count
     assert Counter(operations) == LOOP_CALLS
-    assert len(operations) == 14
+    assert len(operations) == 13
     loop = resolve(cfg)
     draws_of = {kind: sum(row.draw.count(kind) for row in PROPERTIES) for kind in ("sigma", "phi")}
     assert sigma == [draws_of["sigma"] * samples] and phi == [draws_of["phi"] * samples]
@@ -372,6 +374,41 @@ def test_a_breakdown_in_a_shared_call_fails_its_row_alone(monkeypatch, name):
         else:
             assert entry == was
     assert fused["dimension"] == clean["dimension"]
+
+
+@pytest.mark.parametrize("name", ["321c", "422r-c2-boost"])
+def test_a_breakdown_in_aips_last_product_fails_the_aip_row_alone(monkeypatch, name):
+    # AIP's last product x^-1 y^-1 shares a positive_factor call with other
+    # rows' products; a breakdown on the inverse of the first x drawn fails
+    # that call, which re-runs per request, and only AIP fails, with the
+    # error ``check_aip`` raises on the row's own samples
+    cfg = _fused_config(name, "mixed")
+    clean = _without_timing(run_verify(cfg))
+    loop = resolve(cfg)
+    slots = suite.stream_slots(loop, cfg.samples, suite.layout(loop))
+    streams = {key: SampleStream(cfg.seed).split(offset) for key, (offset, _) in slots.items()}
+    x, y = draw_parts(loop, streams, cfg.samples, suite.layout(loop))["aip"]
+    poison = loop.mat.inverse(x[0])
+    real = MatrixLoop.run
+
+    def run(self, calls):
+        for operation, operands in calls:
+            if operation == "mul" and (np.abs(operands[0] - poison).max(axis=(-2, -1)) < 1e-8).any():
+                raise NotPositiveDefinite(f"injected in a stack of {sum(len(ops[0]) for _, ops in calls)}")
+        return real(self, calls)
+
+    monkeypatch.setattr(MatrixLoop, "run", run)
+    with pytest.raises(NotPositiveDefinite) as alone:
+        check_aip(loop.mat, x, y)
+    report = _without_timing(run_verify(cfg))
+    assert str(alone.value) == f"injected in a stack of {cfg.samples['aip']}"
+    for entry, was in zip(report["properties"], clean["properties"]):
+        if entry["property"] == "aip":
+            assert entry["pass"] is False and entry["max_residual"] == 1.0
+            assert entry["detail"] == {"error": str(alone.value)}
+        else:
+            assert entry == was
+    assert report["dimension"] == clean["dimension"]
 
 
 @pytest.mark.parametrize("samples", [1, 8, 60])

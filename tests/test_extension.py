@@ -24,7 +24,7 @@ from bruckloops.extension import (
 from bruckloops.geometry import AffineSubspace, apply, projector, subspace, subspace_distance
 from bruckloops.groups import SampleStream, SignatureForm, sigma_from_block, standard_boost
 from bruckloops.kernel import check_loop_axioms
-from bruckloops.linalg import fro, matrix_to_json, orthonormalize
+from bruckloops.linalg import SpectralDecomposition, fro, matrix_to_json, orthonormalize
 from bruckloops.matrixloop import MatrixLoop
 from conftest import one, rotation
 from reference import canonical_distance, check_drawn, draw, qr_chart_embeddings, uniforms
@@ -674,3 +674,18 @@ def test_extension_element_json_roundtrip(cfg):
     back = extension_element_from_json(json.loads(json.dumps(e.to_json(cfg.form))), cfg.form)
     assert np.array_equal(back.w, e.w)
     assert np.array_equal(back.rho, e.rho)
+
+
+@pytest.mark.parametrize("cls", [ExtensionElement, AffineSubspace, SpectralDecomposition])
+def test_value_types_are_immutable_and_compared_by_identity(cls):
+    fields = cls.__slots__
+    value, twin = (cls(np.zeros(3), np.eye(3)) for _ in range(2))
+    assert not hasattr(value, "__dict__")
+    for name in (*fields, "other"):
+        with pytest.raises(AttributeError):
+            setattr(value, name, np.ones(3))
+    with pytest.raises(AttributeError):
+        delattr(value, fields[0])
+    assert np.array_equal(getattr(value, fields[0]), np.zeros(3)) and getattr(value, fields[1]).shape == (3, 3)
+    assert value == value and value != twin
+    assert hash(value) == object.__hash__(value) and len({value, twin, value}) == 2

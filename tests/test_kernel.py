@@ -134,12 +134,12 @@ def test_join_concatenates_stacks_of_any_lengths(form321c, join):
 class TestDrive:
     def test_steps_driven_together_share_each_level(self, monkeypatch, mloop):
         # bol, AIP and left-A on stacks of 1, 4 and 3 samples: alone they
-        # make 3 + 3 + 5 positive_factor calls, together 6, and each value
-        # is its checker's.  The first three calls serve every steps that
-        # waits on one, and AIP's two divisions share the second with two
-        # levels' products; AIP's inverse gap is a distance, which waits
-        # until nothing else does, so AIP's last product comes after
-        # left-A's, a call of its own
+        # make 3 + 3 + 5 positive_factor calls, together 5, left-A's depth,
+        # and each value is its checker's.  The first three calls serve
+        # every steps that waits on one, and AIP's two divisions share the
+        # second with two levels' products; AIP asks for its last product
+        # beside its inverse-gap reading, so the product joins left-A's
+        # third level rather than waiting on the reading
         stream = SampleStream(12)
         samples = [(bol, check_bol, 1, 3), (aip, check_aip, 4, 2), (left_a, check_left_a, 3, 4)]
         slots = [sample_tuples(mloop, stream.split(100 * k), n, size) for k, (*_, n, size) in enumerate(samples)]
@@ -157,10 +157,9 @@ class TestDrive:
         assert sizes == [
             [("mul", 2 + 4 + 6)],
             [("mul", 2 + 9), ("right_divide", 12), ("left_divide", 12)],
-            [("mul", 2 + 9)],
+            [("mul", 2 + 9 + 4)],
             [("left_divide", 9)],
             [("mul", 3)],
-            [("mul", 4)],
         ]
         assert all(o.seconds > 0.0 for o in outcomes)
 
@@ -313,6 +312,38 @@ class TestTwoSidedInverses:
         loop = extension_config(form321r)
         with pytest.raises(InversesDisagree):
             check_drawn(check_aip, loop, SampleStream(1), 40)
+
+    def test_extension_loop_aip_refusal_reads_the_inverse_gap(self, form321r):
+        # x^-1 y^-1 is made before the inverses are checked; the refusal
+        # keeps its text, the largest gap among the inverses of xy, x and y
+        loop = extension_config(form321r)
+        x, y = sample_tuples(loop, SampleStream(1), 40, CHECK_SLOTS[check_aip])
+        with pytest.raises(InversesDisagree) as refused:
+            check_aip(loop, x, y)
+        with pytest.raises(InversesDisagree) as gap:
+            inverse_of(loop, loop.join(loop.mul(x, y), x, y))
+        assert str(refused.value) == str(gap.value)
+        assert str(refused.value).startswith("e/x and x\\e differ by ")
+
+    @pytest.mark.parametrize("kind", ["matrix", "extension"])
+    def test_a_breakdown_in_aips_last_product_comes_before_the_inverse_check(self, monkeypatch, form321r, kind):
+        # the last product is the second call that holds one; on the
+        # extension loop, whose inverses disagree, its breakdown is still
+        # the error the checker raises
+        loop = MatrixLoop(form321r) if kind == "matrix" else extension_config(form321r)
+        products, real = [], type(loop).run
+
+        def run(self, calls):
+            if any(operation == "mul" for operation, _ in calls):
+                products.append(calls)
+                if len(products) == 2:
+                    raise NotPositiveDefinite("injected")
+            return real(self, calls)
+
+        monkeypatch.setattr(type(loop), "run", run)
+        with pytest.raises(NotPositiveDefinite, match="^injected$"):
+            check_drawn(check_aip, loop, SampleStream(1), 40)
+        assert len(products) == 2 and [operation for operation, _ in products[1]] == ["mul"]
 
     def test_inverse_of_matrix_loop(self, loop, mloop):
         x, _ = one(draw(loop, SampleStream(13), 1))

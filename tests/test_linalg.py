@@ -345,5 +345,7 @@ def test_fro_is_numpy_norm_bit_for_bit(shape, complex_case):
     a = rng.standard_normal(shape) * 10.0 ** rng.integers(-150, 150, size=shape)
     if complex_case:
         a = a + 1j * rng.standard_normal(shape)
-    expected = np.linalg.norm(a, axis=(-2, -1))
-    assert np.array_equal(fro(a), expected) and np.shape(fro(a)) == np.shape(expected)
+    for axis in ((-2, -1), -1, -2):
+        expected = np.linalg.norm(a, axis=axis)
+        got = fro(a) if axis == (-2, -1) else fro(a, axis=axis)
+        assert np.array_equal(got, expected) and np.shape(got) == np.shape(expected), axis
