@@ -81,11 +81,14 @@ _STEP = 1e-5  # central-difference step of the dimension Jacobian
 _AMBIGUITY_FRACTION = 0.10  # share of gapless points that refuses a rank estimate
 WITNESS_THRESHOLD = 1e-3  # least displacement of the transversal that counts as a witness
 DIMENSION_GAP = 1e-4  # relative singular-value cut and least gap of a rank estimate
-# The most bytes of perturbed points' n x n projectors one pass of the
-# dimension chart maps.  8 MiB takes every point of a default check in one
-# pass up to n = 17 real and n = 12 complex (p1 - p2 <= 1), and bounds the
-# temporaries of a larger check.
-_CHART_BYTES = 1 << 23
+# The suite's one memory rule: the most bytes of values, counted as n x n
+# matrices, that one pass maps.  A suite row whose draw is larger runs in
+# slices of its samples, and the dimension chart maps its perturbed points'
+# projectors in passes of this size.  8 MiB slices no row at 8 samples a
+# row up to n = 104 complex, nor at the default counts up to n = 13 complex
+# and n = 18 real, and takes every point of a default dimension check in
+# one pass up to n = 17 real and n = 12 complex (p1 - p2 <= 1).
+PASS_BYTES = 1 << 23
 
 
 def _block_columns(a: np.ndarray, form: SignatureForm, which: int) -> np.ndarray:
@@ -484,12 +487,12 @@ def _chart_jacobians(cfg: ExtensionConfig, thetas: np.ndarray) -> np.ndarray:
     """Stack (points, d) of chart points -> stack (points, L, d) of central
     finite-difference Jacobians of the embedding, from stacked passes over
     the 2 d perturbed chart points of each point: one pass per chunk of
-    points whose n x n projectors fit ``_CHART_BYTES`` (a point too large
+    points whose n x n projectors fit ``PASS_BYTES`` (a point too large
     is a chunk alone), so a larger check holds no larger temporaries."""
     points, d = thetas.shape
     steps = _STEP * np.eye(d)
     projector = cfg.form.n**2 * np.dtype(cfg.form.dtype).itemsize
-    chunk = max(1, _CHART_BYTES // (2 * d * projector))
+    chunk = max(1, PASS_BYTES // (2 * d * projector))
     jacobians = None
     for k in range(0, max(points, 1), chunk):
         t = thetas[k : k + chunk]
@@ -521,7 +524,7 @@ def dimension_rank_report(cfg: ExtensionConfig, points: int, stream: SampleStrea
     The Jacobians are computed as stacks: one draw of every chart point,
     one eigendecomposition call for the closed-form projectors of the
     2 * d perturbed chart points of every point in a pass (one pass unless
-    they outgrow ``_CHART_BYTES``) and one SVD call, with no QR.
+    they outgrow ``PASS_BYTES``) and one SVD call, with no QR.
     The spectral layer still checks each matrix; a non-finite embedding
     breaks the SVD, which raises ``LinAlgError``.
     """

@@ -94,7 +94,7 @@ def subspace(base: np.ndarray, directions: np.ndarray) -> AffineSubspace:
         raise DimensionMismatch(
             f"directions live in dim {directions.shape[-2]}, base in {base.shape[-1]}"
         )
-    frame = orthonormalize(directions).astype(np.result_type(directions.dtype, base.dtype, np.float64))
+    frame = orthonormalize(directions).astype(np.result_type(directions.dtype, base.dtype, np.float64), copy=False)
     return AffineSubspace(base - mv(frame, mv(dag(frame), base)), frame)
 
 

@@ -7,11 +7,10 @@ required, its default count, its per-sample draw layout (kinds of value,
 keys of ``PARTS``) and its ``steps``, which return the worst residual of
 each entry.  ``layout`` works out every row's part widths once a verify,
 for ``stream_slots`` and ``draw_parts``.  ``draw_parts`` draws the
-uniforms of a run of rows, each from the row's own slot, in one
-splitmix64 pass at the usual counts, and evaluates each kind's chart over
-the run's rows, in calls of at most ``_CHART_BYTES`` of values, so a
-verify at small counts, one run, makes one Sigma chart call and one Phi
-chart call, and each row gets its values as slices.
+uniforms of a run of rows' samples, each from the row's own slot, in one
+splitmix64 pass, and evaluates each kind's chart over the run in one call,
+so a verify at small counts, one run, makes one Sigma chart call and one
+Phi chart call, and each row gets its values as slices.
 
 A row's steps are a generator in the kernel's step protocol: at each
 dependency level it yields its requests, each one request on the joined
@@ -22,26 +21,37 @@ matrix product, ``solve_translation`` the coordinates and the right
 divisions of its exact and perturbed pairs and its mapping residual, each
 on their flattened stack, and the closure rows their membership
 residuals, a request that, like the distances, runs only when nothing
-else waits.  ``run_suite`` packs consecutive rows into runs, as many as
-fit ``_STEPS_BYTES`` of drawn values (all rows at small counts), draws
-each run just before it hands the run's steps to one ``kernel.drive``,
-and keeps only the text of a breakdown, so a verify holds one run's
-draws at a time.  The driver advances the steps together: the waiting
-requests of one loop and primitive share one call, whatever row and
-operation they come from (the matrix loop's products and divisions one
-``positive_factor`` call, the extension loop's products, left divisions
-and coordinates one ``omega`` call, its distances of elements and of
-subspaces one QR call), so a verify makes far fewer calls than its rows
-make levels, and every residual keeps the bits of its row run alone.
+else waits.
+
+The suite keeps one memory rule, ``extension.PASS_BYTES`` of drawn
+values, counted as n x n matrices: ``run_suite`` cuts a row whose draw is
+larger into slices of consecutive samples, each drawing from the row's
+stream where a whole draw would reach its first sample, so every value
+keeps its bits.  It packs consecutive slices into runs, as many as fit
+``_STEPS_BYTES`` of drawn values (every row, whole, at small counts),
+draws each run just before it hands the run's steps to one
+``kernel.drive``, and keeps only the text of a breakdown, so a verify
+holds one pass's draws at a time.  A row's slices fold into its entries:
+residuals by max from 0, ``worst_margin`` by min, seconds by sum; the
+first slice that breaks down ends the row with its own text.
+
+The driver advances the steps together: the waiting requests of one loop
+and primitive share one call, whatever row and operation they come from
+(the matrix loop's products and divisions one ``positive_factor`` call,
+the extension loop's products, left divisions and coordinates one
+``omega`` call, its distances of elements and of subspaces one QR call),
+so a verify makes far fewer calls than its rows make levels, and every
+residual keeps the bits of its row run alone.
 A numeric breakdown (any package error or ``LinAlgError``) in a shared
 call is re-run request by request, so it fails only the rows whose own
 operands break.  A breakdown inside a row, or inside a chart
 serving it, becomes failed entries carrying ``detail.error``, so the
 report is still written.  A check inside a stacked call covers the whole
-stack, so ``detail.error`` names the worst matrix of the row's stack, not
-the first failing sample.  A row's ``seconds`` are its own time in its
-steps plus a share of every call it took part in, in proportion to the
-elements it gave.
+stack, so ``detail.error`` names the worst matrix of the slice's stack,
+not the first failing sample, and a sample index in it, such as
+transversality's, counts from the slice's first sample.  A row's
+``seconds`` are its own time in its steps plus a share of every call it
+took part in, in proportion to the elements it gave.
 
 ``run_suite`` samples from a resolved ``ExtensionConfig``, which holds the
 form and the matrix loop; it reads no file and parses no argument.  The
@@ -266,22 +276,10 @@ DEFAULT_SAMPLES = {row.key: row.default_samples for row in PROPERTIES} | {"dimen
 # per sample over all rows, 26 Sigma and 2 Phi elements, 10 transversal
 # points and one noise draw, so at 100,000 samples a row 2.8 million n x n
 # matrices, 200 MB at (3,2,1) real and 1.6 GB at (6,3,3) complex, though
-# it holds only one run of rows' draws at a time.  A larger count is refused before anything is
-# drawn rather than left to exhaust memory or overflow the draw.
+# it holds only one pass's draws at a time.  A larger count is refused
+# before anything is drawn rather than left to exhaust memory or overflow
+# the draw.
 MAX_SAMPLES = 100_000
-
-# The most uniforms one splitmix64 pass of the draw computes: MAX_SAMPLES
-# times the widest layout, so pooling the rows' draws takes no larger pass
-# than some row's own.
-_DRAW_CHUNK = MAX_SAMPLES * max(len(row.draw) for row in PROPERTIES)
-
-# The most bytes of values, counted as n x n matrices, that one chart call
-# maps, as ``extension._CHART_BYTES`` bounds the dimension chart's passes.
-# 8 MiB takes every value of a kind in one call at 8 samples a row up to
-# n = 50 complex, and at the default counts up to n = 6 complex and n = 8
-# real, and bounds the temporaries of a larger draw: the values of a kind
-# are then assembled in one array, one call's worth at a time.
-_CHART_BYTES = 1 << 23
 
 # The most bytes of drawn values, counted as n x n matrices, whose rows are
 # driven together.  Sharing a call saves its fixed cost, which shows only
@@ -297,10 +295,26 @@ INFORMATIONAL = frozenset(name for row in PROPERTIES if not row.required for nam
 
 
 def held_matrices(counts: dict) -> int:
-    """How many n x n matrices a verify draws, of which it holds one run of
-    rows' at a time: each row's count times the Sigma and Phi parts of its
-    layout."""
+    """How many n x n matrices a verify draws, of which it holds at most
+    ``extension.PASS_BYTES`` at a time: each row's count times the Sigma
+    and Phi parts of its layout."""
     return sum(counts[row.key] * sum(kind in ("sigma", "phi") for kind in row.draw) for row in PROPERTIES)
+
+
+def _sliced(streams: dict, counts: dict, widths: dict, value_bytes: int) -> list:
+    """Every row's samples as slices ``(row, stream, count)`` of consecutive
+    samples, in row order, each drawing at most ``extension.PASS_BYTES`` of
+    values of ``value_bytes`` (a sample larger than that is a slice alone)
+    from the row's stream in ``streams`` split where a draw of the whole
+    row reaches its first sample, for the row ``widths`` of ``layout``; a
+    row of no samples is one empty slice."""
+    slices = []
+    for row in PROPERTIES:
+        count, width = counts[row.key], sum(widths[row.key])
+        per_slice = max(1, ext.PASS_BYTES // (len(row.draw) * value_bytes))
+        starts = range(0, max(count, 1), per_slice)
+        slices += [(row, streams[row.key].split(start * width), min(per_slice, count - start)) for start in starts]
+    return slices
 
 
 def _packed(items: list, sizes: list, room: int) -> list:
@@ -318,19 +332,11 @@ def _packed(items: list, sizes: list, room: int) -> list:
 
 def _chart(loop: ext.ExtensionConfig, kind: str, us: list) -> list:
     """The values of ``kind`` that each stack of unit uniforms in ``us``
-    (m, width) draws, one stack for each, from chart calls on them all of
-    at most ``_CHART_BYTES`` of values each (an empty draw is one call on
-    the empty stack); or, for each, the breakdown the chart raised."""
-    u, chart = np.concatenate(us), PARTS[kind][1]
-    chunk = max(1, _CHART_BYTES // (loop.form.n**2 * np.dtype(loop.form.dtype).itemsize))
+    (m, width) draws, one stack for each, from one chart call on them all
+    (an empty draw is one call on the empty stack); or, for each, the
+    breakdown the chart raised."""
     try:
-        values = chart(loop, u[:chunk])
-        if len(u) > chunk:
-            whole = np.empty((len(u),) + values.shape[1:], values.dtype)
-            whole[:chunk] = values
-            for k in range(chunk, len(u), chunk):
-                whole[k : k + chunk] = chart(loop, u[k : k + chunk])
-            values = whole
+        values = PARTS[kind][1](loop, np.concatenate(us))
     except BREAKDOWN as exc:
         return [exc] * len(us)
     return pieces(values, [len(x) for x in us])
@@ -355,50 +361,48 @@ def stream_slots(loop: ext.ExtensionConfig, counts: dict, widths: dict) -> dict:
     return {key: ((k + 1) * stride, sizes[key]) for k, key in enumerate(sorted(sizes))}
 
 
-def draw_parts(
-    loop: ext.ExtensionConfig, streams: dict, counts: dict, widths: dict, rows: tuple = PROPERTIES
-) -> dict:
-    """The drawn values of each of ``rows``, by row key: one stack per part
-    of its layout, of the row ``widths`` of ``layout``, or the breakdown a
-    chart serving the row raised.
+def draw_parts(loop: ext.ExtensionConfig, widths: dict, slices: list) -> list:
+    """The drawn values of each of ``slices``, in order: one stack per part
+    of its row's layout, of the row ``widths`` of ``layout``, or the
+    breakdown a chart serving the slice raised.
 
-    Each row draws ``counts[key]`` samples' uniforms from ``streams[key]``,
-    sample by sample in layout order, as a sample-by-sample draw would.
-    Every stream is on one seed.  Consecutive rows draw together, one
-    ``unit_uniforms`` pass over their counters per batch of at most
-    ``_DRAW_CHUNK`` uniforms (a larger row is a batch alone), and each
-    row's parts are sliced from it.  Each kind's uniforms, pooled over the
-    rows in row order, go through its chart, in calls of at most
-    ``_CHART_BYTES`` of values, and are sliced back; a kind no row draws
-    makes no call.  A stacked chart call gives each value the bits it gets
-    alone."""
-    seed = streams[rows[0].key].seed
-    draws = [(row, streams[row.key], counts[row.key] * sum(widths[row.key])) for row in rows]
-    pooled = {kind: [] for kind in PARTS}  # each kind's uniforms, part by part in row order
-    for batch in _packed(draws, [n for *_, n in draws], _DRAW_CHUNK):
-        counters = [stream.counters(n) for _, stream, n in batch]  # a lone row's passed uncopied
-        u = unit_uniforms(seed, counters[0] if len(batch) == 1 else np.concatenate(counters))
-        del counters
-        for (row, _, n), part_uniforms in zip(batch, pieces(u, [n for *_, n in batch])):
-            for kind, part in zip(row.draw, sample_parts(part_uniforms, counts[row.key], widths[row.key])):
-                pooled[kind].append(part)
+    A slice ``(row, stream, count)`` draws ``count`` samples' uniforms from
+    ``stream``, sample by sample in layout order, as a sample-by-sample
+    draw would; every stream is on one seed.  One ``unit_uniforms`` pass
+    draws every slice's uniforms, and each kind's uniforms, pooled over
+    the slices in order, go through one call of its chart and are sliced
+    back; a kind no slice draws makes no call.  A stacked chart call gives
+    each value the bits it gets alone."""
+    sizes = [count * sum(widths[row.key]) for row, _, count in slices]
+    counters = [stream.counters(size) for (_, stream, _), size in zip(slices, sizes)]
+    u = unit_uniforms(slices[0][1].seed, counters[0] if len(counters) == 1 else np.concatenate(counters))
+    del counters  # before the charts; a lone slice's went to the pass uncopied
+    pooled = {kind: [] for kind in PARTS}  # each kind's uniforms, part by part in slice order
+    for (row, _, count), part_uniforms in zip(slices, pieces(u, sizes)):
+        for kind, part in zip(row.draw, sample_parts(part_uniforms, count, widths[row.key])):
+            pooled[kind].append(part)
     values = {kind: iter(_chart(loop, kind, us)) for kind, us in pooled.items() if us}
-    drawn = {}
-    for row in rows:
+    drawn = []
+    for row, *_ in slices:
         parts = [next(values[kind]) for kind in row.draw]
-        drawn[row.key] = next((p for p in parts if isinstance(p, Exception)), parts)
+        drawn.append(next((p for p in parts if isinstance(p, Exception)), parts))
     return drawn
 
 
-def _entries(row: Property, count: int, outcome: Outcome) -> list:
-    """The report entries of one row from the ``Outcome`` of its steps.
+def _entries(row: Property, count: int, outcomes: list) -> list:
+    """The report entries of one row from the ``Outcome`` of its steps on
+    each of its slices, folded: residuals by max from 0, the ``detail``
+    values (transversality's ``worst_margin``) by min, seconds by sum.
     The row's seconds go on its first entry; a companion entry records 0
-    seconds and names that entry in ``detail.timed_with``.  A breakdown
-    fails every entry with residual 1.0 and the exception text in
-    ``detail.error``."""
-    broke = outcome.error
+    seconds and names that entry in ``detail.timed_with``.  A breakdown,
+    which ends the row at its slice, fails every entry with residual 1.0
+    and the exception text in ``detail.error``."""
+    broke = next((outcome.error for outcome in outcomes if outcome.error is not None), None)
     if broke is None:
-        residuals, detail = outcome.value
+        (residuals, detail), *further = (outcome.value for outcome in outcomes)
+        for more, more_detail in further:
+            residuals = tuple(map(worst, zip(residuals, more)))
+            detail = detail and {key: min(value, more_detail[key]) for key, value in detail.items()}
     else:
         residuals, detail = (1.0,) * len(row.entries), {"error": str(broke)}
     first = row.entries[0][0]
@@ -412,7 +416,7 @@ def _entries(row: Property, count: int, outcome: Outcome) -> list:
             "tolerance": tolerance,
             "pass": broke is None and residual <= tolerance,
             "required": row.required,
-            "seconds": outcome.seconds if name == first else 0.0,
+            "seconds": sum(outcome.seconds for outcome in outcomes) if name == first else 0.0,
         }
         info = dict(detail or {})
         if name != first:
@@ -438,29 +442,33 @@ def _drop_frames(error: BaseException | None) -> None:
 
 
 def run_suite(loop: ext.ExtensionConfig, counts: dict, seed: int) -> dict:
-    """Pack the rows of PROPERTIES into runs of consecutive rows of at most
-    ``_STEPS_BYTES`` of drawn values (a larger row is a run alone); for each
-    run, draw its rows, ``counts[key]`` samples, each from its own slot of
-    the seed's stream, and drive their steps on their values together, so
-    a verify holds one run's draws at a time, and of a breakdown it keeps
-    only the text.  Then run the dimension check on its slot, and return
-    the report's ``properties``, ``dimension`` and ``pass``."""
+    """Cut the rows of PROPERTIES into slices of at most
+    ``extension.PASS_BYTES`` of drawn values, and pack consecutive slices
+    into runs of at most ``_STEPS_BYTES`` (a larger slice is a run alone);
+    for each run, draw its slices, each from its row's slot of the seed's
+    stream, and drive their steps on their values together, skipping the
+    slices of a row that broke down, so a verify holds one run's draws at a
+    time, and of a breakdown it keeps only the text.  Fold each row's
+    slices into its entries, then run the dimension check on its slot, and
+    return the report's ``properties``, ``dimension`` and ``pass``."""
     base, widths = SampleStream(seed), layout(loop)
     streams = {key: base.split(offset) for key, (offset, _) in stream_slots(loop, counts, widths).items()}
     value_bytes = loop.form.n**2 * np.dtype(loop.form.dtype).itemsize
-    sizes, outcomes = [counts[row.key] * len(row.draw) * value_bytes for row in PROPERTIES], {}
-    for batch in _packed(PROPERTIES, sizes, _STEPS_BYTES):
-        drawn = draw_parts(loop, streams, counts, widths, batch)
-        # a row whose draw broke down fails as it stands
-        ready = [row for row in batch if not isinstance(drawn[row.key], Exception)]
-        outcomes |= {key: Outcome(error=parts) for key, parts in drawn.items() if isinstance(parts, Exception)}
-        outcomes |= zip((row.key for row in ready), drive([row.steps(loop, *drawn[row.key]) for row in ready]))
+    slices, outcomes = _sliced(streams, counts, widths, value_bytes), {row.key: [] for row in PROPERTIES}
+    for run in _packed(slices, [count * len(row.draw) * value_bytes for row, _, count in slices], _STEPS_BYTES):
+        run = [piece for piece in run if all(outcome.error is None for outcome in outcomes[piece[0].key])]
+        if not run:
+            continue
+        drawn = draw_parts(loop, widths, run)
+        # a slice whose draw broke down fails as it stands
+        ready = [row.steps(loop, *parts) for (row, *_), parts in zip(run, drawn) if not isinstance(parts, Exception)]
+        driven = iter(drive(ready))
+        results = [Outcome(error=parts) if isinstance(parts, Exception) else next(driven) for parts in drawn]
         del drawn  # the run's draws go before the next run's are drawn
-        for row in batch:
-            _drop_frames(outcomes[row.key].error)
-    entries = []
-    for row in PROPERTIES:
-        entries += _entries(row, counts[row.key], outcomes[row.key])
+        for (row, *_), outcome in zip(run, results):
+            _drop_frames(outcome.error)
+            outcomes[row.key].append(outcome)
+    entries = [entry for row in PROPERTIES for entry in _entries(row, counts[row.key], outcomes[row.key])]
 
     t0 = time.perf_counter()
     expected = ext.expected_dimension(loop)

@@ -57,13 +57,19 @@ COUNT = 6
 MIXED_COUNTS = (1, 3, 6)
 
 
+def _drawn(loop, streams, counts) -> dict:
+    """Every row's whole draw, drawn as one run, by row key."""
+    slices = [(row, streams[row.key], counts[row.key]) for row in PROPERTIES]
+    return {row.key: parts for row, parts in zip(PROPERTIES, draw_parts(loop, suite.layout(loop), slices))}
+
+
 @pytest.mark.parametrize("seed", [1, 7919])
 @pytest.mark.parametrize("name", sorted(SUITES))
 def test_every_row_matches_the_per_sample_reference(name, seed):
     loop = resolve(SuiteConfig(seed=seed, **SUITES[name]))
     streams = {row.key: SampleStream(seed).split((k + 1) * 1000) for k, row in enumerate(PROPERTIES)}
     counts = {row.key: MIXED_COUNTS[k % 3] for k, row in enumerate(PROPERTIES)}
-    drawn = draw_parts(loop, streams, counts, suite.layout(loop))
+    drawn = _drawn(loop, streams, counts)
     # every row driven together, so rows of unequal counts share calls
     outcomes = drive([row.steps(loop, *drawn[row.key]) for row in PROPERTIES])
     for row, outcome in zip(PROPERTIES, outcomes):
@@ -93,7 +99,7 @@ def test_the_element_draw_is_the_verify_element_draw():
     loop = resolve(SuiteConfig(seed=3, **SUITES["633c"]))
     streams = {row.key: SampleStream(3).split((k + 1) * 1000) for k, row in enumerate(PROPERTIES)}
     counts = {row.key: 5 for row in PROPERTIES}
-    drawn = draw_parts(loop, streams, counts, suite.layout(loop))
+    drawn = _drawn(loop, streams, counts)
     row = next(row for row in PROPERTIES if row.draw == suite._ELEMENT)
     w, rho = drawn[row.key]
     elems, _ = draw(loop, streams[row.key], counts[row.key])
@@ -251,7 +257,7 @@ def test_fused_rows_are_the_rows_driven_alone_bit_for_bit(name, counts):
     cfg = _fused_config(name, counts)
     loop = resolve(cfg)
     streams = {row.key: SampleStream(cfg.seed).split((k + 1) * 1000) for k, row in enumerate(PROPERTIES)}
-    drawn = draw_parts(loop, streams, cfg.samples, suite.layout(loop))
+    drawn = _drawn(loop, streams, cfg.samples)
     fused = drive([row.steps(loop, *drawn[row.key]) for row in PROPERTIES])
     for row, got in zip(PROPERTIES, fused):
         (alone,) = drive([row.steps(loop, *drawn[row.key])])
@@ -283,11 +289,13 @@ def test_each_run_of_rows_is_drawn_just_before_it_is_driven(monkeypatch):
     sizes = [cfg.samples[row.key] * len(row.draw) * value_bytes for row in PROPERTIES]
     runs = [[row.key for row in batch] for batch in suite._packed(PROPERTIES, sizes, suite._STEPS_BYTES)]
     assert len(runs) > 1
+    slices = suite._sliced(dict.fromkeys(cfg.samples, SampleStream(0)), cfg.samples, suite.layout(loop), value_bytes)
+    assert [(row, count) for row, _, count in slices] == [(row, cfg.samples[row.key]) for row in PROPERTIES]
     events, real_draw, real_drive = [], suite.draw_parts, suite.drive
 
-    def drawing(loop, streams, counts, widths, rows):
-        events.append(("draw", [row.key for row in rows]))
-        return real_draw(loop, streams, counts, widths, rows)
+    def drawing(loop, widths, slices):
+        events.append(("draw", [row.key for row, *_ in slices]))
+        return real_draw(loop, widths, slices)
 
     def driving(steps):
         events.append(("drive", len(steps)))
@@ -311,7 +319,7 @@ def test_a_broken_row_holds_no_draws_after_its_run(monkeypatch):
 
     def drawing(*args):
         drawn = real_draw(*args)
-        refs.extend(weakref.ref(part) for parts in drawn.values() for part in parts)
+        refs.extend(weakref.ref(part) for parts in drawn for part in parts)
         return drawn
 
     def refuse(self, calls):
@@ -348,7 +356,7 @@ def test_a_breakdown_in_a_shared_call_fails_its_row_alone(monkeypatch, name):
     loop = resolve(cfg)
     slots = suite.stream_slots(loop, cfg.samples, suite.layout(loop))
     streams = {key: SampleStream(cfg.seed).split(offset) for key, (offset, _) in slots.items()}
-    poison = draw_parts(loop, streams, cfg.samples, suite.layout(loop))["bol"][0][0]
+    poison = _drawn(loop, streams, cfg.samples)["bol"][0][0]
     real, sizes = MatrixLoop.run, []
 
     def run(self, calls):
@@ -387,7 +395,7 @@ def test_a_breakdown_in_aips_last_product_fails_the_aip_row_alone(monkeypatch, n
     loop = resolve(cfg)
     slots = suite.stream_slots(loop, cfg.samples, suite.layout(loop))
     streams = {key: SampleStream(cfg.seed).split(offset) for key, (offset, _) in slots.items()}
-    x, y = draw_parts(loop, streams, cfg.samples, suite.layout(loop))["aip"]
+    x, y = _drawn(loop, streams, cfg.samples)["aip"]
     poison = loop.mat.inverse(x[0])
     real = MatrixLoop.run
 
@@ -426,39 +434,105 @@ def test_entry_seconds_fit_in_the_total(samples):
 @pytest.mark.parametrize("seed", [1, 7919])
 @pytest.mark.parametrize("name", sorted(SUITES))
 def test_batched_draw_is_the_per_row_draw_bit_for_bit(monkeypatch, name, seed):
-    # each row's own splitmix64 pass, against batches of rows drawn in one
-    # pass: the whole draw at the real chunk, every row in a batch of its
-    # own (most larger than the chunk) at 7 uniforms, runs of rows at 60
+    # each row's own splitmix64 pass, against one pass over a run: every
+    # row whole, then every row cut by the runner into slices of
+    # 4 // (its layout's length) samples, or one, each drawn from where the
+    # row's whole draw reaches its first sample
     loop = resolve(SuiteConfig(seed=seed, **SUITES[name]))
     streams = {row.key: SampleStream(seed).split((k + 1) * 1000) for k, row in enumerate(PROPERTIES)}
     counts = {row.key: MIXED_COUNTS[k % 3] for k, row in enumerate(PROPERTIES)}
     widths = suite.layout(loop)
-    sizes = [counts[row.key] * sum(widths[row.key]) for row in PROPERTIES]
-    for chunk, batches in ((suite._DRAW_CHUNK, 1), (7, len(PROPERTIES)), (60, None)):
-        monkeypatch.setattr(suite, "_DRAW_CHUNK", chunk)
+    per_row = per_row_draw_parts(loop, streams, counts)
+    whole = [(row, streams[row.key], counts[row.key]) for row in PROPERTIES]
+    monkeypatch.setattr(bruckloops.extension, "PASS_BYTES", 4)
+    sliced = suite._sliced(streams, counts, widths, 1)
+    assert len(sliced) == sum(-(-counts[row.key] // max(1, 4 // len(row.draw))) for row in PROPERTIES)
+    for slices in (whole, sliced):
         draws = _counting(monkeypatch, suite, "unit_uniforms")
-        batched, per_row = draw_parts(loop, streams, counts, widths), per_row_draw_parts(loop, streams, counts)
-        packed = []  # consecutive rows packed greedily, a row larger than the chunk alone
-        for size in sizes:
-            if packed and packed[-1] + size <= chunk:
-                packed[-1] += size
-            else:
-                packed.append(size)
-        assert draws == packed and len(draws) == (batches or len(packed))
+        drawn = draw_parts(loop, widths, slices)
+        assert draws == [sum(count * sum(widths[row.key]) for row, _, count in slices)]
         for row in PROPERTIES:
-            for got, want in zip(batched[row.key], per_row[row.key], strict=True):
-                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (row.key, chunk)
+            row_slices = [parts for (drawn_row, *_), parts in zip(slices, drawn) if drawn_row is row]
+            for k, want in enumerate(per_row[row.key]):
+                got = np.concatenate([parts[k] for parts in row_slices])
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (row.key, len(row_slices))
 
 
-def test_chunked_charts_give_the_same_report(monkeypatch):
-    cfg = SuiteConfig(field_name="complex", seed=7919)
+def _pass_bytes(values: int, cfg: SuiteConfig) -> int:
+    """The pass bound that ``values`` n x n matrices of ``cfg`` fill."""
+    return values * cfg.n**2 * (16 if cfg.field_name == "complex" else 8)
+
+
+SLICED_SUITES = ("321c", "422r-c2-boost")
+
+
+@pytest.mark.parametrize("values", [2, 7])
+@pytest.mark.parametrize("seed", [1, 7919])
+@pytest.mark.parametrize("name", SLICED_SUITES)
+def test_sliced_rows_give_the_same_report(monkeypatch, name, seed, values):
+    # a bound of a few values cuts each row into slices of values // (its
+    # layout's length) samples, or one (at two values, transversality's
+    # three samples into two slices); the report keeps every bit, with the
+    # slices packed into runs and with each slice a run alone, where each
+    # slice makes one Sigma chart call
+    cfg = SuiteConfig(seed=seed, **SUITES[name])
     cfg.samples |= {row.key: (1, 3, 6)[k % 3] for k, row in enumerate(PROPERTIES)}
     whole = _without_timing(run_verify(cfg))
-    monkeypatch.setattr(suite, "_CHART_BYTES", 7 * 3 * 3 * 16)  # seven 3 x 3 complex values a call
+    monkeypatch.setattr(bruckloops.extension, "PASS_BYTES", _pass_bytes(values, cfg))
+    assert _without_timing(run_verify(cfg)) == whole
+    monkeypatch.setattr(suite, "_STEPS_BYTES", -1)
     sigma = _counting(monkeypatch, suite, "sigma_from_uniforms")
     assert _without_timing(run_verify(cfg)) == whole
-    total = sum(row.draw.count("sigma") * cfg.samples[row.key] for row in PROPERTIES)
-    assert sigma == [7] * (total // 7) + [total % 7] * (total % 7 > 0)
+    want = []
+    for row in PROPERTIES:
+        count, size = cfg.samples[row.key], max(1, values // len(row.draw))
+        want += [row.draw.count("sigma") * (min(start + size, count) - start) for start in range(0, count, size)]
+    assert len(sigma) > len(PROPERTIES) and sigma == want
+
+
+@pytest.mark.parametrize("alone", [True, False])
+@pytest.mark.parametrize("name", SLICED_SUITES)
+def test_a_breakdown_in_a_rows_second_slice_fails_that_row_alone(monkeypatch, name, alone):
+    # bol runs in three slices of two samples; breakdowns on the first
+    # matrix of its second and third slices fail bol with the second
+    # slice's text, and every other entry keeps its bits.  With each slice
+    # a run alone the third slice is never drawn; with every slice in one
+    # run, it is driven beside the second, whose breakdown still stands
+    cfg = _fused_config(name, "mixed")
+    cfg.samples["bol"] = 6
+    clean = _without_timing(run_verify(cfg))
+    loop = resolve(cfg)
+    slots = suite.stream_slots(loop, cfg.samples, suite.layout(loop))
+    streams = {key: SampleStream(cfg.seed).split(offset) for key, (offset, _) in slots.items()}
+    x = _drawn(loop, streams, cfg.samples)["bol"][0]
+    real, real_draw, drawn = MatrixLoop.run, suite.draw_parts, []
+
+    def run(self, calls):
+        for op, ops in calls:
+            for k in (2, 4):
+                if op == "mul" and np.all(ops[0] == x[k], axis=(-2, -1)).any():
+                    raise NotPositiveDefinite(f"injected at sample {k} in a stack of {len(ops[0])}")
+        return real(self, calls)
+
+    def drawing(loop, widths, slices):
+        drawn.extend((row.key, stream.counter, count) for row, stream, count in slices)
+        return real_draw(loop, widths, slices)
+
+    monkeypatch.setattr(MatrixLoop, "run", run)
+    monkeypatch.setattr(suite, "draw_parts", drawing)
+    monkeypatch.setattr(bruckloops.extension, "PASS_BYTES", _pass_bytes(6, cfg))  # bol: 2 samples a slice
+    monkeypatch.setattr(suite, "_STEPS_BYTES", -1 if alone else 1 << 40)
+    report = _without_timing(run_verify(cfg))
+    width, bol = sum(suite.layout(loop)["bol"]), streams["bol"].counter
+    slices = [(bol + start * width, 2) for start in (0, 2, 4)]
+    assert [(counter, count) for key, counter, count in drawn if key == "bol"] == slices[: 2 if alone else 3]
+    for entry, was in zip(report["properties"], clean["properties"]):
+        if entry["property"] == "bol":
+            assert entry["pass"] is False and entry["max_residual"] == 1.0 and entry["samples"] == 6
+            assert entry["detail"] == {"error": "injected at sample 2 in a stack of 4"}
+        else:
+            assert entry == was
+    assert report["dimension"] == clean["dimension"]
 
 
 SCHEMA = Path(__file__).resolve().parent.parent / "schema" / "suite_report.schema.json"

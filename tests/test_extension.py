@@ -533,13 +533,13 @@ class TestDimension:
         thetas = uniforms(SampleStream(3), 7 * d, -0.4, 0.4)[0].reshape(7, d)
         whole = ext._chart_jacobians(cfg, thetas)
         report = dimension_rank_report(cfg, points=7, stream=SampleStream(3))
-        monkeypatch.setattr(ext, "_CHART_BYTES", 3 * 2 * d * cfg.form.n**2 * np.dtype(cfg.form.dtype).itemsize)
+        monkeypatch.setattr(ext, "PASS_BYTES", 3 * 2 * d * cfg.form.n**2 * np.dtype(cfg.form.dtype).itemsize)
         eig_calls.clear()
         assert ext._chart_jacobians(cfg, thetas).tobytes() == whole.tobytes()
         assert [shape[0] for shape in eig_calls] == [2 * d * 3, 2 * d * 3, 2 * d]
         chunked = dimension_rank_report(cfg, points=7, stream=SampleStream(3))
         assert (chunked.rank, chunked.ranks, chunked.gap_fraction) == (report.rank, report.ranks, report.gap_fraction)
-        monkeypatch.setattr(ext, "_CHART_BYTES", 1)
+        monkeypatch.setattr(ext, "PASS_BYTES", 1)
         eig_calls.clear()
         assert ext._chart_jacobians(cfg, thetas).tobytes() == whole.tobytes()
         assert len(eig_calls) == 7
