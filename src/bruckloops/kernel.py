@@ -28,20 +28,22 @@ divisions on one ``positive_factor``, the extension loop's products, left
 divisions and coordinates of subspaces on one ``omega``, and its
 distances of elements and of subspaces on one ``distance``; an operation
 not named there is a primitive of its own.  While requests wait,
-``drive`` takes every waiting request of one loop and primitive (the
-group with the most elements first, the one waiting longest on a tie,
-and the readings ``distance`` and ``membership`` only when nothing else
-waits), joins the operands of each operation's requests with plain
-concatenation, hands the operations to one ``Loop.run``, which makes one
-call of the primitive on them all (the matrix loop's, past a size bound,
-one call per operation), and slices the results back to each request.
+``drive`` takes every waiting request of the oldest group of one loop
+and primitive, the readings ``distance`` and ``membership`` only when
+nothing else waits, and ``_call`` alone decides what shares a call.
+While the group's operands, counted as one n x n matrix per element, fit
+``SHARE_BYTES``, it makes one call: the requests of a primitive go to one
+``Loop.run``, which joins what it reads, and those of any other
+operation to one call of it on their operands joined by ``Loop.join``,
+its result sliced back.  Past the bound every request runs on its own.
 A call on a stack gives each element the bits a call of its own gives
-it, so only the number of calls depends on who shares them.  A numeric breakdown in a shared call
-re-runs it once per request, so only the steps whose own operands break
-fail, each with the error its own call raises; a breakdown is thrown into
-its steps, and one that escapes ends them.  Each steps' seconds are its
-own time in the generator plus a share of every call it took part in, in
-proportion to the elements it gave.
+it, so only the number of calls depends on who shares them.  A numeric
+breakdown in a shared call re-runs it once per request, so only the
+steps whose own operands break fail, each with the error its own call
+raises; a breakdown is thrown into its steps, and one that escapes ends
+them.  Each steps' seconds are its own time in the generator plus a
+share of every call it took part in, in proportion to the elements it
+gave.
 
 The checkers ``check_*`` are ``drive`` run on one generator.  The
 per-element residuals are folded with max from 0: appending samples can
@@ -63,6 +65,14 @@ INVERSE_GAP = 1e-9  # largest distance between e/x and x\e that inverse_of accep
 # Operations that read results rather than make them: a group of them runs
 # only when nothing else waits, so every steps' readings share one call.
 READINGS = ("distance", "membership")
+# The most bytes of operands, counted as one n x n matrix per element, that
+# one call joins.  Sharing a call saves its fixed cost, which shows only on
+# small stacks: two divisions' products took 0.73-0.80 of the time of two
+# calls joined at 2 KiB, 0.89-0.94 at 32-36 KiB and 1.1-1.2 from 256 KiB on
+# ((4,2,2) real, (3,2,1) and (6,3,3) complex).  A joined stack also holds
+# all its temporaries at once: AIP's inverse gap at 1,000 samples and
+# (20,10,10) complex peaked 229 MB above its draw joined, 127 MB apart.
+SHARE_BYTES = 1 << 17
 
 # A numeric breakdown fails the check whose operands raised it, not its caller.
 BREAKDOWN = (BruckLoopsError, np.linalg.LinAlgError)
@@ -84,11 +94,13 @@ class Loop(Protocol):
 
     ``primitive`` maps each operation that shares a primitive to its name;
     ``run(calls)`` gives the result of each ``(operation, operands)`` call
-    of one primitive, from one call of it.
+    of one primitive, from one call of it.  ``form`` is the loop's
+    ``SignatureForm``.
     """
 
     identity: Any
     primitive: dict
+    form: Any
 
     def join(self, *parts): ...
     def identity_like(self, x): ...
@@ -129,8 +141,7 @@ def drive(steps: list) -> list:
     outcomes = [Outcome() for _ in steps]
     levels = [None] * len(steps)  # per steps: the results of its requests while it waits
     waiting = [0] * len(steps)  # per steps: how many of its requests still wait
-    groups = {}  # (loop, primitive) -> its waiting requests and their (steps index, request index)
-    sizes = {}  # (loop, primitive) -> the elements of its waiting requests
+    groups = {}  # (loop, primitive) -> its waiting requests and their (steps index, request index), oldest first
 
     def advance(i: int, results=None, error=None) -> None:
         t0 = time.perf_counter()
@@ -147,15 +158,13 @@ def drive(steps: list) -> list:
                 batch, places = groups.setdefault(key, ([], []))
                 batch.append((loop, operation, operands))
                 places.append((i, k))
-                sizes[key] = sizes.get(key, 0) + len(operands[0])
         outcomes[i].seconds += time.perf_counter() - t0
 
     for i in range(len(steps)):
         advance(i)
     while groups:
-        key = max(groups, key=lambda key: (key[1] not in READINGS, sizes[key]))
+        key = next((key for key in groups if key[1] not in READINGS), next(iter(groups)))
         batch, places = groups.pop(key)
-        del sizes[key]
         results = _call(batch, [outcomes[i] for i, _ in places])
         del batch  # the operands go before their steps build the next level's
         ready = []
@@ -171,39 +180,35 @@ def drive(steps: list) -> list:
 
 
 def _call(requests: list, outcomes: list) -> list:
-    """The results of ``requests``, all of one loop and primitive, from one
-    ``Loop.run`` on each operation's joined operands, or from one run each
-    when that breaks down; a request whose own run breaks down gets the
-    exception.  Each run's seconds go to the outcomes of its requests, a
-    shared run's in proportion to the elements each request gave."""
-    loop = requests[0][0]
-    by_operation = {}  # operation -> the indices of its requests, in order
-    for k, (_, operation, _) in enumerate(requests):
-        by_operation.setdefault(operation, []).append(k)
+    """The results of ``requests``, all of one loop and primitive: from one
+    call while their operands fit ``SHARE_BYTES``, or when that call breaks
+    down, from one call each; a request whose own call breaks down gets
+    the exception.  Each call's seconds go to the outcomes of its requests,
+    a shared call's in proportion to the elements each request gave."""
+    loop, operation = requests[0][:2]
     counts = [len(operands[0]) for *_, operands in requests]
+    total = sum(counts)
+    if len(requests) > 1 and total * loop.form.n**2 * np.dtype(loop.form.dtype).itemsize > SHARE_BYTES:
+        return [_call([request], [outcome])[0] for request, outcome in zip(requests, outcomes)]
     t0 = time.perf_counter()
-    calls = []
-    for operation, ks in by_operation.items():
-        operands = [requests[k][2] for k in ks]  # a lone request's are passed as they are
-        calls.append((operation, operands[0] if len(ks) == 1 else [loop.join(*parts) for parts in zip(*operands)]))
     try:
-        stacked = loop.run(calls)
+        if operation in loop.primitive:
+            results = loop.run([request[1:] for request in requests])
+        else:
+            operands = [loop.join(*parts) for parts in zip(*(request[2] for request in requests))]
+            results = pieces(getattr(loop, operation)(*operands), counts)
     except BREAKDOWN as exc:
-        stacked = exc
-    elapsed, total = time.perf_counter() - t0, sum(counts)
+        results = exc
+    elapsed = time.perf_counter() - t0
     for outcome, count in zip(outcomes, counts):
         outcome.seconds += elapsed * (count / total if total else 1 / len(requests))
-    if isinstance(stacked, BREAKDOWN):
+    if isinstance(results, BREAKDOWN):
         if len(requests) == 1:
-            return [stacked]
+            return [results]
         # its traceback holds this frame, which holds it: dropped now, the
         # cycle would keep every request's operands until a collection
-        del stacked
+        del results
         return [_call([request], [outcome])[0] for request, outcome in zip(requests, outcomes)]
-    results = [None] * len(requests)
-    for ks, stack in zip(by_operation.values(), stacked):
-        for k, result in zip(ks, pieces(stack, [counts[k] for k in ks])):
-            results[k] = result
     return results
 
 

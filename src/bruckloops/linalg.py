@@ -107,7 +107,9 @@ def concat(*stacks: np.ndarray) -> np.ndarray:
     """The stacks concatenated along the first batch axis, whatever their
     lengths.  A single matrix or vector among them, a part with fewer axes
     than the rest, is first broadcast to the shape of the first stack, so it
-    fills a stack of that length."""
+    fills a stack of that length.  A lone stack is returned as it is."""
+    if len(stacks) == 1:
+        return stacks[0]
     if len({s.ndim for s in stacks}) > 1:
         shape = max(stacks, key=np.ndim).shape
         stacks = [s if s.ndim == len(shape) else np.broadcast_to(s, shape) for s in stacks]

@@ -14,11 +14,10 @@ pattern, with no matrix product and no spectral call.  So every operation
 is one primitive, ``groups.positive_factor`` of a product (a b, J a J c,
 a b), one p2 x p2 eigendecomposition that builds the result in block
 coordinates, and right division then finishes A^{-1} root A^{-1}.
-``run`` takes the calls of several operations at once, forms each one's
-product, makes one ``positive_factor`` call on them all and cuts it back,
-so the kernel's driver shares one spectral call among a loop's waiting
-products and divisions; past ``_JOIN_BYTES`` of products it factors each
-operation's apart.  Each operation is ``run`` on its own call.
+``run`` takes several calls at once, forms each one's product, makes one
+``positive_factor`` call on them all and cuts it back, so one spectral
+call serves whatever products and divisions the kernel's driver shares.
+Each operation is ``run`` on its own call.
 ``membership`` reads the worst Sigma membership residual of each element,
 the suite's closure rows' request.
 
@@ -57,16 +56,6 @@ _PRODUCTS = {
     "right_divide": lambda loop, b, a: a @ b,
 }
 
-# The most bytes of products that ``run`` joins for one ``positive_factor``
-# call.  Sharing a call saves its fixed cost, which shows only on small
-# stacks: two divisions' products took 0.73-0.80 of the time of two calls
-# joined at 2 KiB, 0.89-0.94 at 32-36 KiB and 1.1-1.2 from 256 KiB on
-# ((4,2,2) real, (3,2,1) and (6,3,3) complex).  A joined stack also holds
-# all its temporaries at once: AIP's inverse gap at 1,000 samples and
-# (20,10,10) complex peaked 229 MB above its draw joined, 127 MB apart.
-_JOIN_BYTES = 1 << 17
-
-
 def frobenius_distance(a: np.ndarray, b: np.ndarray):
     """Relative Frobenius distance, symmetric in its arguments; one per
     element of a stack."""
@@ -91,27 +80,19 @@ class MatrixLoop:
 
     def run(self, calls: list) -> list:
         """The result of each of ``calls``, ``(operation, operands)`` pairs
-        of one primitive: the products of the operations in ``primitive``,
-        their batch axes read as one, through one ``positive_factor`` call,
-        each right division finished on its own slice; any other operation
-        is a call of its own."""
-        if calls[0][0] not in self.primitive:
-            ((operation, operands),) = calls
-            return [getattr(self, operation)(*operands)]
+        of operations in ``primitive``: their products, batch axes read as
+        one, through one ``positive_factor`` call, each right division
+        finished on its own slice."""
         form = self.form
-        matrix_bytes = form.n**2 * np.dtype(form.dtype).itemsize
-        if len(calls) == 1 or sum(len(operands[0]) for _, operands in calls) * matrix_bytes > _JOIN_BYTES:
-            # one call after another, so each product and root goes before the next
-            return [
-                self._finished(operation, operands, positive_factor(_PRODUCTS[operation](self, *operands), form))
-                for operation, operands in calls
-            ]
         products = [_PRODUCTS[operation](self, *operands) for operation, operands in calls]
+        shapes = [p.shape for p in products]
         flat = [p.reshape(-1, form.n, form.n) for p in products]  # batch axes read as one, single matrices too
+        del products
         roots = pieces(positive_factor(concat(*flat), form), [len(f) for f in flat])
+        del flat  # the products go before the right divisions are finished
         return [
-            self._finished(operation, operands, root.reshape(p.shape))
-            for (operation, operands), p, root in zip(calls, products, roots)
+            self._finished(operation, operands, root.reshape(shape))
+            for (operation, operands), shape, root in zip(calls, shapes, roots)
         ]
 
     def _finished(self, operation: str, operands: tuple, root: np.ndarray) -> np.ndarray:

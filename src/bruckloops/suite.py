@@ -187,7 +187,7 @@ def _transversality(loop: ext.ExtensionConfig, rhos):
 
 
 def _ext_infinity_compat(loop: ext.ExtensionConfig, *parts):
-    """ext_mul's direction part, the lift read off the image graph X,
+    """``cfg.mul``'s direction part, the lift read off the image graph X,
     against the matrix loop product, the positive factor of rho1 rho2 read
     off its C12 and C22 blocks: two computations of the same element."""
     e1, e2 = _elements(parts)

@@ -28,7 +28,6 @@ from bruckloops.extension import (
     ExtensionElement,
     coordinate_subspace,
     dimension_rank_report,
-    ext_mul,
     extension_config,
     nonisomorphism_witness,
     realize,
@@ -184,7 +183,7 @@ def test_extension_axioms_and_projection(form):
     axioms = check_drawn(check_loop_axioms, loop, SampleStream(SEED), 500)
     mloop = MatrixLoop(form)
     e1, e2 = sample_tuples(loop, SampleStream(SEED).split(90_000_000), 200, 2)
-    prod = ext_mul(e1, e2, cfg)
+    prod = cfg.mul(e1, e2)
     worst_proj = worst(fro(prod.rho - mloop.mul(e1.rho, e2.rho)))
     ok = axioms <= 1e-8 and worst_proj <= 1e-9
     emit(ok, f"extension-axioms[{config_id(form)}]",

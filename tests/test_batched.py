@@ -172,6 +172,7 @@ def _loop_calls(monkeypatch) -> list:
     for cls in (MatrixLoop, bruckloops.extension.ExtensionConfig):
         for name in ("run", "mul", "left_divide", "right_divide", "distance"):
             wrap(cls, name)
+    wrap(MatrixLoop, "membership")
     return calls
 
 

@@ -12,7 +12,6 @@ from bruckloops.extension import (
     coordinate_subspace,
     dimension_rank_report,
     expected_dimension,
-    ext_mul,
     extension_config,
     extension_element_from_json,
     lift_from_infinity,
@@ -228,14 +227,14 @@ class TestExtMul:
     def test_left_identity(self, cfg):
         loop = cfg
         e, _ = one(draw(loop, SampleStream(6), 1))
-        out = ext_mul(cfg.identity, e, cfg)
+        out = cfg.mul(cfg.identity, e)
         assert np.linalg.norm(out.w - e.w) <= 1e-12
         assert fro(out.rho - e.rho) <= 1e-12
 
     def test_right_identity(self, cfg):
         loop = cfg
         e, _ = one(draw(loop, SampleStream(7), 1))
-        out = ext_mul(e, cfg.identity, cfg)
+        out = cfg.mul(e, cfg.identity)
         assert np.linalg.norm(out.w - e.w) <= 1e-12
         assert fro(out.rho - e.rho) <= 1e-12
 
@@ -250,7 +249,7 @@ class TestExtMul:
         for _ in range(50):
             e1, stream = one(draw(loop, stream, 1))
             e2, stream = one(draw(loop, stream, 1))
-            prod = ext_mul(e1, e2, config)
+            prod = config.mul(e1, e2)
             oracle = apply(e1.rho, realize(e2, config), e1.w)
             assert subspace_distance(realize(prod, config), oracle) <= 1e-8
 
@@ -261,7 +260,7 @@ class TestExtMul:
         for _ in range(50):
             e1, stream = one(draw(loop, stream, 1))
             e2, stream = one(draw(loop, stream, 1))
-            prod = ext_mul(e1, e2, cfg)
+            prod = cfg.mul(e1, e2)
             assert fro(prod.rho - mloop.mul(e1.rho, e2.rho)) <= 1e-9
 
     def test_one_eigendecomposition_and_no_det(self, cfg, eig_calls, monkeypatch):
@@ -271,7 +270,7 @@ class TestExtMul:
         e2, _ = one(draw(loop, stream, 1))
         eig_calls.clear()
         monkeypatch.setattr(np.linalg, "det", pytest.fail)
-        ext_mul(e1, e2, cfg)
+        cfg.mul(e1, e2)
         assert len(eig_calls) == 1
 
     def test_no_svd_or_inv(self, boosted_cfg, monkeypatch):
@@ -282,7 +281,7 @@ class TestExtMul:
         e2, _ = one(draw(loop, stream, 1))
         for name in ("svd", "inv"):
             monkeypatch.setattr(np.linalg, name, pytest.fail)
-        ext_mul(e1, e2, boosted_cfg)
+        boosted_cfg.mul(e1, e2)
         loop.left_divide(e1, e2)
         loop.right_divide(e2, e1)
         omega(realize(e1, boosted_cfg), boosted_cfg)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import bruckloops.kernel
 import bruckloops.matrixloop
 from bruckloops.errors import BruckLoopsError, InversesDisagree, NotPositiveDefinite
 from bruckloops.extension import extension_config, realize
@@ -147,17 +148,17 @@ class TestDrive:
         sizes, real = [], MatrixLoop.run
 
         def run(self, calls):
-            if calls[0][0] != "distance":
-                sizes.append([(operation, len(operands[0])) for operation, operands in calls])
+            sizes.append([(operation, len(operands[0])) for operation, operands in calls])
             return real(self, calls)
 
         monkeypatch.setattr(MatrixLoop, "run", run)
         outcomes = drive([steps(mloop, *xs) for (steps, *_), xs in zip(samples, slots)])
         assert [o.value for o in outcomes] == alone and all(o.error is None for o in outcomes)
+        # one entry per request, in the order the requests were made
         assert sizes == [
-            [("mul", 2 + 4 + 6)],
-            [("mul", 2 + 9), ("right_divide", 12), ("left_divide", 12)],
-            [("mul", 2 + 9 + 4)],
+            [("mul", 2), ("mul", 4), ("mul", 6)],
+            [("mul", 2), ("right_divide", 12), ("left_divide", 12), ("mul", 9)],
+            [("mul", 2), ("mul", 4), ("mul", 9)],
             [("left_divide", 9)],
             [("mul", 3)],
         ]
@@ -225,10 +226,8 @@ class TestMixedGroups:
         monkeypatch.setattr(type(loop), "run", lambda self, calls: runs.append(calls) or real(self, calls))
         outcomes = drive([step(loop, operation, *operands) for operation, operands in requests])
         assert [_bits(o.value) for o in outcomes] == alone
-        # one call, one entry per operation, each on its requests' joined operands
-        assert [[(op, len(operands[0])) for op, operands in calls] for calls in runs] == [
-            [(op, sum(n for o, n in MIXED[kind] if o == op)) for op in dict(MIXED[kind])]
-        ]
+        # one call, one entry per request
+        assert [[(op, len(operands[0])) for op, operands in calls] for calls in runs] == [MIXED[kind]]
 
     @pytest.mark.parametrize("field", ["real", "complex"])
     def test_a_breakdown_in_a_joined_coordinates_call_fails_only_its_request(self, field):
@@ -248,23 +247,42 @@ class TestMixedGroups:
         assert product.error is None and _bits(product.value) == _bits(loop.mul(xs, xs))
 
     @pytest.mark.parametrize("field", ["real", "complex"])
-    def test_products_past_the_join_bound_run_apart_with_the_same_bits(self, monkeypatch, field):
-        loop = MatrixLoop(SignatureForm(3, 2, 1, field))
+    @pytest.mark.parametrize("kind", sorted(MIXED))
+    def test_requests_past_the_share_bound_run_apart_with_the_same_bits(self, monkeypatch, kind, field):
+        form = SignatureForm(3, 2, 1, field)
+        loop = MatrixLoop(form) if kind == "matrix" else extension_config(form)
         xs, _ = draw(loop, SampleStream(21), 5)
         ys, _ = draw(loop, SampleStream(22), 5)
-        requests = [(operation, (xs[:count], ys[:count])) for operation, count in MIXED["matrix"]]
+        requests = [(op, _operands(loop, op, xs[:count], ys[:count])) for op, count in MIXED[kind]]
         joined = [_bits(o.value) for o in drive([step(loop, op, *operands) for op, operands in requests])]
-        factored, real = [], bruckloops.matrixloop.positive_factor
-
-        def counted(s, form):
-            factored.append(len(s))
-            return real(s, form)
-
-        monkeypatch.setattr(bruckloops.matrixloop, "positive_factor", counted)
-        monkeypatch.setattr(bruckloops.matrixloop, "_JOIN_BYTES", 0)
+        runs, real = [], type(loop).run
+        monkeypatch.setattr(type(loop), "run", lambda self, calls: runs.append(calls) or real(self, calls))
+        monkeypatch.setattr(bruckloops.kernel, "SHARE_BYTES", 0)
         apart = drive([step(loop, op, *operands) for op, operands in requests])
         assert [_bits(o.value) for o in apart] == joined
-        assert factored == [2 + 4, 5, 3]  # one call per operation, on its requests' joined operands
+        # one call per request, on its own operands
+        assert [[(op, len(operands[0])) for op, operands in calls] for calls in runs] == [[r] for r in MIXED[kind]]
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("kind", ["matrix", "extension"])
+    def test_an_operation_of_no_primitive_joins_while_it_fits(self, monkeypatch, kind, field):
+        # the matrix loop's distance and the extension loop's right
+        # division share no primitive: one call on the joined operands
+        # within the bound, one call per request past it
+        form = SignatureForm(3, 2, 1, field)
+        loop = MatrixLoop(form) if kind == "matrix" else extension_config(form)
+        operation = "distance" if kind == "matrix" else "right_divide"
+        xs, _ = draw(loop, SampleStream(21), 5)
+        ys, _ = draw(loop, SampleStream(22), 5)
+        counts = [2, 5, 3]
+        alone = [_bits(getattr(loop, operation)(xs[:n], ys[:n])) for n in counts]
+        called, real = [], getattr(loop, operation)
+        monkeypatch.setattr(type(loop), operation, staticmethod(lambda a, b: called.append(len(a)) or real(a, b)))
+        for share, calls in ((bruckloops.kernel.SHARE_BYTES, [sum(counts)]), (0, counts)):
+            monkeypatch.setattr(bruckloops.kernel, "SHARE_BYTES", share)
+            called.clear()
+            outcomes = drive([step(loop, operation, xs[:n], ys[:n]) for n in counts])
+            assert [_bits(o.value) for o in outcomes] == alone and called == calls
 
     @pytest.mark.parametrize("field", ["real", "complex"])
     def test_a_breakdown_fails_only_the_request_that_breaks(self, field):
@@ -344,6 +362,25 @@ class TestTwoSidedInverses:
         with pytest.raises(NotPositiveDefinite, match="^injected$"):
             check_drawn(check_aip, loop, SampleStream(1), 40)
         assert len(products) == 2 and [operation for operation, _ in products[1]] == ["mul"]
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_inverse_of_one_matrix_shares_one_call(self, monkeypatch, field):
+        # e/x and x\e of a single matrix are two 2-D products: read as
+        # stacks of one, they join one positive_factor call that breaks
+        # nothing, so none is re-run
+        loop = MatrixLoop(SignatureForm(3, 2, 1, field))
+        x, _ = one(draw(loop, SampleStream(13), 1))
+        factored, real = [], bruckloops.matrixloop.positive_factor
+
+        def counted(s, form):
+            factored.append(s.shape)
+            return real(s, form)
+
+        monkeypatch.setattr(bruckloops.matrixloop, "positive_factor", counted)
+        inverse = inverse_of(loop, x)
+        assert factored == [(2, 3, 3)]
+        monkeypatch.undo()
+        assert _bits(inverse) == _bits(loop.right_divide(loop.identity, x))
 
     def test_inverse_of_matrix_loop(self, loop, mloop):
         x, _ = one(draw(loop, SampleStream(13), 1))
