@@ -72,7 +72,8 @@ from .suite import DEFAULT_SAMPLES, INFORMATIONAL, MAX_SAMPLES, held_matrices, r
 # The most bytes of n x n matrices a command may hold: verify's drawn Sigma
 # and Phi parts, sample's drawn elements, and a workspace of _WORKSPACE
 # more for every command.  256 MiB admits every default-count verify up to
-# n = 47 real and n = 33 complex, and refuses any command at n = 3000.
+# n = 47 real and n = 33 complex, which peak at 169 and 177 MiB
+# (ru_maxrss, OPENBLAS_NUM_THREADS=1), and refuses any command at n = 3000.
 SIZE_BUDGET = 1 << 28
 _WORKSPACE = 8  # n x n matrices every command holds besides its draws: products, checks, output
 

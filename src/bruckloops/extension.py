@@ -33,7 +33,10 @@ The loop holds the form; the JSON writer and reader take it as an argument.
 Every orbit direction at infinity is the graph of a strict contraction
 between the two coordinate blocks, which gives ``lift_from_infinity`` a
 closed form (the boost of that contraction, as in the gyrogroup view of
-the loop) and the dimension chart its projectors, with no QR.
+the loop) and the dimension chart its projectors, with no QR.  The
+dimension check holds one pass of points at a time: ``passes``, the one
+cut of the suite's memory rule ``PASS_BYTES``, cuts its points as it cuts
+the suite's rows, and each pass's Jacobians go to their own SVD.
 ``ExtensionConfig`` is the loop itself, the object the kernel checkers
 call, and holds the matrix loop of its lifts, built once.
 
@@ -82,13 +85,23 @@ _AMBIGUITY_FRACTION = 0.10  # share of gapless points that refuses a rank estima
 WITNESS_THRESHOLD = 1e-3  # least displacement of the transversal that counts as a witness
 DIMENSION_GAP = 1e-4  # relative singular-value cut and least gap of a rank estimate
 # The suite's one memory rule: the most bytes of values, counted as n x n
-# matrices, that one pass maps.  A suite row whose draw is larger runs in
-# slices of its samples, and the dimension chart maps its perturbed points'
-# projectors in passes of this size.  8 MiB slices no row at 8 samples a
-# row up to n = 104 complex, nor at the default counts up to n = 13 complex
-# and n = 18 real, and takes every point of a default dimension check in
-# one pass up to n = 17 real and n = 12 complex (p1 - p2 <= 1).
+# matrices (``SignatureForm.matrix_bytes``), that one pass holds; ``passes``
+# cuts by it.  A suite row whose draw is larger runs in slices of its
+# samples, and the dimension check maps and decomposes its points in passes
+# of perturbed points' projectors of this size.  8 MiB slices no row at 8
+# samples a row up to n = 104 complex, nor at the default counts up to
+# n = 13 complex and n = 18 real, and takes every point of a default
+# dimension check in one pass up to n = 17 real and n = 12 complex
+# (p1 - p2 <= 1).
 PASS_BYTES = 1 << 23
+
+
+def passes(count: int, item_bytes: int) -> list:
+    """The one memory rule's cut: ``count`` items of ``item_bytes`` each as
+    slices of consecutive items holding at most ``PASS_BYTES`` (an item
+    larger than that is a pass alone); no items are one empty pass."""
+    per = max(1, PASS_BYTES // item_bytes)
+    return [slice(start, min(start + per, count)) for start in range(0, max(count, 1), per)]
 
 
 def _block_columns(a: np.ndarray, form: SignatureForm, which: int) -> np.ndarray:
@@ -479,27 +492,14 @@ def _chart_embeddings(cfg: ExtensionConfig, thetas: np.ndarray) -> np.ndarray:
 
 def _chart_jacobians(cfg: ExtensionConfig, thetas: np.ndarray) -> np.ndarray:
     """Stack (points, d) of chart points -> stack (points, L, d) of central
-    finite-difference Jacobians of the embedding, from stacked passes over
-    the 2 d perturbed chart points of each point: one pass per chunk of
-    points whose n x n projectors fit ``PASS_BYTES`` (a point too large
-    is a chunk alone), so a larger check holds no larger temporaries."""
+    finite-difference Jacobians of the embedding, from one stacked map of
+    the 2 d perturbed chart points of every point."""
     points, d = thetas.shape
     steps = _STEP * np.eye(d)
-    projector = cfg.form.n**2 * np.dtype(cfg.form.dtype).itemsize
-    chunk = max(1, PASS_BYTES // (2 * d * projector))
-    jacobians = None
-    for k in range(0, max(points, 1), chunk):
-        t = thetas[k : k + chunk]
-        moved = np.stack([t[:, None, :] + steps, t[:, None, :] - steps], axis=1)
-        emb = _chart_embeddings(cfg, moved.reshape(2 * d * len(t), d))
-        emb = emb.reshape(len(t), 2, d, emb.shape[-1])
-        part = ((emb[:, 0] - emb[:, 1]) / (2 * _STEP)).swapaxes(-1, -2)
-        if chunk >= points:
-            return part
-        if jacobians is None:
-            jacobians = np.empty((points,) + part.shape[1:])
-        jacobians[k : k + len(t)] = part
-    return jacobians
+    moved = np.stack([thetas[:, None, :] + steps, thetas[:, None, :] - steps], axis=1)
+    emb = _chart_embeddings(cfg, moved.reshape(2 * d * points, d))
+    emb = emb.reshape(points, 2, d, emb.shape[-1])
+    return ((emb[:, 0] - emb[:, 1]) / (2 * _STEP)).swapaxes(-1, -2)
 
 
 def dimension_rank_report(cfg: ExtensionConfig, points: int, stream: SampleStream) -> DimensionReport:
@@ -515,17 +515,20 @@ def dimension_rank_report(cfg: ExtensionConfig, points: int, stream: SampleStrea
     ``_AMBIGUITY_FRACTION`` of the points lack the gap the estimate is
     refused.
 
-    The Jacobians are computed as stacks: one draw of every chart point,
-    one eigendecomposition call for the closed-form projectors of the
-    2 * d perturbed chart points of every point in a pass (one pass unless
-    they outgrow ``PASS_BYTES``) and one SVD call, with no QR.
+    The check holds one pass at a time: one draw of every chart point,
+    then, for each pass of points whose 2 * d perturbed chart points'
+    projectors fit ``PASS_BYTES`` (``passes``; one pass unless they outgrow
+    it), one eigendecomposition call for the closed-form projectors and
+    one SVD call on the pass's Jacobians, of which it keeps only each
+    point's rank and gap, with no QR.
     The spectral layer still checks each matrix; a non-finite embedding
     breaks the SVD, which raises ``LinAlgError``.
     """
     d = expected_dimension(cfg)
-    thetas = scale(unit_uniforms(stream.seed, stream.counters(points * d)), -0.4, 0.4)
-    svs = np.linalg.svd(_chart_jacobians(cfg, thetas.reshape(points, d)), compute_uv=False)
-    ranks, gapped = _rank_fold(svs)
+    thetas = scale(unit_uniforms(stream.seed, stream.counters(points * d)), -0.4, 0.4).reshape(points, d)
+    folds = [_rank_fold(np.linalg.svd(_chart_jacobians(cfg, thetas[cut]), compute_uv=False))
+             for cut in passes(points, 2 * d * cfg.form.matrix_bytes)]
+    ranks, gapped = (np.concatenate(parts) for parts in zip(*folds))
     gap_fraction = int(np.count_nonzero(gapped)) / points if points else 0.0
     if gap_fraction < 1.0 - _AMBIGUITY_FRACTION:
         raise RankAmbiguous(

@@ -83,6 +83,12 @@ class SignatureForm:
     def dtype(self):
         return linalg.dtype_of(self.field)
 
+    @property
+    def matrix_bytes(self) -> int:
+        """The bytes of one n x n matrix of the form, the unit in which the
+        suite's memory rule and the kernel's sharing bound count."""
+        return self.n**2 * np.dtype(self.dtype).itemsize
+
     @cache
     def j_matrix(self) -> np.ndarray:
         """J, built once per form and read-only."""

@@ -188,7 +188,7 @@ def _call(requests: list, outcomes: list) -> list:
     loop, operation = requests[0][:2]
     counts = [len(operands[0]) for *_, operands in requests]
     total = sum(counts)
-    if len(requests) > 1 and total * loop.form.n**2 * np.dtype(loop.form.dtype).itemsize > SHARE_BYTES:
+    if len(requests) > 1 and total * loop.form.matrix_bytes > SHARE_BYTES:
         return [_call([request], [outcome])[0] for request, outcome in zip(requests, outcomes)]
     t0 = time.perf_counter()
     try:

@@ -23,15 +23,17 @@ on their flattened stack, and the closure rows their membership
 residuals, a request that, like the distances, runs only when nothing
 else waits.
 
-The suite keeps one memory rule, ``extension.PASS_BYTES`` of drawn
-values, counted as n x n matrices: ``run_suite`` cuts a row whose draw is
-larger into slices of consecutive samples, each drawing from the row's
-stream where a whole draw would reach its first sample, so every value
-keeps its bits.  It packs consecutive slices into runs, as many as fit
-``_STEPS_BYTES`` of drawn values (every row, whole, at small counts),
-draws each run just before it hands the run's steps to one
-``kernel.drive``, and keeps only the text of a breakdown, so a verify
-holds one pass's draws at a time.  A row's slices fold into its entries:
+The suite keeps one memory rule, ``extension.PASS_BYTES`` of values,
+counted as n x n matrices, and cuts by it as the dimension check does,
+through ``extension.passes``: in one walk over the rows, ``_runs`` cuts a
+row whose draw is larger into slices of consecutive samples, each drawing
+from the row's stream where a whole draw would reach its first sample, so
+every value keeps its bits, and packs consecutive slices into runs, as
+many as fit ``_STEPS_BYTES`` of drawn values (every row, whole, at small
+counts).  ``run_suite`` draws each run just before it hands the run's
+steps to one ``kernel.drive``, a slice whose draw broke down as steps
+that raise it, and keeps only the text of a breakdown, so a verify holds
+one pass's draws at a time.  A row's slices fold into its entries:
 residuals by max from 0, ``worst_margin`` by min, seconds by sum; the
 first slice that breaks down ends the row with its own text.
 
@@ -81,7 +83,7 @@ from .groups import (
     sigma_width,
     unit_uniforms,
 )
-from .kernel import BREAKDOWN, INVERSE_GAP, Outcome, aip, bol, drive, inverse_gap, left_a, loop_axioms, step
+from .kernel import BREAKDOWN, INVERSE_GAP, aip, bol, drive, inverse_gap, left_a, loop_axioms, step
 from .linalg import fro, pieces, worst
 
 # The fixed acceptance bound of each kind of report entry; every entry
@@ -301,32 +303,25 @@ def held_matrices(counts: dict) -> int:
     return sum(counts[row.key] * sum(kind in ("sigma", "phi") for kind in row.draw) for row in PROPERTIES)
 
 
-def _sliced(streams: dict, counts: dict, widths: dict, value_bytes: int) -> list:
-    """Every row's samples as slices ``(row, stream, count)`` of consecutive
-    samples, in row order, each drawing at most ``extension.PASS_BYTES`` of
-    values of ``value_bytes`` (a sample larger than that is a slice alone)
-    from the row's stream in ``streams`` split where a draw of the whole
-    row reaches its first sample, for the row ``widths`` of ``layout``; a
-    row of no samples is one empty slice."""
-    slices = []
-    for row in PROPERTIES:
-        count, width = counts[row.key], sum(widths[row.key])
-        per_slice = max(1, ext.PASS_BYTES // (len(row.draw) * value_bytes))
-        starts = range(0, max(count, 1), per_slice)
-        slices += [(row, streams[row.key].split(start * width), min(per_slice, count - start)) for start in starts]
-    return slices
-
-
-def _packed(items: list, sizes: list, room: int) -> list:
-    """``items`` in runs of consecutive items whose ``sizes`` sum to at most
-    ``room``; a larger item is a run alone."""
+def _runs(streams: dict, counts: dict, widths: dict, value_bytes: int) -> list:
+    """Every row's samples, in row order, as runs of slices
+    ``(row, stream, count)``, in one walk over the rows.  A row is cut by
+    ``extension.passes`` into slices of consecutive samples, each drawing
+    at most ``extension.PASS_BYTES`` of values of ``value_bytes`` from the
+    row's stream in ``streams`` split where a draw of the whole row reaches
+    its first sample, for the row ``widths`` of ``layout`` (a row of no
+    samples is one empty slice); consecutive slices are packed into runs
+    drawing at most ``_STEPS_BYTES`` (a larger slice is a run alone)."""
     runs, left = [], 0
-    for item, size in zip(items, sizes):
-        if not runs or size > left:
-            runs.append([])
-            left = room
-        runs[-1].append(item)
-        left -= size
+    for row in PROPERTIES:
+        width, sample_bytes = sum(widths[row.key]), len(row.draw) * value_bytes
+        for cut in ext.passes(counts[row.key], sample_bytes):
+            count = cut.stop - cut.start
+            if not runs or count * sample_bytes > left:
+                runs.append([])
+                left = _STEPS_BYTES
+            runs[-1].append((row, streams[row.key].split(cut.start * width), count))
+            left -= count * sample_bytes
     return runs
 
 
@@ -441,31 +436,33 @@ def _drop_frames(error: BaseException | None) -> None:
             chained += [exc.__cause__, exc.__context__]
 
 
+def _raising(error: Exception):
+    """Steps that end at their first step with ``error``: a slice whose
+    draw broke down, driven, so its outcome is made as every slice's."""
+    raise error
+    yield  # a generator
+
+
 def run_suite(loop: ext.ExtensionConfig, counts: dict, seed: int) -> dict:
     """Cut the rows of PROPERTIES into slices of at most
-    ``extension.PASS_BYTES`` of drawn values, and pack consecutive slices
-    into runs of at most ``_STEPS_BYTES`` (a larger slice is a run alone);
-    for each run, draw its slices, each from its row's slot of the seed's
-    stream, and drive their steps on their values together, skipping the
-    slices of a row that broke down, so a verify holds one run's draws at a
-    time, and of a breakdown it keeps only the text.  Fold each row's
-    slices into its entries, then run the dimension check on its slot, and
-    return the report's ``properties``, ``dimension`` and ``pass``."""
+    ``extension.PASS_BYTES`` of drawn values, packed into runs of at most
+    ``_STEPS_BYTES`` (``_runs``).  For each run, draw its slices, each from
+    its row's slot of the seed's stream, and drive their steps together, a
+    slice whose draw broke down as steps that raise it, skipping the slices
+    of a row that broke down, so a verify holds one run's draws at a time,
+    and of a breakdown it keeps only the text.  Fold each row's slices into
+    its entries, then run the dimension check on its slot, and return the
+    report's ``properties``, ``dimension`` and ``pass``."""
     base, widths = SampleStream(seed), layout(loop)
     streams = {key: base.split(offset) for key, (offset, _) in stream_slots(loop, counts, widths).items()}
-    value_bytes = loop.form.n**2 * np.dtype(loop.form.dtype).itemsize
-    slices, outcomes = _sliced(streams, counts, widths, value_bytes), {row.key: [] for row in PROPERTIES}
-    for run in _packed(slices, [count * len(row.draw) * value_bytes for row, _, count in slices], _STEPS_BYTES):
+    outcomes = {row.key: [] for row in PROPERTIES}
+    for run in _runs(streams, counts, widths, loop.form.matrix_bytes):
         run = [piece for piece in run if all(outcome.error is None for outcome in outcomes[piece[0].key])]
         if not run:
             continue
-        drawn = draw_parts(loop, widths, run)
-        # a slice whose draw broke down fails as it stands
-        ready = [row.steps(loop, *parts) for (row, *_), parts in zip(run, drawn) if not isinstance(parts, Exception)]
-        driven = iter(drive(ready))
-        results = [Outcome(error=parts) if isinstance(parts, Exception) else next(driven) for parts in drawn]
-        del drawn  # the run's draws go before the next run's are drawn
-        for (row, *_), outcome in zip(run, results):
+        steps = [_raising(parts) if isinstance(parts, Exception) else row.steps(loop, *parts)
+                 for (row, *_), parts in zip(run, draw_parts(loop, widths, run))]
+        for (row, *_), outcome in zip(run, drive(steps)):
             _drop_frames(outcome.error)
             outcomes[row.key].append(outcome)
     entries = [entry for row in PROPERTIES for entry in _entries(row, counts[row.key], outcomes[row.key])]

@@ -286,12 +286,15 @@ def test_each_run_of_rows_is_drawn_just_before_it_is_driven(monkeypatch):
     # bits of one draw and one drive of every row
     cfg = SuiteConfig()
     loop = resolve(cfg)
-    value_bytes = cfg.n**2 * 8
-    sizes = [cfg.samples[row.key] * len(row.draw) * value_bytes for row in PROPERTIES]
-    runs = [[row.key for row in batch] for batch in suite._packed(PROPERTIES, sizes, suite._STEPS_BYTES)]
-    assert len(runs) > 1
-    slices = suite._sliced(dict.fromkeys(cfg.samples, SampleStream(0)), cfg.samples, suite.layout(loop), value_bytes)
-    assert [(row, count) for row, _, count in slices] == [(row, cfg.samples[row.key]) for row in PROPERTIES]
+    planned = suite._runs(dict.fromkeys(cfg.samples, SampleStream(0)), cfg.samples, suite.layout(loop),
+                          loop.form.matrix_bytes)
+    runs = [[row.key for row, *_ in run] for run in planned]
+    # every row whole, packed greedily into runs of at most 256 KiB of draws
+    # of 72 bytes a value: bol, 216,000 bytes, fills a run alone
+    assert runs == [["loop_axioms", "sigma_closure"], ["bol"], ["aip"], ["left_a", "conjugation_closure"],
+                    ["factorization", "transversality", "ext_loop_axioms"],
+                    ["ext_infinity_compat", "ext_bol", "ext_aip"], ["solve_translation"]]
+    assert [count for run in planned for _, _, count in run] == [cfg.samples[row.key] for row in PROPERTIES]
     events, real_draw, real_drive = [], suite.draw_parts, suite.drive
 
     def drawing(loop, widths, slices):
@@ -446,7 +449,7 @@ def test_batched_draw_is_the_per_row_draw_bit_for_bit(monkeypatch, name, seed):
     per_row = per_row_draw_parts(loop, streams, counts)
     whole = [(row, streams[row.key], counts[row.key]) for row in PROPERTIES]
     monkeypatch.setattr(bruckloops.extension, "PASS_BYTES", 4)
-    sliced = suite._sliced(streams, counts, widths, 1)
+    sliced = [piece for run in suite._runs(streams, counts, widths, 1) for piece in run]
     assert len(sliced) == sum(-(-counts[row.key] // max(1, 4 // len(row.draw))) for row in PROPERTIES)
     for slices in (whole, sliced):
         draws = _counting(monkeypatch, suite, "unit_uniforms")
@@ -461,7 +464,7 @@ def test_batched_draw_is_the_per_row_draw_bit_for_bit(monkeypatch, name, seed):
 
 def _pass_bytes(values: int, cfg: SuiteConfig) -> int:
     """The pass bound that ``values`` n x n matrices of ``cfg`` fill."""
-    return values * cfg.n**2 * (16 if cfg.field_name == "complex" else 8)
+    return values * cfg.form.matrix_bytes
 
 
 SLICED_SUITES = ("321c", "422r-c2-boost")

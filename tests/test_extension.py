@@ -525,23 +525,44 @@ class TestDimension:
 
     @pytest.mark.parametrize("field", ["real", "complex"])
     def test_passes_bounded_in_bytes_keep_the_bits(self, monkeypatch, eig_calls, field):
-        # three points a pass: 3 + 3 + 1 points, the same Jacobians and the
-        # same report; a point larger than the bound is a pass alone
+        # three points a pass: 3 + 3 + 1 points, each pass's Jacobians the
+        # bits of its points' in the whole stack, and the same report; a
+        # point larger than the bound is a pass alone
         cfg = extension_config(SignatureForm(4, 2, 2, field))
         d = expected_dimension(cfg)
         thetas = uniforms(SampleStream(3), 7 * d, -0.4, 0.4)[0].reshape(7, d)
         whole = ext._chart_jacobians(cfg, thetas)
         report = dimension_rank_report(cfg, points=7, stream=SampleStream(3))
-        monkeypatch.setattr(ext, "PASS_BYTES", 3 * 2 * d * cfg.form.n**2 * np.dtype(cfg.form.dtype).itemsize)
-        eig_calls.clear()
-        assert ext._chart_jacobians(cfg, thetas).tobytes() == whole.tobytes()
-        assert [shape[0] for shape in eig_calls] == [2 * d * 3, 2 * d * 3, 2 * d]
-        chunked = dimension_rank_report(cfg, points=7, stream=SampleStream(3))
-        assert (chunked.rank, chunked.ranks, chunked.gap_fraction) == (report.rank, report.ranks, report.gap_fraction)
-        monkeypatch.setattr(ext, "PASS_BYTES", 1)
-        eig_calls.clear()
-        assert ext._chart_jacobians(cfg, thetas).tobytes() == whole.tobytes()
-        assert len(eig_calls) == 7
+        for bound, sizes in ((3 * 2 * d * cfg.form.matrix_bytes, [3, 3, 1]), (1, [1] * 7)):
+            monkeypatch.setattr(ext, "PASS_BYTES", bound)
+            cuts = ext.passes(7, 2 * d * cfg.form.matrix_bytes)
+            assert [cut.stop - cut.start for cut in cuts] == sizes
+            jacobians = np.concatenate([ext._chart_jacobians(cfg, thetas[cut]) for cut in cuts])
+            assert jacobians.tobytes() == whole.tobytes()
+            eig_calls.clear()
+            assert dimension_rank_report(cfg, points=7, stream=SampleStream(3)) == report
+            assert [shape[0] for shape in eig_calls] == [2 * d * size for size in sizes]
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_each_svd_call_takes_one_pass(self, monkeypatch, field):
+        # with the bound at three points, the check decomposes 3 + 3 + 1
+        # points' Jacobians in three SVD calls, whose singular values are
+        # the bits of one call on all seven
+        cfg = extension_config(SignatureForm(4, 2, 2, field))
+        d = expected_dimension(cfg)
+        thetas = uniforms(SampleStream(3), 7 * d, -0.4, 0.4)[0].reshape(7, d)
+        whole = np.linalg.svd(ext._chart_jacobians(cfg, thetas), compute_uv=False)
+        real, calls = np.linalg.svd, []
+
+        def recording(a, *args, **kwargs):
+            calls.append(real(a, *args, **kwargs))
+            return calls[-1]
+
+        monkeypatch.setattr(np.linalg, "svd", recording)
+        monkeypatch.setattr(ext, "PASS_BYTES", 3 * 2 * d * cfg.form.matrix_bytes)
+        dimension_rank_report(cfg, points=7, stream=SampleStream(3))
+        assert [len(svs) for svs in calls] == [3, 3, 1]
+        assert np.concatenate(calls).tobytes() == whole.tobytes()
 
     @pytest.mark.parametrize("signature, carrier, wtilde", CHART_CONFIGS)
     def test_closed_form_chart_matches_the_qr_oracle(self, signature, carrier, wtilde):
