@@ -39,7 +39,6 @@ import os
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -91,17 +90,16 @@ SETTINGS = {
 }
 
 
-@dataclass
 class SuiteConfig:
-    n: int = 3
-    p1: int = 2
-    p2: int = 1
-    field_name: str = "real"
-    carrier: int = 1
-    wtilde: str = "standard"
-    seed: int = 1
-    samples: dict = field(default_factory=lambda: dict(DEFAULT_SAMPLES))
-    out: str | None = None
+    """The settings of one command, the package's one mutable settings
+    holder: the config loader and the flags write into it once it is built.
+    Each config holds a ``samples`` dict of its own."""
+
+    def __init__(self, n: int = 3, p1: int = 2, p2: int = 1, field_name: str = "real", carrier: int = 1,
+                 wtilde: str = "standard", seed: int = 1, samples: dict | None = None, out: str | None = None):
+        self.n, self.p1, self.p2, self.field_name, self.carrier = n, p1, p2, field_name, carrier
+        self.wtilde, self.seed, self.out = wtilde, seed, out
+        self.samples = dict(DEFAULT_SAMPLES) if samples is None else samples
 
     @property
     def form(self) -> SignatureForm:

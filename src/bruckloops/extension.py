@@ -48,9 +48,7 @@ distances read off canonical forms with no QR.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
-from functools import cached_property
+from collections import Counter, namedtuple
 
 import numpy as np
 
@@ -122,10 +120,10 @@ def complement(form: SignatureForm, carrier: int) -> AffineSubspace:
     return coordinate_subspace(form, 2 if carrier == 1 else 1)
 
 
-@dataclass(frozen=True, eq=False)
 class ExtensionConfig:
     """The extension loop: its validated form, carrier index i and
-    transversal subspace, and the loop operations on ``(w, rho)``.
+    transversal subspace, the matrix loop ``mat`` of the directions' lifts,
+    and the loop operations on ``(w, rho)``.  Configs compare by identity.
 
     Left division maps by the inverse of the divisor's left translation,
     x -> A^-1 (x - w) with A^-1 = J A J, and reads the coordinates of the
@@ -134,9 +132,12 @@ class ExtensionConfig:
     ``point_from_uniforms`` is the chart of a uniform transversal point.
     """
 
-    form: SignatureForm
-    carrier: int
-    wtilde: AffineSubspace
+    __slots__ = ("form", "carrier", "wtilde", "mat")
+    __setattr__ = __delattr__ = linalg.refuse_assignment
+
+    def __init__(self, form: SignatureForm, carrier: int, wtilde: AffineSubspace):
+        for name, value in zip(self.__slots__, (form, carrier, wtilde, MatrixLoop(form))):
+            object.__setattr__(self, name, value)
 
     # The operations that share a call: products, left divisions and
     # coordinates read subspaces' coordinates with one ``omega`` call, and
@@ -148,11 +149,6 @@ class ExtensionConfig:
     @property
     def carrier_dim(self) -> int:
         return self.form.p1 if self.carrier == 1 else self.form.p2
-
-    @cached_property
-    def mat(self) -> MatrixLoop:
-        """The matrix loop of the directions' lifts."""
-        return MatrixLoop(self.form)
 
     def carrier_subspace(self) -> AffineSubspace:
         return coordinate_subspace(self.form, self.carrier)
@@ -400,12 +396,8 @@ def solve_translation(
     return x.w, x.rho
 
 
-@dataclass(frozen=True)
-class WitnessReport:
-    """The witness and how far it moves the transversal."""
-
-    element: np.ndarray
-    displacement: float
+# The witness and how far it moves the transversal.
+WitnessReport = namedtuple("WitnessReport", "element displacement")
 
 
 def nonisomorphism_witness(cfg: ExtensionConfig) -> WitnessReport:
@@ -451,12 +443,9 @@ def nonisomorphism_witness(cfg: ExtensionConfig) -> WitnessReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DimensionReport:
-    rank: int
-    ranks: tuple
-    gap_fraction: float
-    points: int
+# The modal rank, each point's rank, the share of points with a clear
+# singular-value gap, and the point count.
+DimensionReport = namedtuple("DimensionReport", "rank ranks gap_fraction points")
 
 
 def expected_dimension(cfg: ExtensionConfig) -> int:

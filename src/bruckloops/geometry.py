@@ -23,7 +23,7 @@ are hermitian; "dimension" always means the F-dimension.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -150,13 +150,9 @@ def _flattened(s: AffineSubspace) -> tuple:
     return s.reshape((-1,)), s.frame.shape[:-2]
 
 
-@dataclass(frozen=True)
-class TransversalityReport:
-    """Violations raise, so a report means every sampled image met the
-    subspace in a single point."""
-
-    samples: int
-    worst_margin: float
+# The sample count and the worst margin.  Violations raise, so a report
+# means every sampled image met the subspace in a single point.
+TransversalityReport = namedtuple("TransversalityReport", "samples worst_margin")
 
 
 def transversality_check(w: AffineSubspace, linear: np.ndarray, u: AffineSubspace) -> TransversalityReport:

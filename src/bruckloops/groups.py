@@ -28,8 +28,8 @@ matrix inside an element file is read and written by ``linalg``'s codec.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cache, cached_property
+from collections import namedtuple
+from functools import cache
 from itertools import accumulate
 
 import numpy as np
@@ -60,24 +60,22 @@ SAMPLE_RADIUS = 0.75  # half-width of the sampled Sigma block entries, every sam
 _PHI_RADIUS = 1.0  # half-width of the sampled Phi generator entries
 
 
-@dataclass(frozen=True)
-class SignatureForm:
-    """Signature (p1, p2) of the diagonal +-1 form on F^n."""
+class SignatureForm(namedtuple("SignatureForm", "n p1 p2 field")):
+    """Signature (p1, p2) of the diagonal +-1 form on F^n.  Equal forms are
+    equal and hash alike, so they share the cached J, signs and identity."""
 
-    n: int
-    p1: int
-    p2: int
-    field: str = REAL
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.field not in (REAL, COMPLEX):
-            raise ConfigInvalid(f"unknown field {self.field!r}")
-        if self.p1 + self.p2 != self.n:
-            raise ConfigInvalid(f"p1 + p2 = {self.p1 + self.p2} != n = {self.n}")
-        if not (self.p1 >= self.p2 >= 1):
-            raise ConfigInvalid(f"need p1 >= p2 >= 1, got ({self.p1}, {self.p2})")
-        if self.n < 3:
-            raise ConfigInvalid(f"need n >= 3, got {self.n}")
+    def __new__(cls, n: int, p1: int, p2: int, field: str = REAL):
+        if field not in (REAL, COMPLEX):
+            raise ConfigInvalid(f"unknown field {field!r}")
+        if p1 + p2 != n:
+            raise ConfigInvalid(f"p1 + p2 = {p1 + p2} != n = {n}")
+        if not (p1 >= p2 >= 1):
+            raise ConfigInvalid(f"need p1 >= p2 >= 1, got ({p1}, {p2})")
+        if n < 3:
+            raise ConfigInvalid(f"need n >= 3, got {n}")
+        return super().__new__(cls, n, p1, p2, field)
 
     @property
     def dtype(self):
@@ -124,8 +122,7 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
-class SampleStream:
+class SampleStream(namedtuple("SampleStream", "seed counter", defaults=(0,))):
     """A position on a counter-based splitmix64 stream: draw k of the seed
     is a pure function of (seed, k), so one position replays identical
     values on any platform, and one draw of many values gives the same bits
@@ -134,8 +131,7 @@ class SampleStream:
     moves the position, which is how the suite gives each row its slot.
     """
 
-    seed: int
-    counter: int = 0
+    __slots__ = ()
 
     def counters(self, count: int) -> np.ndarray:
         """The ``uint64`` counters k + 1 of the next ``count`` draws k."""
@@ -175,17 +171,15 @@ def scale(u: np.ndarray, lo: float, hi: float) -> np.ndarray:
     return lo + (hi - lo) * u
 
 
-@dataclass(frozen=True)
-class MembershipReport:
-    """Per-condition residuals, each a float or, for a stack, one per matrix."""
+class MembershipReport(namedtuple("MembershipReport", "residuals max_residual")):
+    """Per-condition residuals, each a float or, for a stack, one per matrix,
+    and ``max_residual``, the worst over every condition and every matrix,
+    folded once when the report is built."""
 
-    residuals: dict
+    __slots__ = ()
 
-    @cached_property
-    def max_residual(self) -> float:
-        """The worst residual over every condition and every matrix, folded
-        on the first read."""
-        return worst(*self.residuals.values())
+    def __new__(cls, residuals: dict):
+        return super().__new__(cls, residuals, worst(*residuals.values()))
 
     @property
     def passed(self) -> bool:

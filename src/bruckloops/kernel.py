@@ -126,8 +126,10 @@ def step(loop: Loop, operation: str, *operands):
 
 class Outcome:
     """What driving one steps generator gave: its value, or the breakdown
-    that ended it, and its seconds.  A plain class: a dataclass would add
-    a millisecond to every command's import."""
+    that ended it, and its seconds.  A slotted class the driver fills in:
+    like every value type of the package it is no dataclass, whose
+    decoration would add about a millisecond to every command's import
+    (``linalg.refuse_assignment`` states the rule)."""
 
     __slots__ = ("value", "error", "seconds")
 

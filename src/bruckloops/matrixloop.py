@@ -40,13 +40,11 @@ outputs.  ``MatrixLoop`` is the object the kernel checkers call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .groups import SignatureForm, membership_residual, positive_factor
 # spectral_map is held for bench/tests/test_bench.py; groups.positive_factor calls it
-from .linalg import concat, fro, pieces, spectral_map, symmetrize  # noqa: F401
+from .linalg import concat, fro, pieces, refuse_assignment, spectral_map, symmetrize  # noqa: F401
 
 # The product whose positive factor each operation takes: a b for
 # mul(a, b), A^{-1} c for left_divide(a, c), and a b for right_divide(b, a).
@@ -62,9 +60,20 @@ def frobenius_distance(a: np.ndarray, b: np.ndarray):
     return fro(a - b) / (1.0 + np.maximum(fro(a), fro(b)))
 
 
-@dataclass(frozen=True)
 class MatrixLoop:
-    form: SignatureForm
+    """The matrix loop on Sigma of ``form``; loops of equal forms are equal."""
+
+    __slots__ = ("form",)
+    __setattr__ = __delattr__ = refuse_assignment
+
+    def __init__(self, form: SignatureForm):
+        object.__setattr__(self, "form", form)
+
+    def __eq__(self, other):
+        return self.form == other.form if type(other) is MatrixLoop else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.form)
 
     distance = staticmethod(frobenius_distance)
     join = staticmethod(concat)

@@ -63,7 +63,7 @@ acceptance bounds are constants, not settings.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Callable
 
 import numpy as np
@@ -113,28 +113,18 @@ PARTS = {
 _ELEMENT = ("point", "sigma")  # the layout of one extension element
 
 
-@dataclass(frozen=True)
-class Property:
-    """One row of the verification suite.
-
-    ``key`` names the row's sample count and selects its slot of the
-    seed's stream.  ``entries`` are the report entries the row fills, as
-    ``(entry name, TOLERANCES key)`` pairs.  ``draw`` is what one sample
-    draws, in draw order, as ``PARTS`` kinds.  ``steps(loop, *parts)``
-    takes one stack per part of the layout, whose i-th values sample i
-    drew, and is a generator in the kernel's step protocol that returns
-    the worst residual of each entry and a ``detail`` dict for the report,
-    or None.  Every row is batched: one request per loop operation per
-    dependency level on the joined stacks, and a fold of the per-element
-    residuals with max from 0.
-    """
-
-    key: str
-    default_samples: int
-    required: bool
-    entries: tuple
-    draw: tuple
-    steps: Callable
+# One row of the verification suite.
+#
+# ``key`` names the row's sample count and selects its slot of the seed's
+# stream.  ``entries`` are the report entries the row fills, as ``(entry
+# name, TOLERANCES key)`` pairs.  ``draw`` is what one sample draws, in draw
+# order, as ``PARTS`` kinds.  ``steps(loop, *parts)`` takes one stack per
+# part of the layout, whose i-th values sample i drew, and is a generator in
+# the kernel's step protocol that returns the worst residual of each entry
+# and a ``detail`` dict for the report, or None.  Every row is batched: one
+# request per loop operation per dependency level on the joined stacks, and
+# a fold of the per-element residuals with max from 0.
+Property = namedtuple("Property", "key default_samples required entries draw steps")
 
 
 def _on_lifts(identity: Callable) -> Callable:

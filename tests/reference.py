@@ -40,7 +40,6 @@ lift and a QR, which the closed-form projectors must match to rounding.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 
 import numpy as np
@@ -298,7 +297,7 @@ def uniforms(stream, count: int, lo: float = 0.0, hi: float = 1.0):
         vals = reference_uniforms(stream.seed, stream.counter, count)
     else:
         vals = unit_uniforms(stream.seed, stream.counters(count))
-    return scale(vals, lo, hi), dataclasses.replace(stream, counter=stream.counter + count)
+    return scale(vals, lo, hi), type(stream)(stream.seed, stream.counter + count)
 
 
 def rows(stream, count: int, *widths: int):

@@ -5,10 +5,13 @@ import numpy as np
 import pytest
 
 from bruckloops import extension as ext
-from bruckloops.cli import build_wtilde, main
+from bruckloops.cli import SuiteConfig, build_wtilde, main
 from bruckloops.errors import ConfigInvalid, NotInOrbit, TransversalityViolated
 from bruckloops.extension import (
+    DimensionReport,
+    ExtensionConfig,
     ExtensionElement,
+    WitnessReport,
     coordinate_subspace,
     dimension_rank_report,
     expected_dimension,
@@ -20,11 +23,25 @@ from bruckloops.extension import (
     realize,
     solve_translation,
 )
-from bruckloops.geometry import AffineSubspace, apply, projector, subspace, subspace_distance
-from bruckloops.groups import SampleStream, SignatureForm, sigma_from_block, standard_boost
+from bruckloops.geometry import (
+    AffineSubspace,
+    TransversalityReport,
+    apply,
+    projector,
+    subspace,
+    subspace_distance,
+)
+from bruckloops.groups import (
+    SampleStream,
+    SignatureForm,
+    membership_residual,
+    sigma_from_block,
+    standard_boost,
+)
 from bruckloops.kernel import check_loop_axioms
 from bruckloops.linalg import SpectralDecomposition, fro, matrix_to_json, orthonormalize
 from bruckloops.matrixloop import MatrixLoop
+from bruckloops.suite import PROPERTIES
 from conftest import one, rotation
 from reference import canonical_distance, check_drawn, draw, qr_chart_embeddings, uniforms
 
@@ -709,3 +726,68 @@ def test_value_types_are_immutable_and_compared_by_identity(cls):
     assert np.array_equal(getattr(value, fields[0]), np.zeros(3)) and getattr(value, fields[1]).shape == (3, 3)
     assert value == value and value != twin
     assert hash(value) == object.__hash__(value) and len({value, twin, value}) == 2
+
+
+# One value of each immutable type that is not built from two arrays.
+IMMUTABLE = {
+    "SignatureForm": lambda: SignatureForm(3, 2, 1),
+    "SampleStream": lambda: SampleStream(5, 2),
+    "MembershipReport": lambda: membership_residual(np.eye(3), SignatureForm(3, 2, 1)),
+    "WitnessReport": lambda: WitnessReport(np.eye(3), 0.5),
+    "DimensionReport": lambda: DimensionReport(3, (3, 3), 1.0, 2),
+    "TransversalityReport": lambda: TransversalityReport(2, 0.5),
+    "Property": lambda: PROPERTIES[0],
+    "MatrixLoop": lambda: MatrixLoop(SignatureForm(3, 2, 1)),
+    "ExtensionConfig": lambda: extension_config(SignatureForm(3, 2, 1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(IMMUTABLE))
+def test_value_types_refuse_assignment(name):
+    value = IMMUTABLE[name]()
+    fields = getattr(value, "_fields", None) or type(value).__slots__
+    assert not hasattr(value, "__dict__")
+    for field in (*fields, "other"):
+        with pytest.raises(AttributeError):
+            setattr(value, field, 1)
+    for field in fields:
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+
+
+def test_forms_and_streams_are_equal_and_hash_by_value():
+    form, twin = SignatureForm(3, 2, 1), SignatureForm(3, 2, 1, "real")
+    assert form is not twin and form == twin and hash(form) == hash(twin)
+    assert twin.j_matrix() is form.j_matrix() and twin.signs() is form.signs() and twin.eye() is form.eye()
+    assert form != SignatureForm(3, 2, 1, "complex")
+    assert SampleStream(5) == SampleStream(5, 0) and hash(SampleStream(5)) == hash(SampleStream(5, 0))
+    assert SampleStream(5).split(3) == SampleStream(5, 3) != SampleStream(6, 3)
+
+
+def test_loops_compare_matrix_loops_by_form_and_configs_by_identity():
+    form = SignatureForm(3, 2, 1)
+    loop, twin = MatrixLoop(form), MatrixLoop(SignatureForm(3, 2, 1))
+    assert loop == twin and hash(loop) == hash(twin)
+    assert MatrixLoop(form) != MatrixLoop(SignatureForm(3, 2, 1, "complex"))
+    cfg, twin = extension_config(form), extension_config(form)
+    assert cfg == cfg and cfg != twin and hash(cfg) == object.__hash__(cfg)
+    assert isinstance(cfg, ExtensionConfig) and cfg.mat == MatrixLoop(form) and cfg.mat is cfg.mat
+
+
+@pytest.mark.parametrize("args, message", [
+    ((3, 2, 1, "quaternion"), "unknown field 'quaternion'"),
+    ((4, 2, 1), "p1 + p2 = 3 != n = 4"),
+    ((3, 1, 2), "need p1 >= p2 >= 1, got (1, 2)"),
+    ((2, 1, 1), "need n >= 3, got 2"),
+])
+def test_signature_form_validation_and_repr(args, message):
+    with pytest.raises(ConfigInvalid) as err:
+        SignatureForm(*args)
+    assert str(err.value) == message
+    assert repr(SignatureForm(3, 2, 1)) == "SignatureForm(n=3, p1=2, p2=1, field='real')"
+
+
+def test_suite_configs_hold_samples_of_their_own():
+    first, second = SuiteConfig(), SuiteConfig()
+    first.samples["bol"] = 1
+    assert first.samples is not second.samples and second.samples == SuiteConfig().samples != first.samples
