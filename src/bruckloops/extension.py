@@ -482,13 +482,15 @@ def _chart_embeddings(cfg: ExtensionConfig, thetas: np.ndarray) -> np.ndarray:
 def _chart_jacobians(cfg: ExtensionConfig, thetas: np.ndarray) -> np.ndarray:
     """Stack (points, d) of chart points -> stack (points, L, d) of central
     finite-difference Jacobians of the embedding, from one stacked map of
-    the 2 d perturbed chart points of every point."""
+    every point's d forward moves, then one of its d backward moves,
+    differenced in place on the real view: a pass holds two such stacks of
+    embeddings at once, not four, and only one map's temporaries."""
     points, d = thetas.shape
     steps = _STEP * np.eye(d)
-    moved = np.stack([thetas[:, None, :] + steps, thetas[:, None, :] - steps], axis=1)
-    emb = _chart_embeddings(cfg, moved.reshape(2 * d * points, d))
-    emb = emb.reshape(points, 2, d, emb.shape[-1])
-    return ((emb[:, 0] - emb[:, 1]) / (2 * _STEP)).swapaxes(-1, -2)
+    diff = _chart_embeddings(cfg, (thetas[:, None, :] + steps).reshape(d * points, d))
+    diff -= _chart_embeddings(cfg, (thetas[:, None, :] - steps).reshape(d * points, d))
+    diff /= 2 * _STEP
+    return diff.reshape(points, d, diff.shape[-1]).swapaxes(-1, -2)
 
 
 def dimension_rank_report(cfg: ExtensionConfig, points: int, stream: SampleStream) -> DimensionReport:
@@ -507,9 +509,10 @@ def dimension_rank_report(cfg: ExtensionConfig, points: int, stream: SampleStrea
     The check holds one pass at a time: one draw of every chart point,
     then, for each pass of points whose 2 * d perturbed chart points'
     projectors fit ``PASS_BYTES`` (``passes``; one pass unless they outgrow
-    it), one eigendecomposition call for the closed-form projectors and
-    one SVD call on the pass's Jacobians, of which it keeps only each
-    point's rank and gap, with no QR.
+    it), two eigendecomposition calls for the closed-form projectors, one
+    for the points moved forward and one for those moved back, and one
+    SVD call on the pass's Jacobians, of which it keeps only each point's
+    rank and gap, with no QR.
     The spectral layer still checks each matrix; a non-finite embedding
     breaks the SVD, which raises ``LinAlgError``.
     """

@@ -23,8 +23,6 @@ are hermitian; "dimension" always means the F-dimension.
 
 from __future__ import annotations
 
-from collections import namedtuple
-
 import numpy as np
 
 from .errors import ConfigInvalid, DimensionMismatch, TransversalityViolated
@@ -150,19 +148,17 @@ def _flattened(s: AffineSubspace) -> tuple:
     return s.reshape((-1,)), s.frame.shape[:-2]
 
 
-# The sample count and the worst margin.  Violations raise, so a report
-# means every sampled image met the subspace in a single point.
-TransversalityReport = namedtuple("TransversalityReport", "samples worst_margin")
-
-
-def transversality_check(w: AffineSubspace, linear: np.ndarray, u: AffineSubspace) -> TransversalityReport:
+def transversality_check(w: AffineSubspace, linear: np.ndarray, u: AffineSubspace) -> np.ndarray:
     """Check that w meets the image of u under each matrix of the stack
     ``linear`` (..., n, n) in exactly one point.  The dimensions are
     complementary, so that holds exactly when the square matrix [w frame,
     -image frame] has full rank: its singular values, from one stacked SVD,
     decide it with the relative threshold 1e-8 * sigma_max, on w's frame as
     given (orthonormal) and the orthonormalized image frame, which refuses a
-    collapsing map (RankDeficient).  Reports the worst margin."""
+    collapsing map (RankDeficient).  Returns each sample's margin
+    sigma_min / sigma_max, batch axes flattened, unfolded; a violation
+    raises, so the margins mean every sampled image met the subspace in a
+    single point."""
     if w.dim + u.dim != w.ambient:
         raise DimensionMismatch(
             f"dim W + dim U = {w.dim + u.dim} must equal the ambient dimension {w.ambient}"
@@ -177,5 +173,4 @@ def transversality_check(w: AffineSubspace, linear: np.ndarray, u: AffineSubspac
             f"sample {first}: the image does not meet the subspace in exactly one "
             f"point (sigma_min {sv[first, -1]:.3e}, sigma_max {sv[first, 0]:.3e})"
         )
-    margins = sv[:, -1] / sv[:, 0]
-    return TransversalityReport(margins.size, float(np.min(margins, initial=np.inf)))
+    return sv[:, -1] / sv[:, 0]

@@ -4,10 +4,10 @@ that runs checks as steps.
 A loop here is a carrier with a binary operation, a two-sided identity,
 and unique left/right division; associativity is not assumed.  Both loops
 of the package, ``MatrixLoop`` and ``ExtensionConfig``, satisfy the
-``Loop`` protocol.  The checkers measure identities as residual distances
-rather than booleans: each returns the worst residual over its samples as
-a float, and the suite judges it against its fixed acceptance bound.  A
-checker takes its samples as element stacks, one per slot of the identity
+``Loop`` protocol.  The identities measure residual distances rather than
+booleans: each returns one residual per sample, unfolded, and the suite's
+runner alone folds them and judges the fold against its fixed acceptance
+bound.  An identity takes its samples as element stacks, one per slot
 (the i-th elements of the stacks are sample i), and draws nothing itself.
 
 Every identity is written as steps, a generator that runs it level by
@@ -17,9 +17,9 @@ operand stacks, all of one length.  It receives their results in the same
 order and finally returns its value.  Within a level the independent
 operations of one kind (``x*z`` with ``y*x``, the three inverses of AIP,
 the three lambda evaluations of left-A) are already one request on the
-operand stacks ``Loop.join`` concatenates, split back by slicing.  An
-identity asks for each loop operation as soon as its operands exist, in
-the level of whatever else it asks for then, so no product waits on a
+operand stacks ``Loop.join`` concatenates, cut back by ``linalg.pieces``.
+An identity asks for each loop operation as soon as its operands exist,
+in the level of whatever else it asks for then, so no product waits on a
 reading it does not use.
 
 ``drive`` advances many steps together.  Every operation of a loop rests
@@ -45,10 +45,10 @@ them.  Each steps' seconds are its own time in the generator plus a
 share of every call it took part in, in proportion to the elements it
 gave.
 
-The checkers ``check_*`` are ``drive`` run on one generator.  The
-per-element residuals are folded with max from 0: appending samples can
-only raise the returned residual, and it is deterministic given the
-elements.
+The checkers ``check_*`` are ``drive`` run on one generator, its
+per-sample residuals folded by ``linalg.worst``, with max from 0:
+appending samples can only raise the returned residual, and it is
+deterministic given the elements.
 """
 
 from __future__ import annotations
@@ -109,12 +109,6 @@ class Loop(Protocol):
     def left_divide(self, a, b): ...
     def right_divide(self, b, a): ...
     def distance(self, a, b): ...
-
-
-def split(stack, count: int, parts: int) -> list:
-    """The ``parts`` consecutive stacks of ``count`` elements that
-    ``Loop.join`` concatenated into ``stack``."""
-    return [stack[k * count : (k + 1) * count] for k in range(parts)]
 
 
 def step(loop: Loop, operation: str, *operands):
@@ -224,23 +218,24 @@ def run(steps):
 
 
 def loop_axioms(loop: Loop, a, b):
-    """Steps: the residuals of e*x = x, x*e = x, a*(a\\b) = b and
-    (b/a)*a = b over the sampled pairs: both divisions, then the four
-    products as one ``mul``."""
+    """Steps: per sampled pair, the worst residual of e*x = x, x*e = x,
+    a*(a\\b) = b and (b/a)*a = b: both divisions, then the four products
+    as one ``mul``."""
     e = loop.identity
     left, right = yield [(loop, "left_divide", (a, b)), (loop, "right_divide", (b, a))]
     products = yield from step(loop, "mul", loop.join(e, a, a, right), loop.join(a, e, left, a))
-    return worst((yield from step(loop, "distance", products, loop.join(a, a, b, b))))
+    d = yield from step(loop, "distance", products, loop.join(a, a, b, b))
+    return d.reshape(4, -1).max(axis=0)  # a view: row k is the k-th check of every pair
 
 
 def bol(loop: Loop, x, y, z):
-    """Steps: the residual of x(y . xz) = (x . yx)z over sampled triples,
+    """Steps: the residual of x(y . xz) = (x . yx)z per sampled triple,
     both sides together: one ``mul`` per level."""
-    count = len(x)
-    xz, yx = split((yield from step(loop, "mul", loop.join(x, y), loop.join(z, x))), count, 2)
-    y_xz, x_yx = split((yield from step(loop, "mul", loop.join(y, x), loop.join(xz, yx))), count, 2)
-    lhs, rhs = split((yield from step(loop, "mul", loop.join(x, x_yx), loop.join(y_xz, z))), count, 2)
-    return worst((yield from step(loop, "distance", lhs, rhs)))
+    halves = [len(x)] * 2
+    xz, yx = pieces((yield from step(loop, "mul", loop.join(x, y), loop.join(z, x))), halves)
+    y_xz, x_yx = pieces((yield from step(loop, "mul", loop.join(y, x), loop.join(xz, yx))), halves)
+    lhs, rhs = pieces((yield from step(loop, "mul", loop.join(x, x_yx), loop.join(y_xz, z))), halves)
+    return (yield from step(loop, "distance", lhs, rhs))
 
 
 def _inverses(loop: Loop, x):
@@ -272,54 +267,55 @@ def inverse_of(loop: Loop, x):
 
 def aip(loop: Loop, x, y):
     """Steps: the residual of the automorphic inverse property
-    (xy)^-1 = x^-1 y^-1 over sampled pairs; the inverses of xy, x and y are
+    (xy)^-1 = x^-1 y^-1 per sampled pair; the inverses of xy, x and y are
     one level of divisions.  The product x^-1 y^-1 is asked for in the
     level that reads the inverses' gap, so it waits on no reading; a
     breakdown in it therefore ends the steps before the inverses are
     checked to be two-sided."""
     xy = yield from step(loop, "mul", x, y)
     right, left = yield from _inverses(loop, loop.join(xy, x, y))
-    lhs, inv_x, inv_y = split(right, len(x), 3)
+    lhs, inv_x, inv_y = pieces(right, [len(x)] * 3)
     rhs, gap = yield [(loop, "mul", (inv_x, inv_y)), (loop, "distance", (right, left))]
     _two_sided(right, gap)
-    return worst((yield from step(loop, "distance", lhs, rhs)))
+    return (yield from step(loop, "distance", lhs, rhs))
 
 
 def left_a(loop: Loop, x, y, u, v):
     """Steps: the residual of lambda_{x,y}(u*v) = lambda_{x,y}(u) *
-    lambda_{x,y}(v), where lambda_{x,y}(w) = (x*y) \\ (x*(y*w)).
+    lambda_{x,y}(v) per sampled tuple, where lambda_{x,y}(w) =
+    (x*y) \\ (x*(y*w)).
 
     The map is evaluated through divisions, so no translation ever has to
     be inverted as a map; its three arguments uv, u and v go through it as
     one stack.
     """
     count = len(x)
-    xy, uv = split((yield from step(loop, "mul", loop.join(x, u), loop.join(y, v))), count, 2)
+    xy, uv = pieces((yield from step(loop, "mul", loop.join(x, u), loop.join(y, v))), [count] * 2)
     ys = yield from step(loop, "mul", loop.join(y, y, y), loop.join(uv, u, v))
     xys = yield from step(loop, "mul", loop.join(x, x, x), ys)
     lam = yield from step(loop, "left_divide", loop.join(xy, xy, xy), xys)
-    lam_uv, lam_u, lam_v = split(lam, count, 3)
+    lam_uv, lam_u, lam_v = pieces(lam, [count] * 3)
     rhs = yield from step(loop, "mul", lam_u, lam_v)
-    return worst((yield from step(loop, "distance", lam_uv, rhs)))
+    return (yield from step(loop, "distance", lam_uv, rhs))
 
 
 def check_loop_axioms(loop: Loop, a, b) -> float:
     """The worst residual of the loop axioms over the sampled pairs."""
-    return run(loop_axioms(loop, a, b))
+    return worst(run(loop_axioms(loop, a, b)))
 
 
 def check_bol(loop: Loop, x, y, z) -> float:
     """The worst residual of the left Bol identity over the sampled triples."""
-    return run(bol(loop, x, y, z))
+    return worst(run(bol(loop, x, y, z)))
 
 
 def check_aip(loop: Loop, x, y) -> float:
     """The worst residual of the automorphic inverse property over the
     sampled pairs; InversesDisagree when the loop lacks two-sided inverses.
     A breakdown in the product x^-1 y^-1 is raised before that check."""
-    return run(aip(loop, x, y))
+    return worst(run(aip(loop, x, y)))
 
 
 def check_left_a(loop: Loop, x, y, u, v) -> float:
     """The worst residual of the left-A property over the sampled tuples."""
-    return run(left_a(loop, x, y, u, v))
+    return worst(run(left_a(loop, x, y, u, v)))

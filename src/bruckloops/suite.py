@@ -4,9 +4,9 @@ The suite is one table, ``PROPERTIES``: each row names its report entries
 and their keys in the fixed bounds table ``TOLERANCES``, its sample-count
 key (which also selects its slot of the seed's stream), whether it is
 required, its default count, its per-sample draw layout (kinds of value,
-keys of ``PARTS``) and its ``steps``, which return the worst residual of
-each entry.  ``layout`` works out every row's part widths once a verify,
-for ``stream_slots`` and ``draw_parts``.  ``draw_parts`` draws the
+keys of ``PARTS``) and its ``steps``, which return each entry's residual
+per sample, unfolded.  ``layout`` works out every row's part widths once
+a verify, for ``stream_slots`` and ``draw_parts``.  ``draw_parts`` draws the
 uniforms of a run of rows' samples, each from the row's own slot, in one
 splitmix64 pass, and evaluates each kind's chart over the run in one call,
 so a verify at small counts, one run, makes one Sigma chart call and one
@@ -14,14 +14,14 @@ Phi chart call, and each row gets its values as slices.
 
 A row's steps are a generator in the kernel's step protocol: at each
 dependency level it yields its requests, each one request on the joined
-stacks of its elements, and it folds the per-element residuals with max.
-Every row but ``transversality``, which finishes at its first step, asks
-for its loop work this way: ``factorization`` its positive factor as a
-matrix product, ``solve_translation`` the coordinates and the right
-divisions of its exact and perturbed pairs and its mapping residual, each
-on their flattened stack, and the closure rows their membership
-residuals, a request that, like the distances, runs only when nothing
-else waits.
+stacks of its elements, and it returns one residual per sample for each
+entry, as the kernel's identities do.  Every row but ``transversality``,
+which finishes at its first step, asks for its loop work this way:
+``factorization`` its positive factor as a matrix product,
+``solve_translation`` the coordinates and the right divisions of its
+exact and perturbed pairs and its mapping residual, each on their
+flattened stack, and the closure rows their membership residuals, a
+request that, like the distances, runs only when nothing else waits.
 
 The suite keeps one memory rule, ``extension.PASS_BYTES`` of values,
 counted as n x n matrices, and cuts by it as the dimension check does,
@@ -33,9 +33,11 @@ many as fit ``_STEPS_BYTES`` of drawn values (every row, whole, at small
 counts).  ``run_suite`` draws each run just before it hands the run's
 steps to one ``kernel.drive``, a slice whose draw broke down as steps
 that raise it, and keeps only the text of a breakdown, so a verify holds
-one pass's draws at a time.  A row's slices fold into its entries:
-residuals by max from 0, ``worst_margin`` by min, seconds by sum; the
-first slice that breaks down ends the row with its own text.
+one pass's draws at a time.  ``_entries`` is the one fold of the report:
+a row's per-sample stacks, over all its slices, fold into its entries,
+residuals by max from 0 and ``detail`` values (``worst_margin``) by min,
+and its seconds by sum; the first slice that breaks down ends the row with
+its own text.
 
 The driver advances the steps together: the waiting requests of one loop
 and primitive share one call, whatever row and operation they come from
@@ -120,10 +122,11 @@ _ELEMENT = ("point", "sigma")  # the layout of one extension element
 # name, TOLERANCES key)`` pairs.  ``draw`` is what one sample draws, in draw
 # order, as ``PARTS`` kinds.  ``steps(loop, *parts)`` takes one stack per
 # part of the layout, whose i-th values sample i drew, and is a generator in
-# the kernel's step protocol that returns the worst residual of each entry
-# and a ``detail`` dict for the report, or None.  Every row is batched: one
-# request per loop operation per dependency level on the joined stacks, and
-# a fold of the per-element residuals with max from 0.
+# the kernel's step protocol that returns, for each entry, a stack of one
+# residual per sample, and a dict of per-sample stacks for the report's
+# ``detail``, or None.  Every row is batched: one request per loop operation
+# per dependency level on the joined stacks.  The row folds nothing;
+# ``_entries`` does.
 Property = namedtuple("Property", "key default_samples required entries draw steps")
 
 
@@ -152,11 +155,11 @@ def _elements(parts) -> list:
 
 def _sigma_closure(loop: ext.ExtensionConfig, a, b):
     product = yield from step(loop.mat, "mul", a, b)
-    return (worst((yield from step(loop.mat, "membership", product))),), None
+    return ((yield from step(loop.mat, "membership", product)),), None
 
 
 def _conjugation_closure(loop: ext.ExtensionConfig, a, b):
-    return (worst((yield from step(loop.mat, "membership", conjugate_by_phi(a, b)))),), None
+    return ((yield from step(loop.mat, "membership", conjugate_by_phi(a, b))),), None
 
 
 def _factorization(loop: ext.ExtensionConfig, s1, c):
@@ -167,15 +170,14 @@ def _factorization(loop: ext.ExtensionConfig, s1, c):
     require_isometry(m, loop.form)
     f1 = yield from step(loop.mat, "mul", s1, c)
     f2 = (f1 * loop.form.signs()) @ m
-    recovery = worst(np.abs(f1 - s1), np.abs(f2 - c))
-    return (recovery, worst(fro(f1 @ f2 - m) / fro(m))), None
+    recovery = np.maximum(np.abs(f1 - s1), np.abs(f2 - c)).max(axis=(-2, -1))
+    return (recovery, fro(f1 @ f2 - m) / fro(m)), None
 
 
 def _transversality(loop: ext.ExtensionConfig, rhos):
     yield from ()  # a row that calls no loop operation finishes at its first step
-    tr = geometry.transversality_check(loop.wtilde, rhos, loop.carrier_subspace())
-    # with no sample checked the margin is still inf, which strict JSON refuses
-    return (0.0,), {"worst_margin": tr.worst_margin} if tr.samples else None
+    margins = geometry.transversality_check(loop.wtilde, rhos, loop.carrier_subspace())
+    return (np.zeros(len(margins)),), {"worst_margin": margins}
 
 
 def _ext_infinity_compat(loop: ext.ExtensionConfig, *parts):
@@ -184,7 +186,7 @@ def _ext_infinity_compat(loop: ext.ExtensionConfig, *parts):
     off its C12 and C22 blocks: two computations of the same element."""
     e1, e2 = _elements(parts)
     prod, lifts = yield [(loop, "mul", (e1, e2)), (loop.mat, "mul", (e1.rho, e2.rho))]
-    return (worst(fro(prod.rho - lifts)),), None
+    return (fro(prod.rho - lifts),), None
 
 
 def _ext_aip(loop: ext.ExtensionConfig, w, rho):
@@ -193,7 +195,7 @@ def _ext_aip(loop: ext.ExtensionConfig, w, rho):
     gap, judged against the kernel's inverse bound: ``pass`` says whether
     the sampled elements have two-sided inverses."""
     _, gap = yield from inverse_gap(loop, ext.ExtensionElement(w, rho))
-    return (worst(gap),), None
+    return (gap,), None
 
 
 def _solve_translation(loop: ext.ExtensionConfig, w1, rho1, w2, rho2, noise):
@@ -222,7 +224,7 @@ def _solve_translation(loop: ext.ExtensionConfig, w1, rho1, w2, rho2, noise):
     t, rho = x.w, x.rho
     moved = geometry.apply(rho[0], d[0], t[0])
     stability = fro(t[1] - t[0], axis=-1) + fro(rho[1] - rho[0])
-    return (worst((yield from step(loop, "subspace_distance", moved, d[1]))), worst(stability)), None
+    return ((yield from step(loop, "subspace_distance", moved, d[1])), stability), None
 
 
 def _perturb(s, noise: np.ndarray):
@@ -376,18 +378,21 @@ def draw_parts(loop: ext.ExtensionConfig, widths: dict, slices: list) -> list:
 
 def _entries(row: Property, count: int, outcomes: list) -> list:
     """The report entries of one row from the ``Outcome`` of its steps on
-    each of its slices, folded: residuals by max from 0, the ``detail``
-    values (transversality's ``worst_margin``) by min, seconds by sum.
-    The row's seconds go on its first entry; a companion entry records 0
-    seconds and names that entry in ``detail.timed_with``.  A breakdown,
-    which ends the row at its slice, fails every entry with residual 1.0
-    and the exception text in ``detail.error``."""
+    each of its slices: the suite's one fold.  Each entry's per-sample
+    residuals, over all slices, fold by max from 0, each ``detail`` stack
+    (transversality's ``worst_margin``) by min, and the slices' seconds by
+    sum; a ``detail`` stack of no samples writes no value, as strict JSON
+    refuses the empty min, inf.  The row's seconds go on its first entry; a
+    companion entry records 0 seconds and names that entry in
+    ``detail.timed_with``.  A breakdown, which ends the row at its slice,
+    fails every entry with residual 1.0 and the exception text in
+    ``detail.error``."""
     broke = next((outcome.error for outcome in outcomes if outcome.error is not None), None)
     if broke is None:
-        (residuals, detail), *further = (outcome.value for outcome in outcomes)
-        for more, more_detail in further:
-            residuals = tuple(map(worst, zip(residuals, more)))
-            detail = detail and {key: min(value, more_detail[key]) for key, value in detail.items()}
+        stacks, details = zip(*(outcome.value for outcome in outcomes))
+        residuals = [worst(*entry) for entry in zip(*stacks)]
+        detail = {key: float(np.min(values)) for key in details[0] or ()
+                  if (values := np.concatenate([d[key] for d in details])).size}
     else:
         residuals, detail = (1.0,) * len(row.entries), {"error": str(broke)}
     first = row.entries[0][0]

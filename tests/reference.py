@@ -7,9 +7,10 @@ them), cut per sample by ``sample_parts`` (``rows``) and mapped by the
 charts.  On a ``ReferenceStream`` the uniforms come from the scalar Python
 splitmix64 loop, one value at a time.  The ``ROWS`` functions are the
 suite's rows written sample by sample: each sample is drawn alone, through
-a stack of one, and every loop operation runs on single elements;
-residuals are folded with Python's max from 0.  The batched code in the
-package must agree with them.  ``sample_tuples`` is a row's own stacked
+a stack of one, and every loop operation runs on single elements; each
+returns, per entry, the stack of every sample's residual, unfolded, as the
+rows do.  The batched code in the package must agree with them sample by
+sample.  ``sample_tuples`` is a row's own stacked
 draw, which the suite replaced by one draw pooled over all rows;
 ``check_drawn`` runs a kernel checker on it.
 
@@ -29,7 +30,8 @@ The functions after them are the earlier forms of the stacked kernels'
 glue: ``np.split`` parts, joins that always broadcast, products by the
 diagonal J, a second conjugate transpose in the eigensolver (whose
 hermiticity residual is the general norm at every n), two ``omega``
-calls per translation and a per-point rank fold.  The package must agree
+calls per translation, a per-point rank fold and the dimension Jacobians
+from one map of both moves of every point.  The package must agree
 with each bit for bit.  ``eig_positive_definite`` is the membership
 positivity condition through a full eigendecomposition, which the
 eigenvalues-only call must match.  ``per_row_draw_parts`` is the verify's draw with
@@ -250,6 +252,17 @@ def qr_chart_embeddings(cfg, thetas):
     return np.concatenate([p, s.base], axis=-1).view(np.float64)
 
 
+def joint_chart_jacobians(cfg, thetas):
+    """``extension._chart_jacobians`` from one map of the forward and the
+    backward moves of every point together, differenced out of place."""
+    points, d = thetas.shape
+    steps = ext._STEP * np.eye(d)
+    moved = np.stack([thetas[:, None, :] + steps, thetas[:, None, :] - steps], axis=1)
+    emb = ext._chart_embeddings(cfg, moved.reshape(2 * d * points, d))
+    emb = emb.reshape(points, 2, d, emb.shape[-1])
+    return ((emb[:, 0] - emb[:, 1]) / (2 * ext._STEP)).swapaxes(-1, -2)
+
+
 def per_row_draw_parts(loop, streams, counts):
     """``suite.draw_parts`` with one ``rows`` call per row: each row's own
     splitmix64 pass, then each kind's chart once over all rows."""
@@ -327,14 +340,14 @@ def draw(loop, stream, count: int, kind: str | None = None, radius: float = SAMP
     return ext.ExtensionElement(loop.point_from_uniforms(uw), sigma_from_uniforms(form, u, radius)), stream
 
 
-def fold(stream, count: int, fn) -> tuple:
-    """Fold ``fn(stream) -> (residuals, stream)`` over ``count`` samples,
-    entry by entry, with max from 0."""
-    worst = None
+def per_sample(stream, count: int, fn) -> tuple:
+    """``fn(stream) -> (residuals, stream)`` run on ``count`` samples in
+    turn: per entry, the stack of each sample's residual."""
+    samples = []
     for _ in range(count):
         residuals, stream = fn(stream)
-        worst = tuple(map(max, worst or (0.0,) * len(residuals), residuals))
-    return worst
+        samples.append(residuals)
+    return tuple(np.array(entry, dtype=float) for entry in zip(*samples))
 
 
 def sample_tuples(loop, stream, count: int, size: int) -> list:
@@ -383,7 +396,7 @@ def loop_axioms(loop, stream, count):
             loop.distance(loop.mul(loop.right_divide(b, a), a), b),
         ),), stream
 
-    return fold(stream, count, one)
+    return per_sample(stream, count, one)
 
 
 def bol(loop, stream, count):
@@ -393,7 +406,7 @@ def bol(loop, stream, count):
         rhs = loop.mul(loop.mul(x, loop.mul(y, x)), z)
         return (loop.distance(lhs, rhs),), stream
 
-    return fold(stream, count, one)
+    return per_sample(stream, count, one)
 
 
 def aip(loop, stream, count):
@@ -403,7 +416,7 @@ def aip(loop, stream, count):
         rhs = loop.mul(_inverse_of(loop, x), _inverse_of(loop, y))
         return (loop.distance(lhs, rhs),), stream
 
-    return fold(stream, count, one)
+    return per_sample(stream, count, one)
 
 
 def left_a(loop, stream, count):
@@ -414,7 +427,7 @@ def left_a(loop, stream, count):
         (x, y, u, v), stream = _elements(loop, stream, 4)
         return (loop.distance(lam(x, y, loop.mul(u, v)), loop.mul(lam(x, y, u), lam(x, y, v))),), stream
 
-    return fold(stream, count, one)
+    return per_sample(stream, count, one)
 
 
 def sigma_closure(s, stream, count):
@@ -422,7 +435,7 @@ def sigma_closure(s, stream, count):
         (a, b), stream = _elements(s.mat, stream, 2)
         return (membership_residual(s.mat.mul(a, b), s.form).max_residual,), stream
 
-    return fold(stream, count, one)
+    return per_sample(stream, count, one)
 
 
 def _sigma_then_phi(s, stream):
@@ -436,7 +449,7 @@ def conjugation_closure(s, stream, count):
         a, b, stream = _sigma_then_phi(s, stream)
         return (membership_residual(conjugate_by_phi(a, b), s.form).max_residual,), stream
 
-    return fold(stream, count, one)
+    return per_sample(stream, count, one)
 
 
 def factorization(s, stream, count):
@@ -447,17 +460,17 @@ def factorization(s, stream, count):
         recovery = max(float(np.max(np.abs(f1 - s1))), float(np.max(np.abs(f2 - c))))
         return (recovery, fro(f1 @ f2 - m) / fro(m)), stream
 
-    return fold(stream, count, one)
+    return per_sample(stream, count, one)
 
 
 def transversality(s, stream, count):
-    """Residual 0 and the worst margin, one sample per check."""
-    margin = np.inf
+    """Residual 0 and the margin of each sample, one sample per check."""
+    margins = []
     for _ in range(count):
         (rho,), stream = _elements(s.mat, stream, 1)
-        report = geometry.transversality_check(s.wtilde, rho[None], s.carrier_subspace())
-        margin = min(margin, report.worst_margin)
-    return (0.0,), margin
+        (margin,) = geometry.transversality_check(s.wtilde, rho[None], s.carrier_subspace())
+        margins.append(margin)
+    return (np.zeros(count),), np.array(margins)
 
 
 def ext_infinity_compat(s, stream, count):
@@ -465,7 +478,7 @@ def ext_infinity_compat(s, stream, count):
         (e1, e2), stream = _elements(s, stream, 2)
         return (fro(s.mul(e1, e2).rho - s.mat.mul(e1.rho, e2.rho)),), stream
 
-    return fold(stream, count, one)
+    return per_sample(stream, count, one)
 
 
 def ext_aip(s, stream, count):
@@ -476,7 +489,7 @@ def ext_aip(s, stream, count):
         left = s.left_divide(x, s.identity)
         return (s.distance(right, left),), stream
 
-    return fold(stream, count, one)
+    return per_sample(stream, count, one)
 
 
 def canonical_distance(s1, s2):
@@ -508,11 +521,12 @@ def solve_translation(s, stream, count):
         stability = float(np.linalg.norm(tp - t)) + fro(rhop - rho)
         return (geometry.subspace_distance(moved, d2), stability), stream
 
-    return fold(stream, count, one)
+    return per_sample(stream, count, one)
 
 
-# Row key -> per-sample reference run(loop, stream, count) -> worst residuals,
-# on the resolved extension loop and the matrix loop it holds.
+# Row key -> per-sample reference run(loop, stream, count) -> each entry's
+# per-sample residuals, on the resolved extension loop and the matrix loop
+# it holds.
 ROWS = {
     "loop_axioms": lambda s, stream, n: loop_axioms(s.mat, stream, n),
     "sigma_closure": sigma_closure,

@@ -13,18 +13,29 @@ import pytest
 
 import bruckloops.extension
 import bruckloops.geometry
+import bruckloops.kernel as kernel
 import bruckloops.linalg
 import bruckloops.suite as suite
 from bruckloops.cli import SuiteConfig, main, resolve, run_verify
 from bruckloops.errors import InversesDisagree, NoConvergence, NotHermitian, NotInOrbit, NotPositiveDefinite
 from bruckloops.extension import extension_config, lift_from_infinity
 from bruckloops.groups import SampleStream, element_to_json, sample_parts, unit_uniforms
-from bruckloops.kernel import check_aip, check_left_a, drive, inverse_of
-from bruckloops.linalg import spectral_map
+from bruckloops.kernel import check_aip, check_left_a, drive, inverse_of, run
+from bruckloops.linalg import spectral_map, worst
 from bruckloops.matrixloop import MatrixLoop
 from bruckloops.suite import PROPERTIES, TOLERANCES, draw_parts
 from conftest import one
-from reference import ROWS, ReferenceStream, check_drawn, draw, left_a, per_row_draw_parts, reference_uniforms
+from reference import (
+    ROWS,
+    ReferenceStream,
+    check_drawn,
+    draw,
+    left_a,
+    per_row_draw_parts,
+    reference_uniforms,
+    sample_tuples,
+    transversality,
+)
 
 SEEDS = [0, 1, 7919, -5, 2**70 + 3, 2**64 - 1]
 COUNTERS = [0, 10**7, 2**63 - 100]
@@ -74,11 +85,17 @@ def test_every_row_matches_the_per_sample_reference(name, seed):
     outcomes = drive([row.steps(loop, *drawn[row.key]) for row in PROPERTIES])
     for row, outcome in zip(PROPERTIES, outcomes):
         stream, count = streams[row.key], counts[row.key]
-        batched, _ = outcome.value
+        batched, detail = outcome.value
         reference = ROWS[row.key](loop, ReferenceStream(stream.seed, stream.counter), count)
         for (entry, key), got, want in zip(row.entries, batched, reference):
-            assert abs(got - want) <= 1e-15 * max(abs(got), abs(want)), (entry, got, want)
-            assert (got <= TOLERANCES[key]) == (want <= TOLERANCES[key]), entry
+            # every sample, not only the worst
+            assert got.shape == want.shape == (count,), entry
+            assert np.all(np.abs(got - want) <= 1e-15 * np.maximum(np.abs(got), np.abs(want))), (entry, got, want)
+            assert np.array_equal(got <= TOLERANCES[key], want <= TOLERANCES[key]), entry
+        if row.key == "transversality":
+            _, margins = transversality(loop, ReferenceStream(stream.seed, stream.counter), count)
+            got = detail["worst_margin"]
+            assert got.shape == (count,) and np.all(np.abs(got - margins) <= 1e-15 * margins), (got, margins)
 
 
 @pytest.mark.parametrize("seed", [1, 7919])
@@ -88,9 +105,11 @@ def test_left_a_on_the_extension_loop_matches_the_per_sample_reference(name, see
     # are checked here
     loop = resolve(SuiteConfig(seed=seed, **SUITES[name]))
     stream = SampleStream(seed).split(4000)
-    got = check_drawn(check_left_a, loop, stream, COUNT)
+    got = run(kernel.left_a(loop, *sample_tuples(loop, stream, COUNT, 4)))
     (want,) = left_a(loop, ReferenceStream(stream.seed, stream.counter), COUNT)
-    assert abs(got - want) <= 1e-15 * max(abs(got), abs(want)), (got, want)
+    assert got.shape == want.shape == (COUNT,)
+    assert np.all(np.abs(got - want) <= 1e-15 * np.maximum(np.abs(got), np.abs(want))), (got, want)
+    assert check_drawn(check_left_a, loop, stream, COUNT) == worst(got)
 
 
 def test_the_element_draw_is_the_verify_element_draw():
@@ -178,13 +197,13 @@ def _loop_calls(monkeypatch) -> list:
 
 # The two benchmark suites, at the benchmark's 20 dimension points, and the
 # eigendecompositions of one verify: one Sigma chart and one Phi chart for
-# all rows, one chart for the dimension check, one for the transversal and
-# one per shared call of a primitive, all rows' requests of one loop and
+# all rows, two charts for the dimension check (its points moved forward,
+# then back), one for the transversal and one per shared call of a primitive, all rows' requests of one loop and
 # primitive at once; the membership judge takes eigenvalues alone, outside
 # ``eig_hermitian``
 BENCH_SUITES = {
-    "321c": (dict(n=3, p1=2, p2=1, field_name="complex"), 13),
-    "422r-c2": (dict(n=4, p1=2, p2=2, carrier=2, wtilde=f"boost:{math.log(2)!r}"), 14),
+    "321c": (dict(n=3, p1=2, p2=1, field_name="complex"), 14),
+    "422r-c2": (dict(n=4, p1=2, p2=2, carrier=2, wtilde=f"boost:{math.log(2)!r}"), 15),
 }
 # The primitive calls of one such verify at equal counts, 13: all rows'
 # waiting requests of one loop and primitive share a call, and no product
@@ -233,7 +252,7 @@ def test_a_verify_makes_one_chart_call_per_kind(monkeypatch, eig_calls, name, sa
     assert sigma == [draws_of["sigma"] * samples] and phi == [draws_of["phi"] * samples]
     assert draws == [samples * sum(sum(widths) for widths in suite.layout(loop).values())]
     d, p2 = bruckloops.extension.expected_dimension(loop), cfg.p2
-    assert inside == {"eig": [(2 * d * cfg.samples["dimension_points"], p2, p2)], "qr": []}
+    assert inside == {"eig": [(d * cfg.samples["dimension_points"], p2, p2)] * 2, "qr": []}
 
 
 # Counts per row for the fused-schedule checks: rows of unequal counts in
@@ -263,8 +282,14 @@ def test_fused_rows_are_the_rows_driven_alone_bit_for_bit(name, counts):
     for row, got in zip(PROPERTIES, fused):
         (alone,) = drive([row.steps(loop, *drawn[row.key])])
         assert got.error is None and alone.error is None, row.key
-        # json writes each float's shortest round-trip repr: equal text, equal bits
-        assert json.dumps(got.value) == json.dumps(alone.value), row.key
+        assert _stack_bits(got.value) == _stack_bits(alone.value), row.key
+
+
+def _stack_bits(value) -> list:
+    """A row's value, its per-sample residual stacks and ``detail`` stacks,
+    as the shape and bytes of each."""
+    residuals, detail = value
+    return [(r.shape, r.tobytes()) for r in residuals] + [(k, v.shape, v.tobytes()) for k, v in (detail or {}).items()]
 
 
 @pytest.mark.parametrize("counts", sorted(FUSED_COUNTS))
@@ -492,6 +517,63 @@ def test_sliced_rows_give_the_same_report(monkeypatch, name, seed, values):
         count, size = cfg.samples[row.key], max(1, values // len(row.draw))
         want += [row.draw.count("sigma") * (min(start + size, count) - start) for start in range(0, count, size)]
     assert len(sigma) > len(PROPERTIES) and sigma == want
+
+
+# The kernel identities a row runs as it is, each with its checker, on the
+# matrix loop of the lifts or on the extension loop.
+CHECKED_ROWS = {
+    "loop_axioms": (kernel.loop_axioms, kernel.check_loop_axioms, False),
+    "bol": (kernel.bol, kernel.check_bol, False),
+    "aip": (kernel.aip, kernel.check_aip, False),
+    "left_a": (kernel.left_a, kernel.check_left_a, False),
+    "ext_loop_axioms": (kernel.loop_axioms, kernel.check_loop_axioms, True),
+    "ext_bol": (kernel.bol, kernel.check_bol, True),
+}
+
+
+@pytest.mark.parametrize("sliced", [False, True])
+@pytest.mark.parametrize("name", sorted(BENCH_SUITES))
+def test_rows_return_per_sample_stacks_that_the_runner_alone_folds(monkeypatch, name, sliced):
+    # at the benchmark's counts, whole and in slices of at most 7 values:
+    # every stack a row returns holds one value per sample of its slice,
+    # the report's residual and margin are their folds, max from 0 and
+    # min, bit for bit, and each checker is the fold of its identity's
+    # stack, the report's residual
+    cfg = SuiteConfig(seed=1, **BENCH_SUITES[name][0])
+    cfg.samples |= {key: 8 for key in cfg.samples if key != "dimension_points"}
+    if sliced:
+        monkeypatch.setattr(bruckloops.extension, "PASS_BYTES", _pass_bytes(7, cfg))
+    seen, real = {}, suite._entries
+
+    def entries(row, count, outcomes):
+        seen[row.key] = count, [outcome.value for outcome in outcomes]
+        return real(row, count, outcomes)
+
+    monkeypatch.setattr(suite, "_entries", entries)
+    report = {entry["property"]: entry for entry in run_verify(cfg)["properties"]}
+    for row in PROPERTIES:
+        count, values = seen[row.key]
+        assert len(values) > 1 if sliced else len(values) == 1, row.key
+        lengths = []
+        for residuals, detail in values:
+            stacks = [*residuals, *(detail or {}).values()]
+            assert len(stacks) == len(row.entries) + (row.key == "transversality"), row.key
+            assert all(s.ndim == 1 and len(s) == len(stacks[0]) for s in stacks), row.key
+            lengths.append(len(stacks[0]))
+        assert sum(lengths) == count == 8, row.key
+        for k, (entry, _) in enumerate(row.entries):
+            stack = np.concatenate([residuals[k] for residuals, _ in values])
+            assert float(np.max(stack, initial=0.0)) == report[entry]["max_residual"], entry
+    margins = np.concatenate([detail["worst_margin"] for _, detail in seen["transversality"][1]])
+    assert float(np.min(margins)) == report["transversality"]["detail"]["worst_margin"]
+    loop = resolve(cfg)
+    slots = suite.stream_slots(loop, cfg.samples, suite.layout(loop))
+    drawn = _drawn(loop, {key: SampleStream(cfg.seed).split(offset) for key, (offset, _) in slots.items()},
+                   cfg.samples)
+    for key, (identity, check, on_elements) in CHECKED_ROWS.items():
+        on, xs = (loop, suite._elements(drawn[key])) if on_elements else (loop.mat, drawn[key])
+        stack = kernel.run(identity(on, *xs))
+        assert stack.shape == (8,) and check(on, *xs) == worst(stack) == report[key]["max_residual"], key
 
 
 @pytest.mark.parametrize("alone", [True, False])

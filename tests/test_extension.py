@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +26,6 @@ from bruckloops.extension import (
 )
 from bruckloops.geometry import (
     AffineSubspace,
-    TransversalityReport,
     apply,
     projector,
     subspace,
@@ -43,7 +43,7 @@ from bruckloops.linalg import SpectralDecomposition, fro, matrix_to_json, orthon
 from bruckloops.matrixloop import MatrixLoop
 from bruckloops.suite import PROPERTIES
 from conftest import one, rotation
-from reference import canonical_distance, check_drawn, draw, qr_chart_embeddings, uniforms
+from reference import canonical_distance, check_drawn, draw, joint_chart_jacobians, qr_chart_embeddings, uniforms
 
 
 @pytest.fixture
@@ -532,13 +532,39 @@ class TestDimension:
         assert report.ranks == ref_report.ranks
         assert report.gap_fraction == ref_report.gap_fraction
 
+    @pytest.mark.parametrize("carrier", [1, 2])
     @pytest.mark.parametrize("field", ["real", "complex"])
-    def test_one_eigendecomposition_call_for_all_points(self, eig_calls, field):
+    def test_jacobians_are_the_joint_maps_bit_for_bit(self, field, carrier):
+        # the forward and backward moves mapped apart and differenced in
+        # place give every bit of one map of both, differenced apart
+        cfg = extension_config(SignatureForm(20, 10, 10, field), carrier)
+        d = expected_dimension(cfg)
+        thetas = uniforms(SampleStream(5), 2 * d, -0.4, 0.4)[0].reshape(2, d)
+        got, want = ext._chart_jacobians(cfg, thetas), joint_chart_jacobians(cfg, thetas)
+        assert got.shape == want.shape and got.shape[::2] == (2, d) and got.tobytes() == want.tobytes()
+
+    def test_a_pass_holds_about_twice_its_projector_bytes(self):
+        # two points of (20,10,10) complex: 2 * 220 perturbed points'
+        # projectors are 5.6 MB, and the pass peaks near 13 MB; one map of
+        # both moves, differenced apart, peaked near 20 MB
+        cfg = extension_config(SignatureForm(20, 10, 10, "complex"))
+        thetas = uniforms(SampleStream(5), 2 * expected_dimension(cfg), -0.4, 0.4)[0].reshape(2, -1)
+        tracemalloc.start()
+        try:
+            ext._chart_jacobians(cfg, thetas)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16_000_000, peak
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_two_eigendecomposition_calls_for_all_points(self, eig_calls, field):
+        # one for every point's d forward moves, one for its d backward moves
         cfg = extension_config(SignatureForm(3, 2, 1, field))
         eig_calls.clear()
         dimension_rank_report(cfg, points=5, stream=SampleStream(1))
         d = expected_dimension(cfg)
-        assert eig_calls == [(2 * d * 5, 1, 1)]
+        assert eig_calls == [(d * 5, 1, 1)] * 2
 
     @pytest.mark.parametrize("field", ["real", "complex"])
     def test_passes_bounded_in_bytes_keep_the_bits(self, monkeypatch, eig_calls, field):
@@ -558,7 +584,7 @@ class TestDimension:
             assert jacobians.tobytes() == whole.tobytes()
             eig_calls.clear()
             assert dimension_rank_report(cfg, points=7, stream=SampleStream(3)) == report
-            assert [shape[0] for shape in eig_calls] == [2 * d * size for size in sizes]
+            assert [shape[0] for shape in eig_calls] == [d * size for size in sizes for _ in "+-"]
 
     @pytest.mark.parametrize("field", ["real", "complex"])
     def test_each_svd_call_takes_one_pass(self, monkeypatch, field):
@@ -735,7 +761,6 @@ IMMUTABLE = {
     "MembershipReport": lambda: membership_residual(np.eye(3), SignatureForm(3, 2, 1)),
     "WitnessReport": lambda: WitnessReport(np.eye(3), 0.5),
     "DimensionReport": lambda: DimensionReport(3, (3, 3), 1.0, 2),
-    "TransversalityReport": lambda: TransversalityReport(2, 0.5),
     "Property": lambda: PROPERTIES[0],
     "MatrixLoop": lambda: MatrixLoop(SignatureForm(3, 2, 1)),
     "ExtensionConfig": lambda: extension_config(SignatureForm(3, 2, 1)),

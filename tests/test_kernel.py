@@ -19,6 +19,7 @@ from bruckloops.kernel import (
     left_a,
     step,
 )
+from bruckloops.linalg import worst
 from bruckloops.matrixloop import MatrixLoop
 from conftest import one
 from reference import CHECK_SLOTS, check_drawn, draw, sample_tuples
@@ -144,7 +145,8 @@ class TestDrive:
         stream = SampleStream(12)
         samples = [(bol, check_bol, 1, 3), (aip, check_aip, 4, 2), (left_a, check_left_a, 3, 4)]
         slots = [sample_tuples(mloop, stream.split(100 * k), n, size) for k, (*_, n, size) in enumerate(samples)]
-        alone = [checker(mloop, *xs) for (_, checker, *_), xs in zip(samples, slots)]
+        alone = [bruckloops.kernel.run(steps(mloop, *xs)) for (steps, *_), xs in zip(samples, slots)]
+        assert [worst(a) for a in alone] == [checker(mloop, *xs) for (_, checker, *_), xs in zip(samples, slots)]
         sizes, real = [], MatrixLoop.run
 
         def run(self, calls):
@@ -153,7 +155,10 @@ class TestDrive:
 
         monkeypatch.setattr(MatrixLoop, "run", run)
         outcomes = drive([steps(mloop, *xs) for (steps, *_), xs in zip(samples, slots)])
-        assert [o.value for o in outcomes] == alone and all(o.error is None for o in outcomes)
+        assert all(o.error is None for o in outcomes)
+        # every sample's residual, not only the worst
+        assert [o.value.tobytes() for o in outcomes] == [a.tobytes() for a in alone]
+        assert [o.value.shape for o in outcomes] == [(n,) for *_, n, _ in samples]
         # one entry per request, in the order the requests were made
         assert sizes == [
             [("mul", 2), ("mul", 4), ("mul", 6)],
