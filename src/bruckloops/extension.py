@@ -33,10 +33,12 @@ The loop holds the form; the JSON writer and reader take it as an argument.
 Every orbit direction at infinity is the graph of a strict contraction
 between the two coordinate blocks, which gives ``lift_from_infinity`` a
 closed form (the boost of that contraction, as in the gyrogroup view of
-the loop) and the dimension chart its projectors, with no QR.  The
-dimension check holds one pass of points at a time: ``passes``, the one
-cut of the suite's memory rule ``PASS_BYTES``, cuts its points as it cuts
-the suite's rows, and each pass's Jacobians go to their own SVD.
+the loop) and the dimension check its chart: the ball of graph blocks,
+whose projectors and their tangents are closed forms in one small solve,
+with no QR, no eigendecomposition and no step size.  The dimension check
+holds one pass of points at a time: ``passes``, the one cut of the
+suite's memory rule ``PASS_BYTES``, cuts its points as it cuts the
+suite's rows, and each pass's Gram matrices go to one ``eigvalsh`` call.
 ``ExtensionConfig`` is the loop itself, the object the kernel checkers
 call, and holds the matrix loop of its lifts, built once.
 
@@ -56,6 +58,7 @@ from . import linalg
 from .errors import (
     ConfigInvalid,
     DimensionMismatch,
+    NoConvergence,
     NotInOrbit,
     NotPositiveDefinite,
     RankAmbiguous,
@@ -69,7 +72,6 @@ from .groups import (
     draw_width,
     element_from_json,
     element_to_json,
-    graph_frame,
     scale,
     sigma_from_spectrum,
     unit_uniforms,
@@ -78,18 +80,17 @@ from .linalg import concat, dag, eig_hermitian, matrix_from_json, matrix_to_json
 from .matrixloop import MatrixLoop
 
 _W_SCALE = 1.0  # sampled transversal points have frame coordinates in [-1, 1]
-_STEP = 1e-5  # central-difference step of the dimension Jacobian
 _AMBIGUITY_FRACTION = 0.10  # share of gapless points that refuses a rank estimate
 WITNESS_THRESHOLD = 1e-3  # least displacement of the transversal that counts as a witness
 DIMENSION_GAP = 1e-4  # relative singular-value cut and least gap of a rank estimate
 # The suite's one memory rule: the most bytes of values, counted as n x n
 # matrices (``SignatureForm.matrix_bytes``), that one pass holds; ``passes``
 # cuts by it.  A suite row whose draw is larger runs in slices of its
-# samples, and the dimension check maps and decomposes its points in passes
-# of perturbed points' projectors of this size.  8 MiB slices no row at 8
-# samples a row up to n = 104 complex, nor at the default counts up to
-# n = 13 complex and n = 18 real, and takes every point of a default
-# dimension check in one pass up to n = 17 real and n = 12 complex
+# samples, and the dimension check takes its points' tangents and spectra
+# in passes of this size (``_point_bytes`` a point).  8 MiB slices no row
+# at 8 samples a row up to n = 104 complex, nor at the default counts up
+# to n = 13 complex and n = 18 real, and takes every point of a default
+# dimension check in one pass up to n = 16 real and n = 11 complex
 # (p1 - p2 <= 1).
 PASS_BYTES = 1 << 23
 
@@ -453,53 +454,62 @@ def expected_dimension(cfg: ExtensionConfig) -> int:
     return draw_width(cfg.form, (cfg.wtilde.dim, 1), (cfg.form.p1, cfg.form.p2))
 
 
-def _chart_embeddings(cfg: ExtensionConfig, thetas: np.ndarray) -> np.ndarray:
-    """Stack (m, d) of chart points -> stack (m, L) of carrier images in the
-    projector-plus-base embedding, a complex entry as its (re, im) pair.
+def _chart_jacobians(cfg: ExtensionConfig, thetas: np.ndarray) -> np.ndarray:
+    """Stack (points, d) of chart points -> stack (points, L, d) of the exact
+    Jacobians of the ball chart's embedding: the n x (n + 1) matrix [P, Q w]
+    of the carrier image's projector P and base Q w, Q = I - P, read row by
+    row, a complex entry as its (re, im) pair.
 
     A chart point is laid out as ``blocks`` reads it: the transversal
-    coordinates w, then the exponential block X.  exp([[0, X], [X*, 0]])
-    carries W_2 onto the graph of the contraction Z = X Q diag(tau / t) Q*
-    and W_1 onto the graph of Z*, with X* X = Q diag(t^2) Q* from one stacked
-    eigendecomposition and tau = tanh t.  So the orthonormal frame
-    U = [+-X Q diag(c tau / t); Q diag(c)], c = (1 + tau^2)^-1/2, gives the
-    carrier projector in closed form: U U* for carrier 2 (sign +) and
-    I - U U* for carrier 1 (sign -), and the base is w - P w.
+    coordinates c, with w = W~ c, then the block X, read as the graph block
+    Z = X / sqrt(p1 p2), so that ||Z|| < 1.  The carrier image is the span of
+    G = [Z; I] (carrier 2), or the orthogonal complement of the span of
+    G = [-Z; I] (carrier 1).  With G+ = (G* G)^-1 G* from one stacked
+    ``solve`` and R = I - G G+, the embedding is [I - R, R w] (carrier 2) or
+    [R, w - R w] (carrier 1), and on both carriers moving Z's entry (i, j)
+    by a unit u moves it by (T + T*) [I, -w], T = u R e_i e_j* G+: by
+    u A + conj(u) B, two outer products A = (R e_i)(e_j* G+ [I, -w]) and
+    B = (G+* e_j)(e_i* R* [I, -w]).  So the real part of the entry moves it
+    by A + B and the imaginary part by i (A - B), each with the chart's
+    factor 1 / sqrt(p1 p2).  Moving c_k moves only the base, by R f_k
+    (carrier 2) or f_k - R f_k (carrier 1).
     """
-    form = cfg.form
-    coef, x = blocks(form, thetas, (cfg.wtilde.dim, 1), (form.p1, form.p2))
-    dec = eig_hermitian(dag(x) @ x)
-    t = np.sqrt(np.maximum(dec.eigenvalues, 0.0))
-    tau = np.tanh(t)
-    c = 1.0 / np.sqrt(1.0 + tau * tau)
-    top = c * np.divide(tau, t, out=np.ones_like(t), where=t > 0) * (1.0 if cfg.carrier == 2 else -1.0)
-    u = graph_frame(x, dec.eigenbasis, top, c)
-    p = u @ dag(u) if cfg.carrier == 2 else form.eye() - u @ dag(u)
-    w = mv(cfg.wtilde.frame, coef[..., 0])
-    return np.concatenate([p.reshape(len(thetas), form.n**2), w - mv(p, w)], axis=-1).view(np.float64)
+    form, m, kw, f = cfg.form, len(thetas), cfg.wtilde.dim, draw_width(cfg.form, (1, 1))
+    n, d, s = form.n, thetas.shape[-1], 1.0 / np.sqrt(form.p1 * form.p2)
+    u = np.array([1, 1j][:f], form.dtype)[:, None, None]  # the units an entry moves by: 1, and i if complex
+    coef, x = blocks(form, thetas, (kw, 1), (form.p1, form.p2))
+    eye = np.broadcast_to(np.eye(form.p2, dtype=form.dtype), (m, form.p2, form.p2))
+    g = np.concatenate([x * (s if cfg.carrier == 2 else -s), eye], axis=-2)
+    gplus = np.linalg.solve(dag(g) @ g, dag(g))
+    r = form.eye() - g @ gplus
+    ri = s * r[..., : form.p1]  # the columns R e_i, with the chart's factor
+    e = np.concatenate([np.broadcast_to(form.eye(), (m, n, n)), -mv(cfg.wtilde.frame, coef[..., 0])[..., None]], -1)
+    a = ri.swapaxes(-1, -2)[:, :, None, None, :, None] * ((gplus @ e)[:, None, :, None, None, :] * u)
+    b = (gplus.conj()[:, None, :, None, :, None] * u.conj()) * (dag(ri) @ e)[:, :, None, None, None, :]
+    jac = np.zeros((m, d, n, n + 1), dtype=form.dtype)
+    np.add(a, b, out=jac[:, kw * f :].reshape(m, form.p1, form.p2, f, n, n + 1))
+    rf = r @ cfg.wtilde.frame if cfg.carrier == 2 else g @ (gplus @ cfg.wtilde.frame)  # R f_k, or f_k - R f_k
+    jac[:, : kw * f, :, n] = (rf.swapaxes(-1, -2)[:, :, None] * u[:, 0]).reshape(m, kw * f, n)
+    return jac.view(np.float64).reshape(m, d, n * (n + 1) * f).swapaxes(-1, -2)
 
 
-def _chart_jacobians(cfg: ExtensionConfig, thetas: np.ndarray) -> np.ndarray:
-    """Stack (points, d) of chart points -> stack (points, L, d) of central
-    finite-difference Jacobians of the embedding, from one stacked map of
-    every point's d forward moves, then one of its d backward moves,
-    differenced in place on the real view: a pass holds two such stacks of
-    embeddings at once, not four, and only one map's temporaries."""
-    points, d = thetas.shape
-    steps = _STEP * np.eye(d)
-    diff = _chart_embeddings(cfg, (thetas[:, None, :] + steps).reshape(d * points, d))
-    diff -= _chart_embeddings(cfg, (thetas[:, None, :] - steps).reshape(d * points, d))
-    diff /= 2 * _STEP
-    return diff.reshape(points, d, diff.shape[-1]).swapaxes(-1, -2)
+def _point_bytes(cfg: ExtensionConfig) -> int:
+    """What one chart point holds in a pass of the dimension check, counted
+    as n x n matrices: its d tangents and the outer-product stacks A and B
+    of ``_chart_jacobians``, one tangent for each real coordinate of X in
+    each.  A pass of (20,10,10) points, real or complex, peaks within about
+    10% of it under tracemalloc."""
+    return (expected_dimension(cfg) + 2 * draw_width(cfg.form, (cfg.form.p1, cfg.form.p2))) * cfg.form.matrix_bytes
 
 
 def dimension_rank_report(cfg: ExtensionConfig, points: int, stream: SampleStream) -> DimensionReport:
     """Estimate the manifold dimension of the carrier set.
 
-    The chart (transversal coordinates) x (exponential block) is pushed
-    through realization into the projector-plus-base embedding; the real
-    rank of a central finite-difference Jacobian is estimated at sampled
-    chart points.  A point's rank counts the singular values at or above
+    The ball chart (transversal coordinates) x (graph block) is pushed
+    into the projector-plus-base embedding; the real rank of its exact
+    Jacobian (``_chart_jacobians``) is estimated at sampled chart points,
+    the block entries uniform in [-0.4, 0.4) before the chart's factor
+    1 / sqrt(p1 p2).  A point's rank counts the singular values at or above
     ``DIMENSION_GAP`` relative to the largest; the point is trustworthy only
     when kept and discarded values are separated by at least
     ``DIMENSION_GAP``.  The modal rank is returned; if more than
@@ -507,27 +517,33 @@ def dimension_rank_report(cfg: ExtensionConfig, points: int, stream: SampleStrea
     refused.
 
     The check holds one pass at a time: one draw of every chart point,
-    then, for each pass of points whose 2 * d perturbed chart points'
-    projectors fit ``PASS_BYTES`` (``passes``; one pass unless they outgrow
-    it), two eigendecomposition calls for the closed-form projectors, one
-    for the points moved forward and one for those moved back, and one
-    SVD call on the pass's Jacobians, of which it keeps only each point's
-    rank and gap, with no QR.
-    The spectral layer still checks each matrix; a non-finite embedding
-    breaks the SVD, which raises ``LinAlgError``.
+    then, for each pass of points whose working sets (``_point_bytes``)
+    fit ``PASS_BYTES`` (``passes``; one pass unless they outgrow it), one
+    stacked ``solve`` for the exact tangents and one ``eigvalsh`` call on
+    the pass's Gram matrices J^T J, whose eigenvalues are the squared
+    singular values; of them it keeps only each point's rank and gap, with
+    no QR and no eigenvectors.  A non-finite Jacobian raises
+    ``NoConvergence`` before the spectral call.
     """
     d = expected_dimension(cfg)
     thetas = scale(unit_uniforms(stream.seed, stream.counters(points * d)), -0.4, 0.4).reshape(points, d)
-    folds = [_rank_fold(np.linalg.svd(_chart_jacobians(cfg, thetas[cut]), compute_uv=False))
-             for cut in passes(points, 2 * d * cfg.form.matrix_bytes)]
+    folds = [_rank_fold(_singular_values(_chart_jacobians(cfg, thetas[cut])))
+             for cut in passes(points, _point_bytes(cfg))]
     ranks, gapped = (np.concatenate(parts) for parts in zip(*folds))
     gap_fraction = int(np.count_nonzero(gapped)) / points if points else 0.0
     if gap_fraction < 1.0 - _AMBIGUITY_FRACTION:
-        raise RankAmbiguous(
-            f"singular-value gap present at only {gap_fraction:.0%} of {points} points"
-        )
+        raise RankAmbiguous(f"singular-value gap present at only {gap_fraction:.0%} of {points} points")
     modal = Counter(ranks.tolist()).most_common(1)[0][0]
     return DimensionReport(modal, tuple(ranks.tolist()), gap_fraction, points)
+
+
+def _singular_values(jac: np.ndarray) -> np.ndarray:
+    """The descending singular values of each Jacobian of a stack, from one
+    ``eigvalsh`` call on the Gram matrices: sqrt(max(lambda, 0)).  They are
+    resolved to about sqrt(eps) of the largest, far below ``DIMENSION_GAP``."""
+    if not np.isfinite(jac).all():
+        raise NoConvergence("the dimension chart's Jacobian has non-finite entries")
+    return np.sqrt(np.maximum(np.linalg.eigvalsh(jac.swapaxes(-1, -2) @ jac), 0.0))[..., ::-1]
 
 
 def _rank_fold(svs: np.ndarray) -> tuple:

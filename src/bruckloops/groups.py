@@ -214,19 +214,11 @@ def sigma_from_spectrum(form: SignatureForm, y: np.ndarray, dec, a: np.ndarray, 
     """The Sigma element [[I + Y c Y*, Y a], [a Y*, b]], or stack, of the
     p1 x p2 block Y, with a, b and c = a^2 / (1 + b), the isometry condition,
     functions on the spectrum of the p2 x p2 matrix ``dec`` decomposes:
-    J + 2 U U* with U = ``graph_frame(Y, Q, a / (2 bottom), bottom)``, Q its
-    eigenbasis and bottom = sqrt((1 + b) / 2)."""
-    bottom = np.sqrt((1.0 + b) / 2.0)
-    u = graph_frame(y, dec.eigenbasis, a / (2.0 * bottom), bottom)
+    J + 2 U U* with the frame U = [Y Q diag(a / (2 bottom)); Q diag(bottom)],
+    Q its eigenbasis and bottom = sqrt((1 + b) / 2)."""
+    bottom, q = np.sqrt((1.0 + b) / 2.0), dec.eigenbasis
+    u = np.concatenate([(y @ q) * (a / (2.0 * bottom))[..., None, :], q * bottom[..., None, :]], axis=-2)
     return form.j_matrix() + (2.0 * u) @ dag(u)
-
-
-def graph_frame(y: np.ndarray, q: np.ndarray, top: np.ndarray, bottom: np.ndarray) -> np.ndarray:
-    """[Y Q diag(top); Q diag(bottom)], or stack, for a p1 x p2 block Y, a
-    p2 x p2 eigenbasis Q and per-column scales: the frame U of both
-    J + 2 U U* in ``sigma_from_spectrum`` and the dimension chart's
-    projector U U*."""
-    return np.concatenate([(y @ q) * top[..., None, :], q * bottom[..., None, :]], axis=-2)
 
 
 def sigma_from_block(form: SignatureForm, x: np.ndarray) -> np.ndarray:

@@ -30,14 +30,14 @@ The functions after them are the earlier forms of the stacked kernels'
 glue: ``np.split`` parts, joins that always broadcast, products by the
 diagonal J, a second conjugate transpose in the eigensolver (whose
 hermiticity residual is the general norm at every n), two ``omega``
-calls per translation, a per-point rank fold and the dimension Jacobians
-from one map of both moves of every point.  The package must agree
+calls per translation and a per-point rank fold.  The package must agree
 with each bit for bit.  ``eig_positive_definite`` is the membership
 positivity condition through a full eigendecomposition, which the
 eigenvalues-only call must match.  ``per_row_draw_parts`` is the verify's draw with
 one splitmix64 pass per row, which the batched draw must match byte for
-byte; ``qr_chart_embeddings`` is the dimension chart through the assembled
-lift and a QR, which the closed-form projectors must match to rounding.
+byte; ``ball_chart_jacobians`` is the dimension chart's Jacobians by central
+differences of its embedding through a QR, which the exact tangents must
+match to the differences' error.
 """
 
 from __future__ import annotations
@@ -61,14 +61,13 @@ from bruckloops.groups import (
     positive_factor as block_positive_factor,
     sample_parts,
     scale,
-    sigma_from_block,
     sigma_from_uniforms,
     sigma_width,
     unit_uniforms,
 )
 from bruckloops.kernel import check_aip, check_bol, check_left_a, check_loop_axioms
 from bruckloops.linalg import (
-    COMPLEX, REAL, TAU_ABS, TAU_REL, SpectralDecomposition, dag, field_of, fro, mv, symmetrize,
+    COMPLEX, REAL, TAU_ABS, TAU_REL, SpectralDecomposition, dag, field_of, fro, symmetrize,
 )
 
 _MASK64 = (1 << 64) - 1
@@ -238,29 +237,30 @@ def rank_fold_by_point(svs):
     return ranks, ok
 
 
-def qr_chart_embeddings(cfg, thetas):
-    """``extension._chart_embeddings`` through the assembled lift: each
-    chart point's element exp([[0, X], [X*, 0]]) from ``sigma_from_block``,
-    its carrier columns made canonical by one QR (``geometry.subspace``),
-    then their projector and the minimum-norm base."""
+def ball_chart_embedding(cfg, theta):
+    """The dimension check's embedding at one chart point, by QR: the block
+    X read as Z = X / sqrt(p1 p2), the carrier image's frame [Z; I]
+    (carrier 2) or [I; Z*] (carrier 1) through w = W~ c made canonical by
+    one QR (``geometry.subspace``), then the n x (n + 1) matrix of its
+    projector and minimum-norm base, read row by row, a complex entry as its
+    (re, im) pair."""
     form = cfg.form
-    coef, x = blocks(form, thetas, (cfg.wtilde.dim, 1), (form.p1, form.p2))
-    rho = sigma_from_block(form, x)
-    cols = rho[..., : form.p1] if cfg.carrier == 1 else rho[..., form.p1 :]
-    s = geometry.subspace(mv(cfg.wtilde.frame, coef[..., 0]), cols)
-    p = geometry.projector(s.frame).reshape(len(thetas), form.n**2)
-    return np.concatenate([p, s.base], axis=-1).view(np.float64)
+    coef, x = blocks(form, theta, (cfg.wtilde.dim, 1), (form.p1, form.p2))
+    z, eye = x / math.sqrt(form.p1 * form.p2), np.eye(cfg.carrier_dim, dtype=form.dtype)
+    s = geometry.subspace(cfg.wtilde.frame @ coef[:, 0], np.vstack([z, eye] if cfg.carrier == 2 else [eye, dag(z)]))
+    return np.column_stack([geometry.projector(s.frame), s.base]).ravel().view(np.float64)
 
 
-def joint_chart_jacobians(cfg, thetas):
-    """``extension._chart_jacobians`` from one map of the forward and the
-    backward moves of every point together, differenced out of place."""
-    points, d = thetas.shape
-    steps = ext._STEP * np.eye(d)
-    moved = np.stack([thetas[:, None, :] + steps, thetas[:, None, :] - steps], axis=1)
-    emb = ext._chart_embeddings(cfg, moved.reshape(2 * d * points, d))
-    emb = emb.reshape(points, 2, d, emb.shape[-1])
-    return ((emb[:, 0] - emb[:, 1]) / (2 * ext._STEP)).swapaxes(-1, -2)
+def ball_chart_jacobians(cfg, thetas, step=1e-5):
+    """``extension._chart_jacobians`` by central differences of
+    ``ball_chart_embedding``, one chart point and one coordinate at a time."""
+    jacobians = []
+    for theta in thetas:
+        moves = step * np.eye(theta.size)
+        cols = [(ball_chart_embedding(cfg, theta + e) - ball_chart_embedding(cfg, theta - e)) / (2 * step)
+                for e in moves]
+        jacobians.append(np.column_stack(cols))
+    return np.stack(jacobians)
 
 
 def per_row_draw_parts(loop, streams, counts):

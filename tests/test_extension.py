@@ -27,7 +27,6 @@ from bruckloops.extension import (
 from bruckloops.geometry import (
     AffineSubspace,
     apply,
-    projector,
     subspace,
     subspace_distance,
 )
@@ -35,7 +34,6 @@ from bruckloops.groups import (
     SampleStream,
     SignatureForm,
     membership_residual,
-    sigma_from_block,
     standard_boost,
 )
 from bruckloops.kernel import check_loop_axioms
@@ -43,7 +41,7 @@ from bruckloops.linalg import SpectralDecomposition, fro, matrix_to_json, orthon
 from bruckloops.matrixloop import MatrixLoop
 from bruckloops.suite import PROPERTIES
 from conftest import one, rotation
-from reference import canonical_distance, check_drawn, draw, joint_chart_jacobians, qr_chart_embeddings, uniforms
+from reference import ball_chart_jacobians, canonical_distance, check_drawn, draw, uniforms
 
 
 @pytest.fixture
@@ -476,56 +474,25 @@ def dimension_config(signature, carrier, wtilde):
     return extension_config(form, carrier, build_wtilde(form, carrier, wtilde))
 
 
-def reference_jacobians(cfg, thetas):
-    """The per-point reference for the stacked Jacobian: every perturbed
-    chart point becomes one element through the single-element
-    sigma_from_block, is realized and canonicalized, and is embedded by its
-    projector and base."""
-    form = cfg.form
-    k = cfg.wtilde.dim
-
-    def embed(theta):
-        if form.field == "complex":
-            coef = theta[0 : 2 * k : 2] + 1j * theta[1 : 2 * k : 2]
-            x = (theta[2 * k :: 2] + 1j * theta[2 * k + 1 :: 2]).reshape(form.p1, form.p2)
-        else:
-            coef = theta[:k]
-            x = theta[k:].reshape(form.p1, form.p2)
-        w = cfg.wtilde.frame @ coef.astype(form.dtype)
-        raw = realize(ExtensionElement(w, sigma_from_block(form, x.astype(form.dtype))), cfg)
-        s = subspace(raw.base, raw.frame)
-        # a complex entry as its (re, im) pair
-        return np.concatenate([projector(s.frame).ravel(), s.base]).view(np.float64)
-
-    step = 1e-5
-    jacobians = []
-    for theta in thetas:
-        cols = []
-        for idx in range(theta.size):
-            hi, lo = theta.copy(), theta.copy()
-            hi[idx] += step
-            lo[idx] -= step
-            cols.append((embed(hi) - embed(lo)) / (2 * step))
-        jacobians.append(np.column_stack(cols))
-    return np.stack(jacobians)
-
-
 class TestDimension:
     @pytest.mark.parametrize("seed", [1, 7919])
     @pytest.mark.parametrize("signature, carrier, wtilde", DIMENSION_CONFIGS)
-    def test_stacked_pass_matches_per_point_reference(self, monkeypatch, signature, carrier, wtilde, seed):
+    def test_exact_tangents_match_the_qr_oracle_and_its_report(self, monkeypatch, signature, carrier, wtilde, seed):
+        # the exact tangents lie within 1e-9 of the oracle's central
+        # differences (7.3e-11 at worst measured), and the oracle's
+        # Jacobians give every rank and the gap fraction
         cfg = dimension_config(signature, carrier, wtilde)
         report = dimension_rank_report(cfg, points=20, stream=SampleStream(seed))
-        stacked = ext._chart_jacobians
+        exact = ext._chart_jacobians
         checked = []
 
-        def reference(config, thetas):
-            ref = reference_jacobians(config, thetas)
-            assert np.max(np.abs(stacked(config, thetas) - ref)) <= 1e-9
+        def oracle(config, thetas):
+            ref = ball_chart_jacobians(config, thetas)
+            assert np.max(np.abs(exact(config, thetas) - ref)) <= 1e-9
             checked.append(thetas.shape)
             return ref
 
-        monkeypatch.setattr(ext, "_chart_jacobians", reference)
+        monkeypatch.setattr(ext, "_chart_jacobians", oracle)
         ref_report = dimension_rank_report(cfg, points=20, stream=SampleStream(seed))
         assert checked == [(20, expected_dimension(cfg))]
         assert report.rank == ref_report.rank == expected_dimension(cfg)
@@ -534,116 +501,122 @@ class TestDimension:
 
     @pytest.mark.parametrize("carrier", [1, 2])
     @pytest.mark.parametrize("field", ["real", "complex"])
-    def test_jacobians_are_the_joint_maps_bit_for_bit(self, field, carrier):
-        # the forward and backward moves mapped apart and differenced in
-        # place give every bit of one map of both, differenced apart
+    def test_exact_tangents_at_n_20_match_the_qr_oracle(self, field, carrier):
         cfg = extension_config(SignatureForm(20, 10, 10, field), carrier)
         d = expected_dimension(cfg)
-        thetas = uniforms(SampleStream(5), 2 * d, -0.4, 0.4)[0].reshape(2, d)
-        got, want = ext._chart_jacobians(cfg, thetas), joint_chart_jacobians(cfg, thetas)
-        assert got.shape == want.shape and got.shape[::2] == (2, d) and got.tobytes() == want.tobytes()
+        thetas = uniforms(SampleStream(5), d, -0.4, 0.4)[0].reshape(1, d)
+        got, want = ext._chart_jacobians(cfg, thetas), ball_chart_jacobians(cfg, thetas)
+        assert got.shape == want.shape == (1, 420 * (2 if field == "complex" else 1), d)
+        assert np.max(np.abs(got - want)) <= 1e-9
 
-    def test_a_pass_holds_about_twice_its_projector_bytes(self):
-        # two points of (20,10,10) complex: 2 * 220 perturbed points'
-        # projectors are 5.6 MB, and the pass peaks near 13 MB; one map of
-        # both moves, differenced apart, peaked near 20 MB
+    @pytest.mark.parametrize("signature, points, rank", [((20, 10, 10, "complex"), 3, 220), ((16, 8, 8, "real"), 2, 72)])
+    def test_each_point_at_scale_has_the_expected_rank_and_its_gap(self, signature, points, rank):
+        cfg = extension_config(SignatureForm(*signature))
+        report = dimension_rank_report(cfg, points=points, stream=SampleStream(1))
+        assert rank == expected_dimension(cfg)
+        assert report == DimensionReport(rank, (rank,) * points, 1.0, points)
+
+    def test_a_pass_holds_about_its_point_bytes(self):
+        # two points of (20,10,10) complex: each point's 220 tangents and its
+        # outer-product stacks A and B are 4.0 MB, and the pass peaks near
+        # 8.5 MB; the central differences' pass peaked near 13 MB
         cfg = extension_config(SignatureForm(20, 10, 10, "complex"))
         thetas = uniforms(SampleStream(5), 2 * expected_dimension(cfg), -0.4, 0.4)[0].reshape(2, -1)
         tracemalloc.start()
         try:
-            ext._chart_jacobians(cfg, thetas)
+            ext._rank_fold(ext._singular_values(ext._chart_jacobians(cfg, thetas)))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 16_000_000, peak
+        assert peak <= 1.15 * 2 * ext._point_bytes(cfg) < 13_000_000, peak
 
     @pytest.mark.parametrize("field", ["real", "complex"])
-    def test_two_eigendecomposition_calls_for_all_points(self, eig_calls, field):
-        # one for every point's d forward moves, one for its d backward moves
+    def test_no_eigendecomposition_for_any_point(self, eig_calls, field):
         cfg = extension_config(SignatureForm(3, 2, 1, field))
         eig_calls.clear()
         dimension_rank_report(cfg, points=5, stream=SampleStream(1))
-        d = expected_dimension(cfg)
-        assert eig_calls == [(d * 5, 1, 1)] * 2
+        assert eig_calls == []
 
     @pytest.mark.parametrize("field", ["real", "complex"])
-    def test_passes_bounded_in_bytes_keep_the_bits(self, monkeypatch, eig_calls, field):
+    def test_passes_bounded_in_bytes_keep_the_bits(self, monkeypatch, field):
         # three points a pass: 3 + 3 + 1 points, each pass's Jacobians the
-        # bits of its points' in the whole stack, and the same report; a
-        # point larger than the bound is a pass alone
+        # bits of its points' in the whole stack, one solve call a pass, and
+        # the same report; a point larger than the bound is a pass alone
         cfg = extension_config(SignatureForm(4, 2, 2, field))
         d = expected_dimension(cfg)
         thetas = uniforms(SampleStream(3), 7 * d, -0.4, 0.4)[0].reshape(7, d)
         whole = ext._chart_jacobians(cfg, thetas)
         report = dimension_rank_report(cfg, points=7, stream=SampleStream(3))
-        for bound, sizes in ((3 * 2 * d * cfg.form.matrix_bytes, [3, 3, 1]), (1, [1] * 7)):
+        real, solves = np.linalg.solve, []
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: solves.append(len(a)) or real(a, b))
+        for bound, sizes in ((3 * ext._point_bytes(cfg), [3, 3, 1]), (1, [1] * 7)):
             monkeypatch.setattr(ext, "PASS_BYTES", bound)
-            cuts = ext.passes(7, 2 * d * cfg.form.matrix_bytes)
+            cuts = ext.passes(7, ext._point_bytes(cfg))
             assert [cut.stop - cut.start for cut in cuts] == sizes
             jacobians = np.concatenate([ext._chart_jacobians(cfg, thetas[cut]) for cut in cuts])
             assert jacobians.tobytes() == whole.tobytes()
-            eig_calls.clear()
+            solves.clear()
             assert dimension_rank_report(cfg, points=7, stream=SampleStream(3)) == report
-            assert [shape[0] for shape in eig_calls] == [d * size for size in sizes for _ in "+-"]
+            assert solves == sizes
 
     @pytest.mark.parametrize("field", ["real", "complex"])
-    def test_each_svd_call_takes_one_pass(self, monkeypatch, field):
-        # with the bound at three points, the check decomposes 3 + 3 + 1
-        # points' Jacobians in three SVD calls, whose singular values are
-        # the bits of one call on all seven
+    def test_each_spectral_call_takes_one_pass(self, monkeypatch, field):
+        # with the bound at three points, the check takes 3 + 3 + 1 points'
+        # Gram matrices to three eigvalsh calls, whose eigenvalues are the
+        # bits of one call on all seven
         cfg = extension_config(SignatureForm(4, 2, 2, field))
         d = expected_dimension(cfg)
         thetas = uniforms(SampleStream(3), 7 * d, -0.4, 0.4)[0].reshape(7, d)
-        whole = np.linalg.svd(ext._chart_jacobians(cfg, thetas), compute_uv=False)
-        real, calls = np.linalg.svd, []
+        jac = ext._chart_jacobians(cfg, thetas)
+        whole = np.linalg.eigvalsh(jac.swapaxes(-1, -2) @ jac)
+        real, calls = np.linalg.eigvalsh, []
 
         def recording(a, *args, **kwargs):
             calls.append(real(a, *args, **kwargs))
             return calls[-1]
 
-        monkeypatch.setattr(np.linalg, "svd", recording)
-        monkeypatch.setattr(ext, "PASS_BYTES", 3 * 2 * d * cfg.form.matrix_bytes)
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+        monkeypatch.setattr(ext, "PASS_BYTES", 3 * ext._point_bytes(cfg))
         dimension_rank_report(cfg, points=7, stream=SampleStream(3))
-        assert [len(svs) for svs in calls] == [3, 3, 1]
+        assert [len(values) for values in calls] == [3, 3, 1]
         assert np.concatenate(calls).tobytes() == whole.tobytes()
 
     @pytest.mark.parametrize("signature, carrier, wtilde", CHART_CONFIGS)
-    def test_closed_form_chart_matches_the_qr_oracle(self, signature, carrier, wtilde):
+    def test_exact_tangents_match_the_qr_oracle_at_the_box_corners(self, signature, carrier, wtilde):
+        # the centre, the all -0.4 and all +0.4 corners, where ||Z|| is
+        # largest, and one drawn point
         cfg = dimension_config(signature, carrier, wtilde)
         d = expected_dimension(cfg)
-        thetas, _ = uniforms(SampleStream(11), 24 * d, -0.4, 0.4)
-        # eight box corners, coordinate j at +0.4 where bit j mod 3 of the
-        # corner's index is set: all -0.4 and all +0.4 among them
-        corners = np.where((np.arange(8)[:, None] >> (np.arange(d) % 3)) & 1, 0.4, -0.4)
-        thetas = np.concatenate([thetas.reshape(24, d), np.zeros((1, d)), corners])
-        assert np.max(np.abs(ext._chart_embeddings(cfg, thetas) - qr_chart_embeddings(cfg, thetas))) <= 1e-13
+        thetas = np.stack([np.zeros(d), np.full(d, -0.4), np.full(d, 0.4), uniforms(SampleStream(11), d, -0.4, 0.4)[0]])
+        assert np.max(np.abs(ext._chart_jacobians(cfg, thetas) - ball_chart_jacobians(cfg, thetas))) <= 1e-9
 
     @pytest.mark.parametrize("seed", [1, 7919])
     @pytest.mark.parametrize("signature, carrier, wtilde", CHART_CONFIGS)
-    def test_closed_form_chart_gives_the_qr_oracle_report(self, monkeypatch, signature, carrier, wtilde, seed):
+    def test_gram_route_gives_the_svd_report(self, monkeypatch, signature, carrier, wtilde, seed):
         cfg = dimension_config(signature, carrier, wtilde)
         report = dimension_rank_report(cfg, points=20, stream=SampleStream(seed))
-        monkeypatch.setattr(ext, "_chart_embeddings", qr_chart_embeddings)
+        monkeypatch.setattr(ext, "_singular_values", lambda jac: np.linalg.svd(jac, compute_uv=False))
         oracle = dimension_rank_report(cfg, points=20, stream=SampleStream(seed))
         assert (report.rank, report.ranks, report.gap_fraction) == (oracle.rank, oracle.ranks, oracle.gap_fraction)
 
-    def test_a_chart_breakdown_fails_the_dimension_entry(self, tmp_path, monkeypatch):
-        # a non-finite eigenvalue in the chart's one eigendecomposition
-        # breaks the dimension check, which reports the error and no rank
-        real = ext.eig_hermitian
+    @pytest.mark.parametrize("where", [(7, 0, 0), (0, 0, 2)])
+    def test_a_chart_breakdown_fails_the_dimension_entry(self, tmp_path, monkeypatch, where):
+        # a non-finite tangent, of the projector or of the base, is refused
+        # before the spectral call: the dimension entry reports the error
+        # and no rank
+        real = ext._chart_jacobians
 
-        def broken(a):
-            dec = real(a)
-            if a.ndim == 3:  # the chart's stack, not the transversal's 2-D check
-                dec.eigenvalues[7, 0] = np.nan
-            return dec
+        def broken(cfg, thetas):
+            jac = real(cfg, thetas).copy()
+            jac[where] = np.nan if where[0] else np.inf
+            return jac
 
-        monkeypatch.setattr(ext, "eig_hermitian", broken)
+        monkeypatch.setattr(ext, "_chart_jacobians", broken)
         out = tmp_path / "report.json"
         assert main(["verify", "--samples", "2", "--out", str(out)]) == 1
         report = json.loads(out.read_text())
         dim = report["dimension"]
-        assert dim["error"] and dim["pass"] is False and report["pass"] is False
+        assert "Jacobian has non-finite entries" in dim["error"] and dim["pass"] is False and report["pass"] is False
         assert dim["measured"] is None and "ranks" not in dim and "gap_fraction" in dim
         assert all(entry["pass"] for entry in report["properties"] if entry["required"])
 
