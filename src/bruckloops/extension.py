@@ -10,9 +10,11 @@ orbit subspace is identified by the pair
 and the direction is in turn carried by a canonical positive-definite lift,
 so an element is stored as ``(w, rho)``.  The loop operations run on these
 coordinates: ``realize`` gives the point w and the carrier columns of rho,
-and ``omega`` reads coordinates off any point and spanning frame: a
-product or a left division is the coordinates of a moved subspace, and
-``coordinates`` those of the subspaces it is given, so
+and ``omega`` reads coordinates off any point and isometric frame
+(F* J F = I on carrier 1, -I on carrier 2): a product or a left division
+is the coordinates of a moved subspace, whose frame, the carrier columns
+of a product of lifts, is isometric as it is, and ``coordinates`` those
+of the subspaces it is given, whose frames it makes isometric first, so
 ``ExtensionConfig.run`` reads those of several calls with one ``omega``
 call, which the kernel's driver shares among them; so too one QR call
 serves the readings ``distance``, of element pairs, and
@@ -33,12 +35,14 @@ The loop holds the form; the JSON writer and reader take it as an argument.
 Every orbit direction at infinity is the graph of a strict contraction
 between the two coordinate blocks, which gives ``lift_from_infinity`` a
 closed form (the boost of that contraction, as in the gyrogroup view of
-the loop) and the dimension check its chart: the ball of graph blocks,
-whose projectors and their tangents are closed forms in one small solve,
-with no QR, no eigendecomposition and no step size.  The dimension check
-holds one pass of points at a time: ``passes``, the one cut of the
-suite's memory rule ``PASS_BYTES``, cuts its points as it cuts the
-suite's rows, and each pass's Gram matrices go to one ``eigvalsh`` call.
+the loop), read off an isometric frame by the matrix loop's own lift,
+``groups.positive_factor``, and the dimension check its chart: the ball
+of graph blocks, whose projectors and their tangents are closed forms in
+one small solve, with no QR, no eigendecomposition and no step size.  The
+dimension check holds one pass of points at a time: ``passes``, the one
+cut of the suite's memory rule ``PASS_BYTES``, cuts its points as it cuts
+the suite's rows, and each pass's Gram matrices go to one ``eigvalsh``
+call.
 ``ExtensionConfig`` is the loop itself, the object the kernel checkers
 call, and holds the matrix loop of its lifts, built once.
 
@@ -72,11 +76,12 @@ from .groups import (
     draw_width,
     element_from_json,
     element_to_json,
+    graph_block,
+    positive_factor,
     scale,
-    sigma_from_spectrum,
     unit_uniforms,
 )
-from .linalg import concat, dag, eig_hermitian, matrix_from_json, matrix_to_json, mv, pieces, spectral_map
+from .linalg import concat, dag, eig_hermitian, matrix_from_json, matrix_to_json, mv, pieces
 from .matrixloop import MatrixLoop
 
 _W_SCALE = 1.0  # sampled transversal points have frame coordinates in [-1, 1]
@@ -188,11 +193,12 @@ class ExtensionConfig:
         """The subspaces ``operation`` reads: c's under a's left translation
         x -> rho x + w for mul(a, c), under its inverse for
         left_divide(a, c); the realized elements for distance; the operands
-        themselves for ``coordinates`` and ``subspace_distance``."""
+        themselves for ``subspace_distance``, and for ``coordinates`` its
+        subspace with its frame made isometric."""
         if operation == "distance":
             return tuple(realize(e, self) for e in operands)
         if operation not in ("mul", "left_divide"):
-            return operands
+            return (_isometric(*operands, self),) if operation == "coordinates" else operands
         a, c = operands
         if operation == "mul":
             return (apply(a.rho, realize(c, self), a.w),)
@@ -204,9 +210,10 @@ class ExtensionConfig:
 
         The product is the coordinates of the image of b's subspace under
         x -> rho_a x + w_a, a's left translation.  Its direction part is the
-        graph lift of the image direction, which agrees with the
-        matrix-loop product of the direction lifts (the positive factor of
-        rho_a rho_b) without computing it."""
+        lift of the image's frame, the carrier columns of rho_a rho_b: the
+        matrix-loop product of the direction lifts, the positive factor of
+        rho_a rho_b, read off the carrier's columns rather than the last
+        p2."""
         return self.run([("mul", (a, b))])[0]
 
     def left_divide(self, a, c):
@@ -217,8 +224,9 @@ class ExtensionConfig:
         return ExtensionElement(c.w - _transversal_point(apply(rho, realize(a, self)), self), rho)
 
     def coordinates(self, s: AffineSubspace) -> "ExtensionElement":
-        """The coordinates of an orbit subspace, or of each of a stack:
-        ``omega``."""
+        """The coordinates of an orbit subspace, or of each of a stack,
+        from any point and spanning frame of it: ``omega`` of the subspace
+        with its frame made isometric (``_isometric``)."""
         return self.run([("coordinates", (s,))])[0]
 
     def distance(self, a, b):
@@ -330,40 +338,41 @@ def realize(e: ExtensionElement, cfg: ExtensionConfig) -> AffineSubspace:
     return AffineSubspace(e.w, _block_columns(e.rho, cfg.form, cfg.carrier))
 
 
-def _graph_block(z: np.ndarray, form: SignatureForm, over: int) -> np.ndarray:
-    """The p1 x p2 block X whose graph over W_over is the span of the frame
-    z, or of each frame of a stack: span [I; X*] over W_1 and [X; I] over
-    W_2.  With z = [F1; F2] split at p1, X* = F2 F1^-1 or X = F1 F2^-1, one
-    stacked ``solve``; a singular F1 or F2 raises ``LinAlgError``."""
-    zh = dag(z.astype(form.dtype))
-    f1h, f2h = zh[..., : form.p1], zh[..., form.p1 :]  # F1*, F2*
-    return np.linalg.solve(f1h, f2h) if over == 1 else dag(np.linalg.solve(f2h, f1h))
-
-
 def lift_from_infinity(z: np.ndarray, cfg: ExtensionConfig) -> np.ndarray:
     """The unique positive-definite isometry whose carrier image has the
-    direction span of the frame ``z``, or one per frame of a stack
-    (..., n, k): one stacked ``solve`` and one stacked p2 x p2 ``spectral_map``.
+    direction span of the isometric frame ``z`` (z* J z = I on carrier 1,
+    -I on carrier 2), or one per frame of a stack (..., n, k): the lift of
+    ``z`` as the carrier columns of an isometry, ``groups.positive_factor``,
+    one stacked ``solve`` and one stacked p2 x p2 ``spectral_map``.
 
     An orbit direction is the graph of a p1 x p2 contraction X over the
-    carrier (``_graph_block``).  The lift is the boost
+    carrier (``groups.graph_block``), and the lift is its boost
     (I + T)(I - T^2)^{-1/2} = exp(artanh T) with T = [[0, X], [X*, 0]],
-    which maps W_1 onto span [I; X*] and W_2 onto span [X; I]: the block X
-    with a = b = M^{-1/2}, M = I - X* X.  A singular
-    block, or M not positive definite (||X|| >= 1), means z is not in the orbit.
+    which maps W_1 onto span [I; X*] and W_2 onto span [X; I].  A singular
+    block means z is not in the orbit.  The carrier columns of a product
+    of lifts are isometric as they are; ``ExtensionConfig.coordinates``
+    makes any other frame isometric first (``_isometric``).
     """
-    form = cfg.form
-    if z.shape[-2:] != (form.n, cfg.carrier_dim):
-        raise DimensionMismatch(f"direction must be {cfg.carrier_dim}-dimensional in F^{form.n}")
+    if z.shape[-2:] != (cfg.form.n, cfg.carrier_dim):
+        raise DimensionMismatch(f"direction must be {cfg.carrier_dim}-dimensional in F^{cfg.form.n}")
     try:
-        x = _graph_block(z, form, cfg.carrier)
-    except np.linalg.LinAlgError as exc:
-        raise NotInOrbit(f"direction is not a graph over the carrier: {exc}") from exc
-    try:
-        dec, r = spectral_map(np.eye(form.p2, dtype=form.dtype) - dag(x) @ x, "inverse_sqrt")
+        return positive_factor(cfg.form, [(z, cfg.carrier)])[0]
     except NotPositiveDefinite as exc:
-        raise NotInOrbit(f"direction is not the graph of a contraction: {exc}") from exc
-    return sigma_from_spectrum(form, x, dec, r, r)
+        raise NotInOrbit(f"direction is not in the orbit: {exc}") from exc
+
+
+def _isometric(s: AffineSubspace, cfg: ExtensionConfig) -> AffineSubspace:
+    """The subspace, or each of a stack, with its frame F made isometric:
+    F L^-*, L the Cholesky factor of F* J F on carrier 1 and of -F* J F on
+    carrier 2, so one Cholesky and one stacked ``solve``.  NotInOrbit
+    unless that Gram matrix is positive definite, as on every orbit
+    direction, the graph of a strict contraction."""
+    sign = 1.0 if cfg.carrier == 1 else -1.0
+    try:
+        low = np.linalg.cholesky(dag(s.frame) @ ((sign * cfg.form.j_matrix()) @ s.frame))
+    except np.linalg.LinAlgError as exc:
+        raise NotInOrbit(f"the form is not definite on the direction: {exc}") from exc
+    return AffineSubspace(s.base, np.ascontiguousarray(dag(np.linalg.solve(low, dag(s.frame)))))
 
 
 def _transversal_point(s: AffineSubspace, cfg: ExtensionConfig) -> np.ndarray:
@@ -379,8 +388,12 @@ def _transversal_point(s: AffineSubspace, cfg: ExtensionConfig) -> np.ndarray:
 
 
 def omega(s: AffineSubspace, cfg: ExtensionConfig) -> ExtensionElement:
-    """Coordinates of an orbit subspace, from any point and spanning frame
-    of it: the transversal intersection point and the lift of its direction."""
+    """Coordinates of an orbit subspace, or of each of a stack, from any
+    point of it and an isometric frame (``lift_from_infinity``): the
+    transversal intersection point and the lift of its direction.  Products
+    and left divisions hand it the carrier columns of a product of lifts,
+    isometric as they are; ``coordinates`` makes any other frame isometric
+    first, so one ``omega`` call serves all three."""
     return ExtensionElement(_transversal_point(s, cfg), lift_from_infinity(s.frame, cfg))
 
 
@@ -414,7 +427,7 @@ def nonisomorphism_witness(cfg: ExtensionConfig) -> WitnessReport:
 
     The element is constructed, with no draw.  The transversal is the graph
     of a p1 x p2 block L over the coordinate subspace it complements
-    (``_graph_block``): L = F1 F2^-1 for carrier 1, L = (F2 F1^-1)* for
+    (``groups.graph_block``): L = F1 F2^-1 for carrier 1, L = (F2 F1^-1)* for
     carrier 2.  With Q the first two columns of L's full left singular
     basis (p1 >= 2 always), g = diag(I - 2 Q Q*, I) turns the plane of Q by
     pi, so its determinant is 1 on both fields, and negates L along its top
@@ -433,7 +446,7 @@ def nonisomorphism_witness(cfg: ExtensionConfig) -> WitnessReport:
             "transversal coincides with the coordinate subspace; every "
             "block-diagonal unitary stabilizes it"
         )
-    q = np.linalg.svd(_graph_block(cfg.wtilde.frame, form, 3 - cfg.carrier))[0][:, :2]
+    q = np.linalg.svd(graph_block(cfg.wtilde.frame, form, 3 - cfg.carrier))[0][:, :2]
     g = form.eye().copy()
     g[: form.p1, : form.p1] -= 2.0 * q @ dag(q)
     return WitnessReport(g, float(canonical_distance(apply(g, cfg.wtilde), cfg.wtilde)))

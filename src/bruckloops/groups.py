@@ -10,7 +10,10 @@ groups appear:
 * ``Phi``    -- block-diagonal unitary stabilizer elements of determinant 1.
 
 A Sigma element is fixed by its p1 x p2 block and built from one p2 x p2
-spectral call (``sigma_from_spectrum``).  Sampling uses the exponential
+spectral call (``sigma_from_spectrum``).  So is the positive polar factor
+of an isometry, read off its W_1 or W_2 columns by ``positive_factor``,
+the package's one lift, which both loops' operations and
+``polar_factorize`` take.  Sampling uses the exponential
 chart exp([[0, X], [X*, 0]]), whose generators are the hermitian H with
 H J + J H = 0; the entries of X are drawn uniformly from a radius box.
 A draw is cut into per-sample parts and blocks by slicing, so a block
@@ -35,15 +38,17 @@ from itertools import accumulate
 import numpy as np
 
 from . import linalg
-from .errors import ConfigInvalid, DimensionMismatch, NoConvergence, NotInGroup
+from .errors import ConfigInvalid, DimensionMismatch, NoConvergence, NotInGroup, NotPositiveDefinite
 from .linalg import (
     COMPLEX,
     REAL,
+    concat,
     convert,
     dag,
     fro,
     matrix_from_json,
     matrix_to_json,
+    pieces,
     spectral_map,
     symmetrize,
     worst,
@@ -233,14 +238,41 @@ def sigma_from_block(form: SignatureForm, x: np.ndarray) -> np.ndarray:
     return sigma_from_spectrum(form, x, dec, a, np.cosh(t))
 
 
-def positive_factor(s: np.ndarray, form: SignatureForm) -> np.ndarray:
-    """sqrt(S S*) for an isometry S, or stack: the square root of the positive
-    isometry C = S S*, with Y = C12, b = sqrt((1 + lambda) / 2) on the
-    spectrum of C22 >= I and a = 1 / (2 b).  A singular S has a C22
-    eigenvalue <= TAU_ABS: NotPositiveDefinite."""
-    c = s @ dag(s[..., form.p1 :, :])  # the last p2 columns of S S*
-    dec, b = spectral_map(c[..., form.p1 :, :], "sqrt")
-    return sigma_from_spectrum(form, c[..., : form.p1, :], dec, 0.5 / b, b)
+def graph_block(z: np.ndarray, form: SignatureForm, over: int) -> np.ndarray:
+    """The p1 x p2 block X whose graph over W_over is the span of the frame
+    z, or of each frame of a stack: span [I; X*] over W_1 and [X; I] over
+    W_2.  With z = [F1; F2] split at p1, X* = F2 F1^-1 or X = F1 F2^-1, one
+    stacked ``solve``; a singular F1 or F2 raises NotPositiveDefinite."""
+    zh = dag(z.astype(form.dtype, copy=False))
+    f1h, f2h = zh[..., : form.p1], zh[..., form.p1 :]  # F1*, F2*
+    try:
+        return np.linalg.solve(f1h, f2h) if over == 1 else dag(np.linalg.solve(f2h, f1h))
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefinite(f"the W_{over} block of a frame is singular: {exc}") from exc
+
+
+def positive_factor(form: SignatureForm, frames: list) -> list:
+    """sqrt(S S*), the positive polar factor of an isometry S, read off its
+    columns: the package's one lift.  Each of ``frames`` is a pair (F, i), F
+    the W_i columns of S (the first p1 for i = 1, the last p2 for i = 2), or
+    of each isometry of a stack, so F* J F = I or -I; the result is the
+    factors of each frame, of its batch shape, in order.
+
+    The factor is the positive isometry whose W_i columns span what F spans:
+    the boost of its graph block X (``graph_block``), with a = b = M^{-1/2},
+    M = I - X* X.  M^{-1} is read off F = [F1; F2] with no subtraction:
+    F2 F2* over W_2, I + F2 F2* over W_1.  The frames of one block are
+    joined, so all of them take one stacked ``solve`` per block and one
+    p2 x p2 ``spectral_map``.  A singular F1 or F2, or an M^{-1} with an
+    eigenvalue <= TAU_ABS, raises NotPositiveDefinite."""
+    flat = [f.reshape((-1,) + f.shape[-2:]) for f, _ in frames]
+    order = sorted(range(len(frames)), key=lambda k: frames[k][1])  # the frames of one block together
+    joined = [(concat(*[flat[k] for k in order if frames[k][1] == i]), i) for i in sorted({i for _, i in frames})]
+    grams = [f[..., form.p1 :, :] @ dag(f[..., form.p1 :, :]) + (i == 1) * np.eye(form.p2) for f, i in joined]
+    dec, r = spectral_map(concat(*grams))
+    lifted = sigma_from_spectrum(form, concat(*[graph_block(f, form, i) for f, i in joined]), dec, r, r)
+    factors = dict(zip(order, pieces(lifted, [len(flat[k]) for k in order])))
+    return [factors[k].reshape(f.shape[:-1] + (form.n,)) for k, (f, _) in enumerate(frames)]
 
 
 def blocks(form: SignatureForm, vals: np.ndarray, *shapes) -> list:
@@ -329,13 +361,14 @@ def polar_factorize(s: np.ndarray, form: SignatureForm):
     """Split an isometry of determinant 1, or each of a stack, into its
     unique Sigma * Phi pair.
 
-    The Sigma factor is the positive polar factor S1 = sqrt(S S*); being a
-    positive isometry, its inverse is J S1 J, S1 with its off-diagonal
-    blocks negated, so the Phi factor S1^{-1} S = (J S1 J) S costs no second
-    spectral call and no product by J.
+    The Sigma factor is the positive polar factor S1 = sqrt(S S*), the lift
+    of S's last p2 columns (``positive_factor``); being a positive isometry,
+    its inverse is J S1 J, S1 with its off-diagonal blocks negated, so the
+    Phi factor S1^{-1} S = (J S1 J) S costs no second spectral call and no
+    product by J.
     """
     require_isometry(s, form)
-    s1 = positive_factor(s, form)
+    (s1,) = positive_factor(form, [(s[..., form.p1 :], 2)])
     return s1, (s1 * form.signs()) @ s
 
 

@@ -206,24 +206,17 @@ def eig_hermitian(a: np.ndarray) -> SpectralDecomposition:
     return SpectralDecomposition(vals, q)
 
 
-# Functions on the spectrum of the p2 x p2 matrix M of a positive isometry
-# (``groups.sigma_from_spectrum``): for M = C22 = cosh t of C, the C22 block
-# cosh(t/2) of sqrt(C); for M = I - X* X of a contraction X, M^{-1/2}.
-_SPECTRAL_FUNCTIONS = {
-    "sqrt": lambda lam: np.sqrt((1.0 + lam) / 2.0),
-    "inverse_sqrt": lambda lam: 1.0 / np.sqrt(lam),
-}
-
-
-def spectral_map(a: np.ndarray, func: str):
+def spectral_map(a: np.ndarray):
     """The decomposition of a positive-definite hermitian matrix, or stack,
-    and a function's values on its spectrum, from one ``eig_hermitian`` call;
-    NotPositiveDefinite when any eigenvalue is <= TAU_ABS."""
+    and the square roots of its spectrum, from one ``eig_hermitian`` call;
+    NotPositiveDefinite when any eigenvalue is <= TAU_ABS.  On the p2 x p2
+    matrix M^{-1} of a positive isometry's graph block they are that
+    block's a = b = M^{-1/2} (``groups.positive_factor``)."""
     dec = eig_hermitian(a)
     lowest = dec.eigenvalues[..., 0]
     if (lowest <= TAU_ABS).any():
-        raise NotPositiveDefinite(f"{func}: smallest eigenvalue {np.min(lowest):.3e} <= {TAU_ABS:.1e}")
-    return dec, _SPECTRAL_FUNCTIONS[func](dec.eigenvalues)
+        raise NotPositiveDefinite(f"smallest eigenvalue {np.min(lowest):.3e} <= {TAU_ABS:.1e}")
+    return dec, np.sqrt(dec.eigenvalues)
 
 
 def orthonormalize(v: np.ndarray) -> np.ndarray:

@@ -11,10 +11,16 @@ x = A^{-1} sqrt(A B^2 A) A^{-1}.
 Every element is a hermitian isometry, A J A = J, so its inverse is
 A^{-1} = J A J: a sign flip of the off-diagonal blocks, by the form's sign
 pattern, with no matrix product and no spectral call.  So every operation
-is one primitive, ``groups.positive_factor`` of a product (a b, J a J c,
-a b), one p2 x p2 eigendecomposition that builds the result in block
-coordinates, and right division then finishes A^{-1} root A^{-1}.
-``run`` takes several calls at once, forms each one's product, makes one
+is one primitive, ``groups.positive_factor``, the package's one lift, of
+a product (a b, J a J c, a b) of which it forms only the last p2 columns,
+n^2 p2 work rather than n^3: the positive factor is the positive isometry
+whose last p2 columns span what the product's span, read off those
+isometric columns with one small solve and one p2 x p2
+eigendecomposition, with no S S* and no subtraction.  Right division then
+finishes A^{-1} root A^{-1}.  ``mul_w1`` is the product read off its
+first p1 columns instead, which the extension loop's ``ext_infinity_compat``
+row takes as its second, independent computation on carrier 2.
+``run`` takes several calls at once, forms each one's columns, makes one
 ``positive_factor`` call on them all and cuts it back, so one spectral
 call serves whatever products and divisions the kernel's driver shares.
 Each operation is ``run`` on its own call.
@@ -44,15 +50,20 @@ import numpy as np
 
 from .groups import SignatureForm, membership_residual, positive_factor
 # spectral_map is held for bench/tests/test_bench.py; groups.positive_factor calls it
-from .linalg import concat, fro, pieces, refuse_assignment, spectral_map, symmetrize  # noqa: F401
+from .linalg import concat, fro, refuse_assignment, spectral_map, symmetrize  # noqa: F401
 
-# The product whose positive factor each operation takes: a b for
-# mul(a, b), A^{-1} c for left_divide(a, c), and a b for right_divide(b, a).
+# The columns of the product whose positive factor each operation takes,
+# and their block: the last p2 columns of a b for mul(a, b), of A^{-1} c
+# for left_divide(a, c) and of a b for right_divide(b, a); and the first p1
+# columns of a b for mul_w1(a, b), the product a * b read off the other
+# block, the extension loop's second computation of its products.
 _PRODUCTS = {
-    "mul": lambda loop, a, b: a @ b,
-    "left_divide": lambda loop, a, c: loop.inverse(a) @ c,
-    "right_divide": lambda loop, b, a: a @ b,
+    "mul": lambda loop, a, b: (a @ b[..., loop.form.p1 :], 2),
+    "left_divide": lambda loop, a, c: (loop.inverse(a) @ c[..., loop.form.p1 :], 2),
+    "right_divide": lambda loop, b, a: (a @ b[..., loop.form.p1 :], 2),
+    "mul_w1": lambda loop, a, b: (a @ b[..., : loop.form.p1], 1),
 }
+
 
 def frobenius_distance(a: np.ndarray, b: np.ndarray):
     """Relative Frobenius distance, symmetric in its arguments; one per
@@ -89,20 +100,11 @@ class MatrixLoop:
 
     def run(self, calls: list) -> list:
         """The result of each of ``calls``, ``(operation, operands)`` pairs
-        of operations in ``primitive``: their products, batch axes read as
-        one, through one ``positive_factor`` call, each right division
-        finished on its own slice."""
-        form = self.form
-        products = [_PRODUCTS[operation](self, *operands) for operation, operands in calls]
-        shapes = [p.shape for p in products]
-        flat = [p.reshape(-1, form.n, form.n) for p in products]  # batch axes read as one, single matrices too
-        del products
-        roots = pieces(positive_factor(concat(*flat), form), [len(f) for f in flat])
-        del flat  # the products go before the right divisions are finished
-        return [
-            self._finished(operation, operands, root.reshape(shape))
-            for (operation, operands), shape, root in zip(calls, shapes, roots)
-        ]
+        of operations in ``primitive``: their products' columns through one
+        ``positive_factor`` call, each right division finished on its own
+        slice."""
+        roots = positive_factor(self.form, [_PRODUCTS[operation](self, *operands) for operation, operands in calls])
+        return [self._finished(operation, operands, root) for (operation, operands), root in zip(calls, roots)]
 
     def _finished(self, operation: str, operands: tuple, root: np.ndarray) -> np.ndarray:
         """An operation's result from the positive factor of its product:

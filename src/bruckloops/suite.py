@@ -181,11 +181,14 @@ def _transversality(loop: ext.ExtensionConfig, rhos):
 
 
 def _ext_infinity_compat(loop: ext.ExtensionConfig, *parts):
-    """``cfg.mul``'s direction part, the lift read off the image graph X,
-    against the matrix loop product, the positive factor of rho1 rho2 read
-    off its C12 and C22 blocks: two computations of the same element."""
+    """``cfg.mul``'s direction part, the lift of the carrier columns of
+    rho1 rho2, against the matrix loop's product rho1 * rho2 read off the
+    complementary block's columns (``mul`` for carrier 1, ``mul_w1`` for
+    carrier 2): two computations of the same element that share only the
+    lift's last step, the spectral call and the assembly from a graph
+    block and a p2 x p2 Gram matrix, each read off its own columns."""
     e1, e2 = _elements(parts)
-    prod, lifts = yield [(loop, "mul", (e1, e2)), (loop.mat, "mul", (e1.rho, e2.rho))]
+    prod, lifts = yield [(loop, "mul", (e1, e2)), (loop.mat, ("mul", "mul_w1")[loop.carrier - 1], (e1.rho, e2.rho))]
     return (fro(prod.rho - lifts),), None
 
 

@@ -25,6 +25,12 @@ check names.
 ``hermitian_function``, ``sigma_exp``, ``positive_factor`` and ``boost`` are
 the n x n forms the package's block path replaced: a function of a whole
 n x n hermitian matrix through one ``numpy.linalg.eigh`` of it.
+``exact_operation`` is the exact result of a matrix-loop operation on float
+operands, computed with mpmath at 40 digits and rounded once, and
+``isometry_residual`` the residual it is judged by next to the forward
+error.  ``complementary_product`` is ``ext_infinity_compat``'s second
+side: the product of the lifts read off the block complementary to the
+carrier.
 
 The functions after them are the earlier forms of the stacked kernels'
 glue: ``np.split`` parts, joins that always broadcast, products by the
@@ -44,6 +50,7 @@ from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 
 from bruckloops import extension as ext
@@ -57,8 +64,8 @@ from bruckloops.groups import (
     membership_residual,
     phi_from_uniforms,
     phi_width,
-    polar_factorize,
     positive_factor as block_positive_factor,
+    require_isometry,
     sample_parts,
     scale,
     sigma_from_uniforms,
@@ -142,6 +149,46 @@ def boost(form, x):
     return symmetrize((eye + t) @ hermitian_function(eye - t @ t, lambda v: 1.0 / np.sqrt(v)))
 
 
+def _mp(a):
+    """An mpmath matrix holding the float64 or complex128 entries of ``a`` exactly."""
+    return mpmath.matrix(a.tolist())
+
+
+def _mp_positive_factor(s):
+    """sqrt(S S*) of an mpmath matrix, from one hermitian eigendecomposition
+    of S S* at the working precision."""
+    values, q = mpmath.eigh(s * s.transpose_conj())
+    return q * mpmath.diag([mpmath.sqrt(v) for v in values]) * q.transpose_conj()
+
+
+def exact_operation(form, operation, x, y, digits=40):
+    """The exact result of a matrix-loop operation on the float operands x,
+    y (single n x n matrices), computed with mpmath at ``digits`` digits
+    and rounded once to the form's dtype: mul(a, b) = sqrt(A B^2 A),
+    left_divide(a, c) = sqrt(A^-1 C^2 A^-1) and right_divide(b, a) =
+    A^-1 sqrt(A B^2 A) A^-1, with A^-1 = J A J, exact for the operand
+    as given.  The square root is the positive factor sqrt(S S*) of
+    S = A B (or A^-1 C), from its spectrum."""
+    with mpmath.workdps(digits):
+        j = _mp(form.j_matrix())
+        if operation == "mul":
+            r = _mp_positive_factor(_mp(x) * _mp(y))
+        elif operation == "left_divide":
+            r = _mp_positive_factor(j * _mp(x) * j * _mp(y))
+        else:
+            ainv = j * _mp(y) * j
+            r = ainv * _mp_positive_factor(_mp(y) * _mp(x)) * ainv
+        rounded = [[complex(r[i, k]) for k in range(form.n)] for i in range(form.n)]
+    out = np.array(rounded)
+    return out if form.field == COMPLEX else np.ascontiguousarray(out.real)
+
+
+def isometry_residual(a, form):
+    """||A* J A - J||, as ``membership_residual`` reads it."""
+    j = form.j_matrix()
+    return fro(dag(a) @ j @ a - j)
+
+
 def split_rows(stream, count: int, *widths: int):
     """``rows`` through ``np.split``."""
     vals, stream = uniforms(stream, count * sum(widths))
@@ -194,7 +241,7 @@ def j_inverse(form, a):
 
 def j_polar_factorize(s, form):
     """``polar_factorize`` with its Phi factor as ((J S1) J) S."""
-    s1 = block_positive_factor(s, form)
+    (s1,) = block_positive_factor(form, [(s[..., form.p1 :], 2)])
     j = form.j_matrix()
     return s1, ((j @ s1) @ j) @ s
 
@@ -213,8 +260,9 @@ def split_subspace_distance(s1, s2):
 
 
 def two_omega_translation(d1, d2, cfg):
-    """``extension.solve_translation`` with one ``omega`` call per subspace."""
-    x = cfg.right_divide(ext.omega(d2, cfg), ext.omega(d1, cfg))
+    """``extension.solve_translation`` with one ``coordinates`` call, one
+    ``omega`` call, per subspace."""
+    x = cfg.right_divide(cfg.coordinates(d2), cfg.coordinates(d1))
     return x.w, x.rho
 
 
@@ -456,7 +504,11 @@ def factorization(s, stream, count):
     def one(stream):
         s1, c, stream = _sigma_then_phi(s, stream)
         m = s1 @ c
-        f1, f2 = polar_factorize(m, s.form)
+        # polar_factorize(m) with its positive factor read off the columns
+        # of m as the row forms them, s1 @ c[:, p1:]: the matrix loop's s1 * c
+        require_isometry(m, s.form)
+        f1 = s.mat.mul(s1, c)
+        f2 = (f1 * s.form.signs()) @ m
         recovery = max(float(np.max(np.abs(f1 - s1))), float(np.max(np.abs(f2 - c))))
         return (recovery, fro(f1 @ f2 - m) / fro(m)), stream
 
@@ -473,10 +525,17 @@ def transversality(s, stream, count):
     return (np.zeros(count),), np.array(margins)
 
 
+def complementary_product(s, a, b):
+    """The matrix-loop product a * b as the lift of the columns of a b in
+    the block complementary to the carrier of ``s``."""
+    other = 3 - s.carrier
+    return block_positive_factor(s.form, [(a @ ext._block_columns(b, s.form, other), other)])[0]
+
+
 def ext_infinity_compat(s, stream, count):
     def one(stream):
         (e1, e2), stream = _elements(s, stream, 2)
-        return (fro(s.mul(e1, e2).rho - s.mat.mul(e1.rho, e2.rho)),), stream
+        return (fro(s.mul(e1, e2).rho - complementary_product(s, e1.rho, e2.rho)),), stream
 
     return per_sample(stream, count, one)
 

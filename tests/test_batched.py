@@ -19,6 +19,7 @@ import bruckloops.suite as suite
 from bruckloops.cli import SuiteConfig, main, resolve, run_verify
 from bruckloops.errors import InversesDisagree, NoConvergence, NotHermitian, NotInOrbit, NotPositiveDefinite
 from bruckloops.extension import extension_config, lift_from_infinity
+from bruckloops.geometry import AffineSubspace
 from bruckloops.groups import SampleStream, element_to_json, sample_parts, unit_uniforms
 from bruckloops.kernel import check_aip, check_left_a, drive, inverse_of, run
 from bruckloops.linalg import spectral_map, worst
@@ -700,9 +701,9 @@ class TestPerElementFailures:
     def test_one_bad_matrix_fails_the_stacked_spectral_call(self, mloop, bad, error):
         stack = self._stack(mloop, bad)
         with pytest.raises(error):
-            spectral_map(stack[2], "sqrt")
+            spectral_map(stack[2])
         with pytest.raises(error):
-            spectral_map(stack, "sqrt")
+            spectral_map(stack)
 
     def test_one_singular_operand_fails_the_stacked_division(self, mloop):
         a, _ = draw(mloop, SampleStream(6), 4)
@@ -716,8 +717,19 @@ class TestPerElementFailures:
         cfg = extension_config(form321r)
         x, _ = one(draw(cfg, SampleStream(8), 1))
         good = x.rho[:, :2]
-        bad = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 2.0]])  # the graph of a non-contraction
+        bad = np.eye(3)[:, [0, 2]]  # no graph over the carrier: its top block is singular
         with pytest.raises(NotInOrbit):
             lift_from_infinity(bad, cfg)
         with pytest.raises(NotInOrbit):
             lift_from_infinity(np.stack([good, bad, good]), cfg)
+
+    def test_one_direction_off_the_orbit_fails_the_stacked_coordinates(self, form321r):
+        cfg = extension_config(form321r)
+        x, _ = one(draw(cfg, SampleStream(8), 1))
+        good = x.rho[:, :2]
+        bad = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 2.0]])  # the graph of a non-contraction
+        frames = np.stack([good, bad, good])
+        with pytest.raises(NotInOrbit):
+            cfg.coordinates(AffineSubspace(np.zeros(3), bad))
+        with pytest.raises(NotInOrbit):
+            cfg.coordinates(AffineSubspace(np.zeros((3, 3)), frames))

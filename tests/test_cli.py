@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from bruckloops import cli
 from bruckloops.cli import COMMANDS, SETTINGS, SuiteConfig, _diagnostics, main, run_verify
-from bruckloops.errors import NotInOrbit
+from bruckloops.errors import NotInOrbit, NotPositiveDefinite
 from bruckloops.groups import SignatureForm, element_to_json, standard_boost
 from bruckloops.kernel import INVERSE_GAP
 from bruckloops.suite import DEFAULT_SAMPLES, MAX_SAMPLES, PROPERTIES, TOLERANCES
@@ -227,8 +227,9 @@ class TestVerify:
         import bruckloops.linalg
 
         jsonschema = pytest.importorskip("jsonschema")
-        # C22 >= I makes a floor of at least 1 necessary to break the positive
-        # factor; the QR column floor is TAU_COLUMN, so the config still resolves
+        # the lift's M^-1 = F2 F2* >= I makes a floor of at least 1 necessary
+        # to break it; the QR column floor is TAU_COLUMN, so the config still
+        # resolves
         monkeypatch.setattr(bruckloops.linalg, "TAU_ABS", 2.0)
         cfg = write_config(tmp_path / "cfg.json")
         out = tmp_path / "report.json"
@@ -239,7 +240,7 @@ class TestVerify:
         for p in broken:
             assert p["pass"] is False and p["max_residual"] == 1.0 and p["detail"]["error"]
         errors = {p["property"]: p["detail"]["error"] for p in broken}
-        assert errors["loop_axioms"].startswith("sqrt: smallest eigenvalue")
+        assert errors["loop_axioms"].startswith("smallest eigenvalue")
 
     def test_membership_lapack_failure_fails_its_rows(self, tmp_path, monkeypatch):
         # the closure rows judge membership by its eigenvalues alone; a LAPACK
@@ -454,7 +455,8 @@ class TestReportSchema:
         def ambiguous(*args, **kwargs):
             raise RankAmbiguous("no gap")
 
-        monkeypatch.setattr(bruckloops.linalg, "TAU_ABS", 0.5)
+        # the lift's M^-1 >= I: a floor of 2 breaks it, as in the verify test
+        monkeypatch.setattr(bruckloops.linalg, "TAU_ABS", 2.0)
         monkeypatch.setattr(bruckloops.extension, "dimension_rank_report", ambiguous)
         report = _small_report()
         assert any("error" in p.get("detail", {}) for p in report["properties"])
@@ -668,32 +670,74 @@ class TestMul:
         rhs.write_text(lhs.read_text() if squared else json.dumps(good))
         assert main(["mul", str(lhs), str(rhs), "--loop", loop]) in (0, 2)
 
-    @pytest.mark.parametrize("loop, seed", [("matrix", "1"), ("extension", "2")])
-    def test_failed_diagnostics_exit_one(self, tmp_path, capsys, loop, seed):
-        # a radius-8 sample squared leaves Sigma by more than the bound in
-        # float64: the product is still written, and the exit code says it failed
-        assert main(["sample", "--loop", loop, "--radius", "8", "--seed", seed]) == 0
+    def _squared(self, tmp_path, capsys, loop, radius, seed):
+        """``mul`` of a drawn element by itself: its exit code and output."""
+        assert main(["sample", "--loop", loop, "--radius", radius, "--seed", seed]) == 0
         element = tmp_path / "x.json"
         element.write_text(capsys.readouterr().out)
-        assert main(["mul", "--loop", loop, str(element), str(element)]) == 1
-        captured = capsys.readouterr()
-        assert captured.err == ""
+        code = main(["mul", "--loop", loop, str(element), str(element)])
+        return code, capsys.readouterr(), element
+
+    @pytest.mark.parametrize("loop, radius, seed", [("matrix", "8", "3"), ("extension", "8", "2"),
+                                                     ("extension", "15", "3")])
+    def test_failed_diagnostics_exit_one(self, tmp_path, capsys, loop, radius, seed):
+        # a large sample squared leaves Sigma by more than the bound in
+        # float64: the product is still written, and the exit code says it
+        # failed.  The radius-15 square's direction lies so near the ball's
+        # boundary that subtracting I - X* X once refused it (exit 2); its
+        # isometric frame lifts it with a membership residual near 9e-5
+        code, captured, _ = self._squared(tmp_path, capsys, loop, radius, seed)
+        assert code == 1 and captured.err == ""
         out = json.loads(captured.out)
         assert out["diagnostics"]["pass"] is False
         assert max(out["diagnostics"]["membership"].values()) > TOLERANCES["membership"]
 
-    def test_product_leaving_the_orbit_chart_is_refused(self, tmp_path, capsys):
-        # a radius-15 draw is in Sigma, but its square's direction is no
-        # longer the graph of a contraction in float64: the product, not an
-        # operand, is refused, and nothing is written
-        assert main(["sample", "--loop", "extension", "--radius", "15", "--seed", "3"]) == 0
+    def test_radius_8_seed_1_square_passes(self, tmp_path, capsys):
+        # the square the half-angle on S S* once failed (1.3e-9): read off
+        # its last p2 columns it passes, near 6e-10
+        code, captured, _ = self._squared(tmp_path, capsys, "matrix", "8", "1")
+        assert code == 0 and captured.err == ""
+        out = json.loads(captured.out)
+        assert out["diagnostics"]["pass"] is True
+        assert max(out["diagnostics"]["membership"].values()) <= TOLERANCES["membership"]
+
+    def test_product_leaving_the_orbit_chart_is_refused(self, tmp_path, capsys, monkeypatch):
+        # no float64 input is known to reach the refusal since the lift reads
+        # isometric frames with no subtraction, so the breakdown is injected:
+        # a singular graph block, as ``graph_block`` raises it.  The product,
+        # not an operand, is refused, and nothing is written
+        import bruckloops.groups
+
+        def singular(*args):
+            raise NotPositiveDefinite("the W_1 block of a frame is singular: Singular matrix")
+
+        assert main(["sample", "--loop", "extension", "--seed", "3"]) == 0
         element = tmp_path / "e.json"
         element.write_text(capsys.readouterr().out)
+        monkeypatch.setattr(bruckloops.groups, "graph_block", singular)
         assert main(["mul", "--loop", "extension", str(element), str(element)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"error: product of {element} and {element} leaves float64's range")
         assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("loop", ["matrix", "extension"])
+    @pytest.mark.parametrize("target", ["solve", "eigh"])
+    def test_a_lapack_breakdown_in_a_product_is_exit_two(self, tmp_path, capsys, monkeypatch, loop, target):
+        # a LinAlgError inside a product, from its solves or its
+        # eigensolver, reaches the command line as a package error: exit 2,
+        # one line, nothing written
+        def broken(*args):
+            raise np.linalg.LinAlgError("injected")
+
+        form = ["--n", "4", "--p1", "2", "--p2", "2"]  # p2 = 2: the eigensolver calls LAPACK
+        assert main(["sample", "--loop", loop, "--seed", "3"] + form) == 0
+        element = tmp_path / "x.json"
+        element.write_text(capsys.readouterr().out)
+        monkeypatch.setattr(np.linalg, target, broken)
+        assert main(["mul", "--loop", loop, str(element), str(element)] + form) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("loop", ["matrix", "extension"])
     @pytest.mark.parametrize("bad", ["lhs", "rhs", "both"])

@@ -36,7 +36,7 @@ from bruckloops.groups import (
     membership_residual,
     standard_boost,
 )
-from bruckloops.kernel import check_loop_axioms
+from bruckloops.kernel import check_loop_axioms, run
 from bruckloops.linalg import SpectralDecomposition, fro, matrix_to_json, orthonormalize
 from bruckloops.matrixloop import MatrixLoop
 from bruckloops.suite import PROPERTIES
@@ -180,9 +180,10 @@ class TestLift:
             lift_from_infinity(np.eye(3)[:, [0, 2]], cfg)
 
     def test_non_contraction_not_in_orbit(self, cfg):
-        # invertible top block, but the graph block X* = [0, 2] has norm 2
+        # invertible top block, but the graph block X* = [0, 2] has norm 2:
+        # the form is indefinite on it, so no frame of it is isometric
         with pytest.raises(NotInOrbit):
-            lift_from_infinity(np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 2.0]]), cfg)
+            cfg.coordinates(AffineSubspace(np.zeros(3), np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 2.0]])))
 
     @pytest.mark.parametrize("carrier", [1, 2])
     def test_roundtrip_532_complex(self, carrier):
@@ -277,6 +278,25 @@ class TestExtMul:
             e2, stream = one(draw(loop, stream, 1))
             prod = cfg.mul(e1, e2)
             assert fro(prod.rho - mloop.mul(e1.rho, e2.rho)) <= 1e-9
+
+    @pytest.mark.parametrize("signature, field, carrier, wtilde", [
+        ((3, 2, 1), "real", 1, "standard"), ((4, 3, 1), "real", 2, "standard"),
+        ((4, 2, 2), "real", 2, "boost:0.6931471805599453"), ((5, 3, 2), "complex", 2, "boost:0.5"),
+        ((5, 3, 2), "complex", 1, "standard"),
+    ])
+    def test_infinity_compat_compares_two_computations(self, signature, field, carrier, wtilde):
+        # the row's two sides lift the carrier columns of rho1 rho2 and the
+        # columns of the complementary block, each with its own solve and Gram
+        # matrix: they agree to rounding, and differ in it on some sample.
+        # Sides that shared their arithmetic would read exactly 0 everywhere
+        form = SignatureForm(*signature, field)
+        loop = extension_config(form, carrier, build_wtilde(form, carrier, wtilde))
+        row = next(row for row in PROPERTIES if row.key == "ext_infinity_compat")
+        e, stream = draw(loop, SampleStream(17), 32)
+        f, _ = draw(loop, stream, 32)
+        (residuals,), _ = run(row.steps(loop, e.w, e.rho, f.w, f.rho))
+        assert np.max(residuals) <= 1e-13
+        assert np.count_nonzero(residuals) > 0
 
     def test_one_eigendecomposition_and_no_det(self, cfg, eig_calls, monkeypatch):
         # the orbit map: one graph lift, and no polar factorization
@@ -669,9 +689,11 @@ class TestOnCoordinates:
         solve_translation(d1, d2, cfg)
 
     @pytest.mark.parametrize("signature, carrier, wtilde", DIMENSION_CONFIGS)
-    def test_omega_of_any_representative(self, signature, carrier, wtilde):
+    def test_coordinates_of_any_representative(self, signature, carrier, wtilde):
         # (w + F c, F M) spans the same subspace as realize(e) for any c and
-        # invertible M; ||M - I|| <= 0.2 sqrt(2) k < 1 keeps M invertible
+        # invertible M; ||M - I|| <= 0.2 sqrt(2) k < 1 keeps M invertible.
+        # coordinates makes F M isometric, and omega lifts it as it lifts
+        # the isometric carrier columns F themselves
         cfg = dimension_config(signature, carrier, wtilde)
         rng = np.random.default_rng(23)
         k = cfg.carrier_dim
@@ -683,7 +705,7 @@ class TestOnCoordinates:
             shift = (noise[0] + 1j * noise[1] if complex_field else noise[0]).astype(cfg.form.dtype)
             f = ext._block_columns(e.rho, cfg.form, cfg.carrier)
             rep = AffineSubspace(e.w + f @ shift[k], f @ (np.eye(k) + 0.2 * shift[:k]))
-            got, want = omega(rep, cfg), omega(realize(e, cfg), cfg)
+            got, want = cfg.coordinates(rep), omega(realize(e, cfg), cfg)
             assert np.linalg.norm(got.w - want.w) <= 1e-12
             assert fro(got.rho - want.rho) <= 1e-12
 

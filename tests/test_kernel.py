@@ -370,20 +370,20 @@ class TestTwoSidedInverses:
 
     @pytest.mark.parametrize("field", ["real", "complex"])
     def test_inverse_of_one_matrix_shares_one_call(self, monkeypatch, field):
-        # e/x and x\e of a single matrix are two 2-D products: read as
-        # stacks of one, they join one positive_factor call that breaks
-        # nothing, so none is re-run
+        # e/x and x\e of a single matrix are two 2-D products, whose last
+        # columns join one positive_factor call, which reads them as stacks
+        # of one; it breaks nothing, so none is re-run
         loop = MatrixLoop(SignatureForm(3, 2, 1, field))
         x, _ = one(draw(loop, SampleStream(13), 1))
         factored, real = [], bruckloops.matrixloop.positive_factor
 
-        def counted(s, form):
-            factored.append(s.shape)
-            return real(s, form)
+        def counted(form, frames):
+            factored.append([f.shape for f, _ in frames])
+            return real(form, frames)
 
         monkeypatch.setattr(bruckloops.matrixloop, "positive_factor", counted)
         inverse = inverse_of(loop, x)
-        assert factored == [(2, 3, 3)]
+        assert factored == [[(3, 1), (3, 1)]]
         monkeypatch.undo()
         assert _bits(inverse) == _bits(loop.right_divide(loop.identity, x))
 

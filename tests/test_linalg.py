@@ -106,7 +106,7 @@ class TestEigHermitian:
         with pytest.raises(NoConvergence):
             eig_hermitian(a)
         with pytest.raises(NoConvergence):
-            spectral_map(a, "sqrt")
+            spectral_map(a)
 
     def test_lapack_failure_is_no_convergence(self, monkeypatch):
         def fail(_):
@@ -137,9 +137,9 @@ class TestStacks:
             assert np.array_equal(applied[i], single.apply(np.exp(single.eigenvalues)))
         # the positivity-checked call as well, on the stack shifted positive
         shifted = stack + (n + 1) * np.eye(n)
-        stacked_dec, stacked_values = spectral_map(shifted, "inverse_sqrt")
+        stacked_dec, stacked_values = spectral_map(shifted)
         for i, a in enumerate(shifted):
-            dec, values = spectral_map(a, "inverse_sqrt")
+            dec, values = spectral_map(a)
             assert np.array_equal(stacked_dec.eigenbasis[i], dec.eigenbasis)
             assert np.array_equal(stacked_values[i], values)
 
@@ -170,9 +170,9 @@ class TestStacks:
         stack = np.stack([np.diag([1.0, 2.0, 3.0])] * 4)
         stack[1] = np.diag([1.0, -1.0, 2.0])
         with pytest.raises(NotPositiveDefinite):
-            spectral_map(stack, "sqrt")
-        dec, values = spectral_map(np.delete(stack, 1, axis=0), "sqrt")
-        assert np.allclose(dec.apply(values)[0], np.diag(np.sqrt([1.0, 1.5, 2.0])))
+            spectral_map(stack)
+        dec, values = spectral_map(np.delete(stack, 1, axis=0))
+        assert np.allclose(dec.apply(values)[0], np.diag(np.sqrt([1.0, 2.0, 3.0])))
 
     def test_non_square_stack_is_refused(self):
         with pytest.raises(DimensionMismatch):
@@ -189,35 +189,37 @@ class TestStacks:
 
 
 class TestSpectralMap:
-    """The positivity-checked spectral call of the block path: a p2 x p2
-    hermitian M's decomposition and a function on its spectrum."""
+    """The positivity-checked spectral call of the lift: a p2 x p2
+    hermitian M^-1's decomposition and the square roots of its spectrum."""
 
-    def test_sqrt_is_the_half_angle_block(self):
-        # M = C22 = cosh 2t of the squared boost; its square root, the
-        # boost, has C22 block cosh t
+    def test_sqrt_is_the_boost_block(self):
+        # M^-1 = F2 F2* = cosh^2 t for the last column of the boost; its
+        # square root is the boost's bottom-right entry cosh t
         t = math.log(2)
-        dec, values = spectral_map(np.array([[math.cosh(2 * t)]]), "sqrt")
+        dec, values = spectral_map(np.array([[math.cosh(t) ** 2]]))
         assert values[0] == pytest.approx(math.cosh(t), rel=1e-15)
         assert np.array_equal(dec.eigenbasis, np.eye(1))
 
     @pytest.mark.parametrize("complex_case", [False, True])
-    def test_inverse_sqrt_of_a_random_positive_matrix(self, complex_case):
+    def test_sqrt_of_a_random_positive_matrix(self, complex_case):
         rng = np.random.default_rng(7)
         a = random_spd(rng, 3, complex_case=complex_case)
-        dec, values = spectral_map(a, "inverse_sqrt")
+        dec, values = spectral_map(a)
         root = dec.apply(values)
-        assert fro(root @ a @ root - np.eye(3)) <= 1e-12
+        assert fro(root @ root - a) <= 1e-12 * fro(a)
         assert fro(root - dag(root)) == 0.0
 
-    def test_unknown_function(self):
-        with pytest.raises(KeyError):
-            spectral_map(np.eye(2), "exp")
+    def test_values_are_the_square_roots_of_the_spectrum(self):
+        # no other function: the values are np.sqrt of the eigenvalues, bit for bit
+        rng = np.random.default_rng(8)
+        dec, values = spectral_map(random_spd(rng, 4, complex_case=True))
+        assert np.array_equal(values, np.sqrt(dec.eigenvalues))
 
     def test_positivity_guard(self):
         with pytest.raises(NotPositiveDefinite):
-            spectral_map(np.diag([1.0, -1.0]), "sqrt")
+            spectral_map(np.diag([1.0, -1.0]))
         with pytest.raises(NotPositiveDefinite):
-            spectral_map(np.diag([1.0, 0.0]), "inverse_sqrt")
+            spectral_map(np.diag([1.0, 0.0]))
 
 
 class TestHermitianFunctionOracle:

@@ -7,6 +7,7 @@ from bruckloops.groups import (
     SampleStream,
     SignatureForm,
     conjugate_by_phi,
+    graph_block,
     membership_residual,
     positive_factor,
     sigma_from_spectrum,
@@ -116,8 +117,8 @@ def test_eigendecompositions_per_operation(mloop, eig_calls, op, expected):
 @pytest.mark.parametrize("field", ["real", "complex"])
 def test_positive_factor_needs_no_caller_symmetrization(field):
     # the eigensolver symmetrizes its input and (A + A*)/2 is exactly
-    # hermitian, so symmetrizing the C22 block of S S* first changes no bit
-    # of the result
+    # hermitian, so symmetrizing the lift's Gram matrix F2 F2* first changes
+    # no bit of the result
     form = SignatureForm(4, 2, 2, field)
     stream = SampleStream(13)
     products = []
@@ -126,15 +127,16 @@ def test_positive_factor_needs_no_caller_symmetrization(field):
         b, stream = one(draw(form, stream, 1, "phi"))
         products.append(a @ b)
     for s in products + [np.stack(products)]:
-        c = s @ dag(s[..., 2:, :])
-        dec, b = spectral_map(symmetrize(c[..., 2:, :]), "sqrt")
-        expected = sigma_from_spectrum(form, c[..., :2, :], dec, 0.5 / b, b)
-        assert np.array_equal(positive_factor(s, form), expected)
-        # the same holds where the block is hermitian only to rounding
-        h = c[..., 2:, :] + 1e-15 * np.tril(np.ones_like(c[..., 2:, :]))
+        f = s[..., 2:]
+        gram = f[..., 2:, :] @ dag(f[..., 2:, :])
+        dec, r = spectral_map(symmetrize(gram))
+        expected = sigma_from_spectrum(form, graph_block(f, form, 2), dec, r, r)
+        assert np.array_equal(positive_factor(form, [(f, 2)])[0], expected)
+        # the same holds where the Gram matrix is hermitian only to rounding
+        h = gram + 1e-15 * np.tril(np.ones_like(gram))
         assert not np.array_equal(h, symmetrize(h))
-        (raw, raw_b), (sym, sym_b) = spectral_map(h, "sqrt"), spectral_map(symmetrize(h), "sqrt")
-        assert np.array_equal(raw.eigenbasis, sym.eigenbasis) and np.array_equal(raw_b, sym_b)
+        (raw, raw_r), (sym, sym_r) = spectral_map(h), spectral_map(symmetrize(h))
+        assert np.array_equal(raw.eigenbasis, sym.eigenbasis) and np.array_equal(raw_r, sym_r)
 
 
 class TestConjugationEquivariance:

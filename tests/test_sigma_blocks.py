@@ -69,7 +69,8 @@ def test_zero_block_is_exactly_the_identity(signature, field):
     form = SignatureForm(*signature, field)
     eye = np.eye(form.n, dtype=form.dtype)
     assert np.array_equal(sigma_from_block(form, np.zeros((form.p1, form.p2), dtype=form.dtype)), eye)
-    assert np.array_equal(positive_factor(eye, form), eye)
+    for block in (1, 2):
+        assert np.array_equal(positive_factor(form, [(carrier_columns(eye, form, block), block)])[0], eye)
     assert np.array_equal(MatrixLoop(form).mul(eye, eye), eye)
     for carrier in (1, 2):
         cfg = extension_config(form, carrier)

@@ -14,7 +14,11 @@ import math
 
 import pytest
 
-from bruckloops.cli import DEFAULT_SAMPLES, SuiteConfig, run_verify
+from bruckloops import suite
+from bruckloops.cli import DEFAULT_SAMPLES, SuiteConfig, resolve, run_verify
+from bruckloops.groups import MEMBERSHIP_TOLERANCE, SampleStream
+from bruckloops.kernel import drive
+from bruckloops.linalg import worst
 
 TRANSVERSALS = ("standard", "boost:3")
 
@@ -46,6 +50,25 @@ def test_every_signature_passes(config):
     failed = [e for e in report["properties"] if e["required"] and not e["pass"]]
     assert not failed
     assert report["dimension"]["pass"], report["dimension"]
+
+
+def test_membership_rows_pass_at_default_counts_on_16_8_8_complex():
+    # the default-count sigma_closure (1,000 samples) and
+    # ext_infinity_compat (500) rows of (16,8,8) complex, seed 1, each from
+    # its own slot of the stream as verify draws it: 3.7e-9 and 2.4e-9 with
+    # the half-angle on S S* and the lift through I - X* X, now 4.0e-11 and
+    # 3.3e-12 against the membership bound 1e-9
+    cfg = SuiteConfig(16, 8, 8, "complex")
+    loop = resolve(cfg)
+    widths = suite.layout(loop)
+    slots = suite.stream_slots(loop, cfg.samples, widths)
+    rows = [row for row in suite.PROPERTIES if row.key in ("sigma_closure", "ext_infinity_compat")]
+    slices = [(row, SampleStream(cfg.seed).split(slots[row.key][0]), cfg.samples[row.key]) for row in rows]
+    outcomes = drive([row.steps(loop, *parts) for row, parts in zip(rows, suite.draw_parts(loop, widths, slices))])
+    for row, outcome in zip(rows, outcomes):
+        (residuals,), _ = outcome.value
+        assert len(residuals) == cfg.samples[row.key]
+        assert worst(residuals) <= MEMBERSHIP_TOLERANCE, row.key
 
 
 def smallest_margins(largest_n: int = 7) -> dict:
