@@ -10,19 +10,24 @@ orbit subspace is identified by the pair
 and the direction is in turn carried by a canonical positive-definite lift,
 so an element is stored as ``(w, rho)``.  The loop operations run on these
 coordinates: ``realize`` gives the point w and the carrier columns of rho,
-and ``omega`` reads coordinates off any point and isometric frame
-(F* J F = I on carrier 1, -I on carrier 2): a product or a left division
-is the coordinates of a moved subspace, whose frame, the carrier columns
-of a product of lifts, is isometric as it is, and ``coordinates`` those
-of the subspaces it is given, whose frames it makes isometric first, so
-``ExtensionConfig.run`` reads those of several calls with one ``omega``
-call, which the kernel's driver shares among them; so too one QR call
-serves the readings ``distance``, of element pairs, and
-``subspace_distance``, of subspace pairs.  ``solve_translation``, the
-library function and the suite's row, reads its subspaces' coordinates
-through ``coordinates``.  Canonical subspaces serve only where a
-minimum-norm base is read: the transversal, the distances and the
-``solve_translation`` property.
+and the coordinates of a subspace are its transversal point and the lift
+of an isometric frame of it (F* J F = I on carrier 1, -I on carrier 2): a
+product or a left division is the coordinates of a moved subspace, whose
+frame, the carrier columns of a product of lifts, is isometric as it is,
+``coordinates`` those of the subspaces it is given, whose frames it makes
+isometric first, and a right division c / a takes the matrix loop's right
+division of the lifts and c.w less the transversal point of a's subspace
+moved by it.  All four are requests of the one lift both loops share
+(``matrixloop.lift``): ``ExtensionConfig.lift_steps`` hands it each
+request's frame and block and takes back the factors, and one stacked
+solve gives the transversal points of all its requests in the call, so
+the kernel's driver serves both loops' lifts with one
+``groups.positive_factor`` call; so too one QR call serves the readings
+``distance``, of element pairs, and ``subspace_distance``, of subspace
+pairs.  ``solve_translation``, the library function and the suite's row,
+reads its subspaces' coordinates through ``coordinates``.  Canonical
+subspaces serve only where a minimum-norm base is read: the transversal,
+the distances and the ``solve_translation`` property.
 
 Elements take stacks: ``w`` of shape (..., n) with ``rho`` a plain array
 (..., n, n) of the same batch shape is that many elements, and every loop
@@ -33,9 +38,9 @@ subspace stacks.
 The loop holds the form; the JSON writer and reader take it as an argument.
 
 Every orbit direction at infinity is the graph of a strict contraction
-between the two coordinate blocks, which gives ``lift_from_infinity`` a
-closed form (the boost of that contraction, as in the gyrogroup view of
-the loop), read off an isometric frame by the matrix loop's own lift,
+between the two coordinate blocks, which gives the lift a closed form
+(the boost of that contraction, as in the gyrogroup view of the loop),
+read off an isometric frame by the matrix loop's own lift,
 ``groups.positive_factor``, and the dimension check its chart: the ball
 of graph blocks, whose projectors and their tangents are closed forms in
 one small solve, with no QR, no eigendecomposition and no step size.  The
@@ -61,7 +66,6 @@ import numpy as np
 from . import linalg
 from .errors import (
     ConfigInvalid,
-    DimensionMismatch,
     NoConvergence,
     NotInOrbit,
     NotPositiveDefinite,
@@ -77,12 +81,11 @@ from .groups import (
     element_from_json,
     element_to_json,
     graph_block,
-    positive_factor,
     scale,
     unit_uniforms,
 )
 from .linalg import concat, dag, eig_hermitian, matrix_from_json, matrix_to_json, mv, pieces
-from .matrixloop import MatrixLoop
+from .matrixloop import MatrixLoop, lift
 
 _W_SCALE = 1.0  # sampled transversal points have frame coordinates in [-1, 1]
 _AMBIGUITY_FRACTION = 0.10  # share of gapless points that refuses a rank estimate
@@ -145,12 +148,13 @@ class ExtensionConfig:
         for name, value in zip(self.__slots__, (form, carrier, wtilde, MatrixLoop(form))):
             object.__setattr__(self, name, value)
 
-    # The operations that share a call: products, left divisions and
-    # coordinates read subspaces' coordinates with one ``omega`` call, and
-    # the distances of element pairs and of subspace pairs one
+    # The operations that share a call: products, divisions and coordinates
+    # are lifts, whose requests of one form share one ``positive_factor``
+    # call with the matrix loop's (``matrixloop.lift``), and the distances
+    # of element pairs and of subspace pairs one
     # ``geometry.subspace_distance`` call
-    primitive = {"mul": "omega", "left_divide": "omega", "coordinates": "omega",
-                 "distance": "distance", "subspace_distance": "distance"}
+    primitive = dict.fromkeys(("mul", "left_divide", "right_divide", "coordinates"), "positive_factor") | {
+        "distance": "distance", "subspace_distance": "distance"}
 
     @property
     def carrier_dim(self) -> int:
@@ -173,37 +177,66 @@ class ExtensionConfig:
             return AffineSubspace(concat(*(p.base for p in parts)), concat(*(p.frame for p in parts)))
         return ExtensionElement(concat(*(p.w for p in parts)), concat(*(p.rho for p in parts)))
 
-    def run(self, calls: list) -> list:
-        """The result of each of ``calls``, ``(operation, operands)`` pairs
-        of operations in ``primitive`` that rest on one primitive, from the
-        subspaces each reads (``_read``), their batch axes read as one: the
-        coordinates through one ``omega`` call, the distances through one
-        ``subspace_distance`` call."""
-        read = (lambda s: omega(s, self)) if self.primitive[calls[0][0]] == "omega" else subspace_distance
-        subspaces = [self._read(operation, *operands) for operation, operands in calls]
-        if len(subspaces) == 1:
-            # read as they are: omega took about 10 us more on a stack of one
-            # than on a lone (4,3,1) real subspace, a quarter of its time
-            return [read(*subspaces[0])]
-        flat = [[s.reshape((-1,)) for s in read_by] for read_by in subspaces]
-        results = pieces(read(*(self.join(*same) for same in zip(*flat))), [len(f[0]) for f in flat])
-        return [x.reshape(s[0].base.shape[:-1]) for s, x in zip(subspaces, results)]
+    def run(self, requests: list) -> list:
+        """The result of each of ``requests``, ``(loop, operation,
+        operands)`` requests of one primitive: the lifts' through
+        ``matrixloop.lift``, the distances' from one ``subspace_distance``
+        call on the realized elements and the subspaces they read."""
+        if self.primitive[requests[0][1]] != "distance":
+            return lift(requests)
+        read = [tuple(realize(e, self) for e in operands) if operation == "distance" else operands
+                for _, operation, operands in requests]
+        return self._at_once(subspace_distance, read)
 
-    def _read(self, operation: str, *operands) -> tuple:
-        """The subspaces ``operation`` reads: c's under a's left translation
-        x -> rho x + w for mul(a, c), under its inverse for
-        left_divide(a, c); the realized elements for distance; the operands
-        themselves for ``subspace_distance``, and for ``coordinates`` its
-        subspace with its frame made isometric."""
-        if operation == "distance":
-            return tuple(realize(e, self) for e in operands)
-        if operation not in ("mul", "left_divide"):
-            return (_isometric(*operands, self),) if operation == "coordinates" else operands
-        a, c = operands
+    def _at_once(self, read, operands: list) -> list:
+        """``read`` of each of ``operands``, tuples of subspace stacks, from
+        one call on them all, their batch axes read as one.  A lone tuple is
+        read as it is: a stack of one took about 10 us more than a lone
+        (4,3,1) real subspace, a quarter of a lift's time."""
+        if len(operands) == 1:
+            return [read(*operands[0])]
+        flat = [[s.reshape((-1,)) for s in same] for same in operands]
+        results = pieces(read(*(self.join(*same) for same in zip(*flat))), [len(f[0]) for f in flat])
+        return [x.reshape(same[0].base.shape[:-1] + x.shape[1:]) for same, x in zip(operands, results)]
+
+    def lift_steps(self, calls: list):
+        """Steps of the shared lift (``matrixloop.lift``) for ``calls``,
+        ``(operation, operands)`` pairs of lift operations.  A product, a
+        left division and coordinates lift the frame of the subspace they
+        read (``_read``), its carrier columns; a right division c / a lifts
+        the matrix loop's right division rho = c.rho / a.rho and reads a's
+        subspace moved by rho.  Every transversal point comes from one
+        stacked solve.  A breakdown of the lift is NotInOrbit, unless every
+        call is a right division, whose breakdown is the matrix loop's."""
+        read = [None if operation == "right_divide" else self._read(operation, *operands)
+                for operation, operands in calls]
+        try:
+            roots = yield [(s.frame, self.carrier) if s is not None
+                           else self.mat.columns(operation, *(e.rho for e in operands))
+                           for (operation, operands), s in zip(calls, read)]
+        except NotPositiveDefinite as exc:
+            if all(s is None for s in read):
+                raise
+            raise NotInOrbit(f"direction is not in the orbit: {exc}") from exc
+        for k, (operation, operands) in enumerate(calls):
+            if read[k] is None:  # a right division c / a
+                roots[k] = self.mat.finished(operation, tuple(e.rho for e in operands), roots[k])
+                read[k] = apply(roots[k], realize(operands[1], self))
+        points = self._at_once(lambda s: _transversal_point(s, self), [(s,) for s in read])
+        return [ExtensionElement(operands[0].w - w if operation == "right_divide" else w, rho)
+                for (operation, operands), w, rho in zip(calls, points, roots)]
+
+    def _read(self, operation: str, a, c=None) -> AffineSubspace:
+        """The subspace whose coordinates ``operation`` gives: c's under a's
+        left translation x -> rho x + w for mul(a, c), under its inverse for
+        left_divide(a, c), and for ``coordinates`` the subspace a with its
+        frame made isometric (``_isometric``)."""
+        if operation == "coordinates":
+            return _isometric(a, self)
         if operation == "mul":
-            return (apply(a.rho, realize(c, self), a.w),)
+            return apply(a.rho, realize(c, self), a.w)
         ainv = self.mat.inverse(a.rho)
-        return (apply(ainv, realize(c, self), -mv(ainv, a.w)),)
+        return apply(ainv, realize(c, self), -mv(ainv, a.w))
 
     def mul(self, a, b):
         """Coordinate multiplication: left translation by the unique orbit map.
@@ -214,28 +247,27 @@ class ExtensionConfig:
         matrix-loop product of the direction lifts, the positive factor of
         rho_a rho_b, read off the carrier's columns rather than the last
         p2."""
-        return self.run([("mul", (a, b))])[0]
+        return lift([(self, "mul", (a, b))])[0]
 
     def left_divide(self, a, c):
-        return self.run([("left_divide", (a, c))])[0]
+        return lift([(self, "left_divide", (a, c))])[0]
 
     def right_divide(self, c, a):
-        rho = self.mat.right_divide(c.rho, a.rho)
-        return ExtensionElement(c.w - _transversal_point(apply(rho, realize(a, self)), self), rho)
+        return lift([(self, "right_divide", (c, a))])[0]
 
     def coordinates(self, s: AffineSubspace) -> "ExtensionElement":
         """The coordinates of an orbit subspace, or of each of a stack,
-        from any point and spanning frame of it: ``omega`` of the subspace
-        with its frame made isometric (``_isometric``)."""
-        return self.run([("coordinates", (s,))])[0]
+        from any point and spanning frame of it: its transversal point and
+        the lift of its frame made isometric (``_isometric``)."""
+        return lift([(self, "coordinates", (s,))])[0]
 
     def distance(self, a, b):
-        return self.run([("distance", (a, b))])[0]
+        return self.run([(self, "distance", (a, b))])[0]
 
     def subspace_distance(self, s1: AffineSubspace, s2: AffineSubspace):
         """``geometry.subspace_distance``, a reading that shares its QR call
         with the loop's ``distance``."""
-        return self.run([("subspace_distance", (s1, s2))])[0]
+        return self.run([(self, "subspace_distance", (s1, s2))])[0]
 
     @property
     def point_width(self) -> int:
@@ -338,29 +370,6 @@ def realize(e: ExtensionElement, cfg: ExtensionConfig) -> AffineSubspace:
     return AffineSubspace(e.w, _block_columns(e.rho, cfg.form, cfg.carrier))
 
 
-def lift_from_infinity(z: np.ndarray, cfg: ExtensionConfig) -> np.ndarray:
-    """The unique positive-definite isometry whose carrier image has the
-    direction span of the isometric frame ``z`` (z* J z = I on carrier 1,
-    -I on carrier 2), or one per frame of a stack (..., n, k): the lift of
-    ``z`` as the carrier columns of an isometry, ``groups.positive_factor``,
-    one stacked ``solve`` and one stacked p2 x p2 ``spectral_map``.
-
-    An orbit direction is the graph of a p1 x p2 contraction X over the
-    carrier (``groups.graph_block``), and the lift is its boost
-    (I + T)(I - T^2)^{-1/2} = exp(artanh T) with T = [[0, X], [X*, 0]],
-    which maps W_1 onto span [I; X*] and W_2 onto span [X; I].  A singular
-    block means z is not in the orbit.  The carrier columns of a product
-    of lifts are isometric as they are; ``ExtensionConfig.coordinates``
-    makes any other frame isometric first (``_isometric``).
-    """
-    if z.shape[-2:] != (cfg.form.n, cfg.carrier_dim):
-        raise DimensionMismatch(f"direction must be {cfg.carrier_dim}-dimensional in F^{cfg.form.n}")
-    try:
-        return positive_factor(cfg.form, [(z, cfg.carrier)])[0]
-    except NotPositiveDefinite as exc:
-        raise NotInOrbit(f"direction is not in the orbit: {exc}") from exc
-
-
 def _isometric(s: AffineSubspace, cfg: ExtensionConfig) -> AffineSubspace:
     """The subspace, or each of a stack, with its frame F made isometric:
     F L^-*, L the Cholesky factor of F* J F on carrier 1 and of -F* J F on
@@ -385,16 +394,6 @@ def _transversal_point(s: AffineSubspace, cfg: ExtensionConfig) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise TransversalityViolated(f"subspace does not meet the transversal in one point: {exc}") from exc
     return s.base + mv(s.frame, c[..., : s.dim])
-
-
-def omega(s: AffineSubspace, cfg: ExtensionConfig) -> ExtensionElement:
-    """Coordinates of an orbit subspace, or of each of a stack, from any
-    point of it and an isometric frame (``lift_from_infinity``): the
-    transversal intersection point and the lift of its direction.  Products
-    and left divisions hand it the carrier columns of a product of lifts,
-    isometric as they are; ``coordinates`` makes any other frame isometric
-    first, so one ``omega`` call serves all three."""
-    return ExtensionElement(_transversal_point(s, cfg), lift_from_infinity(s.frame, cfg))
 
 
 def solve_translation(

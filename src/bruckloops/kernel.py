@@ -15,35 +15,39 @@ level.  At each level it yields its requests, a non-empty list of
 ``(loop, operation, operands)``: the name of a ``Loop`` operation and its
 operand stacks, all of one length.  It receives their results in the same
 order and finally returns its value.  Within a level the independent
-operations of one kind (``x*z`` with ``y*x``, the three inverses of AIP,
-the three lambda evaluations of left-A) are already one request on the
-operand stacks ``Loop.join`` concatenates, cut back by ``linalg.pieces``.
-An identity asks for each loop operation as soon as its operands exist,
-in the level of whatever else it asks for then, so no product waits on a
-reading it does not use.
+operations of one kind (``x*z`` with ``y*x``, the three inverses of AIP)
+may be one request on the operand stacks ``Loop.join`` concatenates, cut
+back by ``linalg.pieces``; left-A's products and divisions and AIP's two
+readings are requests of their own, which the driver joins while they
+fit ``SHARE_BYTES`` and runs apart past it.  An identity asks for each
+loop operation as soon as its operands exist, in the level of whatever
+else it asks for then, so no product waits on a reading it does not use.
 
 ``drive`` advances many steps together.  Every operation of a loop rests
-on a primitive, ``Loop.primitive``: the matrix loop's products and
-divisions on one ``positive_factor``, the extension loop's products, left
-divisions and coordinates of subspaces on one ``omega``, and its
-distances of elements and of subspaces on one ``distance``; an operation
-not named there is a primitive of its own.  While requests wait,
-``drive`` takes every waiting request of the oldest group of one loop
-and primitive, the readings ``distance`` and ``membership`` only when
-nothing else waits, and ``_call`` alone decides what shares a call.
-While the group's operands, counted as one n x n matrix per element, fit
-``SHARE_BYTES``, it makes one call: the requests of a primitive go to one
-``Loop.run``, which joins what it reads, and those of any other
-operation to one call of it on their operands joined by ``Loop.join``,
-its result sliced back.  Past the bound every request runs on its own.
-A call on a stack gives each element the bits a call of its own gives
-it, so only the number of calls depends on who shares them.  A numeric
-breakdown in a shared call re-runs it once per request, so only the
-steps whose own operands break fail, each with the error its own call
-raises; a breakdown is thrown into its steps, and one that escapes ends
-them.  Each steps' seconds are its own time in the generator plus a
-share of every call it took part in, in proportion to the elements it
-gave.
+on a primitive, ``Loop.primitive``.  Both loops' products, divisions and
+coordinates of subspaces rest on the one lift, ``LIFT``, whose waiting
+requests of one form share a group, whichever loop they come from: each
+loop states the (frame, block) pair each request lifts and finishes its
+results from the factors (``Loop.lift_steps``), so one
+``groups.positive_factor`` call serves both loops.  The extension loop's
+distances of elements and of subspaces rest on one ``distance``; an
+operation not named there is a primitive of its own.  While requests
+wait, ``drive`` takes every waiting request of the oldest group of one
+primitive (of one loop, or for the lift of one form), the readings
+``distance`` and ``membership`` only when nothing else waits, and
+``_call`` alone decides what shares a call.  While the group's operands,
+counted as one n x n matrix per element, fit ``SHARE_BYTES``, it makes
+one call: the requests of a primitive go to one ``Loop.run``, which
+joins what it reads, and those of any other operation to one call of it
+on their operands joined by ``Loop.join``, its result sliced back.  Past
+the bound every request runs on its own.  A call on a stack gives each
+element the bits a call of its own gives it, so only the number of calls
+depends on who shares them.  A numeric breakdown in a shared call re-runs
+it once per request, so only the steps whose own operands break fail,
+each with the error its own call raises; a breakdown is thrown into its
+steps, and one that escapes ends them.  Each steps' seconds are its own
+time in the generator plus a share of every call it took part in, in
+proportion to the elements it gave.
 
 The checkers ``check_*`` are ``drive`` run on one generator, its
 per-sample residuals folded by ``linalg.worst``, with max from 0:
@@ -65,6 +69,9 @@ INVERSE_GAP = 1e-9  # largest distance between e/x and x\e that inverse_of accep
 # Operations that read results rather than make them: a group of them runs
 # only when nothing else waits, so every steps' readings share one call.
 READINGS = ("distance", "membership")
+# The primitive both loops share, the one lift: its waiting requests of one
+# form share a group, whichever loop they come from.
+LIFT = "positive_factor"
 # The most bytes of operands, counted as one n x n matrix per element, that
 # one call joins.  Sharing a call saves its fixed cost, which shows only on
 # small stacks: two divisions' products took 0.73-0.80 of the time of two
@@ -93,9 +100,13 @@ class Loop(Protocol):
     either way the loop, not the element, holds the form.
 
     ``primitive`` maps each operation that shares a primitive to its name;
-    ``run(calls)`` gives the result of each ``(operation, operands)`` call
-    of one primitive, from one call of it.  ``form`` is the loop's
-    ``SignatureForm``.
+    ``run(requests)`` gives the result of each ``(loop, operation,
+    operands)`` request of one primitive, from one call of it; a lift
+    group's requests may come from either loop of the form.
+    ``lift_steps(calls)`` are the loop's steps of a lift call on its own
+    ``(operation, operands)`` calls: they yield the (frame, block) pair each
+    lifts, receive the factors and return the results.  ``form`` is the
+    loop's ``SignatureForm``.
     """
 
     identity: Any
@@ -104,7 +115,8 @@ class Loop(Protocol):
 
     def join(self, *parts): ...
     def identity_like(self, x): ...
-    def run(self, calls: list) -> list: ...
+    def run(self, requests: list) -> list: ...
+    def lift_steps(self, calls: list): ...
     def mul(self, a, b): ...
     def left_divide(self, a, b): ...
     def right_divide(self, b, a): ...
@@ -150,7 +162,8 @@ def drive(steps: list) -> list:
         else:
             levels[i], waiting[i] = [None] * len(requests), len(requests)
             for k, (loop, operation, operands) in enumerate(requests):
-                key = (id(loop), loop.primitive.get(operation, operation))
+                name = loop.primitive.get(operation, operation)
+                key = (loop.form if name == LIFT else id(loop), name)
                 batch, places = groups.setdefault(key, ([], []))
                 batch.append((loop, operation, operands))
                 places.append((i, k))
@@ -189,7 +202,7 @@ def _call(requests: list, outcomes: list) -> list:
     t0 = time.perf_counter()
     try:
         if operation in loop.primitive:
-            results = loop.run([request[1:] for request in requests])
+            results = loop.run(requests)
         else:
             operands = [loop.join(*parts) for parts in zip(*(request[2] for request in requests))]
             results = pieces(getattr(loop, operation)(*operands), counts)
@@ -268,16 +281,17 @@ def inverse_of(loop: Loop, x):
 def aip(loop: Loop, x, y):
     """Steps: the residual of the automorphic inverse property
     (xy)^-1 = x^-1 y^-1 per sampled pair; the inverses of xy, x and y are
-    one level of divisions.  The product x^-1 y^-1 is asked for in the
-    level that reads the inverses' gap, so it waits on no reading; a
-    breakdown in it therefore ends the steps before the inverses are
-    checked to be two-sided."""
+    one level of divisions.  The product x^-1 y^-1 is the next level, so a
+    breakdown in it ends the steps before the inverses are checked to be
+    two-sided, and both readings, the inverses' gap and the residual, are
+    the last."""
     xy = yield from step(loop, "mul", x, y)
     right, left = yield from _inverses(loop, loop.join(xy, x, y))
     lhs, inv_x, inv_y = pieces(right, [len(x)] * 3)
-    rhs, gap = yield [(loop, "mul", (inv_x, inv_y)), (loop, "distance", (right, left))]
+    rhs = yield from step(loop, "mul", inv_x, inv_y)
+    gap, d = yield [(loop, "distance", (right, left)), (loop, "distance", (lhs, rhs))]
     _two_sided(right, gap)
-    return (yield from step(loop, "distance", lhs, rhs))
+    return d
 
 
 def left_a(loop: Loop, x, y, u, v):
@@ -286,16 +300,16 @@ def left_a(loop: Loop, x, y, u, v):
     (x*y) \\ (x*(y*w)).
 
     The map is evaluated through divisions, so no translation ever has to
-    be inverted as a map; its three arguments uv, u and v go through it as
-    one stack.
+    be inverted as a map.  Each product and division is asked for as soon
+    as its operands exist, as a request of its own: xy, uv, y*u and y*v
+    first, so lambda(u) and lambda(v) wait on no product with uv, and the
+    identity takes four levels of products and divisions.
     """
-    count = len(x)
-    xy, uv = pieces((yield from step(loop, "mul", loop.join(x, u), loop.join(y, v))), [count] * 2)
-    ys = yield from step(loop, "mul", loop.join(y, y, y), loop.join(uv, u, v))
-    xys = yield from step(loop, "mul", loop.join(x, x, x), ys)
-    lam = yield from step(loop, "left_divide", loop.join(xy, xy, xy), xys)
-    lam_uv, lam_u, lam_v = pieces(lam, [count] * 3)
-    rhs = yield from step(loop, "mul", lam_u, lam_v)
+    xy, uv, yu, yv = yield [(loop, "mul", pair) for pair in ((x, y), (u, v), (y, u), (y, v))]
+    y_uv, x_yu, x_yv = yield [(loop, "mul", pair) for pair in ((y, uv), (x, yu), (x, yv))]
+    x_y_uv, lam_u, lam_v = yield [
+        (loop, "mul", (x, y_uv)), (loop, "left_divide", (xy, x_yu)), (loop, "left_divide", (xy, x_yv))]
+    lam_uv, rhs = yield [(loop, "left_divide", (xy, x_y_uv)), (loop, "mul", (lam_u, lam_v))]
     return (yield from step(loop, "distance", lam_uv, rhs))
 
 

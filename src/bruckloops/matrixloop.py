@@ -20,10 +20,13 @@ eigendecomposition, with no S S* and no subtraction.  Right division then
 finishes A^{-1} root A^{-1}.  ``mul_w1`` is the product read off its
 first p1 columns instead, which the extension loop's ``ext_infinity_compat``
 row takes as its second, independent computation on carrier 2.
-``run`` takes several calls at once, forms each one's columns, makes one
-``positive_factor`` call on them all and cuts it back, so one spectral
-call serves whatever products and divisions the kernel's driver shares.
-Each operation is ``run`` on its own call.
+``lift`` is the one lift both loops share: it takes lift requests of
+loops of one form, whatever loop each comes from, has each loop's
+``lift_steps`` state the (frame, block) pair of each of its requests,
+makes one ``positive_factor`` call on them all and has each loop finish
+its own results from the factors, so one spectral call serves whatever
+products, divisions and coordinates the kernel's driver shares.  Each
+operation called directly is ``lift`` of its one request, the same path.
 ``membership`` reads the worst Sigma membership residual of each element,
 the suite's closure rows' request.
 
@@ -48,9 +51,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import NotPositiveDefinite
 from .groups import SignatureForm, membership_residual, positive_factor
 # spectral_map is held for bench/tests/test_bench.py; groups.positive_factor calls it
-from .linalg import concat, fro, refuse_assignment, spectral_map, symmetrize  # noqa: F401
+from .linalg import concat, fro, pieces, refuse_assignment, spectral_map, symmetrize  # noqa: F401
 
 # The columns of the product whose positive factor each operation takes,
 # and their block: the last p2 columns of a b for mul(a, b), of A^{-1} c
@@ -69,6 +73,33 @@ def frobenius_distance(a: np.ndarray, b: np.ndarray):
     """Relative Frobenius distance, symmetric in its arguments; one per
     element of a stack."""
     return fro(a - b) / (1.0 + np.maximum(fro(a), fro(b)))
+
+
+def lift(requests: list) -> list:
+    """The result of each of ``requests``, ``(loop, operation, operands)``
+    lift operations of loops of one form, whatever loop each comes from,
+    from one ``positive_factor`` call: each loop's ``lift_steps`` yield the
+    (frame, block) pair each of its calls lifts and return the calls'
+    results from their factors.  A breakdown of the call is thrown into
+    the first loop's steps, so the requests of one loop raise its error;
+    the kernel's driver re-runs a broken call of several requests one by
+    one."""
+    places = {}  # loop -> the indices of its requests, in order
+    for k, (loop, *_) in enumerate(requests):
+        places.setdefault(loop, []).append(k)
+    lifts = [loop.lift_steps([requests[k][1:] for k in own]) for loop, own in places.items()]
+    frames = [next(steps) for steps in lifts]
+    try:
+        factors = positive_factor(requests[0][0].form, [frame for own in frames for frame in own])
+    except NotPositiveDefinite as exc:
+        lifts[0].throw(exc)
+    results = {}  # request index -> its result
+    for own, steps, roots in zip(places.values(), lifts, pieces(factors, [len(f) for f in frames])):
+        try:
+            steps.send(roots)
+        except StopIteration as done:
+            results.update(zip(own, done.value))
+    return [results[k] for k in range(len(requests))]
 
 
 class MatrixLoop:
@@ -98,15 +129,21 @@ class MatrixLoop:
         """The identity filling the batch shape of ``a``: a read-only view."""
         return np.broadcast_to(self.form.eye(), a.shape)
 
-    def run(self, calls: list) -> list:
-        """The result of each of ``calls``, ``(operation, operands)`` pairs
-        of operations in ``primitive``: their products' columns through one
-        ``positive_factor`` call, each right division finished on its own
-        slice."""
-        roots = positive_factor(self.form, [_PRODUCTS[operation](self, *operands) for operation, operands in calls])
-        return [self._finished(operation, operands, root) for (operation, operands), root in zip(calls, roots)]
+    run = staticmethod(lift)
 
-    def _finished(self, operation: str, operands: tuple, root: np.ndarray) -> np.ndarray:
+    def lift_steps(self, calls: list):
+        """Steps of the shared lift (``lift``) for ``calls``, ``(operation,
+        operands)`` pairs of operations in ``primitive``: it yields the
+        columns of each call's product (``columns``), receives their
+        positive factors and returns each call's result (``finished``)."""
+        roots = yield [self.columns(operation, *operands) for operation, operands in calls]
+        return [self.finished(operation, operands, root) for (operation, operands), root in zip(calls, roots)]
+
+    def columns(self, operation: str, *operands) -> tuple:
+        """The (frame, block) pair whose positive factor ``operation`` takes."""
+        return _PRODUCTS[operation](self, *operands)
+
+    def finished(self, operation: str, operands: tuple, root: np.ndarray) -> np.ndarray:
         """An operation's result from the positive factor of its product:
         right division's x = A^{-1} sqrt(A B^2 A) A^{-1}, the factor itself
         otherwise."""
@@ -116,7 +153,7 @@ class MatrixLoop:
         return symmetrize((ainv @ root) @ ainv)
 
     def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return self.run([("mul", (a, b))])[0]
+        return lift([(self, "mul", (a, b))])[0]
 
     def inverse(self, a: np.ndarray) -> np.ndarray:
         """A^{-1} = J A J, exact for a hermitian isometry: A with its
@@ -124,10 +161,10 @@ class MatrixLoop:
         return symmetrize(a * self.form.signs())
 
     def left_divide(self, a: np.ndarray, c: np.ndarray) -> np.ndarray:
-        return self.run([("left_divide", (a, c))])[0]
+        return lift([(self, "left_divide", (a, c))])[0]
 
     def right_divide(self, b: np.ndarray, a: np.ndarray) -> np.ndarray:
-        return self.run([("right_divide", (b, a))])[0]
+        return lift([(self, "right_divide", (b, a))])[0]
 
     def membership(self, a: np.ndarray) -> np.ndarray:
         """The worst of the Sigma membership residuals of each element:

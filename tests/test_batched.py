@@ -18,7 +18,7 @@ import bruckloops.linalg
 import bruckloops.suite as suite
 from bruckloops.cli import SuiteConfig, main, resolve, run_verify
 from bruckloops.errors import InversesDisagree, NoConvergence, NotHermitian, NotInOrbit, NotPositiveDefinite
-from bruckloops.extension import extension_config, lift_from_infinity
+from bruckloops.extension import ExtensionElement, extension_config
 from bruckloops.geometry import AffineSubspace
 from bruckloops.groups import SampleStream, element_to_json, sample_parts, unit_uniforms
 from bruckloops.kernel import check_aip, check_left_a, drive, inverse_of, run
@@ -169,24 +169,26 @@ def _counting(monkeypatch, module, name: str) -> list:
 def _loop_calls(monkeypatch) -> list:
     """Record every primitive call a verify makes from outside any other,
     as ``(loop class, primitive)``: every ``Loop.run``, and every operation
-    called directly; the extension loop's right division runs the matrix
-    loop's inside it."""
+    called directly.  A lift call may serve both loops, so it is recorded
+    as ``("lift", "positive_factor")``."""
     calls, depth = [], [0]
 
     def wrap(cls, name):
+        real = cls.__dict__[name]
+        static = isinstance(real, staticmethod)
         real = getattr(cls, name)
 
         def counted(*args):
             if depth[0] == 0:
-                operation = args[1][0][0] if name == "run" else name
-                calls.append((cls.__name__, cls.primitive.get(operation, operation)))
+                operation = args[-1][0][1] if name == "run" else name
+                primitive = cls.primitive.get(operation, operation)
+                calls.append(("lift" if primitive == "positive_factor" else cls.__name__, primitive))
             depth[0] += 1
             try:
                 return real(*args)
             finally:
                 depth[0] -= 1
 
-        static = isinstance(cls.__dict__[name], staticmethod)
         monkeypatch.setattr(cls, name, staticmethod(counted) if static else counted)
 
     for cls in (MatrixLoop, bruckloops.extension.ExtensionConfig):
@@ -198,23 +200,22 @@ def _loop_calls(monkeypatch) -> list:
 
 # The two benchmark suites, at the benchmark's 20 dimension points, and the
 # eigendecompositions of one verify: one Sigma chart and one Phi chart for
-# all rows, one for the transversal and one per shared call of a primitive,
-# all rows' requests of one loop and primitive at once; the membership judge
-# and the dimension check take eigenvalues alone, outside ``eig_hermitian``
+# all rows, one for the transversal and one per lift call, all rows'
+# requests of products, divisions and coordinates of both loops at once;
+# the membership judge and the dimension check take eigenvalues alone,
+# outside ``eig_hermitian``
 BENCH_SUITES = {
-    "321c": (dict(n=3, p1=2, p2=1, field_name="complex"), 12),
-    "422r-c2": (dict(n=4, p1=2, p2=2, carrier=2, wtilde=f"boost:{math.log(2)!r}"), 13),
+    "321c": (dict(n=3, p1=2, p2=1, field_name="complex"), 7),
+    "422r-c2": (dict(n=4, p1=2, p2=2, carrier=2, wtilde=f"boost:{math.log(2)!r}"), 8),
 }
-# The primitive calls of one such verify at equal counts, 13: all rows'
-# waiting requests of one loop and primitive share a call, and no product
-# waits on a reading, so the matrix loop's products and divisions take
-# five calls, left-A's depth
+# The primitive calls of one such verify at equal counts, 7: all rows'
+# waiting lift requests of both loops share a call, and no product waits
+# on a reading, so the products, divisions and coordinates take four
+# calls, left-A's depth, and every row's readings of a kind one call
 LOOP_CALLS = {
-    ("MatrixLoop", "positive_factor"): 5,
-    ("MatrixLoop", "distance"): 2,
+    ("lift", "positive_factor"): 4,
+    ("MatrixLoop", "distance"): 1,
     ("MatrixLoop", "membership"): 1,
-    ("ExtensionConfig", "omega"): 3,
-    ("ExtensionConfig", "right_divide"): 1,
     ("ExtensionConfig", "distance"): 1,
 }
 
@@ -241,17 +242,59 @@ def test_a_verify_makes_one_chart_call_per_kind(monkeypatch, eig_calls, name, sa
 
     monkeypatch.setattr(bruckloops.extension, "dimension_rank_report", dimension)
     operations = _loop_calls(monkeypatch)
+    lifts, driving, real_lift, real_drive = [], [False], bruckloops.matrixloop.positive_factor, suite.drive
+
+    def lift(form, frames):
+        lifts.append(driving[0])
+        return real_lift(form, frames)
+
+    def drive_steps(steps):
+        driving[0] = True
+        try:
+            return real_drive(steps)
+        finally:
+            driving[0] = False
+
+    monkeypatch.setattr(bruckloops.matrixloop, "positive_factor", lift)
+    monkeypatch.setattr(suite, "drive", drive_steps)
     cfg = SuiteConfig(**settings)
     cfg.samples |= {key: samples for key in cfg.samples if key != "dimension_points"}
     run_verify(cfg)
     assert len(eig_calls) == eig_count
     assert Counter(operations) == LOOP_CALLS
-    assert len(operations) == 13
+    assert len(operations) == 7
+    assert lifts == [True] * 4  # every lift call made by the driver
     loop = resolve(cfg)
     draws_of = {kind: sum(row.draw.count(kind) for row in PROPERTIES) for kind in ("sigma", "phi")}
     assert sigma == [draws_of["sigma"] * samples] and phi == [draws_of["phi"] * samples]
     assert draws == [samples * sum(sum(widths) for widths in suite.layout(loop).values())]
     assert inside == {"eig": [], "qr": []}
+
+
+# The numpy.linalg calls of one bench-count verify, 8 samples a row, as
+# (eigh, solve): ``eig_hermitian`` decomposes a 1 x 1 matrix in closed form,
+# so at (3,2,1) one decomposition calls eigh; a lift call solves once per
+# block it lifts, the extension loop's transversal points take one solve
+# per lift call that serves it, its coordinates one more to make their
+# frames isometric, and the dimension check one
+BENCH_NUMPY_CALLS = {"321c": (1, 12), "422r-c2": (8, 10)}
+
+
+@pytest.mark.parametrize("name", sorted(BENCH_SUITES))
+def test_a_bench_count_verify_makes_few_eigh_and_solve_calls(monkeypatch, name):
+    calls = Counter()
+    for function in ("eigh", "solve"):
+        real = getattr(np.linalg, function)
+
+        def counted(*args, _real=real, _function=function, **kwargs):
+            calls[_function] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, function, counted)
+    cfg = SuiteConfig(**BENCH_SUITES[name][0])
+    cfg.samples |= {key: 8 for key in cfg.samples if key != "dimension_points"}
+    run_verify(cfg)
+    assert (calls["eigh"], calls["solve"]) == BENCH_NUMPY_CALLS[name]
 
 
 # Counts per row for the fused-schedule checks: rows of unequal counts in
@@ -343,7 +386,7 @@ def test_a_broken_row_holds_no_draws_after_its_run(monkeypatch):
     # the solve_translation row's coordinates request breaks; its error's
     # traceback, and those of the errors chained to it, hold the frames of
     # its steps, and so its draws, unless they are cleared after the run
-    refs, real_draw, real_run = [], suite.draw_parts, bruckloops.extension.ExtensionConfig.run
+    refs, real_draw, real_lift = [], suite.draw_parts, bruckloops.extension.ExtensionConfig.lift_steps
 
     def drawing(*args):
         drawn = real_draw(*args)
@@ -353,7 +396,7 @@ def test_a_broken_row_holds_no_draws_after_its_run(monkeypatch):
     def refuse(self, calls):
         if any(operation == "coordinates" for operation, _ in calls):
             raise NotInOrbit("no translation")
-        return real_run(self, calls)
+        return real_lift(self, calls)
 
     alive, real_entries = [], suite._entries
 
@@ -363,7 +406,7 @@ def test_a_broken_row_holds_no_draws_after_its_run(monkeypatch):
         return real_entries(row, count, outcome)
 
     monkeypatch.setattr(suite, "draw_parts", drawing)
-    monkeypatch.setattr(bruckloops.extension.ExtensionConfig, "run", refuse)
+    monkeypatch.setattr(bruckloops.extension.ExtensionConfig, "lift_steps", refuse)
     monkeypatch.setattr(suite, "_entries", entries)
     cfg = SuiteConfig()
     cfg.samples |= {key: 3 for key in cfg.samples if key != "dimension_points"}
@@ -385,7 +428,7 @@ def test_a_breakdown_in_a_shared_call_fails_its_row_alone(monkeypatch, name):
     slots = suite.stream_slots(loop, cfg.samples, suite.layout(loop))
     streams = {key: SampleStream(cfg.seed).split(offset) for key, (offset, _) in slots.items()}
     poison = _drawn(loop, streams, cfg.samples)["bol"][0][0]
-    real, sizes = MatrixLoop.run, []
+    real, sizes = MatrixLoop.lift_steps, []
 
     def run(self, calls):
         if any(op == "mul" and np.all(ops[0] == poison, axis=(-2, -1)).any() for op, ops in calls):
@@ -394,7 +437,7 @@ def test_a_breakdown_in_a_shared_call_fails_its_row_alone(monkeypatch, name):
             raise NotPositiveDefinite(f"injected in a stack of {size}")
         return real(self, calls)
 
-    monkeypatch.setattr(MatrixLoop, "run", run)
+    monkeypatch.setattr(MatrixLoop, "lift_steps", run)
     reports = []
     for steps_bytes in (suite._STEPS_BYTES, -1):  # fused, then every row alone
         monkeypatch.setattr(suite, "_STEPS_BYTES", steps_bytes)
@@ -425,7 +468,7 @@ def test_a_breakdown_in_aips_last_product_fails_the_aip_row_alone(monkeypatch, n
     streams = {key: SampleStream(cfg.seed).split(offset) for key, (offset, _) in slots.items()}
     x, y = _drawn(loop, streams, cfg.samples)["aip"]
     poison = loop.mat.inverse(x[0])
-    real = MatrixLoop.run
+    real = MatrixLoop.lift_steps
 
     def run(self, calls):
         for operation, operands in calls:
@@ -433,7 +476,7 @@ def test_a_breakdown_in_aips_last_product_fails_the_aip_row_alone(monkeypatch, n
                 raise NotPositiveDefinite(f"injected in a stack of {sum(len(ops[0]) for _, ops in calls)}")
         return real(self, calls)
 
-    monkeypatch.setattr(MatrixLoop, "run", run)
+    monkeypatch.setattr(MatrixLoop, "lift_steps", run)
     with pytest.raises(NotPositiveDefinite) as alone:
         check_aip(loop.mat, x, y)
     report = _without_timing(run_verify(cfg))
@@ -590,7 +633,7 @@ def test_a_breakdown_in_a_rows_second_slice_fails_that_row_alone(monkeypatch, na
     slots = suite.stream_slots(loop, cfg.samples, suite.layout(loop))
     streams = {key: SampleStream(cfg.seed).split(offset) for key, (offset, _) in slots.items()}
     x = _drawn(loop, streams, cfg.samples)["bol"][0]
-    real, real_draw, drawn = MatrixLoop.run, suite.draw_parts, []
+    real, real_draw, drawn = MatrixLoop.lift_steps, suite.draw_parts, []
 
     def run(self, calls):
         for op, ops in calls:
@@ -603,7 +646,7 @@ def test_a_breakdown_in_a_rows_second_slice_fails_that_row_alone(monkeypatch, na
         drawn.extend((row.key, stream.counter, count) for row, stream, count in slices)
         return real_draw(loop, widths, slices)
 
-    monkeypatch.setattr(MatrixLoop, "run", run)
+    monkeypatch.setattr(MatrixLoop, "lift_steps", run)
     monkeypatch.setattr(suite, "draw_parts", drawing)
     monkeypatch.setattr(bruckloops.extension, "PASS_BYTES", _pass_bytes(6, cfg))  # bol: 2 samples a slice
     monkeypatch.setattr(suite, "_STEPS_BYTES", -1 if alone else 1 << 40)
@@ -714,14 +757,14 @@ class TestPerElementFailures:
             mloop.left_divide(a, c)
 
     def test_one_direction_off_the_orbit_fails_the_stacked_lift(self, form321r):
+        # the product e0 * (0, rho) lifts the carrier columns of rho as they are
         cfg = extension_config(form321r)
         x, _ = one(draw(cfg, SampleStream(8), 1))
-        good = x.rho[:, :2]
-        bad = np.eye(3)[:, [0, 2]]  # no graph over the carrier: its top block is singular
-        with pytest.raises(NotInOrbit):
-            lift_from_infinity(bad, cfg)
-        with pytest.raises(NotInOrbit):
-            lift_from_infinity(np.stack([good, bad, good]), cfg)
+        bad = np.eye(3)[:, [0, 2, 1]]  # carrier columns of no graph over the carrier: their top block is singular
+        with pytest.raises(NotInOrbit, match="^direction is not in the orbit: "):
+            cfg.mul(cfg.identity, ExtensionElement(np.zeros(3), bad))
+        with pytest.raises(NotInOrbit, match="^direction is not in the orbit: "):
+            cfg.mul(cfg.identity, ExtensionElement(np.zeros((3, 3)), np.stack([x.rho, bad, x.rho])))
 
     def test_one_direction_off_the_orbit_fails_the_stacked_coordinates(self, form321r):
         cfg = extension_config(form321r)

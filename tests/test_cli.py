@@ -257,18 +257,19 @@ class TestVerify:
         assert all(p["pass"] for name, p in entries.items() if p["required"] and name not in broken)
 
     def test_breakdown_fails_every_entry_of_its_row(self, tmp_path, monkeypatch):
-        # the row's coordinates request shares the extension loop's omega
-        # call: that call breaks, and re-run per request only the row's fails
+        # the row's coordinates request shares a lift call with other
+        # rows' requests: that call breaks, and re-run per request only the
+        # row's fails
         from bruckloops.extension import ExtensionConfig
 
-        real = ExtensionConfig.run
+        real = ExtensionConfig.lift_steps
 
         def refuse(self, calls):
             if any(operation == "coordinates" for operation, _ in calls):
                 raise NotInOrbit("no translation")
             return real(self, calls)
 
-        monkeypatch.setattr(ExtensionConfig, "run", refuse)
+        monkeypatch.setattr(ExtensionConfig, "lift_steps", refuse)
         cfg = write_config(tmp_path / "cfg.json")
         out = tmp_path / "report.json"
         assert main(["verify", "--config", cfg, "--out", str(out)]) == 1

@@ -18,9 +18,7 @@ from bruckloops.extension import (
     expected_dimension,
     extension_config,
     extension_element_from_json,
-    lift_from_infinity,
     nonisomorphism_witness,
-    omega,
     realize,
     solve_translation,
 )
@@ -159,10 +157,16 @@ class TestRealize:
         assert subspace_distance(realize(e, cfg), expected) <= 1e-12
 
 
+def _lift(z, cfg):
+    """The lift of the direction spanned by the frame ``z``: the direction
+    part of the coordinates of its span through 0."""
+    return cfg.coordinates(AffineSubspace(np.zeros(z.shape[:-1], dtype=cfg.form.dtype), z)).rho
+
+
 class TestLift:
     def test_carrier_direction_gives_identity(self, cfg):
         z = cfg.carrier_subspace().frame
-        assert fro(lift_from_infinity(z, cfg) - np.eye(3)) <= 1e-12
+        assert fro(_lift(z, cfg) - np.eye(3)) <= 1e-12
 
     @pytest.mark.parametrize("field", ["real", "complex"])
     def test_roundtrip_uniqueness(self, field):
@@ -172,12 +176,12 @@ class TestLift:
         for _ in range(50):
             rho, stream = one(draw(form, stream, 1))
             z = apply(rho, config.carrier_subspace()).frame
-            lifted = lift_from_infinity(z, config)
+            lifted = _lift(z, config)
             assert fro(lifted - rho) <= 1e-8
 
     def test_negative_direction_not_in_orbit(self, cfg):
         with pytest.raises(NotInOrbit):
-            lift_from_infinity(np.eye(3)[:, [0, 2]], cfg)
+            _lift(np.eye(3)[:, [0, 2]], cfg)
 
     def test_non_contraction_not_in_orbit(self, cfg):
         # invertible top block, but the graph block X* = [0, 2] has norm 2:
@@ -193,7 +197,7 @@ class TestLift:
         for _ in range(30):
             rho, stream = one(draw(form, stream, 1))
             z = apply(rho, config.carrier_subspace()).frame
-            assert fro(lift_from_infinity(z, config) - rho) <= 1e-8
+            assert fro(_lift(z, config) - rho) <= 1e-8
 
     def test_one_eigendecomposition_and_no_svd_or_det(self, cfg, form321r, eig_calls, monkeypatch):
         rho, _ = one(draw(form321r, SampleStream(6), 1))
@@ -201,7 +205,7 @@ class TestLift:
         eig_calls.clear()
         for name in ("svd", "det"):
             monkeypatch.setattr(np.linalg, name, pytest.fail)
-        lift_from_infinity(z, cfg)
+        _lift(z, cfg)
         assert len(eig_calls) == 1
 
     def test_carrier_two(self):
@@ -211,7 +215,7 @@ class TestLift:
         for _ in range(20):
             rho, stream = one(draw(form, stream, 1))
             z = apply(rho, config.carrier_subspace()).frame
-            assert fro(lift_from_infinity(z, config) - rho) <= 1e-8
+            assert fro(_lift(z, config) - rho) <= 1e-8
 
     def test_determinant_correction_complex(self):
         form = SignatureForm(3, 2, 1, "complex")
@@ -220,12 +224,12 @@ class TestLift:
         for _ in range(30):
             rho, stream = one(draw(form, stream, 1))
             z = apply(rho, config.carrier_subspace()).frame
-            assert fro(lift_from_infinity(z, config) - rho) <= 1e-8
+            assert fro(_lift(z, config) - rho) <= 1e-8
 
 
-class TestOmega:
+class TestRealizedCoordinates:
     def test_carrier_maps_to_identity(self, cfg):
-        e = omega(cfg.carrier_subspace(), cfg)
+        e = cfg.coordinates(cfg.carrier_subspace())
         assert np.allclose(e.w, 0.0)
         assert fro(e.rho - np.eye(3)) <= 1e-12
 
@@ -234,7 +238,7 @@ class TestOmega:
         stream = SampleStream(5)
         for _ in range(50):
             e, stream = one(draw(loop, stream, 1))
-            back = omega(realize(e, cfg), cfg)
+            back = cfg.coordinates(realize(e, cfg))
             assert np.linalg.norm(back.w - e.w) <= 1e-8
             assert fro(back.rho - e.rho) <= 1e-8
 
@@ -319,7 +323,7 @@ class TestExtMul:
         boosted_cfg.mul(e1, e2)
         loop.left_divide(e1, e2)
         loop.right_divide(e2, e1)
-        omega(realize(e1, boosted_cfg), boosted_cfg)
+        boosted_cfg.coordinates(realize(e1, boosted_cfg))
         solve_translation(realize(e1, boosted_cfg), realize(e2, boosted_cfg), boosted_cfg)
 
 
@@ -685,15 +689,15 @@ class TestOnCoordinates:
         cfg.mul(a, c)
         cfg.left_divide(a, c)
         cfg.right_divide(c, a)
-        omega(d1, cfg)
+        cfg.coordinates(d1)
         solve_translation(d1, d2, cfg)
 
     @pytest.mark.parametrize("signature, carrier, wtilde", DIMENSION_CONFIGS)
     def test_coordinates_of_any_representative(self, signature, carrier, wtilde):
         # (w + F c, F M) spans the same subspace as realize(e) for any c and
         # invertible M; ||M - I|| <= 0.2 sqrt(2) k < 1 keeps M invertible.
-        # coordinates makes F M isometric, and omega lifts it as it lifts
-        # the isometric carrier columns F themselves
+        # coordinates makes F M isometric and lifts it as the product
+        # e0 * e, e0 the identity, lifts the isometric carrier columns F
         cfg = dimension_config(signature, carrier, wtilde)
         rng = np.random.default_rng(23)
         k = cfg.carrier_dim
@@ -705,7 +709,7 @@ class TestOnCoordinates:
             shift = (noise[0] + 1j * noise[1] if complex_field else noise[0]).astype(cfg.form.dtype)
             f = ext._block_columns(e.rho, cfg.form, cfg.carrier)
             rep = AffineSubspace(e.w + f @ shift[k], f @ (np.eye(k) + 0.2 * shift[:k]))
-            got, want = cfg.coordinates(rep), omega(realize(e, cfg), cfg)
+            got, want = cfg.coordinates(rep), cfg.mul(cfg.identity, e)
             assert np.linalg.norm(got.w - want.w) <= 1e-12
             assert fro(got.rho - want.rho) <= 1e-12
 

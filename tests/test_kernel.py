@@ -3,8 +3,8 @@ import pytest
 
 import bruckloops.kernel
 import bruckloops.matrixloop
-from bruckloops.errors import BruckLoopsError, InversesDisagree, NotPositiveDefinite
-from bruckloops.extension import extension_config, realize
+from bruckloops.errors import BruckLoopsError, InversesDisagree, NotInOrbit, NotPositiveDefinite
+from bruckloops.extension import ExtensionElement, extension_config, realize
 from bruckloops.geometry import AffineSubspace
 from bruckloops.groups import SampleStream, SignatureForm, standard_boost
 from bruckloops.kernel import (
@@ -96,11 +96,12 @@ class TestCheckers:
         assert a == b
 
 
-# Spectral calls per checker: one per primitive per dependency level, so
-# the matrix loop's two divisions of one level share one; the checkers draw
-# nothing and the distances make no spectral call.
-MATRIX_EIG_CALLS = {check_loop_axioms: 2, check_bol: 3, check_aip: 3, check_left_a: 5}
-EXTENSION_EIG_CALLS = {check_loop_axioms: 3, check_bol: 3, check_left_a: 5}
+# Spectral calls per checker: one lift call per dependency level, so the
+# two divisions of one level share one, the extension loop's right
+# division too; the checkers draw nothing and the distances make no
+# spectral call.
+MATRIX_EIG_CALLS = {check_loop_axioms: 2, check_bol: 3, check_aip: 3, check_left_a: 4}
+EXTENSION_EIG_CALLS = {check_loop_axioms: 2, check_bol: 3, check_left_a: 4}
 
 
 @pytest.mark.parametrize("count", [5, 50])
@@ -136,24 +137,23 @@ def test_join_concatenates_stacks_of_any_lengths(form321c, join):
 class TestDrive:
     def test_steps_driven_together_share_each_level(self, monkeypatch, mloop):
         # bol, AIP and left-A on stacks of 1, 4 and 3 samples: alone they
-        # make 3 + 3 + 5 positive_factor calls, together 5, left-A's depth,
+        # make 3 + 3 + 4 positive_factor calls, together 4, left-A's depth,
         # and each value is its checker's.  The first three calls serve
         # every steps that waits on one, and AIP's two divisions share the
-        # second with two levels' products; AIP asks for its last product
-        # beside its inverse-gap reading, so the product joins left-A's
-        # third level rather than waiting on the reading
+        # second with two levels' products; AIP's last product waits on no
+        # reading, so it joins left-A's third level
         stream = SampleStream(12)
         samples = [(bol, check_bol, 1, 3), (aip, check_aip, 4, 2), (left_a, check_left_a, 3, 4)]
         slots = [sample_tuples(mloop, stream.split(100 * k), n, size) for k, (*_, n, size) in enumerate(samples)]
         alone = [bruckloops.kernel.run(steps(mloop, *xs)) for (steps, *_), xs in zip(samples, slots)]
         assert [worst(a) for a in alone] == [checker(mloop, *xs) for (_, checker, *_), xs in zip(samples, slots)]
-        sizes, real = [], MatrixLoop.run
+        sizes, real = [], MatrixLoop.lift_steps
 
-        def run(self, calls):
+        def lift_steps(self, calls):
             sizes.append([(operation, len(operands[0])) for operation, operands in calls])
             return real(self, calls)
 
-        monkeypatch.setattr(MatrixLoop, "run", run)
+        monkeypatch.setattr(MatrixLoop, "lift_steps", lift_steps)
         outcomes = drive([steps(mloop, *xs) for (steps, *_), xs in zip(samples, slots)])
         assert all(o.error is None for o in outcomes)
         # every sample's residual, not only the worst
@@ -161,11 +161,10 @@ class TestDrive:
         assert [o.value.shape for o in outcomes] == [(n,) for *_, n, _ in samples]
         # one entry per request, in the order the requests were made
         assert sizes == [
-            [("mul", 2), ("mul", 4), ("mul", 6)],
-            [("mul", 2), ("right_divide", 12), ("left_divide", 12), ("mul", 9)],
-            [("mul", 2), ("mul", 4), ("mul", 9)],
-            [("left_divide", 9)],
-            [("mul", 3)],
+            [("mul", 2), ("mul", 4), ("mul", 3), ("mul", 3), ("mul", 3), ("mul", 3)],
+            [("mul", 2), ("right_divide", 12), ("left_divide", 12), ("mul", 3), ("mul", 3), ("mul", 3)],
+            [("mul", 2), ("mul", 4), ("mul", 3), ("left_divide", 3), ("left_divide", 3)],
+            [("left_divide", 3), ("mul", 3)],
         ]
         assert all(o.seconds > 0.0 for o in outcomes)
 
@@ -197,12 +196,13 @@ def _bits(x) -> tuple:
 
 
 # Requests of one primitive on stacks of unequal lengths: the matrix loop's
-# three operations rest on positive_factor, the extension loop's product,
-# left division and coordinates of orbit subspaces on omega, and its
-# distances of elements and of subspaces on one QR call
+# three operations, and the extension loop's product, divisions and
+# coordinates of orbit subspaces, rest on the lift, positive_factor, and
+# the extension loop's distances of elements and of subspaces on one QR call
 MIXED = {
     "matrix": [("mul", 2), ("left_divide", 5), ("right_divide", 3), ("mul", 4)],
-    "extension": [("mul", 2), ("coordinates", 4), ("left_divide", 5), ("mul", 3), ("coordinates", 1)],
+    "extension": [("mul", 2), ("coordinates", 4), ("left_divide", 5), ("right_divide", 3), ("mul", 3),
+                  ("coordinates", 1)],
     "extension-distance": [("subspace_distance", 2), ("distance", 5), ("subspace_distance", 4), ("distance", 1)],
 }
 
@@ -217,6 +217,20 @@ def _operands(loop, operation: str, xs, ys) -> tuple:
     return xs, ys
 
 
+def _recorded(monkeypatch, loop, kind: str) -> list:
+    """Record, for each primitive call that serves ``loop``, its requests'
+    operations and lengths: those its lift steps take, or its distance run."""
+    runs, name = [], "run" if kind == "extension-distance" else "lift_steps"
+    real = getattr(type(loop), name)
+
+    def record(self, calls):
+        runs.append([(call[-2], len(call[-1][0])) for call in calls])
+        return real(self, calls)
+
+    monkeypatch.setattr(type(loop), name, record)
+    return runs
+
+
 class TestMixedGroups:
     @pytest.mark.parametrize("field", ["real", "complex"])
     @pytest.mark.parametrize("kind", sorted(MIXED))
@@ -227,17 +241,16 @@ class TestMixedGroups:
         ys, _ = draw(loop, SampleStream(22), 5)
         requests = [(op, _operands(loop, op, xs[:count], ys[:count])) for op, count in MIXED[kind]]
         alone = [_bits(getattr(loop, operation)(*operands)) for operation, operands in requests]
-        runs, real = [], type(loop).run
-        monkeypatch.setattr(type(loop), "run", lambda self, calls: runs.append(calls) or real(self, calls))
+        runs = _recorded(monkeypatch, loop, kind)
         outcomes = drive([step(loop, operation, *operands) for operation, operands in requests])
         assert [_bits(o.value) for o in outcomes] == alone
         # one call, one entry per request
-        assert [[(op, len(operands[0])) for op, operands in calls] for calls in runs] == [MIXED[kind]]
+        assert runs == [MIXED[kind]]
 
     @pytest.mark.parametrize("field", ["real", "complex"])
     def test_a_breakdown_in_a_joined_coordinates_call_fails_only_its_request(self, field):
         # a subspace with a zero frame is not in the orbit: it breaks the
-        # shared omega call, and re-run per request only its own fails
+        # shared lift call, and re-run per request only its own fails
         loop = extension_config(SignatureForm(3, 2, 1, field))
         xs, _ = draw(loop, SampleStream(24), 4)
         good = realize(xs, loop)
@@ -260,33 +273,38 @@ class TestMixedGroups:
         ys, _ = draw(loop, SampleStream(22), 5)
         requests = [(op, _operands(loop, op, xs[:count], ys[:count])) for op, count in MIXED[kind]]
         joined = [_bits(o.value) for o in drive([step(loop, op, *operands) for op, operands in requests])]
-        runs, real = [], type(loop).run
-        monkeypatch.setattr(type(loop), "run", lambda self, calls: runs.append(calls) or real(self, calls))
+        runs = _recorded(monkeypatch, loop, kind)
         monkeypatch.setattr(bruckloops.kernel, "SHARE_BYTES", 0)
         apart = drive([step(loop, op, *operands) for op, operands in requests])
         assert [_bits(o.value) for o in apart] == joined
         # one call per request, on its own operands
-        assert [[(op, len(operands[0])) for op, operands in calls] for calls in runs] == [[r] for r in MIXED[kind]]
+        assert runs == [[r] for r in MIXED[kind]]
 
     @pytest.mark.parametrize("field", ["real", "complex"])
-    @pytest.mark.parametrize("kind", ["matrix", "extension"])
-    def test_an_operation_of_no_primitive_joins_while_it_fits(self, monkeypatch, kind, field):
-        # the matrix loop's distance and the extension loop's right
-        # division share no primitive: one call on the joined operands
-        # within the bound, one call per request past it
-        form = SignatureForm(3, 2, 1, field)
-        loop = MatrixLoop(form) if kind == "matrix" else extension_config(form)
-        operation = "distance" if kind == "matrix" else "right_divide"
+    @pytest.mark.parametrize("operation", ["distance", "membership"])
+    def test_an_operation_of_no_primitive_joins_while_it_fits(self, monkeypatch, operation, field):
+        # the matrix loop's distance and membership share no primitive: one
+        # call on the joined operands within the bound, one call per request
+        # past it
+        loop = MatrixLoop(SignatureForm(3, 2, 1, field))
         xs, _ = draw(loop, SampleStream(21), 5)
         ys, _ = draw(loop, SampleStream(22), 5)
         counts = [2, 5, 3]
-        alone = [_bits(getattr(loop, operation)(xs[:n], ys[:n])) for n in counts]
-        called, real = [], getattr(loop, operation)
-        monkeypatch.setattr(type(loop), operation, staticmethod(lambda a, b: called.append(len(a)) or real(a, b)))
+        operands = [(xs[:n], ys[:n])[: 2 if operation == "distance" else 1] for n in counts]
+        alone = [_bits(getattr(loop, operation)(*ops)) for ops in operands]
+        called, real = [], MatrixLoop.__dict__[operation]
+        static = isinstance(real, staticmethod)
+        real = getattr(MatrixLoop, operation)
+
+        def counted(*args):
+            called.append(len(args[-1]))
+            return real(*args)
+
+        monkeypatch.setattr(MatrixLoop, operation, staticmethod(counted) if static else counted)
         for share, calls in ((bruckloops.kernel.SHARE_BYTES, [sum(counts)]), (0, counts)):
             monkeypatch.setattr(bruckloops.kernel, "SHARE_BYTES", share)
             called.clear()
-            outcomes = drive([step(loop, operation, xs[:n], ys[:n]) for n in counts])
+            outcomes = drive([step(loop, operation, *ops) for ops in operands])
             assert [_bits(o.value) for o in outcomes] == alone and called == calls
 
     @pytest.mark.parametrize("field", ["real", "complex"])
@@ -304,6 +322,95 @@ class TestMixedGroups:
         assert isinstance(bad.error, NotPositiveDefinite) and str(bad.error) == str(own.value)
         assert good.error is None and _bits(good.value) == _bits(loop.mul(a, a))
         assert other.error is None and _bits(other.value) == _bits(loop.right_divide(a[:2], a[:2]))
+
+
+def _lift_requests(form: SignatureForm, carrier: int) -> list:
+    """Lift requests of both loops of ``form`` on stacks of unequal lengths:
+    the matrix loop's over W_2 columns and its ``mul_w1`` over W_1 columns,
+    and the extension loop's over its carrier's, its coordinates on a (2, 3)
+    stack of subspaces, which the call flattens, and its right division."""
+    cfg = extension_config(form, carrier)
+    a, _ = draw(cfg.mat, SampleStream(31), 5)
+    b, _ = draw(cfg.mat, SampleStream(32), 5)
+    xs, _ = draw(cfg, SampleStream(33), 5)
+    ys, _ = draw(cfg, SampleStream(34), 5)
+    pairs = realize(cfg.join(xs[:3], ys[:3]), cfg).reshape((2, 3))
+    return [
+        (cfg.mat, "mul", (a[:2], b[:2])),
+        (cfg, "mul", (xs[:3], ys[:3])),
+        (cfg.mat, "mul_w1", (a[:4], b[:4])),
+        (cfg, "coordinates", (pairs,)),
+        (cfg, "right_divide", (xs[:4], ys[:4])),
+        (cfg.mat, "right_divide", (a[:3], b[:3])),
+        (cfg, "left_divide", (xs[:2], ys[:2])),
+        (cfg.mat, "left_divide", (a, b)),
+    ]
+
+
+def _counted_lifts(monkeypatch) -> list:
+    """Record the blocks of the frames of every positive_factor call."""
+    blocks, real = [], bruckloops.matrixloop.positive_factor
+
+    def counted(form, frames):
+        blocks.append([block for _, block in frames])
+        return real(form, frames)
+
+    monkeypatch.setattr(bruckloops.matrixloop, "positive_factor", counted)
+    return blocks
+
+
+class TestSharedLift:
+    @pytest.mark.parametrize("carrier", [1, 2])
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_requests_of_both_loops_share_one_call_with_their_own_bits(self, monkeypatch, field, carrier):
+        requests = _lift_requests(SignatureForm(3, 2, 1, field), carrier)
+        alone = [_bits(bruckloops.kernel.run(step(loop, op, *ops))) for loop, op, ops in requests]
+        blocks = _counted_lifts(monkeypatch)
+        outcomes = drive([step(loop, op, *ops) for loop, op, ops in requests])
+        assert [_bits(o.value) for o in outcomes] == alone
+        # one call on W_1 and W_2 frames, one frame per request
+        assert len(blocks) == 1 and sorted(set(blocks[0])) == [1, 2] and len(blocks[0]) == len(requests)
+
+    @pytest.mark.parametrize("carrier", [1, 2])
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_a_direct_call_is_a_lone_request(self, monkeypatch, field, carrier):
+        # a direct call takes the driver's path with one request: one lift
+        # call on one frame, with the bits of the request driven alone
+        requests = [r for r in _lift_requests(SignatureForm(3, 2, 1, field), carrier) if r[1] != "mul_w1"]
+        blocks = _counted_lifts(monkeypatch)
+        for loop, operation, operands in requests:
+            direct = _bits(getattr(loop, operation)(*operands))
+            (lone,) = drive([step(loop, operation, *operands)])
+            assert lone.error is None and _bits(lone.value) == direct, (type(loop).__name__, operation)
+        assert [len(frames) for frames in blocks] == [1] * 2 * len(requests)
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_a_breakdown_in_a_shared_lift_keeps_each_loops_text(self, field):
+        # each broken request fails alone with the error of its own call:
+        # the extension loop's product NotInOrbit, its right division and
+        # the matrix loop's left division NotPositiveDefinite
+        form = SignatureForm(3, 2, 1, field)
+        requests = _lift_requests(form, 1)
+        cfg = requests[1][0]
+        a = requests[-1][2][0]
+        flipped = np.eye(3, dtype=form.dtype)[:, [0, 2, 1]]  # carrier columns whose top block is singular
+        off = ExtensionElement(np.zeros((2, 3), dtype=form.dtype), np.stack([cfg.identity.rho, flipped]))
+        zero = ExtensionElement(np.zeros((2, 3), dtype=form.dtype), np.zeros((2, 3, 3), dtype=form.dtype))
+        broken = [
+            (cfg, "mul", (cfg.identity_like(off), off)),
+            (cfg, "right_divide", (zero, cfg.identity_like(zero))),
+            (cfg.mat, "left_divide", (a[:2], zero.rho)),
+        ]
+        alone = [_bits(bruckloops.kernel.run(step(loop, op, *ops))) for loop, op, ops in requests]
+        outcomes = drive([step(loop, op, *ops) for loop, op, ops in requests + broken])
+        assert all(o.error is None for o in outcomes[: len(requests)])
+        assert [_bits(o.value) for o in outcomes[: len(requests)]] == alone
+        for (loop, operation, operands), outcome, error in zip(broken, outcomes[len(requests) :],
+                                                               (NotInOrbit, NotPositiveDefinite, NotPositiveDefinite)):
+            with pytest.raises(error) as own:
+                getattr(loop, operation)(*operands)
+            assert type(outcome.error) is error and str(outcome.error) == str(own.value), operation
+        assert str(outcomes[len(requests)].error).startswith("direction is not in the orbit: ")
 
 
 @pytest.mark.parametrize("kind", ["matrix", "extension"])
@@ -354,16 +461,16 @@ class TestTwoSidedInverses:
         # extension loop, whose inverses disagree, its breakdown is still
         # the error the checker raises
         loop = MatrixLoop(form321r) if kind == "matrix" else extension_config(form321r)
-        products, real = [], type(loop).run
+        products, real = [], type(loop).lift_steps
 
-        def run(self, calls):
+        def lift_steps(self, calls):
             if any(operation == "mul" for operation, _ in calls):
                 products.append(calls)
                 if len(products) == 2:
                     raise NotPositiveDefinite("injected")
             return real(self, calls)
 
-        monkeypatch.setattr(type(loop), "run", run)
+        monkeypatch.setattr(type(loop), "lift_steps", lift_steps)
         with pytest.raises(NotPositiveDefinite, match="^injected$"):
             check_drawn(check_aip, loop, SampleStream(1), 40)
         assert len(products) == 2 and [operation for operation, _ in products[1]] == ["mul"]
